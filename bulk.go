@@ -1,6 +1,7 @@
 package gcx
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,8 +9,6 @@ import (
 	"strings"
 
 	"gcx/internal/corpus"
-	"gcx/internal/engine"
-	"gcx/internal/workload"
 )
 
 // Corpus describes a collection of XML documents for bulk evaluation:
@@ -245,34 +244,13 @@ func (c *Corpus) source(maxDocBytes int64) (corpus.Source, error) {
 // returned error is non-nil only for whole-corpus failures: a broken
 // source stream, an emit error, or context cancellation.
 func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	src, err := c.source(opts.MaxDocBytes)
-	if err != nil {
-		return BulkStats{}, err
-	}
-	defer src.Close()
-
-	var bs BulkStats
-	totals, err := corpus.Run(src, corpus.Options{
-		Workers:     opts.Workers,
-		Window:      opts.Window,
-		Outputs:     1,
-		MaxDocBytes: opts.MaxDocBytes,
-		Context:     opts.Context,
-	}, func(in io.Reader, outs []io.Writer) (engine.Stats, error) {
-		return e.c.Run(in, outs[0])
-	}, func(r *corpus.Result[engine.Stats]) error {
-		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: convertStats(r.Value), Err: r.Err}
-		if len(r.Outs) > 0 {
-			doc.Output = r.Outs[0].Bytes()
-		}
-		bs.addDoc(doc.Stats)
-		if emit == nil {
-			return nil
-		}
-		return emit(doc)
-	})
-	bs.fold(totals)
-	return bs, err
+	return bulk(c, opts, 1, func(in io.Reader, outs []io.Writer) (WorkloadStats, error) {
+		st, err := e.Run(in, outs[0])
+		return WorkloadStats{Aggregate: st}, err
+	}, func(d BulkDoc, outs []*bytes.Buffer) BulkDoc {
+		d.Output = outs[0].Bytes()
+		return d
+	}, emit)
 }
 
 // Bulk evaluates every member query over every document of the corpus:
@@ -281,34 +259,40 @@ func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (Bu
 // pool, and results arrive in corpus order. See Engine.Bulk for the
 // isolation and error contract.
 func (w *Workload) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
+	return bulk(c, opts, w.Len(), w.Run, func(d BulkDoc, outs []*bytes.Buffer) BulkDoc {
+		d.Outputs = make([][]byte, len(outs))
+		for i, b := range outs {
+			d.Outputs[i] = b.Bytes()
+		}
+		return d
+	}, emit)
+}
+
+// bulk is the body both Bulk methods share: eval runs one document into
+// its pooled output buffers, results places those buffers on the BulkDoc
+// (Output for an Engine, Outputs for a Workload; by value, so the
+// per-document BulkDoc stays off the heap).
+func bulk(c *Corpus, opts BulkOptions, outputs int,
+	eval func(io.Reader, []io.Writer) (WorkloadStats, error),
+	results func(BulkDoc, []*bytes.Buffer) BulkDoc,
+	emit func(BulkDoc) error) (BulkStats, error) {
 	src, err := c.source(opts.MaxDocBytes)
 	if err != nil {
 		return BulkStats{}, err
 	}
 	defer src.Close()
 
-	type payload struct {
-		st workload.Stats
-		qs []workload.QueryStats
-	}
 	var bs BulkStats
 	totals, err := corpus.Run(src, corpus.Options{
 		Workers:     opts.Workers,
 		Window:      opts.Window,
-		Outputs:     w.Len(),
+		Outputs:     outputs,
 		MaxDocBytes: opts.MaxDocBytes,
 		Context:     opts.Context,
-	}, func(in io.Reader, outs []io.Writer) (payload, error) {
-		st, qs, err := w.c.Run(in, outs)
-		return payload{st: st, qs: qs}, err
-	}, func(r *corpus.Result[payload]) error {
-		ws := convertWorkloadStats(r.Value.st, r.Value.qs)
-		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: ws.Aggregate, Queries: ws.Queries, Err: r.Err}
+	}, eval, func(r *corpus.Result[WorkloadStats]) error {
+		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: r.Value.Aggregate, Queries: r.Value.Queries, Err: r.Err}
 		if len(r.Outs) > 0 {
-			doc.Outputs = make([][]byte, len(r.Outs))
-			for i, b := range r.Outs {
-				doc.Outputs[i] = b.Bytes()
-			}
+			doc = results(doc, r.Outs)
 		}
 		bs.addDoc(doc.Stats)
 		if emit == nil {

@@ -6,8 +6,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-
-	"gcx/internal/static"
 )
 
 // DefaultCompileCacheCapacity is the entry cap used when NewCompileCache
@@ -100,11 +98,7 @@ func (cc *CompileCache) Len() int {
 // Engine returns the cached Engine for (query, opts), compiling it on
 // first use.
 func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
-	key, err := cacheKey("engine", []string{query}, opts)
-	if err != nil {
-		return nil, err
-	}
-	e := cc.lookup(key)
+	e := cc.lookup(cacheKey("engine", []string{query}, opts))
 	e.once.Do(func() {
 		cc.compiles.Add(1)
 		e.eng, e.err = Compile(query, opts...)
@@ -117,11 +111,7 @@ func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
 // same queries in a different order are distinct artifacts (their output
 // order differs).
 func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, error) {
-	key, err := cacheKey("workload", queries, opts)
-	if err != nil {
-		return nil, err
-	}
-	e := cc.lookup(key)
+	e := cc.lookup(cacheKey("workload", queries, opts))
 	e.once.Do(func() {
 		cc.compiles.Add(1)
 		e.wl, e.err = CompileWorkload(queries, opts...)
@@ -135,14 +125,8 @@ func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, e
 // applies them again. Query texts are length-prefixed so no crafted text
 // (e.g. one containing a NUL) can make two different workloads collide on
 // one key.
-func cacheKey(kind string, queries []string, opts []Option) (string, error) {
-	cfg := config{strategy: GCX, static: static.AllOptimizations()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.err != nil {
-		return "", cfg.err
-	}
+func cacheKey(kind string, queries []string, opts []Option) string {
+	cfg := newConfig(opts)
 	var b strings.Builder
 	b.WriteString(kind)
 	b.WriteByte(0)
@@ -153,7 +137,7 @@ func cacheKey(kind string, queries []string, opts []Option) (string, error) {
 		b.WriteByte(':')
 		b.WriteString(q)
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // lookup finds or inserts the entry for key, updating the LRU order and

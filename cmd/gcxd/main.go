@@ -25,9 +25,10 @@
 //
 // The registry file holds one query, or several separated by "=== <id>"
 // lines; a directory registers every *.xq file under its basename.
-// SIGHUP reloads the registry in place: unchanged queries keep their
-// compiled artifacts, and a registry that fails to load or compile is
-// rejected while the previous one keeps serving.
+// SIGHUP reloads the registry by generation swap: unchanged queries keep
+// their compiled artifacts, every request sees one generation, and a
+// registry that fails to load or compile is rejected while the previous
+// one keeps serving.
 package main
 
 import (
@@ -182,9 +183,9 @@ func run(c config) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	// SIGHUP reloads the query registry in place: unchanged ids keep
-	// their compiled artifacts in the serving fleet, a broken new registry
-	// rejects the reload and the old one keeps serving.
+	// SIGHUP reloads the query registry (Server.ReloadRegistry): unchanged
+	// ids keep their compiled artifacts in the serving fleet, a broken new
+	// registry rejects the reload and the old one keeps serving.
 	if c.queriesPath != "" {
 		hup := make(chan os.Signal, 1)
 		signal.Notify(hup, syscall.SIGHUP)

@@ -80,7 +80,41 @@ type config struct {
 	schema    *dtd.Schema
 	schemaSrc string
 	readBatch int
-	err       error
+}
+
+// newConfig applies opts over the defaults. It is cheap and free of side
+// effects (WithDTD defers its parse), so CompileCache key derivation runs
+// it on every lookup.
+func newConfig(opts []Option) config {
+	cfg := config{strategy: GCX, static: static.AllOptimizations()}
+	for _, o := range opts {
+		o(&cfg)
+	}
+	return cfg
+}
+
+// compileConfig is newConfig plus the deferred DTD parse: the one option
+// assembly behind Compile, CompileWorkload and NewRegistry.
+func compileConfig(opts []Option) (config, error) {
+	cfg := newConfig(opts)
+	if cfg.schemaSrc != "" {
+		s, err := dtd.Parse(cfg.schemaSrc)
+		if err != nil {
+			return cfg, err
+		}
+		cfg.schema = s
+	}
+	return cfg, nil
+}
+
+// engine and workload render the configuration for the internal
+// compilers.
+func (c *config) engine() engine.Config {
+	return engine.Config{Mode: c.strategy.mode(), Static: &c.static, Schema: c.schema}
+}
+
+func (c *config) workload() workload.Config {
+	return workload.Config{Engine: c.engine(), Batch: c.readBatch}
 }
 
 // fingerprint renders the compilation-relevant configuration as a stable
@@ -138,19 +172,6 @@ func WithoutOptimizations() Option {
 // stays cheap; a malformed DTD surfaces as a Compile error.
 func WithDTD(dtdSource string) Option {
 	return func(c *config) { c.schemaSrc = dtdSource }
-}
-
-// resolveSchema parses the deferred DTD source, once, at compilation.
-func (c *config) resolveSchema() error {
-	if c.schemaSrc == "" {
-		return nil
-	}
-	s, err := dtd.Parse(c.schemaSrc)
-	if err != nil {
-		return err
-	}
-	c.schema = s
-	return nil
 }
 
 // WithReadBatch tunes the shared-stream scheduler of a Workload: once
@@ -236,17 +257,11 @@ type Engine struct {
 // paths, @attr steps (attributes are converted to subelements, matching
 // the engine's input adaptation), string/numeric literals, and comments.
 func Compile(query string, opts ...Option) (*Engine, error) {
-	cfg := config{strategy: GCX, static: static.AllOptimizations()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if err := cfg.resolveSchema(); err != nil {
+	cfg, err := compileConfig(opts)
+	if err != nil {
 		return nil, err
 	}
-	c, err := engine.Compile(query, engine.Config{Mode: cfg.strategy.mode(), Static: &cfg.static, Schema: cfg.schema})
+	c, err := engine.Compile(query, cfg.engine())
 	if err != nil {
 		return nil, queryError("", err)
 	}
@@ -333,14 +348,6 @@ func (e *Engine) Trace(in io.Reader, out io.Writer, opts ...TraceOption) ([]Trac
 	return steps, convertStats(est), err
 }
 
-// TraceN is Trace with a step bound.
-//
-// Deprecated: use Trace with WithTraceLimit and WithTraceTruncated.
-func (e *Engine) TraceN(in io.Reader, out io.Writer, maxSteps int) (steps []TraceStep, truncated bool, st Stats, err error) {
-	steps, st, err = e.Trace(in, out, WithTraceLimit(maxSteps), WithTraceTruncated(&truncated))
-	return steps, truncated, st, err
-}
-
 // TraceStep is one event of a traced run.
 type TraceStep struct {
 	// Event describes the trigger: `read <tag>` or `signOff($x, rN)`.
@@ -382,20 +389,11 @@ type Workload struct {
 // CompileWorkload compiles a set of queries for shared-stream evaluation.
 // All members share one configuration (strategy, optimizations, schema).
 func CompileWorkload(queries []string, opts ...Option) (*Workload, error) {
-	cfg := config{strategy: GCX, static: static.AllOptimizations()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.err != nil {
-		return nil, cfg.err
-	}
-	if err := cfg.resolveSchema(); err != nil {
+	cfg, err := compileConfig(opts)
+	if err != nil {
 		return nil, err
 	}
-	c, err := workload.Compile(queries, workload.Config{
-		Engine: engine.Config{Mode: cfg.strategy.mode(), Static: &cfg.static, Schema: cfg.schema},
-		Batch:  cfg.readBatch,
-	})
+	c, err := workload.Compile(queries, cfg.workload())
 	if err != nil {
 		return nil, queryError("", err)
 	}
@@ -481,21 +479,8 @@ func (w *Workload) RunStrings(doc string) ([]string, WorkloadStats, error) {
 // the merged projection tree and the combined role table.
 func (w *Workload) Explain() string { return w.c.Explain() }
 
-func convertWorkloadStats(st workload.Stats, qs []workload.QueryStats) WorkloadStats {
-	out := WorkloadStats{
-		Aggregate: Stats{
-			PeakBufferNodes:        st.Buffer.PeakNodes,
-			PeakBufferBytes:        st.Buffer.PeakBytes,
-			BufferedTotal:          st.Buffer.NodesAppended,
-			PurgedTotal:            st.Buffer.NodesDeleted,
-			SignOffs:               st.Buffer.SignOffs,
-			TokensRead:             st.TokensRead,
-			OutputBytes:            st.OutputBytes,
-			TimeToFirstResultNanos: st.TTFRNanos,
-			EvalWallNanos:          st.WallNanos,
-		},
-		Queries: make([]QueryStats, len(qs)),
-	}
+func convertWorkloadStats(st engine.Stats, qs []workload.QueryStats) WorkloadStats {
+	out := WorkloadStats{Aggregate: convertStats(st), Queries: make([]QueryStats, len(qs))}
 	for i, q := range qs {
 		out.Queries[i] = QueryStats{
 			OutputBytes:            q.OutputBytes,

@@ -1,8 +1,11 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -209,5 +212,46 @@ func TestWorkloadMultipartClientGoneMidStream(t *testing.T) {
 	s.ServeHTTP(w, req) // must not panic
 	if s.Metrics().RequestsWorkload != 1 {
 		t.Fatal("request not counted")
+	}
+}
+
+// TestKeepAliveSurvivesUnreadBodyTail: the engine finishes at the root's
+// end tag, so a body tail that arrives later (here: a trailing newline in
+// its own TCP segment, sent once the response head has been read) is
+// still unread when the handler returns. net/http in full-duplex mode
+// then met that EOF in its own post-handler Close, restarted the
+// connection's background read, and panicked on the NEXT request of the
+// connection ("invalid concurrent Body.Read call"), dropping it. Three
+// requests on one raw keep-alive connection must all be answered.
+func TestKeepAliveSurvivesUnreadBodyTail(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	doc := xmarkDoc(t)
+	want := directRun(t, queries.Q1.Text, doc)
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(30 * time.Second))
+	br := bufio.NewReader(conn)
+	for i := 0; i < 3; i++ {
+		head := fmt.Sprintf("POST /query?id=Q1 HTTP/1.1\r\nHost: gcxd\r\nContent-Length: %d\r\n\r\n", len(doc)+1)
+		if _, err := conn.Write(append([]byte(head), doc...)); err != nil {
+			t.Fatalf("request %d: write: %v", i, err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("request %d: connection dropped: %v", i, err)
+		}
+		time.Sleep(20 * time.Millisecond)
+		if _, err := conn.Write([]byte("\n")); err != nil {
+			t.Fatalf("request %d: write tail: %v", i, err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || string(body) != want {
+			t.Fatalf("request %d: status %d, err %v, body matches solo run: %t", i, resp.StatusCode, err, string(body) == want)
+		}
 	}
 }

@@ -136,11 +136,11 @@ func TestReloadRegistryRacesWorkload(t *testing.T) {
 	if err := bad.Add("broken", "<r>{ for $x in"); err != nil {
 		t.Fatal(err)
 	}
-	before := s.registry().IDs()
+	before := s.reg.Load().IDs()
 	if err := s.ReloadRegistry(bad); err == nil {
 		t.Fatal("reload with an invalid query must fail")
 	}
-	after := s.registry().IDs()
+	after := s.reg.Load().IDs()
 	if len(before) != len(after) {
 		t.Fatalf("failed reload mutated the registry: %v -> %v", before, after)
 	}

@@ -97,17 +97,14 @@ type Server struct {
 	mux   *http.ServeMux
 	m     metrics
 
-	// regMu guards the id→text registry and its mirror subscription
-	// registry; both are replaced together by ReloadRegistry (SIGHUP in
-	// cmd/gcxd) while requests read them.
-	regMu sync.RWMutex
-	reg   *Registry
-	// subs mirrors reg in the v2 subscription API: one subscription per
-	// registered id, sharing one merged projection automaton. Full-fleet
-	// POST /workload (no id=/q= parameters) is served from it, so the
-	// fleet's compiled artifacts persist across requests AND reloads —
-	// only added ids compile, only removed ids drop out.
-	subs *gcx.Registry
+	// reg is the published generation of the registered queries — the one
+	// id-indexed store (the cache is the text-indexed one). It answers
+	// id→text for /query, /bulk, /queries and subset /workload, and runs
+	// the fleet for full-fleet /workload through its persistent merged
+	// automaton. A published registry is never mutated: ReloadRegistry
+	// changes a clone and swaps the pointer, so a request that loads the
+	// pointer once sees one generation by construction.
+	reg atomic.Pointer[gcx.Registry]
 
 	// inflight counts serving requests (/query, /workload, /bulk)
 	// currently being handled; /readyz compares it to Config.MaxInflight.
@@ -122,25 +119,21 @@ type Server struct {
 // registry typo fails at startup rather than on first request and
 // /query?id= requests are cache hits from the first one.
 func New(cfg Config) (*Server, error) {
-	s := &Server{cfg: cfg, cache: cfg.Cache, reg: cfg.Registry}
+	s := &Server{cfg: cfg, cache: cfg.Cache}
 	if s.cache == nil {
 		s.cache = gcx.NewCompileCache(0)
 	}
-	if s.reg == nil {
-		s.reg = NewRegistry()
-	}
-	for _, id := range s.reg.IDs() {
-		q, _ := s.reg.Get(id)
-		if _, err := s.cache.Engine(q, cfg.Options...); err != nil {
-			return nil, fmt.Errorf("server: registered query %q: %w", id, err)
-		}
-	}
-	subs, err := subscribeAll(s.reg, cfg.Options)
+	reg, err := gcx.NewRegistry(cfg.Options...)
 	if err != nil {
 		return nil, err
 	}
-	s.subs = subs
-	s.m.initTTFR(s.reg.IDs())
+	if cfg.Registry != nil {
+		if err := s.apply(reg, cfg.Registry); err != nil {
+			return nil, err
+		}
+	}
+	s.reg.Store(reg)
+	s.m.initTTFR(reg.IDs())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.timed(&s.m.latQuery, s.handleQuery))
 	mux.HandleFunc("POST /workload", s.timed(&s.m.latWorkload, s.handleWorkload))
@@ -175,9 +168,39 @@ func (s *Server) timed(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
 			h.Observe(obs.Now() - start)
 			s.inflight.Add(-1)
 		}()
+		body := &serialBody{ReadCloser: r.Body}
+		r.Body = body
 		fn(w, r)
+		// The engine stops at the root's end tag, so a tail of the body (a
+		// trailing newline in its own TCP segment is enough) can still be
+		// unread here. In the full-duplex mode the handlers enable, net/http
+		// would find that EOF only in its post-handler Body.Close — after it
+		// has aborted the connection's background read — restart the read,
+		// and panic on the connection's next request ("invalid concurrent
+		// Body.Read call"). Reading the tail inside the handler puts the EOF
+		// where net/http expects it; the bound is net/http's own.
+		io.CopyN(io.Discard, body, maxPostHandlerReadBytes)
 	}
 }
+
+// serialBody serializes reads of a request body: /bulk can return while a
+// straggling corpus dispatcher is still inside a body read (corpus.Run
+// never waits on a stalled source), and the post-handler drain must not
+// read concurrently with it.
+type serialBody struct {
+	mu sync.Mutex
+	io.ReadCloser
+}
+
+func (b *serialBody) Read(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.ReadCloser.Read(p)
+}
+
+// maxPostHandlerReadBytes is net/http's limit on the unread request body
+// it consumes after a handler returns to keep the connection reusable.
+const maxPostHandlerReadBytes = 256 << 10
 
 // SetNotReady makes /readyz report 503 with the given reason. Used by
 // cmd/gcxd to boot degraded (serving inline queries, liveness, and
@@ -187,44 +210,41 @@ func (s *Server) SetNotReady(reason string) { s.notReady.Store(&reason) }
 // SetReady clears a SetNotReady condition.
 func (s *Server) SetReady() { s.notReady.Store(nil) }
 
-// subscribeAll mirrors an id→text registry into a gcx.Registry: one
-// subscription per registered id, all sharing the server's compile
-// options.
-func subscribeAll(reg *Registry, opts []gcx.Option) (*gcx.Registry, error) {
-	subs, err := gcx.NewRegistry(opts...)
-	if err != nil {
-		return nil, err
-	}
+// apply makes reg — not yet published: New's empty registry or
+// ReloadRegistry's clone — hold exactly next's id→text pairs, by DIFF: ids
+// whose text is unchanged keep their subscription and compiled artifacts,
+// removed or changed ids unsubscribe, new or changed ids subscribe (after
+// the kept ones, so /queries and full-fleet /workload list survivors
+// first). Every text goes through the compile cache first, so a typo
+// fails here and /query?id= requests are cache hits from the first one.
+func (s *Server) apply(reg *gcx.Registry, next *Registry) error {
 	for _, id := range reg.IDs() {
-		q, _ := reg.Get(id)
-		if _, err := subs.Subscribe(id, q); err != nil {
-			return nil, fmt.Errorf("server: registered query %q: %w", id, err)
+		sub, _ := reg.Subscription(id)
+		if q, ok := next.Get(id); !ok || q != sub.Query() {
+			reg.Unsubscribe(id)
 		}
 	}
-	return subs, nil
-}
-
-// registry returns the current id→text registry (reload-safe).
-func (s *Server) registry() *Registry {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	return s.reg
-}
-
-// subscriptions returns the current subscription registry (reload-safe).
-func (s *Server) subscriptions() *gcx.Registry {
-	s.regMu.RLock()
-	defer s.regMu.RUnlock()
-	return s.subs
+	for _, id := range next.IDs() {
+		q, _ := next.Get(id)
+		_, err := s.cache.Engine(q, s.cfg.Options...)
+		if _, kept := reg.Subscription(id); err == nil && !kept {
+			_, err = reg.Subscribe(id, q)
+		}
+		if err != nil {
+			return fmt.Errorf("server: registered query %q: %w", id, err)
+		}
+	}
+	return nil
 }
 
 // ReloadRegistry swaps in a new query registry without restarting the
-// server (cmd/gcxd wires it to SIGHUP). The subscription registry is
-// updated by DIFF: ids whose query text is unchanged keep their compiled
-// artifacts, removed or changed ids unsubscribe, new or changed ids
-// subscribe. Every new text is compiled before any mutation, so a typo in
-// the new registry rejects the reload and the serving fleet is untouched.
-// In-flight requests finish against the snapshot they started with.
+// server (cmd/gcxd wires it to SIGHUP) by generation swap: the published
+// registry is cloned (sharing every compiled artifact), the clone is
+// brought to newReg by diff (see apply), and the pointer is swapped. A
+// typo in the new registry rejects the reload with nothing to undo — the
+// published generation was never touched. In-flight requests finish
+// against the generation they loaded. Concurrent reloads are each
+// atomic; the last to publish wins.
 //
 // TTFR histograms are allocated at boot; ids first registered by a
 // reload fold into the "inline" bucket until the next restart.
@@ -232,31 +252,11 @@ func (s *Server) ReloadRegistry(newReg *Registry) error {
 	if newReg == nil {
 		return errors.New("server: reload with nil registry")
 	}
-	// Validate first: every new text must compile (warms the cache too).
-	for _, id := range newReg.IDs() {
-		q, _ := newReg.Get(id)
-		if _, err := s.cache.Engine(q, s.cfg.Options...); err != nil {
-			return fmt.Errorf("server: registered query %q: %w", id, err)
-		}
+	next := s.reg.Load().Clone()
+	if err := s.apply(next, newReg); err != nil {
+		return err
 	}
-	s.regMu.Lock()
-	defer s.regMu.Unlock()
-	for _, id := range s.reg.IDs() {
-		oldQ, _ := s.reg.Get(id)
-		if newQ, ok := newReg.Get(id); !ok || newQ != oldQ {
-			s.subs.Unsubscribe(id)
-		}
-	}
-	for _, id := range newReg.IDs() {
-		if _, ok := s.subs.Subscription(id); ok {
-			continue
-		}
-		q, _ := newReg.Get(id)
-		if _, err := s.subs.Subscribe(id, q); err != nil {
-			return fmt.Errorf("server: registered query %q: %w", id, err)
-		}
-	}
-	s.reg = newReg
+	s.reg.Store(next)
 	return nil
 }
 
@@ -324,11 +324,11 @@ func (s *Server) resolveQuery(r *http.Request) (string, error) {
 	case q != "":
 		return q, nil
 	case id != "":
-		text, ok := s.registry().Get(id)
+		sub, ok := s.reg.Load().Subscription(id)
 		if !ok {
 			return "", fmt.Errorf("unknown query id %q", id)
 		}
-		return text, nil
+		return sub.Query(), nil
 	default:
 		return "", errors.New("missing query: give q= (inline) or id= (registered)")
 	}
@@ -512,13 +512,24 @@ func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *
 	mw.Close()
 }
 
-// workloadResponse is the JSON shape of POST /workload under
-// Accept: application/json.
+// workloadResponse is the JSON shape of POST /workload (the whole body
+// under Accept: application/json, the final stats part otherwise), the
+// same for a selection and for the full fleet. IDs, Results and
+// Stats.Queries are aligned; Stats.Groups counts the distinct evaluations
+// of the pass and Stats.Subscriptions the results it delivered.
 type workloadResponse struct {
 	IDs     []string          `json:"ids"`
-	Results []string          `json:"results"`
+	Results []string          `json:"results,omitempty"`
 	Errors  []string          `json:"errors,omitempty"`
-	Stats   gcx.WorkloadStats `json:"stats"`
+	Stats   gcx.RegistryStats `json:"stats"`
+}
+
+// pass is one shared pass /workload can serve: the labels in response
+// order, and a run that writes label i's result to outs[i] and returns
+// stats whose Queries are aligned with the labels.
+type pass struct {
+	labels []string
+	run    func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error)
 }
 
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
@@ -526,265 +537,162 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLength(w, r) {
 		return
 	}
-	params := r.URL.Query()
-	ids := params["id"]
-	if len(ids) == 0 && len(params["q"]) == 0 {
-		// Full fleet: served from the subscription registry, whose merged
-		// automaton and compiled members persist across requests and
-		// registry reloads — no cache lookups, no recompilation.
-		s.handleWorkloadRegistry(w, r)
+	p, err := s.workloadPass(r)
+	if err != nil {
+		s.fail(w, http.StatusBadRequest, err)
 		return
 	}
-	reg := s.registry()
+	in, ctx, cancel := s.body(w, r)
+	defer cancel()
+
+	if strings.Contains(r.Header.Get("Accept"), "application/json") {
+		s.workloadJSON(w, ctx, p, in)
+		return
+	}
+	s.workloadMultipart(w, ctx, p, in)
+}
+
+// workloadPass resolves the request's pass against ONE registry
+// generation: id=/q= parameters select a cached Workload; no parameters
+// select the whole registered fleet, run by the registry itself — its
+// merged automaton and compiled members persist across requests and
+// reloads, so there are no cache lookups and no recompilation.
+func (s *Server) workloadPass(r *http.Request) (pass, error) {
+	reg := s.reg.Load()
+	params := r.URL.Query()
+	if len(params["id"]) == 0 && len(params["q"]) == 0 {
+		return fleetPass(reg)
+	}
 	var texts, labels []string
-	for _, id := range ids {
-		text, ok := reg.Get(id)
+	for _, id := range params["id"] {
+		sub, ok := reg.Subscription(id)
 		if !ok {
-			s.fail(w, http.StatusBadRequest, fmt.Errorf("unknown query id %q", id))
-			return
+			return pass{}, fmt.Errorf("unknown query id %q", id)
 		}
-		texts = append(texts, text)
+		texts = append(texts, sub.Query())
 		labels = append(labels, id)
 	}
 	for i, q := range params["q"] {
 		texts = append(texts, q)
 		labels = append(labels, fmt.Sprintf("inline-%d", i))
 	}
-	if len(texts) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("no queries: registry is empty and no id=/q= given"))
-		return
-	}
 	wl, err := s.cache.Workload(texts, s.cfg.Options...)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("compile: %w", err))
-		return
+		return pass{}, fmt.Errorf("compile: %w", err)
 	}
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
-
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.workloadJSON(w, ctx, wl, in, labels)
-		return
-	}
-	s.workloadMultipart(w, ctx, wl, in, labels)
+	return pass{labels: labels, run: func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error) {
+		ws, err := wl.RunContext(ctx, in, outs)
+		return gcx.RegistryStats{WorkloadStats: ws, Groups: wl.Len(), Subscriptions: wl.Len()}, err
+	}}, nil
 }
 
-// registryWorkloadResponse is the JSON shape of a full-fleet POST
-// /workload served from the subscription registry. Results are ordered by
-// subscription id order; Stats carries the shared pass's aggregate (the
-// wire shape of the aggregate matches workloadResponse, so clients
-// reading ids/results/stats.aggregate see no difference).
-type registryWorkloadResponse struct {
-	IDs     []string          `json:"ids"`
-	Results []string          `json:"results,omitempty"`
-	Errors  []string          `json:"errors,omitempty"`
-	Stats   gcx.RegistryStats `json:"stats"`
-}
-
-// handleWorkloadRegistry serves POST /workload with no id=/q= parameters:
-// the whole registered fleet, evaluated through the subscription
-// registry's persistent merged automaton.
-func (s *Server) handleWorkloadRegistry(w http.ResponseWriter, r *http.Request) {
-	subs := s.subscriptions()
-	ids := subs.IDs()
+// fleetPass is the pass over every registered id, in registry order. reg
+// is a published generation, hence immutable: the ids listed here are
+// exactly the subscriptions its run serves.
+func fleetPass(reg *gcx.Registry) (pass, error) {
+	ids := reg.IDs()
 	if len(ids) == 0 {
-		s.fail(w, http.StatusBadRequest, errors.New("no queries: registry is empty and no id=/q= given"))
-		return
+		return pass{}, errors.New("no queries: registry is empty and no id=/q= given")
 	}
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
-
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.registryJSON(w, ctx, subs, in, ids)
-		return
+	subs := make([]*gcx.Subscription, len(ids))
+	pos := make(map[*gcx.Subscription]int, len(ids))
+	for i, id := range ids {
+		subs[i], _ = reg.Subscription(id)
+		pos[subs[i]] = i
 	}
-	s.registryMultipart(w, ctx, subs, in, ids)
+	return pass{labels: ids, run: func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error) {
+		rs, err := reg.RunContext(ctx, in, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
+			return outs[pos[sub]]
+		}))
+		// The run reports one QueryStats per distinct text; the response
+		// carries one per id (ids sharing a text repeat their group's).
+		perID := make([]gcx.QueryStats, len(subs))
+		for i, sub := range subs {
+			perID[i], _ = rs.Query(sub)
+		}
+		return gcx.RegistryStats{
+			WorkloadStats: gcx.WorkloadStats{Aggregate: rs.Aggregate, Queries: perID},
+			Groups:        rs.Groups,
+			Subscriptions: rs.Subscriptions,
+		}, err
+	}}, nil
 }
 
-// registryErrors collects the per-subscription errors of the run that
-// just completed, reporting whether every subscription failed.
-func registryErrors(subs *gcx.Registry, ids []string) (errs []string, allFailed bool) {
-	allFailed = true
-	for _, id := range ids {
-		sub, ok := subs.Subscription(id)
-		if !ok {
-			continue
-		}
-		if e := sub.Stats().LastErr; e != nil {
-			errs = append(errs, fmt.Sprintf("%s: %v", id, e))
-		} else {
-			allFailed = false
-		}
-	}
-	return errs, allFailed
-}
-
-// registryJSON is the buffered JSON shape of the full-fleet path; mirrors
-// workloadJSON.
-func (s *Server) registryJSON(w http.ResponseWriter, ctx context.Context, subs *gcx.Registry, in io.Reader, ids []string) {
-	bufs := make(map[string]*bytes.Buffer, len(ids))
-	for _, id := range ids {
-		bufs[id] = &bytes.Buffer{}
-	}
-	sink := gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
-		b := bufs[sub.ID()]
-		if b == nil {
-			// Subscribed after this request snapshotted the id list
-			// (concurrent reload): no part was promised, discard.
-			return nil
-		}
-		return &countingWriter{w: b, n: &s.m.bytesOut}
-	})
-	stats, runErr := subs.RunContext(ctx, in, sink)
+// runPass runs p into outs and does what both response shapes share: the
+// service counters, each label's time-to-first-result — every member of
+// the shared pass has its own writer, so per-member TTFR is measured, not
+// apportioned; registered ids land in their own histogram, inline-N
+// labels fold into "inline" — and the error list, all from THIS run's
+// return value (never from state another request could have written).
+func (s *Server) runPass(ctx context.Context, p pass, in io.Reader, outs []io.Writer) (workloadResponse, error) {
+	stats, runErr := p.run(ctx, in, outs)
 	s.m.record(stats.Aggregate)
-	resp := registryWorkloadResponse{IDs: ids, Stats: stats}
-	for _, id := range ids {
-		resp.Results = append(resp.Results, bufs[id].String())
+	resp := workloadResponse{IDs: p.labels, Stats: stats}
+	for i, q := range stats.Queries {
+		s.m.observeTTFR(p.labels[i], q.TimeToFirstResultNanos)
+		if q.Err != nil {
+			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", p.labels[i], q.Err))
+		}
 	}
 	if runErr != nil {
 		s.m.erroredRequests.Add(1)
-		errs, allFailed := registryErrors(subs, ids)
-		if allFailed {
-			s.failCode(w, runErr)
-			return
-		}
-		resp.Errors = errs
 	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, resp)
+	return resp, runErr
 }
 
-// registryMultipart is the streaming shape of the full-fleet path:
-// mirrors workloadMultipart — the first subscription's part streams
-// progressively along the shared pass, later parts buffer, the final part
-// carries the run stats.
-func (s *Server) registryMultipart(w http.ResponseWriter, ctx context.Context, subs *gcx.Registry, in io.Reader, ids []string) {
-	// Part 0 streams progressively; see handleQuery on full duplex.
-	http.NewResponseController(w).EnableFullDuplex()
-	mw := multipart.NewWriter(w)
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-
-	part0, err := mw.CreatePart(partHeader(0, ids[0], "application/xml; charset=utf-8"))
-	if err != nil {
-		return
-	}
-	bufs := make(map[string]*bytes.Buffer, len(ids))
-	outs := make(map[string]io.Writer, len(ids))
-	outs[ids[0]] = &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	for _, id := range ids[1:] {
-		b := &bytes.Buffer{}
-		bufs[id] = b
-		outs[id] = &countingWriter{w: b, n: &s.m.bytesOut}
-	}
-	sink := gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer { return outs[sub.ID()] })
-	stats, runErr := subs.RunContext(ctx, in, sink)
-	s.m.record(stats.Aggregate)
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
-	}
-	for i, id := range ids[1:] {
-		p, err := mw.CreatePart(partHeader(i+1, id, "application/xml; charset=utf-8"))
-		if err != nil {
-			return
-		}
-		if _, err := p.Write(bufs[id].Bytes()); err != nil {
-			return
-		}
-	}
-	sh := textproto.MIMEHeader{}
-	sh.Set("Content-Type", "application/json")
-	sh.Set("Gcx-Part", "stats")
-	if runErr != nil {
-		sh.Set("Gcx-Error", runErr.Error())
-	}
-	sp, err := mw.CreatePart(sh)
-	if err != nil {
-		return
-	}
-	resp := registryWorkloadResponse{IDs: ids, Stats: stats}
-	if runErr != nil {
-		resp.Errors, _ = registryErrors(subs, ids)
-	}
-	writeJSONBody(sp, resp)
-	mw.Close()
-}
-
-// workloadJSON buffers every member result and responds with one JSON
-// object. Convenient for programmatic clients; large results belong in
-// the multipart path.
-func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, wl *gcx.Workload, in io.Reader, labels []string) {
-	bufs := make([]bytes.Buffer, wl.Len())
-	outs := make([]io.Writer, wl.Len())
+// workloadJSON buffers every result and responds with one JSON object.
+// Convenient for programmatic clients; large results belong in the
+// multipart path.
+func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, p pass, in io.Reader) {
+	bufs := make([]bytes.Buffer, len(p.labels))
+	outs := make([]io.Writer, len(p.labels))
 	for i := range bufs {
 		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
 	}
-	stats, runErr := wl.RunContext(ctx, in, outs)
-	s.m.record(stats.Aggregate)
-	s.observeWorkloadTTFR(labels, stats)
-	resp := workloadResponse{IDs: labels, Stats: stats}
+	resp, runErr := s.runPass(ctx, p, in, outs)
+	// Nothing has been committed yet on this (fully buffered) path, so a
+	// failure of the shared stream itself — which interrupts every member
+	// — gets a proper status code, same as /query. A partial failure (some
+	// members completed) stays 200 with the error list.
+	if runErr != nil && len(resp.Errors) >= len(resp.Stats.Queries) {
+		s.failCode(w, runErr)
+		return
+	}
 	for i := range bufs {
 		resp.Results = append(resp.Results, bufs[i].String())
-	}
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
-		// Nothing has been committed yet on this (fully buffered) path, so
-		// a failure of the shared stream itself — which interrupts every
-		// member — gets a proper status code, same as /query. A partial
-		// failure (some members completed) stays 200 with the error list.
-		allFailed := true
-		for _, q := range stats.Queries {
-			if q.Err == nil {
-				allFailed = false
-				break
-			}
-		}
-		if allFailed {
-			s.failCode(w, runErr)
-			return
-		}
-		for _, q := range stats.Queries {
-			if q.Err != nil {
-				resp.Errors = append(resp.Errors, q.Err.Error())
-			}
-		}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	writeJSONBody(w, resp)
 }
 
 // workloadMultipart streams a multipart/mixed response: the FIRST
-// member's part is created up front and receives its bytes progressively
-// along the shared pass (multipart parts are sequential, so later members
+// label's part is created up front and receives its bytes progressively
+// along the shared pass (multipart parts are sequential, so later results
 // buffer until the pass completes, exactly like cmd/gcx's stdout
-// discipline); the final part carries the WorkloadStats JSON.
-func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, wl *gcx.Workload, in io.Reader, labels []string) {
-	// Member 0's part streams progressively; see handleQuery on full duplex.
+// discipline); the final part carries the stats JSON.
+func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, p pass, in io.Reader) {
+	// Part 0 streams progressively; see handleQuery on full duplex.
 	http.NewResponseController(w).EnableFullDuplex()
 	mw := multipart.NewWriter(w)
 	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
 
-	part0, err := mw.CreatePart(partHeader(0, labels[0], "application/xml; charset=utf-8"))
+	part0, err := mw.CreatePart(partHeader(0, p.labels[0], "application/xml; charset=utf-8"))
 	if err != nil {
 		return
 	}
-	bufs := make([]bytes.Buffer, wl.Len())
-	outs := make([]io.Writer, wl.Len())
+	bufs := make([]bytes.Buffer, len(p.labels))
+	outs := make([]io.Writer, len(p.labels))
 	outs[0] = &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	for i := 1; i < wl.Len(); i++ {
+	for i := 1; i < len(outs); i++ {
 		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
 	}
-	stats, runErr := wl.RunContext(ctx, in, outs)
-	s.m.record(stats.Aggregate)
-	s.observeWorkloadTTFR(labels, stats)
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
-	}
-	for i := 1; i < wl.Len(); i++ {
-		p, err := mw.CreatePart(partHeader(i, labels[i], "application/xml; charset=utf-8"))
+	resp, runErr := s.runPass(ctx, p, in, outs)
+	for i := 1; i < len(outs); i++ {
+		part, err := mw.CreatePart(partHeader(i, p.labels[i], "application/xml; charset=utf-8"))
 		if err != nil {
 			return
 		}
-		if _, err := p.Write(bufs[i].Bytes()); err != nil {
+		if _, err := part.Write(bufs[i].Bytes()); err != nil {
 			return
 		}
 	}
@@ -798,28 +706,8 @@ func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, w
 	if err != nil {
 		return
 	}
-	resp := workloadResponse{IDs: labels, Stats: stats}
-	if runErr != nil {
-		for _, q := range stats.Queries {
-			if q.Err != nil {
-				resp.Errors = append(resp.Errors, q.Err.Error())
-			}
-		}
-	}
 	writeJSONBody(sp, resp)
 	mw.Close()
-}
-
-// observeWorkloadTTFR records each member's time-to-first-result under
-// its own label — every member of the shared pass has its own writer, so
-// per-member TTFR is measured, not apportioned. Members registered by id
-// land in their query's histogram; inline-N labels fold into "inline".
-func (s *Server) observeWorkloadTTFR(labels []string, stats gcx.WorkloadStats) {
-	for i, q := range stats.Queries {
-		if i < len(labels) {
-			s.m.observeTTFR(labels[i], q.TimeToFirstResultNanos)
-		}
-	}
 }
 
 func partHeader(index int, label, contentType string) textproto.MIMEHeader {
@@ -834,7 +722,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	writeJSONBody(w, struct {
 		IDs []string `json:"ids"`
-	}{IDs: s.registry().IDs()})
+	}{IDs: s.reg.Load().IDs()})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

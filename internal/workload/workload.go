@@ -150,19 +150,12 @@ func CompileMembers(members []*engine.Compiled, cfg Config) (*Compiled, error) {
 // Len returns the number of member queries.
 func (c *Compiled) Len() int { return len(c.Members) }
 
-// Stats aggregates the shared-pass measurements: the buffer accounting is
+// Stats aggregates the shared-pass measurements in the solo engine's own
+// stats type, so callers convert one shape: the buffer accounting is
 // necessarily global (members share the buffer), TokensRead counts the
-// single pass, OutputBytes sums the members.
-type Stats struct {
-	Buffer      buffer.Stats
-	TokensRead  int64
-	OutputBytes int64
-	// TTFRNanos is the time from pass start to the FIRST result byte any
-	// member produced (0 when no member emitted output).
-	TTFRNanos int64
-	// WallNanos is the shared pass's wall time.
-	WallNanos int64
-}
+// single pass, OutputBytes sums the members, and TTFRNanos is the time to
+// the FIRST result byte any member produced (0 when none emitted output).
+type Stats = engine.Stats
 
 // QueryStats reports one member's share of a run.
 type QueryStats struct {

@@ -20,9 +20,12 @@ package gcx
 //     the merged snapshot is rebuilt lazily on the next Run, reusing every
 //     surviving member's compiled artifact.
 //
-// A Registry is safe for concurrent use: Subscribe/Unsubscribe may race
-// active Runs. Each Run evaluates an immutable snapshot taken when it
-// starts — churn during a run takes effect on the next one.
+// A Registry is a mutable directory whose snapshot is a Workload: Run
+// goes through Workload.RunContext, the one shared-pass run path. It is
+// safe for concurrent use: Subscribe/Unsubscribe may race active Runs.
+// Each Run evaluates an immutable snapshot taken when it starts — every
+// churn call (a Subscribe or Unsubscribe of a new OR an already-grouped
+// text) takes effect on the next one.
 
 import (
 	"context"
@@ -33,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"gcx/internal/engine"
-	"gcx/internal/static"
 	"gcx/internal/workload"
 	"gcx/internal/xmlstream"
 )
@@ -65,8 +67,14 @@ type Registry struct {
 	order  []*subGroup              // insertion order (stable role spaces)
 	subs   map[string]*Subscription // by subscription id
 	ids    []string                 // subscription insertion order
-	dirty  bool                     // group set changed since last snapshot
-	snap   *registrySnapshot
+
+	// The run artifact, in two layers so churn invalidates only what it
+	// changed: wl is the merged workload over the distinct texts (nil =
+	// stale, the group set changed), snap adds the frozen fan-out lists
+	// (nil = stale, set by EVERY churn call). Both are immutable once
+	// built, so runs in flight and Clones keep using them.
+	wl   *Workload
+	snap *registrySnapshot
 }
 
 // subGroup is one distinct query text and its subscribers. The compiled
@@ -82,19 +90,17 @@ type subGroup struct {
 // merged workload over the distinct texts plus the fanout lists frozen at
 // snapshot time.
 type registrySnapshot struct {
-	wl     *workload.Compiled
-	groups [][]*Subscription // per workload member, frozen subscriber list
+	wl     *Workload
+	groups [][]*Subscription     // per workload member, frozen subscriber list
+	index  map[*Subscription]int // subscription → its workload member
 }
 
 // NewRegistry creates an empty registry. All subscriptions share one
 // configuration (strategy, optimizations, schema, read batch), exactly
 // like CompileWorkload members.
 func NewRegistry(opts ...Option) (*Registry, error) {
-	cfg := config{strategy: GCX, static: static.AllOptimizations()}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if err := cfg.resolveSchema(); err != nil {
+	cfg, err := compileConfig(opts)
+	if err != nil {
 		return nil, err
 	}
 	return &Registry{
@@ -177,59 +183,40 @@ func (r *Registry) Subscribe(id, query string) (*Subscription, error) {
 
 	// Compile outside the lock: compilation is the expensive part, and
 	// concurrent Subscribes of distinct texts should not serialize on it.
-	// The double-checked group lookup below discards a duplicate compile
-	// if another Subscribe of the same text won the race.
-	r.mu.Lock()
-	if _, dup := r.subs[id]; dup {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("gcx: Subscribe: id %q is already subscribed", id)
-	}
-	g := r.groups[query]
-	r.mu.Unlock()
-
+	// Each pass of the loop re-checks under the lock, so a duplicate
+	// compile is discarded if another Subscribe of the same text won the
+	// race, and a group that disappeared meanwhile (its last subscriber
+	// left) is compiled after all. The loop exits holding the lock.
 	var member *engine.Compiled
-	if g == nil {
-		m, err := engine.Compile(query, engine.Config{
-			Mode:   r.cfg.strategy.mode(),
-			Static: &r.cfg.static,
-			Schema: r.cfg.schema,
-		})
+	for {
+		r.mu.Lock()
+		if _, dup := r.subs[id]; dup {
+			r.mu.Unlock()
+			return nil, fmt.Errorf("gcx: Subscribe: id %q is already subscribed", id)
+		}
+		if r.groups[query] != nil || member != nil {
+			break
+		}
+		r.mu.Unlock()
+		m, err := engine.Compile(query, r.cfg.engine())
 		if err != nil {
 			return nil, queryError(id, err)
 		}
 		member = m
 	}
-
-	sub := &Subscription{id: id, query: query}
-	r.mu.Lock()
 	defer r.mu.Unlock()
-	if _, dup := r.subs[id]; dup {
-		return nil, fmt.Errorf("gcx: Subscribe: id %q is already subscribed", id)
-	}
-	g = r.groups[query]
+	g := r.groups[query]
 	if g == nil {
-		if member == nil {
-			// The group we piggybacked on disappeared between the two
-			// critical sections (its last subscriber left): compile after
-			// all. Rare; done under the lock for simplicity.
-			m, err := engine.Compile(query, engine.Config{
-				Mode:   r.cfg.strategy.mode(),
-				Static: &r.cfg.static,
-				Schema: r.cfg.schema,
-			})
-			if err != nil {
-				return nil, queryError(id, err)
-			}
-			member = m
-		}
 		g = &subGroup{text: query, member: member}
 		r.groups[query] = g
 		r.order = append(r.order, g)
-		r.dirty = true
+		r.wl = nil
 	}
+	sub := &Subscription{id: id, query: query}
 	g.subs = append(g.subs, sub)
 	r.subs[id] = sub
 	r.ids = append(r.ids, id)
+	r.snap = nil
 	return sub, nil
 }
 
@@ -276,14 +263,11 @@ func (r *Registry) Unsubscribe(id string) bool {
 				break
 			}
 		}
-		r.dirty = true
-	} else {
-		// The group survives but its fanout list changed: invalidate only
-		// the frozen subscriber lists, keeping the compiled workload.
-		if r.snap != nil {
-			r.snap = &registrySnapshot{wl: r.snap.wl, groups: r.frozenGroupsLocked()}
-		}
+		r.wl = nil
 	}
+	// Otherwise the group survives and only its fanout list changed: the
+	// merged workload is kept, the frozen subscriber lists are not.
+	r.snap = nil
 	return true
 }
 
@@ -319,56 +303,101 @@ func (r *Registry) Subscription(id string) (*Subscription, bool) {
 	return s, ok
 }
 
-// frozenGroupsLocked copies the current per-group subscriber lists.
-func (r *Registry) frozenGroupsLocked() [][]*Subscription {
-	groups := make([][]*Subscription, len(r.order))
-	for i, g := range r.order {
-		groups[i] = append([]*Subscription(nil), g.subs...)
+// Clone returns an independent registry holding the same subscriptions:
+// the directory (ids, groups, fanout lists) is copied, so churn on either
+// side is invisible to the other, while everything immutable or
+// accumulating is shared — the compiled members, the merged workload and
+// current snapshot (no recompilation), and the Subscription handles (one
+// set of counters per subscription, whichever side runs it). A service
+// reloads by cloning the published registry, applying the change to the
+// clone and publishing the clone, so a reader of either pointer sees one
+// generation.
+func (r *Registry) Clone() *Registry {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	c := &Registry{
+		cfg:    r.cfg,
+		groups: make(map[string]*subGroup, len(r.groups)),
+		order:  make([]*subGroup, len(r.order)),
+		subs:   make(map[string]*Subscription, len(r.subs)),
+		ids:    append([]string(nil), r.ids...),
+		wl:     r.wl,
+		snap:   r.snap,
 	}
-	return groups
+	for i, g := range r.order {
+		cg := &subGroup{text: g.text, member: g.member, subs: append([]*Subscription(nil), g.subs...)}
+		c.order[i] = cg
+		c.groups[g.text] = cg
+	}
+	for id, sub := range r.subs {
+		c.subs[id] = sub
+	}
+	return c
 }
 
-// snapshot returns the current immutable run artifact, rebuilding the
-// merged workload only when the group set changed since the last build
-// (compiled members are reused as-is — churn never recompiles surviving
-// queries).
+// snapshot returns the current immutable run artifact, rebuilding only
+// the stale layers: the fanout lists after any churn, the merged workload
+// only when the group set changed (compiled members are reused as-is —
+// churn never recompiles surviving queries).
 func (r *Registry) snapshot() (*registrySnapshot, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.order) == 0 {
 		return nil, errors.New("gcx: registry has no subscriptions")
 	}
-	if r.snap == nil || r.dirty {
+	if r.snap != nil {
+		return r.snap, nil
+	}
+	if r.wl == nil {
 		members := make([]*engine.Compiled, len(r.order))
 		for i, g := range r.order {
 			members[i] = g.member
 		}
-		wl, err := workload.CompileMembers(members, workload.Config{
-			Engine: engine.Config{
-				Mode:   r.cfg.strategy.mode(),
-				Static: &r.cfg.static,
-				Schema: r.cfg.schema,
-			},
-			Batch: r.cfg.readBatch,
-		})
+		c, err := workload.CompileMembers(members, r.cfg.workload())
 		if err != nil {
 			return nil, err
 		}
-		r.snap = &registrySnapshot{wl: wl, groups: r.frozenGroupsLocked()}
-		r.dirty = false
+		r.wl = &Workload{c: c}
 	}
-	return r.snap, nil
+	snap := &registrySnapshot{
+		wl:     r.wl,
+		groups: make([][]*Subscription, len(r.order)),
+		index:  make(map[*Subscription]int, len(r.subs)),
+	}
+	for i, g := range r.order {
+		snap.groups[i] = append([]*Subscription(nil), g.subs...)
+		for _, sub := range g.subs {
+			snap.index[sub] = i
+		}
+	}
+	r.snap = snap
+	return snap, nil
 }
 
-// RegistryStats reports one registry run.
+// RegistryStats reports one registry run: the WorkloadStats of the shared
+// pass it went through — Aggregate measures the single pass (one
+// tokenization, the union buffer's peak), Queries has one entry per
+// DISTINCT query text, in group order — plus the fanout counts.
 type RegistryStats struct {
-	// Aggregate measures the single shared pass (one tokenization, the
-	// union buffer's peak).
-	Aggregate Stats `json:"aggregate"`
+	WorkloadStats
 	// Groups is the number of distinct query texts evaluated;
 	// Subscriptions is the number of fanout targets served.
 	Groups        int `json:"groups"`
 	Subscriptions int `json:"subscriptions"`
+
+	index map[*Subscription]int // the run's snapshot: subscription → Queries entry
+}
+
+// Query returns this run's QueryStats for the text sub subscribes to —
+// its evaluation error and time-to-first-result included — and false if
+// the run did not serve sub (it subscribed after the run's snapshot).
+// Subscribers of one text share one evaluation, hence one QueryStats.
+func (s RegistryStats) Query(sub *Subscription) (QueryStats, bool) {
+	i, ok := s.index[sub]
+	if !ok {
+		return QueryStats{}, false
+	}
+	return s.Queries[i], true
 }
 
 // Run evaluates every active subscription over the XML document read from
@@ -393,45 +422,31 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 	}
 	outs := make([]io.Writer, len(snap.groups))
 	fans := make([]*fanout, len(snap.groups))
-	nsubs := 0
 	for i, subs := range snap.groups {
 		f := &fanout{targets: make([]fanTarget, len(subs))}
 		for j, sub := range subs {
 			f.targets[j] = fanTarget{w: sink.Writer(sub), sub: sub}
-			nsubs++
 		}
 		fans[i] = f
 		outs[i] = f
 	}
-	st, qs, runErr := snap.wl.Run(guard(ctx, in), outs)
+	ws, runErr := snap.wl.RunContext(ctx, in, outs)
 	for i, subs := range snap.groups {
-		var qerr error
-		if i < len(qs) {
-			qerr = qs[i].Err
-		}
-		for _, sub := range subs {
+		qerr := ws.Queries[i].Err
+		for j, sub := range subs {
 			sub.runs.Add(1)
 			if qerr != nil {
 				sub.recordErr(qerr)
-			} else if !fans[i].failed(sub) {
+			} else if !fans[i].targets[j].broken {
 				sub.recordErr(nil)
 			}
 		}
 	}
 	return RegistryStats{
-		Aggregate: Stats{
-			PeakBufferNodes:        st.Buffer.PeakNodes,
-			PeakBufferBytes:        st.Buffer.PeakBytes,
-			BufferedTotal:          st.Buffer.NodesAppended,
-			PurgedTotal:            st.Buffer.NodesDeleted,
-			SignOffs:               st.Buffer.SignOffs,
-			TokensRead:             st.TokensRead,
-			OutputBytes:            st.OutputBytes,
-			TimeToFirstResultNanos: st.TTFRNanos,
-			EvalWallNanos:          st.WallNanos,
-		},
+		WorkloadStats: ws,
 		Groups:        len(snap.groups),
-		Subscriptions: nsubs,
+		Subscriptions: len(snap.index),
+		index:         snap.index,
 	}, runErr
 }
 
@@ -482,13 +497,4 @@ func (f *fanout) FlushResult() {
 			rf.FlushResult()
 		}
 	}
-}
-
-func (f *fanout) failed(sub *Subscription) bool {
-	for i := range f.targets {
-		if f.targets[i].sub == sub {
-			return f.targets[i].broken
-		}
-	}
-	return false
 }

@@ -325,3 +325,146 @@ func TestRegistryRunContextCancel(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled cause to remain matchable", err)
 	}
 }
+
+// TestRegistryLateJoinIsServed: a Subscribe of an ALREADY-GROUPED text
+// made after a snapshot exists must be served by the next Run. (The
+// frozen fanout lists used to be refreshed on Unsubscribe only, so the
+// late joiner received nothing until unrelated churn rebuilt them.)
+func TestRegistryLateJoinIsServed(t *testing.T) {
+	reg := MustNewRegistry()
+	q := `<titles>{ for $b in /bib/book return $b/title }</titles>`
+	reg.MustSubscribe("first", q)
+	if _, err := reg.Run(strings.NewReader(bibDoc), nil); err != nil {
+		t.Fatal(err)
+	}
+	late := reg.MustSubscribe("late", q)
+	sink := newBufSink()
+	st, err := reg.Run(strings.NewReader(bibDoc), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := soloOutput(t, q, bibDoc); sink.get("late") != want {
+		t.Fatalf("late joiner got %q, want %q", sink.get("late"), want)
+	}
+	if st.Groups != 1 || st.Subscriptions != 2 {
+		t.Fatalf("stats groups/subs = %d/%d, want 1/2", st.Groups, st.Subscriptions)
+	}
+	if runs := late.Stats().Runs; runs != 1 {
+		t.Fatalf("late.Runs = %d, want 1", runs)
+	}
+}
+
+// TestRegistryStatsQueryIsPerRun: a run's per-text stats and errors come
+// back in ITS return value, keyed by subscription — not read back from
+// the shared Subscription counters another run may have overwritten.
+func TestRegistryStatsQueryIsPerRun(t *testing.T) {
+	reg := MustNewRegistry()
+	qa := `<a>{ for $b in /bib/book return $b/title }</a>`
+	a1 := reg.MustSubscribe("a1", qa)
+	a2 := reg.MustSubscribe("a2", qa)
+	b := reg.MustSubscribe("b", `<b>{ for $b in /bib/book return $b/author }</b>`)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	failed, err := reg.RunContext(ctx, strings.NewReader(bibDoc), nil)
+	if err == nil {
+		t.Fatal("canceled run must fail")
+	}
+	clean, err := reg.Run(strings.NewReader(bibDoc), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	late := reg.MustSubscribe("late", qa)
+
+	if len(clean.Queries) != 2 {
+		t.Fatalf("Queries has %d entries, want one per distinct text (2)", len(clean.Queries))
+	}
+	for _, sub := range []*Subscription{a1, a2, b} {
+		fq, ok := failed.Query(sub)
+		if !ok || !errors.Is(fq.Err, ErrCanceled) {
+			t.Fatalf("%s: failed run reports (%v, %t), want its own ErrCanceled", sub.ID(), fq.Err, ok)
+		}
+		cq, ok := clean.Query(sub)
+		if !ok || cq.Err != nil || cq.OutputBytes == 0 || cq.TimeToFirstResultNanos == 0 {
+			t.Fatalf("%s: clean run reports %+v (%t), want output, a TTFR and no error", sub.ID(), cq, ok)
+		}
+	}
+	qa1, _ := clean.Query(a1)
+	qa2, _ := clean.Query(a2)
+	if qa1 != qa2 {
+		t.Fatal("subscribers of one text must share one QueryStats")
+	}
+	if _, ok := clean.Query(late); ok {
+		t.Fatal("a subscription made after the run must not be found in its stats")
+	}
+}
+
+// TestRegistryCloneIsolation: a clone shares everything compiled or
+// accumulating (members, merged workload, Subscription handles) and
+// copies only the directory, so churn on either side is invisible to the
+// other and cloning never recompiles.
+func TestRegistryCloneIsolation(t *testing.T) {
+	reg := MustNewRegistry()
+	qa := `<a>{ for $b in /bib/book return $b/title }</a>`
+	qb := `<b>{ for $b in /bib/book return $b/author }</b>`
+	qc := `<c>{ for $b in /bib/book return $b/price }</c>`
+	a := reg.MustSubscribe("a", qa)
+	reg.MustSubscribe("b", qb)
+	if _, err := reg.Run(strings.NewReader(bibDoc), nil); err != nil {
+		t.Fatal(err)
+	}
+
+	clone := reg.Clone()
+	if clone.Groups() != reg.Groups() || clone.Len() != reg.Len() {
+		t.Fatalf("clone has %d groups / %d subs, want %d / %d", clone.Groups(), clone.Len(), reg.Groups(), reg.Len())
+	}
+	if got, _ := clone.Subscription("a"); got != a {
+		t.Fatal("clone must share the Subscription handles")
+	}
+	for text, g := range reg.groups {
+		if cg := clone.groups[text]; cg == nil || cg == g || cg.member != g.member {
+			t.Fatalf("group %q: clone must copy the group but share its compiled member", text)
+		}
+	}
+	regSnap, _ := reg.snapshot()
+	cloneSnap, _ := clone.snapshot()
+	if regSnap.wl != cloneSnap.wl {
+		t.Fatal("clone recompiled the merged workload")
+	}
+
+	// Churn on the clone: invisible to the original, and the other way.
+	clone.Unsubscribe("b")
+	clone.MustSubscribe("c", qc)
+	reg.MustSubscribe("a2", qa)
+	if ids := fmt.Sprint(reg.IDs()); ids != "[a b a2]" {
+		t.Fatalf("original ids = %s, want [a b a2]", ids)
+	}
+	if ids := fmt.Sprint(clone.IDs()); ids != "[a c]" {
+		t.Fatalf("clone ids = %s, want [a c]", ids)
+	}
+	regSink, cloneSink := newBufSink(), newBufSink()
+	if _, err := reg.Run(strings.NewReader(bibDoc), regSink); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := clone.Run(strings.NewReader(bibDoc), cloneSink); err != nil {
+		t.Fatal(err)
+	}
+	for id, q := range map[string]string{"a": qa, "b": qb, "a2": qa} {
+		if regSink.get(id) != soloOutput(t, q, bibDoc) {
+			t.Fatalf("original: %s diverged from solo run", id)
+		}
+	}
+	for id, q := range map[string]string{"a": qa, "c": qc} {
+		if cloneSink.get(id) != soloOutput(t, q, bibDoc) {
+			t.Fatalf("clone: %s diverged from solo run", id)
+		}
+	}
+	if regSink.get("c") != "" || cloneSink.get("b") != "" || cloneSink.get("a2") != "" {
+		t.Fatal("churn leaked across the clone boundary")
+	}
+	// One handle, one set of counters: the run before the clone plus one
+	// run on each side.
+	if runs := a.Stats().Runs; runs != 3 {
+		t.Fatalf("shared subscription counted %d runs, want 3", runs)
+	}
+}
