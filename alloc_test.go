@@ -3,6 +3,7 @@ package gcx
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -50,8 +51,82 @@ func TestSteadyStateAllocsStructural(t *testing.T) {
 	}
 	run() // warm the pool
 
-	if allocs := testing.AllocsPerRun(30, run); allocs > 8 {
-		t.Fatalf("structural steady-state run allocates: %.1f allocs/run, want <= 8", allocs)
+	if allocs := testing.AllocsPerRun(30, run); allocs > 2 {
+		t.Fatalf("structural steady-state run allocates: %.1f allocs/run, want <= 2", allocs)
+	}
+}
+
+// goroutineProbe records the goroutine count seen from inside the output
+// path of a run.
+type goroutineProbe struct{ seen int }
+
+func (p *goroutineProbe) Write(b []byte) (int, error) {
+	p.seen = max(p.seen, runtime.NumGoroutine())
+	return len(b), nil
+}
+
+// TestOneMemberWorkloadIsTheSoloEngine: a Workload of one query (and a
+// Registry of one subscription) runs the solo wiring — the evaluator pulls
+// the projector on the caller's goroutine, nothing is scheduled — so over
+// the structural query above it reports the solo run's stats exactly,
+// starts no goroutine, and a warm run allocates only its stats slices.
+func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
+	const query = `<out>{
+	    for $b in /bib/book return
+	        if (exists($b/price)) then <hit/> else ()
+	}</out>`
+	data := allocTestDoc(100, false)
+	want, solo, err := MustCompile(query).RunString(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	wl := MustCompileWorkload([]string{query})
+	got, ws, err := wl.RunStrings(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want || ws.Aggregate.Deterministic() != solo.Deterministic() {
+		t.Fatalf("one-member workload differs from solo:\n got %+v\nwant %+v", ws.Aggregate, solo)
+	}
+	reg := MustNewRegistry()
+	reg.MustSubscribe("only", query)
+	sink := newBufSink()
+	rs, err := reg.Run(strings.NewReader(data), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sink.get("only") != want || rs.Aggregate.Deterministic() != solo.Deterministic() {
+		t.Fatalf("one-subscription registry differs from solo:\n got %+v\nwant %+v", rs.Aggregate, solo)
+	}
+
+	probe := &goroutineProbe{}
+	before := runtime.NumGoroutine()
+	if _, err := wl.Run(strings.NewReader(data), []io.Writer{probe}); err != nil {
+		t.Fatal(err)
+	}
+	// (> and not !=: a goroutine left over from an earlier test may exit.)
+	if probe.seen > before {
+		t.Fatalf("one-member run saw %d goroutines from its output writer, caller had %d: the member was scheduled, not run inline", probe.seen, before)
+	}
+
+	if raceEnabled {
+		return // allocation counts are not meaningful under the race detector
+	}
+	r := strings.NewReader(data)
+	outs := []io.Writer{io.Discard}
+	run := func() {
+		r.Reset(data)
+		if _, err := wl.Run(r, outs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool
+	// The scheduled form of this run cost 7 allocs (goroutine, baton
+	// bookkeeping); inline it costs 3: the solo run's one plus the two
+	// per-member stats slices (engine's and the public copy).
+	if allocs := testing.AllocsPerRun(30, run); allocs > 4 {
+		t.Fatalf("one-member workload run allocates: %.1f allocs/run, want <= 4", allocs)
 	}
 }
 

@@ -38,7 +38,6 @@ import (
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/static"
-	"gcx/internal/workload"
 	"gcx/internal/xmark"
 )
 
@@ -107,14 +106,9 @@ func compileConfig(opts []Option) (config, error) {
 	return cfg, nil
 }
 
-// engine and workload render the configuration for the internal
-// compilers.
+// engine renders the configuration for the internal compiler.
 func (c *config) engine() engine.Config {
 	return engine.Config{Mode: c.strategy.mode(), Static: &c.static, Schema: c.schema}
-}
-
-func (c *config) workload() workload.Config {
-	return workload.Config{Engine: c.engine(), Batch: c.readBatch}
 }
 
 // fingerprint renders the compilation-relevant configuration as a stable
@@ -179,7 +173,9 @@ func WithDTD(dtdSource string) Option {
 // before the members are woken again. Larger batches amortize scheduling
 // overhead; smaller ones purge buffered data sooner (a signOff may run up
 // to n tokens later than in a solo run). The default (0) selects a batch
-// that makes scheduling overhead negligible. Ignored by Compile.
+// that makes scheduling overhead negligible. Ignored by Compile and by a
+// one-member Workload or Registry: a lone query is not scheduled, it
+// pulls the stream itself.
 func WithReadBatch(n int) Option {
 	return func(c *config) { c.readBatch = n }
 }
@@ -383,7 +379,7 @@ func convertStats(st engine.Stats) Stats {
 // what the member queries need, and — under the GCX strategy — a node is
 // reclaimed the moment the LAST interested query signs it off.
 type Workload struct {
-	c *workload.Compiled
+	c *engine.Pass
 }
 
 // CompileWorkload compiles a set of queries for shared-stream evaluation.
@@ -393,7 +389,7 @@ func CompileWorkload(queries []string, opts ...Option) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := workload.Compile(queries, cfg.workload())
+	c, err := engine.CompilePass(queries, cfg.engine(), cfg.readBatch)
 	if err != nil {
 		return nil, queryError("", err)
 	}
@@ -479,7 +475,7 @@ func (w *Workload) RunStrings(doc string) ([]string, WorkloadStats, error) {
 // the merged projection tree and the combined role table.
 func (w *Workload) Explain() string { return w.c.Explain() }
 
-func convertWorkloadStats(st engine.Stats, qs []workload.QueryStats) WorkloadStats {
+func convertWorkloadStats(st engine.Stats, qs []engine.QueryStats) WorkloadStats {
 	out := WorkloadStats{Aggregate: convertStats(st), Queries: make([]QueryStats, len(qs))}
 	for i, q := range qs {
 		out.Queries[i] = QueryStats{

@@ -11,16 +11,15 @@ import (
 	"gcx"
 	"gcx/internal/engine"
 	"gcx/internal/queries"
-	"gcx/internal/workload"
 	"gcx/internal/xmark"
 )
 
 // SubsConfig parameterizes the subscription-scale benchmark (cmd/gcxbench
 // -subs-json): N standing queries with heavy textual overlap are
 // registered in a gcx.Registry and one document is pushed through the
-// fleet, against a comparator that evaluates the same N queries as N
-// independent projection automata (a disjoint-merge workload — the "one
-// automaton per subscription" model a naive registry would be). The gap
+// fleet, against a comparator that is what "one automaton per
+// subscription" literally means: the same N queries run as N solo passes
+// over the document, the model a naive registry would be. The gap
 // between the two columns is the tentpole claim of the subscription
 // registry: matching cost scales with the number of distinct path
 // STRUCTURES, not the subscription count.
@@ -28,7 +27,7 @@ type SubsConfig struct {
 	// Counts is the subscription-count sweep (default 10, 100, 1000, 10000).
 	Counts []int
 	// DocBytes is the target size of the generated XMark document the
-	// fleet evaluates (kept small: the disjoint comparator's cost grows
+	// fleet evaluates (kept small: the solo comparator's cost grows
 	// with Counts × DocBytes).
 	DocBytes int64
 	// Seed for document generation.
@@ -36,7 +35,8 @@ type SubsConfig struct {
 	// Iterations is the number of measured runs per count (plus one
 	// warm-up that also builds the registry snapshot).
 	Iterations int
-	// Progress, if non-nil, receives one line per completed count.
+	// Progress, if non-nil, receives one line per completed count, with
+	// the count's wall time (a runaway 10k point shows in the log).
 	Progress io.Writer
 }
 
@@ -52,18 +52,17 @@ type SubsResult struct {
 	// SharedDocsPerSec is the registry path: one merged automaton with
 	// node sharing, one evaluation per distinct text, fanout to all subs.
 	SharedDocsPerSec float64 `json:"shared_docs_per_sec"`
-	// DisjointDocsPerSec is the comparator: N members, no dedup, no node
-	// sharing (workload.Config.DisjointMerge).
+	// DisjointDocsPerSec is the comparator: N solo passes per document —
+	// no dedup, no shared scan, no node sharing.
 	DisjointDocsPerSec float64 `json:"disjoint_docs_per_sec"`
 	// Speedup is SharedDocsPerSec / DisjointDocsPerSec.
 	Speedup float64 `json:"speedup"`
 	// SubscribeUsPerSub is the mean incremental Subscribe cost (compile +
 	// registration) at this scale.
 	SubscribeUsPerSub float64 `json:"subscribe_us_per_sub"`
-	// SharedPeakBufferBytes / DisjointPeakBufferBytes are the union
-	// buffer high watermarks of one run on each path.
-	SharedPeakBufferBytes   int64 `json:"shared_peak_buffer_bytes"`
-	DisjointPeakBufferBytes int64 `json:"disjoint_peak_buffer_bytes"`
+	// SharedPeakBufferBytes is the union buffer's high watermark of one
+	// shared run.
+	SharedPeakBufferBytes int64 `json:"shared_peak_buffer_bytes"`
 	// OutputBytes is the total fanout volume of one shared run (every
 	// subscriber's copy counted).
 	OutputBytes int64 `json:"output_bytes"`
@@ -128,13 +127,14 @@ func RunSubs(cfg SubsConfig) (*SubsReport, error) {
 		GoMaxProcs: runtime.GOMAXPROCS(0),
 	}
 	for _, n := range cfg.Counts {
+		t0 := time.Now()
 		r, err := runSubsCount(n, cfg.Iterations, doc)
 		if err != nil {
 			return nil, fmt.Errorf("subs=%d: %w", n, err)
 		}
 		rep.Results = append(rep.Results, r)
 		if cfg.Progress != nil {
-			fmt.Fprintf(cfg.Progress, "%s\n", FormatSubsResult(r))
+			fmt.Fprintf(cfg.Progress, "%s   wall %.1fs\n", FormatSubsResult(r), time.Since(t0).Seconds())
 		}
 	}
 	first, last := rep.Results[0], rep.Results[len(rep.Results)-1]
@@ -168,7 +168,7 @@ func runSubsCount(n, iterations int, doc []byte) (SubsResult, error) {
 	// Every subscriber gets a real (discarding) writer so the fanout loop
 	// runs and per-subscription byte accounting stays live — the same
 	// delivery work a serving tier performs, and the same writer the
-	// disjoint comparator gets.
+	// solo comparator gets.
 	sink := gcx.SinkFunc(func(*gcx.Subscription) io.Writer { return io.Discard })
 
 	// Warm-up builds the merged snapshot and fills the run-state pool.
@@ -186,43 +186,30 @@ func runSubsCount(n, iterations int, doc []byte) (SubsResult, error) {
 	}
 	res.SharedDocsPerSec = float64(iterations) / time.Since(start).Seconds()
 
-	// Disjoint comparator: the same n queries as independent automata in
-	// one pass — per-query projection trees merged WITHOUT node sharing
-	// and without text dedup, so matching and buffering cost carry the
-	// full subscription count.
-	members := make([]*engine.Compiled, n)
-	compiled := make(map[string]*engine.Compiled, distinct)
-	for i := 0; i < n; i++ {
-		text := texts[i%distinct]
-		c, ok := compiled[text]
-		if !ok {
-			c, err = engine.Compile(text, engine.Config{Mode: engine.ModeGCX})
-			if err != nil {
-				return res, err
-			}
-			compiled[text] = c
+	// Comparator: the same n subscriptions as n solo passes per document.
+	// Subscribers of one text share its compiled artifact (and so its
+	// run-state pool) but nothing else: every pass scans, projects and
+	// evaluates the document on its own.
+	compiled := make([]*engine.Compiled, distinct)
+	for i, text := range texts {
+		if compiled[i], err = engine.Compile(text, engine.Config{Mode: engine.ModeGCX}); err != nil {
+			return res, err
 		}
-		members[i] = c
 	}
-	wl, err := workload.CompileMembers(members, workload.Config{
-		Engine:        engine.Config{Mode: engine.ModeGCX},
-		DisjointMerge: true,
-	})
-	if err != nil {
+	soloPasses := func() error {
+		for i := 0; i < n; i++ {
+			if _, err := compiled[i%distinct].Run(bytes.NewReader(doc), io.Discard); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := soloPasses(); err != nil { // warm-up fills the run-state pools
 		return res, err
 	}
-	outs := make([]io.Writer, n)
-	for i := range outs {
-		outs[i] = io.Discard
-	}
-	wst, _, err := wl.Run(bytes.NewReader(doc), outs)
-	if err != nil {
-		return res, err
-	}
-	res.DisjointPeakBufferBytes = wst.Buffer.PeakBytes
 	start = time.Now()
 	for i := 0; i < iterations; i++ {
-		if _, _, err := wl.Run(bytes.NewReader(doc), outs); err != nil {
+		if err := soloPasses(); err != nil {
 			return res, err
 		}
 	}
@@ -246,9 +233,9 @@ func subsOutputBytes(reg *gcx.Registry) int64 {
 
 // FormatSubsResult renders one count's row as a single line.
 func FormatSubsResult(r SubsResult) string {
-	return fmt.Sprintf("subs %6d (%2d texts)   shared %8.1f docs/s   disjoint %8.2f docs/s   speedup %6.1fx   subscribe %6.1fus/sub   peak %s vs %s",
+	return fmt.Sprintf("subs %6d (%2d texts)   shared %8.1f docs/s   solo passes %8.2f docs/s   speedup %6.1fx   subscribe %6.1fus/sub   peak %s",
 		r.Subs, r.DistinctTexts, r.SharedDocsPerSec, r.DisjointDocsPerSec, r.Speedup,
-		r.SubscribeUsPerSub, humanBytes(r.SharedPeakBufferBytes), humanBytes(r.DisjointPeakBufferBytes))
+		r.SubscribeUsPerSub, humanBytes(r.SharedPeakBufferBytes))
 }
 
 // FormatSubsTable renders the full report for humans.

@@ -7,7 +7,6 @@ import (
 
 	"gcx/internal/engine"
 	"gcx/internal/queries"
-	"gcx/internal/workload"
 	"gcx/internal/xmark"
 )
 
@@ -38,7 +37,7 @@ func BenchmarkWorkload(b *testing.B) {
 	doc := docBuf.Bytes()
 
 	b.Run("shared", func(b *testing.B) {
-		w, err := workload.Compile(texts, workload.Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+		w, err := engine.CompilePass(texts, engine.Config{Mode: engine.ModeGCX}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +113,7 @@ func TestWorkloadSinglePassEquivalence(t *testing.T) {
 
 	// Batch 1 reproduces the solo token-demand schedule exactly; the
 	// default batch may overshoot the last demand by up to one batch.
-	w, err := workload.Compile(texts, workload.Config{Engine: engine.Config{Mode: engine.ModeGCX}, Batch: 1})
+	w, err := engine.CompilePass(texts, engine.Config{Mode: engine.ModeGCX}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,13 @@
 //
 //	query evaluator ⇄ buffer manager ⇄ stream pre-projector ⇄ tokenizer.
 //
+// The package owns the only pass runtime (pass.go): a Pass evaluates N
+// compiled queries over one pass of a document from one pooled run state.
+// A solo query is the one-member Pass — its evaluator pulls the projector
+// directly, on the caller's goroutine — and with more members the
+// evaluators sit behind the single-pass scheduler (sched.go). Everything
+// above (gcx.Engine, Workload, Registry, Bulk, gcxd) runs through it.
+//
 // Besides the full GCX mode it provides the two baselines used by the
 // benchmark harness as stand-ins for the systems of Table 1:
 //
@@ -17,18 +24,13 @@ package engine
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"gcx/internal/buffer"
 	"gcx/internal/dtd"
-	"gcx/internal/eval"
 	"gcx/internal/ifpush"
 	"gcx/internal/normalize"
-	"gcx/internal/obs"
-	"gcx/internal/proj"
 	"gcx/internal/projtree"
 	"gcx/internal/static"
-	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
 	"gcx/internal/xqparser"
 )
@@ -67,8 +69,6 @@ type Config struct {
 	// Static selects the Section 6 optimizations; ignored for
 	// ModeFullBuffer. If nil, static.AllOptimizations() is used.
 	Static *static.Options
-	// Tokenizer options; zero value means xmlstream.DefaultOptions.
-	Tokenizer *xmlstream.Options
 	// Schema enables schema-aware early region termination (the
 	// capability of the schema-based FluX system [11] the paper compares
 	// against). Supplying it asserts the input is valid against the DTD.
@@ -76,8 +76,8 @@ type Config struct {
 }
 
 // Compiled is a query prepared for execution. All exported fields are
-// immutable after Compile; runs draw their mutable machinery from an
-// internal pool, so a single Compiled may serve many goroutines at once.
+// immutable after Compile, and so is the query's one-member pass that
+// serves its runs, so a single Compiled may serve many goroutines at once.
 type Compiled struct {
 	Source   string
 	Mode     Mode
@@ -87,13 +87,8 @@ type Compiled struct {
 	// FullBuffer mode.
 	MatchTree *projtree.Tree
 	schema    *dtd.Schema
-	tokOpts   xmlstream.Options
-
-	// agg marks aggregate roles, precomputed from the role table.
-	agg []bool
-	// pool recycles runStates across runs: after warm-up, Run allocates
-	// (almost) nothing beyond what the document forces it to buffer.
-	pool sync.Pool
+	// solo is the one-member pass Run goes through.
+	solo *Pass
 }
 
 // Compile parses, normalizes, rewrites, and statically analyzes a query.
@@ -131,21 +126,12 @@ func Compile(src string, cfg Config) (*Compiled, error) {
 		Analysis:  a,
 		MatchTree: a.Tree,
 		schema:    cfg.Schema,
-		tokOpts:   xmlstream.DefaultOptions(),
-	}
-	if cfg.Tokenizer != nil {
-		c.tokOpts = *cfg.Tokenizer
 	}
 	if cfg.Mode == ModeFullBuffer {
 		c.MatchTree = fullBufferTree()
 	}
-	c.agg = make([]bool, len(c.MatchTree.Roles))
-	for i, r := range c.MatchTree.Roles {
-		if i > 0 && r.Aggregate {
-			c.agg[i] = true
-		}
-	}
-	return c, nil
+	c.solo, err = NewPass([]*Compiled{c}, 0)
+	return c, err
 }
 
 // fullBufferTree returns the keep-everything projection tree: a single
@@ -182,142 +168,31 @@ type RunOptions struct {
 	Trace *Tracer
 }
 
-// maxRetainedSyms bounds the pooled symbol table across runs.
-const maxRetainedSyms = 4096
-
-// runState bundles the mutable per-run machinery of one evaluation: the
-// tokenizer, the symbol table, the buffer (with its node arena), the
-// projector, the output writer, and the evaluator. A runState is owned by
-// exactly one run at a time and recycled through Compiled.pool, so after
-// warm-up an Engine serves runs with near-zero steady-state allocation.
-type runState struct {
-	syms *xmlstream.SymTab
-	buf  *buffer.Buffer
-	tok  *xmlstream.Tokenizer
-	proj *proj.Projector
-	w    *xmlstream.Writer
-	ev   *eval.Evaluator
-}
-
-// newRunState constructs the chain of Figure 11 once; subsequent runs
-// reset it in place. The tokenizer lends text tokens to the projector
-// (BorrowText), which copies only what it buffers.
-func (c *Compiled) newRunState() *runState {
-	syms := xmlstream.NewSymTab()
-	buf := buffer.New(syms, len(c.MatchTree.Roles)-1, c.agg)
-	tokOpts := c.tokOpts
-	tokOpts.BorrowText = true
-	tok := xmlstream.NewTokenizerOptions(nil, tokOpts)
-	aggregateMatching := c.Mode == ModeFullBuffer || c.Analysis.Opts.AggregateRoles
-	p := proj.New(tok, buf, c.MatchTree, proj.Options{
-		AggregateRoles: aggregateMatching,
-		Schema:         c.schema,
-		BorrowedText:   true,
-	})
-	w := xmlstream.NewWriter(io.Discard)
-	ev := eval.New(buf, p, w, eval.Options{})
-	return &runState{syms: syms, buf: buf, tok: tok, proj: p, w: w, ev: ev}
-}
-
-// acquire takes a runState from the pool and points it at this run's
-// input, output, and hooks.
-func (c *Compiled) acquire(in io.Reader, out io.Writer, ro RunOptions) *runState {
-	rs, _ := c.pool.Get().(*runState)
-	if rs == nil {
-		rs = c.newRunState()
-	}
-	rs.reset(c, in, out, ro)
-	return rs
-}
-
-// reset points the runState at a new run's input, output, and hooks.
-// Reset order matters: the projector rebuilds its root frame around the
-// buffer's fresh root.
-func (rs *runState) reset(c *Compiled, in io.Reader, out io.Writer, ro RunOptions) {
-	rs.tok.Reset(in)
-	rs.buf.Reset()
-	// The symbol table survives runs (tag vocabularies repeat) but is
-	// bounded: documents with generated per-document names must not grow
-	// a pooled run state without limit. Safe only after buf.Reset — no
-	// buffered node carries a Sym anymore.
-	if rs.syms.Len() > maxRetainedSyms {
-		rs.syms.Reset()
-	}
-	rs.proj.Reset()
-	rs.w.Reset(out)
-	evOpts := eval.Options{ExecuteSignOffs: c.Mode == ModeGCX, Schema: c.schema}
-	if ro.Trace != nil {
-		ro.Trace.install(&evOpts, rs.buf, rs.proj)
-	}
-	rs.ev.Reset(evOpts)
-}
-
-// release returns a runState to the pool, dropping the references to the
-// caller's reader and writer, and resetting the buffer so the idle pool
-// does not pin the document's buffered text.
-func (c *Compiled) release(rs *runState) {
-	rs.tok.Reset(nil)
-	rs.w.Reset(io.Discard)
-	rs.buf.Reset()
-	c.pool.Put(rs)
-}
-
 // Run executes the compiled query over the XML input, writing the result
-// to out. A Compiled is safe for concurrent use: each Run draws its own
-// pooled run state; the run itself is strictly sequential (the paper's
-// evaluation semantics).
+// to out: one run of the query's own one-member pass. A Compiled is safe
+// for concurrent use (see Pass.Run).
 func (c *Compiled) Run(in io.Reader, out io.Writer) (Stats, error) {
-	st, rs, err := c.run(in, out, RunOptions{})
-	c.release(rs)
-	return st, err
+	return c.RunWith(in, out, RunOptions{})
 }
 
 // RunWith executes with hooks.
 func (c *Compiled) RunWith(in io.Reader, out io.Writer, ro RunOptions) (Stats, error) {
-	st, rs, err := c.run(in, out, ro)
-	c.release(rs)
+	outs := [1]io.Writer{out}
+	st, rs := c.solo.run(in, outs[:], ro)
+	err := rs.tasks[0].err
+	c.solo.release(rs)
 	return st, err
 }
 
-// RunChecked executes and then verifies the role assignment/removal
-// balance (Section 3's safety requirements: every assigned role instance
-// is removed, and the buffer is empty after evaluation). Only meaningful
-// in ModeGCX; other modes skip the check by design.
+// RunChecked is Run followed by the buffer invariant checks of
+// Pass.RunChecked.
 func (c *Compiled) RunChecked(in io.Reader, out io.Writer) (Stats, error) {
-	st, rs, err := c.run(in, out, RunOptions{})
-	defer c.release(rs)
-	if err != nil {
-		return st, err
+	st, qs, err := c.solo.RunChecked(in, []io.Writer{out})
+	if qs[0].Err != nil {
+		// The query's own error, without the per-member wrapping.
+		err = qs[0].Err
 	}
-	if c.Mode == ModeGCX {
-		if err := rs.buf.CheckBalance(); err != nil {
-			return st, fmt.Errorf("%w\nbuffer:\n%s", err, rs.buf.Dump())
-		}
-		if err := rs.buf.CheckResidue(); err != nil {
-			return st, fmt.Errorf("%w\nbuffer:\n%s", err, rs.buf.Dump())
-		}
-	}
-	return st, nil
-}
-
-func (c *Compiled) run(in io.Reader, out io.Writer, ro RunOptions) (Stats, *runState, error) {
-	start := obs.Now()
-	rs := c.acquire(in, out, ro)
-	err := rs.ev.Run(c.Analysis.Query)
-	st := Stats{
-		Buffer:      rs.buf.Stats(),
-		TokensRead:  rs.proj.TokensRead(),
-		OutputBytes: rs.w.BytesWritten(),
-		WallNanos:   obs.Now() - start,
-	}
-	// The writer stamped the first result byte as it was produced; a run
-	// with no output keeps TTFR 0 (there was never a first result), and
-	// so does a failed run whose buffered bytes never reached the
-	// destination — nothing was answered, so there is no answer latency.
-	if fb := rs.w.FirstByteAt(); fb > 0 && rs.w.Delivered() > 0 {
-		st.TTFRNanos = max(fb-start, 1)
-	}
-	return st, rs, err
+	return st, err
 }
 
 // Explain renders the compilation diagnostics: variable tree,

@@ -1,54 +1,22 @@
-package workload
+package engine
 
 import (
-	"errors"
+	"fmt"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
-
-	"gcx/internal/engine"
+	"time"
 )
 
-// The failing reader/writer shapes mirror internal/engine/failure_test.go,
-// lifted one layer up: a shared-stream pass must propagate I/O failures
-// through every member evaluator it interrupts, and a single member's
-// output failure must not corrupt its siblings.
+// The engine's failure suite (failure_test.go) lifted to several members:
+// a shared-stream pass must propagate I/O failures through every member
+// evaluator it interrupts, and a single member's output failure must not
+// corrupt its siblings.
 
-type failingReader struct {
-	src io.Reader
-	n   int
-}
-
-func (r *failingReader) Read(p []byte) (int, error) {
-	if r.n <= 0 {
-		return 0, errors.New("disk on fire")
-	}
-	if len(p) > r.n {
-		p = p[:r.n]
-	}
-	m, err := r.src.Read(p)
-	r.n -= m
-	return m, err
-}
-
-type failingWriter struct{ n int }
-
-func (w *failingWriter) Write(p []byte) (int, error) {
-	if w.n <= 0 {
-		return 0, errors.New("pipe closed")
-	}
-	if len(p) > w.n {
-		m := w.n
-		w.n = 0
-		return m, errors.New("pipe closed")
-	}
-	w.n -= len(p)
-	return len(p), nil
-}
-
-func compileWorkload(t *testing.T, srcs []string) *Compiled {
+func compileWorkload(t *testing.T, srcs []string) *Pass {
 	t.Helper()
-	c, err := Compile(srcs, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+	c, err := CompilePass(srcs, Config{Mode: ModeGCX}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +71,7 @@ func TestWorkloadMemberWriteFailureIsIsolated(t *testing.T) {
 	}
 
 	// The sibling's output must be byte-identical to its solo run.
-	solo, err := engine.Compile(srcs[1], engine.Config{Mode: engine.ModeGCX})
+	solo, err := Compile(srcs[1], Config{Mode: ModeGCX})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,5 +143,108 @@ func TestWorkloadRecoversAfterFailure(t *testing.T) {
 	}
 	if !strings.Contains(a.String(), "some title") || !strings.Contains(b.String(), "9") {
 		t.Fatal("post-failure run produced wrong output")
+	}
+}
+
+// panicWriter panics on its second Write: the first is the early flush of
+// the first result, the second arrives mid-stream once the member's output
+// buffer fills.
+type panicWriter struct{ writes int }
+
+func (w *panicWriter) Write(p []byte) (int, error) {
+	if w.writes++; w.writes == 2 {
+		panic("sink exploded")
+	}
+	return len(p), nil
+}
+
+// TestPassWriterPanic: a panicking output writer is the one way a run can
+// die rather than fail. For the inline one-member pass and for the
+// scheduled three-member pass alike, the panic must reach the CALLER's
+// goroutine (the scheduler relays it from the member's), leave no member
+// goroutine behind, keep the half-run state out of the pool, and leave
+// the artifact serving correct runs.
+func TestPassWriterPanic(t *testing.T) {
+	srcs := []string{
+		`<a>{ for $b in /bib/book return $b/title }</a>`,
+		`<b>{ for $b in /bib/book return $b/price }</b>`,
+		`<c>{ for $b in /bib/book return $b }</c>`,
+	}
+	doc := `<bib>` + strings.Repeat(`<book><title>some title</title><price>9</price></book>`, 1500) + `</bib>`
+	for _, n := range []int{1, 3} {
+		t.Run(fmt.Sprintf("members=%d", n), func(t *testing.T) {
+			p := compileWorkload(t, srcs[:n])
+			want := make([]string, n)
+			for i, m := range p.Members {
+				var out strings.Builder
+				if _, err := m.Run(strings.NewReader(doc), &out); err != nil {
+					t.Fatal(err)
+				}
+				want[i] = out.String()
+			}
+
+			baseline := runtime.NumGoroutine()
+			outs := make([]io.Writer, n)
+			for i := range outs {
+				outs[i] = io.Discard
+			}
+			outs[0] = &panicWriter{}
+			func() {
+				defer func() {
+					if r := recover(); r != "sink exploded" {
+						t.Fatalf("recovered %v, want the writer's panic on the calling goroutine", r)
+					}
+				}()
+				p.Run(strings.NewReader(doc), outs)
+				t.Fatal("Run returned; the writer's panic was swallowed")
+			}()
+			// A member goroutine's last act is handing the baton back, so it
+			// may still be unwinding when the panic arrives here.
+			for i := 0; runtime.NumGoroutine() > baseline; i++ {
+				if i == 1000 {
+					t.Fatalf("%d goroutines after the panic, %d before the run: member goroutines leaked", runtime.NumGoroutine(), baseline)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			if rs := p.pool.Get(); rs != nil {
+				t.Fatal("the run state of the panicked run went back to the pool")
+			}
+
+			check := func() error {
+				bufs := make([]*strings.Builder, n)
+				for i := range bufs {
+					bufs[i] = &strings.Builder{}
+				}
+				if _, _, err := p.RunChecked(strings.NewReader(doc), toIOWriters(bufs)); err != nil {
+					return err
+				}
+				for i := range bufs {
+					if bufs[i].String() != want[i] {
+						return fmt.Errorf("member %d output differs from its solo run", i)
+					}
+				}
+				return nil
+			}
+			for i := 0; i < 20; i++ {
+				if err := check(); err != nil {
+					t.Fatalf("sequential run %d after the panic: %v", i, err)
+				}
+			}
+			errs := make(chan error, 8)
+			for g := 0; g < 8; g++ {
+				go func() {
+					var err error
+					for i := 0; i < 3 && err == nil; i++ {
+						err = check()
+					}
+					errs <- err
+				}()
+			}
+			for g := 0; g < 8; g++ {
+				if err := <-errs; err != nil {
+					t.Errorf("concurrent run after the panic: %v", err)
+				}
+			}
+		})
 	}
 }

@@ -1,14 +1,10 @@
-package workload
+package engine
 
 import (
-	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"gcx/internal/engine"
-	"gcx/internal/xqast"
 )
 
 // Randomized workload equivalence (the shared-stream analogue of the
@@ -19,135 +15,8 @@ import (
 // demanding solo run (with Batch=1, which reproduces the solo demand
 // schedule token-exactly).
 
-var quickTags = []string{"a", "b", "c", "d", "e"}
-var quickTexts = []string{"1", "7", "42", "x", "yy"}
-
-func randDoc(r *rand.Rand) string {
-	var b strings.Builder
-	var gen func(depth int)
-	gen = func(depth int) {
-		tag := quickTags[r.Intn(len(quickTags))]
-		b.WriteString("<" + tag + ">")
-		n := r.Intn(4)
-		if depth >= 4 {
-			n = 0
-		}
-		for i := 0; i < n; i++ {
-			if r.Intn(3) == 0 {
-				b.WriteString(quickTexts[r.Intn(len(quickTexts))])
-			} else {
-				gen(depth + 1)
-			}
-		}
-		b.WriteString("</" + tag + ">")
-	}
-	b.WriteString("<root>")
-	for i := 0; i < 1+r.Intn(3); i++ {
-		gen(0)
-	}
-	b.WriteString("</root>")
-	return b.String()
-}
-
-type queryGen struct {
-	r       *rand.Rand
-	counter int
-}
-
-func (g *queryGen) fresh() string {
-	g.counter++
-	return fmt.Sprintf("v%d", g.counter)
-}
-
-func (g *queryGen) step() xqast.Step {
-	axis := xqast.Child
-	if g.r.Intn(3) == 0 {
-		axis = xqast.Descendant
-	}
-	var test xqast.NodeTest
-	switch g.r.Intn(8) {
-	case 0:
-		test = xqast.StarTest()
-	case 1:
-		test = xqast.TextTest()
-	default:
-		test = xqast.NameTest(quickTags[g.r.Intn(len(quickTags))])
-	}
-	return xqast.Step{Axis: axis, Test: test}
-}
-
-func (g *queryGen) elementStep() xqast.Step {
-	s := g.step()
-	if s.Test.Kind == xqast.TestText {
-		s.Test = xqast.NameTest(quickTags[g.r.Intn(len(quickTags))])
-	}
-	return s
-}
-
-func (g *queryGen) path(env []string, steps int, element bool) xqast.Path {
-	p := xqast.Path{Var: env[g.r.Intn(len(env))]}
-	for i := 0; i < steps; i++ {
-		if element || i < steps-1 {
-			p.Steps = append(p.Steps, g.elementStep())
-		} else {
-			p.Steps = append(p.Steps, g.step())
-		}
-	}
-	return p
-}
-
-func (g *queryGen) cond(env []string, depth int) xqast.Cond {
-	switch g.r.Intn(5) {
-	case 0:
-		return xqast.TrueCond{}
-	case 1:
-		if depth < 2 {
-			return xqast.Not{C: g.cond(env, depth+1)}
-		}
-		fallthrough
-	case 2:
-		lhs := xqast.Operand{Path: g.path(env, 1+g.r.Intn(2), false)}
-		rhs := xqast.Operand{IsLiteral: true, Lit: quickTexts[g.r.Intn(len(quickTexts))]}
-		ops := []xqast.RelOp{xqast.OpEq, xqast.OpNe, xqast.OpLt, xqast.OpGe}
-		return xqast.Compare{LHS: lhs, Op: ops[g.r.Intn(len(ops))], RHS: rhs}
-	default:
-		return xqast.Exists{Path: g.path(env, 1+g.r.Intn(2), false)}
-	}
-}
-
-func (g *queryGen) expr(env []string, depth int) xqast.Expr {
-	max := 7
-	if depth >= 3 {
-		max = 3 // only leaves
-	}
-	switch g.r.Intn(max) {
-	case 0:
-		return xqast.Text{Data: "t"}
-	case 1:
-		return xqast.VarRef{Var: env[g.r.Intn(len(env))]}
-	case 2:
-		return xqast.PathExpr{Path: g.path(env, 1+g.r.Intn(2), false)}
-	case 3:
-		return xqast.Element{Name: "x", Child: g.expr(env, depth+1)}
-	case 4:
-		return xqast.Sequence{Items: []xqast.Expr{g.expr(env, depth+1), g.expr(env, depth+1)}}
-	case 5:
-		return xqast.If{Cond: g.cond(env, 0), Then: g.expr(env, depth+1), Else: g.expr(env, depth+1)}
-	default:
-		v := g.fresh()
-		in := g.path(env, 1+g.r.Intn(2), g.r.Intn(4) != 0)
-		body := g.expr(append(append([]string(nil), env...), v), depth+1)
-		return xqast.For{Var: v, In: in, Return: body}
-	}
-}
-
-func (g *queryGen) query() string {
-	root := xqast.Element{Name: "out", Child: g.expr([]string{xqast.RootVar}, 0)}
-	return xqast.Format(&xqast.Query{Root: root})
-}
-
 func TestWorkloadEquivalence(t *testing.T) {
-	modes := []engine.Mode{engine.ModeGCX, engine.ModeStaticOnly, engine.ModeFullBuffer}
+	modes := []Mode{ModeGCX, ModeStaticOnly, ModeFullBuffer}
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := &queryGen{r: r}
@@ -162,7 +31,7 @@ func TestWorkloadEquivalence(t *testing.T) {
 			want := make([]string, n)
 			var maxTokens int64
 			for i, src := range srcs {
-				c, err := engine.Compile(src, engine.Config{Mode: mode})
+				c, err := Compile(src, Config{Mode: mode})
 				if err != nil {
 					t.Logf("seed %d: solo compile: %v\n%s", seed, err, src)
 					return false
@@ -179,7 +48,7 @@ func TestWorkloadEquivalence(t *testing.T) {
 				}
 			}
 
-			w, err := Compile(srcs, Config{Engine: engine.Config{Mode: mode}, Batch: 1})
+			w, err := CompilePass(srcs, Config{Mode: mode}, 1)
 			if err != nil {
 				t.Logf("seed %d %s: workload compile: %v", seed, mode, err)
 				return false
@@ -206,7 +75,7 @@ func TestWorkloadEquivalence(t *testing.T) {
 					seed, mode, st.TokensRead, maxTokens, strings.Join(srcs, "\n---\n"), doc)
 				return false
 			}
-			if mode == engine.ModeGCX {
+			if mode == ModeGCX {
 				for i, q := range qs {
 					if q.RoleAssignments != q.RoleRemovals {
 						t.Logf("seed %d: query %d unbalanced: %d/%d", seed, i, q.RoleAssignments, q.RoleRemovals)
@@ -243,7 +112,7 @@ func TestWorkloadEquivalenceBatched(t *testing.T) {
 		want := make([]string, n)
 		var maxTokens int64
 		for i, src := range srcs {
-			c, err := engine.Compile(src, engine.Config{Mode: engine.ModeGCX})
+			c, err := Compile(src, Config{Mode: ModeGCX})
 			if err != nil {
 				return false
 			}
@@ -258,7 +127,7 @@ func TestWorkloadEquivalenceBatched(t *testing.T) {
 				maxTokens = st.TokensRead
 			}
 		}
-		w, err := Compile(srcs, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+		w, err := CompilePass(srcs, Config{Mode: ModeGCX}, 0)
 		if err != nil {
 			return false
 		}

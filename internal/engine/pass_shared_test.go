@@ -1,10 +1,6 @@
-package workload
+package engine
 
-import (
-	"testing"
-
-	"gcx/internal/engine"
-)
+import "testing"
 
 // Equivalence under maximal node sharing: duplicated and heavily
 // overlapping member queries collapse onto shared projection nodes (extra
@@ -20,14 +16,14 @@ var overlapQueries = []string{
 }
 
 func TestWorkloadSharedNodesMatchSolo(t *testing.T) {
-	for _, mode := range []engine.Mode{engine.ModeGCX, engine.ModeStaticOnly} {
+	for _, mode := range []Mode{ModeGCX, ModeStaticOnly} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var want []string
 			for _, q := range overlapQueries {
 				out, _ := soloRun(t, q, testDoc, mode)
 				want = append(want, out)
 			}
-			got, _, qs := runWorkload(t, overlapQueries, testDoc, Config{Engine: engine.Config{Mode: mode}, Batch: 1})
+			got, _, qs := runWorkload(t, overlapQueries, testDoc, mode, 1)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("query %d output mismatch:\n got: %s\nwant: %s", i, got[i], want[i])
@@ -37,26 +33,10 @@ func TestWorkloadSharedNodesMatchSolo(t *testing.T) {
 				if q.Err != nil {
 					t.Errorf("query %d error: %v", i, q.Err)
 				}
-				if mode == engine.ModeGCX && q.RoleAssignments != q.RoleRemovals {
+				if mode == ModeGCX && q.RoleAssignments != q.RoleRemovals {
 					t.Errorf("query %d roles unbalanced: %d assigned, %d removed", i, q.RoleAssignments, q.RoleRemovals)
 				}
 			}
 		})
-	}
-}
-
-// TestWorkloadSharedVsDisjointAgree: the shared merge and the disjoint
-// comparator are two implementations of the same semantics — outputs must
-// be byte-identical across a query mix with duplicates, shared spines, and
-// disjoint structures.
-func TestWorkloadSharedVsDisjointAgree(t *testing.T) {
-	queries := append(append([]string{}, overlapQueries...), testQueries...)
-	shared, _, _ := runWorkload(t, queries, testDoc, Config{Engine: engine.Config{Mode: engine.ModeGCX}, Batch: 1})
-	disjoint, _, _ := runWorkload(t, queries, testDoc, Config{Engine: engine.Config{Mode: engine.ModeGCX}, Batch: 1, DisjointMerge: true})
-	for i := range shared {
-		if shared[i] != disjoint[i] {
-			t.Errorf("query %d: shared and disjoint merges disagree:\nshared:   %s\ndisjoint: %s",
-				i, shared[i], disjoint[i])
-		}
 	}
 }

@@ -1,11 +1,9 @@
-package workload
+package engine
 
 import (
 	"io"
 	"strings"
 	"testing"
-
-	"gcx/internal/engine"
 )
 
 // toIOWriters adapts a slice of builders to the Run signature.
@@ -30,9 +28,9 @@ const testDoc = `<bib>
 </bib>`
 
 // soloRun evaluates one query alone and returns output and stats.
-func soloRun(t *testing.T, src, doc string, mode engine.Mode) (string, engine.Stats) {
+func soloRun(t *testing.T, src, doc string, mode Mode) (string, Stats) {
 	t.Helper()
-	c, err := engine.Compile(src, engine.Config{Mode: mode})
+	c, err := Compile(src, Config{Mode: mode})
 	if err != nil {
 		t.Fatalf("solo compile: %v", err)
 	}
@@ -44,9 +42,9 @@ func soloRun(t *testing.T, src, doc string, mode engine.Mode) (string, engine.St
 	return out.String(), st
 }
 
-func runWorkload(t *testing.T, srcs []string, doc string, cfg Config) ([]string, Stats, []QueryStats) {
+func runWorkload(t *testing.T, srcs []string, doc string, mode Mode, batch int) ([]string, Stats, []QueryStats) {
 	t.Helper()
-	c, err := Compile(srcs, cfg)
+	c, err := CompilePass(srcs, Config{Mode: mode}, batch)
 	if err != nil {
 		t.Fatalf("workload compile: %v", err)
 	}
@@ -66,7 +64,7 @@ func runWorkload(t *testing.T, srcs []string, doc string, cfg Config) ([]string,
 }
 
 func TestWorkloadMatchesSoloOutputs(t *testing.T) {
-	for _, mode := range []engine.Mode{engine.ModeGCX, engine.ModeStaticOnly, engine.ModeFullBuffer} {
+	for _, mode := range []Mode{ModeGCX, ModeStaticOnly, ModeFullBuffer} {
 		t.Run(mode.String(), func(t *testing.T) {
 			var want []string
 			var maxTokens int64
@@ -77,7 +75,7 @@ func TestWorkloadMatchesSoloOutputs(t *testing.T) {
 					maxTokens = st.TokensRead
 				}
 			}
-			got, st, qs := runWorkload(t, testQueries, testDoc, Config{Engine: engine.Config{Mode: mode}, Batch: 1})
+			got, st, qs := runWorkload(t, testQueries, testDoc, mode, 1)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("query %d output mismatch:\n got: %s\nwant: %s", i, got[i], want[i])
@@ -93,7 +91,7 @@ func TestWorkloadMatchesSoloOutputs(t *testing.T) {
 				if q.OutputBytes != int64(len(want[i])) {
 					t.Errorf("query %d output bytes %d, want %d", i, q.OutputBytes, len(want[i]))
 				}
-				if mode == engine.ModeGCX && q.RoleAssignments != q.RoleRemovals {
+				if mode == ModeGCX && q.RoleAssignments != q.RoleRemovals {
 					t.Errorf("query %d roles unbalanced: %d assigned, %d removed", i, q.RoleAssignments, q.RoleRemovals)
 				}
 			}
@@ -104,7 +102,7 @@ func TestWorkloadMatchesSoloOutputs(t *testing.T) {
 // TestWorkloadPooledReruns: pooled run states must produce identical
 // results run after run.
 func TestWorkloadPooledReruns(t *testing.T) {
-	c, err := Compile(testQueries, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+	c, err := CompilePass(testQueries, Config{Mode: ModeGCX}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +133,7 @@ func TestWorkloadPooledReruns(t *testing.T) {
 // TestWorkloadStreamError: malformed input surfaces through every member
 // that was still reading.
 func TestWorkloadStreamError(t *testing.T) {
-	c, err := Compile(testQueries, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+	c, err := CompilePass(testQueries, Config{Mode: ModeGCX}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +157,7 @@ func TestWorkloadStreamError(t *testing.T) {
 // 0 — "no first result" — not a zero-latency sample. A successful pass
 // stamps every member and aggregates the earliest.
 func TestWorkloadTTFRAbsentWithoutOutput(t *testing.T) {
-	c, err := Compile(testQueries, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+	c, err := CompilePass(testQueries, Config{Mode: ModeGCX}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +204,8 @@ func TestWorkloadTTFRAbsentWithoutOutput(t *testing.T) {
 }
 
 func TestWorkloadSingleQueryDegenerate(t *testing.T) {
-	want, _ := soloRun(t, testQueries[0], testDoc, engine.ModeGCX)
-	got, _, _ := runWorkload(t, testQueries[:1], testDoc, Config{Engine: engine.Config{Mode: engine.ModeGCX}})
+	want, _ := soloRun(t, testQueries[0], testDoc, ModeGCX)
+	got, _, _ := runWorkload(t, testQueries[:1], testDoc, ModeGCX, 0)
 	if got[0] != want {
 		t.Errorf("single-member workload output mismatch:\n got: %s\nwant: %s", got[0], want)
 	}

@@ -1,4 +1,4 @@
-package workload
+package engine
 
 import (
 	"gcx/internal/obs"
@@ -44,7 +44,8 @@ const (
 )
 
 // task is one member query's run handle. The struct is persistent across
-// pooled runs; reset() clears the per-run fields.
+// pooled runs; reset() clears the per-run fields. A one-member pass has a
+// lone task and no scheduler: s and resume stay nil and exec runs inline.
 type task struct {
 	s      *scheduler
 	id     int
@@ -95,21 +96,34 @@ func newScheduler(p *proj.Projector, n, batch int) *scheduler {
 // have been reset first.
 //
 //gcxlint:keep proj wired at construction; the owner resets the projector separately
-//gcxlint:keep tasks the task handles are persistent; their per-run fields are cleared in the loop below
+//gcxlint:keep tasks the task handles are persistent; runState.reset clears their per-run fields (task.reset)
 //gcxlint:keep batch configuration fixed at construction
 //gcxlint:keep yield the baton channel is the scheduler's identity and is empty whenever the scheduler is parked
 func (s *scheduler) reset() {
 	s.eof = false
 	s.streamErr = nil
-	for _, t := range s.tasks {
-		t.state = taskIdle
-		t.err = nil
-		t.panicked = nil
-		t.hasPanic = false
-		t.signOffs = 0
-		t.tokensAtDone = 0
-		t.doneAt = 0
-	}
+}
+
+// reset clears the task's per-run fields.
+//
+//gcxlint:keep s wired at construction
+//gcxlint:keep id wired at construction
+//gcxlint:keep resume the baton channel is the task's identity and is empty between runs
+//gcxlint:keep exec wired at construction (the evaluator and its rewritten query are persistent)
+func (t *task) reset() {
+	t.state = taskIdle
+	t.err = nil
+	t.panicked = nil
+	t.hasPanic = false
+	t.signOffs = 0
+	t.tokensAtDone = 0
+	t.doneAt = 0
+}
+
+// finish stamps where and when the member's evaluator completed.
+func (t *task) finish(p *proj.Projector) {
+	t.tokensAtDone = p.TokensRead()
+	t.doneAt = obs.Now()
 }
 
 // Step implements eval.Feeder for one member query: instead of stepping
@@ -145,8 +159,7 @@ func (t *task) main() {
 			t.hasPanic = true
 		}
 		t.state = taskDone
-		t.tokensAtDone = t.s.proj.TokensRead()
-		t.doneAt = obs.Now()
+		t.finish(t.s.proj)
 		t.s.yield <- struct{}{}
 	}()
 	t.err = t.exec()

@@ -1,13 +1,14 @@
-// Package roleoffsetcheck guards the eval/workload role-space boundary
+// Package roleoffsetcheck guards the eval/engine role-space boundary
 // introduced with merged workloads: member queries are compiled with solo
 // role IDs, but the shared buffer indexes its role tables in the merged
-// space, so every role ID an evaluator (or the workload's accounting)
-// hands to the buffer must first pass through the RoleOffset/Offsets
+// space, so every role ID an evaluator (or the pass's accounting) hands
+// to the buffer must first pass through the RoleOffset/Offsets
 // translation. The workload equivalence suite can only probe this
 // probabilistically; here it is a syntactic proof obligation.
 //
 // Within packages on the boundary (import-path suffix internal/eval or
-// internal/workload), any Role-typed argument to a buffer role API —
+// internal/engine, which owns the pass runtime), any Role-typed argument
+// to a buffer role API —
 // SignOff, AddRole, AssignedCount, RemovedCount on a type from
 // internal/buffer — must derive from an expression that mentions
 // RoleOffset or Offsets, directly or through a local variable assigned
@@ -38,7 +39,7 @@ var roleAPIs = map[string]bool{
 }
 
 func run(pass *gcxlint.Pass) error {
-	if !pass.PathHasSuffix("internal/eval") && !pass.PathHasSuffix("internal/workload") {
+	if !pass.PathHasSuffix("internal/eval") && !pass.PathHasSuffix("internal/engine") {
 		return nil
 	}
 	for _, f := range pass.Files {

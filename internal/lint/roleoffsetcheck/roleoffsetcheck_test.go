@@ -8,5 +8,5 @@ import (
 )
 
 func TestRoleOffsetCheck(t *testing.T) {
-	linttest.Run(t, linttest.TestData(t), roleoffsetcheck.Analyzer, "gcxok/internal/eval", "gcxbad/internal/workload")
+	linttest.Run(t, linttest.TestData(t), roleoffsetcheck.Analyzer, "gcxok/internal/eval", "gcxbad/internal/engine")
 }

@@ -1,6 +1,6 @@
-// Package workload seeds role IDs that cross into the buffer without the
+// Package engine seeds role IDs that cross into the buffer without the
 // offset translation.
-package workload
+package engine
 
 import (
 	"gcxtest/internal/buffer"
@@ -11,7 +11,7 @@ type member struct {
 	Role xqast.Role
 }
 
-type Compiled struct {
+type Pass struct {
 	Offsets []xqast.Role
 }
 
@@ -31,7 +31,7 @@ func rawConversion(buf *buffer.Buffer, n int) int64 {
 
 // clobbered shows the linear tracking: the local was translated once,
 // then overwritten with a solo ID.
-func clobbered(c *Compiled, buf *buffer.Buffer, m *member, i int) {
+func clobbered(c *Pass, buf *buffer.Buffer, m *member, i int) {
 	r := c.Offsets[i] + 1
 	buf.AddRole(nil, r) // translated here
 	r = m.Role

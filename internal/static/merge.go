@@ -40,30 +40,6 @@ import (
 // i's solo role IDs). The combined role table is the concatenation of the
 // member tables, so a role ID identifies its owning query by range.
 func MergeTrees(trees []*projtree.Tree) (*projtree.Tree, []xqast.Role) {
-	return mergeTrees(trees, true)
-}
-
-// MergeTreesDisjoint is the pre-sharing merge: member subtrees are cloned
-// verbatim (no node sharing, not even of common prefixes), so matching
-// cost is linear in the query count. Kept as the comparator for the
-// subscription-scaling benchmark and as a diagnostic fallback.
-func MergeTreesDisjoint(trees []*projtree.Tree) (*projtree.Tree, []xqast.Role) {
-	return mergeTrees(trees, false)
-}
-
-// shareable reports whether an existing merged node can absorb an
-// incoming member node as an extra lane: same location step (axis, test,
-// and [1] predicate), same variable/chain class (chain lanes undergo
-// cancellation reduction, binding lanes are exempt — see
-// proj.Projector.cancelledCount), and same self-anchoring class (the
-// anchor frame resolution in openElement is keyed on the node).
-func shareable(s *projtree.Node, n *projtree.Node) bool {
-	return s.Step == n.Step &&
-		(s.Var == "") == (n.Var == "") &&
-		s.AnchorSelf == n.AnchorSelf
-}
-
-func mergeTrees(trees []*projtree.Tree, share bool) (*projtree.Tree, []xqast.Role) {
 	m := projtree.New()
 	offsets := make([]xqast.Role, len(trees))
 	// claimed maps a merged node to the index of the last tree that
@@ -81,12 +57,10 @@ func mergeTrees(trees []*projtree.Tree, share bool) (*projtree.Tree, []xqast.Rol
 		for _, n := range t.Nodes[1:] {
 			mp := cloneOf[n.Parent]
 			var target *projtree.Node
-			if share {
-				for _, s := range mp.Children {
-					if last, ok := claimed[s]; ok && last < qi && shareable(s, n) {
-						target = s
-						break
-					}
+			for _, s := range mp.Children {
+				if last, ok := claimed[s]; ok && last < qi && shareable(s, n) {
+					target = s
+					break
 				}
 			}
 			if target != nil {
@@ -129,4 +103,16 @@ func mergeTrees(trees []*projtree.Tree, share bool) (*projtree.Tree, []xqast.Rol
 		}
 	}
 	return m, offsets
+}
+
+// shareable reports whether an existing merged node can absorb an
+// incoming member node as an extra lane: same location step (axis, test,
+// and [1] predicate), same variable/chain class (chain lanes undergo
+// cancellation reduction, binding lanes are exempt — see
+// proj.Projector.cancelledCount), and same self-anchoring class (the
+// anchor frame resolution in openElement is keyed on the node).
+func shareable(s *projtree.Node, n *projtree.Node) bool {
+	return s.Step == n.Step &&
+		(s.Var == "") == (n.Var == "") &&
+		s.AnchorSelf == n.AnchorSelf
 }

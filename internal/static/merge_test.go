@@ -9,8 +9,7 @@ import (
 
 // Tests for the shared-automaton merge: structurally identical nodes of
 // DIFFERENT member queries collapse to one merged node carrying extra role
-// lanes, nodes of the SAME member never collapse, and the disjoint variant
-// keeps verbatim clones.
+// lanes, and nodes of the SAME member never collapse.
 
 func trees(t *testing.T, queries ...string) []*projtree.Tree {
 	t.Helper()
@@ -120,26 +119,6 @@ func TestMergeNeverSharesWithinOneQuery(t *testing.T) {
 	m2, _ := MergeTrees(trees(t, q, q))
 	if len(m2.Nodes) != solo {
 		t.Fatalf("two copies merged to %d nodes, want %d:\n%s", len(m2.Nodes), solo, m2.Format())
-	}
-}
-
-// TestMergeDisjointKeepsClones: the pre-sharing merge clones every member
-// subtree verbatim — node count is the sum, and no lanes exist.
-func TestMergeDisjointKeepsClones(t *testing.T) {
-	q1 := `<q>{ for $b in /bib/book return $b/title }</q>`
-	q2 := `<q>{ for $p in /bib/book return $p/price }</q>`
-	ts := trees(t, q1, q2)
-	solo1, solo2 := len(ts[0].Nodes), len(ts[1].Nodes)
-
-	m, offsets := MergeTreesDisjoint(ts)
-	if want := solo1 + solo2 - 1; len(m.Nodes) != want {
-		t.Fatalf("disjoint merge has %d nodes, want %d", len(m.Nodes), want)
-	}
-	if got := laneCount(m); got != 0 {
-		t.Fatalf("disjoint merge must not create lanes, got %d", got)
-	}
-	if offsets[0] != 0 || offsets[1] != xqast.Role(len(ts[0].Roles)-1) {
-		t.Fatalf("disjoint offsets wrong: %v", offsets)
 	}
 }
 

@@ -36,7 +36,6 @@ import (
 	"sync/atomic"
 
 	"gcx/internal/engine"
-	"gcx/internal/workload"
 	"gcx/internal/xmlstream"
 )
 
@@ -353,7 +352,7 @@ func (r *Registry) snapshot() (*registrySnapshot, error) {
 		for i, g := range r.order {
 			members[i] = g.member
 		}
-		c, err := workload.CompileMembers(members, r.cfg.workload())
+		c, err := engine.NewPass(members, r.cfg.readBatch)
 		if err != nil {
 			return nil, err
 		}
