@@ -2,6 +2,7 @@ package gcx
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"runtime"
 	"strings"
@@ -157,6 +158,59 @@ func TestSteadyStateAllocsWithOutput(t *testing.T) {
 	// thousands).
 	if allocs := testing.AllocsPerRun(30, run); allocs > 150 {
 		t.Fatalf("output steady-state run allocates: %.1f allocs/run, want <= 150", allocs)
+	}
+}
+
+// joinTestDoc has p persons and t closed auctions, auction j bought by
+// person j mod p: Q8's two regions at a chosen size.
+func joinTestDoc(p, t int) string {
+	var doc strings.Builder
+	doc.WriteString("<site><people>")
+	for i := 0; i < p; i++ {
+		fmt.Fprintf(&doc, "<person><id>person%d</id><name>n%d</name></person>", i, i)
+	}
+	doc.WriteString("</people><closed_auctions>")
+	for j := 0; j < t; j++ {
+		fmt.Fprintf(&doc, "<closed_auction><buyer>person%d</buyer></closed_auction>", j%p)
+	}
+	doc.WriteString("</closed_auctions></site>")
+	return doc.String()
+}
+
+// TestJoinSteadyStateAllocs: a nested-loop value join compares P·T pairs,
+// and comparing must not allocate — the only per-run allocations are the
+// copies of the text the document makes it buffer (one id and one name
+// per person, one buyer per auction). Going from 500 to 50 000 pairs may
+// therefore add no more allocations than it adds buffered texts; when
+// every comparison of non-numeric ids built two error values, it added
+// two hundred thousand.
+func TestJoinSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	eng := MustCompile(`<out>{
+	    for $p in /site/people/person return
+	        <item>{ ($p/name,
+	            for $t in /site/closed_auctions/closed_auction return
+	                if ($t/buyer = $p/id) then <bought/> else ()) }</item>
+	}</out>`)
+	measure := func(p, n int) float64 {
+		data := joinTestDoc(p, n)
+		r := strings.NewReader(data)
+		run := func() {
+			r.Reset(data)
+			if _, err := eng.Run(r, io.Discard); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool at this size
+		return testing.AllocsPerRun(5, run)
+	}
+	small, large := measure(10, 50), measure(100, 500)
+	extraTexts := float64((2*100 + 500) - (2*10 + 50))
+	if large-small > extraTexts+16 {
+		t.Fatalf("join allocations grow with the pair count: %.0f allocs/run at 500 pairs, %.0f at 50000 (the %.0f extra buffered texts explain %.0f of the difference)",
+			small, large, extraTexts, extraTexts)
 	}
 }
 

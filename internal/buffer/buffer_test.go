@@ -23,6 +23,19 @@ func step(axis xqast.Axis, test xqast.NodeTest, first bool) xqast.Step {
 	return xqast.Step{Axis: axis, Test: test, First: first}
 }
 
+// names numbers the steps' name tests in place and interns them, as
+// xqast.Resolve and the evaluator's Reset do for a compiled query.
+func names(syms *xmlstream.SymTab, steps []xqast.Step) []xmlstream.Sym {
+	var out []xmlstream.Sym
+	for i := range steps {
+		if steps[i].Test.Kind == xqast.TestName {
+			steps[i].Test.ID = len(out)
+			out = append(out, syms.Intern(steps[i].Test.Name))
+		}
+	}
+	return out
+}
+
 func TestAppendAndLinks(t *testing.T) {
 	b, syms := build(false)
 	bib := el(b, syms, b.Root(), "bib")
@@ -68,11 +81,11 @@ func TestUndefinedRemoval(t *testing.T) {
 	// n is pruned at finish (roleless); rebuild.
 	n = el(b, syms, b.Root(), "a")
 	b.AddRole(n, 1, 1)
-	if err := b.SignOff(n, nil, 1); err != nil {
+	if err := b.SignOff(n, nil, nil, 1); err != nil {
 		t.Fatalf("first removal: %v", err)
 	}
 	n2 := el(b, syms, b.Root(), "a")
-	if err := b.SignOff(n2, nil, 1); err == nil {
+	if err := b.SignOff(n2, nil, nil, 1); err == nil {
 		t.Fatal("second removal must be undefined (Section 2 remρ)")
 	}
 }
@@ -91,7 +104,7 @@ func TestLocalizedGCUpwardPropagation(t *testing.T) {
 		b.Finish(n)
 	}
 
-	if err := b.SignOff(title, nil, 2); err != nil {
+	if err := b.SignOff(title, nil, nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !title.Unlinked() || !book.Unlinked() {
@@ -112,7 +125,7 @@ func TestUnfinishedNodesDeferred(t *testing.T) {
 	a := el(b, syms, b.Root(), "a")
 	b.AddRole(a, 1, 1)
 	// a is still unfinished when the role disappears.
-	if err := b.SignOff(a, nil, 1); err != nil {
+	if err := b.SignOff(a, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Unlinked() {
@@ -131,7 +144,7 @@ func TestPinnedNodesDeferred(t *testing.T) {
 	b.AddRole(a, 1, 1)
 	b.Finish(a)
 	b.Pin(a)
-	if err := b.SignOff(a, nil, 1); err != nil {
+	if err := b.SignOff(a, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Unlinked() {
@@ -153,7 +166,7 @@ func TestPinnedDescendantBlocksAncestorDeletion(t *testing.T) {
 	b.Pin(c)
 	b.Finish(c)
 	b.Finish(a)
-	if err := b.SignOff(a, nil, 1); err != nil {
+	if err := b.SignOff(a, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Unlinked() || c.Unlinked() {
@@ -196,7 +209,7 @@ func TestAggregateCoverPreventsPrune(t *testing.T) {
 	b.Finish(book)
 
 	// Removing the aggregate role sweeps the subtree.
-	if err := b.SignOff(book, nil, 1); err != nil {
+	if err := b.SignOff(book, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !author.Unlinked() || !book.Unlinked() {
@@ -218,7 +231,7 @@ func TestAggregateSweepKeepsRoledDescendants(t *testing.T) {
 		b.Finish(n)
 	}
 
-	if err := b.SignOff(book, nil, 1); err != nil {
+	if err := b.SignOff(book, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if author.Unlinked() == false {
@@ -231,7 +244,7 @@ func TestAggregateSweepKeepsRoledDescendants(t *testing.T) {
 		t.Fatal("book must survive while title holds a role")
 	}
 
-	if err := b.SignOff(title, nil, 2); err != nil {
+	if err := b.SignOff(title, nil, nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !title.Unlinked() || !book.Unlinked() {
@@ -254,13 +267,13 @@ func TestNestedAggregateSkipsCoveredBranch(t *testing.T) {
 	for _, n := range []*Node{leaf, inner, outer} {
 		b.Finish(n)
 	}
-	if err := b.SignOff(outer, nil, 1); err != nil {
+	if err := b.SignOff(outer, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if leaf.Unlinked() || inner.Unlinked() {
 		t.Fatal("branch covered by inner aggregate must survive outer sweep")
 	}
-	if err := b.SignOff(inner, nil, 2); err != nil {
+	if err := b.SignOff(inner, nil, nil, 2); err != nil {
 		t.Fatal(err)
 	}
 	if !leaf.Unlinked() || !inner.Unlinked() || !outer.Unlinked() {
@@ -290,7 +303,7 @@ func TestResolveDerivationMultiplicity(t *testing.T) {
 		step(xqast.Descendant, xqast.NameTest("a"), false),
 		step(xqast.Descendant, xqast.NameTest("b"), false),
 	}
-	if err := b.SignOff(b.Root(), steps, 1); err != nil {
+	if err := b.SignOff(b.Root(), steps, names(syms, steps), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CheckBalance(); err != nil {
@@ -315,11 +328,12 @@ func TestResolveFirstWitness(t *testing.T) {
 		b.Finish(n)
 	}
 
-	got := b.Resolve(book, []xqast.Step{step(xqast.Child, xqast.NameTest("price"), true)})
+	steps := []xqast.Step{step(xqast.Child, xqast.NameTest("price"), true)}
+	got := b.Resolve(book, steps, names(syms, steps))
 	if len(got) != 1 || got[0] != p1 {
 		t.Fatalf("Resolve([1]) = %v, want [p1]", got)
 	}
-	if err := b.SignOff(book, []xqast.Step{step(xqast.Child, xqast.NameTest("price"), true)}, 1); err != nil {
+	if err := b.SignOff(book, steps, names(syms, steps), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := b.CheckBalance(); err != nil {
@@ -333,7 +347,7 @@ func TestResolveDosIncludesSelfAndText(t *testing.T) {
 	c := el(b, syms, x, "c")
 	txt := b.AppendText(c, "v")
 
-	got := b.Resolve(x, []xqast.Step{step(xqast.DescendantOrSelf, xqast.NodeKindTest(), false)})
+	got := b.Resolve(x, []xqast.Step{step(xqast.DescendantOrSelf, xqast.NodeKindTest(), false)}, nil)
 	if len(got) != 3 || got[0] != x || got[1] != c || got[2] != txt {
 		t.Fatalf("dos::node() = %d nodes, want self+c+text", len(got))
 	}
@@ -354,7 +368,7 @@ func TestStatsPeaks(t *testing.T) {
 		t.Fatalf("PeakNodes = %d, want 12", peak)
 	}
 	for _, k := range kids {
-		if err := b.SignOff(k, nil, 1); err != nil {
+		if err := b.SignOff(k, nil, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -403,7 +417,7 @@ func TestSignOffCancellationOnlyWhenUnfinished(t *testing.T) {
 
 	open := el(b, syms, b.Root(), "open")
 	b.AddRole(open, 1, 1)
-	if err := b.SignOff(open, nil, 1); err != nil {
+	if err := b.SignOff(open, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(spy.calls) != 1 || spy.calls[0] != 1 {
@@ -414,7 +428,7 @@ func TestSignOffCancellationOnlyWhenUnfinished(t *testing.T) {
 	closed := el(b, syms, b.Root(), "closed")
 	b.AddRole(closed, 1, 1)
 	b.Finish(closed)
-	if err := b.SignOff(closed, nil, 1); err != nil {
+	if err := b.SignOff(closed, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if len(spy.calls) != 1 {

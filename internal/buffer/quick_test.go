@@ -77,7 +77,7 @@ func TestQuickBufferInvariants(t *testing.T) {
 					if len(tr.roles) > 0 && !tr.n.Unlinked() {
 						role := tr.roles[len(tr.roles)-1]
 						tr.roles = tr.roles[:len(tr.roles)-1]
-						if err := b.SignOff(tr.n, nil, role); err != nil {
+						if err := b.SignOff(tr.n, nil, nil, role); err != nil {
 							t.Logf("seed %d step %d: signoff: %v", seed, step, err)
 							return false
 						}

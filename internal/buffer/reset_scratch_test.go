@@ -16,7 +16,7 @@ func TestResetClearsResolutionScratch(t *testing.T) {
 	el(b, syms, bib, "book")
 
 	steps := []xqast.Step{step(xqast.Child, xqast.NameTest("book"), false)}
-	if got := len(b.Resolve(bib, steps)); got != 2 {
+	if got := len(b.Resolve(bib, steps, names(syms, steps))); got != 2 {
 		t.Fatalf("resolution sanity: got %d targets, want 2", got)
 	}
 	if cap(b.resA) == 0 && cap(b.resB) == 0 {

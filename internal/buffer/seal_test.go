@@ -19,7 +19,7 @@ func TestSealFinishesWithoutDeleting(t *testing.T) {
 	}
 	// Sealed-but-unfinished nodes survive a signOff: the arena defers the
 	// physical delete to the real end tag.
-	if err := b.SignOff(n, nil, 1); err != nil {
+	if err := b.SignOff(n, nil, nil, 1); err != nil {
 		t.Fatalf("signOff: %v", err)
 	}
 	if got := b.Stats().NodesDeleted; got != 0 {

@@ -24,12 +24,16 @@ type target struct {
 // to cancel future assignments of r below binding, so that tokens read
 // later are neither tagged nor buffered on behalf of a role that has
 // already been signed off.
-func (b *Buffer) SignOff(binding *Node, steps []xqast.Step, role xqast.Role) error {
+//
+// names resolves the steps' tag names: names[s.Test.ID] is the symbol of
+// step s's name test in this buffer's symbol table (the evaluator interns
+// its query's vocabulary once per run).
+func (b *Buffer) SignOff(binding *Node, steps []xqast.Step, names []xmlstream.Sym, role xqast.Role) error {
 	b.stats.SignOffs++
 	if b.canceller != nil && !binding.finished {
 		b.canceller.CancelRole(binding, role)
 	}
-	targets := b.resolve(binding, steps)
+	targets := b.resolve(binding, steps, names)
 	isAgg := b.aggregate[role]
 	for _, t := range targets {
 		if err := b.removeRole(t.node, role, t.mult); err != nil {
@@ -50,8 +54,8 @@ func (b *Buffer) SignOff(binding *Node, steps []xqast.Step, role xqast.Role) err
 // Resolve exposes signOff path resolution for tests and diagnostics: it
 // returns the nodes reached by steps from binding, in document order, with
 // derivation multiplicities.
-func (b *Buffer) Resolve(binding *Node, steps []xqast.Step) []*Node {
-	ts := b.resolve(binding, steps)
+func (b *Buffer) Resolve(binding *Node, steps []xqast.Step, names []xmlstream.Sym) []*Node {
+	ts := b.resolve(binding, steps, names)
 	out := make([]*Node, len(ts))
 	for i, t := range ts {
 		out[i] = t.node
@@ -62,13 +66,17 @@ func (b *Buffer) Resolve(binding *Node, steps []xqast.Step) []*Node {
 // resolve walks steps from start through the buffered tree using the
 // buffer's ping-pong scratch slices, so steady-state signOff execution
 // does not allocate. The returned slice is valid until the next resolve.
-func (b *Buffer) resolve(start *Node, steps []xqast.Step) []target {
+func (b *Buffer) resolve(start *Node, steps []xqast.Step, names []xmlstream.Sym) []target {
 	cur := append(b.resA[:0], target{start, 1})
 	next := b.resB[:0]
 	for _, s := range steps {
+		var sym xmlstream.Sym
+		if s.Test.Kind == xqast.TestName {
+			sym = names[s.Test.ID]
+		}
 		next = next[:0]
 		for _, t := range cur {
-			next = b.stepMatches(t.node, s, t.mult, next)
+			next = b.stepMatches(t.node, s, sym, t.mult, next)
 		}
 		cur, next = next, cur
 	}
@@ -92,11 +100,11 @@ func addTarget(out []target, n *Node, m int) []target {
 // stepMatches appends the matches of one location step from ctx in
 // document order. With a [1] predicate, only the first match per context is
 // reported — mirroring first-witness role assignment during projection.
-func (b *Buffer) stepMatches(ctx *Node, s xqast.Step, mult int, out []target) []target {
+func (b *Buffer) stepMatches(ctx *Node, s xqast.Step, sym xmlstream.Sym, mult int, out []target) []target {
 	switch s.Axis {
 	case xqast.Child:
 		for c := ctx.FirstChild; c != nil; c = c.NextSib {
-			if matchTest(b.syms, s.Test, c) {
+			if MatchTest(s.Test.Kind, sym, c) {
 				out = addTarget(out, c, mult)
 				if s.First {
 					return out
@@ -104,41 +112,45 @@ func (b *Buffer) stepMatches(ctx *Node, s xqast.Step, mult int, out []target) []
 			}
 		}
 	case xqast.Descendant:
-		out, _ = b.walkDescendants(ctx, s, mult, out)
+		out, _ = b.walkDescendants(ctx, s, sym, mult, out)
 	case xqast.DescendantOrSelf:
-		if matchTest(b.syms, s.Test, ctx) {
+		if MatchTest(s.Test.Kind, sym, ctx) {
 			out = addTarget(out, ctx, mult)
 			if s.First {
 				return out
 			}
 		}
-		out, _ = b.walkDescendants(ctx, s, mult, out)
+		out, _ = b.walkDescendants(ctx, s, sym, mult, out)
 	}
 	return out
 }
 
 // walkDescendants appends matching proper descendants of ctx in document
 // order; with First set it stops after the first match (stop=true).
-func (b *Buffer) walkDescendants(ctx *Node, s xqast.Step, mult int, out []target) (_ []target, stop bool) {
+func (b *Buffer) walkDescendants(ctx *Node, s xqast.Step, sym xmlstream.Sym, mult int, out []target) (_ []target, stop bool) {
 	for c := ctx.FirstChild; c != nil; c = c.NextSib {
-		if matchTest(b.syms, s.Test, c) {
+		if MatchTest(s.Test.Kind, sym, c) {
 			out = addTarget(out, c, mult)
 			if s.First {
 				return out, true
 			}
 		}
-		if out, stop = b.walkDescendants(c, s, mult, out); stop {
+		if out, stop = b.walkDescendants(c, s, sym, mult, out); stop {
 			return out, true
 		}
 	}
 	return out, false
 }
 
-// matchTest evaluates a node test against a buffered node.
-func matchTest(syms *xmlstream.SymTab, t xqast.NodeTest, n *Node) bool {
-	switch t.Kind {
+// MatchTest evaluates a node test against a buffered node; sym is the
+// resolved tag of a name test (ignored by the other kinds). It runs once
+// per node a cursor or a signOff path visits.
+//
+//gcxlint:noalloc
+func MatchTest(kind xqast.TestKind, sym xmlstream.Sym, n *Node) bool {
+	switch kind {
 	case xqast.TestName:
-		return n.Kind == KindElement && n.Sym == syms.Lookup(t.Name)
+		return n.Kind == KindElement && n.Sym == sym
 	case xqast.TestStar:
 		return n.Kind == KindElement
 	case xqast.TestText:
@@ -151,9 +163,4 @@ func matchTest(syms *xmlstream.SymTab, t xqast.NodeTest, n *Node) bool {
 	default:
 		return false
 	}
-}
-
-// MatchTest exposes node-test matching for the evaluator's cursors.
-func (b *Buffer) MatchTest(t xqast.NodeTest, n *Node) bool {
-	return matchTest(b.syms, t, n)
 }

@@ -119,6 +119,9 @@ func Compile(src string, cfg Config) (*Compiled, error) {
 		// changes only in WHEN conditions resolve.
 		static.ApplySchemaFacts(a, cfg.Schema)
 	}
+	// Last step: variables, tag names and comparison sites become indexes;
+	// the evaluator runs only this form.
+	a.Query = xqast.Resolve(a.Query)
 
 	c := &Compiled{
 		Source:    src,

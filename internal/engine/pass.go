@@ -230,7 +230,9 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 	// The symbol table survives runs (tag vocabularies repeat) but is
 	// bounded: documents with generated per-document names must not grow
 	// a pooled run state without limit. Safe only after buf.Reset — no
-	// buffered node carries a Sym anymore.
+	// buffered node carries a Sym anymore — and only before the run: each
+	// evaluator interns its query's vocabulary into whatever table this
+	// leaves as it starts (the symbols it resolves are per run, never kept).
 	if rs.syms.Len() > maxRetainedSyms {
 		rs.syms.Reset()
 	}

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"gcx/internal/buffer"
+	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
 )
 
@@ -18,6 +19,10 @@ type cursor struct {
 	e    *Evaluator
 	ctx  *buffer.Node
 	step xqast.Step
+	// sym is the step's tag in this run's symbol table (name tests only),
+	// read once from the evaluator's resolved vocabulary: matching a node
+	// compares integers.
+	sym xmlstream.Sym
 	// cur is the pinned current node (nil before the first next()).
 	cur *buffer.Node
 	// done marks an exhausted cursor.
@@ -43,6 +48,9 @@ func newCursor(e *Evaluator, ctx *buffer.Node, step xqast.Step) *cursor {
 	c.e = e
 	c.ctx = ctx
 	c.step = step
+	if step.Test.Kind == xqast.TestName {
+		c.sym = e.syms[step.Test.ID]
+	}
 	// Schema shortcut: if the content model excludes this child tag
 	// entirely, the sequence is empty without reading anything.
 	if e.opts.Schema != nil && step.Axis == xqast.Child &&
@@ -131,7 +139,7 @@ func (c *cursor) scan() *buffer.Node {
 			n = c.cur.NextSib
 		}
 		for ; n != nil; n = n.NextSib {
-			if c.e.buf.MatchTest(c.step.Test, n) {
+			if buffer.MatchTest(c.step.Test.Kind, c.sym, n) {
 				return n
 			}
 		}
@@ -141,13 +149,13 @@ func (c *cursor) scan() *buffer.Node {
 		// only in internal paths but is supported for completeness.
 		start := c.cur
 		if start == nil {
-			if c.step.Axis == xqast.DescendantOrSelf && c.e.buf.MatchTest(c.step.Test, c.ctx) {
+			if c.step.Axis == xqast.DescendantOrSelf && buffer.MatchTest(c.step.Test.Kind, c.sym, c.ctx) {
 				return c.ctx
 			}
 			start = c.ctx
 		}
 		for n := c.nextInDocOrder(start); n != nil; n = c.nextInDocOrder(n) {
-			if c.e.buf.MatchTest(c.step.Test, n) {
+			if buffer.MatchTest(c.step.Test.Kind, c.sym, n) {
 				return n
 			}
 		}
@@ -196,7 +204,7 @@ func (c *cursor) regionFinished() bool {
 	}
 	// Schema fact: the content model proves no further match can arrive.
 	if c.step.Test.Kind == xqast.TestName && c.ctx.Kind == buffer.KindElement &&
-		c.ctx.NoMore(c.e.buf.Syms().Lookup(c.step.Test.Name)) {
+		c.ctx.NoMore(c.sym) {
 		return true
 	}
 	return false

@@ -12,7 +12,7 @@ func TestClosedCursorRetainsNothing(t *testing.T) {
 	buf.Finish(r)
 
 	e := evaluator(buf, &scriptFeeder{})
-	cur := newCursor(e, r, child("a"))
+	cur := newCursor(e, r, child(e, "a"))
 	if _, err := cur.next(); err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestClosedCursorRetainsNothing(t *testing.T) {
 	if pooled.ctx != nil || pooled.cur != nil || pooled.e != nil {
 		t.Errorf("pooled cursor still pins nodes: ctx=%p cur=%p e=%p", pooled.ctx, pooled.cur, pooled.e)
 	}
-	if pooled.step.Test.Name != "" {
+	if pooled.step.Test.Name != "" || pooled.sym != 0 {
 		t.Errorf("pooled cursor retains step strings: %+v", pooled.step)
 	}
 }

@@ -11,7 +11,7 @@
 package eval
 
 import (
-	"strconv"
+	"slices"
 	"strings"
 
 	"gcx/internal/buffer"
@@ -50,53 +50,79 @@ type Options struct {
 	OnToken func()
 }
 
-// Evaluator evaluates one query over one document. An Evaluator can be
-// reused for further runs via Reset once its buffer, feeder, and writer
-// have been reset; the environment map and cursor freelist are retained,
-// so repeated evaluations are allocation-free after warm-up.
+// Evaluator evaluates one query over one document. The query is resolved
+// (xqast.Resolve): variables are slots of env, tag-name tests index syms,
+// comparisons index sites — nothing on the evaluation path is keyed by a
+// string. An Evaluator can be reused for further runs via Reset once its
+// buffer, feeder, and writer have been reset; the environment, the cursor
+// freelist and the operand scratch are retained, so repeated evaluations
+// are allocation-free after warm-up.
 type Evaluator struct {
 	buf  *buffer.Buffer
 	feed Feeder
 	out  *xmlstream.Writer
 	opts Options
-	env  map[string]*buffer.Node
+	// env holds the variable bindings by slot; epoch[slot] changes
+	// whenever the slot is rebound, which is what invalidates the operand
+	// values a comparison site collected under the previous binding.
+	env   []*buffer.Node
+	epoch []uint64
+	// syms[id] is the symbol of the query's Names[id] in this run's symbol
+	// table, interned when the run starts (bind): every name test compares
+	// two integers.
+	syms []xmlstream.Sym
 	// curPool recycles cursors (one is consumed per for-loop, existence
 	// check, and value collection — the per-binding hot path).
 	curPool []*cursor
-	// valsR is the reused operand-value scratch slice for the collected
-	// (right-hand) side of compare: a nested-loop join evaluates one
-	// comparison per pair of bindings, and the operand sequence must not
-	// cost an allocation each time. The left side streams through
-	// compareStream and never materializes.
-	valsR []string
-	// cmpOp/cmpRHS/cmpRHSReady carry the active comparison through
+	// sites[c.Site] keeps the collected (right-hand) operand of comparison
+	// c: a nested-loop join evaluates one comparison per PAIR of bindings,
+	// but the collected operand changes only when its own variable
+	// rebinds, so it is collected and classified once per binding and
+	// reused for every pair. The left side streams through compareStream
+	// and never materializes.
+	sites []site
+	// cmpOp/cmpRHS/cmpSite carry the active comparison through
 	// compareStream's recursion without closures (closures would allocate
 	// on the join hot path). Comparisons never nest — a Compare condition
 	// has no sub-conditions — so one set of fields suffices.
-	cmpOp       xqast.RelOp
-	cmpRHS      xqast.Operand
-	cmpRHSReady bool
+	cmpOp   xqast.RelOp
+	cmpRHS  xqast.Operand
+	cmpSite int
 	// firstFlushed records that the first result byte has been pushed
 	// through the writer's batching toward the destination. Armed in pull
 	// rather than at write time so a run that fails on its very first
 	// input token still produces zero client-visible bytes.
 	firstFlushed bool
+	// work counts inner-loop operations for the deterministic work gates
+	// (read by tests only).
+	work work
+}
+
+// site is one comparison's collected operand: vals is complete for the
+// binding epoch it was collected under (collectValues blocks until the
+// operand's region is finished), so reuse within that binding cannot
+// change an answer. It holds text, never nodes — nothing here keeps a
+// buffer node linked or pinned.
+type site struct {
+	epoch uint64 // 0: nothing collected
+	vals  []atom
+}
+
+// work is the evaluator's deterministic cost record for one run.
+type work struct {
+	compares    int64 // atom pairs compared
+	collections int64 // collected-operand sequences built
+	nameLookups int64 // string-keyed symbol table accesses (bind's interning)
 }
 
 // New creates an evaluator writing query output to out.
 func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *Evaluator {
-	return &Evaluator{
-		buf:  buf,
-		feed: feed,
-		out:  out,
-		opts: opts,
-		env:  map[string]*buffer.Node{xqast.RootVar: buf.Root()},
-	}
+	return &Evaluator{buf: buf, feed: feed, out: out, opts: opts}
 }
 
-// Reset prepares the evaluator for another run. The buffer must already
-// be reset (the root binding is re-read from it), and opts are replaced
-// wholesale so per-run hooks (tracing) do not leak across runs.
+// Reset prepares the evaluator for another run. opts are replaced
+// wholesale so per-run hooks (tracing) do not leak across runs; the
+// per-query tables are emptied here and filled again by Run.
 //
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
 //gcxlint:keep feed wired at construction; the owner resets the projector separately
@@ -104,38 +130,74 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 //gcxlint:keep curPool the cursor freelist is the point of pooling; entries are zeroed in close
 func (e *Evaluator) Reset(opts Options) {
 	e.opts = opts
-	clear(e.env)
-	e.env[xqast.RootVar] = e.buf.Root()
+	clear(e.epoch)
+	clear(e.syms)
+	e.work = work{}
 	e.firstFlushed = false
-	e.cmpOp = 0
+	e.cmpOp, e.cmpSite = 0, 0
 	// An errored run can abandon a comparison mid-stream; make sure the
 	// pooled evaluator retains no operand strings either way.
 	e.cmpRHS = xqast.Operand{}
-	e.cmpRHSReady = false
 	e.dropScratch()
 }
 
-// Run evaluates the query and flushes the output writer.
+// Run evaluates the resolved query q (xqast.Resolve) and flushes the
+// output writer. The buffer must already be reset: the root binding is
+// read from it.
 func (e *Evaluator) Run(q *xqast.Query) error {
 	// The operand scratch holds views of buffered document text; drop them
 	// when the evaluation ends (normally, with an error, or by panic) so a
 	// pooled idle evaluator pins no document data.
 	defer e.dropScratch()
+	if err := e.bind(q); err != nil {
+		return err
+	}
 	if err := e.expr(q.Root); err != nil {
 		return err
 	}
 	return e.out.Flush()
 }
 
-// dropScratch clears the operand-value scratch over its full capacity:
-// re-slicing alone would keep the string headers beyond the current
-// length alive for as long as the evaluator sits in its pool.
+// bind sizes the evaluator's tables for q (allocating only when q is
+// larger than anything run before) and resolves q's names against THIS
+// run's symbol table: the one place a tag name is hashed. It runs when
+// the run starts, after the owner's reset, so a symbol table the owner
+// flushed between runs is simply resolved afresh, and interning the
+// vocabulary ahead of the document costs no allocation once the table
+// has seen it.
+func (e *Evaluator) bind(q *xqast.Query) error {
+	if q.Slots == 0 {
+		return &Error{Msg: "query is not resolved (xqast.Resolve)", Detail: q}
+	}
+	e.env = slices.Grow(e.env[:0], q.Slots)[:q.Slots]
+	e.epoch = slices.Grow(e.epoch[:0], q.Slots)[:q.Slots]
+	e.syms = slices.Grow(e.syms[:0], len(q.Names))[:len(q.Names)]
+	e.sites = slices.Grow(e.sites[:0], q.Sites)[:q.Sites]
+	e.env[0] = e.buf.Root() // the rest is nil: every run ends in dropScratch
+	for i := range e.epoch {
+		e.epoch[i] = 1
+	}
+	for i, name := range q.Names {
+		e.syms[i] = e.buf.Syms().Intern(name)
+	}
+	e.work.nameLookups += int64(len(q.Names))
+	return nil
+}
+
+// dropScratch forgets the bindings and empties every site's collected
+// operand over its full capacity: re-slicing alone would keep the string
+// headers beyond the current length alive for as long as the evaluator
+// sits in its pool.
 //
 //gcxlint:noalloc
 func (e *Evaluator) dropScratch() {
-	e.valsR = e.valsR[:cap(e.valsR)]
-	clear(e.valsR)
-	e.valsR = e.valsR[:0]
+	clear(e.env)
+	for i := range e.sites {
+		s := &e.sites[i]
+		clear(s.vals[:cap(s.vals)])
+		s.vals = s.vals[:0]
+		s.epoch = 0
+	}
 }
 
 // pull drives the projector by one token. It returns false when the input
@@ -178,6 +240,9 @@ func (e *Evaluator) waitFinished(n *buffer.Node) error {
 	return nil
 }
 
+// expr evaluates one expression.
+//
+//gcxlint:allocok the dispatcher reaches output serialization and the unsupported-node error; the per-binding paths it leads to (forLoop, compare, cursors) carry their own noalloc
 func (e *Evaluator) expr(x xqast.Expr) error {
 	switch x := x.(type) {
 	case nil, xqast.Empty:
@@ -213,8 +278,7 @@ func (e *Evaluator) expr(x xqast.Expr) error {
 		}
 		return e.out.Err()
 	case xqast.VarRef:
-		n := e.env[x.Var]
-		return e.serialize(n)
+		return e.serialize(e.env[x.Slot])
 	case xqast.PathExpr:
 		return e.outputPath(x.Path)
 	case xqast.For:
@@ -232,8 +296,8 @@ func (e *Evaluator) expr(x xqast.Expr) error {
 		if !e.opts.ExecuteSignOffs {
 			return nil
 		}
-		binding := e.env[x.Path.Var]
-		if err := e.buf.SignOff(binding, x.Path.Steps, x.Role+e.opts.RoleOffset); err != nil {
+		binding := e.env[x.Path.Slot]
+		if err := e.buf.SignOff(binding, x.Path.Steps, e.syms, x.Role+e.opts.RoleOffset); err != nil {
 			return err
 		}
 		if e.opts.OnSignOff != nil {
@@ -259,10 +323,12 @@ func (e *Error) Error() string { return "eval: " + e.Msg }
 
 // forLoop iterates the binding sequence of a for-loop strictly
 // sequentially, evaluating the body (including its trailing signOff batch)
-// once per binding.
+// once per binding. Each binding opens a new epoch of the loop's slot:
+// operand values collected below the previous binding are stale from here.
+//
+//gcxlint:noalloc
 func (e *Evaluator) forLoop(f xqast.For) error {
-	y := e.env[f.In.Var]
-	cur := newCursor(e, y, f.In.Steps[0])
+	cur := newCursor(e, e.env[f.In.Slot], f.In.Steps[0])
 	defer cur.close()
 	for {
 		n, err := cur.next()
@@ -272,19 +338,19 @@ func (e *Evaluator) forLoop(f xqast.For) error {
 		if n == nil {
 			return nil
 		}
-		e.env[f.Var] = n
+		e.env[f.Slot] = n
+		e.epoch[f.Slot]++
 		if err := e.expr(f.Return); err != nil {
 			return err
 		}
-		delete(e.env, f.Var)
+		e.env[f.Slot] = nil
 	}
 }
 
 // outputPath copies all matches of a single-step path to the output in
 // document order (used when early updates are disabled).
 func (e *Evaluator) outputPath(p xqast.Path) error {
-	y := e.env[p.Var]
-	cur := newCursor(e, y, p.Steps[0])
+	cur := newCursor(e, e.env[p.Slot], p.Steps[0])
 	defer cur.close()
 	for {
 		n, err := cur.next()
@@ -394,8 +460,7 @@ func (e *Evaluator) cond(c xqast.Cond) (bool, error) {
 		}
 		return e.cond(c.R)
 	case xqast.Exists:
-		n := e.env[c.Path.Var]
-		return e.exists(n, c.Path.Steps)
+		return e.exists(e.env[c.Path.Slot], c.Path.Steps)
 	case xqast.Compare:
 		return e.compare(c)
 	default:
@@ -472,11 +537,14 @@ func (e *Evaluator) provableExists(n *buffer.Node, steps []xqast.Step) bool {
 // The left operand STREAMS: each of its values is compared as soon as its
 // subtree closes, and the first satisfying pair answers the condition
 // without collecting the remaining matches — earliest answering for
-// value-based filters. The right operand is collected once, lazily, when
-// the first left value appears (an empty left sequence is false without
-// evaluating the right side, matching the all-at-once semantics). A
-// literal left operand is swapped to the collected side under the
-// mirrored operator so the streaming side is always the path.
+// value-based filters. The right operand is collected lazily, when the
+// first left value appears (an empty left sequence is false without
+// evaluating the right side, matching the all-at-once semantics), and
+// then kept for as long as its variable stays bound (see site). A literal
+// left operand is swapped to the collected side under the mirrored
+// operator so the streaming side is always the path.
+//
+//gcxlint:noalloc
 func (e *Evaluator) compare(c xqast.Compare) (bool, error) {
 	lhs, op, rhs := c.LHS, c.Op, c.RHS
 	if lhs.IsLiteral && !rhs.IsLiteral {
@@ -488,8 +556,8 @@ func (e *Evaluator) compare(c xqast.Compare) (bool, error) {
 		// answer exactly).
 		return compareValues(lhs.Lit, op, rhs.Lit), nil
 	}
-	e.cmpOp, e.cmpRHS, e.cmpRHSReady = op, rhs, false
-	ok, err := e.compareStream(e.env[lhs.Path.Var], lhs.Path.Steps)
+	e.cmpOp, e.cmpRHS, e.cmpSite = op, rhs, c.Site
+	ok, err := e.compareStream(e.env[lhs.Path.Slot], lhs.Path.Steps)
 	e.cmpRHS = xqast.Operand{} // do not retain operand strings in the pooled evaluator
 	return ok, err
 }
@@ -498,22 +566,22 @@ func (e *Evaluator) compare(c xqast.Compare) (bool, error) {
 // and reports whether any value satisfies the active comparison,
 // returning at the first hit. State lives on the evaluator (not in
 // closures): compare runs once per binding pair in a nested-loop join.
+//
+//gcxlint:noalloc
 func (e *Evaluator) compareStream(n *buffer.Node, steps []xqast.Step) (bool, error) {
 	if len(steps) == 0 {
 		v, err := e.stringValue(n)
 		if err != nil {
 			return false, err
 		}
-		if !e.cmpRHSReady {
-			vals, err := e.operandValues(e.cmpRHS, e.valsR[:0])
-			e.valsR = vals
-			if err != nil {
-				return false, err
-			}
-			e.cmpRHSReady = true
+		vals, err := e.operandValues()
+		if err != nil {
+			return false, err
 		}
-		for _, r := range e.valsR {
-			if compareValues(v, e.cmpOp, r) {
+		l := classify(v)
+		for i := range vals {
+			e.work.compares++
+			if compareAtoms(l, e.cmpOp, vals[i]) {
 				return true, nil
 			}
 		}
@@ -538,6 +606,8 @@ func (e *Evaluator) compareStream(n *buffer.Node, steps []xqast.Step) (bool, err
 
 // mirrorOp returns the operator with its operands exchanged:
 // a op b  ⇔  b mirrorOp(a).
+//
+//gcxlint:noalloc
 func mirrorOp(op xqast.RelOp) xqast.RelOp {
 	switch op {
 	case xqast.OpLt:
@@ -553,24 +623,41 @@ func mirrorOp(op xqast.RelOp) xqast.RelOp {
 	}
 }
 
-// operandValues appends the operand's value sequence to out (the
-// evaluator-owned scratch; conditions never nest mid-collection, so the
-// two slices cover any condition tree).
-func (e *Evaluator) operandValues(o xqast.Operand, out []string) ([]string, error) {
-	if o.IsLiteral {
-		return append(out, o.Lit), nil
+// operandValues returns the classified value sequence of the active
+// comparison's collected operand, collecting it only if the operand's
+// variable was rebound since the site last did (a literal hangs off slot
+// 0, the root, which never rebinds: it is classified once per run). The
+// site's epoch is stamped after a complete collection only, so an error
+// mid-collection leaves nothing reusable behind.
+//
+//gcxlint:noalloc
+func (e *Evaluator) operandValues() ([]atom, error) {
+	s := &e.sites[e.cmpSite]
+	o := &e.cmpRHS
+	if now := e.epoch[o.Path.Slot]; s.epoch != now {
+		e.work.collections++
+		var err error
+		if o.IsLiteral {
+			s.vals = append(s.vals[:0], classify(o.Lit))
+		} else {
+			s.vals, err = e.collectValues(e.env[o.Path.Slot], o.Path.Steps, s.vals[:0])
+		}
+		if err != nil {
+			return nil, err
+		}
+		s.epoch = now
 	}
-	n := e.env[o.Path.Var]
-	return e.collectValues(n, o.Path.Steps, out)
+	return s.vals, nil
 }
 
-func (e *Evaluator) collectValues(n *buffer.Node, steps []xqast.Step, out []string) ([]string, error) {
+//gcxlint:noalloc
+func (e *Evaluator) collectValues(n *buffer.Node, steps []xqast.Step, out []atom) ([]atom, error) {
 	if len(steps) == 0 {
 		v, err := e.stringValue(n)
 		if err != nil {
 			return out, err
 		}
-		return append(out, v), nil
+		return append(out, classify(v)), nil
 	}
 	cur := newCursor(e, n, steps[0])
 	defer cur.close()
@@ -591,6 +678,8 @@ func (e *Evaluator) collectValues(n *buffer.Node, steps []xqast.Step, out []stri
 // stringValue computes the concatenated text content of a node, blocking
 // until the subtree is complete (comparison dependencies buffer whole
 // subtrees, so all text is present).
+//
+//gcxlint:noalloc
 func (e *Evaluator) stringValue(n *buffer.Node) (string, error) {
 	if n.Kind == buffer.KindText {
 		return n.Text, nil
@@ -607,6 +696,13 @@ func (e *Evaluator) stringValue(n *buffer.Node) (string, error) {
 	} else if c.Kind == buffer.KindText && c.NextSib == nil {
 		return c.Text, nil
 	}
+	return concatText(n), nil
+}
+
+// concatText joins the text nodes below n in document order.
+//
+//gcxlint:allocok mixed content has no single backing string; the value is necessarily built
+func concatText(n *buffer.Node) string {
 	var b strings.Builder
 	var walk func(m *buffer.Node)
 	walk = func(m *buffer.Node) {
@@ -619,44 +715,5 @@ func (e *Evaluator) stringValue(n *buffer.Node) (string, error) {
 		}
 	}
 	walk(n)
-	return b.String(), nil
-}
-
-// compareValues applies a RelOp: numerically when both operands parse as
-// numbers, as strings otherwise.
-func compareValues(l string, op xqast.RelOp, r string) bool {
-	lf, lerr := strconv.ParseFloat(strings.TrimSpace(l), 64)
-	rf, rerr := strconv.ParseFloat(strings.TrimSpace(r), 64)
-	if lerr == nil && rerr == nil {
-		switch op {
-		case xqast.OpEq:
-			return lf == rf
-		case xqast.OpNe:
-			return lf != rf
-		case xqast.OpLt:
-			return lf < rf
-		case xqast.OpLe:
-			return lf <= rf
-		case xqast.OpGt:
-			return lf > rf
-		case xqast.OpGe:
-			return lf >= rf
-		}
-		return false
-	}
-	switch op {
-	case xqast.OpEq:
-		return l == r
-	case xqast.OpNe:
-		return l != r
-	case xqast.OpLt:
-		return l < r
-	case xqast.OpLe:
-		return l <= r
-	case xqast.OpGt:
-		return l > r
-	case xqast.OpGe:
-		return l >= r
-	}
-	return false
+	return b.String()
 }

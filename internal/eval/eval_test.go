@@ -40,8 +40,12 @@ func evaluator(buf *buffer.Buffer, feed Feeder) *Evaluator {
 	return New(buf, feed, xmlstream.NewWriter(&sink), Options{ExecuteSignOffs: true})
 }
 
-func child(test string) xqast.Step {
-	return xqast.Step{Axis: xqast.Child, Test: xqast.NameTest(test)}
+// child builds a resolved child::name step, adding the name to e's
+// vocabulary the way xqast.Resolve and Reset do for a compiled query.
+func child(e *Evaluator, name string) xqast.Step {
+	id := len(e.syms)
+	e.syms = append(e.syms, e.buf.Syms().Intern(name))
+	return xqast.Step{Axis: xqast.Child, Test: xqast.NodeTest{Kind: xqast.TestName, Name: name, ID: id}}
 }
 
 func TestCursorChildIterationBlocking(t *testing.T) {
@@ -58,7 +62,7 @@ func TestCursorChildIterationBlocking(t *testing.T) {
 		func() { buf.Finish(r) },
 	}}
 	e := evaluator(buf, feed)
-	cur := newCursor(e, r, child("a"))
+	cur := newCursor(e, r, child(e, "a"))
 	defer cur.close()
 
 	var names []string
@@ -92,7 +96,7 @@ func TestCursorPinsSurviveSignOff(t *testing.T) {
 	buf.Finish(r)
 
 	e := evaluator(buf, &scriptFeeder{})
-	cur := newCursor(e, r, child("a"))
+	cur := newCursor(e, r, child(e, "a"))
 	n1, err := cur.next()
 	if err != nil || n1 != a1 {
 		t.Fatalf("first: %v %v", n1, err)
@@ -100,7 +104,7 @@ func TestCursorPinsSurviveSignOff(t *testing.T) {
 	// The loop body signs off the binding role of the current node: the
 	// node becomes irrelevant but must stay linked (pinned) so the cursor
 	// can advance from it.
-	if err := buf.SignOff(a1, nil, 1); err != nil {
+	if err := buf.SignOff(a1, nil, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if a1.Unlinked() {
@@ -134,7 +138,9 @@ func TestCursorDescendantDocOrder(t *testing.T) {
 	buf.Finish(r)
 
 	e := evaluator(buf, &scriptFeeder{})
-	cur := newCursor(e, r, xqast.Step{Axis: xqast.Descendant, Test: xqast.NameTest("b")})
+	step := child(e, "b")
+	step.Axis = xqast.Descendant
+	cur := newCursor(e, r, step)
 	defer cur.close()
 	var got []*buffer.Node
 	for {
@@ -162,7 +168,7 @@ func TestCursorFirstStepStopsAfterWitness(t *testing.T) {
 	buf.Finish(r)
 
 	e := evaluator(buf, &scriptFeeder{})
-	step := child("p")
+	step := child(e, "p")
 	step.First = true
 	cur := newCursor(e, r, step)
 	defer cur.close()
@@ -180,7 +186,7 @@ func TestCursorPropagatesFeederError(t *testing.T) {
 	buf, syms := setup()
 	r := buf.AppendElement(buf.Root(), syms.Intern("r")) // unfinished
 	e := evaluator(buf, &scriptFeeder{fail: errors.New("boom")})
-	cur := newCursor(e, r, child("a"))
+	cur := newCursor(e, r, child(e, "a"))
 	defer cur.close()
 	if _, err := cur.next(); err == nil {
 		t.Fatal("feeder error must propagate")

@@ -140,3 +140,22 @@ func (e *emitter) observePositive(nanos int64) {
 	}
 	e.first = nanos
 }
+
+// numError and classifyOperand model the evaluator's comparison
+// classifier (internal/eval.classify): it runs on every operand of every
+// pair a join compares, and when the join keys are not numbers the REJECT
+// path is the hot path. The violation below is the regression the
+// classifier exists to prevent — an error value built on the reject
+// path, with the input cloned into it, only to say "not a number"
+// (what strconv.ParseFloat does for every string it cannot parse).
+type numError struct{ fn, num string }
+
+func (e *numError) Error() string { return e.fn + ": parsing " + e.num }
+
+//gcxlint:noalloc
+func classifyOperand(s string) (float64, error) {
+	if len(s) == 0 || s[0] < '0' || s[0] > '9' {
+		return 0, &numError{"classify", strings.Clone(s)} // want `address of composite literal escapes to the heap` `call to strings\.Clone allocates`
+	}
+	return float64(s[0] - '0'), nil
+}

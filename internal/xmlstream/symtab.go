@@ -24,7 +24,10 @@ func NewSymTab() *SymTab {
 	}
 }
 
-// Intern returns the symbol for name, assigning a fresh one if needed.
+// Intern returns the symbol for name, assigning a fresh one if needed. It
+// is the table's only string-keyed access: the projector interns a tag as
+// it buffers the element, an evaluator interns its query's vocabulary once
+// as a run starts, and from there on both sides hold integers.
 func (s *SymTab) Intern(name string) Sym {
 	if sym, ok := s.byName[name]; ok {
 		return sym
@@ -33,11 +36,6 @@ func (s *SymTab) Intern(name string) Sym {
 	s.names = append(s.names, name)
 	s.byName[name] = sym
 	return sym
-}
-
-// Lookup returns the symbol for name, or NoSym if it was never interned.
-func (s *SymTab) Lookup(name string) Sym {
-	return s.byName[name]
 }
 
 // Reset drops all interned names. Only valid when no buffered node still

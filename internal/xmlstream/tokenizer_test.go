@@ -450,9 +450,6 @@ func TestSymTab(t *testing.T) {
 	if s.Name(a) != "alpha" || s.Name(b) != "beta" {
 		t.Fatal("Name mismatch")
 	}
-	if s.Lookup("gamma") != NoSym {
-		t.Fatal("Lookup of unknown name must return NoSym")
-	}
 	if s.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", s.Len())
 	}

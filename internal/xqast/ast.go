@@ -79,6 +79,9 @@ const (
 type NodeTest struct {
 	Kind TestKind
 	Name string // tag name when Kind == TestName
+	// ID indexes Name in Query.Names once the query is resolved (see
+	// Resolve); the evaluator matches on the symbol interned for it.
+	ID int
 }
 
 // String renders the node test in XPath notation.
@@ -131,6 +134,8 @@ func (s Step) String() string {
 type Path struct {
 	Var   string
 	Steps []Step
+	// Slot is Var's index in the evaluator's environment (see Resolve).
+	Slot int
 }
 
 // String renders the path, e.g. "$x/child::a/dos::node()".
@@ -171,7 +176,8 @@ type Text struct {
 // VarRef is the bare variable expression $x: the node bound to $x is copied
 // to the output together with its complete subtree.
 type VarRef struct {
-	Var string
+	Var  string
+	Slot int // Var's environment index (see Resolve)
 }
 
 // PathExpr is the output expression $x/axis::ν: all matching nodes are
@@ -185,6 +191,7 @@ type For struct {
 	Var    string // bound variable, without '$'
 	In     Path   // var-rooted path iterated over
 	Return Expr
+	Slot   int // Var's environment index (see Resolve)
 }
 
 // If is "if cond then q else q".
@@ -290,6 +297,9 @@ type Compare struct {
 	LHS Operand
 	Op  RelOp
 	RHS Operand
+	// Site numbers the comparison within its query (see Resolve): the
+	// evaluator keeps the collected operand per site.
+	Site int
 }
 
 // And is "cond and cond".
@@ -312,6 +322,13 @@ func (Not) isCond()      {}
 // variable $root (Section 3).
 type Query struct {
 	Root Element
+
+	// Filled by Resolve, zero before: the tag names of the query's name
+	// tests (NodeTest.ID indexes it), the number of variable slots
+	// (RootVar is slot 0), and the number of comparison sites.
+	Names []string
+	Slots int
+	Sites int
 }
 
 // RootVar is the name of the distinguished root variable (without '$').
