@@ -30,6 +30,21 @@ func allocTestDoc(books int, withPrice bool) string {
 	return doc.String()
 }
 
+// warmAllocs reports the allocations of one eng.Run over data on a warm
+// pool, averaged over runs.
+func warmAllocs(t *testing.T, eng *Engine, data string, runs int) float64 {
+	t.Helper()
+	r := strings.NewReader(data)
+	run := func() {
+		r.Reset(data)
+		if _, err := eng.Run(r, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the pool at this size
+	return testing.AllocsPerRun(runs, run)
+}
+
 // TestSteadyStateAllocsStructural: a query that buffers only structure
 // (existence witnesses, no text serialization) must run allocation-free
 // once the pool is warm — the paper's engine as a zero-garbage server.
@@ -131,9 +146,10 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocsWithOutput: serializing buffered text necessarily
-// copies it out of the tokenizer's scratch (one allocation per buffered
-// text node); nothing else may allocate on a warm pool.
+// TestSteadyStateAllocsWithOutput: serializing buffered text copies it
+// out of the tokenizer's window into the buffer's own text slab, whose
+// chunks a warm run already has — so a run that buffers a hundred texts
+// allocates no more than one that buffers none.
 func TestSteadyStateAllocsWithOutput(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -142,22 +158,61 @@ func TestSteadyStateAllocsWithOutput(t *testing.T) {
 	    for $b in /bib/book return
 	        if (exists($b/price)) then $b/title else ()
 	}</out>`)
-	data := allocTestDoc(100, true)
-	r := strings.NewReader(data)
-
-	run := func() {
-		r.Reset(data)
-		if _, err := eng.Run(r, io.Discard); err != nil {
-			t.Fatal(err)
-		}
+	if allocs := warmAllocs(t, eng, allocTestDoc(100, true), 30); allocs > 4 {
+		t.Fatalf("output steady-state run allocates: %.1f allocs/run, want <= 4", allocs)
 	}
-	run()
+}
 
-	// 100 buffered <title> texts -> ~100 unavoidable copies; allow slack
-	// for map growth, none for per-run reconstruction (which costs
-	// thousands).
-	if allocs := testing.AllocsPerRun(30, run); allocs > 150 {
-		t.Fatalf("output steady-state run allocates: %.1f allocs/run, want <= 150", allocs)
+// TestCopySteadyStateAllocs: the copy-shaped query buffers, serializes and
+// purges every node of every item — the buffer's write use, gcxd-copy's
+// shape. Text and nodes both come from what the warm buffer already owns
+// and purges hand back, so a warm run allocates the same few objects
+// whether the document has a hundred items or two thousand.
+func TestCopySteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	eng := MustCompile(`<out>{ for $i in /bib/book return $i }</out>`)
+	small := warmAllocs(t, eng, allocTestDoc(100, true), 10)
+	large := warmAllocs(t, eng, allocTestDoc(2000, true), 10)
+	if small != large || large > 4 {
+		t.Fatalf("copy run allocations: %.1f allocs/run at 100 items, %.1f at 2000; want equal and <= 4", small, large)
+	}
+}
+
+// TestRegistryRunAllocsDoNotScaleWithSubscriptions: a pass over N
+// subscriptions of the same texts costs what the texts cost; a clean pass
+// records "no error" on every subscription without allocating, and the
+// fan-out lists are carved from one backing slice.
+func TestRegistryRunAllocsDoNotScaleWithSubscriptions(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	texts := []string{
+		`<a>{ for $b in /bib/book return $b/title }</a>`,
+		`<b>{ for $b in /bib/book return $b/price }</b>`,
+		`<c>{ for $b in /bib/book return if (exists($b/price)) then $b/title else () }</c>`,
+		`<d>{ for $b in /bib/book return if (exists($b/price)) then <hit/> else () }</d>`,
+	}
+	data := allocTestDoc(50, false)
+	measure := func(subs int) float64 {
+		reg := MustNewRegistry()
+		for i := 0; i < subs; i++ {
+			reg.MustSubscribe(fmt.Sprintf("s%d", i), texts[i%len(texts)])
+		}
+		r := strings.NewReader(data)
+		run := func() {
+			r.Reset(data)
+			if _, err := reg.Run(r, DiscardSink); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm the pool
+		return testing.AllocsPerRun(10, run)
+	}
+	few, many := measure(100), measure(1000)
+	if many-few > 8 {
+		t.Fatalf("registry pass allocations scale with subscriptions: %.0f allocs/run at 100, %.0f at 1000", few, many)
 	}
 }
 
@@ -178,12 +233,12 @@ func joinTestDoc(p, t int) string {
 }
 
 // TestJoinSteadyStateAllocs: a nested-loop value join compares P·T pairs,
-// and comparing must not allocate — the only per-run allocations are the
-// copies of the text the document makes it buffer (one id and one name
-// per person, one buyer per auction). Going from 500 to 50 000 pairs may
-// therefore add no more allocations than it adds buffered texts; when
-// every comparison of non-numeric ids built two error values, it added
-// two hundred thousand.
+// and comparing must not allocate; nor does buffering the text the
+// document makes it keep (one id and one name per person, one buyer per
+// auction), which goes into the buffer's slab. Going from 500 to 50 000
+// pairs — and from 70 to 700 buffered texts — may therefore add next to
+// nothing; when every comparison of non-numeric ids built two error
+// values, it added two hundred thousand.
 func TestJoinSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -194,23 +249,11 @@ func TestJoinSteadyStateAllocs(t *testing.T) {
 	            for $t in /site/closed_auctions/closed_auction return
 	                if ($t/buyer = $p/id) then <bought/> else ()) }</item>
 	}</out>`)
-	measure := func(p, n int) float64 {
-		data := joinTestDoc(p, n)
-		r := strings.NewReader(data)
-		run := func() {
-			r.Reset(data)
-			if _, err := eng.Run(r, io.Discard); err != nil {
-				t.Fatal(err)
-			}
-		}
-		run() // warm the pool at this size
-		return testing.AllocsPerRun(5, run)
-	}
-	small, large := measure(10, 50), measure(100, 500)
-	extraTexts := float64((2*100 + 500) - (2*10 + 50))
-	if large-small > extraTexts+16 {
-		t.Fatalf("join allocations grow with the pair count: %.0f allocs/run at 500 pairs, %.0f at 50000 (the %.0f extra buffered texts explain %.0f of the difference)",
-			small, large, extraTexts, extraTexts)
+	small := warmAllocs(t, eng, joinTestDoc(10, 50), 5)
+	large := warmAllocs(t, eng, joinTestDoc(100, 500), 5)
+	if large-small > 16 {
+		t.Fatalf("join allocations grow with the pair count: %.0f allocs/run at 500 pairs, %.0f at 50000",
+			small, large)
 	}
 }
 

@@ -1,5 +1,7 @@
 package buffer
 
+import "unsafe"
+
 // slabSize is the number of Nodes carved from one backing allocation.
 const slabSize = 512
 
@@ -47,16 +49,18 @@ func (a *arena) put(n *Node) { a.free = append(a.free, n) }
 // reset makes every slab node available again without releasing the slabs.
 // Text references of carved nodes are dropped eagerly: nodes are only
 // cleared lazily on get, and an idle (pooled) buffer must not pin the
-// previous document's character data until those slots happen to be
-// re-carved.
+// previous document's character data — text chunks beyond the slab's
+// retention cap, oversized texts — until those slots happen to be
+// re-carved. poison is the text slab's test mode: the oversized texts,
+// which no chunk holds, are overwritten here.
 //
 //gcxlint:keep slabs retaining the slabs is the arena's purpose; only their Text references are dropped
-func (a *arena) reset() {
+func (a *arena) reset(poison bool) {
 	for i := 0; i < a.slab && i < len(a.slabs); i++ {
-		clearText(a.slabs[i])
+		clearText(a.slabs[i], poison)
 	}
 	if a.slab < len(a.slabs) {
-		clearText(a.slabs[a.slab][:a.next])
+		clearText(a.slabs[a.slab][:a.next], poison)
 	}
 	a.slab = 0
 	a.next = 0
@@ -64,8 +68,11 @@ func (a *arena) reset() {
 }
 
 //gcxlint:noalloc
-func clearText(s []Node) {
+func clearText(s []Node, poison bool) {
 	for i := range s {
+		if poison && s[i].chunk < 0 {
+			poisonBytes(unsafe.Slice(unsafe.StringData(s[i].Text), len(s[i].Text)))
+		}
 		s[i].Text = ""
 	}
 }

@@ -23,6 +23,17 @@ type Stats struct {
 	RoleRemovals    int64 // total role instances removed
 	SignOffs        int64 // signOff statements processed
 	GCSweeps        int64 // aggregate-role subtree sweeps
+
+	// What the text slab holds, beside what LiveBytes/PeakBytes estimate
+	// (those keep their formula; see DESIGN.md, "The buffer owns its
+	// bytes"). Held memory is every chunk with a live text in it, whole,
+	// plus the oversized texts.
+	TextLiveBytes     int64 // bytes of live text
+	TextHeldBytes     int64 // slab memory pinned by live text
+	TextPeakHeldBytes int64 // high watermark of TextHeldBytes
+	TextChunks        int64 // chunks with a live text in them
+	TextLiveAtPeak    int64 // TextLiveBytes when PeakBytes was last raised
+	TextHeldAtPeak    int64 // TextHeldBytes when PeakBytes was last raised
 }
 
 // nodeBaseBytes approximates the in-memory size of a Node (pointers, flags,
@@ -72,6 +83,8 @@ type Buffer struct {
 
 	// arena allocates nodes; Reset reclaims them wholesale between runs.
 	arena arena
+	// text owns the character data of the text nodes.
+	text textSlab
 
 	// resA/resB are the ping-pong scratch buffers of signOff path
 	// resolution (reused so steady-state signOffs do not allocate).
@@ -91,6 +104,7 @@ func New(syms *xmlstream.SymTab, roleCount int, aggregate []bool) *Buffer {
 		aggregate: agg,
 		assigned:  make([]int64, roleCount+1),
 		removed:   make([]int64, roleCount+1),
+		text:      newTextSlab(),
 	}
 	b.initRoot()
 	return b
@@ -107,14 +121,15 @@ func (b *Buffer) initRoot() {
 
 // Reset returns every node to the arena and restores the empty initial
 // state for a new run with the same role table. The symbol table and the
-// canceller wiring are retained; any node pointer obtained before the
-// reset is invalidated.
+// canceller wiring are retained; any node pointer, and any Node.Text,
+// obtained before the reset is invalidated.
 //
 //gcxlint:keep syms the symbol table is shared with the projector and survives runs by contract (the owner bounds it)
 //gcxlint:keep aggregate the role table is fixed for the compiled query this buffer serves
 //gcxlint:keep canceller projector wiring established once by SetCanceller; runs swap documents, not projectors
 func (b *Buffer) Reset() {
-	b.arena.reset()
+	b.arena.reset(b.text.poison)
+	b.text.reset()
 	for i := range b.assigned {
 		b.assigned[i] = 0
 		b.removed[i] = 0
@@ -136,7 +151,14 @@ func (b *Buffer) SetCanceller(c Canceller) { b.canceller = c }
 func (b *Buffer) Root() *Node { return b.root }
 
 // Stats returns a snapshot of the buffer accounting.
-func (b *Buffer) Stats() Stats { return b.stats }
+func (b *Buffer) Stats() Stats {
+	st := b.stats
+	st.TextLiveBytes = b.text.liveBytes
+	st.TextHeldBytes = b.text.held()
+	st.TextPeakHeldBytes = b.text.peakHeld
+	st.TextChunks = int64(b.text.inUse)
+	return st
+}
 
 // Syms returns the symbol table shared with the projector.
 func (b *Buffer) Syms() *xmlstream.SymTab { return b.syms }
@@ -152,6 +174,8 @@ func (b *Buffer) bumpPeaks() {
 	}
 	if b.stats.LiveBytes > b.stats.PeakBytes {
 		b.stats.PeakBytes = b.stats.LiveBytes
+		b.stats.TextLiveAtPeak = b.text.liveBytes
+		b.stats.TextHeldAtPeak = b.text.held()
 	}
 }
 
@@ -170,12 +194,15 @@ func (b *Buffer) AppendElement(parent *Node, sym xmlstream.Sym) *Node {
 	return n
 }
 
-// AppendText buffers a text node under parent. Text nodes are born
-// finished.
+// AppendText buffers a text node under parent, copying text into the
+// buffer's own slab: the caller's string may borrow the tokenizer's
+// window. Text nodes are born finished.
+//
+//gcxlint:borrowed
 func (b *Buffer) AppendText(parent *Node, text string) *Node {
 	n := b.arena.get()
 	n.Kind = KindText
-	n.Text = text
+	n.Text, n.chunk = b.text.keep(text)
 	n.Parent = parent
 	n.finished = true
 	b.link(parent, n)
@@ -362,6 +389,10 @@ func (b *Buffer) dropSubtree(n *Node) {
 		next := c.NextSib
 		b.dropSubtree(c)
 		c = next
+	}
+	if n.Kind == KindText {
+		b.text.release(n.Text, n.chunk)
+		n.Text = "" // nothing reads an unlinked node; a free node must not pin an oversized text
 	}
 	b.arena.put(n)
 }

@@ -51,7 +51,9 @@ type Node struct {
 
 	// Sym is the interned tag name (elements only).
 	Sym xmlstream.Sym
-	// Text is the character data (text nodes only).
+	// Text is the character data (text nodes only). It points into the
+	// buffer's text slab and is valid until the node is unlinked or the
+	// buffer is Reset; whatever outlives that copies it.
 	Text string
 
 	Kind Kind
@@ -76,6 +78,9 @@ type Node struct {
 	// selfTotal is the total number of role instances on this node
 	// (including aggregate ones).
 	selfTotal int32
+	// chunk is what the text slab needs back to release Text (see
+	// textSlab.keep); it sits in what was padding.
+	chunk int32
 	// subTotal is the total number of role instances in the subtree rooted
 	// here (including selfTotal).
 	subTotal int64

@@ -170,7 +170,7 @@ type runState struct {
 
 // newRunState constructs the chain of Figure 11 once; subsequent runs
 // reset it in place. The tokenizer lends text tokens to the projector
-// (BorrowText), which copies only what it buffers.
+// (BorrowText); what is kept, the buffer copies into its own text slab.
 func (p *Pass) newRunState() *runState {
 	n := len(p.Members)
 	syms := xmlstream.NewSymTab()
@@ -181,7 +181,6 @@ func (p *Pass) newRunState() *runState {
 	pr := proj.New(tok, buf, p.Tree, proj.Options{
 		AggregateRoles: p.aggMatch,
 		Schema:         p.schema,
-		BorrowedText:   true,
 	})
 	rs := &runState{
 		syms:   syms,

@@ -175,3 +175,14 @@ func TestFailedJoinRetainsNothing(t *testing.T) {
 		t.Fatalf("clean run after a failed one:\n got %s\nwant %s", out.String(), joinWant(5, 40))
 	}
 }
+
+// TestJoinTextLifetime reruns the two suites above with the buffer's text
+// slab in its test mode (256-byte chunks, released text overwritten with
+// 0xFF): the site's collected operand aliases Node.Text across the whole
+// inner loop, so an operand node purged before its binding ends, or an
+// operand kept past a rebind, compares 0xFF bytes and changes the output.
+func TestJoinTextLifetime(t *testing.T) {
+	defer buffer.SetTextDebug(256)()
+	t.Run("WorkCounts", TestJoinWorkCounts)
+	t.Run("FailedJoinRetainsNothing", TestFailedJoinRetainsNothing)
+}

@@ -8,20 +8,23 @@
 // variables, channel sends, returns from unannotated functions, and
 // captures by closures.
 //
-// Cloning kills the taint: strings.Clone, a string↔[]byte conversion, or
-// append(dst, src...) all copy the bytes. The walk is linear in source
-// order, so the engine's guarded-clone idiom
+// Copying kills the taint: strings.Clone, a string↔[]byte conversion, or
+// append(dst, src...) all copy the bytes, and so does a same-package
+// function annotated //gcxlint:borrowcopy — the buffer's text slab, which
+// is how kept character data enters Node.Text. The walk is linear in
+// source order, so a guarded copy
 //
-//	if p.opts.BorrowedText { data = strings.Clone(data) }
+//	if borrowed { data = strings.Clone(data) }
 //
 // sanitizes every later use. A retention that is provably safe can be
 // annotated //gcxlint:borrowok <reason>.
 //
 // The check is package-local: a same-package call that forwards borrowed
 // data must be annotated //gcxlint:borrowed (which in turn taints that
-// function's own string/[]byte/Token parameters). Cross-package calls are
-// outside its horizon and rely on the callee's own analysis — the
-// documented residual risk.
+// function's own string/[]byte/Token parameters) or //gcxlint:borrowcopy
+// (parameters tainted alike, results owned — so its body must really
+// copy). Cross-package calls are outside its horizon and rely on the
+// callee's own analysis — the documented residual risk.
 package borrowcheck
 
 import (
@@ -88,9 +91,15 @@ type checker struct {
 	taint    map[types.Object]bool
 }
 
-func isBorrowedFunc(fd *ast.FuncDecl) bool {
+func isBorrowedFunc(fd *ast.FuncDecl) bool { return hasVerb(fd, "borrowed") }
+
+// isCopyFunc reports a //gcxlint:borrowcopy function: it accepts borrowed
+// windows like a borrowed one, but what it returns is its own copy.
+func isCopyFunc(fd *ast.FuncDecl) bool { return hasVerb(fd, "borrowcopy") }
+
+func hasVerb(fd *ast.FuncDecl, verb string) bool {
 	for _, d := range gcxlint.Directives(fd.Doc) {
-		if d.Verb == "borrowed" {
+		if d.Verb == verb {
 			return true
 		}
 	}
@@ -102,10 +111,11 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	c.borrowed = isBorrowedFunc(fd)
 	c.taint = make(map[types.Object]bool)
 
-	if c.borrowed {
+	if c.borrowed || isCopyFunc(fd) {
 		// The annotation's meaning: this function's window-like
 		// parameters are themselves borrowed, so its body must not
-		// retain them either.
+		// retain them either (and a borrowcopy body, whose results
+		// callers treat as owned, must not return them).
 		for _, field := range fd.Type.Params.List {
 			for _, name := range field.Names {
 				obj := c.pass.TypesInfo.Defs[name]
@@ -566,7 +576,13 @@ func (c *checker) callResultTaints(e ast.Expr, n int) []bool {
 				return taints
 			}
 			if pkg != nil && pkg == c.pass.Pkg {
-				if fd, ok := c.decls[obj]; ok && isBorrowedFunc(fd) {
+				fd := c.decls[obj]
+				if fd != nil && isCopyFunc(fd) {
+					// Annotated copier: it accepts borrowed windows and
+					// returns bytes of its own.
+					return taints
+				}
+				if fd != nil && isBorrowedFunc(fd) {
 					// Annotated forwarder: it may both accept and return
 					// borrowed windows.
 					c.markWindowResults(call, taints)

@@ -81,3 +81,30 @@ func (s *sink) missingReason(t *xmlstream.Tokenizer) {
 	//gcxlint:borrowok
 	s.x = tk.Data // want `//gcxlint:borrowok requires a reason`
 }
+
+// node and slab mirror the buffer: kept text enters node.text through
+// the slab's copy and nothing else.
+type node struct{ text string }
+
+type slab struct{ buf []byte }
+
+//gcxlint:borrowcopy
+func (s *slab) keep(text string) string {
+	s.buf = append(s.buf[:0], text...)
+	return string(s.buf)
+}
+
+// appendText stores borrowed token text in the node without passing it
+// through the slab.
+//
+//gcxlint:borrowed
+func appendText(n *node, s *slab, text string) {
+	n.text = text // want `stores borrowed tokenizer bytes in a struct field`
+}
+
+// lazyKeep claims to copy and hands its parameter back.
+//
+//gcxlint:borrowcopy
+func lazyKeep(text string) string {
+	return text // want `returns borrowed tokenizer bytes`
+}

@@ -101,3 +101,20 @@ func (s *sink) scalarField(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
 	s.kind = tk.Kind
 }
+
+// node and slab mirror the buffer's text path: the slab's copy kills the
+// taint, so what it returns may be stored.
+type node struct{ text string }
+
+type slab struct{ buf []byte }
+
+//gcxlint:borrowcopy
+func (s *slab) keep(text string) string {
+	s.buf = append(s.buf[:0], text...)
+	return string(s.buf)
+}
+
+//gcxlint:borrowed
+func appendText(n *node, s *slab, text string) {
+	n.text = s.keep(text)
+}

@@ -15,6 +15,7 @@ import (
 //	//gcxlint:noalloc                 noalloccheck: function must not allocate
 //	//gcxlint:allocok <reason>        noalloccheck: permit this line / calls to this decl
 //	//gcxlint:borrowed                borrowcheck: func's string/[]byte/Token params+results are borrowed
+//	//gcxlint:borrowcopy              borrowcheck: func copies its borrowed params; its results are owned
 //	//gcxlint:borrowok <reason>       borrowcheck: permit this retention
 //	//gcxlint:solorole <reason>       roleoffsetcheck: permit this untranslated role
 //
@@ -29,13 +30,14 @@ type Directive struct {
 const directivePrefix = "//gcxlint:"
 
 var knownVerbs = map[string]bool{
-	"keep":     true,
-	"noreset":  true,
-	"noalloc":  true,
-	"allocok":  true,
-	"borrowed": true,
-	"borrowok": true,
-	"solorole": true,
+	"keep":       true,
+	"noreset":    true,
+	"noalloc":    true,
+	"allocok":    true,
+	"borrowed":   true,
+	"borrowcopy": true,
+	"borrowok":   true,
+	"solorole":   true,
 }
 
 // parseDirective parses a single comment, returning ok=false if it is not

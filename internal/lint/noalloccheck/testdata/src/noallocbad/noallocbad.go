@@ -159,3 +159,21 @@ func classifyOperand(s string) (float64, error) {
 	}
 	return float64(s[0] - '0'), nil
 }
+
+// slab is the buffer's text slab with the annotation forgotten at chunk
+// growth: the copy itself is free, the make is not.
+type slab struct {
+	chunk []byte
+	used  int
+}
+
+//gcxlint:noalloc
+func (s *slab) keep(text string) []byte {
+	if s.used+len(text) > len(s.chunk) {
+		s.chunk = make([]byte, 1024) // want `make allocates`
+		s.used = 0
+	}
+	off := s.used
+	s.used += copy(s.chunk[off:], text)
+	return s.chunk[off:s.used]
+}

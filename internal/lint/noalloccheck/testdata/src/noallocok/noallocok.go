@@ -2,6 +2,8 @@
 // function may legitimately contain; noalloccheck must stay silent here.
 package noallocok
 
+import "unsafe"
+
 type scanner struct {
 	buf    []byte
 	names  map[string]string
@@ -77,4 +79,33 @@ func (s *scanner) interning(name []byte) string {
 func pointerArgs(sink interface{ accept(any) }, s *scanner) {
 	sink.accept(s)
 	sink.accept(nil)
+}
+
+// slab is the buffer's text-slab shape: copying into owned bytes and
+// handing them back as an unsafe.String view allocates nothing; chunk
+// growth is the one deliberate, annotated allocation.
+type slab struct {
+	chunk []byte
+	used  int
+}
+
+//gcxlint:noalloc
+func (s *slab) keep(text string) string {
+	if s.used+len(text) > len(s.chunk) {
+		s.chunk = make([]byte, 1024) //gcxlint:allocok chunk growth tracks the peak of live text
+		s.used = 0
+	}
+	off := s.used
+	s.used += copy(s.chunk[off:], text)
+	return unsafe.String(&s.chunk[off], len(text))
+}
+
+// release overwrites the bytes through the string's own storage.
+//
+//gcxlint:noalloc
+func (s *slab) release(text string) {
+	b := unsafe.Slice(unsafe.StringData(text), len(text))
+	for i := range b {
+		b[i] = 0xFF
+	}
 }

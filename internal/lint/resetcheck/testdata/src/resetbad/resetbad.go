@@ -61,3 +61,15 @@ type mistargeted struct {
 //
 //gcxlint:keep nosuch left over from a refactor
 func (m *mistargeted) Reset() { m.n = 0 } // want `unknown field "nosuch"`
+
+// slab is the buffer's text slab with its free list forgotten: the next
+// run would carve text from chunks the last run still counts as live.
+type slab struct {
+	chunks [][]byte
+	free   []int32
+	cur    int32
+}
+
+func (s *slab) reset() { // want `slab\.reset does not reset field "chunks"` `slab\.reset does not reset field "free"`
+	s.cur = -1
+}

@@ -100,3 +100,17 @@ func (c *cleared) Reset() {
 }
 
 func wipe(v *[]int) { *v = (*v)[:0] }
+
+// slab is the buffer's text slab: the chunks are what it exists to keep,
+// said so with a reason; everything that indexes them starts over.
+type slab struct {
+	chunks [][]byte
+	free   []int32
+	cur    int32
+}
+
+//gcxlint:keep chunks retaining chunks across runs is the slab's purpose
+func (s *slab) reset() {
+	s.free = s.free[:0]
+	s.cur = -1
+}

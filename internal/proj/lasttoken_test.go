@@ -35,7 +35,7 @@ func newProjector(t *testing.T, src, doc string) *proj.Projector {
 	opts := xmlstream.DefaultOptions()
 	opts.BorrowText = true
 	tok := xmlstream.NewTokenizerOptions(strings.NewReader(doc), opts)
-	return proj.New(tok, buf, a.Tree, proj.Options{BorrowedText: true})
+	return proj.New(tok, buf, a.Tree, proj.Options{})
 }
 
 // LastToken snapshots must own their bytes. Under BorrowText the

@@ -23,7 +23,6 @@ package proj
 
 import (
 	"fmt"
-	"strings"
 
 	"gcx/internal/buffer"
 	"gcx/internal/dtd"
@@ -42,11 +41,10 @@ type Options struct {
 	// cursors can stop without scanning to the end of the region.
 	// Supplying a schema asserts the input is valid against it.
 	Schema *dtd.Schema
-	// BorrowedText declares that Text tokens from the tokenizer borrow
-	// its scratch buffers (xmlstream.Options.BorrowText): the projector
-	// then copies character data before buffering it. Tokens of discarded
-	// regions are never copied, which is where streaming projection
-	// spends most of its time.
+	// BorrowedText has no effect: the buffer copies every text it keeps
+	// into its own slab (buffer.AppendText), borrowed or not, and tokens
+	// of discarded regions are never copied at all. The field stays only
+	// because benchmark/ladder.go sets it; ROADMAP lists it under Cuts.
 	BorrowedText bool
 }
 
@@ -773,8 +771,9 @@ func (p *Projector) textInterest(top *frame) bool {
 }
 
 // text processes a character-data token. data may borrow the tokenizer's
-// window; it is cloned before buffering (and never cloned for discarded
-// regions, which is where projection spends its time).
+// window: the buffer copies what it keeps into its text slab, and the
+// text of a discarded region — where projection spends its time — is
+// never copied.
 //
 //gcxlint:borrowed
 //gcxlint:noalloc
@@ -785,11 +784,6 @@ func (p *Projector) text(data string) {
 
 	if len(cands) == 0 && !covered(top) {
 		return
-	}
-	if p.opts.BorrowedText {
-		// The token borrows the tokenizer's scratch; copy only now that
-		// the text is known to be buffered.
-		data = strings.Clone(data) //gcxlint:allocok kept text must outlive the borrowed window; discarded regions never reach this line
 	}
 	n := p.buf.AppendText(top.attach, data)
 	p.applyCaptureRoles(n, top)

@@ -167,7 +167,10 @@ func (s *Subscription) recordErr(err error) {
 		s.lastErr.Store(nil)
 		return
 	}
-	s.lastErr.Store(&err)
+	// The address of a copy: &err would move the parameter to the heap at
+	// function entry, an allocation per subscription on every clean pass.
+	e := err
+	s.lastErr.Store(&e)
 }
 
 // Subscribe registers a standing query under the given id and compiles it
@@ -419,15 +422,18 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 	if sink == nil {
 		sink = DiscardSink
 	}
+	// Three allocations whatever the group count: the fanouts and their
+	// targets are carved from one backing slice each.
 	outs := make([]io.Writer, len(snap.groups))
-	fans := make([]*fanout, len(snap.groups))
+	fans := make([]fanout, len(snap.groups))
+	targets := make([]fanTarget, 0, len(snap.index))
 	for i, subs := range snap.groups {
-		f := &fanout{targets: make([]fanTarget, len(subs))}
-		for j, sub := range subs {
-			f.targets[j] = fanTarget{w: sink.Writer(sub), sub: sub}
+		start := len(targets)
+		for _, sub := range subs {
+			targets = append(targets, fanTarget{w: sink.Writer(sub), sub: sub})
 		}
-		fans[i] = f
-		outs[i] = f
+		fans[i].targets = targets[start:len(targets):len(targets)]
+		outs[i] = &fans[i]
 	}
 	ws, runErr := snap.wl.RunContext(ctx, in, outs)
 	for i, subs := range snap.groups {
