@@ -134,6 +134,38 @@ func BenchmarkParallelRuns(b *testing.B) {
 	})
 }
 
+// BenchmarkRegistryFleet is the registry-fleet workload of BENCHMARK.json
+// as a go test benchmark: 1000 subscriptions over 64 distinct texts, one
+// shared pass per iteration over a 128 KB document, output discarded.
+// allocs/op and B/op are the headline: a warm pass allocates the result
+// slice it returns (about 5 KB at 64 texts) and nothing per member or per
+// subscriber.
+func BenchmarkRegistryFleet(b *testing.B) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(128 << 10), Seed: 1}); err != nil {
+		b.Fatalf("generate: %v", err)
+	}
+	reg := MustNewRegistry()
+	texts := queries.Variants(64)
+	for i := 0; i < 1000; i++ {
+		reg.MustSubscribe(fmt.Sprintf("sub-%d", i), texts[i%len(texts)])
+	}
+	r := bytes.NewReader(doc.Bytes())
+	// Warm the pools before measuring.
+	if _, err := reg.Run(r, DiscardSink); err != nil {
+		b.Fatalf("warm-up run: %v", err)
+	}
+	b.SetBytes(int64(doc.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.Reset(doc.Bytes())
+		if _, err := reg.Run(r, DiscardSink); err != nil {
+			b.Fatalf("run: %v", err)
+		}
+	}
+}
+
 // BenchmarkCompile measures query compilation (parse, normalize, rewrite,
 // static analysis) — a per-query one-time cost.
 func BenchmarkCompile(b *testing.B) {

@@ -58,5 +58,5 @@ func (w *Workload) RunContext(ctx context.Context, in io.Reader, outs []io.Write
 		return WorkloadStats{}, errWriterCount(w.Len(), len(outs))
 	}
 	st, qs, err := w.c.Run(guard(ctx, in), outs)
-	return convertWorkloadStats(st, qs), err
+	return WorkloadStats{Aggregate: convertStats(st), Queries: qs}, err
 }

@@ -408,31 +408,15 @@ func MustCompileWorkload(queries []string, opts ...Option) *Workload {
 // Len returns the number of member queries.
 func (w *Workload) Len() int { return w.c.Len() }
 
-// QueryStats reports one member query's share of a workload run.
-type QueryStats struct {
-	// OutputBytes is the member's serialized output.
-	OutputBytes int64 `json:"output_bytes"`
-	// SignOffs counts the member's executed signOff statements.
-	SignOffs int64 `json:"sign_offs"`
-	// RoleAssignments and RoleRemovals count role instances in the
-	// member's role space; after a clean GCX run they are equal.
-	RoleAssignments int64 `json:"role_assignments"`
-	RoleRemovals    int64 `json:"role_removals"`
-	// TokensAtDone is the shared stream position when this member's
-	// evaluation completed — how much of the input it needed.
-	TokensAtDone int64 `json:"tokens_at_done"`
-	// TimeToFirstResultNanos is the time from pass start to this
-	// member's first result byte. Members emit progressively along the
-	// shared pass, so each reports its own first-result latency; a
-	// member that produced no output has none (0, absent from JSON).
-	TimeToFirstResultNanos int64 `json:"time_to_first_result_nanos,omitempty"`
-	// EvalWallNanos is the time from pass start to this member's
-	// evaluation completing.
-	EvalWallNanos int64 `json:"eval_wall_nanos"`
-	// Err is the member's evaluation error, if any (also joined into the
-	// error returned by Run).
-	Err error `json:"-"`
-}
+// QueryStats reports one member query's share of a workload run: its
+// output bytes, executed signOffs, role assignments and removals (equal
+// after a clean GCX run), the shared stream position at which its
+// evaluation completed, its own time to first result and evaluation wall
+// time, and its evaluation error, if any (also joined into the error
+// returned by Run). It is the engine's own record — a run fills the slice
+// the caller receives and nothing copies it — and marshals with stable
+// snake_case field names.
+type QueryStats = engine.QueryStats
 
 // WorkloadStats combines the shared-pass measurements with the per-query
 // breakdown. Aggregate.TokensRead counts the single shared pass — with N
@@ -474,20 +458,3 @@ func (w *Workload) RunStrings(doc string) ([]string, WorkloadStats, error) {
 // Explain returns the compilation diagnostics of every member followed by
 // the merged projection tree and the combined role table.
 func (w *Workload) Explain() string { return w.c.Explain() }
-
-func convertWorkloadStats(st engine.Stats, qs []engine.QueryStats) WorkloadStats {
-	out := WorkloadStats{Aggregate: convertStats(st), Queries: make([]QueryStats, len(qs))}
-	for i, q := range qs {
-		out.Queries[i] = QueryStats{
-			OutputBytes:            q.OutputBytes,
-			SignOffs:               q.SignOffs,
-			RoleAssignments:        q.RoleAssignments,
-			RoleRemovals:           q.RoleRemovals,
-			TokensAtDone:           q.TokensAtDone,
-			TimeToFirstResultNanos: q.TTFRNanos,
-			EvalWallNanos:          q.WallNanos,
-			Err:                    q.Err,
-		}
-	}
-	return out
-}

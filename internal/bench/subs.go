@@ -88,20 +88,6 @@ type SubsReport struct {
 // exactly the regime a 10k-subscription service lives in.
 const maxDistinctTexts = 64
 
-// subsTexts builds n distinct query texts from the catalog queries by
-// wrapping each in a per-index result element: the projection spines —
-// the part the merged automaton shares — are identical across variants of
-// one template, while the texts (and outputs) stay distinct.
-func subsTexts(n int) []string {
-	templates := queries.All()
-	texts := make([]string, n)
-	for i := range texts {
-		t := templates[i%len(templates)]
-		texts[i] = fmt.Sprintf("<v%d>{ %s }</v%d>", i, strings.TrimSpace(t.Text), i)
-	}
-	return texts
-}
-
 // RunSubs executes the subscription-count sweep.
 func RunSubs(cfg SubsConfig) (*SubsReport, error) {
 	if len(cfg.Counts) == 0 {
@@ -146,7 +132,7 @@ func RunSubs(cfg SubsConfig) (*SubsReport, error) {
 
 func runSubsCount(n, iterations int, doc []byte) (SubsResult, error) {
 	distinct := min(n, maxDistinctTexts)
-	texts := subsTexts(distinct)
+	texts := queries.Variants(distinct)
 	res := SubsResult{Subs: n, DistinctTexts: distinct}
 
 	// Shared path: the registry. Subscribe cost is measured over the full

@@ -214,6 +214,7 @@ func (b *Buffer) AppendText(parent *Node, text string) *Node {
 }
 
 func (b *Buffer) link(parent, n *Node) {
+	parent.touch()
 	if parent.LastChild == nil {
 		parent.FirstChild = n
 		parent.LastChild = n
@@ -320,6 +321,7 @@ func (b *Buffer) Unpin(n *Node) {
 // reclaimed immediately.
 func (b *Buffer) Finish(n *Node) {
 	n.finished = true
+	n.touch()
 	b.collect(n)
 }
 
@@ -335,6 +337,7 @@ func (b *Buffer) Finish(n *Node) {
 func (b *Buffer) Seal(n *Node) {
 	if n.Kind == KindElement {
 		n.sealed = true
+		n.touch()
 	}
 }
 

@@ -86,6 +86,11 @@ type Node struct {
 	subTotal int64
 	// subPins counts evaluator pins in the subtree rooted here.
 	subPins int32
+	// stamp changes whenever something a blocked evaluator can be waiting
+	// for on this node happens: a child is linked below it, it is finished
+	// or sealed, a schema fact rules out one of its child tags (see touch).
+	// It sits in what was padding.
+	stamp uint32
 
 	roles []roleEntry
 
@@ -96,7 +101,8 @@ type Node struct {
 }
 
 // recycle clears n for reuse by the arena, retaining the capacity of its
-// role and schema-fact slices.
+// role and schema-fact slices. The stamp restarts at zero: nothing can be
+// waiting on a node the arena hands out (see Stamp).
 //
 //gcxlint:noalloc
 func (n *Node) recycle() {
@@ -107,6 +113,24 @@ func (n *Node) recycle() {
 	n.noMore = noMore
 }
 
+// Stamp returns the node's change stamp. A shared pass's scheduler
+// compares it with the value a blocked evaluator recorded when it parked
+// on this node: equal means none of the events the evaluator can be
+// waiting for (a new child, Finish, Seal, MarkNoMore) has happened, so
+// waking it would change nothing. A stamp comparison, unlike comparing
+// LastChild pointers, cannot be fooled by the arena handing a reclaimed
+// node out again, and the waited-on node itself is never reclaimed while
+// waited on: it is unfinished (that is what the evaluator waits for), and
+// only finished nodes are deletable.
+//
+//gcxlint:noalloc
+func (n *Node) Stamp() uint32 { return n.stamp }
+
+// touch records an event a blocked evaluator may be waiting for on n.
+//
+//gcxlint:noalloc
+func (n *Node) touch() { n.stamp++ }
+
 // MarkNoMore records that no further child with the given tag can occur
 // (duplicates are ignored).
 func (n *Node) MarkNoMore(sym xmlstream.Sym) {
@@ -116,6 +140,7 @@ func (n *Node) MarkNoMore(sym xmlstream.Sym) {
 		}
 	}
 	n.noMore = append(n.noMore, sym)
+	n.touch()
 }
 
 // NoMore reports whether a child with the given tag can no longer occur.

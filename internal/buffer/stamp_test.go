@@ -1,0 +1,72 @@
+package buffer
+
+import (
+	"testing"
+	"unsafe"
+)
+
+// TestNodeStampFitsInPadding: the change stamp lives in the four bytes
+// after subPins, so every buffered node costs what it did before.
+func TestNodeStampFitsInPadding(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout assertion is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(Node{}); got != 144 {
+		t.Fatalf("unsafe.Sizeof(Node) = %d, want 144", got)
+	}
+}
+
+// TestStampMovesWithEveryWakingEvent: each event a blocked evaluator can
+// be waiting for on a node — a child linked below it, Finish, Seal, a new
+// MarkNoMore fact — changes that node's stamp and no other's; events that
+// satisfy no wait (roles, pins, a purge below, a repeated fact) leave it
+// alone, and a recycled node starts over at zero.
+func TestStampMovesWithEveryWakingEvent(t *testing.T) {
+	b, syms := build(false)
+	root := b.Root()
+	a := el(b, syms, root, "a")
+	if root.Stamp() == 0 {
+		t.Fatal("linking a child must move the parent's stamp")
+	}
+	moved := func(n *Node, what string, f func()) {
+		t.Helper()
+		before, rootBefore := n.Stamp(), root.Stamp()
+		f()
+		if n.Stamp() == before {
+			t.Errorf("%s left the stamp at %d", what, before)
+		}
+		if n != root && root.Stamp() != rootBefore {
+			t.Errorf("%s moved the root's stamp", what)
+		}
+	}
+	still := func(n *Node, what string, f func()) {
+		t.Helper()
+		before := n.Stamp()
+		f()
+		if n.Stamp() != before {
+			t.Errorf("%s moved the stamp %d -> %d", what, before, n.Stamp())
+		}
+	}
+	var c *Node
+	moved(a, "AppendElement below", func() { c = el(b, syms, a, "c") })
+	moved(a, "AppendText below", func() { b.AppendText(a, "x") })
+	moved(a, "MarkNoMore", func() { a.MarkNoMore(syms.Intern("c")) })
+	still(a, "a repeated MarkNoMore", func() { a.MarkNoMore(syms.Intern("c")) })
+	still(a, "AddRole", func() { b.AddRole(a, 1, 1) })
+	still(a, "Pin/Unpin", func() { b.Pin(a); b.Unpin(a) })
+	still(a, "a purge below", func() { b.Finish(c) })
+	if !c.Unlinked() {
+		t.Fatal("the finished, role-free child should have been purged")
+	}
+	moved(a, "Seal", func() { b.Seal(a) })
+	moved(a, "Finish", func() { b.Finish(a) })
+
+	// The arena hands c's slot out again: a fresh node, stamp zero.
+	d := el(b, syms, root, "d")
+	if d != c {
+		t.Fatalf("expected the purged node to be recycled")
+	}
+	if d.Stamp() != 0 {
+		t.Fatalf("recycled node starts at stamp %d, want 0", d.Stamp())
+	}
+}

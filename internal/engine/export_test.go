@@ -1,6 +1,10 @@
 package engine
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
 // The randomized query/document generator of quick_test.go, exported for
 // onemember_test.go: that suite compares the PUBLIC gcx API's one-member
@@ -9,3 +13,27 @@ import "math/rand"
 func RandQuery(r *rand.Rand) string { return (&queryGen{r: r}).query() }
 
 func RandDoc(r *rand.Rand) string { return randDoc(r) }
+
+// auditSkippedWakes makes every scheduler resume the members it decides
+// to skip, until the test ends, and panics unless such a resume changed
+// nothing: the member must park again on the same wait at the same stamp,
+// in the same blocking episode, with no byte written, nothing signed off
+// and the shared buffer's accounting where it was. (A panic, not t.Error:
+// a member that got further is no longer where the scheduler's bookkeeping
+// has it, so the pass cannot continue.) The returned counter is the number
+// of skipped visits audited.
+func auditSkippedWakes(t *testing.T) *int64 {
+	audited := new(int64)
+	auditSkip = func(s *scheduler, m *task) {
+		before, signOffs := m.ev.Progress(), m.signOffs
+		m.resume <- struct{}{}
+		<-s.yield
+		*audited++
+		if after := m.ev.Progress(); m.state != taskWant || m.signOffs != signOffs || after != before {
+			panic(fmt.Sprintf("wake rule: member %d was skipped but resuming it made progress (state %d, signOffs %d -> %d)\nbefore %+v\nafter  %+v",
+				m.id, m.state, signOffs, m.signOffs, before, after))
+		}
+	}
+	t.Cleanup(func() { auditSkip = nil })
+	return audited
+}

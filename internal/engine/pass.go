@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"sync"
+	"sync/atomic"
+	"weak"
 
 	"gcx/internal/buffer"
 	"gcx/internal/dtd"
@@ -58,6 +60,15 @@ type Pass struct {
 	// pool recycles runStates across runs: after warm-up, a run allocates
 	// (almost) nothing beyond what the document forces it to buffer.
 	pool sync.Pool
+	// last points weakly at the run state released most recently: where
+	// acquire looks when the pool has nothing for it. sync.Pool keeps what
+	// a goroutine Puts in a slot private to the P it ran on, so a caller
+	// issuing one run after another misses its own state whenever the
+	// scheduler moved it to another P in between, and used to build a
+	// second one — about 1 MB for a join over 2 MB (DESIGN.md, "Pooled run
+	// state"). The pool stays the only strong reference: an idle state is
+	// the collector's to drop exactly as before, and last then reads nil.
+	last atomic.Pointer[weak.Pointer[runState]]
 }
 
 // CompilePass compiles each query solo and assembles the pass; batch is
@@ -116,39 +127,54 @@ func NewPass(members []*Compiled, batch int) (*Pass, error) {
 // Len returns the number of member queries.
 func (p *Pass) Len() int { return len(p.Members) }
 
-// QueryStats reports one member's share of a run.
+// QueryStats reports one member's share of a run. It is the type callers
+// of the public API receive (gcx.QueryStats is this type), so a run builds
+// its per-member breakdown once, in the slice it hands out; the JSON field
+// names are stable for benchmark and CI scraping.
 type QueryStats struct {
 	// OutputBytes is the member's serialized output.
-	OutputBytes int64
+	OutputBytes int64 `json:"output_bytes"`
 	// SignOffs counts the member's executed signOff statements.
-	SignOffs int64
-	// RoleAssignments / RoleRemovals count role instances in the member's
-	// role space (assignments equal removals after a clean GCX run).
-	RoleAssignments int64
-	RoleRemovals    int64
+	SignOffs int64 `json:"sign_offs"`
+	// RoleAssignments and RoleRemovals count role instances in the
+	// member's role space; after a clean GCX run they are equal.
+	RoleAssignments int64 `json:"role_assignments"`
+	RoleRemovals    int64 `json:"role_removals"`
 	// TokensAtDone is the shared stream position when the member's
-	// evaluator completed — how much of the input this query needed.
-	TokensAtDone int64
-	// TTFRNanos is the time from pass start to this member's first
-	// result byte (0 if the member produced no output): members emit
-	// progressively along the shared pass, so each has its own
-	// time-to-first-result.
-	TTFRNanos int64
-	// WallNanos is the time from pass start to this member's evaluator
-	// completing — when the member's LAST result byte was available.
-	WallNanos int64
-	// Err is the member's evaluation error, if any.
-	Err error
+	// evaluation completed — how much of the input this query needed.
+	TokensAtDone int64 `json:"tokens_at_done"`
+	// TimeToFirstResultNanos is the time from pass start to this member's
+	// first result byte. Members emit progressively along the shared
+	// pass, so each reports its own first-result latency; a member that
+	// produced no output has none (0, absent from JSON).
+	TimeToFirstResultNanos int64 `json:"time_to_first_result_nanos,omitempty"`
+	// EvalWallNanos is the time from pass start to this member's
+	// evaluation completing — when its LAST result byte was available.
+	EvalWallNanos int64 `json:"eval_wall_nanos"`
+	// Err is the member's evaluation error, if any (also joined into the
+	// error returned by Run).
+	Err error `json:"-"`
 }
 
 // maxRetainedSyms bounds the pooled symbol table across runs.
 const maxRetainedSyms = 4096
 
+// writerBudget is what one run state spends on its members' output
+// batching, divided among them: a member's writer gets the solo 32 KB
+// while the members number eight or fewer and never less than
+// minWriterBuffer. The solo size for every member would make a pooled run
+// state grow with the group count — 2 MB of buffers at 64 members, 320 MB
+// at 10k — for batching whose only job is to keep sink writes few.
+const (
+	writerBudget    = 256 << 10
+	minWriterBuffer = 1 << 10
+)
+
 // runState bundles the mutable per-run machinery of one pass — the chain
 // of Figure 11: the tokenizer, the symbol table, the buffer (with its node
 // arena), the projector, and one output writer/evaluator pair per member.
-// A runState is owned by exactly one run at a time and recycled through
-// Pass.pool.
+// A runState is owned by exactly one run at a time — the one that flipped
+// its idle flag (see Pass.acquire) — and recycled through Pass.pool.
 type runState struct {
 	syms *xmlstream.SymTab
 	buf  *buffer.Buffer
@@ -157,15 +183,23 @@ type runState struct {
 	// sched interleaves the evaluators of a multi-member pass; nil with one
 	// member, whose evaluator pulls the projector itself.
 	sched *scheduler
-	// tasks[i] runs member i's evaluator and records how it went.
+	// tasks[i] holds member i's evaluator, runs it and records how it went.
 	tasks []*task
 	ws    []*xmlstream.Writer
-	evs   []*eval.Evaluator
 	// onSign are the per-member signOff counting hooks, built once so
 	// pooled reruns do not allocate closures.
 	onSign []func(xqast.SignOff)
 	// start is the obs.Now timestamp the run began at.
 	start int64
+	// idle is true from release until the next run claims the state. The
+	// state can be reached through the pool and through Pass.last, and
+	// through the pool more than once (a claim through last leaves the
+	// pool's reference behind); flipping idle is what makes a run its
+	// owner.
+	idle atomic.Bool
+	// self is what Pass.last points at while this state is the one
+	// released last: made once, so that a release allocates nothing.
+	self *weak.Pointer[runState]
 }
 
 // newRunState constructs the chain of Figure 11 once; subsequent runs
@@ -188,7 +222,6 @@ func (p *Pass) newRunState() *runState {
 		tok:    tok,
 		proj:   pr,
 		ws:     make([]*xmlstream.Writer, n),
-		evs:    make([]*eval.Evaluator, n),
 		onSign: make([]func(xqast.SignOff), n),
 	}
 	// The one wiring choice: a scheduler earns its place only when more
@@ -200,20 +233,23 @@ func (p *Pass) newRunState() *runState {
 	} else {
 		rs.tasks = []*task{{}}
 	}
+	wsize := min(max(writerBudget/n, minWriterBuffer), xmlstream.DefaultWriterBuffer)
 	for i, m := range p.Members {
 		t := rs.tasks[i]
 		var feed eval.Feeder = t
 		if rs.sched == nil {
 			feed = pr
 		}
-		w := xmlstream.NewWriter(io.Discard)
+		w := xmlstream.NewWriterSize(io.Discard, wsize)
 		ev := eval.New(buf, feed, w, eval.Options{})
 		rs.ws[i] = w
-		rs.evs[i] = ev
 		query := m.Analysis.Query
+		t.ev = ev
 		t.exec = func() error { return ev.Run(query) }
 		rs.onSign[i] = func(xqast.SignOff) { t.signOffs++ }
 	}
+	self := weak.Make(rs)
+	rs.self = &self
 	return rs
 }
 
@@ -222,6 +258,8 @@ func (p *Pass) newRunState() *runState {
 // buffer's fresh root.
 //
 //gcxlint:keep onSign the per-member counting hooks are built once in newRunState and re-wired into each evaluator below
+//gcxlint:keep idle the ownership flag: acquire clears it, release sets it
+//gcxlint:keep self the state's own weak pointer, made once in newRunState
 func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, ro RunOptions) {
 	rs.start = start
 	rs.tok.Reset(in)
@@ -239,7 +277,7 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 	if rs.sched != nil {
 		rs.sched.reset()
 	}
-	for i := range rs.evs {
+	for i := range rs.tasks {
 		rs.tasks[i].reset()
 		rs.ws[i].Reset(outs[i])
 		evOpts := eval.Options{
@@ -251,7 +289,7 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 		if ro.Trace != nil {
 			ro.Trace.install(&evOpts, rs.buf, rs.proj)
 		}
-		rs.evs[i].Reset(evOpts)
+		rs.tasks[i].ev.Reset(evOpts)
 	}
 }
 
@@ -264,7 +302,33 @@ func (p *Pass) release(rs *runState) {
 		w.Reset(io.Discard)
 	}
 	rs.buf.Reset()
+	rs.idle.Store(true)
 	p.pool.Put(rs)
+	p.last.Store(rs.self)
+}
+
+// acquire returns an idle runState, building one if there is none: from
+// the pool, else — the pool finds nothing on this P — the one released
+// last, if the pool still holds it somewhere. Whichever way a state is
+// reached, the run that flips its idle flag owns it; a pool reference to a
+// state claimed through last is stale and is dropped here when it turns
+// up.
+func (p *Pass) acquire() *runState {
+	for {
+		rs, _ := p.pool.Get().(*runState)
+		if rs == nil {
+			break
+		}
+		if rs.idle.CompareAndSwap(true, false) {
+			return rs
+		}
+	}
+	if w := p.last.Load(); w != nil {
+		if rs := w.Value(); rs != nil && rs.idle.CompareAndSwap(true, false) {
+			return rs
+		}
+	}
+	return p.newRunState()
 }
 
 // run executes one pass on a pooled run state and stamps the aggregate
@@ -279,10 +343,7 @@ func (p *Pass) run(in io.Reader, outs []io.Writer, ro RunOptions) (Stats, *runSt
 		panic(fmt.Sprintf("workload: %d queries but %d output writers", len(p.Members), len(outs)))
 	}
 	start := obs.Now()
-	rs, _ := p.pool.Get().(*runState)
-	if rs == nil {
-		rs = p.newRunState()
-	}
+	rs := p.acquire()
 	rs.reset(p, start, in, outs, ro)
 	if rs.sched != nil {
 		rs.sched.run()
@@ -328,11 +389,12 @@ func (p *Pass) queryStats(rs *runState) ([]QueryStats, error) {
 			OutputBytes:  rs.ws[i].BytesWritten(),
 			SignOffs:     t.signOffs,
 			TokensAtDone: t.tokensAtDone,
-			TTFRNanos:    ttfr(rs.ws[i], rs.start),
 			Err:          t.err,
+
+			TimeToFirstResultNanos: ttfr(rs.ws[i], rs.start),
 		}
 		if t.doneAt > 0 {
-			q.WallNanos = max(t.doneAt-rs.start, 1)
+			q.EvalWallNanos = max(t.doneAt-rs.start, 1)
 		}
 		for r := p.Offsets[i] + 1; r <= p.Offsets[i]+xqast.Role(len(m.MatchTree.Roles)-1); r++ {
 			q.RoleAssignments += rs.buf.AssignedCount(r)

@@ -2,6 +2,8 @@ package engine
 
 import (
 	"io"
+	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 )
@@ -130,6 +132,86 @@ func TestWorkloadPooledReruns(t *testing.T) {
 	}
 }
 
+// TestRunStateFollowsTheCaller: a run finds the state the previous run
+// released even when the pool has nothing for it. sync.Pool keeps a Put
+// in a slot private to the P it happened on, so that is what a caller sees
+// whose goroutine was moved to another P between two runs (a benchmark
+// client, about every other 20 s window); emptying the pool by hand shows
+// this goroutine the same.
+func TestRunStateFollowsTheCaller(t *testing.T) {
+	// A collection may take an idle state; that is the next test's subject.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p, err := CompilePass(testQueries, Config{Mode: ModeGCX}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := p.acquire()
+	for run := 0; run < 10; run++ {
+		p.release(rs)
+		for p.pool.Get() != nil {
+		}
+		if got := p.acquire(); got != rs {
+			t.Fatalf("run %d built a new run state while the last one (%p) was idle", run, rs)
+		}
+	}
+}
+
+// TestIdleRunStateIsCollectable: Pass.last is a weak pointer and the pool
+// drops what sits unused through two collections, so an idle pass pins no
+// run state, as with the pool alone; and however a state is reached — the
+// pool, last, or a pool reference left behind by a claim through last —
+// two runs never hold the same one.
+func TestIdleRunStateIsCollectable(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p, err := CompilePass(testQueries, Config{Mode: ModeGCX}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := p.acquire(), p.acquire()
+	if a == b {
+		t.Fatal("two concurrent runs share a run state")
+	}
+	p.release(a)
+	p.release(b)
+	x, y := p.acquire(), p.acquire()
+	if x == y || (x != a && x != b) {
+		t.Fatalf("acquire after releasing %p and %p: got %p, %p", a, b, x, y)
+	}
+	p.release(y)
+	// Claim x the way acquire does when the pool has nothing on this P,
+	// leaving the pool's reference behind, and release it again: the pool
+	// now holds it twice.
+	p.release(x)
+	if !x.idle.CompareAndSwap(true, false) {
+		t.Fatal("a released state is not idle")
+	}
+	p.release(x)
+	held := map[*runState]bool{}
+	for i := 0; i < 4; i++ {
+		rs := p.acquire()
+		if held[rs] {
+			t.Fatalf("acquire %d handed out %p, which a run still holds", i, rs)
+		}
+		held[rs] = true
+	}
+	for rs := range held {
+		p.release(rs)
+	}
+	a, b, x, y, held = nil, nil, nil, nil, nil
+	runtime.GC()
+	runtime.GC() // the pool's victim cache lasts one cycle longer
+	if rs := p.last.Load().Value(); rs != nil {
+		t.Fatal("an idle run state survived two collections")
+	}
+	bufs := make([]*strings.Builder, len(testQueries))
+	for i := range bufs {
+		bufs[i] = &strings.Builder{}
+	}
+	if _, _, err := p.RunChecked(strings.NewReader(testDoc), toIOWriters(bufs)); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestWorkloadStreamError: malformed input surfaces through every member
 // that was still reading.
 func TestWorkloadStreamError(t *testing.T) {
@@ -175,8 +257,8 @@ func TestWorkloadTTFRAbsentWithoutOutput(t *testing.T) {
 		t.Fatalf("pass with no output reports TTFR %d, want 0 (absent)", st.TTFRNanos)
 	}
 	for i, q := range qs {
-		if q.TTFRNanos != 0 {
-			t.Errorf("query %d produced no output but reports TTFR %d", i, q.TTFRNanos)
+		if q.TimeToFirstResultNanos != 0 {
+			t.Errorf("query %d produced no output but reports TTFR %d", i, q.TimeToFirstResultNanos)
 		}
 	}
 
@@ -191,11 +273,11 @@ func TestWorkloadTTFRAbsentWithoutOutput(t *testing.T) {
 	}
 	earliest := int64(0)
 	for i, q := range qs {
-		if q.TTFRNanos <= 0 {
+		if q.TimeToFirstResultNanos <= 0 {
 			t.Errorf("query %d produced output but reports no TTFR", i)
 		}
-		if earliest == 0 || q.TTFRNanos < earliest {
-			earliest = q.TTFRNanos
+		if earliest == 0 || q.TimeToFirstResultNanos < earliest {
+			earliest = q.TimeToFirstResultNanos
 		}
 	}
 	if st.TTFRNanos != earliest {

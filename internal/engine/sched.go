@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"gcx/internal/eval"
 	"gcx/internal/obs"
 	"gcx/internal/proj"
 )
@@ -13,14 +14,22 @@ import (
 // no locking and every run is deterministic.
 //
 // The round structure is the paper's Figure 11 chain generalized to a set
-// of queries: the scheduler resumes each live evaluator in turn; an
+// of queries: the scheduler visits each live evaluator in turn; an
 // evaluator runs until it either completes or needs stream data that is
-// not buffered yet (it then parks in its feeder's Step). Once every live
-// evaluator is parked, the scheduler advances the shared projector by up
-// to batch tokens — filling the shared buffer for everyone at once — and
-// starts the next round. A query's signOffs therefore execute as early as
-// its own data dependencies allow, within batch tokens of the solo
-// schedule, and the input is tokenized and projected exactly once.
+// not buffered yet (it then parks in its feeder's Step, having recorded
+// the node it is blocked on). Once every live evaluator is parked, the
+// scheduler advances the shared projector by up to batch tokens — filling
+// the shared buffer for everyone at once — and starts the next round. A
+// query's signOffs therefore execute as early as its own data dependencies
+// allow, within batch tokens of the solo schedule, and the input is
+// tokenized and projected exactly once.
+//
+// Figure 11's chain is demand-driven, and so is a round: a parked
+// evaluator is resumed only if the batch touched what it waits on (see
+// wakeable). One that is not resumed would have re-read the same node
+// state, found its loop condition still false and parked again, so the
+// members that do run, the order they run in, and everything they write
+// or sign off are what resuming all of them would have produced.
 type scheduler struct {
 	proj  *proj.Projector
 	tasks []*task
@@ -30,10 +39,23 @@ type scheduler struct {
 	// exactly once per suspension (want-token or done) and the scheduler is
 	// the only receiver.
 	yield chan struct{}
+	// want is run's worklist of live members, kept here so a pooled run
+	// does not allocate it.
+	want []*task
 
 	eof       bool
 	streamErr error
+
+	// resumes counts baton handoffs to members (two channel operations
+	// each), skips the visits that needed none. Read by tests only: the
+	// pass's work count the wall clock is too noisy to gate on.
+	resumes, skips int64
 }
+
+// auditSkip, when set (tests only, through export_test.go), is called for
+// every visit run decides to skip; it resumes the member anyway and checks
+// that nothing moved.
+var auditSkip func(s *scheduler, t *task)
 
 type taskState uint8
 
@@ -45,14 +67,20 @@ const (
 
 // task is one member query's run handle. The struct is persistent across
 // pooled runs; reset() clears the per-run fields. A one-member pass has a
-// lone task and no scheduler: s and resume stay nil and exec runs inline.
+// lone task and no scheduler: s, resume and start stay nil and exec runs
+// inline.
 type task struct {
 	s      *scheduler
 	id     int
 	resume chan struct{}
-	// exec runs the member's evaluator; wired once at runState
-	// construction (the evaluator and its rewritten query are persistent).
+	// ev is the member's evaluator and exec runs it on the member's
+	// rewritten query; both are persistent, wired once at runState
+	// construction.
+	ev   *eval.Evaluator
 	exec func() error
+	// start is main as a func value built once: "go t.main()" would
+	// allocate a wrapper closure per member per run.
+	start func()
 
 	state    taskState
 	err      error
@@ -72,7 +100,7 @@ type task struct {
 
 // defaultBatch is the number of tokens fed per scheduling round once every
 // live evaluator is parked. Larger batches amortize the per-suspension
-// baton handoffs (two channel operations per parked evaluator per round)
+// baton handoffs (two channel operations per resumed evaluator per round)
 // over more stream progress; the price is that a signOff — and the purge
 // it triggers — may run up to batch tokens later than in a solo run, so
 // the peak buffer can exceed the ideal by O(batch) nodes. 64 makes the
@@ -86,8 +114,11 @@ func newScheduler(p *proj.Projector, n, batch int) *scheduler {
 	}
 	s := &scheduler{proj: p, batch: batch, yield: make(chan struct{})}
 	s.tasks = make([]*task, n)
+	s.want = make([]*task, 0, n)
 	for i := range s.tasks {
-		s.tasks[i] = &task{s: s, id: i, resume: make(chan struct{})}
+		t := &task{s: s, id: i, resume: make(chan struct{})}
+		t.start = t.main
+		s.tasks[i] = t
 	}
 	return s
 }
@@ -99,9 +130,12 @@ func newScheduler(p *proj.Projector, n, batch int) *scheduler {
 //gcxlint:keep tasks the task handles are persistent; runState.reset clears their per-run fields (task.reset)
 //gcxlint:keep batch configuration fixed at construction
 //gcxlint:keep yield the baton channel is the scheduler's identity and is empty whenever the scheduler is parked
+//gcxlint:keep want run refills the worklist from tasks before reading it; it only ever holds the persistent task handles
 func (s *scheduler) reset() {
 	s.eof = false
 	s.streamErr = nil
+	s.resumes = 0
+	s.skips = 0
 }
 
 // reset clears the task's per-run fields.
@@ -109,7 +143,9 @@ func (s *scheduler) reset() {
 //gcxlint:keep s wired at construction
 //gcxlint:keep id wired at construction
 //gcxlint:keep resume the baton channel is the task's identity and is empty between runs
+//gcxlint:keep ev wired at construction; runState.reset resets the evaluator itself
 //gcxlint:keep exec wired at construction (the evaluator and its rewritten query are persistent)
+//gcxlint:keep start wired at construction (main bound to this task)
 func (t *task) reset() {
 	t.state = taskIdle
 	t.err = nil
@@ -165,23 +201,49 @@ func (t *task) main() {
 	t.err = t.exec()
 }
 
+// wakeable reports whether handing t the baton can change anything. A
+// member that has not started has everything to do. A parked one is left
+// alone while the node it recorded is untouched — except at end of input
+// or on a stream error, which reach it through Step's result and make it
+// unwind, and in the cases the evaluator itself knows about (CanProceed:
+// a wait no single node decides, a first result byte still to be flushed,
+// a per-token hook). Unnecessary wakes are only slow; the rule errs that
+// way wherever it is not sure.
+//
+// The evaluator fields this reads were written on t's goroutine before its
+// yield send, which the scheduler received before getting here.
+//
+//gcxlint:noalloc
+func (s *scheduler) wakeable(t *task) bool {
+	return t.state != taskWant || s.eof || s.streamErr != nil || t.ev.CanProceed()
+}
+
 // run executes all member queries over one pass of the shared stream and
 // returns the first stream-level error (member evaluation errors are left
 // on the tasks). It must be called with the projector freshly reset.
 func (s *scheduler) run() error {
-	live := len(s.tasks)
-	want := make([]*task, 0, live)
+	want := s.want[:0]
 	for _, t := range s.tasks {
-		go t.main()
+		go t.start()
 		want = append(want, t)
 	}
+	live := len(want)
 	for live > 0 {
-		// Advance phase: let every runnable member consume what the buffer
-		// already holds (executing its signOffs as it goes). The baton
-		// discipline — send resume, then block on yield — keeps exactly one
-		// goroutine running.
+		// Advance phase: let every member whose wait was touched consume
+		// what the buffer already holds (executing its signOffs as it
+		// goes). The baton discipline — send resume, then block on yield —
+		// keeps exactly one goroutine running.
 		next := want[:0]
 		for _, t := range want {
+			if !s.wakeable(t) {
+				s.skips++
+				if auditSkip != nil {
+					auditSkip(s, t)
+				}
+				next = append(next, t)
+				continue
+			}
+			s.resumes++
 			t.resume <- struct{}{}
 			<-s.yield
 			if t.state == taskDone {

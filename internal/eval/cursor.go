@@ -95,7 +95,7 @@ func (c *cursor) next() (*buffer.Node, error) {
 		c.finish()
 		return nil, nil
 	}
-	for {
+	for first := true; ; first = false {
 		n := c.scan()
 		if n != nil {
 			c.e.buf.Pin(n)
@@ -112,7 +112,14 @@ func (c *cursor) next() (*buffer.Node, error) {
 			c.finish()
 			return nil, nil
 		}
-		if _, err := c.e.pull(); err != nil {
+		// A child-axis match can only appear as a new child of ctx, and
+		// every fact regionFinished reads is a fact about ctx; a
+		// descendant match appears below nodes of the region instead.
+		on := c.ctx
+		if c.step.Axis != xqast.Child {
+			on = nil
+		}
+		if _, err := c.e.pull(on, first); err != nil {
 			c.finish()
 			return nil, err
 		}

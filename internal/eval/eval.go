@@ -93,6 +93,14 @@ type Evaluator struct {
 	// rather than at write time so a run that fails on its very first
 	// input token still produces zero client-visible bytes.
 	firstFlushed bool
+	// wait is what the evaluator asked for input on: the node whose next
+	// child, completion or schema fact it is blocked for, with that node's
+	// change stamp at the time of asking (see pull). A shared pass's
+	// scheduler reads both while the evaluator is parked in its feeder
+	// (CanProceed). nil after a descendant-axis wait, whose matches appear
+	// below nodes the evaluator cannot name, and between runs.
+	wait      *buffer.Node
+	waitStamp uint32
 	// work counts inner-loop operations for the deterministic work gates
 	// (read by tests only).
 	work work
@@ -113,6 +121,7 @@ type work struct {
 	compares    int64 // atom pairs compared
 	collections int64 // collected-operand sequences built
 	nameLookups int64 // string-keyed symbol table accesses (bind's interning)
+	waits       int64 // blocking episodes begun (a loop's first pull)
 }
 
 // New creates an evaluator writing query output to out.
@@ -138,6 +147,7 @@ func (e *Evaluator) Reset(opts Options) {
 	// An errored run can abandon a comparison mid-stream; make sure the
 	// pooled evaluator retains no operand strings either way.
 	e.cmpRHS = xqast.Operand{}
+	e.waitStamp = 0
 	e.dropScratch()
 }
 
@@ -152,7 +162,9 @@ func (e *Evaluator) Run(q *xqast.Query) error {
 	if err := e.bind(q); err != nil {
 		return err
 	}
-	if err := e.expr(q.Root); err != nil {
+	// Not e.expr(q.Root): boxing the root constructor into an xqast.Expr
+	// would be the run's one avoidable allocation.
+	if err := e.element(q.Root); err != nil {
 		return err
 	}
 	return e.out.Flush()
@@ -184,14 +196,15 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 	return nil
 }
 
-// dropScratch forgets the bindings and empties every site's collected
-// operand over its full capacity: re-slicing alone would keep the string
-// headers beyond the current length alive for as long as the evaluator
-// sits in its pool.
+// dropScratch forgets the bindings and the wait, and empties every site's
+// collected operand over its full capacity: re-slicing alone would keep
+// the string headers beyond the current length alive for as long as the
+// evaluator sits in its pool.
 //
 //gcxlint:noalloc
 func (e *Evaluator) dropScratch() {
 	clear(e.env)
+	e.wait = nil
 	for i := range e.sites {
 		s := &e.sites[i]
 		clear(s.vals[:cap(s.vals)])
@@ -201,19 +214,31 @@ func (e *Evaluator) dropScratch() {
 }
 
 // pull drives the projector by one token. It returns false when the input
-// is exhausted.
+// is exhausted. on is the node the caller's loop is blocked on — every
+// blocking site is a "for !cond { pull }" loop whose condition reads one
+// node — or nil when no single node decides it; first marks the loop's
+// first pull. Both are recorded BEFORE the feeder is asked: in a shared
+// pass Step parks this goroutine, and the scheduler decides from the
+// record whether waking it can change anything (CanProceed).
 //
 // pull is also the earliest-answering flush point: once a result byte
 // exists AND at least one input token has been consumed successfully, the
 // byte is certain — nothing upstream can retract it — so it is pushed
 // through the writer's batching (and the destination's, via
-// ResultFlusher) instead of riding the 32KB bufio until end of run. Doing
+// ResultFlusher) instead of riding the bufio layer until end of run. Doing
 // this between tokens means the flush never lands mid-tag, and gating it
 // on a successful Step keeps a request that dies on its very first token
 // free of committed output (the server's clean-4xx path depends on that).
 //
 //gcxlint:noalloc
-func (e *Evaluator) pull() (bool, error) {
+func (e *Evaluator) pull(on *buffer.Node, first bool) (bool, error) {
+	e.wait = on
+	if on != nil {
+		e.waitStamp = on.Stamp()
+	}
+	if first {
+		e.work.waits++
+	}
 	more, err := e.feed.Step()
 	if err != nil {
 		return false, err
@@ -228,12 +253,61 @@ func (e *Evaluator) pull() (bool, error) {
 	return more, nil
 }
 
+// CanProceed reports whether an evaluator parked in its feeder's Step
+// could do anything if it were resumed: what it waits on changed, it
+// waits on nothing the scheduler can watch, its first result byte is
+// still waiting for pull's FlushFirst (earliest answering must not be
+// delayed by a round), or a per-token hook wants to see every wake.
+// False means a resume would re-evaluate the same loop condition over the
+// same node state, find it false, and park again — nothing written,
+// nothing signed off. The caller resumes regardless at end of input and
+// on a stream error, which the evaluator learns from Step's result, not
+// from the buffer.
+//
+// It reads fields the evaluator's goroutine wrote before parking; the
+// scheduler's baton orders those writes before this read.
+//
+//gcxlint:noalloc
+func (e *Evaluator) CanProceed() bool {
+	n := e.wait
+	return n == nil || n.Stamp() != e.waitStamp ||
+		(!e.firstFlushed && e.out.FirstByteAt() != 0) ||
+		e.opts.OnToken != nil
+}
+
+// Progress is everything a resumed evaluator can move, as one comparable
+// value: the wait record CanProceed decides from, the work counters
+// (blocking episodes begun among them), the output produced, and the
+// shared buffer's accounting. A resume that was a no-op leaves it
+// equal; the engine's wake-rule audit checks exactly that, and nothing
+// else reads it.
+type Progress struct {
+	On           *buffer.Node
+	Stamp        uint32
+	Work         work
+	Written      int64
+	FirstFlushed bool
+	Buffer       buffer.Stats
+}
+
+// Progress snapshots the evaluator's progress (see the type).
+func (e *Evaluator) Progress() Progress {
+	return Progress{
+		On:           e.wait,
+		Stamp:        e.waitStamp,
+		Work:         e.work,
+		Written:      e.out.BytesWritten(),
+		FirstFlushed: e.firstFlushed,
+		Buffer:       e.buf.Stats(),
+	}
+}
+
 // waitFinished blocks until n's closing tag has been read.
 //
 //gcxlint:noalloc
 func (e *Evaluator) waitFinished(n *buffer.Node) error {
-	for !n.Finished() {
-		if _, err := e.pull(); err != nil {
+	for first := true; !n.Finished(); first = false {
+		if _, err := e.pull(n, first); err != nil {
 			return err
 		}
 	}
@@ -255,12 +329,7 @@ func (e *Evaluator) expr(x xqast.Expr) error {
 		}
 		return nil
 	case xqast.Element:
-		e.out.StartElement(x.Name)
-		if err := e.expr(x.Child); err != nil {
-			return err
-		}
-		e.out.EndElement(x.Name)
-		return e.out.Err()
+		return e.element(x)
 	case xqast.Text:
 		e.out.Text(x.Data)
 		return e.out.Err()
@@ -307,6 +376,16 @@ func (e *Evaluator) expr(x xqast.Expr) error {
 	default:
 		return errUnsupported(x)
 	}
+}
+
+// element evaluates an element constructor.
+func (e *Evaluator) element(x xqast.Element) error {
+	e.out.StartElement(x.Name)
+	if err := e.expr(x.Child); err != nil {
+		return err
+	}
+	e.out.EndElement(x.Name)
+	return e.out.Err()
 }
 
 func errUnsupported(x interface{}) error {
@@ -419,7 +498,7 @@ func (e *Evaluator) serialize(n *buffer.Node) error {
 //
 //gcxlint:noalloc
 func (e *Evaluator) nextChildBlocking(parent, prev *buffer.Node) (*buffer.Node, error) {
-	for {
+	for first := true; ; first = false {
 		var c *buffer.Node
 		if prev == nil {
 			c = parent.FirstChild
@@ -432,7 +511,7 @@ func (e *Evaluator) nextChildBlocking(parent, prev *buffer.Node) (*buffer.Node, 
 		if parent.Finished() {
 			return nil, nil
 		}
-		if _, err := e.pull(); err != nil {
+		if _, err := e.pull(parent, first); err != nil {
 			return nil, err
 		}
 	}

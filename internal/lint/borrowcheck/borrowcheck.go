@@ -91,20 +91,11 @@ type checker struct {
 	taint    map[types.Object]bool
 }
 
-func isBorrowedFunc(fd *ast.FuncDecl) bool { return hasVerb(fd, "borrowed") }
+func isBorrowedFunc(fd *ast.FuncDecl) bool { return gcxlint.HasDirective(fd, "borrowed") }
 
 // isCopyFunc reports a //gcxlint:borrowcopy function: it accepts borrowed
 // windows like a borrowed one, but what it returns is its own copy.
-func isCopyFunc(fd *ast.FuncDecl) bool { return hasVerb(fd, "borrowcopy") }
-
-func hasVerb(fd *ast.FuncDecl, verb string) bool {
-	for _, d := range gcxlint.Directives(fd.Doc) {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	return false
-}
+func isCopyFunc(fd *ast.FuncDecl) bool { return gcxlint.HasDirective(fd, "borrowcopy") }
 
 func (c *checker) checkFunc(fd *ast.FuncDecl) {
 	c.fn = fd

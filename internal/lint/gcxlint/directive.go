@@ -68,6 +68,17 @@ func Directives(groups ...*ast.CommentGroup) []Directive {
 	return ds
 }
 
+// HasDirective reports whether fd's doc comment carries a directive with
+// the given verb — how the analyzers recognise an annotated function.
+func HasDirective(fd *ast.FuncDecl, verb string) bool {
+	for _, d := range Directives(fd.Doc) {
+		if d.Verb == verb {
+			return true
+		}
+	}
+	return false
+}
+
 // directiveIndex locates directives by file line so analyzers can honor
 // end-of-line and preceding-line suppressions without re-walking comments.
 type directiveIndex struct {

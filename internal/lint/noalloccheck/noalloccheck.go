@@ -69,7 +69,7 @@ func run(pass *gcxlint.Pass) error {
 			continue
 		}
 		for _, d := range f.Decls {
-			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && hasDirective(fd, "noalloc") {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil && gcxlint.HasDirective(fd, "noalloc") {
 				c.checkFunc(fd)
 			}
 		}
@@ -79,15 +79,6 @@ func run(pass *gcxlint.Pass) error {
 
 func isTestFile(pass *gcxlint.Pass, f *ast.File) bool {
 	return strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go")
-}
-
-func hasDirective(fd *ast.FuncDecl, verb string) bool {
-	for _, d := range gcxlint.Directives(fd.Doc) {
-		if d.Verb == verb {
-			return true
-		}
-	}
-	return false
 }
 
 type checker struct {
@@ -172,7 +163,7 @@ func (c *checker) checkCall(call *ast.CallExpr, exemptConv map[ast.Expr]bool) {
 			}
 			if pkg == c.pass.Pkg {
 				if fd, ok := c.decls[obj]; ok {
-					if !hasDirective(fd, "noalloc") && !hasDirective(fd, "allocok") {
+					if !gcxlint.HasDirective(fd, "noalloc") && !gcxlint.HasDirective(fd, "allocok") {
 						c.report(call.Pos(), "call to %s, which is neither //gcxlint:noalloc nor declared //gcxlint:allocok", fn.Name())
 						return
 					}

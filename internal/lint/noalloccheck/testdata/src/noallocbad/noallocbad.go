@@ -177,3 +177,24 @@ func (s *slab) keep(text string) []byte {
 	s.used += copy(s.chunk[off:], text)
 	return s.chunk[off:s.used]
 }
+
+// waiter models the shared pass's wake check (internal/eval
+// Evaluator.CanProceed, internal/engine scheduler.wakeable): the scheduler
+// runs it once per parked member per round — thousands of times a pass —
+// to decide that nothing needs doing, so it must be a few loads and
+// compares. The violation below is the regression that would make doing
+// nothing cost an allocation: describing the wait to decide on it.
+type waiter struct {
+	on    *hot
+	stamp uint32
+	why   string
+}
+
+//gcxlint:noalloc
+func (w *waiter) canProceed(now uint32) bool {
+	if w.on == nil || now != w.stamp {
+		w.why = fmt.Sprintf("stamp %d -> %d", w.stamp, now) // want `call to fmt\.Sprintf allocates`
+		return true
+	}
+	return false
+}

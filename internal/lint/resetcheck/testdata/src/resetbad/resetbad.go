@@ -73,3 +73,20 @@ type slab struct {
 func (s *slab) reset() { // want `slab\.reset does not reset field "chunks"` `slab\.reset does not reset field "free"`
 	s.cur = -1
 }
+
+// node stands in for a buffered document node.
+type node struct{ stamp uint32 }
+
+// evaluator is the pooled evaluator with its wait record half forgotten:
+// the stamp is cleared, but the node the last run parked on stays
+// referenced for as long as the evaluator sits in its pool — one buffered
+// node of a finished run, and through its parent pointers the tree above
+// it, pinned by an idle object.
+type evaluator struct {
+	wait      *node
+	waitStamp uint32
+}
+
+func (e *evaluator) Reset() { // want `evaluator\.Reset does not reset field "wait"`
+	e.waitStamp = 0
+}

@@ -13,6 +13,11 @@
 //   - where-clauses become if-then-else.
 package queries
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Query couples a query text with its provenance.
 type Query struct {
 	// Name is the XMark query identifier, e.g. "Q1".
@@ -26,6 +31,21 @@ type Query struct {
 // All returns the benchmark queries in Table 1 order.
 func All() []Query {
 	return []Query{Q1, Q6, Q8, Q13, Q20}
+}
+
+// Variants builds n distinct query texts from the Table 1 catalog:
+// template i mod 5 wrapped in a per-index result element. The projection
+// spines — the part a shared pass's merged automaton shares — repeat
+// across the variants of one template while the texts (and outputs) stay
+// distinct: the subscription-scale benchmarks' fleet, and the nested
+// benchmark module's (benchmark/workloads.go builds the same texts).
+func Variants(n int) []string {
+	templates := All()
+	texts := make([]string, n)
+	for i := range texts {
+		texts[i] = fmt.Sprintf("<v%d>{ %s }</v%d>", i, strings.TrimSpace(templates[i%len(templates)].Text), i)
+	}
+	return texts
 }
 
 // ByName returns the query with the given name (case-sensitive), or a zero

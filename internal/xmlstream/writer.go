@@ -36,12 +36,23 @@ type ResultFlusher interface {
 	FlushResult()
 }
 
+// DefaultWriterBuffer is the output batching of a Writer that has the
+// run to itself.
+const DefaultWriterBuffer = 32 << 10
+
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
 	if bw, ok := w.(*bufio.Writer); ok {
 		return &Writer{w: bw, dst: w}
 	}
-	return &Writer{w: bufio.NewWriterSize(w, 32<<10), dst: w}
+	return NewWriterSize(w, DefaultWriterBuffer)
+}
+
+// NewWriterSize is NewWriter with the batching buffer's size chosen by
+// the caller: a pass with many members divides a budget among their
+// writers instead of giving each the solo size.
+func NewWriterSize(w io.Writer, size int) *Writer {
+	return &Writer{w: bufio.NewWriterSize(w, size), dst: w}
 }
 
 // Reset discards all state and redirects output to out, retaining the
@@ -59,7 +70,7 @@ func (w *Writer) Reset(out io.Writer) {
 
 // FlushFirst pushes buffered output toward the destination without the
 // end-of-run balance check: the evaluator calls it once, right after the
-// first result byte is certain, so the byte leaves the 32KB bufio layer
+// first result byte is certain, so the byte leaves the bufio layer
 // (and, via ResultFlusher, the transport's buffers) instead of riding
 // along until the final Flush. Write errors surface through Err as usual.
 func (w *Writer) FlushFirst() {

@@ -92,6 +92,52 @@ type registrySnapshot struct {
 	wl     *Workload
 	groups [][]*Subscription     // per workload member, frozen subscriber list
 	index  map[*Subscription]int // subscription → its workload member
+
+	// scratch recycles the fan-out wiring of a run (*fanScratch). The
+	// wiring has the snapshot's shape — one fanout per group, one target
+	// per subscription — so it lives and dies with the snapshot, and the
+	// first run builds it, not snapshot(): churn that no run follows pays
+	// nothing.
+	scratch sync.Pool
+}
+
+// fanScratch is what a run needs between the sink and the shared pass:
+// the members' output writers (outs[i] is &fans[i]), and every fanout's
+// targets carved in group order from one backing slice. Only the targets'
+// writers and broken flags are per run.
+type fanScratch struct {
+	outs    []io.Writer
+	fans    []fanout
+	targets []fanTarget
+}
+
+func (snap *registrySnapshot) newScratch() *fanScratch {
+	sc := &fanScratch{
+		outs:    make([]io.Writer, len(snap.groups)),
+		fans:    make([]fanout, len(snap.groups)),
+		targets: make([]fanTarget, 0, len(snap.index)),
+	}
+	for i, subs := range snap.groups {
+		start := len(sc.targets)
+		for _, sub := range subs {
+			sc.targets = append(sc.targets, fanTarget{sub: sub})
+		}
+		sc.fans[i].targets = sc.targets[start:len(sc.targets):len(sc.targets)]
+		sc.outs[i] = &sc.fans[i]
+	}
+	return sc
+}
+
+// reset drops what the run put in: an idle scratch must not pin a
+// subscriber's writer.
+//
+//gcxlint:keep outs the wiring (outs[i] is &fans[i]) is fixed for the snapshot
+//gcxlint:keep fans each fanout's window into targets is fixed for the snapshot
+func (sc *fanScratch) reset() {
+	for i := range sc.targets {
+		t := &sc.targets[i]
+		t.w, t.broken = nil, false
+	}
 }
 
 // NewRegistry creates an empty registry. All subscriptions share one
@@ -164,7 +210,11 @@ func (s *Subscription) Stats() SubscriptionStats {
 
 func (s *Subscription) recordErr(err error) {
 	if err == nil {
-		s.lastErr.Store(nil)
+		// Almost always nil over nil: a load per subscriber per clean pass,
+		// not a store.
+		if s.lastErr.Load() != nil {
+			s.lastErr.Store(nil)
+		}
 		return
 	}
 	// The address of a copy: &err would move the parameter to the heap at
@@ -422,31 +472,33 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 	if sink == nil {
 		sink = DiscardSink
 	}
-	// Three allocations whatever the group count: the fanouts and their
-	// targets are carved from one backing slice each.
-	outs := make([]io.Writer, len(snap.groups))
-	fans := make([]fanout, len(snap.groups))
-	targets := make([]fanTarget, 0, len(snap.index))
-	for i, subs := range snap.groups {
-		start := len(targets)
-		for _, sub := range subs {
-			targets = append(targets, fanTarget{w: sink.Writer(sub), sub: sub})
-		}
-		fans[i].targets = targets[start:len(targets):len(targets)]
-		outs[i] = &fans[i]
+	// A warm run allocates nothing here: the wiring is the snapshot's, and
+	// only the writers are the run's. (A run that panics — a subscriber's
+	// writer, say — does not return its scratch, as it does not return its
+	// run state.)
+	sc, _ := snap.scratch.Get().(*fanScratch)
+	if sc == nil {
+		sc = snap.newScratch()
 	}
-	ws, runErr := snap.wl.RunContext(ctx, in, outs)
-	for i, subs := range snap.groups {
+	for i := range sc.targets {
+		t := &sc.targets[i]
+		t.w = sink.Writer(t.sub)
+	}
+	ws, runErr := snap.wl.RunContext(ctx, in, sc.outs)
+	for i := range sc.fans {
 		qerr := ws.Queries[i].Err
-		for j, sub := range subs {
-			sub.runs.Add(1)
+		for j := range sc.fans[i].targets {
+			t := &sc.fans[i].targets[j]
+			t.sub.runs.Add(1)
 			if qerr != nil {
-				sub.recordErr(qerr)
-			} else if !fans[i].targets[j].broken {
-				sub.recordErr(nil)
+				t.sub.recordErr(qerr)
+			} else if !t.broken {
+				t.sub.recordErr(nil)
 			}
 		}
 	}
+	sc.reset()
+	snap.scratch.Put(sc)
 	return RegistryStats{
 		WorkloadStats: ws,
 		Groups:        len(snap.groups),

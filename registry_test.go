@@ -271,6 +271,53 @@ func TestRegistryFanoutIsolatesFailingSubscriber(t *testing.T) {
 	}
 }
 
+// TestRegistryScratchPinsNoWriter: the fan-out wiring a run returns to its
+// snapshot holds the subscriptions (the snapshot's own) and nothing of the
+// run — no subscriber's writer, no broken flag for the next run to
+// inherit — and the next run reuses it.
+func TestRegistryScratchPinsNoWriter(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops items at random under the race detector")
+	}
+	reg := MustNewRegistry()
+	q := `<titles>{ for $b in /bib/book return $b/title }</titles>`
+	reg.MustSubscribe("good", q)
+	reg.MustSubscribe("bad", q)
+	reg.MustSubscribe("other", `<a>{ for $b in /bib/book return $b/author }</a>`)
+	sink := SinkFunc(func(sub *Subscription) io.Writer {
+		if sub.ID() == "bad" {
+			return failWriter{err: errors.New("boom")}
+		}
+		return io.Discard
+	})
+	if _, err := reg.Run(strings.NewReader(bibDoc), sink); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := reg.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc, _ := snap.scratch.Get().(*fanScratch)
+	if sc == nil {
+		t.Fatal("the run did not return its scratch to the snapshot")
+	}
+	if len(sc.outs) != 2 || len(sc.targets) != 3 {
+		t.Fatalf("scratch has %d outs and %d targets, want 2 and 3", len(sc.outs), len(sc.targets))
+	}
+	for i, tg := range sc.targets {
+		if tg.w != nil || tg.broken || tg.sub == nil {
+			t.Errorf("idle target %d: writer %v, broken %v, sub %v", i, tg.w, tg.broken, tg.sub)
+		}
+	}
+	snap.scratch.Put(sc)
+	if _, err := reg.Run(strings.NewReader(bibDoc), sink); err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := snap.scratch.Get().(*fanScratch); again != sc {
+		t.Fatal("the second run built new wiring instead of reusing the snapshot's")
+	}
+}
+
 type failWriter struct{ err error }
 
 func (f failWriter) Write(p []byte) (int, error) { return 0, f.err }
