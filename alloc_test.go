@@ -1,12 +1,17 @@
 package gcx
 
 import (
+	"archive/tar"
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
+
+	"gcx/internal/queries"
+	"gcx/internal/xmark"
 )
 
 // Alloc-regression guards for the pooled run state: a compiled Engine
@@ -47,30 +52,30 @@ func warmAllocs(t *testing.T, eng *Engine, data string, runs int) float64 {
 
 // TestSteadyStateAllocsStructural: a query that buffers only structure
 // (existence witnesses, no text serialization) must run allocation-free
-// once the pool is warm — the paper's engine as a zero-garbage server.
+// once the pool is warm — the paper's engine as a zero-garbage server. So
+// must Q6 over an XMark document: its descendant step gives every matched
+// frame a scope extension of its own, which the projector carves from its
+// scope arena (one allocation a run before that).
 func TestSteadyStateAllocsStructural(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	eng := MustCompile(`<out>{
+	var site bytes.Buffer
+	if _, err := xmark.Generate(&site, xmark.Config{Factor: xmark.FactorForSize(32 << 10), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ name, query, data string }{
+		{"exists", `<out>{
 	    for $b in /bib/book return
 	        if (exists($b/price)) then <hit/> else ()
-	}</out>`)
-	data := allocTestDoc(100, false)
-	r := strings.NewReader(data)
-
-	run := func() {
-		r.Reset(data)
-		if _, err := eng.Run(r, io.Discard); err != nil {
-			t.Fatal(err)
+	}</out>`, allocTestDoc(100, false)},
+		{"Q6", queries.Q6.Text, site.String()},
+	} {
+		// Measured 0: the run's last allocation was the root constructor
+		// boxed into an xqast.Expr (32 B) at every Evaluator.Run.
+		if allocs := warmAllocs(t, MustCompile(c.query), c.data, 30); allocs > 0 {
+			t.Errorf("%s: structural steady-state run allocates: %.1f allocs/run, want 0", c.name, allocs)
 		}
-	}
-	run() // warm the pool
-
-	// Measured 0: the run's last allocation was the root constructor boxed
-	// into an xqast.Expr (32 B) at every Evaluator.Run.
-	if allocs := testing.AllocsPerRun(30, run); allocs > 0 {
-		t.Fatalf("structural steady-state run allocates: %.1f allocs/run, want 0", allocs)
 	}
 }
 
@@ -363,6 +368,111 @@ func BenchmarkGCXWarmPool(b *testing.B) {
 		r.Reset(data)
 		if _, err := eng.Run(r, io.Discard); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestBulkAllocsPerDocument: the bulk pipeline evaluates each document in
+// a slot it recycles, so what a document adds to a run is its name — the
+// "doc[N]" string of a split stream — and nothing else: no result, reader,
+// buffer or closure per document. The marginal cost is measured between a
+// 64- and a 512-document corpus, which cancels the per-call constant
+// (slots, channels, goroutines). What the pipeline does not own is
+// measured beside it and allowed on top: archive/tar's header per member
+// (the member's name among it), and the per-query stats slice every
+// Workload.Run returns. It was about 7 allocations a document.
+func TestBulkAllocsPerDocument(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(8 << 10), Seed: 7}); err != nil {
+		t.Fatal(err)
+	}
+	concatOf := func(n int) []byte { return bytes.Repeat(doc.Bytes(), n) }
+	tarOf := func(n int) []byte {
+		var buf bytes.Buffer
+		tw := tar.NewWriter(&buf)
+		for i := 0; i < n; i++ {
+			if err := tw.WriteHeader(&tar.Header{Name: fmt.Sprintf("d%03d.xml", i), Mode: 0o644, Size: int64(doc.Len())}); err != nil {
+				t.Fatal(err)
+			}
+			tw.Write(doc.Bytes())
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	eng := MustCompile(queries.Q6.Text)
+	wl := MustCompileWorkload([]string{queries.Q1.Text, queries.Q6.Text, queries.Q13.Text})
+	opts := BulkOptions{Workers: 2}
+	var r bytes.Reader
+	check := func(n int, bs BulkStats, err error) {
+		if err != nil || bs.Docs != int64(n) || bs.Failed != 0 {
+			t.Fatalf("bulk over %d documents: %+v, %v", n, bs, err)
+		}
+	}
+
+	// perDoc is what one more document costs run(n, corpus of n documents).
+	perDoc := func(corpusOf func(int) []byte, run func(n int, data []byte)) float64 {
+		allocs := func(n int) float64 {
+			data := corpusOf(n)
+			// The least of several runs: a collection that empties a pool
+			// mid-run only ever adds allocations (a rebuilt run state is a
+			// few thousand), and each AllocsPerRun warms before it measures.
+			least := math.Inf(1)
+			for i := 0; i < 5; i++ {
+				least = min(least, testing.AllocsPerRun(1, func() { run(n, data) }))
+			}
+			return least
+		}
+		return (allocs(512) - allocs(64)) / 448
+	}
+	tarAlone := perDoc(tarOf, func(n int, data []byte) {
+		r.Reset(data)
+		for tr := tar.NewReader(&r); ; {
+			if _, err := tr.Next(); err != nil {
+				return
+			}
+			io.Copy(io.Discard, tr)
+		}
+	})
+	discard := []io.Writer{io.Discard, io.Discard, io.Discard}
+	workloadAlone := testing.AllocsPerRun(10, func() {
+		r.Reset(doc.Bytes())
+		if _, err := wl.Run(&r, discard); err != nil {
+			t.Fatal(err)
+		}
+	})
+
+	for _, c := range []struct {
+		name     string
+		corpusOf func(int) []byte
+		run      func(n int, data []byte)
+		notOurs  float64
+	}{
+		{"engine/concat", concatOf, func(n int, data []byte) {
+			r.Reset(data)
+			bs, err := eng.Bulk(CorpusConcat(&r), opts, nil)
+			check(n, bs, err)
+		}, 0},
+		{"engine/tar", tarOf, func(n int, data []byte) {
+			r.Reset(data)
+			bs, err := eng.Bulk(CorpusTar(&r), opts, nil)
+			check(n, bs, err)
+		}, tarAlone},
+		{"workload/concat", concatOf, func(n int, data []byte) {
+			r.Reset(data)
+			bs, err := wl.Bulk(CorpusConcat(&r), opts, nil)
+			check(n, bs, err)
+		}, workloadAlone},
+	} {
+		got := perDoc(c.corpusOf, c.run)
+		t.Logf("%s: %.2f allocs per document, %.2f of them not the pipeline's", c.name, got, c.notOurs)
+		if got-c.notOurs > 1.02 {
+			t.Errorf("%s: one more document costs %.2f allocations beyond the %.2f its source and evaluation make; want <= 1",
+				c.name, got-c.notOurs, c.notOurs)
 		}
 	}
 }

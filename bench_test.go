@@ -166,6 +166,37 @@ func BenchmarkRegistryFleet(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkCorpus is the bulk-corpus workload of BENCHMARK.json as a
+// go test benchmark: Engine.Bulk of Q6 over 256 concatenated 32 KB
+// documents, two workers, output discarded. allocs/op is the headline: a
+// warm call allocates its slots, channels and goroutines once and then one
+// name string per document — nothing else per document, and no splitter
+// window.
+func BenchmarkBulkCorpus(b *testing.B) {
+	var body bytes.Buffer
+	for i := 0; i < 256; i++ {
+		if _, err := xmark.Generate(&body, xmark.Config{Factor: xmark.FactorForSize(32 << 10), Seed: uint64(1 + i)}); err != nil {
+			b.Fatalf("generate: %v", err)
+		}
+	}
+	eng := MustCompile(queries.Q6.Text)
+	r := bytes.NewReader(body.Bytes())
+	run := func() {
+		r.Reset(body.Bytes())
+		bs, err := eng.Bulk(CorpusConcat(r), BulkOptions{Workers: 2}, nil)
+		if err != nil || bs.Docs != 256 || bs.Failed != 0 {
+			b.Fatalf("bulk: %+v, %v", bs, err)
+		}
+	}
+	run() // warm the pools
+	b.SetBytes(int64(body.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+}
+
 // BenchmarkCompile measures query compilation (parse, normalize, rewrite,
 // static analysis) — a per-query one-time cost.
 func BenchmarkCompile(b *testing.B) {

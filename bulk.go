@@ -1,7 +1,6 @@
 package gcx
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -244,12 +243,9 @@ func (c *Corpus) source(maxDocBytes int64) (corpus.Source, error) {
 // returned error is non-nil only for whole-corpus failures: a broken
 // source stream, an emit error, or context cancellation.
 func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	return bulk(c, opts, 1, func(in io.Reader, outs []io.Writer) (WorkloadStats, error) {
+	return bulk(c, opts, nil, func(in io.Reader, outs []io.Writer) (WorkloadStats, error) {
 		st, err := e.Run(in, outs[0])
 		return WorkloadStats{Aggregate: st}, err
-	}, func(d BulkDoc, outs []*bytes.Buffer) BulkDoc {
-		d.Output = outs[0].Bytes()
-		return d
 	}, emit)
 }
 
@@ -259,22 +255,17 @@ func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (Bu
 // pool, and results arrive in corpus order. See Engine.Bulk for the
 // isolation and error contract.
 func (w *Workload) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	return bulk(c, opts, w.Len(), w.Run, func(d BulkDoc, outs []*bytes.Buffer) BulkDoc {
-		d.Outputs = make([][]byte, len(outs))
-		for i, b := range outs {
-			d.Outputs[i] = b.Bytes()
-		}
-		return d
-	}, emit)
+	return bulk(c, opts, make([][]byte, w.Len()), w.Run, emit)
 }
 
 // bulk is the body both Bulk methods share: eval runs one document into
-// its pooled output buffers, results places those buffers on the BulkDoc
-// (Output for an Engine, Outputs for a Workload; by value, so the
-// per-document BulkDoc stays off the heap).
-func bulk(c *Corpus, opts BulkOptions, outputs int,
+// its slot's output buffers, whose bytes go on the BulkDoc (by value, so
+// the per-document BulkDoc stays off the heap). members is the header
+// every document's BulkDoc.Outputs reuses, one entry per member of a
+// Workload — emission is serial and the bytes are valid only during emit
+// anyway — and nil for an Engine, whose one result is BulkDoc.Output.
+func bulk(c *Corpus, opts BulkOptions, members [][]byte,
 	eval func(io.Reader, []io.Writer) (WorkloadStats, error),
-	results func(BulkDoc, []*bytes.Buffer) BulkDoc,
 	emit func(BulkDoc) error) (BulkStats, error) {
 	src, err := c.source(opts.MaxDocBytes)
 	if err != nil {
@@ -286,13 +277,20 @@ func bulk(c *Corpus, opts BulkOptions, outputs int,
 	totals, err := corpus.Run(src, corpus.Options{
 		Workers:     opts.Workers,
 		Window:      opts.Window,
-		Outputs:     outputs,
+		Outputs:     max(1, len(members)),
 		MaxDocBytes: opts.MaxDocBytes,
 		Context:     opts.Context,
 	}, eval, func(r *corpus.Result[WorkloadStats]) error {
 		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: r.Value.Aggregate, Queries: r.Value.Queries, Err: r.Err}
-		if len(r.Outs) > 0 {
-			doc = results(doc, r.Outs)
+		switch {
+		case r.Outs == nil: // failed before evaluation: no output at all
+		case members == nil:
+			doc.Output = r.Outs[0].Bytes()
+		default:
+			for i := range members {
+				members[i] = r.Outs[i].Bytes()
+			}
+			doc.Outputs = members
 		}
 		bs.addDoc(doc.Stats)
 		if emit == nil {

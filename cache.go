@@ -3,7 +3,6 @@ package gcx
 import (
 	"container/list"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -29,8 +28,9 @@ const DefaultCompileCacheCapacity = 128
 type CompileCache struct {
 	mu      sync.Mutex
 	cap     int
-	entries map[string]*list.Element
+	entries map[cacheKey]*list.Element
 	ll      *list.List // front = most recently used; element values are *cacheEntry
+	members []byte     // scratch a Workload lookup joins its member texts in
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -43,7 +43,7 @@ type CompileCache struct {
 // other goroutine for the same key blocks on the once and reads the
 // result.
 type cacheEntry struct {
-	key  string
+	key  cacheKey
 	once sync.Once
 	eng  *Engine
 	wl   *Workload
@@ -58,7 +58,7 @@ func NewCompileCache(capacity int) *CompileCache {
 	}
 	return &CompileCache{
 		cap:     capacity,
-		entries: make(map[string]*list.Element),
+		entries: make(map[cacheKey]*list.Element),
 		ll:      list.New(),
 	}
 }
@@ -98,7 +98,7 @@ func (cc *CompileCache) Len() int {
 // Engine returns the cached Engine for (query, opts), compiling it on
 // first use.
 func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
-	e := cc.lookup(cacheKey("engine", []string{query}, opts))
+	e := cc.lookup(false, []string{query}, opts)
 	e.once.Do(func() {
 		cc.compiles.Add(1)
 		e.eng, e.err = Compile(query, opts...)
@@ -111,7 +111,7 @@ func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
 // same queries in a different order are distinct artifacts (their output
 // order differs).
 func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, error) {
-	e := cc.lookup(cacheKey("workload", queries, opts))
+	e := cc.lookup(true, queries, opts)
 	e.once.Do(func() {
 		cc.compiles.Add(1)
 		e.wl, e.err = CompileWorkload(queries, opts...)
@@ -119,38 +119,57 @@ func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, e
 	return e.wl, e.err
 }
 
-// cacheKey derives the cache key from the artifact kind, the query texts,
-// and the option fingerprint. Applying the options here is cheap and has
-// no side effects (WithDTD defers its parse to compilation); compilation
-// applies them again. Query texts are length-prefixed so no crafted text
-// (e.g. one containing a NUL) can make two different workloads collide on
-// one key.
-func cacheKey(kind string, queries []string, opts []Option) string {
-	cfg := newConfig(opts)
-	var b strings.Builder
-	b.WriteString(kind)
-	b.WriteByte(0)
-	b.WriteString(cfg.fingerprint())
-	for _, q := range queries {
-		b.WriteByte(0)
-		b.WriteString(strconv.Itoa(len(q)))
-		b.WriteByte(':')
-		b.WriteString(q)
-	}
-	return b.String()
+// cacheKey identifies a compiled artifact: its kind, the configuration
+// the options amount to, and its query text. Applying the options to get
+// there is cheap and has no side effects (WithDTD defers its parse to
+// compilation); compilation applies them again. The key is comparable, so
+// a lookup builds no string: an Engine is keyed by the query it was
+// handed, a Workload by its member texts joined into the cache's scratch.
+type cacheKey struct {
+	cfg      configKey
+	workload bool
+	// text is an Engine's query, or a Workload's member texts one after
+	// the other, each length-prefixed so that no crafted text (e.g. one
+	// containing a NUL) can make two different workloads collide.
+	text string
 }
 
-// lookup finds or inserts the entry for key, updating the LRU order and
-// the hit/miss counters, and evicting the least recently used entries
-// beyond the capacity. An evicted entry that other goroutines still hold
-// stays valid — it is merely no longer findable.
-func (cc *CompileCache) lookup(key string) *cacheEntry {
+// lookup finds or inserts the entry of the Engine for texts[0] or of the
+// Workload over texts, updating the LRU order and the hit/miss counters,
+// and evicting the least recently used entries beyond the capacity. An
+// evicted entry that other goroutines still hold stays valid — it is
+// merely no longer findable. A hit allocates only the config the options
+// are applied to.
+func (cc *CompileCache) lookup(workload bool, texts []string, opts []Option) *cacheEntry {
+	cfg := newConfig(opts)
+	key := cacheKey{cfg: cfg.configKey, workload: workload}
 	cc.mu.Lock()
-	if el, ok := cc.entries[key]; ok {
+	var (
+		el *list.Element
+		ok bool
+	)
+	if !workload {
+		key.text = texts[0]
+		el, ok = cc.entries[key]
+	} else {
+		cc.members = cc.members[:0]
+		for _, q := range texts {
+			cc.members = strconv.AppendInt(cc.members, int64(len(q)), 10)
+			cc.members = append(cc.members, ':')
+			cc.members = append(cc.members, q...)
+		}
+		// Converting inside the index expression compares the scratch
+		// bytes in place; the string is only built on a miss.
+		el, ok = cc.entries[cacheKey{cfg: key.cfg, workload: true, text: string(cc.members)}]
+	}
+	if ok {
 		cc.ll.MoveToFront(el)
 		cc.mu.Unlock()
 		cc.hits.Add(1)
 		return el.Value.(*cacheEntry)
+	}
+	if workload {
+		key.text = string(cc.members)
 	}
 	e := &cacheEntry{key: key}
 	cc.entries[key] = cc.ll.PushFront(e)

@@ -252,3 +252,38 @@ func TestCompileCacheConcurrentMixed(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestCacheHitAllocs: a hit builds no key string — the key is a comparable
+// struct, an Engine's query keys itself and a Workload's members are
+// joined in the cache's own scratch — so it allocates only the config the
+// options are applied to. (An Engine hit was 7 allocations when the key
+// was a string concatenated on every lookup.)
+func TestCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	cc := NewCompileCache(8)
+	opts := []Option{WithStrategy(StaticOnly), WithDTD("<!ELEMENT bib (book*)>")}
+	members := []string{cacheTestQuery, `<t>{ for $b in /bib/book return $b/price }</t>`, `<e>{ /bib/extra }</e>`}
+	engine := func() {
+		if _, err := cc.Engine(cacheTestQuery, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	workload := func() {
+		if _, err := cc.Workload(members, opts...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	engine() // the misses
+	workload()
+	if allocs := testing.AllocsPerRun(100, engine); allocs > 1 {
+		t.Errorf("CompileCache.Engine hit allocates %.0f, want <= 1", allocs)
+	}
+	if allocs := testing.AllocsPerRun(100, workload); allocs > 1 {
+		t.Errorf("CompileCache.Workload hit allocates %.0f, want <= 1", allocs)
+	}
+	if st := cc.Stats(); st.Compiles != 2 || st.Misses != 2 || st.Entries != 2 {
+		t.Errorf("stats after two misses and hits only: %+v", st)
+	}
+}

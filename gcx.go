@@ -31,7 +31,6 @@ package gcx
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"strings"
 
@@ -74,9 +73,17 @@ func (s Strategy) mode() engine.Mode {
 type Option func(*config)
 
 type config struct {
+	configKey
+	schema *dtd.Schema // schemaSrc parsed, at compile time
+}
+
+// configKey is everything an Option can set — the compilation-relevant
+// configuration — as a comparable value, so a CompileCache can key entries
+// by (query text, options). Two textually identical DTDs parse
+// identically, so the source stands for the schema.
+type configKey struct {
 	strategy  Strategy
 	static    static.Options
-	schema    *dtd.Schema
 	schemaSrc string
 	readBatch int
 }
@@ -85,7 +92,7 @@ type config struct {
 // effects (WithDTD defers its parse), so CompileCache key derivation runs
 // it on every lookup.
 func newConfig(opts []Option) config {
-	cfg := config{strategy: GCX, static: static.AllOptimizations()}
+	cfg := config{configKey: configKey{strategy: GCX, static: static.AllOptimizations()}}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -109,18 +116,6 @@ func compileConfig(opts []Option) (config, error) {
 // engine renders the configuration for the internal compiler.
 func (c *config) engine() engine.Config {
 	return engine.Config{Mode: c.strategy.mode(), Static: &c.static, Schema: c.schema}
-}
-
-// fingerprint renders the compilation-relevant configuration as a stable
-// string, so a CompileCache can key entries by (query text, options). The
-// DTD source is folded to a hash: schemas can be large and two textually
-// identical DTDs parse identically.
-func (c *config) fingerprint() string {
-	h := fnv.New64a()
-	io.WriteString(h, c.schemaSrc)
-	return fmt.Sprintf("s%d|e%t|a%t|r%t|b%d|d%x",
-		c.strategy, c.static.EarlyUpdates, c.static.AggregateRoles,
-		c.static.EliminateRedundantRoles, c.readBatch, h.Sum64())
 }
 
 // WithStrategy selects the buffering strategy (default GCX).

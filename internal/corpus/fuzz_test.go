@@ -13,13 +13,17 @@ import (
 // FuzzSplit drives the concatenated-document scanner with arbitrary
 // bytes and checks its structural contract:
 //
-//  1. it terminates without panicking, and every returned document is
+//  1. it frames exactly the documents referenceSplit — the per-byte
+//     state machine, which has no window to refill — frames, whether
+//     the input arrives whole or 1, 2, 7, 63, 64, 65, 127, 128 or 4096
+//     bytes at a time, with and without a size cap;
+//  2. it terminates without panicking, and every returned document is
 //     accounted against the input (no invented bytes);
-//  2. splitting is stable: re-splitting the concatenation of the
+//  3. splitting is stable: re-splitting the concatenation of the
 //     emitted documents yields the same documents (the splitter's
 //     boundaries are self-consistent, so a bulk run over its own
 //     output partitions identically);
-//  3. every emitted document can be fed to the engine's tokenizer,
+//  4. every emitted document can be fed to the engine's tokenizer,
 //     which either tokenizes it or reports a syntax error — never
 //     hangs or panics (per-document failures stay per-document).
 func FuzzSplit(f *testing.F) {
@@ -37,6 +41,9 @@ func FuzzSplit(f *testing.F) {
 	f.Add([]byte(`<!DOCTYPE a [<!ENTITY lt "<"><!-- don't --><?p '> ?>]><a/><b/>`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data, 0)
+		checkAgainstReference(t, data, 16)
+
 		docs, err := drainSplitter(data)
 		if err != nil {
 			t.Fatalf("terminal error on in-memory input: %v", err)
@@ -99,5 +106,46 @@ func drainSplitter(data []byte) ([][]byte, error) {
 			return docs, err
 		}
 		docs = append(docs, append([]byte(nil), d...))
+	}
+}
+
+// splitReadSizes are the refill windows the differential frames every
+// input at: one and two bytes, a small odd size, the structural index's
+// 64-byte block edges, a page, and unbounded (0).
+var splitReadSizes = []int{1, 2, 7, 63, 64, 65, 127, 128, 4096, 0}
+
+// checkAgainstReference frames input with the production splitter at
+// every read size and requires referenceSplit's documents, byte for
+// byte, each time. max is the per-document cap (0: none).
+func checkAgainstReference(t *testing.T, input []byte, max int64) {
+	t.Helper()
+	want := referenceSplit(input, max)
+	for _, k := range splitReadSizes {
+		sp := NewSplitter(capReader{r: bytes.NewReader(input), k: k})
+		sp.SetMaxDocBytes(max)
+		var buf []byte
+		for i := 0; ; i++ {
+			d, err := sp.Next(buf)
+			var tooBig *DocTooLargeError
+			switch {
+			case err == io.EOF:
+				if i != len(want) {
+					t.Fatalf("read size %d, cap %d: %d documents, reference frames %d\ninput: %q", k, max, i, len(want), input)
+				}
+			case errors.As(err, &tooBig):
+				if i >= len(want) || !want[i].tooLarge {
+					t.Fatalf("read size %d, cap %d: document %d over the cap, reference disagrees\ninput: %q", k, max, i, input)
+				}
+				continue
+			case err != nil:
+				t.Fatalf("read size %d: terminal error on in-memory input: %v", k, err)
+			case i >= len(want) || want[i].tooLarge || !bytes.Equal(d, want[i].data):
+				t.Fatalf("read size %d, cap %d: document %d is %q, reference frames %v\ninput: %q", k, max, i, d, want, input)
+			default:
+				buf = d
+				continue
+			}
+			break
+		}
 	}
 }

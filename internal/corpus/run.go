@@ -49,10 +49,11 @@ type Result[T any] struct {
 	Index int
 	// Name identifies the document (file path, tar member, "doc[N]").
 	Name string
-	// Outs holds the result bytes, one buffer per output. The buffers
-	// are pooled: they are valid only during the emit call. On a failed
-	// document they hold whatever was produced before the failure —
-	// exactly what a solo run would have written.
+	// Outs holds the result bytes, one buffer per output (nil for a
+	// document that failed before it could be evaluated). The buffers
+	// belong to the document's slot: they are valid only during the emit
+	// call. On a failed document they hold whatever was produced before
+	// the failure — exactly what a solo run would have written.
 	Outs []*bytes.Buffer
 	// Value is the evaluation's payload (stats). On a failed document
 	// it holds whatever eval returned alongside the error — partial
@@ -85,7 +86,8 @@ type Totals struct {
 // compiled engines are, by their concurrency contract.
 type EvalFunc[T any] func(in io.Reader, outs []io.Writer) (T, error)
 
-// outBufs recycles result buffers across documents.
+// outBufs recycles result buffers across runs: Run draws one per document
+// slot and output and returns them when it ends.
 var outBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
 // cappedReader enforces MaxDocBytes while a document streams through
@@ -131,12 +133,29 @@ func (c *cappedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// slot is one of the run's `window` document places, built once per Run
+// and reused document after document: it owns the document's Result, the
+// pooled storage a materializing source fills, the output buffers with
+// their writer slice, and the readers the evaluation reads through. One
+// goroutine holds a slot at a time — dispatcher, worker, emitter — and
+// every hand-over is a channel send.
+type slot[T any] struct {
+	res     Result[T]
+	doc     Doc
+	store   *pooledDoc      // from docBufs, held for the whole run
+	outs    []*bytes.Buffer // from outBufs, held for the whole run
+	writers []io.Writer     // outs, as eval takes them
+	capped  cappedReader
+	ctx     ctxReader
+}
+
 // Run evaluates every document of src across a bounded worker pool and
 // delivers results to emit strictly in corpus order. Per-document
 // failures (materialization or evaluation) are isolated: they arrive as
 // Results with Err set and do not disturb siblings or the pool — the
 // engine's error unwinding already returns the run state to a reusable
-// condition.
+// condition. A Result belongs to a slot the next document reuses: it, and
+// every byte reachable from it, is valid only during the emit call.
 //
 // Run returns a non-nil error only for whole-corpus failures: the
 // source broke mid-stream, emit returned an error (which cancels
@@ -151,13 +170,8 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 	if window <= 0 {
 		window = 2 * workers
 	}
-	if window < workers+1 {
-		window = workers + 1
-	}
-	outputs := opts.Outputs
-	if outputs <= 0 {
-		outputs = 1
-	}
+	window = max(window, workers+1)
+	outputs := max(opts.Outputs, 1)
 	parent := opts.Context
 	if parent == nil {
 		parent = context.Background()
@@ -168,66 +182,77 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 	totals := Totals{Workers: workers, Window: window}
 	start := obs.Now()
 
-	type task struct {
-		idx int
-		doc Doc
-		err error // materialization failure (per-document)
-	}
+	// Each channel has room for every slot, so no send blocks: backpressure
+	// comes solely from the dispatcher waiting on free.
 	var (
-		sem        = make(chan struct{}, window)
-		tasks      = make(chan task)
-		results    = make(chan *Result[T], window)
+		slots      = make([]slot[T], window)
+		outs       = make([]*bytes.Buffer, window*outputs)
+		writers    = make([]io.Writer, window*outputs)
+		free       = make(chan *slot[T], window)
+		tasks      = make(chan *slot[T], window)
+		results    = make(chan *slot[T], window)
 		srcErr     atomic.Pointer[error] // terminal source failure
-		dispatched atomic.Int64          // tasks handed to workers
+		dispatched atomic.Int64          // slots handed to workers
 	)
+	for i := range outs {
+		outs[i] = outBufs.Get().(*bytes.Buffer)
+		writers[i] = outs[i]
+	}
+	for i := range slots {
+		s := &slots[i]
+		s.store = docBufs.Get().(*pooledDoc)
+		s.outs, s.writers = outs[i*outputs:][:outputs], writers[i*outputs:][:outputs]
+		free <- s
+	}
+	release := func() { // once no goroutine holds a slot
+		for i := range slots {
+			slots[i].store.Reset()
+			docBufs.Put(slots[i].store)
+		}
+		for _, b := range outs {
+			outBufs.Put(b)
+		}
+	}
 
-	// Dispatcher: pull documents while the window has room.
+	// Dispatcher: fill a free slot with the next document.
 	go func() {
 		defer close(tasks)
 		for idx := 0; ; idx++ {
-			// Cancellation wins over a free window slot: without the
-			// priority check, the two-way select keeps picking the
-			// acquire at random while emission drains slots, dispatching
-			// (and evaluating) documents for a run that is already dead.
-			select {
-			case <-ctx.Done():
+			// Cancellation wins over a free slot: a select over both picks
+			// at random, dispatching documents for a run already dead.
+			if ctx.Err() != nil {
 				return
-			default:
 			}
+			var s *slot[T]
 			select {
-			case sem <- struct{}{}:
+			case s = <-free:
 			case <-ctx.Done():
 				return
 			}
-			doc, err := src.Next()
+			doc, err := next(src, s.store.data)
+			if doc.Data != nil {
+				s.store.data = doc.Data // the storage, as far as it grew
+			}
 			if err != nil {
 				var de *DocError
-				if errors.As(err, &de) {
-					dispatched.Add(1)
-					tasks <- task{idx: idx, doc: Doc{Name: de.Name}, err: de.Err}
-					continue
+				if !errors.As(err, &de) {
+					if err != io.EOF {
+						terminal := err // &err would move err to the heap, once a document
+						srcErr.Store(&terminal)
+					}
+					return
 				}
-				if err != io.EOF {
-					srcErr.Store(&err)
-				}
-				<-sem // release the slot acquired for the doc that never came
-				return
+				doc, err = Doc{Name: de.Name}, de.Err
+			} else if opts.MaxDocBytes > 0 && doc.Size > opts.MaxDocBytes {
+				err = &DocTooLargeError{Name: doc.Name, Limit: opts.MaxDocBytes}
 			}
-			if opts.MaxDocBytes > 0 && doc.Size > opts.MaxDocBytes {
-				dispatched.Add(1)
-				tasks <- task{idx: idx, doc: Doc{Name: doc.Name},
-					err: &DocTooLargeError{Name: doc.Name, Limit: opts.MaxDocBytes}}
-				continue
-			}
+			s.doc, s.res = doc, Result[T]{Index: idx, Name: doc.Name, Err: err}
 			dispatched.Add(1)
-			tasks <- task{idx: idx, doc: doc}
+			tasks <- s
 		}
 	}()
 
-	// Workers: evaluate into pooled buffers, results go to the reorder
-	// stage. The results channel holds `window` slots, which is an upper
-	// bound on dispatched-but-unemitted documents, so workers never
-	// block on it — backpressure comes solely from the window.
+	// Workers: evaluate a slot's document in place, pass it to the emitter.
 	var (
 		wg           sync.WaitGroup
 		busy         atomic.Int64
@@ -238,50 +263,18 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			writers := make([]io.Writer, outputs)
-			for tk := range tasks {
-				res := &Result[T]{Index: tk.idx, Name: tk.doc.Name, Err: tk.err}
-				if tk.err == nil {
+			for s := range tasks {
+				if s.res.Err == nil {
 					cur := inFlight.Add(1)
-					for {
-						p := peakInFlight.Load()
-						if cur <= p || peakInFlight.CompareAndSwap(p, cur) {
-							break
-						}
+					for p := peakInFlight.Load(); cur > p && !peakInFlight.CompareAndSwap(p, cur); {
+						p = peakInFlight.Load()
 					}
 					t0 := obs.Now()
-					res.Outs = make([]*bytes.Buffer, outputs)
-					for i := range res.Outs {
-						res.Outs[i] = outBufs.Get().(*bytes.Buffer)
-						res.Outs[i].Reset()
-						writers[i] = res.Outs[i]
-					}
-					in, err := tk.doc.Open()
-					if err != nil {
-						res.Err = err
-					} else {
-						var reader io.Reader = in
-						if opts.MaxDocBytes > 0 {
-							// Read-time backstop for documents whose size
-							// is unknown up front (a file that stat could
-							// not size): the cap holds no matter what the
-							// source reported.
-							reader = &cappedReader{r: in, limit: opts.MaxDocBytes, name: tk.doc.Name}
-						}
-						// Cancellation must reach IN-FLIGHT evaluations,
-						// not just dispatch: documents are materialized,
-						// so without this check a slow evaluation would
-						// hold its worker past a timeout (the engine
-						// unwinds on the read error, as with any failing
-						// stream).
-						reader = &ctxReader{ctx: ctx, r: reader}
-						res.Value, res.Err = eval(reader, writers)
-						in.Close()
-					}
+					s.evaluate(ctx, opts.MaxDocBytes, eval)
 					busy.Add(obs.Now() - t0)
 					inFlight.Add(-1)
 				}
-				results <- res
+				results <- s
 			}
 		}()
 	}
@@ -290,82 +283,99 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 		close(results)
 	}()
 
-	// Reorder stage (caller's goroutine): hold out-of-turn results,
-	// emit in-order runs, recycle buffers, free window slots. On
-	// cancellation the loop keeps receiving only until every DISPATCHED
-	// document has arrived (in-flight evaluations unwind fast — their
-	// reads fail), so a dispatcher stuck in a stalled source read can
-	// never hang Run; any straggler is handed to a background drainer.
+	// Emitter (caller's goroutine): a finished slot waits in ring at its
+	// document's index modulo the window — in-flight indexes are
+	// consecutive and at most `window` many, so no two share a place —
+	// until every earlier document is out. Once canceled, the loop receives
+	// only until every DISPATCHED document has arrived (their reads fail,
+	// so they unwind fast): a stalled source read can never hang Run.
 	var (
-		pending  = make(map[int]*Result[T])
+		ring     = make([]*slot[T], window)
 		nextIdx  int
 		received int64
 		emitErr  error
 		canceled bool
 		done     = ctx.Done()
 	)
-	for {
-		if canceled && received == dispatched.Load() {
-			break
-		}
+	for !canceled || received < dispatched.Load() {
 		select {
-		case res, ok := <-results:
+		case s, ok := <-results:
 			if !ok {
-				done = nil
+				release()
 				goto drained
 			}
 			received++
-			pending[res.Index] = res
-			for {
-				r, ok := pending[nextIdx]
-				if !ok {
-					break
-				}
-				delete(pending, nextIdx)
+			ring[s.res.Index%window] = s
+			for s = ring[nextIdx%window]; s != nil; s = ring[nextIdx%window] {
+				ring[nextIdx%window] = nil
 				nextIdx++
 				if emitErr == nil {
-					if err := emit(r); err != nil {
-						emitErr = err
+					if emitErr = emit(&s.res); emitErr != nil {
 						cancel() // stop dispatching; drain what is in flight
 					}
 					totals.Docs++
-					if r.Err != nil {
+					if s.res.Err != nil {
 						totals.Failed++
 					}
 				}
-				for _, b := range r.Outs {
-					outBufs.Put(b)
-				}
-				<-sem
+				s.store.Reset() // drops storage one huge document grew
+				s.doc = Doc{}
+				free <- s
 			}
 		case <-done:
 			canceled = true
 			done = nil // receive-only from here; the loop head decides when to stop
 		}
 	}
-	// Canceled exit: a straggler may still arrive if the dispatcher was
-	// caught between counting and handing off; recycle it whenever the
-	// stalled read finally returns.
+	// Canceled exit: the dispatcher may hold a slot for as long as a stalled
+	// read lasts, and still hand it off afterwards; release comes then.
 	go func() {
-		for res := range results {
-			for _, b := range res.Outs {
-				outBufs.Put(b)
-			}
-			<-sem
+		for range results {
 		}
+		release()
 	}()
 
 drained:
 	totals.PeakInFlight = int(peakInFlight.Load())
 	totals.BusyNanos = busy.Load()
 	totals.WallNanos = obs.Now() - start
-	srcFailure := srcErr.Load()
-	switch {
+	switch terminal := srcErr.Load(); {
 	case emitErr != nil:
 		return totals, emitErr
-	case srcFailure != nil:
-		return totals, *srcFailure
-	default:
-		return totals, parent.Err()
+	case terminal != nil:
+		return totals, *terminal
 	}
+	return totals, parent.Err()
+}
+
+// evaluate runs the slot's document through eval, into and through the
+// slot's own buffers and readers.
+func (s *slot[T]) evaluate(ctx context.Context, maxDocBytes int64, eval EvalFunc[T]) {
+	s.res.Outs = s.outs
+	for _, b := range s.outs {
+		b.Reset()
+	}
+	var in io.Reader = &s.store.Reader
+	if s.doc.Open == nil {
+		s.store.Reader.Reset(s.doc.Data)
+	} else {
+		rc, err := s.doc.Open()
+		if err != nil {
+			s.res.Err = err
+			return
+		}
+		defer rc.Close()
+		in = rc
+	}
+	if maxDocBytes > 0 {
+		// Read-time backstop for a document of unknown size (a file stat
+		// could not size): the cap holds whatever the source reported.
+		s.capped = cappedReader{r: in, limit: maxDocBytes, name: s.doc.Name}
+		in = &s.capped
+	}
+	// Cancellation must reach IN-FLIGHT evaluations, not just dispatch: a
+	// slow one would hold its worker past a timeout otherwise (the engine
+	// unwinds on the read error, as with any failing stream).
+	s.ctx = ctxReader{ctx: ctx, r: in}
+	s.res.Value, s.res.Err = eval(&s.ctx, s.writers)
 }

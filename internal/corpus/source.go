@@ -18,14 +18,15 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 )
 
-// Doc is one document of a corpus. Content is obtained through Open so
-// file-backed documents stream straight from disk inside the worker
-// (per-worker memory = the engine's buffer peak), while stream-backed
-// sources (tar, concatenated bodies) hand over bytes that were
+// Doc is one document of a corpus. A file-backed document is obtained
+// through Open, so it streams straight from disk inside the worker
+// (per-worker memory = the engine's buffer peak); a stream-backed source
+// (tar, concatenated bodies) hands over in Data the bytes that were
 // necessarily materialized when the sequential underlying stream was
 // advanced past them.
 type Doc struct {
@@ -33,8 +34,11 @@ type Doc struct {
 	// path, the tar member name, or "doc[N]" for split streams.
 	Name string
 	// Open returns the content. It is called at most once, by the worker
-	// evaluating the document; Close releases pooled backing storage.
+	// evaluating the document. Nil means Data is the content.
 	Open func() (io.ReadCloser, error)
+	// Data is a materialized document's content, in the storage its source
+	// was handed (see materializer) and valid until that is offered again.
+	Data []byte
 	// Size is the content length in bytes when known, else -1.
 	Size int64
 }
@@ -62,10 +66,24 @@ type DocError struct {
 func (e *DocError) Error() string { return fmt.Sprintf("corpus: %s: %v", e.Name, e.Err) }
 func (e *DocError) Unwrap() error { return e.Err }
 
-// docBufs recycles the backing storage of materialized documents: a
-// buffer is drawn when the sequential stream is split, travels with the
-// Doc to its worker, and returns to the pool when the worker closes the
-// content reader.
+// materializer is implemented by the sources that read each document out
+// of a sequential stream. nextInto is Next with the content appended to
+// buf[:0], storage the caller owns, and returned as Doc.Data: Run offers a
+// document slot's, so a warm corpus run materializes without allocating.
+type materializer interface {
+	nextInto(buf []byte) (Doc, error)
+}
+
+// next is src.Next, offering buf to a source that materializes.
+func next(src Source, buf []byte) (Doc, error) {
+	if m, ok := src.(materializer); ok {
+		return m.nextInto(buf)
+	}
+	return src.Next()
+}
+
+// docBufs recycles the backing storage of materialized documents across
+// runs: Run draws one per document slot and returns them when it ends.
 var docBufs = sync.Pool{New: func() any { return new(pooledDoc) }}
 
 // pooledDoc is a bytes.Reader over pooled storage.
@@ -90,40 +108,9 @@ func (p *pooledDoc) Reset() {
 	p.Reader.Reset(nil)
 }
 
-func (p *pooledDoc) Close() error {
-	p.Reset()
-	docBufs.Put(p)
-	return nil
-}
-
-// materialize wraps content that was already read into pd's pooled
-// backing storage as a Doc; the storage returns to the pool when the
-// worker closes the content reader.
-func materialize(name string, data []byte, pd *pooledDoc) Doc {
-	pd.data = data
-	return Doc{
-		Name: name,
-		Size: int64(len(data)),
-		Open: func() (io.ReadCloser, error) {
-			pd.Reader.Reset(pd.data)
-			return pd, nil
-		},
-	}
-}
-
 // maxTarPrealloc caps how much a tar member's header-declared size may
 // pre-allocate before any content is read.
 const maxTarPrealloc = 1 << 20
-
-// grab returns a pooled doc whose storage has capacity for n bytes
-// (n < 0: keep whatever is there).
-func grab(n int64) *pooledDoc {
-	pd := docBufs.Get().(*pooledDoc)
-	if n > 0 && int64(cap(pd.data)) < n {
-		pd.data = make([]byte, 0, n)
-	}
-	return pd
-}
 
 // ---------------------------------------------------------------------
 // Files
@@ -222,7 +209,9 @@ func TarFile(path string, maxDocBytes int64) (Source, error) {
 	return &tarSource{tr: tar.NewReader(f), owned: f, max: maxDocBytes}, nil
 }
 
-func (t *tarSource) Next() (Doc, error) {
+func (t *tarSource) Next() (Doc, error) { return t.nextInto(nil) }
+
+func (t *tarSource) nextInto(buf []byte) (Doc, error) {
 	for {
 		hdr, err := t.tr.Next()
 		if err == io.EOF {
@@ -242,8 +231,10 @@ func (t *tarSource) Next() (Doc, error) {
 		// hdr.Size is untrusted input: pre-allocate only a bounded hint
 		// and grow while reading, so a crafted header claiming exabytes
 		// fails with a clean read error instead of an allocation crash.
-		pd := grab(min(hdr.Size, maxTarPrealloc))
-		data := pd.data[:0]
+		data := buf[:0]
+		if hint := min(hdr.Size, maxTarPrealloc); int64(cap(data)) < hint {
+			data = make([]byte, 0, hint)
+		}
 		for {
 			if len(data) == cap(data) {
 				data = append(data, 0)[:len(data)]
@@ -254,12 +245,10 @@ func (t *tarSource) Next() (Doc, error) {
 				break
 			}
 			if err != nil {
-				pd.data = data
-				pd.Close()
 				return Doc{}, fmt.Errorf("corpus: reading tar member %s: %w", hdr.Name, err)
 			}
 		}
-		return materialize(hdr.Name, data, pd), nil
+		return Doc{Name: hdr.Name, Data: data, Size: int64(len(data))}, nil
 	}
 }
 
@@ -288,23 +277,20 @@ func Concat(r io.Reader, maxDocBytes int64) Source {
 	return &concatSource{sp: sp}
 }
 
-func (c *concatSource) Next() (Doc, error) {
-	name := fmt.Sprintf("doc[%d]", c.idx)
-	pd := grab(-1)
-	data, err := c.sp.Next(pd.data)
-	if err != nil {
-		// Next returns nil on every error; keep pd's existing backing
-		// storage so the pooled capacity survives for the next document.
-		pd.Close()
-		var tooBig *DocTooLargeError
-		if errors.As(err, &tooBig) {
-			c.idx++
-			return Doc{}, &DocError{Name: name, Err: &DocTooLargeError{Name: name, Limit: tooBig.Limit}}
-		}
+func (c *concatSource) Next() (Doc, error) { return c.nextInto(nil) }
+
+func (c *concatSource) nextInto(buf []byte) (Doc, error) {
+	data, err := c.sp.Next(buf)
+	if err != nil && !errors.Is(err, ErrTooLarge) {
 		return Doc{}, err
 	}
+	var b [32]byte // the name string is the one allocation a split document costs
+	name := string(append(strconv.AppendInt(append(b[:0], "doc["...), int64(c.idx), 10), ']'))
 	c.idx++
-	return materialize(name, data, pd), nil
+	if err != nil {
+		return Doc{}, &DocError{Name: name, Err: &DocTooLargeError{Name: name, Limit: c.sp.max}}
+	}
+	return Doc{Name: name, Data: data, Size: int64(len(data))}, nil
 }
 
 func (c *concatSource) Close() error { return nil }
@@ -323,9 +309,11 @@ func Chain(srcs ...Source) Source {
 	return &chainSource{srcs: srcs}
 }
 
-func (c *chainSource) Next() (Doc, error) {
+func (c *chainSource) Next() (Doc, error) { return c.nextInto(nil) }
+
+func (c *chainSource) nextInto(buf []byte) (Doc, error) {
 	for c.cur < len(c.srcs) {
-		doc, err := c.srcs[c.cur].Next()
+		doc, err := next(c.srcs[c.cur], buf)
 		if err == io.EOF {
 			c.cur++
 			continue

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"gcx/internal/xmlstream"
 )
@@ -43,27 +44,55 @@ var ErrTooLarge = errors.New("input exceeds a configured size limit")
 // not share it). A stream that ends mid-document — the root's start
 // tag arrived — yields the truncated tail as a final document (its
 // tokenization error then lands in that document's slot).
+//
+// Two scanners share the work. Element structure — character data inside
+// the root, and every tag — is hopped: hop walks the window's structural
+// index (xmlstream.StructIndex) from '<' to the tag's closing '>' and on
+// to the next '<', looks at nothing in between, and keeps the bytes it
+// passed with one copy per window. Everything else — what precedes the
+// root, comments, PIs, CDATA, DOCTYPE, and the byte after a '<' that ends
+// a window — is stepped a byte at a time through the state machine in
+// step, whose opaque interiors move by IndexByte because their sentinels
+// ('-', '?', ']') are not structural bytes.
 type Splitter struct {
 	r   io.Reader
-	buf []byte
 	pos int
 	n   int
 	err error // sticky read error (io.EOF included)
 	max int64 // per-document byte cap (0 = unlimited)
 
-	// idx is the structural-byte index over buf[:n] (see
-	// xmlstream.StructIndex), rebuilt whenever the window refills or is
-	// compacted. Interior runs of text, tags, quoted values, and
-	// declarations hop its candidates instead of probing with
-	// IndexByte/IndexAny per run; opaque interiors (comments, PIs,
-	// CDATA) keep IndexByte because their sentinels ('-', '?', ']') are
-	// not structural bytes.
+	// The read window and the structural index over buf[:n], rebuilt
+	// whenever the window refills or is compacted. Both are drawn from
+	// splitWindows at the first read and returned when the stream ends.
+	*splitWindow
+
+	doc docScan // the document being framed
+
+	// steppedInRoot counts the bytes step took after a root element
+	// opened: what a document without comments, PIs or CDATA leaves for
+	// the state machine (tests).
+	steppedInRoot int64
+}
+
+// splitWindow is a splitter's read window with its structural index.
+type splitWindow struct {
+	buf []byte
 	idx xmlstream.StructIndex
 }
 
+// Reset drops the classified range, so a pooled window starts its next
+// stream with an empty index.
+//
+//gcxlint:keep buf the window's bytes are overwritten by the first read, before anything looks at them
+func (w *splitWindow) Reset() { w.idx.Reset() }
+
+// splitWindows recycles windows across splitters: a bulk call frames its
+// stream through one, and it outweighs everything else the call allocates.
+var splitWindows = sync.Pool{New: func() any { return &splitWindow{buf: make([]byte, 64<<10)} }}
+
 // NewSplitter returns a splitter reading the concatenated stream from r.
 func NewSplitter(r io.Reader) *Splitter {
-	return &Splitter{r: r, buf: make([]byte, 64<<10)}
+	return &Splitter{r: r}
 }
 
 // SetMaxDocBytes caps single-document size. A document growing past the
@@ -111,6 +140,29 @@ var (
 	seqCDATA   = "CDATA[" // after "<![": the rest of "<![CDATA["
 )
 
+// docScan is the framing state of one document.
+type docScan struct {
+	dst        []byte
+	total      int64 // bytes of the document so far, kept or not
+	discarding bool  // over the size cap: keep scanning, stop appending
+
+	state         int
+	started       bool   // first document byte kept
+	rootSeen      bool   // a real element tag was completed
+	sawJunk       bool   // non-whitespace character data before any root
+	depth         int    // open element depth
+	closeTag      bool   // current tag is </...>
+	prevSlash     bool   // the tag's last byte in an earlier window was '/'
+	quote         byte   // active attribute or literal quote
+	seq           string // spBangSeq target
+	seqPos        int
+	commentDashes int  // consecutive '-' seen in a comment
+	piQuestion    bool // last PI byte was '?'
+	cdataBrackets int  // consecutive ']' seen in spCDATA
+	declDepth     int
+	declPfx       int // progress through "<!--" inside a declaration
+}
+
 // Next scans the next document and returns its bytes appended to
 // dst[:0] (pass a recycled slice to avoid allocation). At the end of
 // the stream it returns (nil, io.EOF). A *DocTooLargeError is
@@ -118,370 +170,328 @@ var (
 // the next document. Any other error is terminal (the underlying reader
 // failed; boundaries past the failure cannot be trusted).
 func (s *Splitter) Next(dst []byte) ([]byte, error) {
-	dst = dst[:0]
-	var (
-		state         = spText
-		rootSeen      bool   // a real element tag was completed
-		sawJunk       bool   // non-whitespace character data before any root
-		depth         int    // open element depth
-		closeTag      bool   // current tag is </...>
-		prevSlash     bool   // last in-tag byte was '/' (self-closing detection)
-		quote         byte   // active attribute quote
-		seq           string // spBangSeq target
-		seqPos        int
-		commentDashes int  // consecutive '-' seen in spComment
-		piQuestion    bool // last spPI byte was '?'
-		cdataBrackets int  // consecutive ']' seen in spCDATA
-		declDepth     int
-		declPfx       int  // progress through "<!--" inside a declaration
-		started       bool // first document byte appended
-		discarding    bool // over the size cap: keep scanning, stop appending
-		total         int64
-	)
-
-	// keep appends c (and later, bulk runs) to dst unless the size cap
-	// tripped, in which case the document is scanned but dropped.
-	keep := func(run []byte) {
-		if discarding {
-			return
+	s.doc = docScan{dst: dst[:0]}
+	d := &s.doc
+	for closed := false; !closed; {
+		if s.pos >= s.n {
+			if d.state == spTag && s.n > 0 {
+				// A self-closing tag's '/' may be the window's last byte
+				// and its '>' the next one's first.
+				d.prevSlash = s.buf[s.n-1] == '/'
+			}
+			if !s.fill() {
+				return s.end()
+			}
 		}
-		total += int64(len(run))
-		if s.max > 0 && total > s.max {
-			discarding = true
-			dst = dst[:0]
-			return
+		if d.state == spTag || d.state == spTagQuote || d.state == spText && d.rootSeen {
+			closed = s.hop()
+			continue
 		}
-		dst = append(dst, run...)
-	}
-
-	// skipTo bulk-consumes the run of bytes strictly before the next
-	// sentinel, mirroring the tokenizer's opaque-region scanning:
-	// interior bytes of comments, PIs, and CDATA cannot change the
-	// scanner state, and their sentinels ('-', '?', ']') are not
-	// structural bytes, so whole runs move with one IndexByte call (no
-	// sentinel in the window = the whole window is interior).
-	skipTo := func(stop byte) {
-		if i := bytes.IndexByte(s.buf[s.pos:s.n], stop); i != 0 {
-			run := s.buf[s.pos:s.n]
-			if i > 0 {
-				run = run[:i]
-			}
-			s.pos += len(run)
-			keep(run)
+		if !d.started && !s.startsDoc() {
+			continue
 		}
-	}
-
-	// hopTo consumes the run strictly before the next occurrence of stop
-	// by hopping the structural index, mirroring the tokenizer's
-	// index-driven fast paths. Candidates for other structural bytes en
-	// route are interior content in the calling state (a '>' in
-	// character data, a '<' or the other quote inside a value) and cost
-	// one dispatch each. No stop in the window = the whole window is
-	// interior.
-	hopTo := func(stop byte) {
-		start := s.pos
-		for p := start; ; {
-			i := s.idx.Next(p)
-			if i < 0 {
-				s.pos = s.n
-				keep(s.buf[start:s.n])
-				return
-			}
-			if s.buf[i] == stop {
-				s.pos = i
-				keep(s.buf[start:i])
-				return
-			}
-			p = i + 1
+		if d.rootSeen {
+			s.steppedInRoot++
 		}
-	}
-
-	// hopTag consumes the in-tag run up to the next quote or '>'
-	// (structural candidates; '<' and '&' inside a tag are content for
-	// the splitter) and recovers the '/' tracking the per-byte stepper
-	// kept: '/' only matters as the byte immediately before '>', so the
-	// run's last byte determines prevSlash, and an empty run carries the
-	// previous value (e.g. the '/' consumed per-byte just before).
-	hopTag := func() {
-		start := s.pos
-		for p := start; ; {
-			i := s.idx.Next(p)
-			if i < 0 {
-				i = s.n
-			} else if c := s.buf[i]; c != '"' && c != '\'' && c != '>' {
-				p = i + 1
-				continue
-			}
-			if i > start {
-				s.pos = i
-				keep(s.buf[start:i])
-				prevSlash = s.buf[i-1] == '/'
-			}
-			return
-		}
-	}
-
-	// hopDecl consumes the declaration-interior run up to the next
-	// bracket or quote opener — all four stops are structural, so this
-	// is a pure index hop ('&' is the only dispatch-skipped candidate).
-	hopDecl := func() {
-		start := s.pos
-		for p := start; ; {
-			i := s.idx.Next(p)
-			if i < 0 {
-				i = s.n
-			} else if s.buf[i] == '&' {
-				p = i + 1
-				continue
-			}
-			if i > start {
-				s.pos = i
-				keep(s.buf[start:i])
-			}
-			return
-		}
-	}
-
-	for {
-		if s.pos >= s.n && !s.fill() {
-			// End of input (or read error).
-			if s.err != io.EOF {
-				return nil, s.err
-			}
-			if discarding {
-				return nil, &DocTooLargeError{Name: "<stream>", Limit: s.max}
-			}
-			if !started || (!rootSeen && !sawJunk && state == spText) {
-				// Nothing, or only trailing misc (comments/PIs/decls and
-				// whitespace): clean end of the corpus.
-				return nil, io.EOF
-			}
-			// Truncated final document: hand it to the engine verbatim.
-			return dst, nil
-		}
-		c := s.buf[s.pos]
-
-		// Inter-document skipping: before the first kept byte, drop
-		// whitespace and UTF-8 BOMs, so a boundary like
-		// "</a>\n\xEF\xBB\xBF<?xml..." starts the next document at its
-		// prolog.
-		if !started {
-			if isSpaceByte(c) {
-				s.pos++
-				continue
-			}
-			if c == 0xEF && s.skipBOM() {
-				continue
-			}
-			started = true
-		}
-
 		s.pos++
-		keep(s.buf[s.pos-1 : s.pos])
+		s.keep(s.buf[s.pos-1 : s.pos])
+		s.step(s.buf[s.pos-1])
+	}
+	if d.discarding {
+		return nil, &DocTooLargeError{Name: "<stream>", Limit: s.max}
+	}
+	return d.dst, nil
+}
 
-		switch state {
+// end is Next's result once the input is exhausted. The window goes back
+// to the pool unless a further call can still need it.
+func (s *Splitter) end() ([]byte, error) {
+	d := &s.doc
+	switch {
+	case s.err != io.EOF:
+		s.release()
+		return nil, s.err
+	case d.discarding:
+		return nil, &DocTooLargeError{Name: "<stream>", Limit: s.max}
+	case !d.started || (!d.rootSeen && !d.sawJunk && d.state == spText):
+		// Nothing, or only trailing misc (comments/PIs/decls and
+		// whitespace): clean end of the corpus.
+		s.release()
+		return nil, io.EOF
+	}
+	// Truncated final document: hand it to the engine verbatim.
+	return d.dst, nil
+}
+
+// release returns the window to the pool; the sticky s.err keeps every
+// later call away from it.
+func (s *Splitter) release() {
+	if s.splitWindow != nil {
+		s.splitWindow.Reset()
+		splitWindows.Put(s.splitWindow)
+		s.splitWindow = nil
+	}
+	s.pos, s.n = 0, 0
+}
+
+// keep appends run to the document unless the size cap tripped, in which
+// case the document is scanned but dropped.
+func (s *Splitter) keep(run []byte) {
+	d := &s.doc
+	if d.discarding {
+		return
+	}
+	d.total += int64(len(run))
+	if s.max > 0 && d.total > s.max {
+		d.discarding = true
+		d.dst = d.dst[:0]
+		return
+	}
+	d.dst = append(d.dst, run...)
+}
+
+// startsDoc reports whether the byte at s.pos is the document's first.
+// What separates documents is dropped instead: whitespace and UTF-8 BOMs,
+// so a boundary like "</a>\n\xEF\xBB\xBF<?xml..." starts the next document
+// at its prolog.
+func (s *Splitter) startsDoc() bool {
+	c := s.buf[s.pos]
+	if isSpaceByte(c) {
+		s.pos++
+		return false
+	}
+	if c == 0xEF && s.skipBOM() {
+		return false
+	}
+	s.doc.started = true
+	return true
+}
+
+// hop advances through the window while the scan is in element structure
+// — character data of the open root, a tag, a quoted attribute value —
+// by structural-index candidates alone: in character data only '<'
+// matters, in a tag only a quote or '>', in a value only its closing
+// quote, and every other candidate costs one dispatch. It stops at the
+// window's end, at the root's closing '>' (reported), or where markup
+// opens that the state machine must read ("<!", "<?"), and keeps
+// everything it passed in one copy.
+func (s *Splitter) hop() (closed bool) {
+	d := &s.doc
+	buf := s.buf[:s.n]
+	p := s.pos
+scan:
+	for {
+		i := s.idx.Next(p)
+		if i < 0 {
+			p = len(buf)
+			break
+		}
+		p = i + 1
+		c := buf[i]
+		switch d.state {
 		case spText:
-			if c == '<' {
-				state = spLT
-				break
+			if c != '<' {
+				continue
 			}
-			if !rootSeen {
-				// Pre-root character data: per-byte so junk (which the
-				// engine must see and reject) is never silently dropped
-				// as trailing whitespace.
-				if !isSpaceByte(c) {
-					sawJunk = true
-				}
-				break
+			if p == len(buf) {
+				d.state = spLT // the byte that tells what opens is in the next window
+				break scan
 			}
-			// Inside the document, only '<' changes the state: bulk-copy
-			// the rest of the character-data run.
-			hopTo('<')
-		case spLT:
-			switch {
-			case c == '!':
-				state = spBang
-			case c == '?':
-				state, piQuestion = spPI, false
-			case c == '/':
-				state, closeTag, prevSlash, quote = spTag, true, false, 0
-			case isNameStartByte(c):
-				state, closeTag, prevSlash, quote = spTag, false, false, 0
-			default:
-				// "<" followed by junk: not markup the tokenizer would
-				// accept; treat as text and let the engine report it.
-				state = spText
-				if !rootSeen {
-					sawJunk = true
-				}
-			}
-		case spBang:
-			switch c {
-			case '-':
-				state, seq, seqPos = spBangSeq, seqComment, 0
-			case '[':
-				state, seq, seqPos = spBangSeq, seqCDATA, 0
-			case '>':
-				state = spText // empty declaration "<!>"
-			default:
-				state, declDepth, declPfx = spDecl, 1, 0
-			}
-		case spBangSeq:
-			switch {
-			case c == seq[seqPos]:
-				seqPos++
-				if seqPos == len(seq) {
-					if seq == seqComment {
-						state, commentDashes = spComment, 0
-					} else {
-						state, cdataBrackets = spCDATA, 0
-					}
-				}
-			case c == '>':
-				state = spText // malformed ("<!->"); engine will complain
-			default:
-				// Not a comment or CDATA after all: scan as declaration.
-				state, declDepth, declPfx = spDecl, 1, 0
-			}
-		case spComment:
-			switch {
-			case c == '-':
-				commentDashes++
-			case c == '>' && commentDashes >= 2:
-				state = spText
-			default:
-				commentDashes = 0
-				skipTo('-') // interior run: nothing before a dash matters
-			}
-		case spPI:
-			if c == '>' && piQuestion {
-				state = spText
-			} else {
-				piQuestion = c == '?'
-				if !piQuestion {
-					skipTo('?')
-				}
-			}
-		case spCDATA:
-			switch {
-			case c == ']':
-				cdataBrackets++
-			case c == '>' && cdataBrackets >= 2:
-				state = spText
-			default:
-				cdataBrackets = 0
-				skipTo(']')
-			}
-		case spDecl:
-			// Quoted literals, comments, and PIs inside a DOCTYPE
-			// internal subset may legally contain '<', '>', and quote
-			// characters; all three are opaque to the nesting count
-			// (mirrors the tokenizer's declaration skipping). declPfx
-			// tracks progress through "<!--" (1='<', 2='<!', 3='<!-').
-			switch {
-			case declPfx == 1 && c == '?':
-				declPfx = 0
-				declDepth-- // undo the '<' that started the PI
-				state, piQuestion = spDeclPI, false
-			case declPfx == 3 && c == '-':
-				declPfx = 0
-				declDepth-- // undo the '<' that started the comment
-				state, commentDashes = spDeclComment, 0
-			default:
-				switch {
-				case c == '<':
-					declPfx = 1
-				case declPfx == 1 && c == '!':
-					declPfx = 2
-				case declPfx == 2 && c == '-':
-					declPfx = 3
-				default:
-					declPfx = 0
-				}
-				switch c {
-				case '"', '\'':
-					state, quote = spDeclQuote, c
-				case '<':
-					declDepth++
-				case '>':
-					declDepth--
-					if declDepth == 0 {
-						state = spText
-					}
-				}
-			}
-			if state == spDecl && declPfx == 0 {
-				// Outside any "<!--"/"<?" prefix, only brackets and quote
-				// openers matter: hop the run to the next one.
-				hopDecl()
-			}
-		case spDeclQuote:
-			if c == quote {
-				state = spDecl
-			} else {
-				hopTo(quote)
-			}
-		case spDeclComment:
-			switch {
-			case c == '-':
-				commentDashes++
-			case c == '>' && commentDashes >= 2:
-				state = spDecl
-			default:
-				commentDashes = 0
-				skipTo('-')
-			}
-		case spDeclPI:
-			if c == '>' && piQuestion {
-				state = spDecl
-			} else {
-				piQuestion = c == '?'
-				if !piQuestion {
-					skipTo('?')
-				}
+			p++
+			if d.afterLT(buf[i+1]); d.state != spText && d.state != spTag {
+				break scan
 			}
 		case spTagQuote:
-			if c == quote {
-				state = spTag
-			} else {
-				hopTo(quote)
+			if c == d.quote {
+				d.state = spTag
 			}
 		case spTag:
-			switch {
-			case c == '"' || c == '\'':
-				state, quote = spTagQuote, c
-				prevSlash = false
-			case c == '/':
-				prevSlash = true
-			case c == '>':
-				state = spText
-				rootSeen = true
+			switch c {
+			case '"', '\'':
+				d.state, d.quote = spTagQuote, c
+			case '>':
+				// '/' only matters as the byte right before '>'.
+				if i > 0 {
+					d.prevSlash = buf[i-1] == '/'
+				}
 				switch {
-				case closeTag:
-					depth--
-				case prevSlash:
+				case d.closeTag:
+					d.depth--
+				case d.prevSlash:
 					// self-closing: depth unchanged
 				default:
-					depth++
+					d.depth++
 				}
-				if depth <= 0 {
-					// Root element closed: the document ends here.
-					if discarding {
-						return nil, &DocTooLargeError{Name: "<stream>", Limit: s.max}
-					}
-					return dst, nil
+				d.state, d.rootSeen = spText, true
+				if d.depth <= 0 {
+					closed = true // root element closed: the document ends here
+					break scan
 				}
-			default:
-				prevSlash = false
-			}
-			if state == spTag {
-				// Names, attribute names, '=' and spaces: hop to the next
-				// byte that can end the tag or open a quote, recovering
-				// the self-closing '/' from the run's tail.
-				hopTag()
 			}
 		}
 	}
+	s.keep(buf[s.pos:p])
+	s.pos = p
+	return closed
+}
+
+// afterLT moves the scan past the byte that follows a '<'.
+func (d *docScan) afterLT(c byte) {
+	switch {
+	case c == '!':
+		d.state = spBang
+	case c == '?':
+		d.state, d.piQuestion = spPI, false
+	case c == '/':
+		d.state, d.closeTag = spTag, true
+	case isNameStartByte(c):
+		d.state, d.closeTag = spTag, false
+	default:
+		// "<" followed by junk: not markup the tokenizer would
+		// accept; treat as text and let the engine report it.
+		d.state = spText
+		if !d.rootSeen {
+			d.sawJunk = true
+		}
+	}
+}
+
+// skipTo keeps the run of bytes strictly before the next stop byte,
+// mirroring the tokenizer's opaque-region scanning: interior bytes of
+// comments, PIs, and CDATA cannot change the scanner state, so whole runs
+// move with one IndexByte call (no stop in the window = the whole window
+// is interior).
+func (s *Splitter) skipTo(stop byte) {
+	run := s.buf[s.pos:s.n]
+	if i := bytes.IndexByte(run, stop); i >= 0 {
+		run = run[:i]
+	}
+	s.pos += len(run)
+	s.keep(run)
+}
+
+// step is the state machine for everything hop does not scan, one byte
+// (already kept) at a time.
+func (s *Splitter) step(c byte) {
+	d := &s.doc
+	switch d.state {
+	case spText:
+		// Pre-root character data: per-byte so junk (which the engine
+		// must see and reject) is never silently dropped as trailing
+		// whitespace.
+		if c == '<' {
+			d.state = spLT
+		} else if !d.rootSeen && !isSpaceByte(c) {
+			d.sawJunk = true
+		}
+	case spLT:
+		d.afterLT(c)
+	case spBang:
+		switch c {
+		case '-':
+			d.state, d.seq, d.seqPos = spBangSeq, seqComment, 0
+		case '[':
+			d.state, d.seq, d.seqPos = spBangSeq, seqCDATA, 0
+		case '>':
+			d.state = spText // empty declaration "<!>"
+		default:
+			d.state, d.declDepth, d.declPfx = spDecl, 1, 0
+		}
+	case spBangSeq:
+		switch {
+		case c == d.seq[d.seqPos]:
+			d.seqPos++
+			if d.seqPos == len(d.seq) {
+				if d.seq == seqComment {
+					d.state, d.commentDashes = spComment, 0
+				} else {
+					d.state, d.cdataBrackets = spCDATA, 0
+				}
+			}
+		case c == '>':
+			d.state = spText // malformed ("<!->"); engine will complain
+		default:
+			// Not a comment or CDATA after all: scan as declaration.
+			d.state, d.declDepth, d.declPfx = spDecl, 1, 0
+		}
+	case spComment, spDeclComment:
+		switch {
+		case c == '-':
+			d.commentDashes++
+		case c == '>' && d.commentDashes >= 2:
+			d.state = after(d.state)
+		default:
+			d.commentDashes = 0
+			s.skipTo('-') // interior run: nothing before a dash matters
+		}
+	case spPI, spDeclPI:
+		if c == '>' && d.piQuestion {
+			d.state = after(d.state)
+		} else if d.piQuestion = c == '?'; !d.piQuestion {
+			s.skipTo('?')
+		}
+	case spCDATA:
+		switch {
+		case c == ']':
+			d.cdataBrackets++
+		case c == '>' && d.cdataBrackets >= 2:
+			d.state = spText
+		default:
+			d.cdataBrackets = 0
+			s.skipTo(']')
+		}
+	case spDecl:
+		// Quoted literals, comments, and PIs inside a DOCTYPE
+		// internal subset may legally contain '<', '>', and quote
+		// characters; all three are opaque to the nesting count
+		// (mirrors the tokenizer's declaration skipping). declPfx
+		// tracks progress through "<!--" (1='<', 2='<!', 3='<!-').
+		switch {
+		case d.declPfx == 1 && c == '?':
+			d.declPfx = 0
+			d.declDepth-- // undo the '<' that started the PI
+			d.state, d.piQuestion = spDeclPI, false
+		case d.declPfx == 3 && c == '-':
+			d.declPfx = 0
+			d.declDepth-- // undo the '<' that started the comment
+			d.state, d.commentDashes = spDeclComment, 0
+		default:
+			switch {
+			case c == '<':
+				d.declPfx = 1
+			case d.declPfx == 1 && c == '!':
+				d.declPfx = 2
+			case d.declPfx == 2 && c == '-':
+				d.declPfx = 3
+			default:
+				d.declPfx = 0
+			}
+			switch c {
+			case '"', '\'':
+				d.state, d.quote = spDeclQuote, c
+			case '<':
+				d.declDepth++
+			case '>':
+				d.declDepth--
+				if d.declDepth == 0 {
+					d.state = spText
+				}
+			}
+		}
+	case spDeclQuote:
+		if c == d.quote {
+			d.state = spDecl
+		}
+	}
+}
+
+// after is the state a comment or PI returns to when it closes: character
+// data, or the declaration whose internal subset it sits in.
+func after(state int) int {
+	if state == spDeclComment || state == spDeclPI {
+		return spDecl
+	}
+	return spText
 }
 
 // skipBOM consumes a UTF-8 BOM if the next three bytes are EF BB BF.
@@ -507,6 +517,9 @@ func (s *Splitter) fill() bool {
 	}
 	if s.err != nil {
 		return false
+	}
+	if s.splitWindow == nil {
+		s.splitWindow = splitWindows.Get().(*splitWindow)
 	}
 	s.pos, s.n = 0, 0
 	for {

@@ -1,10 +1,13 @@
 package corpus
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"strings"
 	"testing"
+
+	"gcx/internal/xmark"
 )
 
 // splitAll drains the splitter, returning the documents and the
@@ -31,57 +34,60 @@ func splitAll(t *testing.T, input string, maxDoc int64) ([]string, error) {
 	}
 }
 
+// boundaryCases are TestSplitterBoundaries' streams with the framing each
+// must get.
+var boundaryCases = []struct {
+	name  string
+	input string
+	want  []string
+}{
+	{"empty", "", nil},
+	{"whitespace only", " \n\t ", nil},
+	{"single", "<a><b>x</b></a>", []string{"<a><b>x</b></a>"}},
+	{"two adjacent", "<a/><b/>", []string{"<a/>", "<b/>"}},
+	{"newline separated", "<a>1</a>\n<b>2</b>\n", []string{"<a>1</a>", "<b>2</b>"}},
+	{"prolog attribution", `<?xml version="1.0"?><a/><?xml version="1.0"?><b/>`,
+		[]string{`<?xml version="1.0"?><a/>`, `<?xml version="1.0"?><b/>`}},
+	{"comment between docs joins the next", "<a/><!-- note --><b/>",
+		[]string{"<a/>", "<!-- note --><b/>"}},
+	{"trailing comment discarded", "<a/><!-- bye -->", []string{"<a/>"}},
+	{"trailing PI discarded", "<a/><?pi data?>", []string{"<a/>"}},
+	{"doctype prolog", "<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/><b/>",
+		[]string{"<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>", "<b/>"}},
+	{"doctype entity value with angle brackets", `<!DOCTYPE a [<!ENTITY lt "<">]><a/><b/><c/>`,
+		[]string{`<!DOCTYPE a [<!ENTITY lt "<">]><a/>`, "<b/>", "<c/>"}},
+	{"doctype subset comment with apostrophe", "<!DOCTYPE a [<!-- don't -->]><a/><b/>",
+		[]string{"<!DOCTYPE a [<!-- don't -->]><a/>", "<b/>"}},
+	{"doctype subset comment with brackets", "<!DOCTYPE a [<!-- <x> \" > -->]><a/><b/>",
+		[]string{"<!DOCTYPE a [<!-- <x> \" > -->]><a/>", "<b/>"}},
+	{"doctype subset pi with quote", "<!DOCTYPE a [<?p don't ?>]><a/><b/>",
+		[]string{"<!DOCTYPE a [<?p don't ?>]><a/>", "<b/>"}},
+	{"gt inside attribute value", `<a x="1>2"><c/></a><b/>`,
+		[]string{`<a x="1>2"><c/></a>`, "<b/>"}},
+	{"gt inside single-quoted attr", `<a x='>'/><b/>`, []string{`<a x='>'/>`, "<b/>"}},
+	{"fake close tag inside comment", "<a><!-- </a> --></a><b/>",
+		[]string{"<a><!-- </a> --></a>", "<b/>"}},
+	{"fake tags inside CDATA", "<a><![CDATA[</a><z>]]></a><b/>",
+		[]string{"<a><![CDATA[</a><z>]]></a>", "<b/>"}},
+	{"cdata bracket edges", "<a><![CDATA[x]]]]><![CDATA[>y]]></a><b/>",
+		[]string{"<a><![CDATA[x]]]]><![CDATA[>y]]></a>", "<b/>"}},
+	{"bom between docs", "\xEF\xBB\xBF<a/>\n\xEF\xBB\xBF<b/>", []string{"<a/>", "<b/>"}},
+	{"truncated final doc", "<a/><b><c>", []string{"<a/>", "<b><c>"}},
+	{"truncated mid tag", "<a/><b", []string{"<a/>", "<b"}},
+	{"truncated comment surfaces", "<a/><!--oops", []string{"<a/>", "<!--oops"}},
+	{"junk tail surfaces", "<a/>junk", []string{"<a/>", "junk"}},
+	{"self-closing root with attrs", `<a x="1" y='2'/><b/>`,
+		[]string{`<a x="1" y='2'/>`, "<b/>"}},
+	{"nested same-name elements", "<a><a></a></a><a/>",
+		[]string{"<a><a></a></a>", "<a/>"}},
+	{"pi inside doc", "<a><?target d?></a><b/>", []string{"<a><?target d?></a>", "<b/>"}},
+	{"question mark inside pi", "<a/><?p a?b??><b/>", []string{"<a/>", "<?p a?b??><b/>"}},
+	{"dashes in comment", "<a><!-- - -- ---></a><b/>",
+		[]string{"<a><!-- - -- ---></a>", "<b/>"}},
+}
+
 func TestSplitterBoundaries(t *testing.T) {
-	cases := []struct {
-		name  string
-		input string
-		want  []string
-	}{
-		{"empty", "", nil},
-		{"whitespace only", " \n\t ", nil},
-		{"single", "<a><b>x</b></a>", []string{"<a><b>x</b></a>"}},
-		{"two adjacent", "<a/><b/>", []string{"<a/>", "<b/>"}},
-		{"newline separated", "<a>1</a>\n<b>2</b>\n", []string{"<a>1</a>", "<b>2</b>"}},
-		{"prolog attribution", `<?xml version="1.0"?><a/><?xml version="1.0"?><b/>`,
-			[]string{`<?xml version="1.0"?><a/>`, `<?xml version="1.0"?><b/>`}},
-		{"comment between docs joins the next", "<a/><!-- note --><b/>",
-			[]string{"<a/>", "<!-- note --><b/>"}},
-		{"trailing comment discarded", "<a/><!-- bye -->", []string{"<a/>"}},
-		{"trailing PI discarded", "<a/><?pi data?>", []string{"<a/>"}},
-		{"doctype prolog", "<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/><b/>",
-			[]string{"<!DOCTYPE a [<!ELEMENT a EMPTY>]><a/>", "<b/>"}},
-		{"doctype entity value with angle brackets", `<!DOCTYPE a [<!ENTITY lt "<">]><a/><b/><c/>`,
-			[]string{`<!DOCTYPE a [<!ENTITY lt "<">]><a/>`, "<b/>", "<c/>"}},
-		{"doctype subset comment with apostrophe", "<!DOCTYPE a [<!-- don't -->]><a/><b/>",
-			[]string{"<!DOCTYPE a [<!-- don't -->]><a/>", "<b/>"}},
-		{"doctype subset comment with brackets", "<!DOCTYPE a [<!-- <x> \" > -->]><a/><b/>",
-			[]string{"<!DOCTYPE a [<!-- <x> \" > -->]><a/>", "<b/>"}},
-		{"doctype subset pi with quote", "<!DOCTYPE a [<?p don't ?>]><a/><b/>",
-			[]string{"<!DOCTYPE a [<?p don't ?>]><a/>", "<b/>"}},
-		{"gt inside attribute value", `<a x="1>2"><c/></a><b/>`,
-			[]string{`<a x="1>2"><c/></a>`, "<b/>"}},
-		{"gt inside single-quoted attr", `<a x='>'/><b/>`, []string{`<a x='>'/>`, "<b/>"}},
-		{"fake close tag inside comment", "<a><!-- </a> --></a><b/>",
-			[]string{"<a><!-- </a> --></a>", "<b/>"}},
-		{"fake tags inside CDATA", "<a><![CDATA[</a><z>]]></a><b/>",
-			[]string{"<a><![CDATA[</a><z>]]></a>", "<b/>"}},
-		{"cdata bracket edges", "<a><![CDATA[x]]]]><![CDATA[>y]]></a><b/>",
-			[]string{"<a><![CDATA[x]]]]><![CDATA[>y]]></a>", "<b/>"}},
-		{"bom between docs", "\xEF\xBB\xBF<a/>\n\xEF\xBB\xBF<b/>", []string{"<a/>", "<b/>"}},
-		{"truncated final doc", "<a/><b><c>", []string{"<a/>", "<b><c>"}},
-		{"truncated mid tag", "<a/><b", []string{"<a/>", "<b"}},
-		{"truncated comment surfaces", "<a/><!--oops", []string{"<a/>", "<!--oops"}},
-		{"junk tail surfaces", "<a/>junk", []string{"<a/>", "junk"}},
-		{"self-closing root with attrs", `<a x="1" y='2'/><b/>`,
-			[]string{`<a x="1" y='2'/>`, "<b/>"}},
-		{"nested same-name elements", "<a><a></a></a><a/>",
-			[]string{"<a><a></a></a>", "<a/>"}},
-		{"pi inside doc", "<a><?target d?></a><b/>", []string{"<a><?target d?></a>", "<b/>"}},
-		{"question mark inside pi", "<a/><?p a?b??><b/>", []string{"<a/>", "<?p a?b??><b/>"}},
-		{"dashes in comment", "<a><!-- - -- ---></a><b/>",
-			[]string{"<a><!-- - -- ---></a>", "<b/>"}},
-	}
-	for _, tc := range cases {
+	for _, tc := range boundaryCases {
 		t.Run(tc.name, func(t *testing.T) {
 			got, err := splitAll(t, tc.input, 0)
 			if err != io.EOF {
@@ -214,50 +220,73 @@ func (c capReader) Read(p []byte) (int, error) {
 	return c.r.Read(p)
 }
 
-// TestSplitterBoundarySizeSweep: the run-scanning fast paths (comment,
-// PI, CDATA, quoted-value, declaration, and tag interiors) must frame
+// TestSplitterBoundarySizeSweep: hopping and run-scanning (tags, quoted
+// values, character data, comment, PI and CDATA interiors) must frame
 // identically whether a run arrives whole or split at any refill
-// boundary. The same stream is framed at read sizes 1, 2, 7, the
-// structural index's 64-byte block edges (63/64/65/127/128), 4096, and
-// unbounded, and every framing must match.
+// boundary, and exactly as the per-byte reference machine frames it. The
+// streams — one built to put every kind of interior across a boundary,
+// and every seed of FuzzSplit and case of TestSplitterBoundaries — are
+// framed at read sizes 1, 2, 7, the structural index's 64-byte block edges
+// (63/64/65/127/128), 4096, and unbounded, with and without a size cap.
 func TestSplitterBoundarySizeSweep(t *testing.T) {
-	input := strings.Join([]string{
-		`<?xml version="1.0"?><!DOCTYPE a [<!ENTITY gt ">"><!-- <c> --><?p >?>]><a k="x > y">text<!-- ` + strings.Repeat("-", 97) + ` --><![CDATA[ ]] >]] ` + strings.Repeat("]", 41) + `]]></a>`,
-		`<b><inner attr='<">' x="&amp;"/>` + strings.Repeat("run of text without any markup at all ", 60) + `</b>`,
-		`<c/>`,
-		`<d><?pi ` + strings.Repeat("?", 33) + `?><e f="g"></e></d>`,
-	}, "\n")
+	inputs := []string{
+		strings.Join([]string{
+			`<?xml version="1.0"?><!DOCTYPE a [<!ENTITY gt ">"><!-- <c> --><?p >?>]><a k="x > y">text<!-- ` + strings.Repeat("-", 97) + ` --><![CDATA[ ]] >]] ` + strings.Repeat("]", 41) + `]]></a>`,
+			`<b><inner attr='<">' x="&amp;"/>` + strings.Repeat("run of text without any markup at all ", 60) + `</b>`,
+			`<c/>`,
+			`<d><?pi ` + strings.Repeat("?", 33) + `?><e f="g"></e></d>`,
+		}, "\n"),
+		"<a><b>x</b></a><c/>",
+		"<a/><!-- between --><?pi?><b/>",
+		"<!DOCTYPE a [<!ELEMENT a ANY>]><a>t</a><b>u</b>",
+		"<a/><b><truncated>",
+		"\xEF\xBB\xBF<a/>\xEF\xBB\xBF<b/>",
+		"<a><![CDATA[x]]]]><![CDATA[>]]></a><b/>",
+		`<a x="1>2" y='</a>'><c/></a><b/>`,
+		"<a><!-- ---></a><b/>",
+		"<a/>junk<b/>",
+		"<q1>text&amp;more</q1>\n<q2 attr=\"v\"/>",
+		`<!DOCTYPE a [<!ENTITY lt "<"><!-- don't --><?p '> ?>]><a/><b/>`,
+		`<a><b x="y"/ ><c / ><d x="/"><e/></d></a><<f>></<g/></>`,
+		strings.Repeat(`<r><s t="`+strings.Repeat("v", 61)+`"/>`+strings.Repeat(" ", 59)+`</r>`, 3),
+	}
+	for _, tc := range boundaryCases {
+		inputs = append(inputs, tc.input)
+	}
+	for _, in := range inputs {
+		checkAgainstReference(t, []byte(in), 0)
+		checkAgainstReference(t, []byte(in), 24)
+	}
+}
 
-	frame := func(k int) []string {
-		t.Helper()
-		sp := NewSplitter(capReader{r: strings.NewReader(input), k: k})
-		var docs []string
-		for {
-			d, err := sp.Next(nil)
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				t.Fatalf("read size %d: %v", k, err)
-			}
-			docs = append(docs, string(d))
+// TestSplitterHopsElementStructure: inside a root element that holds no
+// comment, PI or CDATA section, the splitter takes no byte one at a time
+// — it hops from '<' to '>' to '<' on the structural index and copies
+// what it passed once per window. The document arrives in one read, so no
+// tag straddles a refill (the one case where the byte after '<' is
+// stepped).
+func TestSplitterHopsElementStructure(t *testing.T) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(32 << 10), Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for _, opaque := range []string{"<!--", "<?", "<![CDATA["} {
+		if bytes.Contains(doc.Bytes(), []byte(opaque)) {
+			t.Fatalf("the generated document contains %q; the test needs one without", opaque)
 		}
-		return docs
+	}
+	sp := NewSplitter(bytes.NewReader(doc.Bytes()))
+	got, err := sp.Next(nil)
+	if err != nil || !bytes.Equal(got, bytes.TrimSpace(doc.Bytes())) {
+		t.Fatalf("framed %d of %d bytes, err %v", len(got), doc.Len(), err)
+	}
+	if sp.steppedInRoot != 0 {
+		t.Errorf("%d bytes of a %d-byte element-only document were stepped one at a time, want 0", sp.steppedInRoot, doc.Len())
 	}
 
-	want := frame(0) // unbounded reads: the all-fast-path framing
-	if len(want) != 4 {
-		t.Fatalf("unbounded framing found %d docs, want 4: %q", len(want), want)
-	}
-	for _, k := range []int{1, 2, 7, 63, 64, 65, 127, 128, 4096} {
-		got := frame(k)
-		if len(got) != len(want) {
-			t.Fatalf("read size %d: %d docs, want %d", k, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("read size %d: doc %d diverges\n got  %q\n want %q", k, i, got[i], want[i])
-			}
-		}
+	// The counter does count: a comment inside the root is stepped.
+	sp = NewSplitter(strings.NewReader("<a><!-- c --></a>"))
+	if _, err := sp.Next(nil); err != nil || sp.steppedInRoot == 0 {
+		t.Fatalf("a comment inside the root stepped %d bytes (err %v), want some", sp.steppedInRoot, err)
 	}
 }

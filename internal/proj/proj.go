@@ -87,8 +87,11 @@ type frame struct {
 	// below), and never appended to afterwards.
 	matches []entry
 	// scopes are entries (here or at ancestors) whose projection nodes
-	// have descendant-axis children; shared copy-on-append with parent.
-	scopes []*entry
+	// have descendant-axis children: the parent's slice as is, or the
+	// parent's plus this frame's own carved from the projector's scope
+	// arena (scopeMark is the arena length to rewind to at the end tag).
+	scopes    []*entry
+	scopeMark int
 	// captures started at this element.
 	captures []capture
 	liveCaps int
@@ -137,9 +140,11 @@ type Projector struct {
 
 	// scratch for candidate merging.
 	cands []entry
-	// rootScopes is the root frame's owned scope backing (descendants
-	// extend scopes copy-on-append, so it is never shared downward).
-	rootScopes []*entry
+	// scopeArena backs every frame's own scopes slice. Frames carve from
+	// its end at their start tag and rewind it at their end tag, so it
+	// holds one extension per OPEN element and a warm run carves without
+	// allocating; Reset rewinds it whole.
+	scopeArena []*entry
 
 	tokens int64
 
@@ -170,8 +175,8 @@ func (p *Projector) init() {
 	rootEntry.owner = rootFrame
 	rootEntry.anchor = rootFrame
 	if hasDescChildren(p.tree.Root) {
-		p.rootScopes = append(p.rootScopes[:0], rootEntry)
-		rootFrame.scopes = p.rootScopes
+		rootFrame.scopes = p.carveScopes(nil, 1)
+		rootFrame.scopes[0] = rootEntry
 	}
 	p.stack = append(p.stack, rootFrame)
 	// The root may itself start captures (e.g. the full-buffering baseline
@@ -197,6 +202,7 @@ func (p *Projector) Reset() {
 	p.stack = p.stack[:0]
 	p.cancs = p.cancs[:0]
 	p.cands = p.cands[:0]
+	p.scopeArena = p.scopeArena[:0]
 	p.eof = false
 	p.tokens = 0
 	p.trackLast = false
@@ -622,6 +628,7 @@ func (p *Projector) openElement(name string) {
 	}
 
 	f := p.newFrame(top)
+	f.scopes, f.scopeMark = top.scopes, len(p.scopeArena)
 
 	keep := len(cands) > 0 || covered(top) || p.guard(top)
 	if keep {
@@ -664,28 +671,44 @@ func (p *Projector) openElement(name string) {
 		}
 		// Extend the descendant scope with matches that have
 		// descendant-axis children.
-		f.scopes = top.scopes
+		own := 0
 		for i := range f.matches {
 			if hasDescChildren(f.matches[i].pn) {
-				f.scopes = appendScope(f.scopes, &f.matches[i])
+				own++
 			}
 		}
-	} else {
-		f.scopes = top.scopes
+		if own > 0 {
+			f.scopes = p.carveScopes(top.scopes, own)
+			at := len(top.scopes)
+			for i := range f.matches {
+				if hasDescChildren(f.matches[i].pn) {
+					f.scopes[at] = &f.matches[i]
+					at++
+				}
+			}
+		}
 	}
 
 	p.stack = append(p.stack, f)
 }
 
-// appendScope appends without aliasing the parent's backing array tail
-// (frames share scope slices copy-on-append; two siblings must not clobber
-// each other's extension).
+// carveScopes returns a slice of len(parent)+own entries from the end of
+// the scope arena, the first len(parent) copied from parent: a frame's
+// extension never aliases its parent's backing, so two siblings cannot
+// clobber each other's. When the arena is full the next chunk replaces it;
+// slices carved earlier keep the old chunk alive for as long as their
+// frames are open.
 //
 //gcxlint:noalloc
-func appendScope(s []*entry, e *entry) []*entry {
-	out := make([]*entry, len(s), len(s)+1) //gcxlint:allocok copy-on-append keeps sibling frames from clobbering a shared scope tail
-	copy(out, s)
-	return append(out, e) //gcxlint:allocok capacity was reserved by the make above; this append never grows
+func (p *Projector) carveScopes(parent []*entry, own int) []*entry {
+	base, n := len(p.scopeArena), len(parent)+own
+	if cap(p.scopeArena)-base < n {
+		p.scopeArena = make([]*entry, base, max(2*cap(p.scopeArena), base+n, 64)) //gcxlint:allocok arena growth to the deepest open scope chain, amortized across runs
+	}
+	p.scopeArena = p.scopeArena[:base+n]
+	out := p.scopeArena[base : base+n : base+n]
+	copy(out, parent)
+	return out
 }
 
 // closeElement processes an end tag. name may borrow the tokenizer's
@@ -710,6 +733,7 @@ func (p *Projector) closeElement(name string) {
 	if f.node != nil {
 		p.buf.Finish(f.node)
 	}
+	p.scopeArena = p.scopeArena[:f.scopeMark]
 	p.releaseFrame(f)
 	if p.opts.Schema != nil {
 		p.sealAfterChild(name)
@@ -849,8 +873,8 @@ func (p *Projector) CancelRole(binding *buffer.Node, role xqast.Role) {
 
 // takeFrame returns a cleared frame from the pool (or a fresh one),
 // retaining the matches/captures backing arrays and the firstUsed map of
-// its previous life. The scopes slice is not retained: its backing may be
-// shared with (and owned by) an ancestor frame.
+// its previous life. The scopes slice is not retained: its backing is the
+// scope arena's (or an ancestor frame's carve of it).
 //
 //gcxlint:noalloc
 func (p *Projector) takeFrame() *frame {

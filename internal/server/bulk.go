@@ -8,6 +8,7 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/textproto"
+	"net/url"
 	"runtime"
 	"strconv"
 
@@ -38,7 +39,8 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLength(w, r) {
 		return
 	}
-	text, err := s.resolveQuery(r)
+	params := r.URL.Query()
+	text, label, err := s.resolveQuery(params)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -48,7 +50,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, http.StatusBadRequest, fmt.Errorf("compile: %w", err))
 		return
 	}
-	workers, err := s.bulkWorkers(r)
+	workers, err := s.bulkWorkers(params)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -62,7 +64,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	var c *gcx.Corpus
-	if isTarRequest(r) {
+	if isTarRequest(r, params) {
 		c = gcx.CorpusTar(in)
 	} else {
 		c = gcx.CorpusConcat(in)
@@ -113,7 +115,7 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		s.m.record(d.Stats)
 		// Per-document TTFR: a bulk run is many small solo runs, and each
 		// document's first-result latency lands in the query's histogram.
-		s.m.observeTTFR(queryLabel(r), d.Stats.TimeToFirstResultNanos)
+		s.m.observeTTFR(label, d.Stats.TimeToFirstResultNanos)
 		ensureEnvelope()
 		h := textproto.MIMEHeader{}
 		h.Set("Content-Type", "application/xml; charset=utf-8")
@@ -181,8 +183,8 @@ const maxBulkErrorList = 64
 // isTarRequest reports whether the /bulk body is a tar archive: the
 // parsed media type (not a substring — "multipart/form-data;
 // boundary=tar0" is not tar) or an explicit ?format=tar.
-func isTarRequest(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "tar" {
+func isTarRequest(r *http.Request, params url.Values) bool {
+	if params.Get("format") == "tar" {
 		return true
 	}
 	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
@@ -202,13 +204,13 @@ type bulkResponse struct {
 // clamped to [1, BulkWorkers] (BulkWorkers ≤ 0 means GOMAXPROCS). A j=
 // that does not parse as a positive integer is a client error — silently
 // running at the default would hide the typo.
-func (s *Server) bulkWorkers(r *http.Request) (int, error) {
+func (s *Server) bulkWorkers(params url.Values) (int, error) {
 	limit := s.cfg.BulkWorkers
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
 	j := limit
-	if v := r.URL.Query().Get("j"); v != "" {
+	if v := params.Get("j"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return 0, fmt.Errorf("bad j= value %q: want a positive integer", v)

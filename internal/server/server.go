@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"net/textproto"
+	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -314,23 +315,25 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// resolveQuery maps one q=/id= parameter pair to a query text.
-func (s *Server) resolveQuery(r *http.Request) (string, error) {
-	q := r.URL.Query().Get("q")
-	id := r.URL.Query().Get("id")
+// resolveQuery maps one q=/id= parameter pair — params is the request's
+// URL query, parsed once by the handler — to a query text and to the label
+// the request's TTFR samples go under: the registered id, or the inline
+// bucket for q= queries.
+func (s *Server) resolveQuery(params url.Values) (text, label string, err error) {
+	q, id := params.Get("q"), params.Get("id")
 	switch {
 	case q != "" && id != "":
-		return "", errors.New("give either q= or id=, not both")
+		return "", "", errors.New("give either q= or id=, not both")
 	case q != "":
-		return q, nil
+		return q, inlineLabel, nil
 	case id != "":
 		sub, ok := s.reg.Load().Subscription(id)
 		if !ok {
-			return "", fmt.Errorf("unknown query id %q", id)
+			return "", "", fmt.Errorf("unknown query id %q", id)
 		}
-		return sub.Query(), nil
+		return sub.Query(), id, nil
 	default:
-		return "", errors.New("missing query: give q= (inline) or id= (registered)")
+		return "", "", errors.New("missing query: give q= (inline) or id= (registered)")
 	}
 }
 
@@ -368,15 +371,6 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// queryLabel is the TTFR-histogram label of a /query request: the
-// registered id, or the inline bucket for q= queries.
-func queryLabel(r *http.Request) string {
-	if id := r.URL.Query().Get("id"); id != "" {
-		return id
-	}
-	return inlineLabel
-}
-
 // admitLength rejects a request whose DECLARED Content-Length already
 // exceeds the body limit, before any evaluation starts. On the streaming
 // paths the first result byte commits the status line within one input
@@ -399,7 +393,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLength(w, r) {
 		return
 	}
-	text, err := s.resolveQuery(r)
+	text, label, err := s.resolveQuery(r.URL.Query())
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -410,7 +404,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if r.Header.Get("Gcx-Trace") != "" {
-		s.handleQueryTraced(w, r, eng)
+		s.handleQueryTraced(w, r, eng, label)
 		return
 	}
 	// The first result byte flushes while the request body is still being
@@ -429,7 +423,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	out := &countingWriter{w: w, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
 	stats, runErr := eng.RunContext(ctx, in, out)
 	s.m.record(stats)
-	s.m.observeTTFR(queryLabel(r), stats.TimeToFirstResultNanos)
+	s.m.observeTTFR(label, stats.TimeToFirstResultNanos)
 	if runErr != nil {
 		s.m.erroredRequests.Add(1)
 		if out.written == 0 {
@@ -468,7 +462,7 @@ type traceResponse struct {
 // multipart/mixed response whose first part streams the query result
 // (progressively, like the untraced path) and whose second part is a JSON
 // sidecar carrying the bounded buffer-lifecycle trace plus run stats.
-func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *gcx.Engine) {
+func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *gcx.Engine, label string) {
 	limit := defaultTraceSteps
 	if n, err := strconv.Atoi(r.Header.Get("Gcx-Trace")); err == nil && n >= 2 {
 		limit = min(n, maxTraceSteps)
@@ -494,7 +488,7 @@ func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *
 		gcx.WithTraceTruncated(&truncated),
 		gcx.WithTraceContext(ctx))
 	s.m.record(stats)
-	s.m.observeTTFR(queryLabel(r), stats.TimeToFirstResultNanos)
+	s.m.observeTTFR(label, stats.TimeToFirstResultNanos)
 	if runErr != nil {
 		s.m.erroredRequests.Add(1)
 	}
