@@ -11,45 +11,24 @@
 //
 //	gcxbench
 //
-// Serving trajectory (solo Engine.Run vs shared-stream Workload.Run vs
-// HTTP POST /workload against an in-process gcxd), written as a JSON
-// artifact for CI trend tracking:
-//
-//	gcxbench -serve-json BENCH_serve.json -serve-doc 1MB -serve-requests 50
-//
-// Raw tokenizer throughput (chunked vs the retained per-byte reference
-// scanner vs the projected engine path, text-heavy and markup-heavy
-// documents):
-//
-//	gcxbench -tokenizer-json BENCH_tokenizer.json
-//
-// Subscription scale (gcx.Registry with one shared projection automaton
-// vs one automaton per subscription, swept over subscription counts):
-//
-//	gcxbench -subs-json BENCH_subs.json -subs 10,100,1000,10000
-//
-// Benchmark regression gate (CI): compare fresh reports against the
-// committed baseline, exiting non-zero when any per-metric tolerance is
-// breached; and regenerate the baseline from fresh reports:
-//
-//	gcxbench -check BENCH_baseline.json -serve-in BENCH_serve.json \
-//	    -bulk-in BENCH_bulk.json -tokenizer-in BENCH_tokenizer.json
-//	gcxbench -baseline-out BENCH_baseline.json -serve-in ... -bulk-in ... \
-//	    -tokenizer-in ... -note "github-hosted runner, 2026-07"
+// The paper measured resident memory of whole processes (C++/Java
+// engines) with `top`; gcxbench reports the quantity the engine controls
+// — peak buffered nodes/bytes, deterministic for a given document and
+// query — plus the run's allocation count. It is a reproduction, not
+// a regression benchmark: what gates a change is `bash benchmark/run.sh`
+// (BENCHMARK.json), which runs smaller documents through every layer.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"gcx/internal/bench"
 	"gcx/internal/engine"
 	"gcx/internal/queries"
+	"gcx/internal/units"
 )
 
 func main() {
@@ -62,76 +41,10 @@ func main() {
 		dir     = flag.String("dir", "", "directory for cached documents (default OS temp)")
 		csv     = flag.String("csv", "", "also write results as CSV to this file")
 		schema  = flag.Bool("schema", false, "add a GCX+DTD column (schema-aware early termination with the XMark DTD)")
-
-		serveJSON        = flag.String("serve-json", "", "run the serving-path benchmark instead of the Table 1 sweep and write the JSON report to this file")
-		serveDoc         = flag.String("serve-doc", "1MB", "serving benchmark document size")
-		serveRequests    = flag.Int("serve-requests", 20, "serving benchmark iterations per path")
-		serveConcurrency = flag.Int("serve-concurrency", 4, "concurrent HTTP clients on the server path")
-
-		bulkJSON  = flag.String("bulk-json", "", "run the bulk-corpus scaling benchmark instead of the Table 1 sweep and write the JSON report to this file")
-		bulkDocs  = flag.Int("bulk-docs", 64, "bulk benchmark corpus size in documents")
-		bulkDoc   = flag.String("bulk-doc", "256KB", "bulk benchmark mean document size")
-		bulkQuery = flag.String("bulk-query", "Q6", "bulk benchmark query name")
-		bulkJobs  = flag.String("bulk-j", "", "comma-separated worker counts to sweep (default 1,2,4,GOMAXPROCS)")
-
-		tokJSON  = flag.String("tokenizer-json", "", "run the tokenizer throughput benchmark (chunked vs reference vs projected) and write the JSON report to this file")
-		tokDoc   = flag.String("tok-doc", "4MB", "tokenizer benchmark document size")
-		tokIters = flag.Int("tok-iters", 10, "tokenizer benchmark passes per cell")
-
-		subsJSON   = flag.String("subs-json", "", "run the subscription-scale benchmark (gcx.Registry vs one-automaton-per-subscription) and write the JSON report to this file")
-		subsCounts = flag.String("subs", "10,100,1000,10000", "comma-separated subscription counts to sweep")
-		subsDoc    = flag.String("subs-doc", "128KB", "subscription benchmark document size")
-		subsIters  = flag.Int("subs-iters", 3, "subscription benchmark runs per count")
-
-		checkPath   = flag.String("check", "", "compare benchmark reports against this committed baseline JSON and exit non-zero on regression")
-		checkTol    = flag.Float64("check-tol", 1.0, "multiply the relative regression budgets (throughput/alloc/peak) by this factor")
-		baselineOut = flag.String("baseline-out", "", "assemble a baseline JSON from the -*-in reports and write it to this file")
-		serveIn     = flag.String("serve-in", "", "BENCH_serve.json to check or fold into a baseline")
-		bulkIn      = flag.String("bulk-in", "", "BENCH_bulk.json to check or fold into a baseline")
-		tokIn       = flag.String("tokenizer-in", "", "BENCH_tokenizer.json to check or fold into a baseline")
-		subsIn      = flag.String("subs-in", "", "BENCH_subs.json to check or fold into a baseline")
-		note        = flag.String("note", "", "provenance note stored in the baseline written by -baseline-out")
 	)
 	flag.Parse()
 
-	if *checkPath != "" {
-		if err := runCheck(*checkPath, *serveIn, *bulkIn, *tokIn, *subsIn, *checkTol); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *baselineOut != "" {
-		if err := runBaselineOut(*baselineOut, *serveIn, *bulkIn, *tokIn, *subsIn, *note); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *subsJSON != "" {
-		if err := runSubs(*subsJSON, *subsCounts, *subsDoc, *seed, *subsIters); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *serveJSON != "" {
-		if err := runServe(*serveJSON, *serveDoc, *qnames, *seed, *serveRequests, *serveConcurrency); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *bulkJSON != "" {
-		if err := runBulk(*bulkJSON, *bulkDoc, *bulkQuery, *bulkJobs, *seed, *bulkDocs); err != nil {
-			fatal(err)
-		}
-		return
-	}
-	if *tokJSON != "" {
-		if err := runTokenizer(*tokJSON, *tokDoc, *seed, *tokIters); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	cfg := bench.Config{
+	cfg := config{
 		Seed:       *seed,
 		Timeout:    *timeout,
 		Dir:        *dir,
@@ -139,7 +52,7 @@ func main() {
 		WithSchema: *schema,
 	}
 	for _, s := range strings.Split(*sizes, ",") {
-		b, err := bench.ParseSize(s)
+		b, err := units.ParseSize(s)
 		if err != nil {
 			fatal(err)
 		}
@@ -165,251 +78,19 @@ func main() {
 		}
 	}
 
-	results, err := bench.Run(cfg)
+	results, err := runSweep(cfg)
 	if err != nil {
 		fatal(err)
 	}
 	fmt.Println()
-	fmt.Print(bench.FormatTable(results))
+	fmt.Print(formatTable(results))
 
 	if *csv != "" {
-		if err := os.WriteFile(*csv, []byte(bench.FormatCSV(results)), 0o644); err != nil {
+		if err := os.WriteFile(*csv, []byte(formatCSV(results)), 0o644); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "wrote %s\n", *csv)
 	}
-}
-
-func runServe(outPath, docSize, qnames string, seed uint64, requests, concurrency int) error {
-	docBytes, err := bench.ParseSize(docSize)
-	if err != nil {
-		return err
-	}
-	cfg := bench.ServeConfig{
-		DocBytes:    docBytes,
-		Seed:        seed,
-		Requests:    requests,
-		Concurrency: concurrency,
-		Progress:    os.Stderr,
-	}
-	for _, name := range strings.Split(qnames, ",") {
-		q := queries.ByName(strings.TrimSpace(name))
-		if q.Name == "" {
-			return fmt.Errorf("unknown query %q", name)
-		}
-		cfg.Queries = append(cfg.Queries, q)
-	}
-	rep, err := bench.RunServe(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(bench.FormatServeTable(rep))
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-func runBulk(outPath, docSize, queryName, jobsList string, seed uint64, docs int) error {
-	docBytes, err := bench.ParseSize(docSize)
-	if err != nil {
-		return err
-	}
-	q := queries.ByName(strings.TrimSpace(queryName))
-	if q.Name == "" {
-		return fmt.Errorf("unknown query %q", queryName)
-	}
-	cfg := bench.BulkConfig{
-		Docs:     docs,
-		DocBytes: docBytes,
-		Seed:     seed,
-		Query:    q,
-		Progress: os.Stderr,
-	}
-	if jobsList != "" {
-		for _, s := range strings.Split(jobsList, ",") {
-			j, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil || j < 1 {
-				return fmt.Errorf("bad -bulk-j value %q", s)
-			}
-			cfg.Workers = append(cfg.Workers, j)
-		}
-	}
-	rep, err := bench.RunBulk(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(bench.FormatBulkTable(rep))
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-func runTokenizer(outPath, docSize string, seed uint64, iters int) error {
-	docBytes, err := bench.ParseSize(docSize)
-	if err != nil {
-		return err
-	}
-	rep, err := bench.RunTokenizer(bench.TokenizerConfig{
-		DocBytes: docBytes,
-		Seed:     seed,
-		Iters:    iters,
-		Progress: os.Stderr,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(bench.FormatTokenizerTable(rep))
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-func runSubs(outPath, counts, docSize string, seed uint64, iters int) error {
-	docBytes, err := bench.ParseSize(docSize)
-	if err != nil {
-		return err
-	}
-	cfg := bench.SubsConfig{
-		DocBytes:   docBytes,
-		Seed:       seed,
-		Iterations: iters,
-		Progress:   os.Stderr,
-	}
-	for _, s := range strings.Split(counts, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil || n < 1 {
-			return fmt.Errorf("bad -subs value %q", s)
-		}
-		cfg.Counts = append(cfg.Counts, n)
-	}
-	rep, err := bench.RunSubs(cfg)
-	if err != nil {
-		return err
-	}
-	fmt.Println()
-	fmt.Print(bench.FormatSubsTable(rep))
-	data, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
-}
-
-// assembleBaseline folds the individual report files (empty paths are
-// skipped) into one Baseline document.
-func assembleBaseline(serveIn, bulkIn, tokIn, subsIn string) (*bench.Baseline, error) {
-	var b bench.Baseline
-	if serveIn != "" {
-		if err := readJSON(serveIn, &b.Serve); err != nil {
-			return nil, err
-		}
-	}
-	if bulkIn != "" {
-		if err := readJSON(bulkIn, &b.Bulk); err != nil {
-			return nil, err
-		}
-	}
-	if tokIn != "" {
-		if err := readJSON(tokIn, &b.Tokenizer); err != nil {
-			return nil, err
-		}
-	}
-	if subsIn != "" {
-		if err := readJSON(subsIn, &b.Subs); err != nil {
-			return nil, err
-		}
-	}
-	return &b, nil
-}
-
-func readJSON(path string, dst any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	if err := json.Unmarshal(data, dst); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	return nil
-}
-
-// runCheck is the CI regression gate: compare the current run's reports
-// against the committed baseline and fail loudly on any breached budget.
-func runCheck(baselinePath, serveIn, bulkIn, tokIn, subsIn string, tolFactor float64) error {
-	base, err := bench.LoadBaseline(baselinePath)
-	if err != nil {
-		return err
-	}
-	cur, err := assembleBaseline(serveIn, bulkIn, tokIn, subsIn)
-	if err != nil {
-		return err
-	}
-	tol := bench.DefaultTolerances().Scale(tolFactor)
-	violations, warnings := base.Compare(cur, tol)
-	// Warnings (e.g. a runner hardware-class change that suspends the
-	// absolute throughput floors until the baseline is regenerated) are
-	// advisory: print them loudly but do not fail the gate.
-	for _, w := range warnings {
-		fmt.Fprintf(os.Stderr, "  WARN %s\n", w)
-	}
-	if len(violations) > 0 {
-		fmt.Fprintf(os.Stderr, "gcxbench -check: %d regression(s) against %s:\n", len(violations), baselinePath)
-		for _, v := range violations {
-			fmt.Fprintf(os.Stderr, "  FAIL %s\n", v)
-		}
-		os.Exit(1)
-	}
-	if len(warnings) > 0 {
-		fmt.Printf("gcxbench -check: gated metrics within tolerance of %s (%d warning(s) above)\n", baselinePath, len(warnings))
-		return nil
-	}
-	fmt.Printf("gcxbench -check: all metrics within tolerance of %s\n", baselinePath)
-	return nil
-}
-
-func runBaselineOut(outPath, serveIn, bulkIn, tokIn, subsIn, note string) error {
-	b, err := assembleBaseline(serveIn, bulkIn, tokIn, subsIn)
-	if err != nil {
-		return err
-	}
-	if b.Serve == nil && b.Bulk == nil && b.Tokenizer == nil && b.Subs == nil {
-		return fmt.Errorf("-baseline-out needs at least one of -serve-in, -bulk-in, -tokenizer-in, -subs-in")
-	}
-	b.Note = note
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(outPath, append(data, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s\n", outPath)
-	return nil
 }
 
 func fatal(err error) {

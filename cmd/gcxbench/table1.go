@@ -1,14 +1,4 @@
-// Package bench is the benchmark harness that regenerates Table 1 of the
-// paper: for each XMark query (Q1, Q6, Q8, Q13, Q20), document size, and
-// engine (GCX, StaticOnly, FullBuffer), it measures wall-clock evaluation
-// time and the buffer high watermark.
-//
-// The paper measured resident memory of whole processes (C++/Java engines)
-// with `top`; we report the engine-controlled quantity — peak buffered
-// nodes/bytes — plus Go heap figures, which is deterministic and directly
-// reflects what the buffer-management technique controls. See EXPERIMENTS.md
-// for the paper-versus-measured comparison.
-package bench
+package main
 
 import (
 	"fmt"
@@ -25,17 +15,18 @@ import (
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/queries"
+	"gcx/internal/units"
 	"gcx/internal/xmark"
 )
 
-// Config parameterizes a Table 1 sweep.
-type Config struct {
+// config parameterizes a Table 1 sweep.
+type config struct {
 	// Sizes are target document sizes in bytes (the paper used 10, 50,
 	// 100, 200 MB).
 	Sizes []int64
-	// Queries to run; defaults to queries.All().
+	// Queries to run.
 	Queries []queries.Query
-	// Modes to compare; defaults to GCX, StaticOnly, FullBuffer.
+	// Modes to compare.
 	Modes []engine.Mode
 	// Seed for document generation.
 	Seed uint64
@@ -51,8 +42,8 @@ type Config struct {
 	Progress io.Writer
 }
 
-// Result is one cell of Table 1.
-type Result struct {
+// result is one cell of Table 1.
+type result struct {
 	Query string
 	// Engine is the column label: the mode name, or "GCX+DTD" for the
 	// schema-aware run.
@@ -64,7 +55,6 @@ type Result struct {
 	PeakBytes int64
 	OutBytes  int64
 	Tokens    int64
-	HeapPeak  uint64 // Go heap in use after the run (approximate)
 	// Allocs / AllocBytes are the heap allocations performed during the
 	// run (process-wide malloc deltas; with the engine's pooled run state
 	// they approach the bytes the query genuinely had to buffer). Only
@@ -77,52 +67,41 @@ type Result struct {
 	TimedOut       bool
 }
 
-// Run executes the sweep and returns all results in (size, query, mode)
+// runSweep executes the sweep and returns all results in (size, query, mode)
 // order.
-func Run(cfg Config) ([]Result, error) {
-	if len(cfg.Queries) == 0 {
-		cfg.Queries = queries.All()
-	}
-	if len(cfg.Modes) == 0 {
-		cfg.Modes = []engine.Mode{engine.ModeGCX, engine.ModeStaticOnly, engine.ModeFullBuffer}
-	}
-	if len(cfg.Sizes) == 0 {
-		cfg.Sizes = []int64{10 << 20}
-	}
+func runSweep(cfg config) ([]result, error) {
 	dir := cfg.Dir
 	if dir == "" {
 		dir = os.TempDir()
 	}
 
-	var results []Result
+	var results []result
+	record := func(r result) {
+		results = append(results, r)
+		if cfg.Progress != nil {
+			fmt.Fprintf(cfg.Progress, "%s\n", formatResult(r))
+		}
+	}
 	for _, size := range cfg.Sizes {
-		path, actual, err := Document(dir, size, cfg.Seed)
+		path, actual, err := document(dir, size, cfg.Seed)
 		if err != nil {
 			return results, err
 		}
 		for _, q := range cfg.Queries {
 			for _, mode := range cfg.Modes {
-				r := runOne(q, mode, nil, path, actual, cfg.Timeout)
-				results = append(results, r)
-				if cfg.Progress != nil {
-					fmt.Fprintf(cfg.Progress, "%s\n", FormatResult(r))
-				}
+				record(runOne(q, mode, nil, path, actual, cfg.Timeout))
 			}
 			if cfg.WithSchema {
-				r := runOne(q, engine.ModeGCX, xmarkSchema(), path, actual, cfg.Timeout)
-				results = append(results, r)
-				if cfg.Progress != nil {
-					fmt.Fprintf(cfg.Progress, "%s\n", FormatResult(r))
-				}
+				record(runOne(q, engine.ModeGCX, xmarkSchema(), path, actual, cfg.Timeout))
 			}
 		}
 	}
 	return results, nil
 }
 
-// Document generates (or reuses) a cached XMark document of approximately
+// document generates (or reuses) a cached XMark document of approximately
 // the target size and returns its path and actual size.
-func Document(dir string, targetBytes int64, seed uint64) (string, int64, error) {
+func document(dir string, targetBytes int64, seed uint64) (string, int64, error) {
 	factor := xmark.FactorForSize(targetBytes)
 	name := fmt.Sprintf("xmark-f%.6f-s%d.xml", factor, seed)
 	path := filepath.Join(dir, name)
@@ -131,7 +110,7 @@ func Document(dir string, targetBytes int64, seed uint64) (string, int64, error)
 	}
 	f, err := os.Create(path)
 	if err != nil {
-		return "", 0, fmt.Errorf("bench: create document: %w", err)
+		return "", 0, fmt.Errorf("create document: %w", err)
 	}
 	n, err := xmark.Generate(f, xmark.Config{Factor: factor, Seed: seed})
 	if cerr := f.Close(); err == nil {
@@ -139,7 +118,7 @@ func Document(dir string, targetBytes int64, seed uint64) (string, int64, error)
 	}
 	if err != nil {
 		os.Remove(path)
-		return "", 0, fmt.Errorf("bench: generate document: %w", err)
+		return "", 0, fmt.Errorf("generate document: %w", err)
 	}
 	return path, n, nil
 }
@@ -156,12 +135,12 @@ func xmarkSchema() *dtd.Schema {
 	return schemaOnce.schema
 }
 
-func runOne(q queries.Query, mode engine.Mode, schema *dtd.Schema, path string, docBytes int64, timeout time.Duration) Result {
+func runOne(q queries.Query, mode engine.Mode, schema *dtd.Schema, path string, docBytes int64, timeout time.Duration) result {
 	label := mode.String()
 	if schema != nil {
 		label += "+DTD"
 	}
-	r := Result{Query: q.Name, Engine: label, Mode: mode, DocBytes: docBytes}
+	r := result{Query: q.Name, Engine: label, Mode: mode, DocBytes: docBytes}
 	c, err := engine.Compile(q.Text, engine.Config{Mode: mode, Schema: schema})
 	if err != nil {
 		r.Err = err
@@ -213,7 +192,6 @@ func runOne(q queries.Query, mode engine.Mode, schema *dtd.Schema, path string, 
 	r.Tokens = out.st.TokensRead
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
-	r.HeapPeak = ms.HeapInuse
 	if cleanStart && strayRuns.Load() == 0 {
 		r.Allocs = ms.Mallocs - before.Mallocs
 		r.AllocBytes = ms.TotalAlloc - before.TotalAlloc
@@ -228,32 +206,32 @@ func runOne(q queries.Query, mode engine.Mode, schema *dtd.Schema, path string, 
 // reported wrong.
 var strayRuns atomic.Int64
 
-// FormatResult renders one result as a single line.
-func FormatResult(r Result) string {
+// formatResult renders one result as a single line.
+func formatResult(r result) string {
 	if r.TimedOut {
-		return fmt.Sprintf("%-4s %-11s %7s   timeout", r.Query, r.Engine, humanBytes(r.DocBytes))
+		return fmt.Sprintf("%-4s %-11s %7s   timeout", r.Query, r.Engine, units.FormatSize(r.DocBytes))
 	}
 	if r.Err != nil {
-		return fmt.Sprintf("%-4s %-11s %7s   error: %v", r.Query, r.Engine, humanBytes(r.DocBytes), r.Err)
+		return fmt.Sprintf("%-4s %-11s %7s   error: %v", r.Query, r.Engine, units.FormatSize(r.DocBytes), r.Err)
 	}
 	allocs := "allocs n/a"
 	if r.AllocsMeasured {
-		allocs = fmt.Sprintf("allocs %d (%s)", r.Allocs, humanBytes(int64(r.AllocBytes)))
+		allocs = fmt.Sprintf("allocs %d (%s)", r.Allocs, units.FormatSize(int64(r.AllocBytes)))
 	}
 	return fmt.Sprintf("%-4s %-11s %7s   %10s   peak %9s (%d nodes)   out %s   %s",
-		r.Query, r.Engine, humanBytes(r.DocBytes), r.Duration.Round(time.Millisecond),
-		humanBytes(r.PeakBytes), r.PeakNodes, humanBytes(r.OutBytes), allocs)
+		r.Query, r.Engine, units.FormatSize(r.DocBytes), r.Duration.Round(time.Millisecond),
+		units.FormatSize(r.PeakBytes), r.PeakNodes, units.FormatSize(r.OutBytes), allocs)
 }
 
-// FormatTable renders results in the layout of Table 1: one block per
+// formatTable renders results in the layout of Table 1: one block per
 // query, one row per document size, one column per engine showing
 // "time / peak buffer".
-func FormatTable(results []Result) string {
+func formatTable(results []result) string {
 	type key struct {
 		query string
 		size  int64
 	}
-	cells := map[key]map[string]Result{}
+	cells := map[key]map[string]result{}
 	var modes []string
 	modeSeen := map[string]bool{}
 	var queriesOrder []string
@@ -263,7 +241,7 @@ func FormatTable(results []Result) string {
 	for _, r := range results {
 		k := key{r.Query, r.DocBytes}
 		if cells[k] == nil {
-			cells[k] = map[string]Result{}
+			cells[k] = map[string]result{}
 		}
 		cells[k][r.Engine] = r
 		if !modeSeen[r.Engine] {
@@ -297,7 +275,7 @@ func FormatTable(results []Result) string {
 		sizes := sizesByQuery[qn]
 		sort.Slice(sizes, func(i, j int) bool { return sizes[i] < sizes[j] })
 		for _, size := range sizes {
-			b.WriteString(fmt.Sprintf("%-5s %8s", qn, humanBytes(size)))
+			b.WriteString(fmt.Sprintf("%-5s %8s", qn, units.FormatSize(size)))
 			for _, m := range modes {
 				r, ok := cells[key{qn, size}][m]
 				switch {
@@ -309,7 +287,7 @@ func FormatTable(results []Result) string {
 					b.WriteString(fmt.Sprintf(" | %-24s", "error"))
 				default:
 					b.WriteString(fmt.Sprintf(" | %9s / %-11s",
-						r.Duration.Round(time.Millisecond), humanBytes(r.PeakBytes)))
+						r.Duration.Round(time.Millisecond), units.FormatSize(r.PeakBytes)))
 				}
 			}
 			b.WriteString("\n")
@@ -319,8 +297,8 @@ func FormatTable(results []Result) string {
 	return b.String()
 }
 
-// FormatCSV renders results as CSV for downstream plotting.
-func FormatCSV(results []Result) string {
+// formatCSV renders results as CSV for downstream plotting.
+func formatCSV(results []result) string {
 	var b strings.Builder
 	b.WriteString("query,engine,doc_bytes,duration_ms,peak_buffer_bytes,peak_buffer_nodes,output_bytes,tokens,timed_out,error\n")
 	for _, r := range results {
@@ -334,17 +312,4 @@ func FormatCSV(results []Result) string {
 			r.PeakBytes, r.PeakNodes, r.OutBytes, r.Tokens, r.TimedOut, errStr)
 	}
 	return b.String()
-}
-
-func humanBytes(n int64) string {
-	switch {
-	case n >= 1<<30:
-		return fmt.Sprintf("%.1fGB", float64(n)/(1<<30))
-	case n >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(n)/(1<<20))
-	case n >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(n)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", n)
-	}
 }

@@ -1,4 +1,4 @@
-package bench
+package main
 
 import (
 	"strings"
@@ -10,13 +10,14 @@ import (
 )
 
 func TestRunSmallSweep(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Sizes:   []int64{256 << 10},
 		Queries: []queries.Query{queries.Q1, queries.Q13},
+		Modes:   []engine.Mode{engine.ModeGCX, engine.ModeStaticOnly, engine.ModeFullBuffer},
 		Seed:    1,
 		Dir:     t.TempDir(),
 	}
-	results, err := Run(cfg)
+	results, err := runSweep(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,13 +32,13 @@ func TestRunSmallSweep(t *testing.T) {
 			t.Fatalf("degenerate result: %+v", r)
 		}
 	}
-	table := FormatTable(results)
+	table := formatTable(results)
 	for _, want := range []string{"Q1", "Q13", "GCX", "StaticOnly", "FullBuffer"} {
 		if !strings.Contains(table, want) {
 			t.Fatalf("table missing %q:\n%s", want, table)
 		}
 	}
-	csv := FormatCSV(results)
+	csv := formatCSV(results)
 	if strings.Count(csv, "\n") != len(results)+1 {
 		t.Fatalf("csv row count wrong:\n%s", csv)
 	}
@@ -45,11 +46,11 @@ func TestRunSmallSweep(t *testing.T) {
 
 func TestDocumentCaching(t *testing.T) {
 	dir := t.TempDir()
-	p1, n1, err := Document(dir, 128<<10, 3)
+	p1, n1, err := document(dir, 128<<10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, n2, err := Document(dir, 128<<10, 3)
+	p2, n2, err := document(dir, 128<<10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +60,7 @@ func TestDocumentCaching(t *testing.T) {
 }
 
 func TestTimeout(t *testing.T) {
-	cfg := Config{
+	cfg := config{
 		Sizes:   []int64{512 << 10},
 		Queries: []queries.Query{queries.Q8}, // quadratic join
 		Modes:   []engine.Mode{engine.ModeGCX},
@@ -70,15 +71,15 @@ func TestTimeout(t *testing.T) {
 	// The timeout select races with run completion when the process is
 	// descheduled past both events (possible on loaded CI machines), so
 	// allow a few attempts before declaring the mechanism broken.
-	var last Result
+	var last result
 	for attempt := 0; attempt < 5; attempt++ {
-		results, err := Run(cfg)
+		results, err := runSweep(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		last = results[0]
 		if last.TimedOut {
-			if !strings.Contains(FormatResult(last), "timeout") {
+			if !strings.Contains(formatResult(last), "timeout") {
 				t.Fatal("timeout must be rendered")
 			}
 			return

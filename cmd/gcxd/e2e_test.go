@@ -193,3 +193,33 @@ func getJSON(t *testing.T, url string, v any) {
 		t.Fatalf("%s: %v", url, err)
 	}
 }
+
+// TestSizeFlagOutOfRangeIsStartupError: a size that does not fit an int64
+// used to parse to a negative number, which the server reads as "no
+// limit" — `-max-body 16000000000GB` started a daemon with no body limit
+// at all. It must refuse to start instead.
+func TestSizeFlagOutOfRangeIsStartupError(t *testing.T) {
+	for _, c := range []config{
+		{mode: "gcx", maxBody: "16000000000GB", maxDoc: "64MB"},
+		{mode: "gcx", maxBody: "256MB", maxDoc: "inf"},
+	} {
+		err := run(c)
+		if err == nil || !strings.Contains(err.Error(), "bad size") {
+			t.Errorf("run(-max-body %s -max-doc %s) = %v, want a bad-size error before listening", c.maxBody, c.maxDoc, err)
+		}
+	}
+}
+
+// TestDaemonLinksNoBenchmarkCode: gcxd needs a size parser, not the
+// Table 1 harness or the benchmark query catalog.
+func TestDaemonLinksNoBenchmarkCode(t *testing.T) {
+	out, err := exec.Command("go", "list", "-deps", ".").Output()
+	if err != nil {
+		t.Fatalf("go list -deps: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if strings.HasPrefix(pkg, "gcx/") && (strings.Contains(pkg, "bench") || pkg == "gcx/internal/queries") {
+			t.Errorf("gcxd links %s", pkg)
+		}
+	}
+}

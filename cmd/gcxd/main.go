@@ -44,8 +44,8 @@ import (
 	"time"
 
 	"gcx"
-	"gcx/internal/bench"
 	"gcx/internal/server"
+	"gcx/internal/units"
 )
 
 func main() {
@@ -113,11 +113,11 @@ func run(c config) error {
 		opts = append(opts, gcx.WithReadBatch(c.readBatch))
 	}
 
-	maxBodyBytes, err := bench.ParseSize(c.maxBody)
+	maxBodyBytes, err := units.ParseSize(c.maxBody)
 	if err != nil {
 		return fmt.Errorf("-max-body: %w", err)
 	}
-	maxDocBytes, err := bench.ParseSize(c.maxDoc)
+	maxDocBytes, err := units.ParseSize(c.maxDoc)
 	if err != nil {
 		return fmt.Errorf("-max-doc: %w", err)
 	}

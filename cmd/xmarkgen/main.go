@@ -14,7 +14,7 @@ import (
 	"io"
 	"os"
 
-	"gcx/internal/bench"
+	"gcx/internal/units"
 	"gcx/internal/xmark"
 )
 
@@ -33,7 +33,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "xmarkgen: one of -size or -factor is required")
 			os.Exit(2)
 		}
-		bytes, err := bench.ParseSize(*size)
+		bytes, err := units.ParseSize(*size)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "xmarkgen:", err)
 			os.Exit(2)

@@ -1,4 +1,4 @@
-package bench
+package engine_test
 
 import (
 	"bytes"

@@ -1,4 +1,4 @@
-package bench
+package units
 
 import "testing"
 
@@ -18,6 +18,12 @@ func TestParseSize(t *testing.T) {
 		{"", 0, true},
 		{"abc", 0, true},
 		{"-5MB", 0, true},
+		// Each of these used to come back as math.MinInt64 with a nil
+		// error, which the server reads as "no limit".
+		{"inf", 0, true},
+		{"NaN", 0, true},
+		{"1e30GB", 0, true},
+		{"9223372036854775807", 0, true},
 	}
 	for _, tc := range cases {
 		got, err := ParseSize(tc.in)

@@ -17,8 +17,8 @@ import (
 //     token streams (differential_test.go, FuzzTokenizer), so a bug in
 //     the run-scanning fast paths cannot hide behind its own coverage;
 //   - BenchmarkTokenizerThroughput reports the chunked tokenizer's MB/s
-//     against this naive baseline, which is what BENCH_tokenizer.json and
-//     the CI regression gate track.
+//     against this naive baseline and fails when the ratio drops under
+//     its floor (throughput_test.go), which CI runs.
 //
 // Behaviour (token production, error messages, error offsets, Options
 // semantics, Reset contract) is intentionally identical to Tokenizer.

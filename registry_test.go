@@ -9,6 +9,9 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"gcx/internal/queries"
+	"gcx/internal/xmark"
 )
 
 func soloOutput(t *testing.T, query, doc string) string {
@@ -92,6 +95,68 @@ func TestRegistrySubscribeRunMatchesSolo(t *testing.T) {
 		if ss.Runs != 1 || ss.OutputBytes != int64(len(want)) || ss.LastErr != nil {
 			t.Fatalf("%s stats = %+v, want 1 run / %d bytes / nil err", id, ss, len(want))
 		}
+	}
+}
+
+// TestRegistryPassIgnoresSubscriberCount: what a shared pass costs is set
+// by the distinct texts, not by how many subscribers each has. 64 and
+// 10,000 subscriptions over the same 64 texts read the same tokens, form
+// the same groups, reach the same buffer peaks and execute the same
+// signOffs group by group — every work count the pass reports, exactly;
+// the only thing that grows is the fan-out, which is checked too.
+func TestRegistryPassIgnoresSubscriberCount(t *testing.T) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(128 << 10), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	texts := queries.Variants(64)
+	// A real (discarding) writer per subscriber, so the fan-out loop runs.
+	sink := SinkFunc(func(*Subscription) io.Writer { return io.Discard })
+	run := func(subs int) (RegistryStats, int64) {
+		reg := MustNewRegistry()
+		for i := 0; i < subs; i++ {
+			reg.MustSubscribe(fmt.Sprintf("sub-%d", i), texts[i%len(texts)])
+		}
+		st, err := reg.Run(bytes.NewReader(doc.Bytes()), sink)
+		if err != nil {
+			t.Fatalf("%d subscriptions: %v", subs, err)
+		}
+		var delivered int64
+		for _, id := range reg.IDs() {
+			sub, _ := reg.Subscription(id)
+			delivered += sub.Stats().OutputBytes
+		}
+		// Wall-clock fields are the only ones allowed to differ.
+		st.Aggregate.TimeToFirstResultNanos, st.Aggregate.EvalWallNanos = 0, 0
+		for i := range st.Queries {
+			st.Queries[i].TimeToFirstResultNanos, st.Queries[i].EvalWallNanos = 0, 0
+		}
+		return st, delivered
+	}
+	small, smallBytes := run(64)
+	large, largeBytes := run(10000)
+
+	if small.Groups != 64 || large.Groups != 64 || large.Subscriptions != 10000 {
+		t.Fatalf("groups %d and %d (want 64 both), %d subscriptions served (want 10000)", small.Groups, large.Groups, large.Subscriptions)
+	}
+	if small.Aggregate != large.Aggregate {
+		t.Errorf("aggregate stats differ:\n    64 subscriptions: %+v\n 10000 subscriptions: %+v", small.Aggregate, large.Aggregate)
+	}
+	if small.Aggregate.TokensRead == 0 || small.Aggregate.PeakBufferBytes == 0 {
+		t.Fatalf("degenerate pass: %+v", small.Aggregate)
+	}
+	for i := range small.Queries {
+		if small.Queries[i] != large.Queries[i] {
+			t.Errorf("group %d differs:\n    64 subscriptions: %+v\n 10000 subscriptions: %+v", i, small.Queries[i], large.Queries[i])
+		}
+	}
+	// Every subscriber gets its group's whole output.
+	var want int64
+	for i := 0; i < 10000; i++ {
+		want += small.Queries[i%len(texts)].OutputBytes
+	}
+	if smallBytes != small.Aggregate.OutputBytes || largeBytes != want {
+		t.Errorf("delivered %d bytes to 64 subscribers (want %d) and %d to 10000 (want %d)", smallBytes, small.Aggregate.OutputBytes, largeBytes, want)
 	}
 }
 
