@@ -288,13 +288,14 @@ func joinTestDoc(p, t int) string {
 	return doc.String()
 }
 
-// TestJoinSteadyStateAllocs: a nested-loop value join compares P·T pairs,
-// and comparing must not allocate; nor does buffering the text the
-// document makes it keep (one id and one name per person, one buyer per
-// auction), which goes into the buffer's slab. Going from 500 to 50 000
-// pairs — and from 70 to 700 buffered texts — may therefore add next to
-// nothing; when every comparison of non-numeric ids built two error
-// values, it added two hundred thousand.
+// TestJoinSteadyStateAllocs: a value join builds its probe table once, in
+// arrays the pooled evaluator keeps, then probes and re-checks per person,
+// and none of that may allocate on a warm run; nor does buffering the
+// text the document makes it keep (one id and one name per person, one
+// buyer per auction), which goes into the buffer's slab. Going from 500 to
+// 50 000 pairs — and from 70 to 700 buffered texts — may therefore add
+// next to nothing; when every comparison of non-numeric ids built two
+// error values, it added two hundred thousand.
 func TestJoinSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")

@@ -101,16 +101,19 @@ type Node struct {
 }
 
 // recycle clears n for reuse by the arena, retaining the capacity of its
-// role and schema-fact slices. The stamp restarts at zero: nothing can be
-// waiting on a node the arena hands out (see Stamp).
+// role and schema-fact slices. The stamp moves on instead of restarting,
+// so the node the arena hands out never shows a stamp its slot showed
+// before (see Stamp).
 //
 //gcxlint:noalloc
 func (n *Node) recycle() {
 	roles := n.roles[:0]
 	noMore := n.noMore[:0]
+	stamp := n.stamp + 1
 	*n = Node{}
 	n.roles = roles
 	n.noMore = noMore
+	n.stamp = stamp
 }
 
 // Stamp returns the node's change stamp. A shared pass's scheduler
@@ -122,6 +125,11 @@ func (n *Node) recycle() {
 // node out again, and the waited-on node itself is never reclaimed while
 // waited on: it is unfinished (that is what the evaluator waits for), and
 // only finished nodes are deletable.
+//
+// Because recycling moves the stamp on too, a (pointer, stamp) pair
+// names one node state for the whole run, reuse of the slot included:
+// the evaluator's probe tables identify the region they were built over
+// that way, across loop executions in which the region is not pinned.
 //
 //gcxlint:noalloc
 func (n *Node) Stamp() uint32 { return n.stamp }

@@ -20,7 +20,7 @@ func TestNodeStampFitsInPadding(t *testing.T) {
 // be waiting for on a node — a child linked below it, Finish, Seal, a new
 // MarkNoMore fact — changes that node's stamp and no other's; events that
 // satisfy no wait (roles, pins, a purge below, a repeated fact) leave it
-// alone, and a recycled node starts over at zero.
+// alone, and a recycled node moves on from the stamp its slot had.
 func TestStampMovesWithEveryWakingEvent(t *testing.T) {
 	b, syms := build(false)
 	root := b.Root()
@@ -58,15 +58,17 @@ func TestStampMovesWithEveryWakingEvent(t *testing.T) {
 	if !c.Unlinked() {
 		t.Fatal("the finished, role-free child should have been purged")
 	}
+	purged := c.Stamp()
 	moved(a, "Seal", func() { b.Seal(a) })
 	moved(a, "Finish", func() { b.Finish(a) })
 
-	// The arena hands c's slot out again: a fresh node, stamp zero.
+	// The arena hands c's slot out again: a fresh node whose stamp no state
+	// of c ever had, so (pointer, stamp) still names one node state.
 	d := el(b, syms, root, "d")
 	if d != c {
 		t.Fatalf("expected the purged node to be recycled")
 	}
-	if d.Stamp() != 0 {
-		t.Fatalf("recycled node starts at stamp %d, want 0", d.Stamp())
+	if d.Stamp() != purged+1 {
+		t.Fatalf("recycled node starts at stamp %d, want %d (its slot's last stamp + 1)", d.Stamp(), purged+1)
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"gcx/internal/eval"
 )
 
 // The evaluator keeps a comparison's collected operand for as long as that
@@ -165,7 +167,18 @@ func hoistCases() []hoistCase {
 	return cases
 }
 
+// TestCollectedOperandReuse runs the cases with the probe table (the
+// outer-collected join qualifies; the other shapes are its controls) and
+// with the nested loop forced (eval.ForceNestedLoops).
 func TestCollectedOperandReuse(t *testing.T) {
+	t.Run("table", testCollectedOperandReuse)
+	t.Run("nested", func(t *testing.T) {
+		defer eval.ForceNestedLoops()()
+		testCollectedOperandReuse(t)
+	})
+}
+
+func testCollectedOperandReuse(t *testing.T) {
 	cases := hoistCases()
 	for _, tc := range cases {
 		for _, mode := range []Mode{ModeGCX, ModeStaticOnly, ModeFullBuffer} {

@@ -119,6 +119,7 @@ func TestSkippedWakesAreNoOps(t *testing.T) {
 		{"MatchesSoloOutputs", TestWorkloadMatchesSoloOutputs},
 		{"PooledReruns", TestWorkloadPooledReruns},
 		{"CollectedOperandReuse", TestCollectedOperandReuse},
+		{"ProbeTable", TestProbeTableMatchesNestedLoop},
 		{"ReadError", TestWorkloadReadErrorReachesEveryMember},
 		{"MemberWriteFailure", TestWorkloadMemberWriteFailureIsIsolated},
 		{"TruncatedInput", TestWorkloadTruncatedInput},

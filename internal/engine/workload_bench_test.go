@@ -18,10 +18,10 @@ import (
 // projects the input once instead of 8 times.
 //
 // The document is 1MB: the speedup measures the linear scan work the
-// shared pass eliminates. Q8's nested-loop join costs the same evaluator
-// work in both settings and grows quadratically with document size, so at
-// much larger documents it becomes the Amdahl floor of the ratio (the
-// shared pass then still wins by the full scan cost of the other seven
+// shared pass eliminates. Q8's join costs the same evaluator work in both
+// settings — linear in the document since its inner loop probes a key
+// table, quadratic before — and is the Amdahl floor of the ratio (the
+// shared pass still wins by the full scan cost of the other seven
 // queries).
 func BenchmarkWorkload(b *testing.B) {
 	qs := queries.AllIncludingExtended()

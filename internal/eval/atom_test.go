@@ -2,6 +2,7 @@ package eval
 
 import (
 	"errors"
+	"hash/maphash"
 	"strconv"
 	"strings"
 	"testing"
@@ -112,12 +113,53 @@ func TestClassifyRejectsWithoutAllocating(t *testing.T) {
 	_ = sink
 }
 
+// joinKeyTable holds the operands a probe table's key gets wrong when it
+// is a naive map[float64] (NaN, -0) or trimmed text (" 1 " is a number,
+// " a" is not "a"), and the spellings of one number.
+var joinKeyTable = []string{
+	"1", "1.0", " 1 ", "+1", "-0", "0", "NaN", "nan", "0x1p-2", "0.25",
+	"1e999", "Inf", "+infinity", "1_0", "", " a", "a",
+}
+
+var keySeed = maphash.MakeSeed()
+
+// checkJoinKey holds the probe table's key to the comparison it stands
+// in for: two values have equal keys iff compareValues says they are
+// equal, and equal keys hash equal.
+func checkJoinKey(t *testing.T, l, r string) {
+	t.Helper()
+	kl, okl := keyOf(classify(l))
+	kr, okr := keyOf(classify(r))
+	same := okl && okr && kl == kr
+	if want := compareValues(l, xqast.OpEq, r); same != want {
+		t.Errorf("keys of %q and %q equal = %v (%+v, %+v), but %q = %q is %v", l, r, same, kl, kr, l, r, want)
+	}
+	if same && kl.hash(keySeed) != kr.hash(keySeed) {
+		t.Errorf("equal keys of %q and %q hash differently", l, r)
+	}
+}
+
+func TestJoinKeyIsEquality(t *testing.T) {
+	all := append(append([]string(nil), classifierTable...), joinKeyTable...)
+	for _, l := range all {
+		for _, r := range all {
+			checkJoinKey(t, l, r)
+		}
+	}
+}
+
 // FuzzCompareValues is the differential fuzzer for the classifier: any two
 // operand strings under any operator must compare exactly as the oracle
-// says, and floatSyntax must agree with ParseFloat on both.
+// says, floatSyntax must agree with ParseFloat on both, and their probe
+// table keys must be equal exactly when the strings compare equal.
 func FuzzCompareValues(f *testing.F) {
 	for i, l := range classifierTable {
 		f.Add(l, classifierTable[(i*7+3)%len(classifierTable)], uint8(i))
+	}
+	for i, l := range joinKeyTable {
+		for _, r := range joinKeyTable {
+			f.Add(l, r, uint8(i))
+		}
 	}
 	f.Fuzz(func(t *testing.T, l, r string, op uint8) {
 		rel := allRelOps[int(op)%len(allRelOps)]
@@ -126,5 +168,6 @@ func FuzzCompareValues(f *testing.F) {
 		}
 		checkFloatSyntax(t, strings.TrimSpace(l))
 		checkFloatSyntax(t, strings.TrimSpace(r))
+		checkJoinKey(t, l, r)
 	})
 }

@@ -11,6 +11,7 @@
 package eval
 
 import (
+	"hash/maphash"
 	"slices"
 	"strings"
 
@@ -88,6 +89,14 @@ type Evaluator struct {
 	cmpOp   xqast.RelOp
 	cmpRHS  xqast.Operand
 	cmpSite int
+	// joins[f.Join.Table] is join loop f's probe table (join.go); keys is
+	// the scratch its build collects one binding's key values into, and
+	// seed hashes the keys. nestedOnly disables the tables (see
+	// ForceNestedLoops).
+	joins      []joinTable
+	keys       []atom
+	seed       maphash.Seed
+	nestedOnly bool
 	// firstFlushed records that the first result byte has been pushed
 	// through the writer's batching toward the destination. Armed in pull
 	// rather than at write time so a run that fails on its very first
@@ -122,11 +131,15 @@ type work struct {
 	collections int64 // collected-operand sequences built
 	nameLookups int64 // string-keyed symbol table accesses (bind's interning)
 	waits       int64 // blocking episodes begun (a loop's first pull)
+	entries     int64 // probe table entries built
+	probes      int64 // probe table lookups, one per probe value
+	tableBytes  int64 // probe table arrays built (entries and buckets): evaluator scratch, not buffer bytes
 }
 
 // New creates an evaluator writing query output to out.
 func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *Evaluator {
-	return &Evaluator{buf: buf, feed: feed, out: out, opts: opts}
+	return &Evaluator{buf: buf, feed: feed, out: out, opts: opts,
+		seed: maphash.MakeSeed(), nestedOnly: nestedLoopsOnly.Load()}
 }
 
 // Reset prepares the evaluator for another run. opts are replaced
@@ -137,6 +150,8 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 //gcxlint:keep feed wired at construction; the owner resets the projector separately
 //gcxlint:keep out wired at construction; the owner re-targets the writer separately
 //gcxlint:keep curPool the cursor freelist is the point of pooling; entries are zeroed in close
+//gcxlint:keep seed a hash seed holds nothing of a run
+//gcxlint:keep nestedOnly fixed at construction (a test hook, see ForceNestedLoops)
 func (e *Evaluator) Reset(opts Options) {
 	e.opts = opts
 	clear(e.epoch)
@@ -185,6 +200,7 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 	e.epoch = slices.Grow(e.epoch[:0], q.Slots)[:q.Slots]
 	e.syms = slices.Grow(e.syms[:0], len(q.Names))[:len(q.Names)]
 	e.sites = slices.Grow(e.sites[:0], q.Sites)[:q.Sites]
+	e.joins = slices.Grow(e.joins[:0], q.Joins)[:q.Joins]
 	e.env[0] = e.buf.Root() // the rest is nil: every run ends in dropScratch
 	for i := range e.epoch {
 		e.epoch[i] = 1
@@ -197,9 +213,10 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 }
 
 // dropScratch forgets the bindings and the wait, and empties every site's
-// collected operand over its full capacity: re-slicing alone would keep
-// the string headers beyond the current length alive for as long as the
-// evaluator sits in its pool.
+// collected operand and the key scratch over their full capacity
+// (re-slicing alone would keep the string headers beyond the current
+// length alive for as long as the evaluator sits in its pool), and every
+// probe table.
 //
 //gcxlint:noalloc
 func (e *Evaluator) dropScratch() {
@@ -211,6 +228,11 @@ func (e *Evaluator) dropScratch() {
 		s.vals = s.vals[:0]
 		s.epoch = 0
 	}
+	for i := range e.joins {
+		e.joins[i].reset()
+	}
+	clear(e.keys[:cap(e.keys)])
+	e.keys = e.keys[:0]
 }
 
 // pull drives the projector by one token. It returns false when the input
@@ -407,6 +429,11 @@ func (e *Error) Error() string { return "eval: " + e.Msg }
 //
 //gcxlint:noalloc
 func (e *Evaluator) forLoop(f xqast.For) error {
+	if f.Join != nil {
+		if done, err := e.joinLoop(f); done || err != nil {
+			return err
+		}
+	}
 	cur := newCursor(e, e.env[f.In.Slot], f.In.Steps[0])
 	defer cur.close()
 	for {

@@ -1,6 +1,7 @@
 package eval_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -8,9 +9,12 @@ import (
 	"testing"
 
 	"gcx/internal/buffer"
+	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/eval"
 	"gcx/internal/proj"
+	"gcx/internal/queries"
+	"gcx/internal/xmark"
 	"gcx/internal/xmlstream"
 )
 
@@ -18,17 +22,23 @@ import (
 // query, built by hand so the test holds the evaluator (whose counters
 // export_test.go exposes).
 type chain struct {
-	c   *engine.Compiled
-	tok *xmlstream.Tokenizer
-	buf *buffer.Buffer
-	pr  *proj.Projector
-	w   *xmlstream.Writer
-	ev  *eval.Evaluator
+	c      *engine.Compiled
+	schema *dtd.Schema
+	tok    *xmlstream.Tokenizer
+	buf    *buffer.Buffer
+	pr     *proj.Projector
+	w      *xmlstream.Writer
+	ev     *eval.Evaluator
 }
 
 func newChain(t *testing.T, query string) *chain {
 	t.Helper()
-	c, err := engine.Compile(query, engine.Config{})
+	return newSchemaChain(t, query, nil)
+}
+
+func newSchemaChain(t *testing.T, query string, schema *dtd.Schema) *chain {
+	t.Helper()
+	c, err := engine.Compile(query, engine.Config{Schema: schema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,10 +47,10 @@ func newChain(t *testing.T, query string) *chain {
 	for i, r := range roles {
 		agg[i] = i > 0 && r.Aggregate
 	}
-	ch := &chain{c: c}
+	ch := &chain{c: c, schema: schema}
 	ch.buf = buffer.New(xmlstream.NewSymTab(), len(roles)-1, agg)
 	ch.tok = xmlstream.NewTokenizer(nil)
-	ch.pr = proj.New(ch.tok, ch.buf, c.MatchTree, proj.Options{AggregateRoles: c.Analysis.Opts.AggregateRoles})
+	ch.pr = proj.New(ch.tok, ch.buf, c.MatchTree, proj.Options{AggregateRoles: c.Analysis.Opts.AggregateRoles, Schema: schema})
 	ch.w = xmlstream.NewWriter(io.Discard)
 	ch.ev = eval.New(ch.buf, ch.pr, ch.w, eval.Options{})
 	return ch
@@ -52,7 +62,7 @@ func (ch *chain) run(in io.Reader, out io.Writer) error {
 	ch.buf.Reset()
 	ch.pr.Reset()
 	ch.w.Reset(out)
-	ch.ev.Reset(eval.Options{ExecuteSignOffs: true})
+	ch.ev.Reset(eval.Options{ExecuteSignOffs: true, Schema: ch.schema})
 	return ch.ev.Run(ch.c.Analysis.Query)
 }
 
@@ -70,16 +80,26 @@ const joinQuery = `<out>{
 // joinDoc has p persons and t auctions; auction j was bought by person
 // j mod p, so every person matches.
 func joinDoc(p, t int) string {
+	return "<site>" + joinPeople(p) + joinAuctions(p, t) + "</site>"
+}
+
+func joinPeople(p int) string {
 	var b strings.Builder
-	b.WriteString("<site><people>")
+	b.WriteString("<people>")
 	for i := 0; i < p; i++ {
 		fmt.Fprintf(&b, "<person><id>person%d</id><name>n%d</name></person>", i, i)
 	}
-	b.WriteString("</people><closed_auctions>")
+	b.WriteString("</people>")
+	return b.String()
+}
+
+func joinAuctions(p, t int) string {
+	var b strings.Builder
+	b.WriteString("<closed_auctions>")
 	for j := 0; j < t; j++ {
 		fmt.Fprintf(&b, "<closed_auction><buyer>person%d</buyer><price>%d</price></closed_auction>", j%p, j)
 	}
-	b.WriteString("</closed_auctions></site>")
+	b.WriteString("</closed_auctions>")
 	return b.String()
 }
 
@@ -97,17 +117,21 @@ func joinWant(p, t int) string {
 	return b.String()
 }
 
-// TestJoinWorkCounts pins the join's deterministic work: one comparison
-// per pair (the algorithm's cost, unchanged), the invariant operand
-// collected once per outer binding (it was once per pair), and no tag
-// name hashed after the run's start (it was one per visited node).
+// TestJoinWorkCounts pins the join's deterministic work. The persons
+// precede the auctions, so person 0's inner loop runs while the auction
+// region streams in (nested: T comparisons), person 1's is the first over
+// the finished region (nested again, recorded), and person 2's builds the
+// probe table (T entries) — from then on a person costs one lookup and
+// one re-check per auction it bought, and P·T comparisons are P + 3T at
+// most. The invariant operand is still collected once per outer binding,
+// and no tag name is hashed after the run's start.
 func TestJoinWorkCounts(t *testing.T) {
 	ch := newChain(t, joinQuery)
 	vocab := int64(len(ch.c.Analysis.Query.Names))
 	if vocab == 0 {
 		t.Fatal("resolved query has an empty vocabulary")
 	}
-	for _, size := range [][2]int{{7, 13}, {20, 50}, {3, 1}} {
+	for _, size := range [][2]int{{7, 13}, {20, 50}, {100, 500}, {3, 1}} {
 		p, tt := size[0], size[1]
 		var out strings.Builder
 		if err := ch.run(strings.NewReader(joinDoc(p, tt)), &out); err != nil {
@@ -116,12 +140,53 @@ func TestJoinWorkCounts(t *testing.T) {
 		if out.String() != joinWant(p, tt) {
 			t.Fatalf("%d×%d: output\n got %s\nwant %s", p, tt, out.String(), joinWant(p, tt))
 		}
+		bought := func(i int) int { return max(0, (tt-i+p-1)/p) } // auctions i, i+p, ... below tt
+		buckets := int64(8)
+		for buckets < int64(2*tt) {
+			buckets <<= 1
+		}
 		got := ch.ev.Work()
-		want := eval.Work{Compares: int64(p * tt), Collections: int64(p), NameLookups: vocab}
+		want := eval.Work{
+			Compares:    int64(2*tt + tt - bought(0) - bought(1)),
+			Collections: int64(p),
+			NameLookups: vocab,
+			Entries:     int64(tt),
+			Probes:      int64(p - 2),
+			TableBytes:  int64(tt)*eval.EntryBytes + 4*buckets,
+		}
 		if got != want {
 			t.Errorf("%d×%d: work %+v, want %+v", p, tt, got, want)
 		}
 	}
+}
+
+// TestQ8WorkCount: Q8 over the 2 MB XMark document (seed 1, P = 652
+// persons, T = 249 closed auctions) compared P·T = 162,348 pairs as a
+// nested loop; with the probe table, comparisons, entries and lookups
+// together stay within 3·(P+T).
+func TestQ8WorkCount(t *testing.T) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(2 << 20), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	p := bytes.Count(doc.Bytes(), []byte("<person "))
+	tt := bytes.Count(doc.Bytes(), []byte("<closed_auction>"))
+	if p != 652 || tt != 249 {
+		t.Fatalf("document has %d persons and %d closed auctions, want 652 and 249", p, tt)
+	}
+	ch := newChain(t, queries.Q8.Text)
+	var out strings.Builder
+	if err := ch.run(bytes.NewReader(doc.Bytes()), &out); err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(out.String(), "<bought>"); n == 0 {
+		t.Fatal("Q8 found no purchase")
+	}
+	w := ch.ev.Work()
+	if total, bound := w.Compares+w.Entries+w.Probes, int64(3*(p+tt)); total > bound {
+		t.Errorf("work %+v: %d comparisons + entries + probes, want <= %d", w, total, bound)
+	}
+	t.Logf("P=%d T=%d: work %+v (nested loop: %d comparisons)", p, tt, w, p*tt)
 }
 
 // truncated yields n bytes of src, then fails.
@@ -140,9 +205,9 @@ func (r *truncated) Read(p []byte) (int, error) {
 }
 
 // TestFailedJoinRetainsNothing: a run that dies inside the inner loop —
-// operand collected, comparison active, both variables bound — leaves the
-// evaluator holding nothing of the document, and the next run on the same
-// state is clean.
+// operand collected, comparison active, both variables bound — or after
+// the inner loop's probe table was built leaves the evaluator holding
+// nothing of the document, and the next run on the same state is clean.
 func TestFailedJoinRetainsNothing(t *testing.T) {
 	ch := newChain(t, joinQuery)
 	doc := joinDoc(5, 40)
@@ -168,6 +233,44 @@ func TestFailedJoinRetainsNothing(t *testing.T) {
 		t.Fatalf("after a failed run the evaluator retains %d items", n)
 	}
 	var out strings.Builder
+	if err := ch.run(strings.NewReader(doc), &out); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != joinWant(5, 40) {
+		t.Fatalf("clean run after a failed one:\n got %s\nwant %s", out.String(), joinWant(5, 40))
+	}
+
+	// Auctions first, under a DTD that lets the inner loop learn at
+	// <people> that no second closed_auctions follows (without one it
+	// reads to </site> for person 0): the region is finished when person 0
+	// arrives, person 1 builds the table, and the cut is inside person 2.
+	schema, err := dtd.Parse(`
+<!ELEMENT site (closed_auctions, people)>
+<!ELEMENT closed_auctions (closed_auction*)>
+<!ELEMENT closed_auction (buyer, price)>
+<!ELEMENT people (person*)>
+<!ELEMENT person (id, name)>
+<!ELEMENT buyer (#PCDATA)>
+<!ELEMENT price (#PCDATA)>
+<!ELEMENT id (#PCDATA)>
+<!ELEMENT name (#PCDATA)>`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch = newSchemaChain(t, joinQuery, schema)
+	doc = "<site>" + joinAuctions(5, 40) + joinPeople(5) + "</site>"
+	cut = strings.Index(doc, "<id>person2</id>") + 8
+	err = ch.run(&truncated{src: strings.NewReader(doc), n: cut}, io.Discard)
+	if err == nil || !strings.Contains(err.Error(), "disk on fire") {
+		t.Fatalf("read error must surface, got %v", err)
+	}
+	if w := ch.ev.Work(); w.Entries != 40 || w.Probes != 1 {
+		t.Fatalf("the run was meant to fail after the table was built and probed once, work %+v", w)
+	}
+	if n := ch.ev.Retained(); n != 0 {
+		t.Fatalf("after a run that failed with a probe table built the evaluator retains %d items", n)
+	}
+	out.Reset()
 	if err := ch.run(strings.NewReader(doc), &out); err != nil {
 		t.Fatal(err)
 	}

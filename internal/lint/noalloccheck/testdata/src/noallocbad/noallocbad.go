@@ -198,3 +198,25 @@ func (w *waiter) canProceed(now uint32) bool {
 	}
 	return false
 }
+
+// probeTable models the evaluator's join probe table (internal/eval
+// Evaluator.lookup): a lookup runs for every probe value of every outer
+// binding — the join's per-binding cost once the table is built — so its
+// hits go into the table's own retained scratch. The violation below is
+// the naive lookup that returns a fresh hit list each time.
+type probeTable struct {
+	keys  []string
+	heads []int32
+	next  []int32
+}
+
+//gcxlint:noalloc
+func (t *probeTable) lookup(key string, bucket int) []int32 {
+	var hits []int32
+	for i := t.heads[bucket]; i != 0; i = t.next[i-1] {
+		if t.keys[i-1] == key {
+			hits = append(hits, i-1) // want `append to function-local slice hits allocates`
+		}
+	}
+	return hits
+}

@@ -89,10 +89,11 @@ var Q6 = Query{
 // Q8: "List the names of persons and the number of items they bought."
 // Original: a join of people with closed_auctions on buyer/@person with
 // count over the matches. Adapted: one <bought/> marker per matching
-// purchase (count replaced by value output). The nested loop re-iterates
-// the closed_auctions region for every person, so the region must stay
-// buffered until the end — the memory-versus-time behaviour Table 1 shows
-// for Q8.
+// purchase (count replaced by value output). The inner loop re-iterates
+// the closed_auctions region for every person (from the third person on
+// through the evaluator's probe table, see DESIGN.md), so the region must
+// stay buffered until the end — the memory-versus-time behaviour Table 1
+// shows for Q8.
 var Q8 = Query{
 	Name: "Q8",
 	Text: `<q8>{

@@ -192,6 +192,24 @@ type For struct {
 	In     Path   // var-rooted path iterated over
 	Return Expr
 	Slot   int // Var's environment index (see Resolve)
+	// Join is set by Resolve when the loop is an equality filter the
+	// evaluator may answer from a probe table; nil otherwise.
+	Join *Join
+}
+
+// Join describes a for-loop "for $v in $c/step return if (K = P) then X
+// else ()" in which K, the operand the evaluator streams, is a path rooted
+// at $v; P, the operand it collects, is a literal or a path that does not
+// mention $v; and X executes no signOff. Skipping the bindings whose key
+// values equal no probe value is then unobservable, so the evaluator may
+// look the matching bindings up in a table keyed by K instead of
+// comparing every binding (see DESIGN.md, "The probe table").
+type Join struct {
+	Table int     // numbers the query's join loops (Query.Joins)
+	Cond  Compare // the body's condition, re-checked for every hit
+	Key   Path    // K
+	Probe Operand // P
+	Then  Expr    // X
 }
 
 // If is "if cond then q else q".
@@ -325,10 +343,12 @@ type Query struct {
 
 	// Filled by Resolve, zero before: the tag names of the query's name
 	// tests (NodeTest.ID indexes it), the number of variable slots
-	// (RootVar is slot 0), and the number of comparison sites.
+	// (RootVar is slot 0), the number of comparison sites, and the number
+	// of join loops.
 	Names []string
 	Slots int
 	Sites int
+	Joins int
 }
 
 // RootVar is the name of the distinguished root variable (without '$').

@@ -4,14 +4,15 @@ package xqast
 // otherwise look up by string at run time is an index: variables become
 // environment slots (RootVar is slot 0, for-loops take the next free slot
 // in binding order), tag-name tests index the query's vocabulary
-// Query.Names, and comparisons are numbered. It is the last compilation
+// Query.Names, comparisons are numbered, and so are the for-loops that
+// qualify for a probe table (For.Join). It is the last compilation
 // step — "we use a symbol table to replace tagnames by integers"
 // (Section 6) — and the only form the evaluator runs. The query must be
 // normalized: every variable is bound once and before its use.
 func Resolve(q *Query) *Query {
 	r := &resolver{slots: map[string]int{RootVar: 0}, names: map[string]int{}}
 	out := &Query{Root: r.expr(q.Root).(Element)}
-	out.Names, out.Slots, out.Sites = r.vocab, len(r.slots), r.sites
+	out.Names, out.Slots, out.Sites, out.Joins = r.vocab, len(r.slots), r.sites, r.joins
 	return out
 }
 
@@ -20,6 +21,7 @@ type resolver struct {
 	names map[string]int
 	vocab []string
 	sites int
+	joins int
 }
 
 func (r *resolver) slot(v string) int {
@@ -74,6 +76,7 @@ func (r *resolver) expr(e Expr) Expr {
 		e.Slot = len(r.slots)
 		r.slots[e.Var] = e.Slot
 		e.Return = r.expr(e.Return)
+		e.Join = r.join(e)
 		return e
 	case If:
 		e.Cond = r.cond(e.Cond)
@@ -113,4 +116,44 @@ func (r *resolver) operand(o Operand) Operand {
 		o.Path = r.path(o.Path)
 	}
 	return o
+}
+
+// join returns f's Join if f has the probe table's shape (see Join), nil
+// otherwise. Which operand is K follows the evaluator's compare: the left
+// one streams unless it is a literal facing a path, in which case the two
+// swap. A query that names the collected side first — "if ($p/id =
+// $t/k)" — therefore keeps its nested loop: there the outer operand
+// streams, and collecting it ahead of the loop could pull input at a
+// different point than the nested loop does.
+func (r *resolver) join(f For) *Join {
+	body, ok := f.Return.(If)
+	if !ok {
+		return nil
+	}
+	if _, ok := body.Else.(Empty); !ok && body.Else != nil {
+		return nil
+	}
+	c, ok := body.Cond.(Compare)
+	if !ok || c.Op != OpEq {
+		return nil
+	}
+	key, probe := c.LHS, c.RHS
+	if key.IsLiteral {
+		key, probe = probe, key
+	}
+	if key.IsLiteral || key.Path.Slot != f.Slot || (!probe.IsLiteral && probe.Path.Slot == f.Slot) {
+		return nil
+	}
+	signsOff := false
+	Walk(body.Then, func(e Expr) bool {
+		_, ok := e.(SignOff)
+		signsOff = signsOff || ok
+		return !signsOff
+	})
+	if signsOff {
+		return nil
+	}
+	j := &Join{Table: r.joins, Cond: c, Key: key.Path, Probe: probe, Then: body.Then}
+	r.joins++
+	return j
 }
