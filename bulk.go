@@ -118,10 +118,6 @@ type BulkOptions struct {
 	// (≤0: GOMAXPROCS). Each worker draws a pooled run state from the
 	// compiled artifact, so per-worker memory is one GCX buffer peak.
 	Workers int
-	// Window bounds in-flight documents — dispatched but not yet
-	// emitted (≤0: 2×Workers). Out-of-order completions wait inside the
-	// window, which is what bounds reorder memory.
-	Window int
 	// MaxDocBytes fails any single document larger than this without
 	// evaluating it (0 = no limit). The failure is per-document.
 	MaxDocBytes int64
@@ -160,7 +156,8 @@ type BulkStats struct {
 	// Docs counts emitted documents; Failed counts those with errors.
 	Docs   int64 `json:"docs"`
 	Failed int64 `json:"failed"`
-	// Workers and Window are the effective pool parameters.
+	// Workers and Window are the effective pool parameters; Window, the
+	// in-flight documents that bound reorder memory, is 2×Workers.
 	Workers int `json:"workers"`
 	Window  int `json:"window"`
 	// PeakInFlight is the high watermark of concurrently evaluating
@@ -276,7 +273,6 @@ func bulk(c *Corpus, opts BulkOptions, members [][]byte,
 	var bs BulkStats
 	totals, err := corpus.Run(src, corpus.Options{
 		Workers:     opts.Workers,
-		Window:      opts.Window,
 		Outputs:     max(1, len(members)),
 		MaxDocBytes: opts.MaxDocBytes,
 		Context:     opts.Context,

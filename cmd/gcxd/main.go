@@ -58,7 +58,6 @@ func main() {
 		maxDoc      = flag.String("max-doc", "64MB", "maximum size of a single /bulk corpus document (0 = unlimited)")
 		bulkJobs    = flag.Int("bulk-workers", 0, "per-request /bulk worker cap and default (0 = GOMAXPROCS)")
 		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request evaluation timeout (0 = none)")
-		readBatch   = flag.Int("read-batch", 0, "workload scheduler token batch (0 = default)")
 		drain       = flag.Duration("drain", 30*time.Second, "graceful shutdown drain period")
 		maxInflight = flag.Int("max-inflight", 0, "in-flight request count at which /readyz reports 503 (0 = readiness ignores load)")
 		pprofOn     = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -73,7 +72,6 @@ func main() {
 		maxDoc:      *maxDoc,
 		bulkJobs:    *bulkJobs,
 		timeout:     *timeout,
-		readBatch:   *readBatch,
 		drain:       *drain,
 		maxInflight: *maxInflight,
 		pprof:       *pprofOn,
@@ -92,7 +90,6 @@ type config struct {
 	maxDoc      string
 	bulkJobs    int
 	timeout     time.Duration
-	readBatch   int
 	drain       time.Duration
 	maxInflight int
 	pprof       bool
@@ -108,9 +105,6 @@ func run(c config) error {
 		opts = append(opts, gcx.WithStrategy(gcx.FullBuffer))
 	default:
 		return fmt.Errorf("unknown mode %q (want gcx, static, or full)", c.mode)
-	}
-	if c.readBatch > 0 {
-		opts = append(opts, gcx.WithReadBatch(c.readBatch))
 	}
 
 	maxBodyBytes, err := units.ParseSize(c.maxBody)

@@ -19,19 +19,12 @@ import (
 var ErrTooLarge = corpus.ErrTooLarge
 
 // ErrCanceled matches (errors.Is) a run abandoned through its context:
-// RunContext wraps the context's cancellation into the stream error that
-// unwinds the evaluation. The underlying context.Canceled or
+// RunContext, or a document a canceled Bulk unwound in flight, wraps the
+// context's cancellation into the stream error that unwinds the
+// evaluation. The underlying context.Canceled or
 // context.DeadlineExceeded cause stays matchable through errors.Is too,
 // so callers can distinguish client-gone from timeout.
-var ErrCanceled = errors.New("gcx: run canceled")
-
-// canceledError is the concrete error a canceled RunContext returns: it
-// matches ErrCanceled and unwraps to the context's own error.
-type canceledError struct{ cause error }
-
-func (e *canceledError) Error() string        { return "gcx: run canceled: " + e.cause.Error() }
-func (e *canceledError) Unwrap() error        { return e.cause }
-func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
+var ErrCanceled = corpus.ErrCanceled
 
 // QueryError attributes a compilation failure to a query: the registry
 // subscription id that submitted it (empty for direct Compile calls) and,

@@ -68,6 +68,42 @@ func TestErrCanceledWrapsContextCause(t *testing.T) {
 	})
 }
 
+// TestBulkCancellationMatchesErrCanceled: a document a canceled Bulk
+// unwinds in flight fails the way a canceled RunContext does — its error
+// matches ErrCanceled and keeps the context's cause. One worker evaluates
+// three 1 MB documents; emitting the first cancels the run while the
+// second is being read. A scheduler may let the second finish first, so
+// the scenario is repeated until a document is caught in flight.
+func TestBulkCancellationMatchesErrCanceled(t *testing.T) {
+	doc := `<bib>` + strings.Repeat(`<book><title>padding padding padding</title></book>`, 20000) + `</bib>`
+	stream := strings.Repeat(doc+"\n", 3)
+	eng := MustCompile(`<r>{ for $b in /bib/book return $b/title }</r>`)
+	for attempt := 0; attempt < 10; attempt++ {
+		ctx, cancel := context.WithCancel(context.Background())
+		caught := 0
+		_, err := eng.Bulk(CorpusConcat(strings.NewReader(stream)), BulkOptions{Workers: 1, Context: ctx}, func(d BulkDoc) error {
+			switch {
+			case d.Index == 0:
+				cancel()
+			case d.Err == nil:
+			case errors.Is(d.Err, ErrCanceled) && errors.Is(d.Err, context.Canceled):
+				caught++
+			default:
+				t.Errorf("doc %d: %v, want an error matching ErrCanceled and context.Canceled", d.Index, d.Err)
+			}
+			return nil
+		})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Bulk returned %v, want context.Canceled", err)
+		}
+		if t.Failed() || caught > 0 {
+			return
+		}
+	}
+	t.Fatal("no document was caught in flight in 10 attempts")
+}
+
 func TestQueryErrorCarriesPosition(t *testing.T) {
 	_, err := Compile("<r>{ for $x in\n  /bib/book return }</r>")
 	if err == nil {

@@ -34,6 +34,7 @@ import (
 	"io"
 	"strings"
 
+	"gcx/internal/corpus"
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/static"
@@ -85,7 +86,6 @@ type configKey struct {
 	strategy  Strategy
 	static    static.Options
 	schemaSrc string
-	readBatch int
 }
 
 // newConfig applies opts over the defaults. It is cheap and free of side
@@ -161,18 +161,6 @@ func WithoutOptimizations() Option {
 // stays cheap; a malformed DTD surfaces as a Compile error.
 func WithDTD(dtdSource string) Option {
 	return func(c *config) { c.schemaSrc = dtdSource }
-}
-
-// WithReadBatch tunes the shared-stream scheduler of a Workload: once
-// every member query is blocked on the stream, up to n tokens are read
-// before the members are woken again. Larger batches amortize scheduling
-// overhead; smaller ones purge buffered data sooner (a signOff may run up
-// to n tokens later than in a solo run). The default (0) selects a batch
-// that makes scheduling overhead negligible. Ignored by Compile and by a
-// one-member Workload or Registry: a lone query is not scheduled, it
-// pulls the stream itself.
-func WithReadBatch(n int) Option {
-	return func(c *config) { c.readBatch = n }
 }
 
 // XMarkDTD is the schema of the documents produced by cmd/xmarkgen, for
@@ -328,7 +316,7 @@ func (e *Engine) Trace(in io.Reader, out io.Writer, opts ...TraceOption) ([]Trac
 		o(&cfg)
 	}
 	tr := &engine.Tracer{Limit: cfg.limit}
-	est, err := e.c.RunWith(guard(cfg.ctx, in), out, engine.RunOptions{Trace: tr})
+	est, err := e.c.RunWith(corpus.Guard(cfg.ctx, in), out, engine.RunOptions{Trace: tr})
 	steps := make([]TraceStep, len(tr.Steps))
 	for i, s := range tr.Steps {
 		steps[i] = TraceStep{Event: s.Event, Buffer: s.Buffer}
@@ -384,7 +372,7 @@ func CompileWorkload(queries []string, opts ...Option) (*Workload, error) {
 	if err != nil {
 		return nil, err
 	}
-	c, err := engine.CompilePass(queries, cfg.engine(), cfg.readBatch)
+	c, err := engine.CompilePass(queries, cfg.engine(), 0)
 	if err != nil {
 		return nil, queryError("", err)
 	}

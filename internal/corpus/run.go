@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io"
 	"runtime"
 	"sync"
@@ -101,9 +100,24 @@ type cappedReader struct {
 	name  string
 }
 
-// ctxReader fails document reads once the run's context is done, so a
-// timeout or client disconnect unwinds in-flight evaluations instead of
-// waiting for them.
+// ErrCanceled is the sentinel every run abandoned through its context
+// matches under errors.Is: a solo or workload run, or a bulk document
+// unwound in flight. Like ErrTooLarge it lives here, where the one
+// cancelling reader is; the public API re-exports it as gcx.ErrCanceled.
+var ErrCanceled = errors.New("gcx: run canceled")
+
+// canceledError is the read error a done context produces: it matches
+// ErrCanceled and unwraps to the context's own error, so callers can tell
+// client-gone (context.Canceled) from timeout (DeadlineExceeded).
+type canceledError struct{ cause error }
+
+func (e *canceledError) Error() string        { return "gcx: run canceled: " + e.cause.Error() }
+func (e *canceledError) Unwrap() error        { return e.cause }
+func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
+
+// ctxReader surfaces context cancellation (timeout, caller gone) as a
+// stream read error, which the engine propagates verbatim: the evaluation
+// unwinds like any other input failure instead of being waited for.
 type ctxReader struct {
 	ctx context.Context
 	r   io.Reader
@@ -111,9 +125,25 @@ type ctxReader struct {
 
 func (c *ctxReader) Read(p []byte) (int, error) {
 	if err := c.ctx.Err(); err != nil {
-		return 0, fmt.Errorf("corpus: evaluation aborted: %w", err)
+		return 0, &canceledError{cause: err}
 	}
-	return c.r.Read(p)
+	n, err := c.r.Read(p)
+	// A Read blocked past the deadline returns normally (or EOF) — the
+	// expiry must still win, or a trickling input defeats the timeout.
+	if cerr := c.ctx.Err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
+		return n, &canceledError{cause: cerr}
+	}
+	return n, err
+}
+
+// Guard wraps in so its reads fail with an error matching ErrCanceled
+// once ctx is done. A context that can never be canceled
+// (context.Background, nil) adds no per-read overhead.
+func Guard(ctx context.Context, in io.Reader) io.Reader {
+	if ctx == nil || ctx.Done() == nil {
+		return in
+	}
+	return &ctxReader{ctx: ctx, r: in}
 }
 
 func (c *cappedReader) Read(p []byte) (int, error) {

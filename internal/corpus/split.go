@@ -1,7 +1,6 @@
 package corpus
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -52,8 +51,8 @@ var ErrTooLarge = errors.New("input exceeds a configured size limit")
 // passed with one copy per window. Everything else — what precedes the
 // root, comments, PIs, CDATA, DOCTYPE, and the byte after a '<' that ends
 // a window — is stepped a byte at a time through the state machine in
-// step, whose opaque interiors move by IndexByte because their sentinels
-// ('-', '?', ']') are not structural bytes.
+// step: the terminators of those regions ('-', '?', ']') are not
+// structural bytes, so the index cannot hop them.
 type Splitter struct {
 	r   io.Reader
 	pos int
@@ -356,20 +355,6 @@ func (d *docScan) afterLT(c byte) {
 	}
 }
 
-// skipTo keeps the run of bytes strictly before the next stop byte,
-// mirroring the tokenizer's opaque-region scanning: interior bytes of
-// comments, PIs, and CDATA cannot change the scanner state, so whole runs
-// move with one IndexByte call (no stop in the window = the whole window
-// is interior).
-func (s *Splitter) skipTo(stop byte) {
-	run := s.buf[s.pos:s.n]
-	if i := bytes.IndexByte(run, stop); i >= 0 {
-		run = run[:i]
-	}
-	s.pos += len(run)
-	s.keep(run)
-}
-
 // step is the state machine for everything hop does not scan, one byte
 // (already kept) at a time.
 func (s *Splitter) step(c byte) {
@@ -422,13 +407,12 @@ func (s *Splitter) step(c byte) {
 			d.state = after(d.state)
 		default:
 			d.commentDashes = 0
-			s.skipTo('-') // interior run: nothing before a dash matters
 		}
 	case spPI, spDeclPI:
 		if c == '>' && d.piQuestion {
 			d.state = after(d.state)
-		} else if d.piQuestion = c == '?'; !d.piQuestion {
-			s.skipTo('?')
+		} else {
+			d.piQuestion = c == '?'
 		}
 	case spCDATA:
 		switch {
@@ -438,7 +422,6 @@ func (s *Splitter) step(c byte) {
 			d.state = spText
 		default:
 			d.cdataBrackets = 0
-			s.skipTo(']')
 		}
 	case spDecl:
 		// Quoted literals, comments, and PIs inside a DOCTYPE

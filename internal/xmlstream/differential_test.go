@@ -107,18 +107,12 @@ func truncate(b []byte) string {
 	return string(b)
 }
 
-// diffOptionSets are the option combinations the engine and its tests
-// actually run under.
-var diffOptionSets = []Options{
-	{AttributesAsElements: true, BorrowText: true},                           // engine mode
-	{AttributesAsElements: true},                                             // default
-	{AttributesAsElements: true, KeepWhitespaceText: true},                   // whitespace kept
-	{KeepWhitespaceText: true, BorrowText: true},                             // attributes discarded
-	{AttributesAsElements: true, KeepWhitespaceText: true, BorrowText: true}, // everything on
-}
+// diffOptionSets are the two configurations there are: owned text and
+// borrowed text (the engine's mode).
+var diffOptionSets = []Options{{}, {BorrowText: true}}
 
 // differentialCorpus is the hand-built input set: every fast path, every
-// sentinel, every straddle-prone construct, plus malformed variants of
+// terminator, every straddle-prone construct, plus malformed variants of
 // each (the scanners must agree on errors, not just successes).
 var differentialCorpus = []string{
 	// Fuzz seeds (keep in sync with FuzzTokenizer).
@@ -133,6 +127,7 @@ var differentialCorpus = []string{
 	// Text runs: long, whitespace-only, entity-dense, boundary entities.
 	`<a>` + strings.Repeat("lorem ipsum dolor sit amet ", 400) + `</a>`,
 	`<a>` + strings.Repeat(" \t\n\r", 300) + `</a>`,
+	`<a>` + strings.Repeat(" ", 100) + `x</a>`, // whitespace across a refill, then text
 	`<a>` + strings.Repeat("x&amp;", 200) + `</a>`,
 	`<a>&lt;tag&gt; &quot;q&quot; &apos;a&apos;</a>`,
 	`<a>text&`, // truncated entity

@@ -351,13 +351,10 @@ func (t *Reference) readText() (Token, bool, error) {
 	if len(t.textBuf) == 0 {
 		return Token{}, false, nil
 	}
-	if whitespaceOnly && !t.opts.KeepWhitespaceText {
+	if whitespaceOnly {
 		return Token{}, false, nil
 	}
 	if len(t.stack) == 0 {
-		if whitespaceOnly {
-			return Token{}, false, nil
-		}
 		return Token{}, false, t.syntaxErr("character data outside the root element")
 	}
 	return Token{Kind: Text, Data: t.textString()}, true, nil
@@ -593,17 +590,13 @@ func (t *Reference) readStartTag() (Token, bool, error) {
 			}
 			t.attrBuf = append(t.attrBuf, c)
 		}
-		if t.opts.AttributesAsElements {
-			var value string
-			if t.opts.BorrowText {
-				value = borrowString(t.attrBuf[valStart:])
-			} else {
-				value = string(t.attrBuf[valStart:])
-			}
-			t.attrs = append(t.attrs, attr{aname, value})
+		var value string
+		if t.opts.BorrowText {
+			value = borrowString(t.attrBuf[valStart:])
 		} else {
-			t.attrBuf = t.attrBuf[:valStart]
+			value = string(t.attrBuf[valStart:])
 		}
+		t.attrs = append(t.attrs, attr{aname, value})
 	}
 
 	t.rootSeen = true

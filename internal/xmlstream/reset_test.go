@@ -46,10 +46,8 @@ func TestCharRefValidation(t *testing.T) {
 		{`<a>&#xE000;</a>`, ""},
 		{`<a>&#x10FFFF;</a>`, "\U0010FFFF"},
 	}
-	opts := DefaultOptions()
-	opts.KeepWhitespaceText = true
 	for _, tc := range good {
-		toks := collect(t, tc.input, opts)
+		toks := collect(t, tc.input, DefaultOptions())
 		if len(toks) != 3 || toks[1].Data != tc.want {
 			t.Fatalf("input %q: got %v, want text %q", tc.input, toks, tc.want)
 		}

@@ -10,8 +10,9 @@ import (
 // text-heavy document is wall-to-wall description text (long
 // character-data runs, which the projector discards for most queries),
 // the markup-heavy one is catgraph/incategory-style — dense small tags
-// and attributes with almost no character data. Both are deterministic
-// in (target, seed), so the token counts below are exact.
+// and attributes with almost no character data. A third, entity-dense
+// document is the text loop's slowest shape. All are deterministic in
+// (target, seed), so the token counts below are exact.
 
 var profileWords = []string{
 	"gold", "silver", "auction", "reserve", "bidder", "parcel", "estate",
@@ -48,7 +49,7 @@ func (r *profileRand) intn(n int) int {
 }
 
 // genTextHeavyDoc emits XMark region items whose descriptions carry long
-// uninterrupted text runs — the best case for sentinel scanning.
+// uninterrupted text runs — the fewest structural bytes per input byte.
 func genTextHeavyDoc(target int64, seed uint64) []byte {
 	rng := newProfileRand(seed)
 	var b bytes.Buffer
@@ -67,7 +68,7 @@ func genTextHeavyDoc(target int64, seed uint64) []byte {
 
 // genMarkupHeavyDoc emits an XMark catgraph — rows of small
 // attribute-bearing elements with no character data, the tag-parsing
-// worst case where sentinel runs are short.
+// worst case where every run between structural bytes is short.
 func genMarkupHeavyDoc(target int64, seed uint64) []byte {
 	rng := newProfileRand(seed)
 	var b bytes.Buffer
@@ -78,6 +79,31 @@ func genMarkupHeavyDoc(target int64, seed uint64) []byte {
 			rng.intn(1000), rng.intn(1000), rng.intn(1000))
 	}
 	b.WriteString("</catgraph></site>\n")
+	return b.Bytes()
+}
+
+// genEntityDenseDoc emits XMark items whose description texts carry an
+// entity reference (&amp; or a hex character reference) every few words
+// and run 4–8 KB, longer than the window the profile is read in: every
+// text run crosses a refill and is resolved into textBuf.
+func genEntityDenseDoc(target int64, seed uint64) []byte {
+	rng := newProfileRand(seed)
+	var b bytes.Buffer
+	b.Grow(int(target) + 16<<10)
+	b.WriteString("<site><regions><asia>\n")
+	for id := 0; int64(b.Len()) < target; id++ {
+		fmt.Fprintf(&b, `<item id="item%d"><description><text>`, id)
+		for end := b.Len() + 4<<10 + rng.intn(4<<10); b.Len() < end; {
+			writeWords(&b, &rng, 1+rng.intn(4))
+			if rng.intn(2) == 0 {
+				b.WriteString(" &amp; ")
+			} else {
+				fmt.Fprintf(&b, " &#x%X; ", 'A'+rng.intn(26))
+			}
+		}
+		b.WriteString("</text></description></item>\n")
+	}
+	b.WriteString("</asia></regions></site>\n")
 	return b.Bytes()
 }
 
@@ -150,15 +176,20 @@ func drainIndex(ix *StructIndex, doc []byte) int64 {
 // same bytes on the same machine, so the runner's speed cancels out.
 // Text-heavy measures 4–5×; markup-heavy 2.2–2.5×, and falling under 2.0×
 // means the structural-index fast paths no longer engage on dense markup.
+// The entity-dense document is read 4,093 bytes at a time (shorter than
+// its every text run) and is counted and allocation-checked, not
+// benchmarked.
 var profileDocs = []struct {
 	name       string
 	gen        func(int64, uint64) []byte
-	tokens     int64 // per pass, chunked and reference alike
-	structural int64 // bytes the index classifies as candidates
-	minSpeedup float64
+	window     int     // bytes per read; 0 = as many as the tokenizer asks for
+	tokens     int64   // per pass, chunked and reference alike
+	structural int64   // bytes the index classifies as candidates
+	minSpeedup float64 // 0 = not benchmarked
 }{
-	{"text-heavy", genTextHeavyDoc, 37537, 51978, 1.8},
-	{"markup-heavy", genMarkupHeavyDoc, 636484, 587528, 2.0},
+	{"text-heavy", genTextHeavyDoc, 0, 37537, 51978, 1.8},
+	{"markup-heavy", genMarkupHeavyDoc, 0, 636484, 587528, 2.0},
+	{"entity-dense", genEntityDenseDoc, 4093, 6696, 158990, 0},
 }
 
 func borrowOptions() Options {
@@ -176,11 +207,11 @@ func borrowOptions() Options {
 func TestProfileDocumentCounts(t *testing.T) {
 	for _, doc := range profileDocs {
 		data := doc.gen(4<<20, 1)
-		chunked, err := drainChunked(NewTokenizerOptions(bytes.NewReader(data), borrowOptions()))
+		chunked, err := drainChunked(NewTokenizerOptions(&chunkReader{data: data, k: doc.window}, borrowOptions()))
 		if err != nil {
 			t.Fatalf("%s: chunked: %v", doc.name, err)
 		}
-		reference, err := drainReference(NewReference(bytes.NewReader(data), borrowOptions()))
+		reference, err := drainReference(NewReference(&chunkReader{data: data, k: doc.window}, borrowOptions()))
 		if err != nil {
 			t.Fatalf("%s: reference: %v", doc.name, err)
 		}
@@ -207,17 +238,17 @@ func TestChunkedTokenizerAllocsNotAboveReference(t *testing.T) {
 
 	for _, profile := range profileDocs {
 		doc := profile.gen(256<<10, 1)
-		r := bytes.NewReader(doc)
+		var r chunkReader
 		chunkedPass := func() {
-			r.Reset(doc)
-			chunked.Reset(r)
+			r = chunkReader{data: doc, k: profile.window}
+			chunked.Reset(&r)
 			if _, err := drainChunked(chunked); err != nil {
 				t.Fatal(err)
 			}
 		}
 		referencePass := func() {
-			r.Reset(doc)
-			reference.Reset(r)
+			r = chunkReader{data: doc, k: profile.window}
+			reference.Reset(&r)
 			if _, err := drainReference(reference); err != nil {
 				t.Fatal(err)
 			}
@@ -248,6 +279,9 @@ func TestChunkedTokenizerAllocsNotAboveReference(t *testing.T) {
 // sample — so `-benchtime 1x` reports it without holding it.
 func BenchmarkTokenizerThroughput(b *testing.B) {
 	for _, doc := range profileDocs {
+		if doc.minSpeedup == 0 {
+			continue
+		}
 		data := doc.gen(4<<20, 1)
 		r := bytes.NewReader(data)
 		var referenceNsPerOp float64
@@ -301,6 +335,9 @@ func BenchmarkTokenizerThroughput(b *testing.B) {
 // density grows; a regression here slows every window slide.
 func BenchmarkStructuralIndex(b *testing.B) {
 	for _, doc := range profileDocs {
+		if doc.minSpeedup == 0 {
+			continue
+		}
 		data := doc.gen(4<<20, 1)
 		b.Run(doc.name, func(b *testing.B) {
 			var ix StructIndex

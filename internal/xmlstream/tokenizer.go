@@ -1,7 +1,6 @@
 package xmlstream
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -18,19 +17,12 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xmlstream: syntax error at byte %d: %s", e.Offset, e.Msg)
 }
 
-// Options configures a Tokenizer.
+// Options configures a Tokenizer. Two behaviours are fixed, not options:
+// each attribute name="value" on an opening tag is reported as a leading
+// child element <name>value</name> (the paper's attribute adaptation,
+// Sections 2 and 7), and whitespace-only character data is dropped (as
+// the paper's example streams are written).
 type Options struct {
-	// AttributesAsElements, when true (the default used by the engine),
-	// reports each attribute name="value" on an opening tag as a leading
-	// child element <name>value</name>. This implements the paper's
-	// attribute adaptation (Sections 2 and 7). When false, attributes are
-	// discarded.
-	AttributesAsElements bool
-	// KeepWhitespaceText, when true, reports whitespace-only character
-	// data. The engine default is false (ignorable whitespace between
-	// elements is dropped), which matches how the paper's example streams
-	// are written.
-	KeepWhitespaceText bool
 	// BorrowText, when true, makes the Data of Text tokens a view into
 	// the tokenizer's scratch buffers instead of a fresh allocation. The
 	// view is valid only until the pending tokens queued by the producing
@@ -43,12 +35,12 @@ type Options struct {
 
 // DefaultOptions returns the configuration the engine uses.
 func DefaultOptions() Options {
-	return Options{AttributesAsElements: true, KeepWhitespaceText: false}
+	return Options{}
 }
 
 // Tokenizer reads an XML document from an io.Reader and produces a stream of
 // Tokens. It supports the subset of XML needed for the engine: elements,
-// attributes (converted or discarded), character data, CDATA sections,
+// attributes (converted to subelements), character data, CDATA sections,
 // comments, processing instructions, and an optional XML declaration and
 // DOCTYPE (skipped). Namespaces are not interpreted; qualified names are
 // treated as plain tag names.
@@ -60,12 +52,13 @@ func DefaultOptions() Options {
 // branchless structural classification pass (see structidx.go), and text
 // runs, start tags, and end tags are parsed by hopping the precomputed
 // candidate positions — whole tags parse inside the window with no
-// refill checks. The per-byte state machine remains as the fallback for
-// anything the fast paths bail on (constructs straddling a refill,
-// entities in attribute values, malformed shapes) and for opaque
-// regions (comments, PIs, CDATA, DOCTYPE interiors), whose sentinel
-// bytes are not structural and still use bytes.IndexByte run-skipping.
-// The retained per-byte implementation (Reference) is the
+// refill checks, and a text run keeps hopping across refills and
+// entities. The per-byte state machine is the one other mechanism: it
+// runs wherever a tag fast path bails (a tag straddling a refill, an
+// entity in an attribute value, a malformed shape) and through opaque
+// regions (comments, PIs, CDATA, DOCTYPE interiors), whose terminators
+// are not structural bytes. The retained per-byte implementation
+// (Reference) is the
 // differential-testing and benchmarking baseline; both must produce
 // byte-identical token streams (see DESIGN.md, "Chunked scanning" and
 // "Structural index").
@@ -254,23 +247,10 @@ func (t *Tokenizer) next() (byte, bool) {
 func (t *Tokenizer) skipComment() bool {
 	dashes := 0
 	for {
-		if t.pos >= t.n && !t.fill() {
+		c, ok := t.next()
+		if !ok {
 			return false
 		}
-		if dashes == 0 {
-			// No partial terminator: everything before the next '-' is
-			// interior and can be skipped in one IndexByte call.
-			i := bytes.IndexByte(t.buf[t.pos:t.n], '-')
-			if i < 0 {
-				t.pos = t.n
-				continue
-			}
-			t.pos += i + 1
-			dashes = 1
-			continue
-		}
-		c := t.buf[t.pos]
-		t.pos++
 		switch {
 		case c == '-':
 			dashes++
@@ -283,29 +263,15 @@ func (t *Tokenizer) skipComment() bool {
 }
 
 // skipUntil consumes input through the first occurrence of the literal
-// sequence seq and returns true, or false on EOF. seq must be at least
-// two bytes and must not have a repeated prefix (see skipComment for
-// why "-->" does not qualify).
+// sequence seq and returns true, or false on EOF. seq must not have a
+// repeated prefix (see skipComment for why "-->" does not qualify).
 func (t *Tokenizer) skipUntil(seq string) bool {
 	matched := 0
 	for {
-		if t.pos >= t.n && !t.fill() {
+		c, ok := t.next()
+		if !ok {
 			return false
 		}
-		if matched == 0 {
-			// Nothing matched yet: skip the run up to the next candidate
-			// first byte in one IndexByte call.
-			i := bytes.IndexByte(t.buf[t.pos:t.n], seq[0])
-			if i < 0 {
-				t.pos = t.n
-				continue
-			}
-			t.pos += i + 1
-			matched = 1
-			continue
-		}
-		c := t.buf[t.pos]
-		t.pos++
 		if c == seq[matched] {
 			matched++
 			if matched == len(seq) {
@@ -360,10 +326,8 @@ func (t *Tokenizer) intern(b []byte) string {
 	return owned
 }
 
-// readName reads an XML name and returns it as an interned string. The
-// fast path scans the name inside the current window and interns straight
-// from the window subslice; only a name that straddles a refill goes
-// through nameBuf.
+// readName reads an XML name into nameBuf, a byte at a time across
+// refills, and returns it as an interned string.
 //
 //gcxlint:noalloc
 func (t *Tokenizer) readName() (string, error) {
@@ -374,46 +338,19 @@ func (t *Tokenizer) readName() (string, error) {
 	if !isNameStart(c) {
 		return "", t.syntaxErr(fmt.Sprintf("expected name, found %q", c)) //gcxlint:allocok error construction terminates the scan
 	}
-	win := t.buf[t.pos:t.n]
-	i := 1
-	for i < len(win) && isNameByte(win[i]) {
-		i++
-	}
-	if i < len(win) {
-		// Whole name in the window: intern without copying.
-		name := win[:i]
-		t.pos += i
-		return t.intern(name), nil
-	}
-	// The name may continue past the refill boundary: accumulate.
-	t.nameBuf = append(t.nameBuf[:0], win...)
-	t.pos = t.n
-	for {
-		c, ok := t.peek()
-		if !ok || !isNameByte(c) {
-			break
-		}
+	t.nameBuf = t.nameBuf[:0]
+	for ok && isNameByte(c) {
 		t.nameBuf = append(t.nameBuf, c)
 		t.pos++
+		c, ok = t.peek()
 	}
 	return t.intern(t.nameBuf), nil
 }
 
 //gcxlint:noalloc
 func (t *Tokenizer) skipSpace() {
-	for {
-		if t.pos >= t.n && !t.fill() {
-			return
-		}
-		win := t.buf[t.pos:t.n]
-		i := 0
-		for i < len(win) && isSpace(win[i]) {
-			i++
-		}
-		t.pos += i
-		if i < len(win) {
-			return
-		}
+	for c, ok := t.peek(); ok && isSpace(c); c, ok = t.peek() {
+		t.pos++
 	}
 }
 
@@ -667,91 +604,73 @@ func (t *Tokenizer) scan() (Token, error) {
 }
 
 // readText consumes character data up to the next '<' and reports whether a
-// Text token was produced (whitespace-only runs may be suppressed). One
+// Text token was produced (whitespace-only runs are suppressed). One
 // maximal run yields at most one Text token, exactly like Reference.
 //
-// Fast path: hop the structural-index candidates to the '<' that ends
-// the run. Quote and '>' candidates are plain character data and cost
-// one dispatch each; reaching '<' with no '&' en route means the whole
-// run lies inside the current window, so under BorrowText the token
-// borrows the window subslice directly — zero copies, zero allocations.
-// A run that straddles the refill (index exhausted) or contains '&' is
-// accumulated in textBuf, because the refill overwrites the window.
+// The run is walked by hopping structural-index candidates; quote and
+// '>' candidates are plain character data and cost one dispatch each.
+// No candidate before the window end means the run continues past the
+// refill: the window tail goes to textBuf (the refill overwrites the
+// window) and the hop resumes in the new window. An '&' moves the run so
+// far to textBuf too, and the entity's expansion follows it. At the '<'
+// that ends the run, a run that never left the window and held no
+// entity is emitted as the window subslice itself — under BorrowText,
+// zero copies — and any other run as textBuf.
 //
 //gcxlint:noalloc
 func (t *Tokenizer) readText() (Token, bool, error) {
+	t.textBuf = t.textBuf[:0]
+	inBuf := false // the run so far is in textBuf, not the window
+	ws := true     // the bytes in textBuf are all whitespace
 	for p := t.pos; ; {
 		i := t.idx.Next(p)
 		if i < 0 {
-			break // the run straddles the refill boundary
+			tail := t.buf[t.pos:t.n]
+			ws = ws && isAllSpace(tail)
+			t.textBuf = append(t.textBuf, tail...)
+			inBuf = true
+			t.pos = t.n
+			if !t.fill() {
+				return t.emitText(t.textBuf, ws) // the input ends the run
+			}
+			p = t.pos
+			continue
 		}
-		c := t.buf[i]
-		if c == '<' {
+		switch t.buf[i] {
+		case '<':
 			run := t.buf[t.pos:i]
 			t.pos = i
-			return t.emitText(run, isAllSpace(run))
-		}
-		if c == '&' {
-			break // entity: the slow path resolves into textBuf
-		}
-		p = i + 1 // '"', '\'', '>' are character data
-	}
-	// Slow path: the run straddles the window or contains entities.
-	// Consume it in sub-runs delimited by '<', '&', and refills.
-	t.textBuf = t.textBuf[:0]
-	whitespaceOnly := true
-	for {
-		if t.pos >= t.n && !t.fill() {
-			break
-		}
-		win := t.buf[t.pos:t.n]
-		stop, term := len(win), byte(0)
-		if i := bytes.IndexByte(win, '<'); i >= 0 {
-			stop, term = i, '<'
-		}
-		if i := bytes.IndexByte(win[:stop], '&'); i >= 0 {
-			stop, term = i, '&'
-		}
-		run := win[:stop]
-		if whitespaceOnly && !isAllSpace(run) {
-			whitespaceOnly = false
-		}
-		t.textBuf = append(t.textBuf, run...)
-		t.pos += stop
-		if term == '<' {
-			break
-		}
-		if term == '&' {
-			t.pos++
+			if !inBuf {
+				return t.emitText(run, isAllSpace(run))
+			}
+			t.textBuf = append(t.textBuf, run...)
+			return t.emitText(t.textBuf, ws && isAllSpace(run))
+		case '&':
+			t.textBuf = append(t.textBuf, t.buf[t.pos:i]...)
+			inBuf, ws = true, false
+			t.pos = i + 1
 			var err error
-			t.textBuf, err = t.resolveEntity(t.textBuf)
-			if err != nil {
+			if t.textBuf, err = t.resolveEntity(t.textBuf); err != nil {
 				return Token{}, false, err
 			}
-			whitespaceOnly = false
+			p = t.pos // resolveEntity may have refilled the window
+		default:
+			p = i + 1 // '"', '\'', '>' are character data
 		}
 	}
-	return t.emitText(t.textBuf, whitespaceOnly)
 }
 
-// emitText applies the suppression rules shared by both readText paths
-// and converts the accumulated run into a Text token: a borrowed view
-// under BorrowText (of the window on the fast path, of textBuf on the
-// slow path — both live until the next Next call), an owned copy
-// otherwise.
+// emitText applies the suppression rules to a finished run and converts
+// it into a Text token: a borrowed view under BorrowText (of the window
+// or of textBuf — both live until the next Next call), an owned copy
+// otherwise. An empty run counts as whitespace-only.
 //
 //gcxlint:noalloc
 func (t *Tokenizer) emitText(data []byte, whitespaceOnly bool) (Token, bool, error) {
-	if len(data) == 0 {
-		return Token{}, false, nil
-	}
-	if whitespaceOnly && !t.opts.KeepWhitespaceText {
+	if whitespaceOnly {
 		return Token{}, false, nil
 	}
 	if len(t.stack) == 0 {
-		if whitespaceOnly {
-			return Token{}, false, nil
-		}
 		return Token{}, false, t.syntaxErr("character data outside the root element")
 	}
 	if t.opts.BorrowText {
@@ -861,22 +780,10 @@ func (t *Tokenizer) readBang() (Token, bool, error) {
 			return Token{}, false, t.syntaxErr("unterminated declaration")
 		}
 		for {
-			if t.pos >= t.n && !t.fill() {
+			c, ok := t.next()
+			if !ok {
 				return unterminated()
 			}
-			if pfx == 0 {
-				// Outside any "<!--"/"<?" prefix, only '<', '>', and
-				// quote characters can change state: skip the run up to
-				// the next sentinel in one IndexAny call.
-				i := bytes.IndexAny(t.buf[t.pos:t.n], declSentinels)
-				if i < 0 {
-					t.pos = t.n
-					continue
-				}
-				t.pos += i
-			}
-			c := t.buf[t.pos]
-			t.pos++
 			if pfx == 1 && c == '?' {
 				// "<?": a processing instruction inside the subset.
 				pfx = 0
@@ -907,19 +814,15 @@ func (t *Tokenizer) readBang() (Token, bool, error) {
 			}
 			switch c {
 			case '"', '\'':
-				// Quoted literal: opaque, skip straight to the closing
-				// quote run by run.
-				for {
-					if t.pos >= t.n && !t.fill() {
+				// Quoted literal: opaque through the closing quote.
+				for quote := c; ; {
+					c, ok := t.next()
+					if !ok {
 						return unterminated()
 					}
-					i := bytes.IndexByte(t.buf[t.pos:t.n], c)
-					if i < 0 {
-						t.pos = t.n
-						continue
+					if c == quote {
+						break
 					}
-					t.pos += i + 1
-					break
 				}
 			case '<':
 				depth++
@@ -933,11 +836,6 @@ func (t *Tokenizer) readBang() (Token, bool, error) {
 	}
 }
 
-// declSentinels are the only bytes that can change state while scanning a
-// DOCTYPE/markup declaration outside a "<!--"/"<?" prefix: nesting
-// brackets and quote openers.
-const declSentinels = `<>"'`
-
 func (t *Tokenizer) readCDATA() (Token, bool, error) {
 	if len(t.stack) == 0 {
 		return Token{}, false, t.syntaxErr("CDATA outside the root element")
@@ -945,26 +843,10 @@ func (t *Tokenizer) readCDATA() (Token, bool, error) {
 	t.textBuf = t.textBuf[:0]
 	matched := 0
 	for {
-		if t.pos >= t.n && !t.fill() {
+		c, ok := t.next()
+		if !ok {
 			return Token{}, false, t.syntaxErr("unterminated CDATA section")
 		}
-		if matched == 0 {
-			// Interior run: everything before the next ']' is content and
-			// is bulk-copied in one append.
-			win := t.buf[t.pos:t.n]
-			i := bytes.IndexByte(win, ']')
-			if i < 0 {
-				t.textBuf = append(t.textBuf, win...)
-				t.pos = t.n
-				continue
-			}
-			t.textBuf = append(t.textBuf, win[:i]...)
-			t.pos += i + 1
-			matched = 1
-			continue
-		}
-		c := t.buf[t.pos]
-		t.pos++
 		switch {
 		case c == ']':
 			// In a run of brackets only the FINAL two can belong to the
@@ -1150,29 +1032,27 @@ func (t *Tokenizer) fastStartTag() (Token, bool) {
 				}
 				p = k + 1
 			}
-			if t.opts.AttributesAsElements {
-				// Under BorrowText the value borrows the window directly —
-				// no scratch copy. This is within the contract: the window
-				// only slides inside fill, fill only runs from scan, and
-				// scan does not resume until the tag's pending tokens have
-				// fully drained, which is exactly the borrowed view's
-				// guaranteed lifetime.
-				var value string
-				if t.opts.BorrowText {
-					value = borrowString(buf[vstart:vend])
-				} else {
-					value = string(buf[vstart:vend]) //gcxlint:allocok owned-copy mode is for callers that retain text
-				}
-				if value == "" {
-					t.pending = append(t.pending,
-						Token{Kind: StartElement, Name: aname},
-						Token{Kind: EndElement, Name: aname})
-				} else {
-					t.pending = append(t.pending,
-						Token{Kind: StartElement, Name: aname},
-						Token{Kind: Text, Data: value},
-						Token{Kind: EndElement, Name: aname})
-				}
+			// Under BorrowText the value borrows the window directly — no
+			// scratch copy. This is within the contract: the window only
+			// slides inside fill, fill only runs from scan, and scan does
+			// not resume until the tag's pending tokens have fully
+			// drained, which is exactly the borrowed view's guaranteed
+			// lifetime.
+			var value string
+			if t.opts.BorrowText {
+				value = borrowString(buf[vstart:vend])
+			} else {
+				value = string(buf[vstart:vend]) //gcxlint:allocok owned-copy mode is for callers that retain text
+			}
+			if value == "" {
+				t.pending = append(t.pending,
+					Token{Kind: StartElement, Name: aname},
+					Token{Kind: EndElement, Name: aname})
+			} else {
+				t.pending = append(t.pending,
+					Token{Kind: StartElement, Name: aname},
+					Token{Kind: Text, Data: value},
+					Token{Kind: EndElement, Name: aname})
 			}
 			i = vend + 1
 		default:
@@ -1194,7 +1074,7 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 	if err != nil {
 		return Token{}, false, err
 	}
-	if len(t.stack) == 0 && t.sawRoot() {
+	if len(t.stack) == 0 && t.rootSeen {
 		return Token{}, false, t.syntaxErr("multiple root elements: <" + name + ">")
 	}
 	// Attribute scratch is safe to rewind here: the pending queue (which
@@ -1234,51 +1114,33 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 		if !ok || (quote != '"' && quote != '\'') {
 			return Token{}, false, t.syntaxErr("attribute " + aname + " missing quoted value")
 		}
-		// The value is bulk-copied run by run: everything up to the next
-		// closing quote or '&' moves in one append. It lands in attrBuf
-		// (not a window borrow) because parsing the rest of the tag can
-		// refill the window while the value must survive until the
-		// pending attribute tokens drain.
+		// The value lands in attrBuf (not a window borrow) because parsing
+		// the rest of the tag can refill the window while the value must
+		// survive until the pending attribute tokens drain.
 		valStart := len(t.attrBuf)
-	value:
 		for {
-			if t.pos >= t.n && !t.fill() {
+			c, ok := t.next()
+			if !ok {
 				return Token{}, false, errUnexpectedEOF
 			}
-			win := t.buf[t.pos:t.n]
-			stop, term := len(win), byte(0)
-			if i := bytes.IndexByte(win, quote); i >= 0 {
-				stop, term = i, quote
+			if c == quote {
+				break
 			}
-			if i := bytes.IndexByte(win[:stop], '&'); i >= 0 {
-				stop, term = i, '&'
-			}
-			t.attrBuf = append(t.attrBuf, win[:stop]...)
-			t.pos += stop
-			switch term {
-			case 0: // window exhausted mid-value: refill and continue
-			case '&':
-				t.pos++
-				t.attrBuf, err = t.resolveEntity(t.attrBuf)
-				if err != nil {
+			if c == '&' {
+				if t.attrBuf, err = t.resolveEntity(t.attrBuf); err != nil {
 					return Token{}, false, err
 				}
-			default: // the closing quote
-				t.pos++
-				break value
+				continue
 			}
+			t.attrBuf = append(t.attrBuf, c)
 		}
-		if t.opts.AttributesAsElements {
-			var value string
-			if t.opts.BorrowText {
-				value = borrowString(t.attrBuf[valStart:])
-			} else {
-				value = string(t.attrBuf[valStart:])
-			}
-			t.attrs = append(t.attrs, attr{aname, value})
+		var value string
+		if t.opts.BorrowText {
+			value = borrowString(t.attrBuf[valStart:])
 		} else {
-			t.attrBuf = t.attrBuf[:valStart]
+			value = string(t.attrBuf[valStart:])
 		}
+		t.attrs = append(t.attrs, attr{aname, value})
 	}
 
 	t.rootSeen = true
@@ -1303,5 +1165,3 @@ func (t *Tokenizer) readStartTag() (Token, bool, error) {
 	}
 	return start, true, nil
 }
-
-func (t *Tokenizer) sawRoot() bool { return t.rootSeen }

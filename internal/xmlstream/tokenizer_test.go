@@ -90,20 +90,6 @@ func TestAttributesBecomeSubelements(t *testing.T) {
 	}
 }
 
-func TestAttributesDiscarded(t *testing.T) {
-	opts := Options{AttributesAsElements: false}
-	got := collect(t, `<a x="1"><b y="2"/></a>`, opts)
-	want := []Token{
-		{Kind: StartElement, Name: "a"},
-		{Kind: StartElement, Name: "b"},
-		{Kind: EndElement, Name: "b"},
-		{Kind: EndElement, Name: "a"},
-	}
-	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
-	}
-}
-
 func TestSelfClosingAttributeOrder(t *testing.T) {
 	got := collect(t, `<item id="i1"/>`, DefaultOptions())
 	want := []Token{
@@ -157,11 +143,6 @@ func TestWhitespaceSuppression(t *testing.T) {
 	}
 	if !tokensEqual(got, want) {
 		t.Fatalf("got %v\nwant %v", got, want)
-	}
-
-	kept := collect(t, input, Options{AttributesAsElements: true, KeepWhitespaceText: true})
-	if len(kept) != 7 {
-		t.Fatalf("with KeepWhitespaceText want 7 tokens, got %v", kept)
 	}
 }
 

@@ -405,7 +405,7 @@ func (r *Registry) snapshot() (*registrySnapshot, error) {
 		for i, g := range r.order {
 			members[i] = g.member
 		}
-		c, err := engine.NewPass(members, r.cfg.readBatch)
+		c, err := engine.NewPass(members, 0)
 		if err != nil {
 			return nil, err
 		}
