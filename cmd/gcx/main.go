@@ -32,6 +32,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -335,19 +336,12 @@ func runSingle(src, inputFile, mode string, explain, trace, stats, statsJSON boo
 
 	var st gcx.Stats
 	if trace {
-		steps, s, err := eng.Trace(in, os.Stdout)
+		tl, err := eng.Trace(context.Background(), in, os.Stdout, 0)
 		if err != nil {
 			return err
 		}
-		st = s
-		for i, step := range steps {
-			fmt.Fprintf(os.Stderr, "step %d: %s\n", i+1, step.Event)
-			if step.Buffer == "" {
-				fmt.Fprintln(os.Stderr, "  (buffer empty)")
-				continue
-			}
-			fmt.Fprint(os.Stderr, indent(step.Buffer))
-		}
+		st = tl.Stats
+		fmt.Fprint(os.Stderr, tl)
 	} else {
 		st, err = eng.Run(in, os.Stdout)
 		if err != nil {
@@ -463,27 +457,4 @@ func printStats(w io.Writer, st gcx.Stats) {
 func emitJSON(v jsonStats) error {
 	enc := json.NewEncoder(os.Stderr)
 	return enc.Encode(v)
-}
-
-func indent(s string) string {
-	out := ""
-	for _, line := range splitLines(s) {
-		out += "  | " + line + "\n"
-	}
-	return out
-}
-
-func splitLines(s string) []string {
-	var lines []string
-	start := 0
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			lines = append(lines, s[start:i])
-			start = i + 1
-		}
-	}
-	if start < len(s) {
-		lines = append(lines, s[start:])
-	}
-	return lines
 }

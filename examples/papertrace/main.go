@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -43,11 +44,11 @@ func main() {
 
 	fmt.Println("=== evaluation trace (compare Figure 2) ===")
 	var out strings.Builder
-	steps, stats, err := eng.Trace(strings.NewReader(stream), &out)
+	trace, err := eng.Trace(context.Background(), strings.NewReader(stream), &out, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for i, s := range steps {
+	for i, s := range trace.Steps {
 		fmt.Printf("step %-3d %s\n", i+1, s.Event)
 		if s.Buffer == "" {
 			fmt.Println("         (buffer empty)")
@@ -61,5 +62,5 @@ func main() {
 	fmt.Println()
 	fmt.Println("output:", out.String())
 	fmt.Printf("peak buffer: %d nodes; %d nodes purged by active GC\n",
-		stats.PeakBufferNodes, stats.PurgedTotal)
+		trace.Stats.PeakBufferNodes, trace.Stats.PurgedTotal)
 }

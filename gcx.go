@@ -276,65 +276,36 @@ func (e *Engine) RunString(doc string) (string, Stats, error) {
 // this query.
 func (e *Engine) Explain() string { return e.c.Explain() }
 
-// TraceOption configures a Trace run.
-type TraceOption func(*traceConfig)
-
-type traceConfig struct {
-	limit     int
-	truncated *bool
-	ctx       context.Context
+// Trace is RunContext that additionally records the buffer contents after
+// every consumed token and executed signOff — the step-by-step view of the
+// paper's Figure 2. After limit steps the evaluation continues but further
+// steps are dropped and the log is marked truncated; limit <= 0 records
+// every step, a snapshot per token. On cancellation the returned error
+// matches ErrCanceled, as RunContext's does.
+func (e *Engine) Trace(ctx context.Context, in io.Reader, out io.Writer, limit int) (TraceLog, error) {
+	// Steps starts non-nil: a run that records nothing marshals as [].
+	tr := &engine.Tracer{Limit: limit, Steps: []TraceStep{}}
+	st, err := e.c.Trace(corpus.Guard(ctx, in), out, tr)
+	return TraceLog{Steps: tr.Steps, Truncated: tr.Truncated, Stats: convertStats(st)}, err
 }
 
-// WithTraceLimit bounds the recorded steps: after n events the evaluation
-// continues but further steps are dropped. n <= 0 means unbounded. This
-// is the option services use — a deep trace of an arbitrarily large
-// document then holds at most n buffer snapshots.
-func WithTraceLimit(n int) TraceOption {
-	return func(c *traceConfig) { c.limit = n }
+// TraceLog is the record of one traced run. Its JSON form is the trace
+// part gcxd returns for a Gcx-Trace request.
+type TraceLog struct {
+	Steps []TraceStep `json:"steps"`
+	// Truncated reports that the step limit dropped at least one event.
+	Truncated bool  `json:"truncated"`
+	Stats     Stats `json:"stats"`
 }
 
-// WithTraceTruncated reports into hit whether a WithTraceLimit bound was
-// reached (steps were dropped). hit is written before Trace returns.
-func WithTraceTruncated(hit *bool) TraceOption {
-	return func(c *traceConfig) { c.truncated = hit }
-}
+// String renders the steps as `gcx -trace` prints them: each event, then
+// the buffer after it, one `  | `-prefixed line per buffered node.
+func (l TraceLog) String() string { return engine.FormatSteps(l.Steps) }
 
-// WithTraceContext bounds the traced run by a context, with the same
-// semantics as RunContext: on cancellation the returned error matches
-// ErrCanceled.
-func WithTraceContext(ctx context.Context) TraceOption {
-	return func(c *traceConfig) { c.ctx = ctx }
-}
-
-// Trace evaluates the query and additionally records the buffer contents
-// after every consumed token and executed signOff — the step-by-step view
-// of the paper's Figure 2. Options bound the recording; an unbounded
-// trace of a large document holds a snapshot per token.
-func (e *Engine) Trace(in io.Reader, out io.Writer, opts ...TraceOption) ([]TraceStep, Stats, error) {
-	var cfg traceConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	tr := &engine.Tracer{Limit: cfg.limit}
-	est, err := e.c.RunWith(corpus.Guard(cfg.ctx, in), out, engine.RunOptions{Trace: tr})
-	steps := make([]TraceStep, len(tr.Steps))
-	for i, s := range tr.Steps {
-		steps[i] = TraceStep{Event: s.Event, Buffer: s.Buffer}
-	}
-	if cfg.truncated != nil {
-		*cfg.truncated = tr.Truncated
-	}
-	return steps, convertStats(est), err
-}
-
-// TraceStep is one event of a traced run.
-type TraceStep struct {
-	// Event describes the trigger: `read <tag>` or `signOff($x, rN)`.
-	Event string `json:"event"`
-	// Buffer is the buffer tree with role annotations after the event,
-	// in the notation of the paper's Figure 2.
-	Buffer string `json:"buffer"`
-}
+// TraceStep is one event of a traced run: Event describes the trigger
+// (`read <tag>` or `signOff($x, rN)`), Buffer is the buffer tree with role
+// annotations after it, in the notation of the paper's Figure 2.
+type TraceStep = engine.TraceStep
 
 func convertStats(st engine.Stats) Stats {
 	return Stats{

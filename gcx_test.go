@@ -1,7 +1,11 @@
 package gcx
 
 import (
+	"context"
+	"encoding/json"
+	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -79,21 +83,63 @@ func TestTrace(t *testing.T) {
 	eng := MustCompile(`<out>{ for $b in /bib/book return $b/title }</out>`,
 		WithoutOptimizations())
 	var out strings.Builder
-	steps, _, err := eng.Trace(strings.NewReader(bibDoc), &out)
+	trace, err := eng.Trace(context.Background(), strings.NewReader(bibDoc), &out, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(steps) == 0 {
+	if len(trace.Steps) == 0 {
 		t.Fatal("no trace steps recorded")
 	}
 	var sawSignoff bool
-	for _, s := range steps {
+	for _, s := range trace.Steps {
 		if strings.HasPrefix(s.Event, "signOff(") {
 			sawSignoff = true
 		}
 	}
 	if !sawSignoff {
 		t.Fatal("trace must include signOff events")
+	}
+}
+
+// TestTraceLog covers the one traced call's contract: limit ≤ 0 records
+// every step, a positive limit keeps that many and marks the log
+// truncated without touching the result, a canceled context matches
+// ErrCanceled, and the log renders and marshals in the sidecar's shape.
+func TestTraceLog(t *testing.T) {
+	eng := MustCompile(`<out>{ for $b in /bib/book return $b/title }</out>`)
+	trace := func(ctx context.Context, limit int) (string, TraceLog, error) {
+		var out strings.Builder
+		tl, err := eng.Trace(ctx, strings.NewReader(bibDoc), &out, limit)
+		return out.String(), tl, err
+	}
+	want, _, _ := eng.RunString(bibDoc)
+
+	out, full, err := trace(context.Background(), 0)
+	if err != nil || out != want || full.Truncated || full.Stats.TokensRead == 0 {
+		t.Fatalf("unbounded: %v, output %q, truncated %v, stats %+v", err, out, full.Truncated, full.Stats)
+	}
+	if _, neg, _ := trace(context.Background(), -1); len(neg.Steps) != len(full.Steps) || neg.Truncated {
+		t.Fatalf("limit -1 recorded %d of %d steps (truncated %v)", len(neg.Steps), len(full.Steps), neg.Truncated)
+	}
+	out, short, err := trace(context.Background(), 3)
+	if err != nil || out != want || !short.Truncated || !slices.Equal(short.Steps, full.Steps[:3]) {
+		t.Fatalf("limit 3: %v, output %q, truncated %v, %d steps", err, out, short.Truncated, len(short.Steps))
+	}
+	if s := short.String(); !strings.HasPrefix(s, "step 1: read <bib>\n  | bib") || strings.Count(s, "step ") != 3 {
+		t.Fatalf("String:\n%s", s)
+	}
+	b, err := json.Marshal(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(b), `{"steps":[{"event":`) || !strings.Contains(string(b), `],"truncated":true,"stats":{"peak_buffer_nodes":`) {
+		t.Fatalf("JSON %s", b)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := trace(ctx, 0); !errors.Is(err, ErrCanceled) {
+		t.Fatalf("canceled trace: err = %v, want ErrCanceled", err)
 	}
 }
 

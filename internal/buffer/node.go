@@ -182,9 +182,6 @@ func (n *Node) RoleCount(r xqast.Role) int {
 	return 0
 }
 
-// TotalRoles returns the number of role instances on n.
-func (n *Node) TotalRoles() int { return int(n.selfTotal) }
-
 // SubtreeRoles returns the number of role instances in n's subtree.
 func (n *Node) SubtreeRoles() int64 { return n.subTotal }
 

@@ -164,24 +164,18 @@ type Stats struct {
 	WallNanos int64
 }
 
-// RunOptions carries per-run hooks (tracing).
-type RunOptions struct {
-	// Trace, if non-nil, receives a buffer snapshot after every consumed
-	// token and executed signOff (drives the Figure 2 example).
-	Trace *Tracer
-}
-
 // Run executes the compiled query over the XML input, writing the result
 // to out: one run of the query's own one-member pass. A Compiled is safe
 // for concurrent use (see Pass.Run).
 func (c *Compiled) Run(in io.Reader, out io.Writer) (Stats, error) {
-	return c.RunWith(in, out, RunOptions{})
+	return c.Trace(in, out, nil)
 }
 
-// RunWith executes with hooks.
-func (c *Compiled) RunWith(in io.Reader, out io.Writer, ro RunOptions) (Stats, error) {
+// Trace is Run with tr recording a buffer snapshot after every consumed
+// token and executed signOff (the paper's Figure 2); a nil tr is Run.
+func (c *Compiled) Trace(in io.Reader, out io.Writer, tr *Tracer) (Stats, error) {
 	outs := [1]io.Writer{out}
-	st, rs := c.solo.run(in, outs[:], ro)
+	st, rs := c.solo.run(in, outs[:], tr)
 	err := rs.tasks[0].err
 	c.solo.release(rs)
 	return st, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -91,11 +92,11 @@ func TestFigure2Trace(t *testing.T) {
 
 	tr := &Tracer{}
 	var out strings.Builder
-	if _, err := c.RunWith(strings.NewReader(introDoc), &out, RunOptions{Trace: tr}); err != nil {
+	if _, err := c.Trace(strings.NewReader(introDoc), &out, tr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
-	trace := tr.Format()
+	trace := FormatSteps(tr.Steps)
 
 	// Step 3 of Figure 2: after reading <book>, the node carries its
 	// binding role and the dos role of $x plus the binding role of $b
@@ -135,6 +136,35 @@ func TestFigure2Trace(t *testing.T) {
 	}
 }
 
+// TestTraceEntityTextRuns pins a whole trace whose two text runs both
+// carry an entity, so each is assembled in the tokenizer's one shared text
+// scratch and the second overwrites the first: the tracer must format each
+// token while the projector's observer holds it, never keep the token.
+func TestTraceEntityTextRuns(t *testing.T) {
+	c := compile(t, `<q>{ for $x in //x return $x }</q>`, Config{Mode: ModeGCX})
+	tr := &Tracer{}
+	var out strings.Builder
+	if _, err := c.Trace(strings.NewReader(`<r>a&amp;b<x>C&amp;D</x></r>`), &out, tr); err != nil {
+		t.Fatal(err)
+	}
+	if out.String() != `<q><x>C&amp;D</x></q>` {
+		t.Fatalf("output %s", out.String())
+	}
+	want := []TraceStep{
+		{`read <r>`, ``},
+		{`read "a&b"`, ``},
+		{`read <x>`, "x{r2}*\n"},
+		{`read "C&D"`, "x{r2}*\n  \"C&D\"\n"},
+		{`read </x>`, "x{r2}\n  \"C&D\"\n"},
+		{`signOff($x, r2)`, "x\n"},
+		{`read </r>`, "x\n"},
+		{`read EOF`, "x\n"},
+	}
+	if !slices.Equal(tr.Steps, want) {
+		t.Fatalf("trace\n%s", FormatSteps(tr.Steps))
+	}
+}
+
 // TestCancellation exercises the signOff-on-unfinished-subtree path: the
 // second book of introDoc contains a price, so the for$x batch runs while
 // the book is still open; the trailing postprice element must not be
@@ -148,7 +178,7 @@ func TestCancellation(t *testing.T) {
 		c := compile(t, introQuery, cfg)
 		tr := &Tracer{}
 		var out strings.Builder
-		if _, err := c.RunWith(strings.NewReader(introDoc), &out, RunOptions{Trace: tr}); err != nil {
+		if _, err := c.Trace(strings.NewReader(introDoc), &out, tr); err != nil {
 			t.Fatalf("%+v: %v", cfg.Static, err)
 		}
 		// After the postprice element is read, it must not linger in the

@@ -186,9 +186,6 @@ type runState struct {
 	// tasks[i] holds member i's evaluator, runs it and records how it went.
 	tasks []*task
 	ws    []*xmlstream.Writer
-	// onSign are the per-member signOff counting hooks, built once so
-	// pooled reruns do not allocate closures.
-	onSign []func(xqast.SignOff)
 	// start is the obs.Now timestamp the run began at.
 	start int64
 	// idle is true from release until the next run claims the state. The
@@ -217,12 +214,11 @@ func (p *Pass) newRunState() *runState {
 		Schema:         p.schema,
 	})
 	rs := &runState{
-		syms:   syms,
-		buf:    buf,
-		tok:    tok,
-		proj:   pr,
-		ws:     make([]*xmlstream.Writer, n),
-		onSign: make([]func(xqast.SignOff), n),
+		syms: syms,
+		buf:  buf,
+		tok:  tok,
+		proj: pr,
+		ws:   make([]*xmlstream.Writer, n),
 	}
 	// The one wiring choice: a scheduler earns its place only when more
 	// than one evaluator shares the stream. A lone evaluator is fed by the
@@ -246,21 +242,19 @@ func (p *Pass) newRunState() *runState {
 		query := m.Analysis.Query
 		t.ev = ev
 		t.exec = func() error { return ev.Run(query) }
-		rs.onSign[i] = func(xqast.SignOff) { t.signOffs++ }
 	}
 	self := weak.Make(rs)
 	rs.self = &self
 	return rs
 }
 
-// reset points the runState at a new run's input, outputs, and hooks.
+// reset points the runState at a new run's input, outputs, and tracer.
 // Reset order matters: the projector rebuilds its root frame around the
-// buffer's fresh root.
+// buffer's fresh root (and drops the last run's observer).
 //
-//gcxlint:keep onSign the per-member counting hooks are built once in newRunState and re-wired into each evaluator below
 //gcxlint:keep idle the ownership flag: acquire clears it, release sets it
 //gcxlint:keep self the state's own weak pointer, made once in newRunState
-func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, ro RunOptions) {
+func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, tr *Tracer) {
 	rs.start = start
 	rs.tok.Reset(in)
 	rs.buf.Reset()
@@ -277,19 +271,19 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 	if rs.sched != nil {
 		rs.sched.reset()
 	}
+	var onSignOff func(xqast.SignOff)
+	if tr != nil {
+		onSignOff = tr.install(rs.buf, rs.proj)
+	}
 	for i := range rs.tasks {
 		rs.tasks[i].reset()
 		rs.ws[i].Reset(outs[i])
-		evOpts := eval.Options{
+		rs.tasks[i].ev.Reset(eval.Options{
 			ExecuteSignOffs: p.Mode == ModeGCX,
 			Schema:          p.schema,
 			RoleOffset:      p.Offsets[i],
-			OnSignOff:       rs.onSign[i],
-		}
-		if ro.Trace != nil {
-			ro.Trace.install(&evOpts, rs.buf, rs.proj)
-		}
-		rs.tasks[i].ev.Reset(evOpts)
+			OnSignOff:       onSignOff,
+		})
 	}
 }
 
@@ -338,13 +332,13 @@ func (p *Pass) acquire() *runState {
 // The members' own outcomes stay on rs.tasks; the caller releases rs. A
 // panic (a member's output writer, say) surfaces on the calling goroutine
 // with rs never returned to the pool.
-func (p *Pass) run(in io.Reader, outs []io.Writer, ro RunOptions) (Stats, *runState) {
+func (p *Pass) run(in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState) {
 	if len(outs) != len(p.Members) {
 		panic(fmt.Sprintf("workload: %d queries but %d output writers", len(p.Members), len(outs)))
 	}
 	start := obs.Now()
 	rs := p.acquire()
-	rs.reset(p, start, in, outs, ro)
+	rs.reset(p, start, in, outs, tr)
 	if rs.sched != nil {
 		rs.sched.run()
 	} else {
@@ -387,7 +381,7 @@ func (p *Pass) queryStats(rs *runState) ([]QueryStats, error) {
 		t := rs.tasks[i]
 		q := QueryStats{
 			OutputBytes:  rs.ws[i].BytesWritten(),
-			SignOffs:     t.signOffs,
+			SignOffs:     t.ev.SignOffs(),
 			TokensAtDone: t.tokensAtDone,
 			Err:          t.err,
 
@@ -415,7 +409,7 @@ func (p *Pass) queryStats(rs *runState) ([]QueryStats, error) {
 // concurrent use: each Run draws its own pooled run state; the run itself
 // is strictly sequential (the paper's evaluation semantics).
 func (p *Pass) Run(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
-	st, rs := p.run(in, outs, RunOptions{})
+	st, rs := p.run(in, outs, nil)
 	qs, err := p.queryStats(rs)
 	p.release(rs)
 	return st, qs, err
@@ -426,7 +420,7 @@ func (p *Pass) Run(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) 
 // is removed, and the buffer is empty after evaluation). Only meaningful
 // in ModeGCX; other modes skip the check by design.
 func (p *Pass) RunChecked(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
-	st, rs := p.run(in, outs, RunOptions{})
+	st, rs := p.run(in, outs, nil)
 	defer p.release(rs)
 	qs, err := p.queryStats(rs)
 	if err == nil && p.Mode == ModeGCX {

@@ -127,7 +127,7 @@ func probeRun(t *testing.T, p *Pass, in io.Reader) probeResult {
 	for i := range bufs {
 		bufs[i] = &strings.Builder{}
 	}
-	st, rs := p.run(in, toIOWriters(bufs), RunOptions{})
+	st, rs := p.run(in, toIOWriters(bufs), nil)
 	defer p.release(rs)
 	st.TTFRNanos, st.WallNanos = 0, 0
 	res := probeResult{stats: st}
@@ -136,7 +136,7 @@ func probeRun(t *testing.T, p *Pass, in io.Reader) probeResult {
 			t.Fatalf("member %d: %v", i, task.err)
 		}
 		res.outs = append(res.outs, bufs[i].String())
-		res.signOffs = append(res.signOffs, task.signOffs)
+		res.signOffs = append(res.signOffs, task.ev.SignOffs())
 		res.progress = append(res.progress, task.ev.Progress())
 	}
 	if rs.sched != nil {

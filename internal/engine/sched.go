@@ -87,9 +87,6 @@ type task struct {
 	panicked any
 	hasPanic bool
 
-	// signOffs counts this query's executed signOff statements (fed by the
-	// evaluator's OnSignOff hook).
-	signOffs int64
 	// tokensAtDone is the shared stream position when this query's
 	// evaluator completed.
 	tokensAtDone int64
@@ -151,7 +148,6 @@ func (t *task) reset() {
 	t.err = nil
 	t.panicked = nil
 	t.hasPanic = false
-	t.signOffs = 0
 	t.tokensAtDone = 0
 	t.doneAt = 0
 }
@@ -206,8 +202,8 @@ func (t *task) main() {
 // alone while the node it recorded is untouched — except at end of input
 // or on a stream error, which reach it through Step's result and make it
 // unwind, and in the cases the evaluator itself knows about (CanProceed:
-// a wait no single node decides, a first result byte still to be flushed,
-// a per-token hook). Unnecessary wakes are only slow; the rule errs that
+// a wait no single node decides, a first result byte still to be
+// flushed). Unnecessary wakes are only slow; the rule errs that
 // way wherever it is not sure.
 //
 // The evaluator fields this reads were written on t's goroutine before its

@@ -5,8 +5,8 @@ import (
 	"strings"
 
 	"gcx/internal/buffer"
-	"gcx/internal/eval"
 	"gcx/internal/proj"
+	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
 )
 
@@ -16,7 +16,7 @@ import (
 // garbage collection") for arbitrary queries and inputs.
 type Tracer struct {
 	Steps []TraceStep
-	// Limit bounds the number of recorded steps (0 = unbounded).
+	// Limit bounds the number of recorded steps (≤ 0 = unbounded).
 	// Evaluation continues past the bound — tracing is an observer, never
 	// a governor — but further events are dropped and Truncated is set.
 	// Servers use this so a deep trace over an arbitrarily large document
@@ -37,44 +37,36 @@ func (t *Tracer) full() bool {
 	return false
 }
 
-// TraceStep is one recorded event.
+// TraceStep is one event of a traced run (gcx.TraceStep is this type).
 type TraceStep struct {
-	// Event describes what happened, e.g. `read <book>` or
-	// `signOff($x, r3)`.
-	Event string
-	// Buffer is the indented buffer dump after the event.
-	Buffer string
+	// Event describes the trigger: `read <tag>` or `signOff($x, rN)`.
+	Event string `json:"event"`
+	// Buffer is the buffer tree with role annotations after the event,
+	// in the notation of the paper's Figure 2.
+	Buffer string `json:"buffer"`
 }
 
-func (t *Tracer) install(opts *eval.Options, buf *buffer.Buffer, p *proj.Projector) {
-	// LastToken snapshots are pay-for-use: the projector copies token
-	// data only while a tracer is watching.
-	p.TrackLastToken(true)
-	opts.OnToken = func() {
-		if t.full() {
-			return
+// install wires t into one run: the projector's observer records every
+// token it reads, formatted on the spot (the token borrows the tokenizer's
+// window), and the returned hook every signOff an evaluator executes.
+func (t *Tracer) install(buf *buffer.Buffer, p *proj.Projector) func(xqast.SignOff) {
+	p.Observe(func(tk xmlstream.Token) {
+		if !t.full() {
+			t.Steps = append(t.Steps, TraceStep{Event: "read " + tk.String(), Buffer: buf.Dump()})
 		}
-		t.Steps = append(t.Steps, TraceStep{
-			Event:  "read " + p.LastToken().String(),
-			Buffer: buf.Dump(),
-		})
-	}
-	opts.OnSignOff = func(s xqast.SignOff) {
-		if t.full() {
-			return
+	})
+	return func(s xqast.SignOff) {
+		if !t.full() {
+			t.Steps = append(t.Steps, TraceStep{Event: fmt.Sprintf("signOff(%s, r%d)", s.Path, s.Role), Buffer: buf.Dump()})
 		}
-		t.Steps = append(t.Steps, TraceStep{
-			Event:  fmt.Sprintf("signOff(%s, r%d)", s.Path, s.Role),
-			Buffer: buf.Dump(),
-		})
 	}
 }
 
-// Format renders the trace as a two-column table in the spirit of
-// Figure 2.
-func (t *Tracer) Format() string {
+// FormatSteps renders a trace as a two-column table in the spirit of
+// Figure 2: each event, then the buffer after it.
+func FormatSteps(steps []TraceStep) string {
 	var b strings.Builder
-	for i, s := range t.Steps {
+	for i, s := range steps {
 		fmt.Fprintf(&b, "step %d: %s\n", i+1, s.Event)
 		if s.Buffer == "" {
 			b.WriteString("  (buffer empty)\n")

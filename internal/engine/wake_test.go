@@ -170,7 +170,7 @@ func TestPassHandoffCounts(t *testing.T) {
 		}
 		// Twice: a pooled rerun makes the same handoffs.
 		for run := 0; run < 2; run++ {
-			_, rs := p.run(bytes.NewReader(doc.Bytes()), outs, RunOptions{})
+			_, rs := p.run(bytes.NewReader(doc.Bytes()), outs, nil)
 			resumes, skips := rs.sched.resumes, rs.sched.skips
 			for i, task := range rs.tasks {
 				if task.err != nil {

@@ -44,11 +44,8 @@ type Options struct {
 	// the member's solo analysis — are translated here at execution time.
 	RoleOffset xqast.Role
 	// OnSignOff, if set, is invoked after each executed signOff statement
-	// (used by the Figure 2 trace example).
+	// (the tracer; SignOffs counts them either way).
 	OnSignOff func(s xqast.SignOff)
-	// OnToken, if set, is invoked after each token pulled from the
-	// projector while the evaluator was blocked.
-	OnToken func()
 }
 
 // Evaluator evaluates one query over one document. The query is resolved
@@ -134,6 +131,7 @@ type work struct {
 	entries     int64 // probe table entries built
 	probes      int64 // probe table lookups, one per probe value
 	tableBytes  int64 // probe table arrays built (entries and buckets): evaluator scratch, not buffer bytes
+	signOffs    int64 // signOff statements executed
 }
 
 // New creates an evaluator writing query output to out.
@@ -143,7 +141,7 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 }
 
 // Reset prepares the evaluator for another run. opts are replaced
-// wholesale so per-run hooks (tracing) do not leak across runs; the
+// wholesale so a per-run hook (the tracer) does not leak across runs; the
 // per-query tables are emptied here and filled again by Run.
 //
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
@@ -269,17 +267,14 @@ func (e *Evaluator) pull(on *buffer.Node, first bool) (bool, error) {
 		e.firstFlushed = true
 		e.out.FlushFirst()
 	}
-	if e.opts.OnToken != nil {
-		e.opts.OnToken()
-	}
 	return more, nil
 }
 
 // CanProceed reports whether an evaluator parked in its feeder's Step
 // could do anything if it were resumed: what it waits on changed, it
-// waits on nothing the scheduler can watch, its first result byte is
+// waits on nothing the scheduler can watch, or its first result byte is
 // still waiting for pull's FlushFirst (earliest answering must not be
-// delayed by a round), or a per-token hook wants to see every wake.
+// delayed by a round).
 // False means a resume would re-evaluate the same loop condition over the
 // same node state, find it false, and park again — nothing written,
 // nothing signed off. The caller resumes regardless at end of input and
@@ -293,16 +288,18 @@ func (e *Evaluator) pull(on *buffer.Node, first bool) (bool, error) {
 func (e *Evaluator) CanProceed() bool {
 	n := e.wait
 	return n == nil || n.Stamp() != e.waitStamp ||
-		(!e.firstFlushed && e.out.FirstByteAt() != 0) ||
-		e.opts.OnToken != nil
+		(!e.firstFlushed && e.out.FirstByteAt() != 0)
 }
+
+// SignOffs returns the number of signOff statements this run executed.
+func (e *Evaluator) SignOffs() int64 { return e.work.signOffs }
 
 // Progress is everything a resumed evaluator can move, as one comparable
 // value: the wait record CanProceed decides from, the work counters
-// (blocking episodes begun among them), the output produced, and the
-// shared buffer's accounting. A resume that was a no-op leaves it
-// equal; the engine's wake-rule audit checks exactly that, and nothing
-// else reads it.
+// (blocking episodes begun and signOffs executed among them), the output
+// produced, and the shared buffer's accounting. A resume that was a
+// no-op leaves it equal; the engine's wake-rule audit checks exactly
+// that, and nothing else reads it.
 type Progress struct {
 	On           *buffer.Node
 	Stamp        uint32
@@ -391,6 +388,7 @@ func (e *Evaluator) expr(x xqast.Expr) error {
 		if err := e.buf.SignOff(binding, x.Path.Steps, e.syms, x.Role+e.opts.RoleOffset); err != nil {
 			return err
 		}
+		e.work.signOffs++
 		if e.opts.OnSignOff != nil {
 			e.opts.OnSignOff(x)
 		}

@@ -146,27 +146,3 @@ func (s HistSnapshot) Quantile(p float64) int64 {
 	}
 	return UpperBound(NumBuckets - 1)
 }
-
-// Stopwatch times one stage of a run against the package clock. Start and
-// elapsed reads are allocation-free, so a Stopwatch may live inside pooled
-// run state.
-type Stopwatch struct {
-	start int64
-}
-
-// Start marks the stage begin.
-//
-//gcxlint:noalloc
-func (s *Stopwatch) Start() {
-	s.start = Now()
-}
-
-// ElapsedNanos returns nanoseconds since Start (0 if never started).
-//
-//gcxlint:noalloc
-func (s *Stopwatch) ElapsedNanos() int64 {
-	if s.start == 0 {
-		return 0
-	}
-	return Now() - s.start
-}

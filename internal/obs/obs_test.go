@@ -139,26 +139,13 @@ func TestHistogramConcurrent(t *testing.T) {
 // nothing.
 func TestObserveAllocationFree(t *testing.T) {
 	var h Histogram
-	var sw Stopwatch
 	allocs := testing.AllocsPerRun(1000, func() {
-		sw.Start()
-		h.Observe(sw.ElapsedNanos())
+		start := Now()
+		h.Observe(Now() - start)
 		h.Observe(Now())
 	})
 	if allocs != 0 {
-		t.Fatalf("Observe/Now/Stopwatch allocate %.1f per run, want 0", allocs)
-	}
-}
-
-func TestStopwatch(t *testing.T) {
-	var sw Stopwatch
-	if sw.ElapsedNanos() != 0 {
-		t.Fatal("unstarted stopwatch should read 0")
-	}
-	sw.Start()
-	time.Sleep(time.Millisecond)
-	if e := sw.ElapsedNanos(); e < int64(time.Millisecond) {
-		t.Fatalf("ElapsedNanos = %d, want ≥ 1ms", e)
+		t.Fatalf("Observe/Now allocate %.1f per run, want 0", allocs)
 	}
 }
 

@@ -4,9 +4,10 @@
 // fly.
 //
 // Matching is an NFA simulation over the stack of open elements, which is
-// the per-instance generalization of the paper's lazily constructed DFA
-// (the instance-free lazy DFA itself is implemented in dfa.go and used for
-// diagnostics and the Figure 5 tests). Per-instance state is required for
+// the per-instance generalization of the paper's lazily constructed DFA:
+// the projection nodes matched on one open frame, counted with their
+// multiplicities, are the multiset Example 1 maps the frame's tag path
+// to. Per-instance state is required for
 //
 //   - first-witness suppression: a [position()=1] projection node buffers
 //     only the first match per context *instance*;
@@ -19,6 +20,9 @@
 // (2) it lies below a dos::node() capture, or (3) the structural guard of
 // Section 2 (case (2)) applies — discarding it could promote a descendant
 // into a false child-axis match.
+//
+// A run may install one token observer (Observe, the tracer); Step calls
+// it with each token after processing it, and Reset removes it.
 package proj
 
 import (
@@ -148,12 +152,9 @@ type Projector struct {
 
 	tokens int64
 
-	// trackLast enables LastToken (tracing support). It is off in
-	// production runs so the hot path never copies token data.
-	trackLast bool
-	lastKind  xmlstream.Kind
-	lastName  []byte // owned copy of the last token's tag name
-	lastData  []byte // owned copy of the last token's character data
+	// observe, when set, sees every token after Step has processed it
+	// (the tracer). It is per run: Reset clears it.
+	observe func(xmlstream.Token)
 }
 
 // New creates a projector reading from tok into buf, guided by tree.
@@ -205,44 +206,17 @@ func (p *Projector) Reset() {
 	p.scopeArena = p.scopeArena[:0]
 	p.eof = false
 	p.tokens = 0
-	p.trackLast = false
-	p.lastKind = 0
-	p.lastName = p.lastName[:0]
-	p.lastData = p.lastData[:0]
+	p.observe = nil
 	p.init()
 }
 
 // TokensRead returns the number of stream tokens consumed.
 func (p *Projector) TokensRead() int64 { return p.tokens }
 
-// TrackLastToken enables or disables LastToken snapshots. Tracking is
-// off by default (and after Reset): it copies every token's name and
-// data, which the production hot path must not pay for.
-func (p *Projector) TrackLastToken(on bool) { p.trackLast = on }
-
-// LastToken returns the most recently consumed token (tracing support).
-// The returned token owns its strings: unlike the tokenizer's borrowed
-// tokens it stays valid across subsequent Steps. It is the zero Token
-// until TrackLastToken(true) is called.
-func (p *Projector) LastToken() xmlstream.Token {
-	return xmlstream.Token{Kind: p.lastKind, Name: string(p.lastName), Data: string(p.lastData)}
-}
-
-// noteToken snapshots a token for LastToken. The copy is the point:
-// under BorrowText the token's strings alias tokenizer scratch that the
-// next Next() overwrites, so retaining tk itself would corrupt the
-// snapshot (and is exactly what borrowcheck forbids).
-//
-//gcxlint:borrowed
-//gcxlint:noalloc
-func (p *Projector) noteToken(tk xmlstream.Token) {
-	p.lastKind = tk.Kind
-	p.lastName = append(p.lastName[:0], tk.Name...)
-	p.lastData = append(p.lastData[:0], tk.Data...)
-}
-
-// EOF reports whether the input is exhausted.
-func (p *Projector) EOF() bool { return p.eof }
+// Observe makes fn see every token of this run after Step has processed
+// it, until the next Reset. The token borrows the tokenizer's window:
+// fn must copy what it keeps before returning.
+func (p *Projector) Observe(fn func(xmlstream.Token)) { p.observe = fn }
 
 //gcxlint:noalloc
 func hasDescChildren(pn *projtree.Node) bool {
@@ -268,9 +242,6 @@ func (p *Projector) Step() (bool, error) {
 		return false, err
 	}
 	p.tokens++
-	if p.trackLast {
-		p.noteToken(tk)
-	}
 	switch tk.Kind {
 	case xmlstream.StartElement:
 		p.openElement(tk.Name)
@@ -285,9 +256,11 @@ func (p *Projector) Step() (bool, error) {
 			return false, fmt.Errorf("proj: internal error: %d frames open at EOF", len(p.stack)-1)
 		}
 		p.buf.Finish(p.buf.Root())
-		return false, nil
 	}
-	return true, nil
+	if p.observe != nil {
+		p.observe(tk)
+	}
+	return !p.eof, nil
 }
 
 // cancelledCount returns the number of signed-off instances of role at

@@ -1,6 +1,10 @@
 package proj_test
 
 import (
+	"fmt"
+	"maps"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -228,7 +232,7 @@ func TestTextRoles(t *testing.T) {
 	}
 }
 
-// --- DFA diagnostics (Figure 5, Example 1) ---
+// --- Figure 5 and Example 1, on the projector that runs ---
 
 // fig5Tree builds the projection tree of Figure 5(a): /a/b/dos::node() and
 // /a//b/dos::node().
@@ -243,30 +247,70 @@ func fig5Tree() *projtree.Tree {
 	return t
 }
 
-// TestFigure5LazyDFA checks the state-to-multiset mapping of Example 1.
-// Node numbering: n0=root(v1), n1=v2(/a), n2=v3(/a/b), n4=v5(/a),
+// observeMatches runs a projector for tree over doc and calls at with the
+// open-element path and the projector after every start tag (and once for
+// the document node, path nil, before the first token).
+func observeMatches(t *testing.T, tree *projtree.Tree, doc string, at func(path []string, p *proj.Projector)) {
+	t.Helper()
+	buf := buffer.New(xmlstream.NewSymTab(), len(tree.Roles)-1, nil)
+	p := proj.New(xmlstream.NewTokenizer(strings.NewReader(doc)), buf, tree, proj.Options{})
+	at(nil, p)
+	var path []string
+	p.Observe(func(tk xmlstream.Token) {
+		switch tk.Kind {
+		case xmlstream.StartElement:
+			path = append(path, strings.Clone(tk.Name))
+			at(path, p)
+		case xmlstream.EndElement:
+			path = path[:len(path)-1]
+		}
+	})
+	for {
+		more, err := p.Step()
+		if err != nil {
+			t.Fatalf("projection: %v", err)
+		}
+		if !more {
+			return
+		}
+	}
+}
+
+// pathMultisets renders the projector's matched multiset at every
+// open-element path of doc ("/" for the document node), like "{n1, n4}".
+func pathMultisets(t *testing.T, tree *projtree.Tree, doc string) map[string]string {
+	t.Helper()
+	got := map[string]string{}
+	observeMatches(t, tree, doc, func(path []string, p *proj.Projector) {
+		var ids []string
+		for id, mult := range p.Matched() {
+			for range mult {
+				ids = append(ids, fmt.Sprintf("n%d", id))
+			}
+		}
+		slices.Sort(ids)
+		got["/"+strings.Join(path, "/")] = "{" + strings.Join(ids, ", ") + "}"
+	})
+	return got
+}
+
+// TestFigure5LazyDFA checks the state-to-multiset mapping of Example 1 for
+// the projection tree of Figure 5(a): each DFA state of Figure 5(b) is a tag
+// path, and the multiset is read off the projector's open frame at that
+// path. Node numbering: n0=root(v1), n1=v2(/a), n2=v3(/a/b), n4=v5(/a),
 // n5=v6(/a//b).
 func TestFigure5LazyDFA(t *testing.T) {
-	d := proj.NewDFA(fig5Tree())
-
-	if got := d.Start.MatchesString(); got != "{n0}" {
-		t.Fatalf("q0 maps to %s, want {n0}", got)
-	}
-	q1 := d.MatchPath("a")
-	if got := q1.MatchesString(); got != "{n1, n4}" {
-		t.Fatalf("q1 maps to %s, want {n1, n4} (v2 and v5)", got)
-	}
-	q2 := d.MatchPath("a", "a")
-	if got := q2.MatchesString(); got != "{}" {
-		t.Fatalf("q2 maps to %s, want {}", got)
-	}
-	q3 := d.MatchPath("a", "a", "b")
-	if got := q3.MatchesString(); got != "{n5}" {
-		t.Fatalf("q3 maps to %s, want {n5} (v6)", got)
-	}
-	q4 := d.MatchPath("a", "b")
-	if got := q4.MatchesString(); got != "{n2, n5}" {
-		t.Fatalf("q4 maps to %s, want {n2, n5} (v3 and v6)", got)
+	got := pathMultisets(t, fig5Tree(), `<a><a><b/></a><b/></a>`)
+	for _, c := range []struct{ state, path, want string }{
+		{"q0", "/", "{n0}"},
+		{"q1", "/a", "{n1, n4}"},
+		{"q2", "/a/a", "{}"},
+		{"q3", "/a/a/b", "{n5}"},
+		{"q4", "/a/b", "{n2, n5}"},
+	} {
+		if got[c.path] != c.want {
+			t.Errorf("%s (path %s) maps to %s, want %s", c.state, c.path, got[c.path], c.want)
+		}
 	}
 }
 
@@ -277,33 +321,134 @@ func TestExample1Multiplicity(t *testing.T) {
 	v2 := tr.AddNode(tr.Root, xqast.Step{Axis: xqast.Descendant, Test: xqast.NameTest("a")})
 	tr.AddNode(v2, xqast.Step{Axis: xqast.Descendant, Test: xqast.NameTest("b")})
 
-	d := proj.NewDFA(tr)
-	s := d.MatchPath("a", "a", "b")
-	if got := s.MatchesString(); got != "{n2, n2}" {
+	if got := pathMultisets(t, tr, `<a><a><b/></a></a>`)["/a/a/b"]; got != "{n2, n2}" {
 		t.Fatalf("path /a/a/b maps to %s, want {n2, n2} (multiplicity 2)", got)
 	}
 }
 
-// TestDFAIsLazyAndCached: repeated paths reuse states.
-func TestDFAIsLazyAndCached(t *testing.T) {
-	d := proj.NewDFA(fig5Tree())
-	if d.StateCount() != 1 {
-		t.Fatalf("fresh DFA must have only the start state, got %d", d.StateCount())
+// example1 is Example 1's definition of the multiset a tag path maps to,
+// written without the projector: a child step extends the matches of the
+// parent, a descendant step the matches of every ancestor, and the
+// multiplicities of all derivations add up.
+func example1(tree *projtree.Tree, path []string) map[int]int {
+	levels := []map[int]int{{tree.Root.ID: 1}}
+	for k, name := range path {
+		next := map[int]int{}
+		for j, level := range levels {
+			for id, mult := range level {
+				for _, c := range tree.Nodes[id].Children {
+					test := c.Step.Test
+					named := test.Kind == xqast.TestStar || test.Kind == xqast.TestName && test.Name == name
+					if named && (c.Step.Axis == xqast.Descendant || c.Step.Axis == xqast.Child && j == k) {
+						next[c.ID] += mult
+					}
+				}
+			}
+		}
+		levels = append(levels, next)
 	}
-	a := d.MatchPath("a", "b")
-	before := d.StateCount()
-	b := d.MatchPath("a", "b")
-	if a != b {
-		t.Fatal("identical paths must reach the identical state object")
+	return levels[len(path)]
+}
+
+// randProjTree draws a projection tree over a, b and * with child and
+// descendant steps (no [1], no roles, so nothing is ever signed off).
+func randProjTree(r *rand.Rand) *projtree.Tree {
+	tests := []xqast.NodeTest{xqast.NameTest("a"), xqast.NameTest("b"), xqast.StarTest()}
+	tr := projtree.New()
+	var grow func(n *projtree.Node, depth int)
+	grow = func(n *projtree.Node, depth int) {
+		for k := r.Intn(3); k > 0 && depth < 4; k-- {
+			axis := xqast.Child
+			if r.Intn(2) == 0 {
+				axis = xqast.Descendant
+			}
+			grow(tr.AddNode(n, xqast.Step{Axis: axis, Test: tests[r.Intn(len(tests))]}), depth+1)
+		}
 	}
-	if d.StateCount() != before {
-		t.Fatal("repeated paths must not materialize new states")
+	grow(tr.Root, 0)
+	return tr
+}
+
+// randTagDoc draws a document over a, b and c, at most 6 elements deep.
+func randTagDoc(r *rand.Rand) string {
+	var b strings.Builder
+	var elem func(depth int)
+	elem = func(depth int) {
+		name := string(rune('a' + r.Intn(3)))
+		b.WriteString("<" + name + ">")
+		for k := r.Intn(4); k > 0 && depth < 6; k-- {
+			if r.Intn(4) == 0 {
+				b.WriteString("t")
+			} else {
+				elem(depth + 1)
+			}
+		}
+		b.WriteString("</" + name + ">")
 	}
-	// Unrelated tags collapse into the empty sink state.
-	sink1 := d.MatchPath("zzz")
-	sink2 := d.MatchPath("a", "zzz", "k")
-	if sink1.MatchesString() != "{}" || sink2.MatchesString() != "{}" {
-		t.Fatal("unmatched paths must map to empty multisets")
+	elem(1)
+	return b.String()
+}
+
+// TestMatcherMatchesExample1 checks the production matcher against Example 1's
+// definition: at every start tag of random documents, the multiset matched
+// on the open frame equals example1 of the open-element path.
+func TestMatcherMatchesExample1(t *testing.T) {
+	tags := 0
+	for seed := int64(0); seed < 500; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		tree := randProjTree(r)
+		for range 3 {
+			doc := randTagDoc(r)
+			observeMatches(t, tree, doc, func(path []string, p *proj.Projector) {
+				tags++
+				if got, want := p.Matched(), example1(tree, path); !maps.Equal(got, want) {
+					t.Fatalf("seed %d, tree\n%s\ndoc %s\npath /%s: projector matched %v, Example 1 gives %v",
+						seed, tree.Format(), doc, strings.Join(path, "/"), got, want)
+				}
+			})
+		}
+	}
+	if tags < 5000 {
+		t.Fatalf("only %d start tags checked", tags)
+	}
+}
+
+// The observer is per run: a fresh projector has none, and Reset drops the
+// one a traced run installed, so the next run pays nothing for it.
+func TestObserverOffByDefault(t *testing.T) {
+	const doc = `<r>a&amp;b<x>C&amp;D</x></r>`
+	buf := buffer.New(xmlstream.NewSymTab(), 0, nil)
+	tok := xmlstream.NewTokenizer(strings.NewReader(doc))
+	p := proj.New(tok, buf, projtree.New(), proj.Options{})
+	if p.Observer() != nil {
+		t.Fatal("fresh projector has an observer")
+	}
+	seen := 0
+	p.Observe(func(xmlstream.Token) { seen++ })
+	drain := func() {
+		for {
+			more, err := p.Step()
+			if err != nil {
+				t.Fatalf("step: %v", err)
+			}
+			if !more {
+				return
+			}
+		}
+	}
+	drain()
+	if seen != 7 {
+		t.Fatalf("observer saw %d tokens, want 7", seen)
+	}
+	tok.Reset(strings.NewReader(doc))
+	buf.Reset()
+	p.Reset()
+	if p.Observer() != nil {
+		t.Fatal("Reset kept the observer")
+	}
+	drain()
+	if seen != 7 {
+		t.Fatalf("observer of the previous run saw %d more tokens", seen-7)
 	}
 }
 
@@ -332,8 +477,9 @@ func TestProjectionStatsTokens(t *testing.T) {
 	if p.TokensRead() != 8 {
 		t.Fatalf("TokensRead = %d, want 8", p.TokensRead())
 	}
-	if !p.EOF() {
-		t.Fatal("EOF not reported")
+	// Past the end, Step keeps reporting false and reads nothing more.
+	if more, err := p.Step(); more || err != nil || p.TokensRead() != 8 {
+		t.Fatalf("Step after EOF = %v, %v (%d tokens), want false, nil (8)", more, err, p.TokensRead())
 	}
 	if !buf.Root().Finished() {
 		t.Fatal("root must be finished at EOF")

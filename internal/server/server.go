@@ -358,7 +358,7 @@ func (s *Server) body(w http.ResponseWriter, r *http.Request) (io.Reader, contex
 
 // countingReader feeds the service bytes-in counter. Cancellation is NOT
 // checked here: handlers run the engine through the context-aware API
-// (RunContext, WithTraceContext, BulkOptions.Context), which surfaces an
+// (RunContext, Trace, BulkOptions.Context), which surfaces an
 // expired deadline as a typed stream error the engine unwinds on.
 type countingReader struct {
 	r io.Reader
@@ -451,13 +451,6 @@ const (
 	maxTraceSteps     = 4096
 )
 
-// traceResponse is the JSON sidecar part of a traced /query run.
-type traceResponse struct {
-	Steps     []gcx.TraceStep `json:"steps"`
-	Truncated bool            `json:"truncated"`
-	Stats     gcx.Stats       `json:"stats"`
-}
-
 // handleQueryTraced serves POST /query with a Gcx-Trace header: a
 // multipart/mixed response whose first part streams the query result
 // (progressively, like the untraced path) and whose second part is a JSON
@@ -482,13 +475,9 @@ func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *
 		return
 	}
 	out := &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	var truncated bool
-	steps, stats, runErr := eng.Trace(in, out,
-		gcx.WithTraceLimit(limit),
-		gcx.WithTraceTruncated(&truncated),
-		gcx.WithTraceContext(ctx))
-	s.m.record(stats)
-	s.m.observeTTFR(label, stats.TimeToFirstResultNanos)
+	trace, runErr := eng.Trace(ctx, in, out, limit)
+	s.m.record(trace.Stats)
+	s.m.observeTTFR(label, trace.Stats.TimeToFirstResultNanos)
 	if runErr != nil {
 		s.m.erroredRequests.Add(1)
 	}
@@ -502,7 +491,7 @@ func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *
 	if err != nil {
 		return
 	}
-	writeJSONBody(tp, traceResponse{Steps: steps, Truncated: truncated, Stats: stats})
+	writeJSONBody(tp, trace)
 	mw.Close()
 }
 

@@ -15,13 +15,6 @@ func Format(q *Query) string {
 	return b.String()
 }
 
-// FormatExpr renders a single expression.
-func FormatExpr(e Expr) string {
-	var b strings.Builder
-	formatExpr(&b, e, 0)
-	return b.String()
-}
-
 // FormatCond renders a condition.
 func FormatCond(c Cond) string {
 	var b strings.Builder
