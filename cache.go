@@ -2,9 +2,12 @@ package gcx
 
 import (
 	"container/list"
+	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
+
+	"gcx/internal/engine"
 )
 
 // DefaultCompileCacheCapacity is the entry cap used when NewCompileCache
@@ -17,7 +20,9 @@ const DefaultCompileCacheCapacity = 128
 // analysis. Because Engines and Workloads are immutable and internally
 // pooled, one cached artifact can serve any number of concurrent runs —
 // the cache is what turns the library into a hot-query serving layer
-// (internal/server builds on it).
+// (internal/server builds on it). It is the one compiler behind its
+// Workloads and the Registries it creates (NewRegistry): both are
+// assembled from its Engines.
 //
 // Concurrent misses for the same key are coalesced: exactly one
 // compilation runs, the other callers wait for its result. Compilation
@@ -63,8 +68,9 @@ func NewCompileCache(capacity int) *CompileCache {
 	}
 }
 
-// CacheStats reports cache effectiveness. Compiles counts actual
-// compilations performed; with request coalescing it can be lower than
+// CacheStats reports cache effectiveness. Compiles counts the query texts
+// compiled — by Engine lookups, by the Workloads assembled from them and
+// by the cache's Registries; with request coalescing it can be lower than
 // Misses. The JSON field names are stable for /metrics scraping.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
@@ -106,15 +112,30 @@ func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
 	return e.eng, e.err
 }
 
-// Workload returns the cached Workload for (queries, opts), compiling it
-// on first use. The member order is part of the key: workloads with the
-// same queries in a different order are distinct artifacts (their output
-// order differs).
+// Workload returns the cached Workload for (queries, opts), assembling it
+// on first use from the cached Engine of each member text, so a text
+// already compiled for a solo request or a registry is not compiled
+// again. The member order is part of the key: workloads with the same
+// queries in a different order are distinct artifacts (their output order
+// differs).
 func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, error) {
 	e := cc.lookup(true, queries, opts)
 	e.once.Do(func() {
-		cc.compiles.Add(1)
-		e.wl, e.err = CompileWorkload(queries, opts...)
+		members := make([]*engine.Compiled, len(queries))
+		for i, q := range queries {
+			eng, err := cc.Engine(q, opts...)
+			if err != nil {
+				e.err = requalify(err, "", fmt.Sprintf("workload: query %d: ", i))
+				return
+			}
+			members[i] = eng.c
+		}
+		p, err := engine.NewPass(members, 0)
+		if err != nil {
+			e.err = queryError("", err)
+			return
+		}
+		e.wl = &Workload{c: p}
 	})
 	return e.wl, e.err
 }

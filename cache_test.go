@@ -1,10 +1,16 @@
 package gcx
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
+
+	"gcx/internal/queries"
+	"gcx/internal/xmark"
 )
 
 const cacheTestQuery = `<q>{ for $b in /bib/book return $b/title }</q>`
@@ -182,8 +188,15 @@ func TestCompileCacheQueryListCollisionResistance(t *testing.T) {
 	for _, qs := range pairs {
 		cc.Workload(qs) // compile errors are fine; only key identity matters
 	}
-	if st := cc.Stats(); st.Entries != len(pairs) {
-		t.Fatalf("4 distinct query lists must produce 4 entries, got %+v", st)
+	// The members' Engine entries sit beside them; count the workloads.
+	workloads := 0
+	for key := range cc.entries {
+		if key.workload {
+			workloads++
+		}
+	}
+	if workloads != len(pairs) {
+		t.Fatalf("4 distinct query lists must produce 4 workload entries, got %d (%+v)", workloads, cc.Stats())
 	}
 }
 
@@ -283,7 +296,95 @@ func TestCacheHitAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, workload); allocs > 1 {
 		t.Errorf("CompileCache.Workload hit allocates %.0f, want <= 1", allocs)
 	}
-	if st := cc.Stats(); st.Compiles != 2 || st.Misses != 2 || st.Entries != 2 {
-		t.Errorf("stats after two misses and hits only: %+v", st)
+	// The workload's miss compiled its two members the engine() miss had
+	// not: two more Engine entries, misses and compiles.
+	if st := cc.Stats(); st.Compiles != 3 || st.Misses != 4 || st.Entries != 4 {
+		t.Errorf("stats after the misses and hits only: %+v", st)
+	}
+}
+
+// TestCachedMembersUnderDTD: a cached Workload and a cache's Registry are
+// assembled from members compiled in separate calls, each with its own
+// parse of the DTD, while CompileWorkload parses it once for all. Under
+// WithDTD the three must still answer alike: same bytes per query and the
+// same deterministic stats as CompileWorkload's pass.
+func TestCachedMembersUnderDTD(t *testing.T) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(64 << 10), Seed: 3}); err != nil {
+		t.Fatal(err)
+	}
+	var texts []string
+	for _, q := range queries.All() {
+		texts = append(texts, q.Text)
+	}
+	opts := []Option{WithDTD(XMarkDTD)}
+	want, wantStats, err := MustCompileWorkload(texts, opts...).RunStrings(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cc := NewCompileCache(0)
+	wl, err := cc.Workload(texts, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, gotStats, err := wl.RunStrings(doc.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) || gotStats.Aggregate.Deterministic() != wantStats.Aggregate.Deterministic() {
+		t.Fatalf("cached workload under WithDTD differs from CompileWorkload: %+v vs %+v", gotStats.Aggregate, wantStats.Aggregate)
+	}
+	reg, err := cc.NewRegistry(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range texts {
+		reg.MustSubscribe(fmt.Sprint(i), q)
+	}
+	sink := newBufSink()
+	rs, err := reg.Run(strings.NewReader(doc.String()), sink)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range texts {
+		if sink.get(fmt.Sprint(i)) != want[i] {
+			t.Errorf("registry member %d under WithDTD differs from CompileWorkload's", i)
+		}
+	}
+	if rs.Aggregate.Deterministic() != wantStats.Aggregate.Deterministic() {
+		t.Errorf("registry pass under WithDTD: %+v, CompileWorkload %+v", rs.Aggregate, wantStats.Aggregate)
+	}
+	if st := cc.Stats(); st.Compiles != int64(len(texts)) {
+		t.Errorf("the registry compiled again what the workload had compiled: %+v", st)
+	}
+}
+
+// TestCachedWorkloadErrorIsCompileWorkloads: a cached Workload whose
+// member fails reports what CompileWorkload reports — the member's index,
+// its cause and its source position — and a Registry's Subscribe of that
+// text reports it under the subscription's id, from the same cached error.
+func TestCachedWorkloadErrorIsCompileWorkloads(t *testing.T) {
+	texts := []string{cacheTestQuery, "<q>{ for $b in\n /bib"}
+	_, want := CompileWorkload(texts)
+	cc := NewCompileCache(8)
+	_, got := cc.Workload(texts)
+	var wq, gq *QueryError
+	if !errors.As(want, &wq) || !errors.As(got, &gq) {
+		t.Fatalf("want *QueryError from both, got %v and %v", want, got)
+	}
+	if got.Error() != want.Error() || *gq != (QueryError{Line: wq.Line, Col: wq.Col, Err: gq.Err}) || wq.Line == 0 {
+		t.Fatalf("cached workload error %q (%+v), CompileWorkload %q (%+v)", got, gq, want, wq)
+	}
+	reg, err := cc.NewRegistry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = reg.Subscribe("bad", texts[1])
+	var sq *QueryError
+	if !errors.As(err, &sq) || sq.ID != "bad" || sq.Line != wq.Line || sq.Col != wq.Col {
+		t.Fatalf("Subscribe error %v (%+v), want the cached error under id \"bad\"", err, sq)
+	}
+	if st := cc.Stats(); st.Compiles != 2 {
+		t.Fatalf("the failing text compiled again: %+v", st)
 	}
 }

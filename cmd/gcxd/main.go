@@ -25,10 +25,10 @@
 //
 // The registry file holds one query, or several separated by "=== <id>"
 // lines; a directory registers every *.xq file under its basename.
-// SIGHUP reloads the registry by generation swap: unchanged queries keep
-// their compiled artifacts, every request sees one generation, and a
-// registry that fails to load or compile is rejected while the previous
-// one keeps serving.
+// SIGHUP reloads the registry by rebuilding it through the compile cache:
+// unchanged queries are cache hits, ids come in the file's order as after
+// a restart, every request sees one generation, and a registry that fails
+// to load or compile is rejected while the previous one keeps serving.
 package main
 
 import (

@@ -40,14 +40,9 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	params := r.URL.Query()
-	text, label, err := s.resolveQuery(params)
+	eng, label, err := s.engine(params)
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	eng, err := s.cache.Engine(text, s.cfg.Options...)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("compile: %w", err))
 		return
 	}
 	workers, err := s.bulkWorkers(params)
@@ -217,8 +212,5 @@ func (s *Server) bulkWorkers(params url.Values) (int, error) {
 		}
 		j = n
 	}
-	if j > limit {
-		j = limit
-	}
-	return j, nil
+	return min(j, limit), nil
 }

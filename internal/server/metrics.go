@@ -4,8 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"runtime"
-	"sort"
+	"slices"
 	"sync/atomic"
 
 	"gcx"
@@ -20,8 +21,8 @@ const inlineLabel = "inline"
 // atomic so the hot request path never takes a lock; /metrics reads a
 // consistent-enough snapshot (counters are monotonic). The histograms
 // follow the same discipline (see internal/obs): recording is atomics
-// only, and the per-query map is built once at New and never mutated, so
-// lookups are lock-free reads of an immutable map.
+// only, and the per-query map is never mutated once published (a reload
+// publishes a new one), so lookups are lock-free reads of an immutable map.
 type metrics struct {
 	queryRequests    atomic.Int64
 	workloadRequests atomic.Int64
@@ -59,22 +60,37 @@ type metrics struct {
 	latWorkload obs.Histogram
 	latBulk     obs.Histogram
 
-	// ttfr maps a registered query id — plus the "inline" bucket — to its
-	// time-to-first-result histogram. Immutable after initTTFR.
-	ttfr map[string]*obs.Histogram
-	// ttfrIDs is the stable exposition order of the ttfr keys.
-	ttfrIDs []string
+	// ttfr is the published table of time-to-first-result histograms.
+	ttfr atomic.Pointer[ttfrTable]
 }
 
-// initTTFR builds the immutable per-query TTFR histogram map: one
-// histogram per registered query id plus the inline bucket.
-func (m *metrics) initTTFR(ids []string) {
-	m.ttfr = make(map[string]*obs.Histogram, len(ids)+1)
-	m.ttfrIDs = append([]string{}, ids...)
-	sort.Strings(m.ttfrIDs)
-	m.ttfrIDs = append(m.ttfrIDs, inlineLabel)
-	for _, id := range m.ttfrIDs {
-		m.ttfr[id] = &obs.Histogram{}
+// ttfrTable is one immutable generation of the per-query TTFR
+// histograms: one per id ever registered, plus the "inline" bucket.
+type ttfrTable struct {
+	hists map[string]*obs.Histogram
+	ids   []string // exposition order: sorted, inline last
+}
+
+// addTTFR publishes a table that adds a histogram for each of ids it
+// lacks. An id keeps its histogram, and its counts, across reloads; an id
+// a reload drops keeps its series.
+func (m *metrics) addTTFR(ids []string) {
+	for {
+		old := m.ttfr.Load()
+		next := &ttfrTable{hists: map[string]*obs.Histogram{inlineLabel: {}}} // the first table's inline bucket
+		if old != nil {
+			maps.Copy(next.hists, old.hists)
+		}
+		for _, id := range ids {
+			if next.hists[id] == nil {
+				next.hists[id] = &obs.Histogram{}
+			}
+		}
+		next.ids = slices.DeleteFunc(slices.Sorted(maps.Keys(next.hists)), func(id string) bool { return id == inlineLabel })
+		next.ids = append(next.ids, inlineLabel)
+		if m.ttfr.CompareAndSwap(old, next) {
+			return
+		}
 	}
 }
 
@@ -85,9 +101,10 @@ func (m *metrics) initTTFR(ids []string) {
 //
 //gcxlint:noalloc
 func (m *metrics) observeTTFR(label string, nanos int64) {
-	h := m.ttfr[label]
+	t := m.ttfr.Load()
+	h := t.hists[label]
 	if h == nil {
-		h = m.ttfr[inlineLabel]
+		h = t.hists[inlineLabel]
 	}
 	h.ObservePositive(nanos)
 }
@@ -229,8 +246,9 @@ func (m *metrics) snapshot(cache gcx.CacheStats) Snapshot {
 	for _, h := range s.latHists {
 		s.RequestLatency[h.label] = summarize(h.snap)
 	}
-	for _, id := range m.ttfrIDs {
-		snap := m.ttfr[id].Snapshot()
+	t := m.ttfr.Load()
+	for _, id := range t.ids {
+		snap := t.hists[id].Snapshot()
 		s.ttfrHists = append(s.ttfrHists, promHist{label: id, snap: snap})
 		s.TTFR[id] = summarize(snap)
 	}

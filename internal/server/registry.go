@@ -40,11 +40,7 @@ func (r *Registry) Add(id, query string) error {
 }
 
 // IDs returns the registered ids in registration order.
-func (r *Registry) IDs() []string {
-	out := make([]string, len(r.ids))
-	copy(out, r.ids)
-	return out
-}
+func (r *Registry) IDs() []string { return append([]string{}, r.ids...) }
 
 // Get returns the query text for id.
 func (r *Registry) Get(id string) (string, bool) {

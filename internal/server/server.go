@@ -9,9 +9,10 @@
 // safe to put behind a socket: a 200 MB document POSTed to a streaming
 // query costs the server a few KB of buffer, not 200 MB.
 //
-// Hot queries are served from a gcx.CompileCache, so steady-state
-// requests perform zero compilations and draw pooled run states from the
-// cached Engines (PR 1) and Workloads (PR 2).
+// Every query is compiled by one gcx.CompileCache — registered ones too,
+// since the registry is the cache's — so steady-state requests perform
+// zero compilations and draw pooled run states from the cached Engines
+// and Workloads.
 package server
 
 import (
@@ -98,13 +99,14 @@ type Server struct {
 	mux   *http.ServeMux
 	m     metrics
 
-	// reg is the published generation of the registered queries — the one
-	// id-indexed store (the cache is the text-indexed one). It answers
-	// id→text for /query, /bulk, /queries and subset /workload, and runs
-	// the fleet for full-fleet /workload through its persistent merged
-	// automaton. A published registry is never mutated: ReloadRegistry
-	// changes a clone and swaps the pointer, so a request that loads the
-	// pointer once sees one generation by construction.
+	// reg is the published generation of the registered queries: the id
+	// directory over the cache's compiled texts (the cache is the one
+	// query-keyed store and the one compiler). It answers id→text for
+	// /query, /bulk, /queries and subset /workload, and runs the fleet for
+	// full-fleet /workload through its merged automaton. A published
+	// registry is never mutated: a reload builds a fresh one and swaps the
+	// pointer, so a request that loads the pointer once sees one
+	// generation by construction.
 	reg atomic.Pointer[gcx.Registry]
 
 	// inflight counts serving requests (/query, /workload, /bulk)
@@ -124,17 +126,13 @@ func New(cfg Config) (*Server, error) {
 	if s.cache == nil {
 		s.cache = gcx.NewCompileCache(0)
 	}
-	reg, err := gcx.NewRegistry(cfg.Options...)
-	if err != nil {
+	file := cfg.Registry
+	if file == nil {
+		file = NewRegistry()
+	}
+	if err := s.load(file); err != nil {
 		return nil, err
 	}
-	if cfg.Registry != nil {
-		if err := s.apply(reg, cfg.Registry); err != nil {
-			return nil, err
-		}
-	}
-	s.reg.Store(reg)
-	s.m.initTTFR(reg.IDs())
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /query", s.timed(&s.m.latQuery, s.handleQuery))
 	mux.HandleFunc("POST /workload", s.timed(&s.m.latWorkload, s.handleWorkload))
@@ -211,54 +209,40 @@ func (s *Server) SetNotReady(reason string) { s.notReady.Store(&reason) }
 // SetReady clears a SetNotReady condition.
 func (s *Server) SetReady() { s.notReady.Store(nil) }
 
-// apply makes reg — not yet published: New's empty registry or
-// ReloadRegistry's clone — hold exactly next's id→text pairs, by DIFF: ids
-// whose text is unchanged keep their subscription and compiled artifacts,
-// removed or changed ids unsubscribe, new or changed ids subscribe (after
-// the kept ones, so /queries and full-fleet /workload list survivors
-// first). Every text goes through the compile cache first, so a typo
-// fails here and /query?id= requests are cache hits from the first one.
-func (s *Server) apply(reg *gcx.Registry, next *Registry) error {
-	for _, id := range reg.IDs() {
-		sub, _ := reg.Subscription(id)
-		if q, ok := next.Get(id); !ok || q != sub.Query() {
-			reg.Unsubscribe(id)
-		}
+// load builds a fresh generation from file — a registry of the compile
+// cache, every id subscribed in file order, so an unchanged text costs a
+// cache hit and a new one a compile — and publishes it with a TTFR
+// histogram for every id. A typo fails here, at boot or in a reload,
+// before anything is published; /query?id= requests are cache hits from
+// the first one.
+func (s *Server) load(file *Registry) error {
+	reg, err := s.cache.NewRegistry(s.cfg.Options...)
+	if err != nil {
+		return err
 	}
-	for _, id := range next.IDs() {
-		q, _ := next.Get(id)
-		_, err := s.cache.Engine(q, s.cfg.Options...)
-		if _, kept := reg.Subscription(id); err == nil && !kept {
-			_, err = reg.Subscribe(id, q)
-		}
-		if err != nil {
+	for _, id := range file.IDs() {
+		q, _ := file.Get(id)
+		if _, err := reg.Subscribe(id, q); err != nil {
 			return fmt.Errorf("server: registered query %q: %w", id, err)
 		}
 	}
+	s.m.addTTFR(reg.IDs())
+	s.reg.Store(reg)
 	return nil
 }
 
 // ReloadRegistry swaps in a new query registry without restarting the
-// server (cmd/gcxd wires it to SIGHUP) by generation swap: the published
-// registry is cloned (sharing every compiled artifact), the clone is
-// brought to newReg by diff (see apply), and the pointer is swapped. A
-// typo in the new registry rejects the reload with nothing to undo — the
-// published generation was never touched. In-flight requests finish
-// against the generation they loaded. Concurrent reloads are each
-// atomic; the last to publish wins.
-//
-// TTFR histograms are allocated at boot; ids first registered by a
-// reload fold into the "inline" bucket until the next restart.
+// server (cmd/gcxd wires it to SIGHUP): it builds the generation a
+// restart on newReg would (see load) and swaps the pointer, so ids come
+// in the file's order. A typo rejects the reload and publishes nothing.
+// In-flight requests finish against the generation they loaded.
+// Concurrent reloads are each atomic; the last to publish wins. Ids the
+// reload adds get their own TTFR histogram; ids it drops keep theirs.
 func (s *Server) ReloadRegistry(newReg *Registry) error {
 	if newReg == nil {
 		return errors.New("server: reload with nil registry")
 	}
-	next := s.reg.Load().Clone()
-	if err := s.apply(next, newReg); err != nil {
-		return err
-	}
-	s.reg.Store(next)
-	return nil
+	return s.load(newReg)
 }
 
 func (s *Server) handleReady(w http.ResponseWriter, r *http.Request) {
@@ -315,26 +299,31 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// resolveQuery maps one q=/id= parameter pair — params is the request's
-// URL query, parsed once by the handler — to a query text and to the label
-// the request's TTFR samples go under: the registered id, or the inline
-// bucket for q= queries.
-func (s *Server) resolveQuery(params url.Values) (text, label string, err error) {
+// engine maps one q=/id= parameter pair — params is the request's URL
+// query, parsed once by the handler — to the query's Engine from the
+// compile cache and to the label the request's TTFR samples go under: the
+// registered id, or the inline bucket for q= queries. Every error it
+// returns is the client's (400).
+func (s *Server) engine(params url.Values) (*gcx.Engine, string, error) {
 	q, id := params.Get("q"), params.Get("id")
+	label := inlineLabel
 	switch {
 	case q != "" && id != "":
-		return "", "", errors.New("give either q= or id=, not both")
-	case q != "":
-		return q, inlineLabel, nil
+		return nil, "", errors.New("give either q= or id=, not both")
 	case id != "":
 		sub, ok := s.reg.Load().Subscription(id)
 		if !ok {
-			return "", "", fmt.Errorf("unknown query id %q", id)
+			return nil, "", fmt.Errorf("unknown query id %q", id)
 		}
-		return sub.Query(), id, nil
-	default:
-		return "", "", errors.New("missing query: give q= (inline) or id= (registered)")
+		q, label = sub.Query(), id
+	case q == "":
+		return nil, "", errors.New("missing query: give q= (inline) or id= (registered)")
 	}
+	eng, err := s.cache.Engine(q, s.cfg.Options...)
+	if err != nil {
+		return nil, "", fmt.Errorf("compile: %w", err)
+	}
+	return eng, label, nil
 }
 
 // body wraps the request body for engine consumption: size-limited,
@@ -393,14 +382,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLength(w, r) {
 		return
 	}
-	text, label, err := s.resolveQuery(r.URL.Query())
+	eng, label, err := s.engine(r.URL.Query())
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
-		return
-	}
-	eng, err := s.cache.Engine(text, s.cfg.Options...)
-	if err != nil {
-		s.fail(w, http.StatusBadRequest, fmt.Errorf("compile: %w", err))
 		return
 	}
 	if r.Header.Get("Gcx-Trace") != "" {
@@ -536,10 +520,10 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 }
 
 // workloadPass resolves the request's pass against ONE registry
-// generation: id=/q= parameters select a cached Workload; no parameters
-// select the whole registered fleet, run by the registry itself — its
-// merged automaton and compiled members persist across requests and
-// reloads, so there are no cache lookups and no recompilation.
+// generation: id=/q= parameters select a cached Workload, assembled from
+// the cache's Engines; no parameters select the whole registered fleet,
+// run by the registry itself — its merged automaton persists across the
+// generation's requests, so there are no cache lookups and no compiles.
 func (s *Server) workloadPass(r *http.Request) (pass, error) {
 	reg := s.reg.Load()
 	params := r.URL.Query()
@@ -737,10 +721,9 @@ func (s *Server) failCode(w http.ResponseWriter, err error) {
 		http.Error(w, "gcxd: "+err.Error(), http.StatusRequestEntityTooLarge)
 	case errors.Is(err, context.DeadlineExceeded):
 		http.Error(w, "gcxd: evaluation timeout: "+err.Error(), http.StatusRequestTimeout)
-	case errors.Is(err, context.Canceled), errors.Is(err, gcx.ErrCanceled):
-		// Client is gone; nobody reads this status.
-		http.Error(w, "gcxd: "+err.Error(), http.StatusBadRequest)
 	default:
+		// Bad input, or the client is gone (context.Canceled) and nobody
+		// reads this status.
 		http.Error(w, "gcxd: "+err.Error(), http.StatusBadRequest)
 	}
 }

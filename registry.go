@@ -16,9 +16,10 @@ package gcx
 //     node sharing (static.MergeTrees), so per-token matching cost scales
 //     with the number of distinct path STRUCTURES, not the query count.
 //
-//   - Incremental compilation: Subscribe compiles only its own query;
-//     the merged snapshot is rebuilt lazily on the next Run, reusing every
-//     surviving member's compiled artifact.
+//   - Incremental compilation: Subscribe compiles only its own query,
+//     through the registry's CompileCache (a text the cache holds costs a
+//     lookup); the merged snapshot is rebuilt lazily on the next Run,
+//     reusing every surviving member's compiled artifact.
 //
 // A Registry is a mutable directory whose snapshot is a Workload: Run
 // goes through Workload.RunContext, the one shared-pass run path. It is
@@ -32,6 +33,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -59,7 +61,8 @@ var DiscardSink Sink = SinkFunc(func(*Subscription) io.Writer { return nil })
 
 // Registry holds the active subscriptions and their compiled artifacts.
 type Registry struct {
-	cfg config
+	cc   *CompileCache // compiles every text new to the registry
+	opts []Option
 
 	mu     sync.Mutex
 	groups map[string]*subGroup     // by query text
@@ -71,7 +74,7 @@ type Registry struct {
 	// changed: wl is the merged workload over the distinct texts (nil =
 	// stale, the group set changed), snap adds the frozen fan-out lists
 	// (nil = stale, set by EVERY churn call). Both are immutable once
-	// built, so runs in flight and Clones keep using them.
+	// built, so runs in flight keep using them.
 	wl   *Workload
 	snap *registrySnapshot
 }
@@ -140,16 +143,24 @@ func (sc *fanScratch) reset() {
 	}
 }
 
-// NewRegistry creates an empty registry. All subscriptions share one
-// configuration (strategy, optimizations, schema, read batch), exactly
-// like CompileWorkload members.
+// NewRegistry creates an empty registry compiling through a cache of its
+// own: NewCompileCache(0).NewRegistry(opts...).
 func NewRegistry(opts ...Option) (*Registry, error) {
-	cfg, err := compileConfig(opts)
-	if err != nil {
+	return NewCompileCache(0).NewRegistry(opts...)
+}
+
+// NewRegistry creates an empty registry whose Subscribe compiles through
+// cc: a text new to the registry is one cc.Engine lookup, so a text cc
+// already holds costs no compile and concurrent Subscribes of one new
+// text compile it once. All subscriptions share one configuration
+// (strategy, optimizations, schema), exactly like CompileWorkload members.
+func (cc *CompileCache) NewRegistry(opts ...Option) (*Registry, error) {
+	if _, err := compileConfig(opts); err != nil {
 		return nil, err
 	}
 	return &Registry{
-		cfg:    cfg,
+		cc:     cc,
+		opts:   append([]Option(nil), opts...),
 		groups: map[string]*subGroup{},
 		subs:   map[string]*Subscription{},
 	}, nil
@@ -224,39 +235,34 @@ func (s *Subscription) recordErr(err error) {
 }
 
 // Subscribe registers a standing query under the given id and compiles it
-// if its text is new to the registry (subscriptions sharing a text share
-// one compiled artifact and one evaluation per document). The id must be
-// non-empty and not currently subscribed. A compile failure is reported
-// as a *QueryError carrying the id; the registry is unchanged.
+// through the registry's cache if its text is new to the registry
+// (subscriptions sharing a text share one compiled artifact and one
+// evaluation per document). The id must be non-empty and not currently
+// subscribed. A compile failure is reported as a *QueryError carrying the
+// id; the registry is unchanged.
 func (r *Registry) Subscribe(id, query string) (*Subscription, error) {
 	if id == "" {
 		return nil, errors.New("gcx: Subscribe: empty subscription id")
 	}
-
-	// Compile outside the lock: compilation is the expensive part, and
-	// concurrent Subscribes of distinct texts should not serialize on it.
-	// Each pass of the loop re-checks under the lock, so a duplicate
-	// compile is discarded if another Subscribe of the same text won the
-	// race, and a group that disappeared meanwhile (its last subscriber
-	// left) is compiled after all. The loop exits holding the lock.
-	var member *engine.Compiled
-	for {
-		r.mu.Lock()
-		if _, dup := r.subs[id]; dup {
-			r.mu.Unlock()
-			return nil, fmt.Errorf("gcx: Subscribe: id %q is already subscribed", id)
-		}
-		if r.groups[query] != nil || member != nil {
-			break
-		}
-		r.mu.Unlock()
-		m, err := engine.Compile(query, r.cfg.engine())
-		if err != nil {
-			return nil, queryError(id, err)
-		}
-		member = m
-	}
+	r.mu.Lock()
 	defer r.mu.Unlock()
+	// A text with a group joins it under the lock. A new text is looked up
+	// outside it, so concurrent Subscribes of distinct texts do not
+	// serialize on compilation; the cache's per-entry once compiles a text
+	// once however many Subscribes race for it.
+	var member *engine.Compiled
+	if r.groups[query] == nil && r.subs[id] == nil {
+		r.mu.Unlock()
+		eng, err := r.cc.Engine(query, r.opts...)
+		r.mu.Lock()
+		if err != nil {
+			return nil, requalify(err, id, "")
+		}
+		member = eng.c
+	}
+	if _, dup := r.subs[id]; dup {
+		return nil, fmt.Errorf("gcx: Subscribe: id %q is already subscribed", id)
+	}
 	g := r.groups[query]
 	if g == nil {
 		g = &subGroup{text: query, member: member}
@@ -283,8 +289,8 @@ func (r *Registry) MustSubscribe(id, query string) *Subscription {
 
 // Unsubscribe removes the subscription with the given id, reporting
 // whether it existed. When the last subscription of a query text leaves,
-// the text's compiled artifact is dropped and the merged snapshot is
-// rebuilt on the next Run. A run already in flight is unaffected (it
+// the registry drops the text's compiled artifact (its cache keeps it
+// while the LRU does) and the merged snapshot is rebuilt on the next Run. A run already in flight is unaffected (it
 // evaluates the snapshot taken at its start).
 func (r *Registry) Unsubscribe(id string) bool {
 	r.mu.Lock()
@@ -294,27 +300,12 @@ func (r *Registry) Unsubscribe(id string) bool {
 		return false
 	}
 	delete(r.subs, id)
-	for i, x := range r.ids {
-		if x == id {
-			r.ids = append(r.ids[:i], r.ids[i+1:]...)
-			break
-		}
-	}
+	r.ids = slices.DeleteFunc(r.ids, func(x string) bool { return x == id })
 	g := r.groups[sub.query]
-	for i, x := range g.subs {
-		if x == sub {
-			g.subs = append(g.subs[:i], g.subs[i+1:]...)
-			break
-		}
-	}
+	g.subs = slices.DeleteFunc(g.subs, func(x *Subscription) bool { return x == sub })
 	if len(g.subs) == 0 {
 		delete(r.groups, sub.query)
-		for i, x := range r.order {
-			if x == g {
-				r.order = append(r.order[:i], r.order[i+1:]...)
-				break
-			}
-		}
+		r.order = slices.DeleteFunc(r.order, func(x *subGroup) bool { return x == g })
 		r.wl = nil
 	}
 	// Otherwise the group survives and only its fanout list changed: the
@@ -342,9 +333,7 @@ func (r *Registry) Groups() int {
 func (r *Registry) IDs() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, len(r.ids))
-	copy(out, r.ids)
-	return out
+	return append([]string{}, r.ids...)
 }
 
 // Subscription returns the active subscription with the given id.
@@ -353,38 +342,6 @@ func (r *Registry) Subscription(id string) (*Subscription, bool) {
 	defer r.mu.Unlock()
 	s, ok := r.subs[id]
 	return s, ok
-}
-
-// Clone returns an independent registry holding the same subscriptions:
-// the directory (ids, groups, fanout lists) is copied, so churn on either
-// side is invisible to the other, while everything immutable or
-// accumulating is shared — the compiled members, the merged workload and
-// current snapshot (no recompilation), and the Subscription handles (one
-// set of counters per subscription, whichever side runs it). A service
-// reloads by cloning the published registry, applying the change to the
-// clone and publishing the clone, so a reader of either pointer sees one
-// generation.
-func (r *Registry) Clone() *Registry {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c := &Registry{
-		cfg:    r.cfg,
-		groups: make(map[string]*subGroup, len(r.groups)),
-		order:  make([]*subGroup, len(r.order)),
-		subs:   make(map[string]*Subscription, len(r.subs)),
-		ids:    append([]string(nil), r.ids...),
-		wl:     r.wl,
-		snap:   r.snap,
-	}
-	for i, g := range r.order {
-		cg := &subGroup{text: g.text, member: g.member, subs: append([]*Subscription(nil), g.subs...)}
-		c.order[i] = cg
-		c.groups[g.text] = cg
-	}
-	for id, sub := range r.subs {
-		c.subs[id] = sub
-	}
-	return c
 }
 
 // snapshot returns the current immutable run artifact, rebuilding only

@@ -510,73 +510,3 @@ func TestRegistryStatsQueryIsPerRun(t *testing.T) {
 		t.Fatal("a subscription made after the run must not be found in its stats")
 	}
 }
-
-// TestRegistryCloneIsolation: a clone shares everything compiled or
-// accumulating (members, merged workload, Subscription handles) and
-// copies only the directory, so churn on either side is invisible to the
-// other and cloning never recompiles.
-func TestRegistryCloneIsolation(t *testing.T) {
-	reg := MustNewRegistry()
-	qa := `<a>{ for $b in /bib/book return $b/title }</a>`
-	qb := `<b>{ for $b in /bib/book return $b/author }</b>`
-	qc := `<c>{ for $b in /bib/book return $b/price }</c>`
-	a := reg.MustSubscribe("a", qa)
-	reg.MustSubscribe("b", qb)
-	if _, err := reg.Run(strings.NewReader(bibDoc), nil); err != nil {
-		t.Fatal(err)
-	}
-
-	clone := reg.Clone()
-	if clone.Groups() != reg.Groups() || clone.Len() != reg.Len() {
-		t.Fatalf("clone has %d groups / %d subs, want %d / %d", clone.Groups(), clone.Len(), reg.Groups(), reg.Len())
-	}
-	if got, _ := clone.Subscription("a"); got != a {
-		t.Fatal("clone must share the Subscription handles")
-	}
-	for text, g := range reg.groups {
-		if cg := clone.groups[text]; cg == nil || cg == g || cg.member != g.member {
-			t.Fatalf("group %q: clone must copy the group but share its compiled member", text)
-		}
-	}
-	regSnap, _ := reg.snapshot()
-	cloneSnap, _ := clone.snapshot()
-	if regSnap.wl != cloneSnap.wl {
-		t.Fatal("clone recompiled the merged workload")
-	}
-
-	// Churn on the clone: invisible to the original, and the other way.
-	clone.Unsubscribe("b")
-	clone.MustSubscribe("c", qc)
-	reg.MustSubscribe("a2", qa)
-	if ids := fmt.Sprint(reg.IDs()); ids != "[a b a2]" {
-		t.Fatalf("original ids = %s, want [a b a2]", ids)
-	}
-	if ids := fmt.Sprint(clone.IDs()); ids != "[a c]" {
-		t.Fatalf("clone ids = %s, want [a c]", ids)
-	}
-	regSink, cloneSink := newBufSink(), newBufSink()
-	if _, err := reg.Run(strings.NewReader(bibDoc), regSink); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := clone.Run(strings.NewReader(bibDoc), cloneSink); err != nil {
-		t.Fatal(err)
-	}
-	for id, q := range map[string]string{"a": qa, "b": qb, "a2": qa} {
-		if regSink.get(id) != soloOutput(t, q, bibDoc) {
-			t.Fatalf("original: %s diverged from solo run", id)
-		}
-	}
-	for id, q := range map[string]string{"a": qa, "c": qc} {
-		if cloneSink.get(id) != soloOutput(t, q, bibDoc) {
-			t.Fatalf("clone: %s diverged from solo run", id)
-		}
-	}
-	if regSink.get("c") != "" || cloneSink.get("b") != "" || cloneSink.get("a2") != "" {
-		t.Fatal("churn leaked across the clone boundary")
-	}
-	// One handle, one set of counters: the run before the clone plus one
-	// run on each side.
-	if runs := a.Stats().Runs; runs != 3 {
-		t.Fatalf("shared subscription counted %d runs, want 3", runs)
-	}
-}
