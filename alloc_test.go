@@ -88,12 +88,11 @@ func (p *goroutineProbe) Write(b []byte) (int, error) {
 	return len(b), nil
 }
 
-// TestOneMemberWorkloadIsTheSoloEngine: a Workload of one query (and a
-// Registry of one subscription) runs the solo wiring — the evaluator pulls
-// the projector on the caller's goroutine, nothing is scheduled — so over
-// the structural query above it reports the solo run's stats exactly,
-// starts no goroutine, and a warm run allocates only the stats slice it
-// returns.
+// TestOneMemberWorkloadIsTheSoloEngine: a Registry of one subscription
+// runs the solo wiring — the evaluator pulls the projector on the caller's
+// goroutine, nothing is scheduled — so over the structural query above it
+// reports the solo run's stats exactly, starts no goroutine, and a warm run
+// allocates only the stats slice it returns.
 func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 	const query = `<out>{
 	    for $b in /bib/book return
@@ -105,14 +104,6 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	wl := MustCompileWorkload([]string{query})
-	got, ws, err := wl.RunStrings(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != want || ws.Aggregate.Deterministic() != solo.Deterministic() {
-		t.Fatalf("one-member workload differs from solo:\n got %+v\nwant %+v", ws.Aggregate, solo)
-	}
 	reg := MustNewRegistry()
 	reg.MustSubscribe("only", query)
 	sink := newBufSink()
@@ -126,7 +117,7 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 
 	probe := &goroutineProbe{}
 	before := runtime.NumGoroutine()
-	if _, err := wl.Run(strings.NewReader(data), []io.Writer{probe}); err != nil {
+	if _, err := reg.Run(strings.NewReader(data), SinkFunc(func(*Subscription) io.Writer { return probe })); err != nil {
 		t.Fatal(err)
 	}
 	// (> and not !=: a goroutine left over from an earlier test may exit.)
@@ -138,10 +129,10 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 		return // allocation counts are not meaningful under the race detector
 	}
 	r := strings.NewReader(data)
-	outs := []io.Writer{io.Discard}
+	discard := SinkFunc(func(*Subscription) io.Writer { return io.Discard })
 	run := func() {
 		r.Reset(data)
-		if _, err := wl.Run(r, outs); err != nil {
+		if _, err := reg.Run(r, discard); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -150,7 +141,7 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 	// bookkeeping); inline it costs 1: the per-member stats slice, built
 	// once in the shape the caller receives.
 	if allocs := testing.AllocsPerRun(30, run); allocs > 1 {
-		t.Fatalf("one-member workload run allocates: %.1f allocs/run, want <= 1", allocs)
+		t.Fatalf("one-subscription registry run allocates: %.1f allocs/run, want <= 1", allocs)
 	}
 }
 
@@ -245,30 +236,27 @@ func TestRegistryRunAllocsDoNotScaleWithSubscriptions(t *testing.T) {
 	}
 }
 
-// TestWorkloadRunAllocsDoNotScaleWithMembers: the same for the pass under
-// the registry, a 64-member Workload.Run (140 allocations before: a
-// goroutine closure and a boxed root constructor per member, the
+// TestWorkloadRunAllocsDoNotScaleWithMembers: the same for a pass of 64
+// members with one subscriber each, every one written (140 allocations
+// before: a goroutine closure and a boxed root constructor per member, the
 // worklist, two stats slices).
 func TestWorkloadRunAllocsDoNotScaleWithMembers(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	wl := MustCompileWorkload(allocTestTexts(64))
+	reg := subscribeAll(t, allocTestTexts(64))
 	data := allocTestDoc(50, false)
-	outs := make([]io.Writer, wl.Len())
-	for i := range outs {
-		outs[i] = io.Discard
-	}
+	sink := SinkFunc(func(*Subscription) io.Writer { return io.Discard })
 	r := strings.NewReader(data)
 	run := func() {
 		r.Reset(data)
-		if _, err := wl.Run(r, outs); err != nil {
+		if _, err := reg.Run(r, sink); err != nil {
 			t.Fatal(err)
 		}
 	}
 	run() // warm the pool
 	if allocs := testing.AllocsPerRun(10, run); allocs > 4 {
-		t.Fatalf("64-member workload run allocates: %.0f allocs/run, want <= 4", allocs)
+		t.Fatalf("64-member registry run allocates: %.0f allocs/run, want <= 4", allocs)
 	}
 }
 
@@ -380,8 +368,8 @@ func BenchmarkGCXWarmPool(b *testing.B) {
 // 64- and a 512-document corpus, which cancels the per-call constant
 // (slots, channels, goroutines). What the pipeline does not own is
 // measured beside it and allowed on top: archive/tar's header per member
-// (the member's name among it), and the per-query stats slice every
-// Workload.Run returns. It was about 7 allocations a document.
+// (the member's name among it), and the per-text stats slice every
+// shared pass returns. It was about 7 allocations a document.
 func TestBulkAllocsPerDocument(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -406,7 +394,7 @@ func TestBulkAllocsPerDocument(t *testing.T) {
 		return buf.Bytes()
 	}
 	eng := MustCompile(queries.Q6.Text)
-	wl := MustCompileWorkload([]string{queries.Q1.Text, queries.Q6.Text, queries.Q13.Text})
+	reg := subscribeAll(t, []string{queries.Q1.Text, queries.Q6.Text, queries.Q13.Text})
 	opts := BulkOptions{Workers: 2}
 	var r bytes.Reader
 	check := func(n int, bs BulkStats, err error) {
@@ -439,10 +427,9 @@ func TestBulkAllocsPerDocument(t *testing.T) {
 			io.Copy(io.Discard, tr)
 		}
 	})
-	discard := []io.Writer{io.Discard, io.Discard, io.Discard}
-	workloadAlone := testing.AllocsPerRun(10, func() {
+	registryAlone := testing.AllocsPerRun(10, func() {
 		r.Reset(doc.Bytes())
-		if _, err := wl.Run(&r, discard); err != nil {
+		if _, err := reg.Run(&r, DiscardSink); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -463,11 +450,11 @@ func TestBulkAllocsPerDocument(t *testing.T) {
 			bs, err := eng.Bulk(CorpusTar(&r), opts, nil)
 			check(n, bs, err)
 		}, tarAlone},
-		{"workload/concat", concatOf, func(n int, data []byte) {
+		{"registry/concat", concatOf, func(n int, data []byte) {
 			r.Reset(data)
-			bs, err := wl.Bulk(CorpusConcat(&r), opts, nil)
+			bs, err := reg.Bulk(CorpusConcat(&r), opts, nil)
 			check(n, bs, err)
-		}, workloadAlone},
+		}, registryAlone},
 	} {
 		got := perDoc(c.corpusOf, c.run)
 		t.Logf("%s: %.2f allocs per document, %.2f of them not the pipeline's", c.name, got, c.notOurs)

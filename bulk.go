@@ -138,13 +138,15 @@ type BulkDoc struct {
 	// failed document it holds whatever was produced before the
 	// failure, exactly as a solo run would have written.
 	Output []byte `json:"-"`
-	// Outputs holds one result per member query (Workload.Bulk); same
-	// lifetime rules as Output.
+	// Outputs holds one result per subscription, in IDs() order
+	// (Registry.Bulk); same lifetime rules as Output.
 	Outputs [][]byte `json:"-"`
-	// Stats are this document's run statistics (for a workload: the
+	// Stats are this document's run statistics (for a registry: the
 	// shared-pass aggregate).
 	Stats Stats `json:"stats"`
-	// Queries is the per-member breakdown (Workload.Bulk only).
+	// Queries is the per-subscription breakdown, aligned with Outputs
+	// (Registry.Bulk only; subscriptions of one text repeat its entry).
+	// Valid only during the emit call, like Outputs.
 	Queries []QueryStats `json:"queries,omitempty"`
 	// Err is this document's failure, nil on success.
 	Err error `json:"-"`
@@ -240,29 +242,40 @@ func (c *Corpus) source(maxDocBytes int64) (corpus.Source, error) {
 // returned error is non-nil only for whole-corpus failures: a broken
 // source stream, an emit error, or context cancellation.
 func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	return bulk(c, opts, nil, func(in io.Reader, outs []io.Writer) (WorkloadStats, error) {
+	return bulk(c, opts, 1, nil, func(in io.Reader, outs []io.Writer) (RegistryStats, error) {
 		st, err := e.Run(in, outs[0])
-		return WorkloadStats{Aggregate: st}, err
+		return RegistryStats{Aggregate: st}, err
 	}, emit)
 }
 
-// Bulk evaluates every member query over every document of the corpus:
-// each document gets one shared-stream pass (tokenize/project/buffer
-// once for all members), documents run in parallel across the worker
-// pool, and results arrive in corpus order. See Engine.Bulk for the
-// isolation and error contract.
-func (w *Workload) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	return bulk(c, opts, make([][]byte, w.Len()), w.Run, emit)
+// Bulk evaluates every active subscription over every document of the
+// corpus: each document gets one shared pass (tokenize/project/buffer
+// once for all texts), documents run in parallel across the worker pool,
+// and results arrive in corpus order, one per subscription in IDs()
+// order. The subscriptions are those of the snapshot taken when Bulk
+// starts; results go to emit, not to the subscriptions' counters. See
+// Engine.Bulk for the isolation and error contract.
+func (r *Registry) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
+	snap, err := r.snapshot()
+	if err != nil {
+		return BulkStats{}, err
+	}
+	return bulk(c, opts, snap.pass.Len(), snap.member, func(in io.Reader, outs []io.Writer) (RegistryStats, error) {
+		st, qs, err := snap.pass.Run(in, outs)
+		return RegistryStats{Aggregate: convertStats(st), Queries: qs}, err
+	}, emit)
 }
 
 // bulk is the body both Bulk methods share: eval runs one document into
-// its slot's output buffers, whose bytes go on the BulkDoc (by value, so
-// the per-document BulkDoc stays off the heap). members is the header
-// every document's BulkDoc.Outputs reuses, one entry per member of a
-// Workload — emission is serial and the bytes are valid only during emit
-// anyway — and nil for an Engine, whose one result is BulkDoc.Output.
-func bulk(c *Corpus, opts BulkOptions, members [][]byte,
-	eval func(io.Reader, []io.Writer) (WorkloadStats, error),
+// its slot's writers buffers (one per pass member), whose bytes go on the
+// BulkDoc (by value, so the per-document BulkDoc stays off the heap).
+// member maps each subscription of a Registry to its pass member, and nil
+// for an Engine, whose one result is BulkDoc.Output. The Outputs and
+// Queries headers are built once and reused by every document — emission
+// is serial and their contents are valid only during emit anyway — so a
+// subscription's result costs a slice entry, not an allocation.
+func bulk(c *Corpus, opts BulkOptions, writers int, member []int,
+	eval func(io.Reader, []io.Writer) (RegistryStats, error),
 	emit func(BulkDoc) error) (BulkStats, error) {
 	src, err := c.source(opts.MaxDocBytes)
 	if err != nil {
@@ -271,22 +284,29 @@ func bulk(c *Corpus, opts BulkOptions, members [][]byte,
 	defer src.Close()
 
 	var bs BulkStats
+	outs, queries := make([][]byte, len(member)), make([]QueryStats, len(member))
 	totals, err := corpus.Run(src, corpus.Options{
 		Workers:     opts.Workers,
-		Outputs:     max(1, len(members)),
+		Outputs:     writers,
 		MaxDocBytes: opts.MaxDocBytes,
 		Context:     opts.Context,
-	}, eval, func(r *corpus.Result[WorkloadStats]) error {
-		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: r.Value.Aggregate, Queries: r.Value.Queries, Err: r.Err}
+	}, eval, func(r *corpus.Result[RegistryStats]) error {
+		doc := BulkDoc{Index: r.Index, Name: r.Name, Stats: r.Value.Aggregate, Err: r.Err}
 		switch {
 		case r.Outs == nil: // failed before evaluation: no output at all
-		case members == nil:
+		case member == nil:
 			doc.Output = r.Outs[0].Bytes()
 		default:
-			for i := range members {
-				members[i] = r.Outs[i].Bytes()
+			for i, m := range member {
+				outs[i] = r.Outs[m].Bytes()
 			}
-			doc.Outputs = members
+			doc.Outputs = outs
+		}
+		if qs := r.Value.Queries; qs != nil { // nil when eval never ran
+			for i, m := range member {
+				queries[i] = qs[m]
+			}
+			doc.Queries = queries
 		}
 		bs.addDoc(doc.Stats)
 		if emit == nil {

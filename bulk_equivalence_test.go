@@ -396,8 +396,8 @@ func TestBulkPoisonTar(t *testing.T) {
 }
 
 // TestBulkWorkloadEquivalence extends the differential suite to
-// Workload.Bulk: per document and per member query, bulk output must
-// match the solo shared-stream run.
+// Registry.Bulk: per document and per subscription, bulk output must
+// match the registry's run over that document alone.
 func TestBulkWorkloadEquivalence(t *testing.T) {
 	docs := bulkCorpusDocs(t)[:5]
 	var texts []string
@@ -405,13 +405,10 @@ func TestBulkWorkloadEquivalence(t *testing.T) {
 		texts = append(texts, q.Text)
 	}
 	for _, strat := range []Strategy{GCX, StaticOnly, FullBuffer} {
-		wl, err := CompileWorkload(texts, WithStrategy(strat))
-		if err != nil {
-			t.Fatal(err)
-		}
+		reg := subscribeAll(t, texts, WithStrategy(strat))
 		want := make([][][]byte, len(docs)) // doc -> member -> bytes
 		for i, d := range docs {
-			results, _, err := wl.RunStrings(string(d))
+			results, _, err := runStrings(reg, string(d))
 			if err != nil {
 				t.Fatalf("solo workload doc %d: %v", i, err)
 			}
@@ -422,7 +419,7 @@ func TestBulkWorkloadEquivalence(t *testing.T) {
 		for _, j := range bulkWorkerCounts() {
 			t.Run(fmt.Sprintf("%v/j%d", strat, j), func(t *testing.T) {
 				var got [][][]byte
-				bs, err := wl.Bulk(CorpusConcat(bytes.NewReader(concatCorpus(docs))), BulkOptions{Workers: j}, func(d BulkDoc) error {
+				bs, err := reg.Bulk(CorpusConcat(bytes.NewReader(concatCorpus(docs))), BulkOptions{Workers: j}, func(d BulkDoc) error {
 					if d.Err != nil {
 						t.Errorf("doc %d: %v", d.Index, d.Err)
 					}

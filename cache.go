@@ -2,12 +2,8 @@ package gcx
 
 import (
 	"container/list"
-	"fmt"
-	"strconv"
 	"sync"
 	"sync/atomic"
-
-	"gcx/internal/engine"
 )
 
 // DefaultCompileCacheCapacity is the entry cap used when NewCompileCache
@@ -16,13 +12,12 @@ const DefaultCompileCacheCapacity = 128
 
 // CompileCache memoizes compilation: repeated requests for the same
 // (query text, options) pair are served from a bounded LRU of compiled
-// Engines and Workloads instead of re-running the parser and static
-// analysis. Because Engines and Workloads are immutable and internally
-// pooled, one cached artifact can serve any number of concurrent runs —
-// the cache is what turns the library into a hot-query serving layer
-// (internal/server builds on it). It is the one compiler behind its
-// Workloads and the Registries it creates (NewRegistry): both are
-// assembled from its Engines.
+// Engines instead of re-running the parser and static analysis. Because
+// Engines are immutable and internally pooled, one cached Engine can
+// serve any number of concurrent runs — the cache is what turns the
+// library into a hot-query serving layer (internal/server builds on it).
+// It is the one compiler behind the Registries it creates (NewRegistry):
+// their shared passes are assembled from its Engines.
 //
 // Concurrent misses for the same key are coalesced: exactly one
 // compilation runs, the other callers wait for its result. Compilation
@@ -35,7 +30,6 @@ type CompileCache struct {
 	cap     int
 	entries map[cacheKey]*list.Element
 	ll      *list.List // front = most recently used; element values are *cacheEntry
-	members []byte     // scratch a Workload lookup joins its member texts in
 
 	hits      atomic.Int64
 	misses    atomic.Int64
@@ -51,12 +45,11 @@ type cacheEntry struct {
 	key  cacheKey
 	once sync.Once
 	eng  *Engine
-	wl   *Workload
 	err  error
 }
 
 // NewCompileCache returns a cache holding at most capacity compiled
-// artifacts (DefaultCompileCacheCapacity if capacity < 1).
+// Engines (DefaultCompileCacheCapacity if capacity < 1).
 func NewCompileCache(capacity int) *CompileCache {
 	if capacity < 1 {
 		capacity = DefaultCompileCacheCapacity
@@ -69,9 +62,9 @@ func NewCompileCache(capacity int) *CompileCache {
 }
 
 // CacheStats reports cache effectiveness. Compiles counts the query texts
-// compiled — by Engine lookups, by the Workloads assembled from them and
-// by the cache's Registries; with request coalescing it can be lower than
-// Misses. The JSON field names are stable for /metrics scraping.
+// compiled — by Engine lookups and by the cache's Registries; with
+// request coalescing it can be lower than Misses. The JSON field names
+// are stable for /metrics scraping.
 type CacheStats struct {
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
@@ -94,7 +87,7 @@ func (cc *CompileCache) Stats() CacheStats {
 	}
 }
 
-// Len returns the number of cached artifacts.
+// Len returns the number of cached Engines.
 func (cc *CompileCache) Len() int {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -104,7 +97,7 @@ func (cc *CompileCache) Len() int {
 // Engine returns the cached Engine for (query, opts), compiling it on
 // first use.
 func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
-	e := cc.lookup(false, []string{query}, opts)
+	e := cc.lookup(query, opts)
 	e.once.Do(func() {
 		cc.compiles.Add(1)
 		e.eng, e.err = Compile(query, opts...)
@@ -112,85 +105,29 @@ func (cc *CompileCache) Engine(query string, opts ...Option) (*Engine, error) {
 	return e.eng, e.err
 }
 
-// Workload returns the cached Workload for (queries, opts), assembling it
-// on first use from the cached Engine of each member text, so a text
-// already compiled for a solo request or a registry is not compiled
-// again. The member order is part of the key: workloads with the same
-// queries in a different order are distinct artifacts (their output order
-// differs).
-func (cc *CompileCache) Workload(queries []string, opts ...Option) (*Workload, error) {
-	e := cc.lookup(true, queries, opts)
-	e.once.Do(func() {
-		members := make([]*engine.Compiled, len(queries))
-		for i, q := range queries {
-			eng, err := cc.Engine(q, opts...)
-			if err != nil {
-				e.err = requalify(err, "", fmt.Sprintf("workload: query %d: ", i))
-				return
-			}
-			members[i] = eng.c
-		}
-		p, err := engine.NewPass(members, 0)
-		if err != nil {
-			e.err = queryError("", err)
-			return
-		}
-		e.wl = &Workload{c: p}
-	})
-	return e.wl, e.err
-}
-
-// cacheKey identifies a compiled artifact: its kind, the configuration
-// the options amount to, and its query text. Applying the options to get
-// there is cheap and has no side effects (WithDTD defers its parse to
+// cacheKey identifies a compiled Engine: the configuration the options
+// amount to and the query text. Applying the options to get there is
+// cheap and has no side effects (WithDTD defers its parse to
 // compilation); compilation applies them again. The key is comparable, so
-// a lookup builds no string: an Engine is keyed by the query it was
-// handed, a Workload by its member texts joined into the cache's scratch.
+// a lookup builds no string.
 type cacheKey struct {
-	cfg      configKey
-	workload bool
-	// text is an Engine's query, or a Workload's member texts one after
-	// the other, each length-prefixed so that no crafted text (e.g. one
-	// containing a NUL) can make two different workloads collide.
+	cfg  configKey
 	text string
 }
 
-// lookup finds or inserts the entry of the Engine for texts[0] or of the
-// Workload over texts, updating the LRU order and the hit/miss counters,
-// and evicting the least recently used entries beyond the capacity. An
-// evicted entry that other goroutines still hold stays valid — it is
-// merely no longer findable. A hit allocates only the config the options
-// are applied to.
-func (cc *CompileCache) lookup(workload bool, texts []string, opts []Option) *cacheEntry {
-	cfg := newConfig(opts)
-	key := cacheKey{cfg: cfg.configKey, workload: workload}
+// lookup finds or inserts the entry for (query, opts), updating the LRU
+// order and the hit/miss counters, and evicting the least recently used
+// entries beyond the capacity. An evicted entry that other goroutines
+// still hold stays valid — it is merely no longer findable. A hit
+// allocates only the config the options are applied to.
+func (cc *CompileCache) lookup(query string, opts []Option) *cacheEntry {
+	key := cacheKey{cfg: newConfig(opts).configKey, text: query}
 	cc.mu.Lock()
-	var (
-		el *list.Element
-		ok bool
-	)
-	if !workload {
-		key.text = texts[0]
-		el, ok = cc.entries[key]
-	} else {
-		cc.members = cc.members[:0]
-		for _, q := range texts {
-			cc.members = strconv.AppendInt(cc.members, int64(len(q)), 10)
-			cc.members = append(cc.members, ':')
-			cc.members = append(cc.members, q...)
-		}
-		// Converting inside the index expression compares the scratch
-		// bytes in place; the string is only built on a miss.
-		el, ok = cc.entries[cacheKey{cfg: key.cfg, workload: true, text: string(cc.members)}]
-	}
-	if ok {
+	if el, ok := cc.entries[key]; ok {
 		cc.ll.MoveToFront(el)
 		cc.mu.Unlock()
 		cc.hits.Add(1)
 		return el.Value.(*cacheEntry)
-	}
-	if workload {
-		key.text = string(cc.members)
 	}
 	e := &cacheEntry{key: key}
 	cc.entries[key] = cc.ll.PushFront(e)

@@ -4,11 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"reflect"
+	"io"
 	"strings"
 	"sync"
 	"testing"
 
+	"gcx/internal/engine"
 	"gcx/internal/queries"
 	"gcx/internal/xmark"
 )
@@ -71,29 +72,6 @@ func TestCompileCacheOptionsAreKeyed(t *testing.T) {
 	}
 	if st := cc.Stats(); st.Compiles != 3 {
 		t.Fatalf("re-request must not recompile: %+v", st)
-	}
-}
-
-func TestCompileCacheWorkloadKeyedByOrder(t *testing.T) {
-	cc := NewCompileCache(8)
-	qs := []string{`<a>{ for $x in /r/a return $x }</a>`, `<b>{ for $x in /r/b return $x }</b>`}
-	w1, err := cc.Workload(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w2, err := cc.Workload(qs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w1 != w2 {
-		t.Fatal("identical workload must be served from cache")
-	}
-	rev, err := cc.Workload([]string{qs[1], qs[0]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rev == w1 {
-		t.Fatal("member order is part of the identity of a workload")
 	}
 }
 
@@ -171,35 +149,6 @@ func TestCompileCacheBadDTDIsNegativeCached(t *testing.T) {
 	}
 }
 
-// TestCompileCacheQueryListCollisionResistance: the workload key must
-// distinguish member boundaries even for adversarial texts (a NUL or a
-// length-prefix-looking fragment inside a query must not fuse two
-// members into one).
-func TestCompileCacheQueryListCollisionResistance(t *testing.T) {
-	cc := NewCompileCache(16)
-	a := "<a>{ for $x in /r/a return $x }</a>"
-	b := "<b>{ for $x in /r/b return $x }</b>"
-	pairs := [][]string{
-		{a, b},
-		{a + "\x00" + b},
-		{a + "\x00", b},
-		{a, "\x00" + b},
-	}
-	for _, qs := range pairs {
-		cc.Workload(qs) // compile errors are fine; only key identity matters
-	}
-	// The members' Engine entries sit beside them; count the workloads.
-	workloads := 0
-	for key := range cc.entries {
-		if key.workload {
-			workloads++
-		}
-	}
-	if workloads != len(pairs) {
-		t.Fatalf("4 distinct query lists must produce 4 workload entries, got %d (%+v)", workloads, cc.Stats())
-	}
-}
-
 // TestCompileCacheSingleFlight: many goroutines requesting the same cold
 // key must trigger exactly one compilation.
 func TestCompileCacheSingleFlight(t *testing.T) {
@@ -267,9 +216,8 @@ func TestCompileCacheConcurrentMixed(t *testing.T) {
 }
 
 // TestCacheHitAllocs: a hit builds no key string — the key is a comparable
-// struct, an Engine's query keys itself and a Workload's members are
-// joined in the cache's own scratch — so it allocates only the config the
-// options are applied to. (An Engine hit was 7 allocations when the key
+// struct holding the query it was handed — so it allocates only the config
+// the options are applied to. (An Engine hit was 7 allocations when the key
 // was a string concatenated on every lookup.)
 func TestCacheHitAllocs(t *testing.T) {
 	if raceEnabled {
@@ -277,37 +225,25 @@ func TestCacheHitAllocs(t *testing.T) {
 	}
 	cc := NewCompileCache(8)
 	opts := []Option{WithStrategy(StaticOnly), WithDTD("<!ELEMENT bib (book*)>")}
-	members := []string{cacheTestQuery, `<t>{ for $b in /bib/book return $b/price }</t>`, `<e>{ /bib/extra }</e>`}
 	engine := func() {
 		if _, err := cc.Engine(cacheTestQuery, opts...); err != nil {
 			t.Fatal(err)
 		}
 	}
-	workload := func() {
-		if _, err := cc.Workload(members, opts...); err != nil {
-			t.Fatal(err)
-		}
-	}
-	engine() // the misses
-	workload()
+	engine() // the miss
 	if allocs := testing.AllocsPerRun(100, engine); allocs > 1 {
 		t.Errorf("CompileCache.Engine hit allocates %.0f, want <= 1", allocs)
 	}
-	if allocs := testing.AllocsPerRun(100, workload); allocs > 1 {
-		t.Errorf("CompileCache.Workload hit allocates %.0f, want <= 1", allocs)
-	}
-	// The workload's miss compiled its two members the engine() miss had
-	// not: two more Engine entries, misses and compiles.
-	if st := cc.Stats(); st.Compiles != 3 || st.Misses != 4 || st.Entries != 4 {
-		t.Errorf("stats after the misses and hits only: %+v", st)
+	if st := cc.Stats(); st.Compiles != 1 || st.Misses != 1 || st.Entries != 1 {
+		t.Errorf("stats after the miss and hits only: %+v", st)
 	}
 }
 
-// TestCachedMembersUnderDTD: a cached Workload and a cache's Registry are
-// assembled from members compiled in separate calls, each with its own
-// parse of the DTD, while CompileWorkload parses it once for all. Under
-// WithDTD the three must still answer alike: same bytes per query and the
-// same deterministic stats as CompileWorkload's pass.
+// TestCachedMembersUnderDTD: a cache's Registry is assembled from members
+// compiled in separate calls, each with its own parse of the DTD, while a
+// pass compiled in one go parses it once for all. Under WithDTD the two
+// must still answer alike: same bytes per query and the same deterministic
+// stats.
 func TestCachedMembersUnderDTD(t *testing.T) {
 	var doc bytes.Buffer
 	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(64 << 10), Seed: 3}); err != nil {
@@ -318,22 +254,31 @@ func TestCachedMembersUnderDTD(t *testing.T) {
 		texts = append(texts, q.Text)
 	}
 	opts := []Option{WithDTD(XMarkDTD)}
-	want, wantStats, err := MustCompileWorkload(texts, opts...).RunStrings(doc.String())
+	cfg, err := compileConfig(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
+	members := make([]*engine.Compiled, len(texts))
+	for i, text := range texts {
+		if members[i], err = engine.Compile(text, cfg.engine()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pass, err := engine.NewPass(members, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bufs := make([]strings.Builder, len(texts))
+	outs := make([]io.Writer, len(texts))
+	for i := range bufs {
+		outs[i] = &bufs[i]
+	}
+	st, _, err := pass.Run(strings.NewReader(doc.String()), outs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := convertStats(st)
 	cc := NewCompileCache(0)
-	wl, err := cc.Workload(texts, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotStats, err := wl.RunStrings(doc.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) || gotStats.Aggregate.Deterministic() != wantStats.Aggregate.Deterministic() {
-		t.Fatalf("cached workload under WithDTD differs from CompileWorkload: %+v vs %+v", gotStats.Aggregate, wantStats.Aggregate)
-	}
 	reg, err := cc.NewRegistry(opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -347,44 +292,42 @@ func TestCachedMembersUnderDTD(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := range texts {
-		if sink.get(fmt.Sprint(i)) != want[i] {
-			t.Errorf("registry member %d under WithDTD differs from CompileWorkload's", i)
+		if sink.get(fmt.Sprint(i)) != bufs[i].String() {
+			t.Errorf("registry member %d under WithDTD differs from the pass compiled in one go", i)
 		}
 	}
-	if rs.Aggregate.Deterministic() != wantStats.Aggregate.Deterministic() {
-		t.Errorf("registry pass under WithDTD: %+v, CompileWorkload %+v", rs.Aggregate, wantStats.Aggregate)
+	if rs.Aggregate.Deterministic() != want.Deterministic() {
+		t.Errorf("registry pass under WithDTD: %+v, the pass compiled in one go %+v", rs.Aggregate, want)
 	}
 	if st := cc.Stats(); st.Compiles != int64(len(texts)) {
-		t.Errorf("the registry compiled again what the workload had compiled: %+v", st)
+		t.Errorf("the registry compiled %d texts, want %d: %+v", st.Compiles, len(texts), st)
 	}
 }
 
-// TestCachedWorkloadErrorIsCompileWorkloads: a cached Workload whose
-// member fails reports what CompileWorkload reports — the member's index,
-// its cause and its source position — and a Registry's Subscribe of that
-// text reports it under the subscription's id, from the same cached error.
-func TestCachedWorkloadErrorIsCompileWorkloads(t *testing.T) {
-	texts := []string{cacheTestQuery, "<q>{ for $b in\n /bib"}
-	_, want := CompileWorkload(texts)
+// TestCachedSubscribeErrorIsCompiles: a Registry's Subscribe of a failing
+// text reports what Compile reports — its cause and its source position —
+// under the subscription's id, and a second registry of the same cache
+// gets it from the cached error without compiling again.
+func TestCachedSubscribeErrorIsCompiles(t *testing.T) {
+	bad := "<q>{ for $b in\n /bib"
+	_, want := Compile(bad)
+	var wq *QueryError
+	if !errors.As(want, &wq) || wq.Line == 0 {
+		t.Fatalf("Compile: want a positioned *QueryError, got %v", want)
+	}
 	cc := NewCompileCache(8)
-	_, got := cc.Workload(texts)
-	var wq, gq *QueryError
-	if !errors.As(want, &wq) || !errors.As(got, &gq) {
-		t.Fatalf("want *QueryError from both, got %v and %v", want, got)
+	for _, id := range []string{"bad", "again"} {
+		reg, err := cc.NewRegistry()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = reg.Subscribe(id, bad)
+		var sq *QueryError
+		if !errors.As(err, &sq) || *sq != (QueryError{ID: id, Line: wq.Line, Col: wq.Col, Err: sq.Err}) || sq.Err.Error() != wq.Err.Error() {
+			t.Fatalf("Subscribe error %v (%+v), want Compile's %v under id %q", err, sq, want, id)
+		}
 	}
-	if got.Error() != want.Error() || *gq != (QueryError{Line: wq.Line, Col: wq.Col, Err: gq.Err}) || wq.Line == 0 {
-		t.Fatalf("cached workload error %q (%+v), CompileWorkload %q (%+v)", got, gq, want, wq)
-	}
-	reg, err := cc.NewRegistry()
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = reg.Subscribe("bad", texts[1])
-	var sq *QueryError
-	if !errors.As(err, &sq) || sq.ID != "bad" || sq.Line != wq.Line || sq.Col != wq.Col {
-		t.Fatalf("Subscribe error %v (%+v), want the cached error under id \"bad\"", err, sq)
-	}
-	if st := cc.Stats(); st.Compiles != 2 {
+	if st := cc.Stats(); st.Compiles != 1 {
 		t.Fatalf("the failing text compiled again: %+v", st)
 	}
 }

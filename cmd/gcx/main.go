@@ -9,10 +9,10 @@
 //	    [-no-aggregate-roles] [-no-role-elimination] [path ...]
 //
 // -q and -query are repeatable and may be mixed; with more than one query
-// the queries are compiled into a shared-stream workload: the input is
-// tokenized, projected, and buffered ONCE, and each query's result is
-// printed to stdout in query order (each query's output is identical to
-// running it alone).
+// each flag subscribes to one shared-stream registry (gcx.Registry): the
+// input is tokenized, projected, and buffered ONCE, and each query's
+// result is printed to stdout in flag order (each query's output is
+// identical to running it alone; a text given twice is evaluated once).
 //
 // -input is repeatable, and positional arguments are further inputs: a
 // file, a glob pattern, or a .tar archive of documents. More than one
@@ -38,6 +38,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"time"
 
@@ -112,9 +113,9 @@ func main() {
 }
 
 // jsonStats is the -stats-json document: aggregate is the run's stats (for
-// a single query, the run IS the aggregate); queries is present only in
-// workload mode (summed across documents when bulk), bulk only when
-// several documents were evaluated.
+// a single query, the run IS the aggregate); queries, one per query flag,
+// is present only with several flags (summed across documents when bulk),
+// bulk only when several documents were evaluated.
 type jsonStats struct {
 	Strategy  string           `json:"strategy"`
 	Aggregate gcx.Stats        `json:"aggregate"`
@@ -188,7 +189,7 @@ func resolveSoloInput(inputs []string) (string, bool) {
 	}
 }
 
-// runBulk evaluates the compiled query (or workload) over every
+// runBulk evaluates the compiled query (or registry) over every
 // document of the corpus, printing results to stdout in corpus order —
 // the same bytes a per-document loop of solo gcx invocations would
 // print. Failed documents report on stderr and make the run exit
@@ -215,8 +216,7 @@ func runBulk(srcs, inputs []string, mode string, jobs int, explain, trace, stats
 	stdout := bufio.NewWriter(os.Stdout)
 	bopts := gcx.BulkOptions{Workers: jobs}
 
-	var bs gcx.BulkStats
-	var qagg []gcx.QueryStats // per-member stats summed across documents
+	var qagg []gcx.QueryStats // per-flag stats summed across documents
 	emit := func(d gcx.BulkDoc) error {
 		if len(d.Queries) > 0 {
 			if qagg == nil {
@@ -247,14 +247,14 @@ func runBulk(srcs, inputs []string, mode string, jobs int, explain, trace, stats
 			fmt.Fprintf(os.Stderr, "gcx: %s\n", gcx.BulkError(d))
 			// Match the solo error path byte for byte: a failing solo run
 			// prints its partial output with no trailing newline (and a
-			// failing workload run flushes only the streamed first
-			// member).
+			// failing multi-query run flushes only the streamed first
+			// flag).
 			if len(d.Outputs) > 0 {
 				return write(d.Outputs[0], false)
 			}
 			return write(d.Output, false)
 		}
-		if len(d.Outputs) > 0 { // workload bulk: one block per member query
+		if len(d.Outputs) > 0 { // registry bulk: one block per query flag
 			for _, out := range d.Outputs {
 				if err := write(out, true); err != nil {
 					return err
@@ -265,20 +265,17 @@ func runBulk(srcs, inputs []string, mode string, jobs int, explain, trace, stats
 		return write(d.Output, true)
 	}
 
+	var bulk func(*gcx.Corpus, gcx.BulkOptions, func(gcx.BulkDoc) error) (gcx.BulkStats, error)
 	if len(srcs) > 1 {
-		w, err := gcx.CompileWorkload(srcs, opts...)
+		reg, _, err := subscribe(srcs, opts)
 		if err != nil {
 			return err
 		}
 		if explain {
-			fmt.Fprintln(os.Stderr, w.Explain())
+			fmt.Fprintln(os.Stderr, reg.Explain())
 			return nil
 		}
-		bs, err = w.Bulk(crp, bopts, emit)
-		if err != nil {
-			stdout.Flush()
-			return err
-		}
+		bulk = reg.Bulk
 	} else {
 		eng, err := gcx.Compile(srcs[0], opts...)
 		if err != nil {
@@ -288,11 +285,12 @@ func runBulk(srcs, inputs []string, mode string, jobs int, explain, trace, stats
 			fmt.Fprintln(os.Stderr, eng.Explain())
 			return nil
 		}
-		bs, err = eng.Bulk(crp, bopts, emit)
-		if err != nil {
-			stdout.Flush()
-			return err
-		}
+		bulk = eng.Bulk
+	}
+	bs, err := bulk(crp, bopts, emit)
+	if err != nil {
+		stdout.Flush()
+		return err
 	}
 	if err := stdout.Flush(); err != nil {
 		return err
@@ -304,9 +302,9 @@ func runBulk(srcs, inputs []string, mode string, jobs int, explain, trace, stats
 			bs.Docs, bs.Failed, bs.Workers, 100*bs.Utilization())
 	}
 	if statsJSON {
-		// In workload-bulk mode the queries block carries each member's
+		// With several flags the queries block carries each flag's
 		// additive stats summed across the corpus (TokensAtDone included:
-		// the total stream position consumed for that member over all
+		// the total stream position consumed for that flag over all
 		// documents).
 		if err := emitJSON(jsonStats{Strategy: modeLabel(mode), Aggregate: bs.Aggregate, Queries: qagg, Bulk: &bs}); err != nil {
 			return err
@@ -359,16 +357,33 @@ func runSingle(src, inputFile, mode string, explain, trace, stats, statsJSON boo
 	return nil
 }
 
+// subscribe builds the registry of a multi-query run: one subscription per
+// query flag, its id the flag's position, so a text given twice shares one
+// evaluation.
+func subscribe(srcs []string, opts []gcx.Option) (*gcx.Registry, []*gcx.Subscription, error) {
+	reg, err := gcx.NewRegistry(opts...)
+	if err != nil {
+		return nil, nil, err
+	}
+	subs := make([]*gcx.Subscription, len(srcs))
+	for i, src := range srcs {
+		if subs[i], err = reg.Subscribe(strconv.Itoa(i), src); err != nil {
+			return nil, nil, err
+		}
+	}
+	return reg, subs, nil
+}
+
 func runWorkload(srcs []string, inputFile, mode string, explain, trace, stats, statsJSON bool, opts []gcx.Option) error {
 	if trace {
 		return fmt.Errorf("-trace supports a single query only")
 	}
-	w, err := gcx.CompileWorkload(srcs, opts...)
+	reg, subs, err := subscribe(srcs, opts)
 	if err != nil {
 		return err
 	}
 	if explain {
-		fmt.Fprintln(os.Stderr, w.Explain())
+		fmt.Fprintln(os.Stderr, reg.Explain())
 		return nil
 	}
 
@@ -378,25 +393,24 @@ func runWorkload(srcs []string, inputFile, mode string, explain, trace, stats, s
 	}
 	defer closeIn()
 
-	// Members produce output progressively along the shared pass, but
-	// stdout must show one complete result per query in query order. The
-	// FIRST query's bytes come first in that order anyway, so it streams
+	// Queries produce output progressively along the shared pass, but
+	// stdout must show one complete result per flag in flag order. The
+	// FIRST flag's bytes come first in that order anyway, so it streams
 	// straight to stdout (bounded memory even for a huge first result);
-	// the remaining members are buffered until the pass completes.
+	// the remaining flags are buffered until the pass completes.
 	stdout := bufio.NewWriter(os.Stdout)
-	bufs := make([]bytes.Buffer, w.Len())
-	outs := make([]io.Writer, w.Len())
-	outs[0] = stdout
-	for i := 1; i < w.Len(); i++ {
-		outs[i] = &bufs[i]
+	bufs := make([]bytes.Buffer, len(subs))
+	outs := map[*gcx.Subscription]io.Writer{subs[0]: stdout}
+	for i := 1; i < len(subs); i++ {
+		outs[subs[i]] = &bufs[i]
 	}
-	st, err := w.Run(in, outs)
+	st, err := reg.Run(in, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer { return outs[sub] }))
 	if err != nil {
 		stdout.Flush()
 		return err
 	}
 	fmt.Fprintln(stdout)
-	for i := 1; i < w.Len(); i++ {
+	for i := 1; i < len(subs); i++ {
 		stdout.Write(bufs[i].Bytes())
 		fmt.Fprintln(stdout)
 	}
@@ -404,15 +418,19 @@ func runWorkload(srcs []string, inputFile, mode string, explain, trace, stats, s
 		return err
 	}
 
+	queries := make([]gcx.QueryStats, len(subs))
+	for i, sub := range subs {
+		queries[i], _ = st.Query(sub)
+	}
 	if stats {
 		printStats(os.Stderr, st.Aggregate)
-		for i, q := range st.Queries {
+		for i, q := range queries {
 			fmt.Fprintf(os.Stderr, "query %d:            %d bytes out, %d signOffs, done at token %d\n",
 				i, q.OutputBytes, q.SignOffs, q.TokensAtDone)
 		}
 	}
 	if statsJSON {
-		return emitJSON(jsonStats{Strategy: modeLabel(mode), Aggregate: st.Aggregate, Queries: st.Queries})
+		return emitJSON(jsonStats{Strategy: modeLabel(mode), Aggregate: st.Aggregate, Queries: queries})
 	}
 	return nil
 }

@@ -64,14 +64,14 @@ func queryError(id string, err error) error {
 }
 
 // requalify re-labels a compile error a CompileCache holds for the caller
-// that hit it: a copy (the cached value is shared) carrying id, its cause
-// prefixed by prefix. Any other error — a malformed DTD — passes as is.
-func requalify(err error, id, prefix string) error {
+// that hit it: a copy (the cached value is shared) carrying id. Any other
+// error — a malformed DTD — passes as is.
+func requalify(err error, id string) error {
 	var qe *QueryError
 	if !errors.As(err, &qe) {
 		return err
 	}
 	c := *qe
-	c.ID, c.Err = id, fmt.Errorf("%s%w", prefix, qe.Err)
+	c.ID = id
 	return &c
 }

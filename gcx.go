@@ -100,7 +100,7 @@ func newConfig(opts []Option) config {
 }
 
 // compileConfig is newConfig plus the deferred DTD parse: the one option
-// assembly behind Compile, CompileWorkload and NewRegistry.
+// assembly behind Compile and NewRegistry.
 func compileConfig(opts []Option) (config, error) {
 	cfg := newConfig(opts)
 	if cfg.schemaSrc != "" {
@@ -263,6 +263,22 @@ func (e *Engine) Run(in io.Reader, out io.Writer) (Stats, error) {
 	return e.RunContext(context.Background(), in, out)
 }
 
+// RunContext is Run bounded by a context: when ctx is canceled or its
+// deadline expires, the evaluation unwinds promptly and the returned
+// error matches ErrCanceled (and the context's own error). A background
+// context adds no overhead — Run is RunContext with context.Background().
+//
+// Cancellation is delivered where the engine already handles failure: the
+// stream read. The input is wrapped in corpus.Guard — the reader a bulk
+// run puts in front of every document and Registry.RunContext in front of
+// its pass — whose next read after cancellation fails, and the evaluation
+// unwinds like on any other input failure: no goroutine is abandoned, the
+// pooled run state is recycled normally.
+func (e *Engine) RunContext(ctx context.Context, in io.Reader, out io.Writer) (Stats, error) {
+	st, err := e.c.Run(corpus.Guard(ctx, in), out)
+	return convertStats(st), err
+}
+
 // RunString evaluates over an in-memory document and returns the result.
 func (e *Engine) RunString(doc string) (string, Stats, error) {
 	var out strings.Builder
@@ -320,95 +336,3 @@ func convertStats(st engine.Stats) Stats {
 		EvalWallNanos:          st.WallNanos,
 	}
 }
-
-// Workload is a set of queries compiled into one shared serving artifact:
-// a single evaluation pass tokenizes, projects, and buffers the input
-// document once, while every member query produces exactly the output (and
-// output order) of its solo Run. Like an Engine, a Workload is immutable
-// after compilation and safe for concurrent use; each Run draws a pooled
-// run state.
-//
-// The per-query projection trees are merged into one combined projection
-// tree with per-query role spaces, so the shared buffer keeps the union of
-// what the member queries need, and — under the GCX strategy — a node is
-// reclaimed the moment the LAST interested query signs it off.
-type Workload struct {
-	c *engine.Pass
-}
-
-// CompileWorkload compiles a set of queries for shared-stream evaluation.
-// All members share one configuration (strategy, optimizations, schema).
-func CompileWorkload(queries []string, opts ...Option) (*Workload, error) {
-	cfg, err := compileConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	c, err := engine.CompilePass(queries, cfg.engine(), 0)
-	if err != nil {
-		return nil, queryError("", err)
-	}
-	return &Workload{c: c}, nil
-}
-
-// MustCompileWorkload is CompileWorkload panicking on error.
-func MustCompileWorkload(queries []string, opts ...Option) *Workload {
-	w, err := CompileWorkload(queries, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("gcx: MustCompileWorkload: %v", err))
-	}
-	return w
-}
-
-// Len returns the number of member queries.
-func (w *Workload) Len() int { return w.c.Len() }
-
-// QueryStats reports one member query's share of a workload run: its
-// output bytes, executed signOffs, role assignments and removals (equal
-// after a clean GCX run), the shared stream position at which its
-// evaluation completed, its own time to first result and evaluation wall
-// time, and its evaluation error, if any (also joined into the error
-// returned by Run). It is the engine's own record — a run fills the slice
-// the caller receives and nothing copies it — and marshals with stable
-// snake_case field names.
-type QueryStats = engine.QueryStats
-
-// WorkloadStats combines the shared-pass measurements with the per-query
-// breakdown. Aggregate.TokensRead counts the single shared pass — with N
-// member queries it stays what ONE solo run would read, not N times that.
-type WorkloadStats struct {
-	Aggregate Stats        `json:"aggregate"`
-	Queries   []QueryStats `json:"queries"`
-}
-
-// Run evaluates all member queries over the XML document read from in —
-// one pass — writing member i's serialized result to outs[i] (len(outs)
-// must equal Len, and the writers must be distinct: members emit their
-// results progressively along the pass). Member evaluation errors are
-// joined into the returned error and also reported per query in the stats.
-func (w *Workload) Run(in io.Reader, outs []io.Writer) (WorkloadStats, error) {
-	return w.RunContext(context.Background(), in, outs)
-}
-
-func errWriterCount(want, got int) error {
-	return fmt.Errorf("gcx: workload has %d queries but %d output writers were supplied", want, got)
-}
-
-// RunStrings evaluates over an in-memory document and returns the member
-// results in query order.
-func (w *Workload) RunStrings(doc string) ([]string, WorkloadStats, error) {
-	bufs := make([]strings.Builder, w.Len())
-	outs := make([]io.Writer, w.Len())
-	for i := range bufs {
-		outs[i] = &bufs[i]
-	}
-	st, err := w.Run(strings.NewReader(doc), outs)
-	results := make([]string, w.Len())
-	for i := range bufs {
-		results[i] = bufs[i].String()
-	}
-	return results, st, err
-}
-
-// Explain returns the compilation diagnostics of every member followed by
-// the merged projection tree and the combined role table.
-func (w *Workload) Explain() string { return w.c.Explain() }

@@ -173,11 +173,11 @@ func TestWorkloadPublicAPI(t *testing.T) {
 		`<cheap>{ for $b in /bib/book return if ($b/price < 50) then $b/title else () }</cheap>`,
 		`<all>{ for $b in /bib/book return $b }</all>`,
 	}
-	w := MustCompileWorkload(queries)
-	if w.Len() != len(queries) {
-		t.Fatalf("Len = %d, want %d", w.Len(), len(queries))
+	reg := subscribeAll(t, queries)
+	if reg.Len() != len(queries) {
+		t.Fatalf("Len = %d, want %d", reg.Len(), len(queries))
 	}
-	results, st, err := w.RunStrings(bibDoc)
+	results, st, err := runStrings(reg, bibDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,8 +233,7 @@ func TestWorkloadStrategiesAgree(t *testing.T) {
 	}
 	var want []string
 	for _, s := range []Strategy{GCX, StaticOnly, FullBuffer} {
-		w := MustCompileWorkload(queries, WithStrategy(s))
-		got, _, err := w.RunStrings(bibDoc)
+		got, _, err := runStrings(subscribeAll(t, queries, WithStrategy(s)), bibDoc)
 		if err != nil {
 			t.Fatalf("%v: %v", s, err)
 		}
@@ -251,11 +250,11 @@ func TestWorkloadStrategiesAgree(t *testing.T) {
 }
 
 func TestWorkloadConcurrentRuns(t *testing.T) {
-	w := MustCompileWorkload([]string{
+	reg := subscribeAll(t, []string{
 		`<t>{ for $b in /bib/book return $b/title }</t>`,
 		`<a>{ for $b in /bib/book return $b/author }</a>`,
 	})
-	want, _, err := w.RunStrings(bibDoc)
+	want, _, err := runStrings(reg, bibDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,7 +262,7 @@ func TestWorkloadConcurrentRuns(t *testing.T) {
 	for g := 0; g < 8; g++ {
 		go func() {
 			for i := 0; i < 20; i++ {
-				got, _, err := w.RunStrings(bibDoc)
+				got, _, err := runStrings(reg, bibDoc)
 				if err != nil {
 					done <- err
 					return

@@ -24,7 +24,7 @@ type Options struct {
 	// document cannot idle the whole pool.
 	Window int
 	// Outputs is the number of result writers per document (1 for an
-	// engine, Len() for a workload). ≤0 means 1.
+	// engine, one per shared-pass member for a registry). ≤0 means 1.
 	Outputs int
 	// MaxDocBytes fails any document whose known size exceeds it
 	// (file-backed documents are never even opened). Stream sources
@@ -101,7 +101,7 @@ type cappedReader struct {
 }
 
 // ErrCanceled is the sentinel every run abandoned through its context
-// matches under errors.Is: a solo or workload run, or a bulk document
+// matches under errors.Is: a solo or registry run, or a bulk document
 // unwound in flight. Like ErrTooLarge it lives here, where the one
 // cancelling reader is; the public API re-exports it as gcx.ErrCanceled.
 var ErrCanceled = errors.New("gcx: run canceled")

@@ -9,7 +9,7 @@
 // A solo query is the one-member Pass — its evaluator pulls the projector
 // directly, on the caller's goroutine — and with more members the
 // evaluators sit behind the single-pass scheduler (sched.go). Everything
-// above (gcx.Engine, Workload, Registry, Bulk, gcxd) runs through it.
+// above (gcx.Engine, Registry, Bulk, gcxd) runs through it.
 //
 // Besides the full GCX mode it provides the two baselines used by the
 // benchmark harness as stand-ins for the systems of Table 1:

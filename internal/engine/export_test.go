@@ -14,6 +14,21 @@ func RandQuery(r *rand.Rand) string { return (&queryGen{r: r}).query() }
 
 func RandDoc(r *rand.Rand) string { return randDoc(r) }
 
+// CompilePass compiles each query solo and assembles the pass; batch is
+// NewPass's. (Production passes are assembled from a compile cache's
+// members: gcx.Registry.)
+func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
+	members := make([]*Compiled, len(srcs))
+	for i, src := range srcs {
+		m, err := Compile(src, cfg)
+		if err != nil {
+			return nil, fmt.Errorf("query %d: %w", i, err)
+		}
+		members[i] = m
+	}
+	return NewPass(members, batch)
+}
+
 // auditSkippedWakes makes every scheduler resume the members it decides
 // to skip, until the test ends, and panics unless such a resume changed
 // nothing: the member must park again on the same wait at the same stamp,

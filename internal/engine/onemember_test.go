@@ -11,10 +11,10 @@ import (
 	"gcx/internal/engine"
 )
 
-// TestOneMemberFormsEqualSolo: a Workload of one query and a Registry of
-// one subscription are the solo engine — same bytes, and Stats equal field
-// for field (peak nodes/bytes, buffered/purged totals, signOffs, tokens
-// read), because a one-member pass has no scheduler to run it a batch
+// TestOneMemberFormsEqualSolo: a Registry of one subscription is the solo
+// engine — same bytes, and Stats equal field for field (peak nodes/bytes,
+// buffered/purged totals, signOffs, tokens read), its one QueryStats
+// included, because a one-member pass has no scheduler to run it a batch
 // ahead of its demand and no merge to change its projection tree. Over
 // random queries and documents, under all three strategies.
 func TestOneMemberFormsEqualSolo(t *testing.T) {
@@ -34,22 +34,6 @@ func TestOneMemberFormsEqualSolo(t *testing.T) {
 				return false
 			}
 
-			wl, err := gcx.CompileWorkload([]string{src}, gcx.WithStrategy(s))
-			if err != nil {
-				t.Logf("seed %d %v: workload compile: %v", seed, s, err)
-				return false
-			}
-			got, ws, err := wl.RunStrings(doc)
-			if err != nil || got[0] != want || ws.Aggregate.Deterministic() != soloStats.Deterministic() {
-				t.Logf("seed %d %v: one-member workload differs from solo (err %v)\nquery:\n%s\ndoc: %s\n got: %s\nwant: %s\n got: %+v\nwant: %+v",
-					seed, s, err, src, doc, got[0], want, ws.Aggregate, soloStats)
-				return false
-			}
-			if q := ws.Queries[0]; q.SignOffs != soloStats.SignOffs || q.TokensAtDone != soloStats.TokensRead || q.OutputBytes != soloStats.OutputBytes {
-				t.Logf("seed %d %v: member stats %+v disagree with the pass %+v", seed, s, q, soloStats)
-				return false
-			}
-
 			reg := gcx.MustNewRegistry(gcx.WithStrategy(s))
 			reg.MustSubscribe("only", src)
 			var out strings.Builder
@@ -57,6 +41,10 @@ func TestOneMemberFormsEqualSolo(t *testing.T) {
 			if err != nil || out.String() != want || rs.Aggregate.Deterministic() != soloStats.Deterministic() {
 				t.Logf("seed %d %v: one-subscription registry differs from solo (err %v)\nquery:\n%s\ndoc: %s\n got: %s\nwant: %s\n got: %+v\nwant: %+v",
 					seed, s, err, src, doc, out.String(), want, rs.Aggregate, soloStats)
+				return false
+			}
+			if q := rs.Queries[0]; q.SignOffs != soloStats.SignOffs || q.TokensAtDone != soloStats.TokensRead || q.OutputBytes != soloStats.OutputBytes {
+				t.Logf("seed %d %v: member stats %+v disagree with the pass %+v", seed, s, q, soloStats)
 				return false
 			}
 		}

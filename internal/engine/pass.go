@@ -71,20 +71,6 @@ type Pass struct {
 	last atomic.Pointer[weak.Pointer[runState]]
 }
 
-// CompilePass compiles each query solo and assembles the pass; batch is
-// NewPass's.
-func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
-	members := make([]*Compiled, len(srcs))
-	for i, src := range srcs {
-		m, err := Compile(src, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("workload: query %d: %w", i, err)
-		}
-		members[i] = m
-	}
-	return NewPass(members, batch)
-}
-
 // NewPass assembles a pass from already-compiled members, reused as is —
 // the subscription registry rebuilds its snapshot on churn without
 // recompiling surviving queries. batch is the number of tokens the
@@ -94,7 +80,7 @@ func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
 // and ignores it.
 func NewPass(members []*Compiled, batch int) (*Pass, error) {
 	if len(members) == 0 {
-		return nil, errors.New("workload: no queries")
+		return nil, errors.New("engine: pass without members")
 	}
 	// Mode, schema and the matching discipline are the members' common
 	// configuration, so member 0 is representative.
@@ -334,7 +320,7 @@ func (p *Pass) acquire() *runState {
 // with rs never returned to the pool.
 func (p *Pass) run(in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState) {
 	if len(outs) != len(p.Members) {
-		panic(fmt.Sprintf("workload: %d queries but %d output writers", len(p.Members), len(outs)))
+		panic(fmt.Sprintf("engine: pass of %d members given %d output writers", len(p.Members), len(outs)))
 	}
 	start := obs.Now()
 	rs := p.acquire()

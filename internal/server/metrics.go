@@ -94,10 +94,11 @@ func (m *metrics) addTTFR(ids []string) {
 	}
 }
 
-// observeTTFR records one run's time-to-first-result under the query's
-// histogram; unknown labels (inline-N workload members, ad-hoc queries)
-// fold into the inline bucket. Runs with no output (nanos 0) are skipped:
-// they have no first result. Lock-free and allocation-free.
+// observeTTFR records one run's time-to-first-result under label's
+// histogram: a registered id's, or inlineLabel for an inline query (load
+// adds an id's histogram before publishing the id; a label without one
+// falls back to inline). Runs with no output (nanos 0) are skipped: they
+// have no first result. Lock-free and allocation-free.
 //
 //gcxlint:noalloc
 func (m *metrics) observeTTFR(label string, nanos int64) {

@@ -13,7 +13,7 @@ import (
 // Registry is the set of named queries a gcxd instance serves by id.
 // It is immutable after loading; handlers read it concurrently.
 type Registry struct {
-	ids  []string // registration order (workload output order)
+	ids  []string // registration order (full-fleet /workload output order)
 	byID map[string]string
 }
 
@@ -23,13 +23,17 @@ func NewRegistry() *Registry {
 }
 
 // Add registers a query under id. Duplicate ids are an error: silently
-// shadowing a served query is how stale results happen.
+// shadowing a served query is how stale results happen. The id "inline"
+// is reserved: it names the TTFR series of inline queries.
 func (r *Registry) Add(id, query string) error {
 	if id == "" {
 		return fmt.Errorf("registry: empty query id")
 	}
 	if strings.ContainsAny(id, " \t\n") {
 		return fmt.Errorf("registry: query id %q contains whitespace", id)
+	}
+	if id == inlineLabel {
+		return fmt.Errorf("registry: query id %q is reserved for inline queries", id)
 	}
 	if _, dup := r.byID[id]; dup {
 		return fmt.Errorf("registry: duplicate query id %q", id)

@@ -12,7 +12,7 @@
 // Every query is compiled by one gcx.CompileCache — registered ones too,
 // since the registry is the cache's — so steady-state requests perform
 // zero compilations and draw pooled run states from the cached Engines
-// and Workloads.
+// and the registries' shared passes.
 package server
 
 import (
@@ -48,7 +48,7 @@ type Config struct {
 	Cache *gcx.CompileCache
 	// Options are the gcx compile options applied to every query
 	// (strategy, optimizations, schema). All queries of one server share
-	// one configuration, mirroring gcx.CompileWorkload.
+	// one configuration, as the subscriptions of one gcx.Registry do.
 	Options []gcx.Option
 	// MaxBodyBytes rejects request bodies larger than this (0 = no limit).
 	// Enforcement is streaming: the limit trips when the excess byte is
@@ -82,13 +82,17 @@ type Config struct {
 //
 //	POST /query?q=...        evaluate an inline query over the body
 //	POST /query?id=...       evaluate a registered query
-//	POST /workload?id=a&id=b evaluate several queries in ONE pass of the body
+//	POST /workload?id=a&q=b  evaluate several queries in ONE pass of the body
+//	                         (no parameters: every registered query)
 //	POST /bulk?id=...&j=N    evaluate one query over EVERY document of the
 //	                         body (tar archive or concatenated XML stream)
 //	                         across N parallel workers
 //	GET  /queries            list registered query ids
 //	GET  /metrics            service counters (Prometheus text; ?format=json)
 //	GET  /healthz            liveness
+//	GET  /readyz             readiness (503 while degraded or over MaxInflight)
+//	GET  /buildinfo          the binary's module and build settings (JSON)
+//	GET  /debug/pprof/       runtime profiles (only with EnablePprof)
 //
 // Responses to /query stream: result bytes are written as evaluation
 // produces them, with run statistics in the Gcx-Stats HTTP trailer. A
@@ -101,13 +105,11 @@ type Server struct {
 
 	// reg is the published generation of the registered queries: the id
 	// directory over the cache's compiled texts (the cache is the one
-	// query-keyed store and the one compiler). It answers id→text for
-	// /query, /bulk, /queries and subset /workload, and runs the fleet for
-	// full-fleet /workload through its merged automaton. A published
-	// registry is never mutated: a reload builds a fresh one and swaps the
-	// pointer, so a request that loads the pointer once sees one
-	// generation by construction.
-	reg atomic.Pointer[gcx.Registry]
+	// query-keyed store and the one compiler), plus the /workload
+	// selections served from it. A published registry is never mutated: a
+	// reload builds a fresh generation and swaps the pointer, so a request
+	// that loads the pointer once sees one generation by construction.
+	reg atomic.Pointer[generation]
 
 	// inflight counts serving requests (/query, /workload, /bulk)
 	// currently being handled; /readyz compares it to Config.MaxInflight.
@@ -220,14 +222,17 @@ func (s *Server) load(file *Registry) error {
 	if err != nil {
 		return err
 	}
+	g := &generation{Registry: reg, fleet: selection{reg: reg}, memo: map[string]*selection{}}
 	for _, id := range file.IDs() {
 		q, _ := file.Get(id)
-		if _, err := reg.Subscribe(id, q); err != nil {
+		sub, err := reg.Subscribe(id, q)
+		if err != nil {
 			return fmt.Errorf("server: registered query %q: %w", id, err)
 		}
+		g.fleet.add(sub, id, id)
 	}
 	s.m.addTTFR(reg.IDs())
-	s.reg.Store(reg)
+	s.reg.Store(g)
 	return nil
 }
 
@@ -491,12 +496,41 @@ type workloadResponse struct {
 	Stats   gcx.RegistryStats `json:"stats"`
 }
 
-// pass is one shared pass /workload can serve: the labels in response
-// order, and a run that writes label i's result to outs[i] and returns
-// stats whose Queries are aligned with the labels.
-type pass struct {
+// generation is one published set of registered queries: their registry
+// and the /workload selections over it. A reload publishes a new
+// generation, so the memo goes with the registry it was built on.
+type generation struct {
+	*gcx.Registry
+	fleet selection // every registered id, in registry order
+
+	mu   sync.Mutex
+	memo map[string]*selection // by selectionKey; at most maxSelections
+}
+
+// maxSelections bounds a generation's memo. Each selection holds a shared
+// pass and its pooled run states, and selectors come from the URL.
+const maxSelections = 64
+
+// selection is one shared pass /workload serves: a registry — the
+// generation's own for the full fleet, a selection registry of the cache
+// otherwise — and, in response order, its subscriptions, their labels and
+// the TTFR histogram each label's samples go to.
+type selection struct {
+	reg    *gcx.Registry
+	subs   []*gcx.Subscription
 	labels []string
-	run    func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error)
+	ttfr   []string
+	pos    map[*gcx.Subscription]int // subscription → response position
+}
+
+func (sel *selection) add(sub *gcx.Subscription, label, ttfr string) {
+	if sel.pos == nil {
+		sel.pos = map[*gcx.Subscription]int{}
+	}
+	sel.pos[sub] = len(sel.subs)
+	sel.subs = append(sel.subs, sub)
+	sel.labels = append(sel.labels, label)
+	sel.ttfr = append(sel.ttfr, ttfr)
 }
 
 func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
@@ -504,7 +538,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	if !s.admitLength(w, r) {
 		return
 	}
-	p, err := s.workloadPass(r)
+	sel, err := s.selection(r.URL.Query())
 	if err != nil {
 		s.fail(w, http.StatusBadRequest, err)
 		return
@@ -513,92 +547,115 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 
 	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.workloadJSON(w, ctx, p, in)
+		s.workloadJSON(w, ctx, sel, in)
 		return
 	}
-	s.workloadMultipart(w, ctx, p, in)
+	s.workloadMultipart(w, ctx, sel, in)
 }
 
-// workloadPass resolves the request's pass against ONE registry
-// generation: id=/q= parameters select a cached Workload, assembled from
-// the cache's Engines; no parameters select the whole registered fleet,
-// run by the registry itself — its merged automaton persists across the
-// generation's requests, so there are no cache lookups and no compiles.
-func (s *Server) workloadPass(r *http.Request) (pass, error) {
-	reg := s.reg.Load()
-	params := r.URL.Query()
-	if len(params["id"]) == 0 && len(params["q"]) == 0 {
-		return fleetPass(reg)
-	}
-	var texts, labels []string
-	for _, id := range params["id"] {
-		sub, ok := reg.Subscription(id)
-		if !ok {
-			return pass{}, fmt.Errorf("unknown query id %q", id)
+// selection resolves the request's pass against ONE registry generation:
+// no parameters select the whole registered fleet; id=/q= parameters a
+// selection registry — one subscription per selector, keyed by its
+// position, ids first — memoized on the generation, so a repeated
+// selection is a map lookup: no compile, no new pass.
+func (s *Server) selection(params url.Values) (*selection, error) {
+	g := s.reg.Load()
+	ids, qs := params["id"], params["q"]
+	if len(ids) == 0 && len(qs) == 0 {
+		if len(g.fleet.subs) == 0 {
+			return nil, errors.New("no queries: registry is empty and no id=/q= given")
 		}
-		texts = append(texts, sub.Query())
-		labels = append(labels, id)
+		return &g.fleet, nil
 	}
-	for i, q := range params["q"] {
-		texts = append(texts, q)
-		labels = append(labels, fmt.Sprintf("inline-%d", i))
+	key := selectionKey(ids, qs)
+	g.mu.Lock()
+	sel := g.memo[key]
+	g.mu.Unlock()
+	if sel != nil {
+		return sel, nil
 	}
-	wl, err := s.cache.Workload(texts, s.cfg.Options...)
+	reg, err := s.cache.NewRegistry(s.cfg.Options...)
 	if err != nil {
-		return pass{}, fmt.Errorf("compile: %w", err)
+		return nil, err
 	}
-	return pass{labels: labels, run: func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error) {
-		ws, err := wl.RunContext(ctx, in, outs)
-		return gcx.RegistryStats{WorkloadStats: ws, Groups: wl.Len(), Subscriptions: wl.Len()}, err
-	}}, nil
-}
-
-// fleetPass is the pass over every registered id, in registry order. reg
-// is a published generation, hence immutable: the ids listed here are
-// exactly the subscriptions its run serves.
-func fleetPass(reg *gcx.Registry) (pass, error) {
-	ids := reg.IDs()
-	if len(ids) == 0 {
-		return pass{}, errors.New("no queries: registry is empty and no id=/q= given")
-	}
-	subs := make([]*gcx.Subscription, len(ids))
-	pos := make(map[*gcx.Subscription]int, len(ids))
-	for i, id := range ids {
-		subs[i], _ = reg.Subscription(id)
-		pos[subs[i]] = i
-	}
-	return pass{labels: ids, run: func(ctx context.Context, in io.Reader, outs []io.Writer) (gcx.RegistryStats, error) {
-		rs, err := reg.RunContext(ctx, in, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
-			return outs[pos[sub]]
-		}))
-		// The run reports one QueryStats per distinct text; the response
-		// carries one per id (ids sharing a text repeat their group's).
-		perID := make([]gcx.QueryStats, len(subs))
-		for i, sub := range subs {
-			perID[i], _ = rs.Query(sub)
+	sel = &selection{reg: reg}
+	add := func(label, ttfr, text string) error {
+		sub, err := reg.Subscribe(strconv.Itoa(len(sel.subs)), text)
+		if err != nil {
+			return fmt.Errorf("compile: %w", err)
 		}
-		return gcx.RegistryStats{
-			WorkloadStats: gcx.WorkloadStats{Aggregate: rs.Aggregate, Queries: perID},
-			Groups:        rs.Groups,
-			Subscriptions: rs.Subscriptions,
-		}, err
-	}}, nil
+		sel.add(sub, label, ttfr)
+		return nil
+	}
+	for _, id := range ids {
+		sub, ok := g.Subscription(id)
+		if !ok {
+			return nil, fmt.Errorf("unknown query id %q", id)
+		}
+		if err := add(id, id, sub.Query()); err != nil {
+			return nil, err
+		}
+	}
+	for i, q := range qs {
+		if err := add(fmt.Sprintf("inline-%d", i), inlineLabel, q); err != nil {
+			return nil, err
+		}
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if len(g.memo) >= maxSelections {
+		for k := range g.memo { // evict one, at random
+			delete(g.memo, k)
+			break
+		}
+	}
+	g.memo[key] = sel // a concurrent miss may overwrite it: both are valid
+	return sel, nil
 }
 
-// runPass runs p into outs and does what both response shapes share: the
-// service counters, each label's time-to-first-result — every member of
-// the shared pass has its own writer, so per-member TTFR is measured, not
-// apportioned; registered ids land in their own histogram, inline-N
-// labels fold into "inline" — and the error list, all from THIS run's
-// return value (never from state another request could have written).
-func (s *Server) runPass(ctx context.Context, p pass, in io.Reader, outs []io.Writer) (workloadResponse, error) {
-	stats, runErr := p.run(ctx, in, outs)
-	s.m.record(stats.Aggregate)
-	resp := workloadResponse{IDs: p.labels, Stats: stats}
-	for i, q := range stats.Queries {
-		s.m.observeTTFR(p.labels[i], q.TimeToFirstResultNanos)
+// selectionKey encodes a selection injectively: every selector is its
+// kind, its length and its text, so no text — one holding a NUL or a
+// length-looking prefix included — can make two selections collide. The
+// order is kept: it is the response order.
+func selectionKey(ids, qs []string) string {
+	var b []byte
+	for kind, list := range [][]string{ids, qs} {
+		for _, x := range list {
+			b = strconv.AppendInt(append(b, "iq"[kind]), int64(len(x)), 10) // i for id=, q for q=
+			b = append(append(b, ':'), x...)
+		}
+	}
+	return string(b)
+}
+
+// runPass runs sel into outs (outs[i] receives label i's result) and does
+// what both response shapes share: the service counters, each label's
+// time-to-first-result — every subscription of the shared pass has its own
+// writer, so per-label TTFR is measured, not apportioned; registered ids
+// land in their own histogram, inline queries in "inline" — and the error
+// list, all from THIS run's return value (never from state another
+// request could have written).
+func (s *Server) runPass(ctx context.Context, sel *selection, in io.Reader, outs []io.Writer) (workloadResponse, error) {
+	rs, runErr := sel.reg.RunContext(ctx, in, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
+		return outs[sel.pos[sub]]
+	}))
+	s.m.record(rs.Aggregate)
+	// The run reports one QueryStats per distinct text; the response
+	// carries one per label (labels sharing a text repeat their group's).
+	perLabel := make([]gcx.QueryStats, len(sel.subs))
+	for i, sub := range sel.subs {
+		perLabel[i], _ = rs.Query(sub)
+	}
+	resp := workloadResponse{IDs: sel.labels, Stats: gcx.RegistryStats{
+		Aggregate:     rs.Aggregate,
+		Queries:       perLabel,
+		Groups:        rs.Groups,
+		Subscriptions: rs.Subscriptions,
+	}}
+	for i, q := range perLabel {
+		s.m.observeTTFR(sel.ttfr[i], q.TimeToFirstResultNanos)
 		if q.Err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", p.labels[i], q.Err))
+			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sel.labels[i], q.Err))
 		}
 	}
 	if runErr != nil {
@@ -610,13 +667,13 @@ func (s *Server) runPass(ctx context.Context, p pass, in io.Reader, outs []io.Wr
 // workloadJSON buffers every result and responds with one JSON object.
 // Convenient for programmatic clients; large results belong in the
 // multipart path.
-func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, p pass, in io.Reader) {
-	bufs := make([]bytes.Buffer, len(p.labels))
-	outs := make([]io.Writer, len(p.labels))
+func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, sel *selection, in io.Reader) {
+	bufs := make([]bytes.Buffer, len(sel.labels))
+	outs := make([]io.Writer, len(sel.labels))
 	for i := range bufs {
 		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
 	}
-	resp, runErr := s.runPass(ctx, p, in, outs)
+	resp, runErr := s.runPass(ctx, sel, in, outs)
 	// Nothing has been committed yet on this (fully buffered) path, so a
 	// failure of the shared stream itself — which interrupts every member
 	// — gets a proper status code, same as /query. A partial failure (some
@@ -637,25 +694,25 @@ func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, p pass
 // along the shared pass (multipart parts are sequential, so later results
 // buffer until the pass completes, exactly like cmd/gcx's stdout
 // discipline); the final part carries the stats JSON.
-func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, p pass, in io.Reader) {
+func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, sel *selection, in io.Reader) {
 	// Part 0 streams progressively; see handleQuery on full duplex.
 	http.NewResponseController(w).EnableFullDuplex()
 	mw := multipart.NewWriter(w)
 	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
 
-	part0, err := mw.CreatePart(partHeader(0, p.labels[0], "application/xml; charset=utf-8"))
+	part0, err := mw.CreatePart(partHeader(0, sel.labels[0], "application/xml; charset=utf-8"))
 	if err != nil {
 		return
 	}
-	bufs := make([]bytes.Buffer, len(p.labels))
-	outs := make([]io.Writer, len(p.labels))
+	bufs := make([]bytes.Buffer, len(sel.labels))
+	outs := make([]io.Writer, len(sel.labels))
 	outs[0] = &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
 	for i := 1; i < len(outs); i++ {
 		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
 	}
-	resp, runErr := s.runPass(ctx, p, in, outs)
+	resp, runErr := s.runPass(ctx, sel, in, outs)
 	for i := 1; i < len(outs); i++ {
-		part, err := mw.CreatePart(partHeader(i, p.labels[i], "application/xml; charset=utf-8"))
+		part, err := mw.CreatePart(partHeader(i, sel.labels[i], "application/xml; charset=utf-8"))
 		if err != nil {
 			return
 		}

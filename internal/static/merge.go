@@ -7,7 +7,7 @@ import (
 
 // MergeTrees unions the projection trees of several independently analyzed
 // queries into one combined tree for shared-stream workload evaluation
-// (see DESIGN.md, "Shared-stream workloads").
+// (see DESIGN.md, "Merged projection trees, per-query role spaces").
 //
 // Projection trees are prefix-closed path sets, so their union under a
 // common root is again a valid projection tree; a document projected with

@@ -284,17 +284,10 @@ func TestBufferPeakOrderingWorkload(t *testing.T) {
 	for _, q := range queries.All() {
 		texts = append(texts, q.Text)
 	}
-	peaks := map[Strategy]WorkloadStats{}
+	peaks := map[Strategy]RegistryStats{}
 	for _, strat := range []Strategy{GCX, StaticOnly, FullBuffer} {
-		w, err := CompileWorkload(texts, WithStrategy(strat))
-		if err != nil {
-			t.Fatal(err)
-		}
-		outs := make([]io.Writer, w.Len())
-		for i := range outs {
-			outs[i] = io.Discard
-		}
-		st, err := w.Run(bytes.NewReader(doc), outs)
+		reg := subscribeAll(t, texts, WithStrategy(strat))
+		st, err := reg.Run(bytes.NewReader(doc), DiscardSink)
 		if err != nil {
 			t.Fatalf("%v: %v", strat, err)
 		}

@@ -1,9 +1,10 @@
 package gcx
 
-// Registry is the v2 subscription API for shared-stream serving at scale:
-// instead of compiling a fixed query list into one immutable Workload,
-// clients Subscribe and Unsubscribe query texts incrementally and Run
-// evaluates every active subscription over one pass of each document.
+// Registry is the multi-query API: a set of query texts evaluated over ONE
+// pass of each document — tokenized, projected and buffered once — while
+// every subscription receives exactly the output (and output order) of
+// its text's solo run. Clients Subscribe and Unsubscribe texts
+// incrementally; Run and Bulk evaluate every active subscription.
 //
 // Three properties make this the 10k-subscription regime (see DESIGN.md,
 // "Subscription registry"):
@@ -21,12 +22,17 @@ package gcx
 //     lookup); the merged snapshot is rebuilt lazily on the next Run,
 //     reusing every surviving member's compiled artifact.
 //
-// A Registry is a mutable directory whose snapshot is a Workload: Run
-// goes through Workload.RunContext, the one shared-pass run path. It is
-// safe for concurrent use: Subscribe/Unsubscribe may race active Runs.
-// Each Run evaluates an immutable snapshot taken when it starts — every
-// churn call (a Subscribe or Unsubscribe of a new OR an already-grouped
-// text) takes effect on the next one.
+// The per-text projection trees are merged into one projection tree with
+// per-text role spaces, so the shared buffer keeps the union of what the
+// texts need, and — under the GCX strategy — a node is reclaimed the
+// moment the LAST interested text signs it off.
+//
+// A Registry is a mutable directory whose snapshot holds the shared pass
+// (an engine.Pass over the distinct texts). It is safe for concurrent
+// use: Subscribe/Unsubscribe may race active Runs. Each Run evaluates an
+// immutable snapshot taken when it starts — every churn call (a Subscribe
+// or Unsubscribe of a new OR an already-grouped text) takes effect on the
+// next one.
 
 import (
 	"context"
@@ -37,6 +43,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gcx/internal/corpus"
 	"gcx/internal/engine"
 	"gcx/internal/xmlstream"
 )
@@ -71,11 +78,11 @@ type Registry struct {
 	ids    []string                 // subscription insertion order
 
 	// The run artifact, in two layers so churn invalidates only what it
-	// changed: wl is the merged workload over the distinct texts (nil =
+	// changed: pass is the merged pass over the distinct texts (nil =
 	// stale, the group set changed), snap adds the frozen fan-out lists
 	// (nil = stale, set by EVERY churn call). Both are immutable once
 	// built, so runs in flight keep using them.
-	wl   *Workload
+	pass *engine.Pass
 	snap *registrySnapshot
 }
 
@@ -89,12 +96,13 @@ type subGroup struct {
 }
 
 // registrySnapshot is the immutable artifact one Run evaluates: the
-// merged workload over the distinct texts plus the fanout lists frozen at
+// merged pass over the distinct texts plus the fanout lists frozen at
 // snapshot time.
 type registrySnapshot struct {
-	wl     *Workload
-	groups [][]*Subscription     // per workload member, frozen subscriber list
-	index  map[*Subscription]int // subscription → its workload member
+	pass   *engine.Pass
+	groups [][]*Subscription     // per pass member, frozen subscriber list
+	index  map[*Subscription]int // subscription → its pass member
+	member []int                 // per subscription in IDs order, its pass member
 
 	// scratch recycles the fan-out wiring of a run (*fanScratch). The
 	// wiring has the snapshot's shape — one fanout per group, one target
@@ -153,7 +161,7 @@ func NewRegistry(opts ...Option) (*Registry, error) {
 // cc: a text new to the registry is one cc.Engine lookup, so a text cc
 // already holds costs no compile and concurrent Subscribes of one new
 // text compile it once. All subscriptions share one configuration
-// (strategy, optimizations, schema), exactly like CompileWorkload members.
+// (strategy, optimizations, schema): the pass runs one projection tree.
 func (cc *CompileCache) NewRegistry(opts ...Option) (*Registry, error) {
 	if _, err := compileConfig(opts); err != nil {
 		return nil, err
@@ -256,7 +264,7 @@ func (r *Registry) Subscribe(id, query string) (*Subscription, error) {
 		eng, err := r.cc.Engine(query, r.opts...)
 		r.mu.Lock()
 		if err != nil {
-			return nil, requalify(err, id, "")
+			return nil, requalify(err, id)
 		}
 		member = eng.c
 	}
@@ -268,7 +276,7 @@ func (r *Registry) Subscribe(id, query string) (*Subscription, error) {
 		g = &subGroup{text: query, member: member}
 		r.groups[query] = g
 		r.order = append(r.order, g)
-		r.wl = nil
+		r.pass = nil
 	}
 	sub := &Subscription{id: id, query: query}
 	g.subs = append(g.subs, sub)
@@ -306,10 +314,10 @@ func (r *Registry) Unsubscribe(id string) bool {
 	if len(g.subs) == 0 {
 		delete(r.groups, sub.query)
 		r.order = slices.DeleteFunc(r.order, func(x *subGroup) bool { return x == g })
-		r.wl = nil
+		r.pass = nil
 	}
 	// Otherwise the group survives and only its fanout list changed: the
-	// merged workload is kept, the frozen subscriber lists are not.
+	// merged pass is kept, the frozen subscriber lists are not.
 	r.snap = nil
 	return true
 }
@@ -345,7 +353,7 @@ func (r *Registry) Subscription(id string) (*Subscription, bool) {
 }
 
 // snapshot returns the current immutable run artifact, rebuilding only
-// the stale layers: the fanout lists after any churn, the merged workload
+// the stale layers: the fanout lists after any churn, the merged pass
 // only when the group set changed (compiled members are reused as-is —
 // churn never recompiles surviving queries).
 func (r *Registry) snapshot() (*registrySnapshot, error) {
@@ -357,21 +365,22 @@ func (r *Registry) snapshot() (*registrySnapshot, error) {
 	if r.snap != nil {
 		return r.snap, nil
 	}
-	if r.wl == nil {
+	if r.pass == nil {
 		members := make([]*engine.Compiled, len(r.order))
 		for i, g := range r.order {
 			members[i] = g.member
 		}
-		c, err := engine.NewPass(members, 0)
+		p, err := engine.NewPass(members, 0)
 		if err != nil {
 			return nil, err
 		}
-		r.wl = &Workload{c: c}
+		r.pass = p
 	}
 	snap := &registrySnapshot{
-		wl:     r.wl,
+		pass:   r.pass,
 		groups: make([][]*Subscription, len(r.order)),
 		index:  make(map[*Subscription]int, len(r.subs)),
+		member: make([]int, len(r.ids)),
 	}
 	for i, g := range r.order {
 		snap.groups[i] = append([]*Subscription(nil), g.subs...)
@@ -379,16 +388,30 @@ func (r *Registry) snapshot() (*registrySnapshot, error) {
 			snap.index[sub] = i
 		}
 	}
+	for i, id := range r.ids {
+		snap.member[i] = snap.index[r.subs[id]]
+	}
 	r.snap = snap
 	return snap, nil
 }
 
-// RegistryStats reports one registry run: the WorkloadStats of the shared
-// pass it went through — Aggregate measures the single pass (one
-// tokenization, the union buffer's peak), Queries has one entry per
-// DISTINCT query text, in group order — plus the fanout counts.
+// QueryStats reports one query text's share of a registry run: its
+// output bytes, executed signOffs, role assignments and removals (equal
+// after a clean GCX run), the shared stream position at which its
+// evaluation completed, its own time to first result and evaluation wall
+// time, and its evaluation error, if any (also joined into the error
+// returned by Run). It is the engine's own record — a run fills the slice
+// the caller receives and nothing copies it — and marshals with stable
+// snake_case field names.
+type QueryStats = engine.QueryStats
+
+// RegistryStats reports one registry run. Aggregate measures the single
+// shared pass: TokensRead is what ONE solo run would read, not one read
+// per text, and the peaks are the union buffer's. Queries has one entry
+// per DISTINCT query text, in group order (Query finds a subscription's).
 type RegistryStats struct {
-	WorkloadStats
+	Aggregate Stats        `json:"aggregate"`
+	Queries   []QueryStats `json:"queries"`
 	// Groups is the number of distinct query texts evaluated;
 	// Subscriptions is the number of fanout targets served.
 	Groups        int `json:"groups"`
@@ -441,9 +464,9 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 		t := &sc.targets[i]
 		t.w = sink.Writer(t.sub)
 	}
-	ws, runErr := snap.wl.RunContext(ctx, in, sc.outs)
+	st, qs, runErr := snap.pass.Run(corpus.Guard(ctx, in), sc.outs)
 	for i := range sc.fans {
-		qerr := ws.Queries[i].Err
+		qerr := qs[i].Err
 		for j := range sc.fans[i].targets {
 			t := &sc.fans[i].targets[j]
 			t.sub.runs.Add(1)
@@ -457,11 +480,23 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 	sc.reset()
 	snap.scratch.Put(sc)
 	return RegistryStats{
-		WorkloadStats: ws,
+		Aggregate:     convertStats(st),
+		Queries:       qs,
 		Groups:        len(snap.groups),
 		Subscriptions: len(snap.index),
 		index:         snap.index,
 	}, runErr
+}
+
+// Explain returns the compilation diagnostics of every distinct query
+// text, in group order, followed by the merged projection tree and the
+// combined role table — "" for a registry with no subscriptions.
+func (r *Registry) Explain() string {
+	snap, err := r.snapshot()
+	if err != nil {
+		return ""
+	}
+	return snap.pass.Explain()
 }
 
 // fanout delivers one group's result stream to every subscriber of its

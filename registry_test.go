@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -46,6 +47,34 @@ func (s *bufSink) get(id string) string {
 		return b.String()
 	}
 	return ""
+}
+
+// subscribeAll builds a registry with one subscription per text, its id
+// the text's position, as cmd/gcx does for its -q flags.
+func subscribeAll(t testing.TB, texts []string, opts ...Option) *Registry {
+	t.Helper()
+	reg, err := NewRegistry(opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, text := range texts {
+		if _, err := reg.Subscribe(strconv.Itoa(i), text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return reg
+}
+
+// runStrings runs reg over doc and returns each subscription's output, in
+// IDs() order.
+func runStrings(reg *Registry, doc string) ([]string, RegistryStats, error) {
+	sink := newBufSink()
+	st, err := reg.Run(strings.NewReader(doc), sink)
+	var outs []string
+	for _, id := range reg.IDs() {
+		outs = append(outs, sink.get(id))
+	}
+	return outs, st, err
 }
 
 func TestRegistrySubscribeRunMatchesSolo(t *testing.T) {
@@ -410,7 +439,7 @@ func TestRegistryCompiledReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap1.wl != snap2.wl {
+	if snap1.pass != snap2.pass {
 		t.Fatal("fanout-only churn recompiled the merged workload")
 	}
 	// Group churn invalidates.
@@ -419,7 +448,7 @@ func TestRegistryCompiledReuse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap3.wl == snap2.wl {
+	if snap3.pass == snap2.pass {
 		t.Fatal("group removal must rebuild the merged workload")
 	}
 }
