@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -300,6 +301,61 @@ func TestJoinSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("join allocations grow with the pair count: %.0f allocs/run at 500 pairs, %.0f at 50000",
 			small, large)
 	}
+}
+
+// TestColdRunAllocsDoNotScaleWithBufferedNodes: a run that builds its run
+// state cold — an engine's first run, or any run after the GC drained the
+// pool — allocates per slab and per text chunk, never per buffered node:
+// a node's role entries beyond the first and its schema facts live in
+// buffer-owned slot tables, not in slices of its own. Q8 over 64 KB and
+// over 512 KB buffers some hundred and some thousand nodes; the first
+// runs of two fresh engines may differ by the slabs and chunks the larger
+// document adds, plus a little growth of slices that double.
+func TestColdRunAllocsDoNotScaleWithBufferedNodes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const slabNodes = 512 // buffer.slabSize
+	const chunkBytes = 32 << 10
+	type cold struct {
+		mallocs uint64
+		peak    int64
+		chunks  int64
+	}
+	firstRun := func(size int64) cold {
+		var doc bytes.Buffer
+		if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(size), Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		eng := MustCompile(queries.Q8.Text)
+		r := bytes.NewReader(doc.Bytes())
+		// No collection during the run: one that empties a sync.Pool
+		// mid-run would charge the refill to the document size.
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		st, err := eng.c.Run(r, io.Discard)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cold{
+			mallocs: after.Mallocs - before.Mallocs,
+			peak:    st.Buffer.PeakNodes,
+			chunks:  (st.Buffer.TextPeakHeldBytes + chunkBytes - 1) / chunkBytes,
+		}
+	}
+	small, large := firstRun(64<<10), firstRun(512<<10)
+	if large.peak < 4*small.peak {
+		t.Fatalf("sanity: peaks %d and %d nodes, want the larger document to buffer at least 4x more", small.peak, large.peak)
+	}
+	slabs := func(peak int64) int64 { return (peak + slabNodes - 1) / slabNodes }
+	bound := uint64(slabs(large.peak)-slabs(small.peak)+large.chunks-small.chunks) + 16
+	if grew := large.mallocs - small.mallocs; grew > bound {
+		t.Errorf("cold run allocations grow with buffered nodes: %d allocs at %d peak nodes, %d at %d (+%d, want <= %d)",
+			small.mallocs, small.peak, large.mallocs, large.peak, grew, bound)
+	}
+	t.Logf("cold Q8: %d allocs at %d peak nodes, %d at %d", small.mallocs, small.peak, large.mallocs, large.peak)
 }
 
 // TestPooledRunsDeterministic: recycled run state must not leak between

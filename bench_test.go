@@ -13,6 +13,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -280,5 +281,35 @@ func BenchmarkSchema(b *testing.B) {
 		b.Run(q.Name+"/GCX+DTD", func(b *testing.B) {
 			runBench(b, q.Text, WithDTD(XMarkDTD))
 		})
+	}
+}
+
+// BenchmarkDeepNesting is the depth pathology: one chain of <a> elements
+// under <site>, copied whole (`for $s in /site return $s`) and selected
+// at every level (`//a`), each inside a result constructor. Time grows about 4x per doubling of depth —
+// ancestor walks (Covered, Pin/Unpin, AddRole/removeRole, the
+// projector's covered check) and the cursor's document-order step are
+// each linear in the depth, and each runs once per level. ROADMAP item 6a
+// (MaxDepth) is the limit this case must answer; reproduce the curve with
+// `go test -run '^$' -bench DeepNesting -benchtime 1x .`.
+func BenchmarkDeepNesting(b *testing.B) {
+	for _, q := range []struct{ name, text string }{
+		{"copy", `<r>{ for $s in /site return $s }</r>`},
+		{"descendant", `<r>{ //a }</r>`},
+	} {
+		eng := MustCompile(q.text)
+		for _, depth := range []int{2500, 5000, 10000} {
+			doc := "<site>" + strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth) + "</site>"
+			b.Run(fmt.Sprintf("%s/depth=%d", q.name, depth), func(b *testing.B) {
+				b.SetBytes(int64(len(doc)))
+				r := strings.NewReader(doc)
+				for i := 0; i < b.N; i++ {
+					r.Reset(doc)
+					if _, err := eng.Run(r, io.Discard); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }

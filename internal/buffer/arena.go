@@ -2,8 +2,13 @@ package buffer
 
 import "unsafe"
 
-// slabSize is the number of Nodes carved from one backing allocation.
-const slabSize = 512
+const (
+	// slabSize is the number of Nodes carved from one backing allocation.
+	slabSize = 512
+	// maxRetainedSlabs bounds the slabs an idle (pooled) buffer keeps
+	// across runs; a run that needs more allocates the excess again.
+	maxRetainedSlabs = 32
+)
 
 // arena is the per-run node allocator: nodes are carved from slabs that
 // stay owned by the arena, unlink returns reclaimed nodes to a freelist
@@ -13,24 +18,24 @@ const slabSize = 512
 //
 // A node handed back via put must be unreachable from the live tree
 // (guaranteed by the deletion discipline: only finished, role-free,
-// unpinned, uncovered subtrees are unlinked).
+// unpinned, uncovered subtrees are unlinked). The freelist is threaded
+// through the free nodes' NextSib, so it costs no allocation of its own.
 type arena struct {
 	slabs [][]Node
-	slab  int // index of the slab currently being carved
-	next  int // next unused index in slabs[slab]
-	free  []*Node
+	slab  int   // index of the slab currently being carved
+	next  int   // next unused index in slabs[slab]
+	free  *Node // most recently freed node; NextSib links the rest
 }
 
 //gcxlint:noalloc
 func (a *arena) get() *Node {
-	if n := len(a.free); n > 0 {
-		nd := a.free[n-1]
-		a.free = a.free[:n-1]
+	if nd := a.free; nd != nil {
+		a.free = nd.NextSib
 		nd.recycle()
 		return nd
 	}
 	if a.slab == len(a.slabs) {
-		a.slabs = append(a.slabs, make([]Node, slabSize)) //gcxlint:allocok slab growth tracks the document's buffer peak; slabs are retained across runs
+		a.slabs = append(a.slabs, make([]Node, slabSize)) //gcxlint:allocok slab growth tracks the document's buffer peak; up to maxRetainedSlabs stay across runs
 	}
 	s := a.slabs[a.slab]
 	nd := &s[a.next]
@@ -44,35 +49,38 @@ func (a *arena) get() *Node {
 }
 
 //gcxlint:noalloc
-func (a *arena) put(n *Node) { a.free = append(a.free, n) }
+func (a *arena) put(n *Node) {
+	n.NextSib = a.free
+	a.free = n
+}
 
-// reset makes every slab node available again without releasing the slabs.
-// Text references of carved nodes are dropped eagerly: nodes are only
-// cleared lazily on get, and an idle (pooled) buffer must not pin the
-// previous document's character data — text chunks beyond the slab's
-// retention cap, oversized texts — until those slots happen to be
-// re-carved. poison is the text slab's test mode: the oversized texts,
-// which no chunk holds, are overwritten here.
-//
-//gcxlint:keep slabs retaining the slabs is the arena's purpose; only their Text references are dropped
+// reset makes every slab node available again, keeping at most
+// maxRetainedSlabs slabs. Carved nodes are cleared now, not on get: an
+// idle (pooled) buffer must pin neither the last document's text nor,
+// through a kept node's links, a slab it dropped. poison is the text
+// slab's test mode: oversized texts, which no chunk holds, are
+// overwritten here.
 func (a *arena) reset(poison bool) {
 	for i := 0; i < a.slab && i < len(a.slabs); i++ {
-		clearText(a.slabs[i], poison)
+		clearNodes(a.slabs[i], poison)
 	}
 	if a.slab < len(a.slabs) {
-		clearText(a.slabs[a.slab][:a.next], poison)
+		clearNodes(a.slabs[a.slab][:a.next], poison)
+	}
+	if len(a.slabs) > maxRetainedSlabs {
+		a.slabs = append(make([][]Node, 0, maxRetainedSlabs), a.slabs[:maxRetainedSlabs]...)
 	}
 	a.slab = 0
 	a.next = 0
-	a.free = a.free[:0]
+	a.free = nil
 }
 
 //gcxlint:noalloc
-func clearText(s []Node, poison bool) {
+func clearNodes(s []Node, poison bool) {
 	for i := range s {
 		if poison && s[i].chunk < 0 {
 			poisonBytes(unsafe.Slice(unsafe.StringData(s[i].Text), len(s[i].Text)))
 		}
-		s[i].Text = ""
+		s[i].recycle()
 	}
 }

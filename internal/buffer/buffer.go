@@ -2,6 +2,7 @@ package buffer
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"gcx/internal/xmlstream"
@@ -36,13 +37,14 @@ type Stats struct {
 	TextHeldAtPeak    int64 // TextHeldBytes when PeakBytes was last raised
 }
 
-// nodeBaseBytes approximates the in-memory size of a Node (pointers, flags,
-// counters). The exact constant is irrelevant for the benchmark shapes; it
-// just keeps byte accounting proportional to node counts.
-const nodeBaseBytes = 96
-
-// roleEntryBytes approximates the size of one role multiset entry.
-const roleEntryBytes = 8
+// nodeBaseBytes and roleEntryBytes are what PeakBytes counts per buffered
+// node and per role multiset entry: the paper-comparable estimate the
+// golden peaks pin, not the real size (unsafe.Sizeof(Node) is 104, see
+// TestNodeLayout).
+const (
+	nodeBaseBytes  = 96
+	roleEntryBytes = 8
+)
 
 // ErrUndefinedRemoval is returned when a signOff removes a role instance
 // that was never assigned — the "undefined" case of Section 2's remρ, which
@@ -85,6 +87,10 @@ type Buffer struct {
 	arena arena
 	// text owns the character data of the text nodes.
 	text textSlab
+	// roles holds the role entries beyond each node's inline one
+	// (Node.roles), facts each node's schema facts (Node.noMore).
+	roles slots[roleEntry]
+	facts slots[xmlstream.Sym]
 
 	// resA/resB are the ping-pong scratch buffers of signOff path
 	// resolution (reused so steady-state signOffs do not allocate).
@@ -105,6 +111,8 @@ func New(syms *xmlstream.SymTab, roleCount int, aggregate []bool) *Buffer {
 		assigned:  make([]int64, roleCount+1),
 		removed:   make([]int64, roleCount+1),
 		text:      newTextSlab(),
+		roles:     newSlots[roleEntry](),
+		facts:     newSlots[xmlstream.Sym](),
 	}
 	b.initRoot()
 	return b
@@ -130,6 +138,8 @@ func (b *Buffer) initRoot() {
 func (b *Buffer) Reset() {
 	b.arena.reset(b.text.poison)
 	b.text.reset()
+	b.roles.reset()
+	b.facts.reset()
 	for i := range b.assigned {
 		b.assigned[i] = 0
 		b.removed[i] = 0
@@ -168,6 +178,7 @@ func (b *Buffer) Syms() *xmlstream.SymTab { return b.syms }
 func (b *Buffer) AssignedCount(r xqast.Role) int64 { return b.assigned[r] }
 func (b *Buffer) RemovedCount(r xqast.Role) int64  { return b.removed[r] }
 
+//gcxlint:noalloc
 func (b *Buffer) bumpPeaks() {
 	if b.stats.LiveNodes > b.stats.PeakNodes {
 		b.stats.PeakNodes = b.stats.LiveNodes
@@ -227,20 +238,25 @@ func (b *Buffer) link(parent, n *Node) {
 
 // AddRole assigns k instances of role r to n, updating the subtree
 // accounting along the ancestor chain.
+//
+//gcxlint:noalloc
 func (b *Buffer) AddRole(n *Node, r xqast.Role, k int) {
 	if k <= 0 {
 		return
 	}
-	found := false
-	for i := range n.roles {
-		if n.roles[i].role == r {
-			n.roles[i].n += int32(k)
-			found = true
-			break
+	if e := b.entry(n, r); e != nil {
+		e.n += int32(k)
+	} else {
+		e := roleEntry{role: int32(r), n: int32(k)}
+		switch {
+		case n.role.n == 0:
+			n.role = e
+		case n.roles == 0:
+			n.roles = b.roles.get()
+			fallthrough
+		default:
+			b.roles.add(n.roles, e)
 		}
-	}
-	if !found {
-		n.roles = append(n.roles, roleEntry{role: r, n: int32(k)})
 		b.stats.LiveBytes += roleEntryBytes
 	}
 	n.selfTotal += int32(k)
@@ -248,40 +264,126 @@ func (b *Buffer) AddRole(n *Node, r xqast.Role, k int) {
 		n.aggCount += int32(k)
 	}
 	for a := n; a != nil; a = a.Parent {
-		a.subTotal += int64(k)
+		a.subTotal += int32(k)
 	}
 	b.assigned[r] += int64(k)
 	b.stats.RoleAssignments += int64(k)
 	b.bumpPeaks()
 }
 
-// removeRole removes k instances of role r from n. It reports whether the
-// removal left the node without that role entry.
-func (b *Buffer) removeRole(n *Node, r xqast.Role, k int) error {
-	for i := range n.roles {
-		if n.roles[i].role != r {
-			continue
-		}
-		if int(n.roles[i].n) < k {
-			return &ErrUndefinedRemoval{Role: r, Node: b.describe(n)}
-		}
-		n.roles[i].n -= int32(k)
-		if n.roles[i].n == 0 {
-			n.roles = append(n.roles[:i], n.roles[i+1:]...)
-			b.stats.LiveBytes -= roleEntryBytes
-		}
-		n.selfTotal -= int32(k)
-		if b.aggregate[r] {
-			n.aggCount -= int32(k)
-		}
-		for a := n; a != nil; a = a.Parent {
-			a.subTotal -= int64(k)
-		}
-		b.removed[r] += int64(k)
-		b.stats.RoleRemovals += int64(k)
-		return nil
+// entry returns n's multiset entry for role r, or nil.
+//
+//gcxlint:noalloc
+func (b *Buffer) entry(n *Node, r xqast.Role) *roleEntry {
+	if n.role.role == int32(r) && n.role.n > 0 {
+		return &n.role
 	}
+	es := b.roles.lists[n.roles]
+	for i := range es {
+		if es[i].role == int32(r) {
+			return &es[i]
+		}
+	}
+	return nil
+}
+
+// removeRole removes k instances of role r from n. An entry that reaches
+// zero is replaced by the last overflow entry; an emptied slot is freed.
+//
+//gcxlint:noalloc
+func (b *Buffer) removeRole(n *Node, r xqast.Role, k int) error {
+	e := b.entry(n, r)
+	if e == nil || int(e.n) < k {
+		return b.undefinedRemoval(n, r)
+	}
+	e.n -= int32(k)
+	if e.n == 0 {
+		if n.roles == 0 {
+			n.role = roleEntry{} // e is the inline entry, the only one
+		} else {
+			es := b.roles.lists[n.roles]
+			*e = es[len(es)-1]
+			b.roles.lists[n.roles] = es[:len(es)-1]
+			if len(es) == 1 {
+				b.roles.put(n.roles)
+				n.roles = 0
+			}
+		}
+		b.stats.LiveBytes -= roleEntryBytes
+	}
+	n.selfTotal -= int32(k)
+	if b.aggregate[r] {
+		n.aggCount -= int32(k)
+	}
+	for a := n; a != nil; a = a.Parent {
+		a.subTotal -= int32(k)
+	}
+	b.removed[r] += int64(k)
+	b.stats.RoleRemovals += int64(k)
+	return nil
+}
+
+// undefinedRemoval builds the error of a removal nothing was assigned for.
+//
+//gcxlint:allocok the error path of a broken rewriting, which ends the run
+func (b *Buffer) undefinedRemoval(n *Node, r xqast.Role) error {
 	return &ErrUndefinedRemoval{Role: r, Node: b.describe(n)}
+}
+
+// entries returns the number of entries in n's role multiset.
+func (b *Buffer) entries(n *Node) int { return int(min(n.role.n, 1)) + len(b.roles.lists[n.roles]) }
+
+// RoleCount returns the multiplicity of role r on n.
+//
+//gcxlint:noalloc
+func (b *Buffer) RoleCount(n *Node, r xqast.Role) int {
+	if e := b.entry(n, r); e != nil {
+		return int(e.n)
+	}
+	return 0
+}
+
+// RolesString returns n's role multiset as a sorted, human-readable
+// string like "{r2,r3,r3}". Empty role sets render as "{}".
+func (b *Buffer) RolesString(n *Node) string {
+	var ids []int32
+	for _, e := range append([]roleEntry{n.role}, b.roles.lists[n.roles]...) {
+		for range e.n {
+			ids = append(ids, e.role)
+		}
+	}
+	slices.Sort(ids)
+	var sb strings.Builder
+	sb.WriteByte('{')
+	for i, id := range ids {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		fmt.Fprintf(&sb, "r%d", id)
+	}
+	sb.WriteByte('}')
+	return sb.String()
+}
+
+// MarkNoMore records that no further child of n tagged sym can occur.
+//
+//gcxlint:noalloc
+func (b *Buffer) MarkNoMore(n *Node, sym xmlstream.Sym) {
+	if b.NoMore(n, sym) {
+		return
+	}
+	if n.noMore == 0 {
+		n.noMore = b.facts.get()
+	}
+	b.facts.add(n.noMore, sym)
+	n.touch()
+}
+
+// NoMore reports whether a child of n tagged sym can no longer occur.
+//
+//gcxlint:noalloc
+func (b *Buffer) NoMore(n *Node, sym xmlstream.Sym) bool {
+	return slices.Contains(b.facts.lists[n.noMore], sym)
 }
 
 func (b *Buffer) describe(n *Node) string {
@@ -387,7 +489,7 @@ func (b *Buffer) dropSubtree(n *Node) {
 	n.unlinked = true
 	b.stats.LiveNodes--
 	b.stats.NodesDeleted++
-	b.stats.LiveBytes -= nodeBaseBytes + int64(len(n.Text)) + int64(len(n.roles))*roleEntryBytes
+	b.stats.LiveBytes -= nodeBaseBytes + int64(len(n.Text)) + int64(b.entries(n))*roleEntryBytes
 	for c := n.FirstChild; c != nil; {
 		next := c.NextSib
 		b.dropSubtree(c)
@@ -396,6 +498,9 @@ func (b *Buffer) dropSubtree(n *Node) {
 	if n.Kind == KindText {
 		b.text.release(n.Text, n.chunk)
 		n.Text = "" // nothing reads an unlinked node; a free node must not pin an oversized text
+	}
+	if n.noMore != 0 {
+		b.facts.put(n.noMore)
 	}
 	b.arena.put(n)
 }
@@ -449,7 +554,7 @@ func (b *Buffer) Dump() string {
 				sb.WriteString(b.syms.Name(n.Sym))
 			}
 			if n.selfTotal > 0 {
-				sb.WriteString(n.RolesString())
+				sb.WriteString(b.RolesString(n))
 			}
 			if !n.finished {
 				sb.WriteByte('*')

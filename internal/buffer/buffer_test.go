@@ -63,11 +63,11 @@ func TestRoleMultiset(t *testing.T) {
 	b.AddRole(n, 1, 1)
 	b.AddRole(n, 2, 2)
 	b.AddRole(n, 1, 1)
-	if n.RoleCount(1) != 2 || n.RoleCount(2) != 2 {
-		t.Fatalf("multiset: %s", n.RolesString())
+	if b.RoleCount(n, 1) != 2 || b.RoleCount(n, 2) != 2 {
+		t.Fatalf("multiset: %s", b.RolesString(n))
 	}
-	if n.RolesString() != "{r1,r1,r2,r2}" {
-		t.Fatalf("roles string: %s", n.RolesString())
+	if b.RolesString(n) != "{r1,r1,r2,r2}" {
+		t.Fatalf("roles string: %s", b.RolesString(n))
 	}
 	if n.SubtreeRoles() != 4 || b.Root().SubtreeRoles() != 4 {
 		t.Fatal("subtree accounting wrong")

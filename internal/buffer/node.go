@@ -15,13 +15,7 @@
 // unpinned.
 package buffer
 
-import (
-	"fmt"
-	"strings"
-
-	"gcx/internal/xmlstream"
-	"gcx/internal/xqast"
-)
+import "gcx/internal/xmlstream"
 
 // Kind distinguishes node kinds in the buffer tree.
 type Kind uint8
@@ -37,11 +31,14 @@ const (
 
 // roleEntry is one role with its multiplicity in the node's role multiset.
 type roleEntry struct {
-	role xqast.Role
+	role int32 // an xqast.Role; 0 marks an empty inline entry
 	n    int32
 }
 
-// Node is a buffered document node.
+// Node is a buffered document node. It owns no heap memory: its first
+// role entry sits inline, further entries and its schema facts live in
+// the buffer's slot tables (slots.go), named by index. The int32s and
+// flags pack after the pointers and Text with no padding (TestNodeLayout).
 type Node struct {
 	Parent     *Node
 	FirstChild *Node
@@ -49,12 +46,38 @@ type Node struct {
 	NextSib    *Node
 	PrevSib    *Node
 
-	// Sym is the interned tag name (elements only).
-	Sym xmlstream.Sym
 	// Text is the character data (text nodes only). It points into the
 	// buffer's text slab and is valid until the node is unlinked or the
 	// buffer is Reset; whatever outlives that copies it.
 	Text string
+	// Sym is the interned tag name (elements only).
+	Sym xmlstream.Sym
+	// role is the first entry of the role multiset; roles names the
+	// buffer's overflow slot holding the others (0: none). An empty
+	// inline entry implies an empty overflow: removing it promotes one.
+	role  roleEntry
+	roles int32
+	// noMore names the buffer's slot of child tags that can no longer
+	// occur below this node: the projector's DTD facts (see package dtd).
+	noMore int32
+	// aggCount counts aggregate-role instances on this node; descendants
+	// of a node with aggCount > 0 are covered and must not be reclaimed.
+	aggCount int32
+	// selfTotal is the total number of role instances on this node
+	// (including aggregate ones).
+	selfTotal int32
+	// subTotal is the total number of role instances in the subtree rooted
+	// here (including selfTotal).
+	subTotal int32
+	// subPins counts evaluator pins in the subtree rooted here.
+	subPins int32
+	// chunk is what the text slab needs back to release Text (see
+	// textSlab.keep).
+	chunk int32
+	// stamp changes whenever something a blocked evaluator can be waiting
+	// for on this node happens: a child is linked below it, it is finished
+	// or sealed, a schema fact rules out one of its child tags (see touch).
+	stamp uint32
 
 	Kind Kind
 	// finished is set once the closing tag has been read from the stream.
@@ -71,48 +94,16 @@ type Node struct {
 	// unlinked marks nodes already removed from the tree (debug aid; a
 	// deleted node must never be touched again).
 	unlinked bool
-
-	// aggCount counts aggregate-role instances on this node; descendants
-	// of a node with aggCount > 0 are covered and must not be reclaimed.
-	aggCount int32
-	// selfTotal is the total number of role instances on this node
-	// (including aggregate ones).
-	selfTotal int32
-	// chunk is what the text slab needs back to release Text (see
-	// textSlab.keep); it sits in what was padding.
-	chunk int32
-	// subTotal is the total number of role instances in the subtree rooted
-	// here (including selfTotal).
-	subTotal int64
-	// subPins counts evaluator pins in the subtree rooted here.
-	subPins int32
-	// stamp changes whenever something a blocked evaluator can be waiting
-	// for on this node happens: a child is linked below it, it is finished
-	// or sealed, a schema fact rules out one of its child tags (see touch).
-	// It sits in what was padding.
-	stamp uint32
-
-	roles []roleEntry
-
-	// noMore lists child tags that can no longer occur below this node,
-	// derived from DTD content models by the projector (schema-aware
-	// early region termination; see package dtd). Nil without a schema.
-	noMore []xmlstream.Sym
 }
 
-// recycle clears n for reuse by the arena, retaining the capacity of its
-// role and schema-fact slices. The stamp moves on instead of restarting,
-// so the node the arena hands out never shows a stamp its slot showed
-// before (see Stamp).
+// recycle clears n for reuse by the arena. The stamp moves on instead of
+// restarting, so the node the arena hands out never shows a stamp its
+// slot showed before (see Stamp).
 //
 //gcxlint:noalloc
 func (n *Node) recycle() {
-	roles := n.roles[:0]
-	noMore := n.noMore[:0]
 	stamp := n.stamp + 1
 	*n = Node{}
-	n.roles = roles
-	n.noMore = noMore
 	n.stamp = stamp
 }
 
@@ -139,28 +130,6 @@ func (n *Node) Stamp() uint32 { return n.stamp }
 //gcxlint:noalloc
 func (n *Node) touch() { n.stamp++ }
 
-// MarkNoMore records that no further child with the given tag can occur
-// (duplicates are ignored).
-func (n *Node) MarkNoMore(sym xmlstream.Sym) {
-	for _, s := range n.noMore {
-		if s == sym {
-			return
-		}
-	}
-	n.noMore = append(n.noMore, sym)
-	n.touch()
-}
-
-// NoMore reports whether a child with the given tag can no longer occur.
-func (n *Node) NoMore(sym xmlstream.Sym) bool {
-	for _, s := range n.noMore {
-		if s == sym {
-			return true
-		}
-	}
-	return false
-}
-
 // Finished reports whether the node's content is complete: its closing
 // tag has been read, or a schema fact sealed it early (see Buffer.Seal).
 func (n *Node) Finished() bool { return n.finished || n.sealed }
@@ -172,45 +141,8 @@ func (n *Node) Sealed() bool { return n.sealed }
 // Unlinked reports whether the node has been reclaimed.
 func (n *Node) Unlinked() bool { return n.unlinked }
 
-// RoleCount returns the multiplicity of role r on n.
-func (n *Node) RoleCount(r xqast.Role) int {
-	for _, e := range n.roles {
-		if e.role == r {
-			return int(e.n)
-		}
-	}
-	return 0
-}
-
 // SubtreeRoles returns the number of role instances in n's subtree.
-func (n *Node) SubtreeRoles() int64 { return n.subTotal }
-
-// Roles returns the role multiset as a sorted, human-readable string like
-// "{r2,r3,r3}". Empty role sets render as "{}".
-func (n *Node) RolesString() string {
-	var ids []xqast.Role
-	for _, e := range n.roles {
-		for i := int32(0); i < e.n; i++ {
-			ids = append(ids, e.role)
-		}
-	}
-	// Roles are appended in assignment order; sort for stable output.
-	for i := 1; i < len(ids); i++ {
-		for j := i; j > 0 && ids[j-1] > ids[j]; j-- {
-			ids[j-1], ids[j] = ids[j], ids[j-1]
-		}
-	}
-	var b strings.Builder
-	b.WriteByte('{')
-	for i, id := range ids {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		fmt.Fprintf(&b, "r%d", id)
-	}
-	b.WriteByte('}')
-	return b.String()
-}
+func (n *Node) SubtreeRoles() int64 { return int64(n.subTotal) }
 
 // Covered reports whether an ancestor of n (strictly above it) carries an
 // aggregate role, i.e. n is kept alive by subtree inheritance (Section 6,

@@ -14,7 +14,8 @@ import (
 // the structural invariants after every step:
 //
 //   - link consistency (parent/child/sibling pointers agree),
-//   - subtree role counters equal the recomputed sums,
+//   - each node's role multiset (inline entry + overflow slot) sums to
+//     its selfTotal, and subtree role counters equal the recomputed sums,
 //   - subtree pin counters equal the recomputed sums,
 //   - unlinked nodes are never reachable from the root,
 //   - node accounting (LiveNodes) matches the reachable count.
@@ -106,6 +107,13 @@ func checkInvariants(b *Buffer) string {
 		if n.unlinked {
 			return 0, 0, "unlinked node reachable from root"
 		}
+		self := n.role.n
+		for _, e := range b.roles.lists[n.roles] {
+			self += e.n
+		}
+		if self != n.selfTotal || (n.role.n == 0 && n.roles != 0) {
+			return 0, 0, "role multiset disagrees with selfTotal, or overflow without an inline entry"
+		}
 		roleSum := int64(n.selfTotal)
 		pinSum := int32(0)
 		var prev *Node
@@ -127,7 +135,7 @@ func checkInvariants(b *Buffer) string {
 		if n.LastChild != prev {
 			return 0, 0, "broken last-child link"
 		}
-		if roleSum != n.subTotal {
+		if roleSum != int64(n.subTotal) {
 			return 0, 0, "subtree role counter mismatch"
 		}
 		// subPins counts pins in the subtree; pins on n itself are

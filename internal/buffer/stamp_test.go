@@ -1,18 +1,29 @@
 package buffer
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 )
 
-// TestNodeStampFitsInPadding: the change stamp lives in the four bytes
-// after subPins, so every buffered node costs what it did before.
-func TestNodeStampFitsInPadding(t *testing.T) {
+// TestNodeLayout: a buffered node is 104 bytes and owns no heap memory —
+// its role entries beyond the inline one and its schema facts live in
+// the buffer's slot tables — so a run allocates per slab, not per node.
+func TestNodeLayout(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("layout assertion is for 64-bit targets")
 	}
-	if got := unsafe.Sizeof(Node{}); got != 144 {
-		t.Fatalf("unsafe.Sizeof(Node) = %d, want 144", got)
+	if got := unsafe.Sizeof(Node{}); got != 104 {
+		t.Errorf("unsafe.Sizeof(Node) = %d, want 104", got)
+	}
+	if got := unsafe.Sizeof(roleEntry{}); got != 8 {
+		t.Errorf("unsafe.Sizeof(roleEntry) = %d, want 8", got)
+	}
+	nt := reflect.TypeOf(Node{})
+	for i := 0; i < nt.NumField(); i++ {
+		if f := nt.Field(i); f.Type.Kind() == reflect.Slice || f.Type.Kind() == reflect.Map {
+			t.Errorf("Node.%s is a %s: a node must name buffer-owned storage by index", f.Name, f.Type)
+		}
 	}
 }
 
@@ -50,8 +61,8 @@ func TestStampMovesWithEveryWakingEvent(t *testing.T) {
 	var c *Node
 	moved(a, "AppendElement below", func() { c = el(b, syms, a, "c") })
 	moved(a, "AppendText below", func() { b.AppendText(a, "x") })
-	moved(a, "MarkNoMore", func() { a.MarkNoMore(syms.Intern("c")) })
-	still(a, "a repeated MarkNoMore", func() { a.MarkNoMore(syms.Intern("c")) })
+	moved(a, "MarkNoMore", func() { b.MarkNoMore(a, syms.Intern("c")) })
+	still(a, "a repeated MarkNoMore", func() { b.MarkNoMore(a, syms.Intern("c")) })
 	still(a, "AddRole", func() { b.AddRole(a, 1, 1) })
 	still(a, "Pin/Unpin", func() { b.Pin(a); b.Unpin(a) })
 	still(a, "a purge below", func() { b.Finish(c) })

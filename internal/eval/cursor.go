@@ -211,7 +211,7 @@ func (c *cursor) regionFinished() bool {
 	}
 	// Schema fact: the content model proves no further match can arrive.
 	if c.step.Test.Kind == xqast.TestName && c.ctx.Kind == buffer.KindElement &&
-		c.ctx.NoMore(c.sym) {
+		c.e.buf.NoMore(c.ctx, c.sym) {
 		return true
 	}
 	return false

@@ -596,7 +596,7 @@ func (p *Projector) openElement(name string) {
 	if p.opts.Schema != nil && top.node != nil && top.node.Kind == buffer.KindElement {
 		parentTag := p.buf.Syms().Name(top.node.Sym)
 		for _, dead := range p.opts.Schema.NoMoreAfter(parentTag, name) {
-			top.node.MarkNoMore(p.buf.Syms().Intern(dead))
+			p.buf.MarkNoMore(top.node, p.buf.Syms().Intern(dead))
 		}
 	}
 
