@@ -17,6 +17,7 @@ import (
 	"gcx/internal/queries"
 	"gcx/internal/units"
 	"gcx/internal/xmark"
+	"gcx/internal/xmarkdtd"
 )
 
 // config parameterizes a Table 1 sweep.
@@ -130,7 +131,7 @@ var schemaOnce struct {
 
 func xmarkSchema() *dtd.Schema {
 	schemaOnce.once.Do(func() {
-		schemaOnce.schema = dtd.MustParse(xmark.DTD)
+		schemaOnce.schema = dtd.MustParse(xmarkdtd.DTD)
 	})
 	return schemaOnce.schema
 }

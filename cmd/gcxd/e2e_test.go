@@ -211,14 +211,16 @@ func TestSizeFlagOutOfRangeIsStartupError(t *testing.T) {
 }
 
 // TestDaemonLinksNoBenchmarkCode: gcxd needs a size parser, not the
-// Table 1 harness or the benchmark query catalog.
+// Table 1 harness, the benchmark query catalog or the XMark generator
+// (gcx.XMarkDTD comes from internal/xmarkdtd, which holds only the
+// schema).
 func TestDaemonLinksNoBenchmarkCode(t *testing.T) {
 	out, err := exec.Command("go", "list", "-deps", ".").Output()
 	if err != nil {
 		t.Fatalf("go list -deps: %v", err)
 	}
 	for _, pkg := range strings.Fields(string(out)) {
-		if strings.HasPrefix(pkg, "gcx/") && (strings.Contains(pkg, "bench") || pkg == "gcx/internal/queries") {
+		if strings.HasPrefix(pkg, "gcx/") && (strings.Contains(pkg, "bench") || pkg == "gcx/internal/queries" || pkg == "gcx/internal/xmark") {
 			t.Errorf("gcxd links %s", pkg)
 		}
 	}

@@ -38,7 +38,7 @@ import (
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/static"
-	"gcx/internal/xmark"
+	"gcx/internal/xmarkdtd"
 )
 
 // Strategy selects the buffer management technique.
@@ -165,7 +165,7 @@ func WithDTD(dtdSource string) Option {
 
 // XMarkDTD is the schema of the documents produced by cmd/xmarkgen, for
 // use with WithDTD in benchmarks and examples.
-const XMarkDTD = xmark.DTD
+const XMarkDTD = xmarkdtd.DTD
 
 // Stats reports the measurements of one run. The buffer high watermark is
 // the paper's primary metric. The JSON field names are stable for

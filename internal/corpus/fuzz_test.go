@@ -39,6 +39,9 @@ func FuzzSplit(f *testing.F) {
 	f.Add([]byte("<a/>junk<b/>"))
 	f.Add([]byte("<q1>text&amp;more</q1>\n<q2 attr=\"v\"/>"))
 	f.Add([]byte(`<!DOCTYPE a [<!ENTITY lt "<"><!-- don't --><?p '> ?>]><a/><b/>`))
+	for _, s := range terminatorEdgeStreams() {
+		f.Add([]byte(s))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstReference(t, data, 0)
@@ -148,4 +151,34 @@ func checkAgainstReference(t *testing.T, input []byte, max int64) {
 			break
 		}
 	}
+}
+
+// terminatorEdgeStreams are xmlstream's terminatorEdgeCorpus, framed
+// here: the '>' of every opaque-region terminator at offsets 63, 64 and
+// 65, with the bytes before it that close the region across the index's
+// block edge — "-->", "--->", "?>", "]]>", "]]]>", and a DOCTYPE's '>'
+// after a quoted '>', a nested comment or a nested PI — and the
+// malformed openers, which the splitter passes through as character data
+// or declarations, ending at the same offsets.
+func terminatorEdgeStreams() []string {
+	var out []string
+	for _, at := range []int{63, 64, 65} {
+		end := func(head, tail, rest string) string {
+			return head + strings.Repeat("x", at+1-len(head)-len(tail)) + tail + rest
+		}
+		out = append(out,
+			end(`<r><!--`, `-->`, `</r>`),
+			end(`<r><!--`, `--->`, `</r>`),
+			end(`<r><?pi `, `?>`, `</r>`),
+			end(`<r><![CDATA[`, `]]>`, `</r>`),
+			end(`<r><![CDATA[`, `]]]>`, `</r>`),
+			end(`<!DOCTYPE r SYSTEM "`, `>">`, `<r/>`),
+			end(`<!DOCTYPE r [<!ELEMENT r ANY><!-- `, `-->]>`, `<r/>`),
+			end(`<!DOCTYPE r [<?pi `, `?>]>`, `<r/>`),
+		)
+		for _, opener := range []string{`<!-x`, `<![CDAT`, `<!>`, `<?>`, `<!-->`} {
+			out = append(out, end(`<r>`, opener, `</r>`))
+		}
+	}
+	return out
 }

@@ -10,6 +10,28 @@ import (
 	"gcx/internal/xmark"
 )
 
+// The states referenceSplit steps through, one byte at a time.
+const (
+	spText        = iota // character data (inside or outside the root)
+	spLT                 // just consumed '<'
+	spBang               // "<!"
+	spBangSeq            // matching the tail of "<!--" or "<![CDATA["
+	spComment            // inside a comment, matching "-->"
+	spPI                 // inside a PI / XML declaration, matching "?>"
+	spCDATA              // inside CDATA, matching "]]>"
+	spDecl               // inside a DOCTYPE/markup declaration, depth-counted
+	spDeclQuote          // inside a quoted literal of a declaration
+	spDeclComment        // inside a comment within an internal subset
+	spDeclPI             // inside a PI within an internal subset
+	spTag                // inside a start or end tag
+	spTagQuote           // inside a quoted attribute value
+)
+
+var (
+	seqComment = "-"      // after "<!-": one more '-' completes "<!--"
+	seqCDATA   = "CDATA[" // after "<![": the rest of "<![CDATA["
+)
+
 // splitAll drains the splitter, returning the documents and the
 // terminating error (io.EOF for a clean end). Per-document
 // *DocTooLargeError failures are recorded as empty-string slots.
@@ -124,8 +146,8 @@ func TestSplitterMaxDocBytes(t *testing.T) {
 }
 
 func TestSplitterSmallReads(t *testing.T) {
-	// One byte per Read: every state-machine transition crosses a fill
-	// boundary, including the BOM lookahead.
+	// One byte per Read: every construct crosses a refill, including
+	// the BOM and opener lookahead, which grow the window.
 	input := "\xEF\xBB\xBF<?xml version=\"1.0\"?><a x=\">\"><![CDATA[]]>]]></a> \xEF\xBB\xBF<b><!-- -- --></b>"
 	sp := NewSplitter(iotest{r: strings.NewReader(input)})
 	var docs []string
@@ -156,8 +178,9 @@ func (o iotest) Read(p []byte) (int, error) {
 }
 
 // TestSplitterZeroByteReads: the io.Reader contract permits (0, nil)
-// returns; the BOM lookahead must retry them like the main fill loop,
-// not leak an inter-document BOM into the following document.
+// returns; the BOM lookahead, which grows the window, must retry them
+// like a slide, not leak an inter-document BOM into the following
+// document.
 func TestSplitterZeroByteReads(t *testing.T) {
 	sp := NewSplitter(&stutterReader{r: iotest{r: strings.NewReader("<a/>\xEF\xBB\xBF<b/>")}})
 	var docs []string
@@ -225,9 +248,10 @@ func (c capReader) Read(p []byte) (int, error) {
 // identically whether a run arrives whole or split at any refill
 // boundary, and exactly as the per-byte reference machine frames it. The
 // streams — one built to put every kind of interior across a boundary,
-// and every seed of FuzzSplit and case of TestSplitterBoundaries — are
-// framed at read sizes 1, 2, 7, the structural index's 64-byte block edges
-// (63/64/65/127/128), 4096, and unbounded, with and without a size cap.
+// every seed of FuzzSplit and case of TestSplitterBoundaries, and the
+// terminators at the index's block edges — are framed at read sizes 1,
+// 2, 7, the structural index's 64-byte block edges (63/64/65/127/128),
+// 4096, and unbounded, with and without a size cap.
 func TestSplitterBoundarySizeSweep(t *testing.T) {
 	inputs := []string{
 		strings.Join([]string{
@@ -253,40 +277,40 @@ func TestSplitterBoundarySizeSweep(t *testing.T) {
 	for _, tc := range boundaryCases {
 		inputs = append(inputs, tc.input)
 	}
+	inputs = append(inputs, terminatorEdgeStreams()...)
 	for _, in := range inputs {
 		checkAgainstReference(t, []byte(in), 0)
 		checkAgainstReference(t, []byte(in), 24)
 	}
 }
 
-// TestSplitterHopsElementStructure: inside a root element that holds no
-// comment, PI or CDATA section, the splitter takes no byte one at a time
-// — it hops from '<' to '>' to '<' on the structural index and copies
-// what it passed once per window. The document arrives in one read, so no
-// tag straddles a refill (the one case where the byte after '<' is
-// stepped).
+// TestSplitterHopsElementStructure: inside a root element the splitter
+// takes no byte one at a time — it hops from '<' to '>' to '<' on the
+// structural index, Window.Skip hops a comment, PI or CDATA section to
+// its '>', and it copies what it passed once per window. The only bytes
+// it compares singly are the at most seven after a "<!" that tell a
+// comment or CDATA section from a declaration. The document arrives in
+// one read, so no construct straddles a refill.
 func TestSplitterHopsElementStructure(t *testing.T) {
-	var doc bytes.Buffer
-	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(32 << 10), Seed: 3}); err != nil {
+	var gen bytes.Buffer
+	if _, err := xmark.Generate(&gen, xmark.Config{Factor: xmark.FactorForSize(32 << 10), Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	for _, opaque := range []string{"<!--", "<?", "<![CDATA["} {
-		if bytes.Contains(doc.Bytes(), []byte(opaque)) {
-			t.Fatalf("the generated document contains %q; the test needs one without", opaque)
-		}
+	interior := strings.Repeat("interior - ? ] > < text ", 40)
+	opaque := []string{"<!--" + interior + "-->", "<?pi " + interior + "?>", "<![CDATA[" + interior + "]]>"}
+	doc := bytes.TrimSpace(gen.Bytes())
+	for _, o := range opaque {
+		at := bytes.LastIndex(doc, []byte("</"))
+		doc = append(doc[:at:at], append([]byte(o), doc[at:]...)...)
 	}
-	sp := NewSplitter(bytes.NewReader(doc.Bytes()))
+	sp := NewSplitter(bytes.NewReader(doc))
 	got, err := sp.Next(nil)
-	if err != nil || !bytes.Equal(got, bytes.TrimSpace(doc.Bytes())) {
-		t.Fatalf("framed %d of %d bytes, err %v", len(got), doc.Len(), err)
+	if err != nil || !bytes.Equal(got, doc) {
+		t.Fatalf("framed %d of %d bytes, err %v", len(got), len(doc), err)
 	}
-	if sp.steppedInRoot != 0 {
-		t.Errorf("%d bytes of a %d-byte element-only document were stepped one at a time, want 0", sp.steppedInRoot, doc.Len())
-	}
-
-	// The counter does count: a comment inside the root is stepped.
-	sp = NewSplitter(strings.NewReader("<a><!-- c --></a>"))
-	if _, err := sp.Next(nil); err != nil || sp.steppedInRoot == 0 {
-		t.Fatalf("a comment inside the root stepped %d bytes (err %v), want some", sp.steppedInRoot, err)
+	const perOpener = len("<![CDATA[") - len("<!")
+	if max := int64(perOpener * len(opaque)); sp.steppedInRoot == 0 || sp.steppedInRoot > max {
+		t.Errorf("%d bytes of a %d-byte document with %d opaque regions were taken one at a time inside the root, want 1 to %d",
+			sp.steppedInRoot, len(doc), len(opaque), max)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"gcx/internal/dtd"
-	"gcx/internal/xmark"
+	"gcx/internal/xmarkdtd"
 )
 
 const siteDTD = `
@@ -240,7 +240,7 @@ func TestSchemaAgreesOnXMark(t *testing.T) {
 	// The output-equality check on generated data lives in the queries
 	// package tests; here we check the DTD itself parses and covers the
 	// site structure.
-	schema, err := dtd.Parse(xmark.DTD)
+	schema, err := dtd.Parse(xmarkdtd.DTD)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,14 +6,14 @@ import (
 
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
-	"gcx/internal/xmark"
+	"gcx/internal/xmarkdtd"
 )
 
 // TestExtendedQueriesAgreeAcrossModes: the extended corpus passes the same
 // cross-engine equivalence and balance checks as the Table 1 queries.
 func TestExtendedQueriesAgreeAcrossModes(t *testing.T) {
 	doc := testDoc(t)
-	schema := dtd.MustParse(xmark.DTD)
+	schema := dtd.MustParse(xmarkdtd.DTD)
 	for _, q := range Extended() {
 		q := q
 		t.Run(q.Name, func(t *testing.T) {

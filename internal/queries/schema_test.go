@@ -6,7 +6,7 @@ import (
 
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
-	"gcx/internal/xmark"
+	"gcx/internal/xmarkdtd"
 )
 
 // TestSchemaEquivalenceOnXMark: every benchmark query produces identical
@@ -14,7 +14,7 @@ import (
 // and keeps the role balance invariants.
 func TestSchemaEquivalenceOnXMark(t *testing.T) {
 	doc := testDoc(t)
-	schema := dtd.MustParse(xmark.DTD)
+	schema := dtd.MustParse(xmarkdtd.DTD)
 
 	for _, q := range All() {
 		q := q
@@ -59,7 +59,7 @@ func TestSchemaEquivalenceOnXMark(t *testing.T) {
 // is skipped.
 func TestSchemaSavesTokensOnQ13(t *testing.T) {
 	doc := testDoc(t)
-	schema := dtd.MustParse(xmark.DTD)
+	schema := dtd.MustParse(xmarkdtd.DTD)
 
 	run := func(s *dtd.Schema) int64 {
 		c, err := engine.Compile(Q13.Text, engine.Config{Mode: engine.ModeGCX, Schema: s})

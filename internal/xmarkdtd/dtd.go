@@ -1,6 +1,9 @@
-package xmark
+// Package xmarkdtd holds the schema of the XMark documents
+// internal/xmark generates, apart from the generator: the gcx API exports
+// it (gcx.XMarkDTD), and what links gcx must not link the generator.
+package xmarkdtd
 
-// DTD is the document type definition of the documents this generator
+// DTD is the document type definition of the documents internal/xmark
 // produces — the XMark auction schema restricted to the structure actually
 // emitted (attributes are declared for documentation; the engine converts
 // them to subelements, which the content models below already account for

@@ -235,6 +235,39 @@ func blockEdgeCorpus() []string {
 		// A tag spanning a whole block: attributes from offset 63 to 130.
 		`<r>`+pad(60)+`<b aaaaaaaaaaaaaaaa="bbbbbbbbbbbbbbbb" cccccccccccccccc='dddddddddddddddd'/></r>`,
 	)
+	return append(out, terminatorEdgeCorpus()...)
+}
+
+// terminatorEdgeCorpus puts the '>' of every opaque-region terminator at
+// offsets 63, 64 and 65 — the last byte of an index block and the first
+// and second of the next — so the bytes before it that close the region
+// sit across the block edge (and, read 63, 64 or 65 bytes at a time,
+// across a slide): "-->", "--->", "?>", "]]>", "]]]>", and a DOCTYPE's
+// '>' after a quoted '>', a nested comment or a nested PI. The malformed
+// openers end at the same offsets. FuzzTokenizer seeds with these too,
+// and internal/corpus frames the same strings.
+func terminatorEdgeCorpus() []string {
+	var out []string
+	for _, at := range []int{63, 64, 65} {
+		// end pads between head and tail so that tail's last byte lands
+		// at offset at.
+		end := func(head, tail, rest string) string {
+			return head + strings.Repeat("x", at+1-len(head)-len(tail)) + tail + rest
+		}
+		out = append(out,
+			end(`<r><!--`, `-->`, `</r>`),
+			end(`<r><!--`, `--->`, `</r>`),
+			end(`<r><?pi `, `?>`, `</r>`),
+			end(`<r><![CDATA[`, `]]>`, `</r>`),
+			end(`<r><![CDATA[`, `]]]>`, `</r>`),
+			end(`<!DOCTYPE r SYSTEM "`, `>">`, `<r/>`),
+			end(`<!DOCTYPE r [<!ELEMENT r ANY><!-- `, `-->]>`, `<r/>`),
+			end(`<!DOCTYPE r [<?pi `, `?>]>`, `<r/>`),
+		)
+		for _, opener := range []string{`<!-x`, `<![CDAT`, `<!>`, `<?>`, `<!-->`} {
+			out = append(out, end(`<r>`, opener, `</r>`))
+		}
+	}
 	return out
 }
 

@@ -29,6 +29,7 @@ func FuzzTokenizer(f *testing.F) {
 		`<a>&#x10FFFF;</a>`,
 		`<q><w e="r"/></q><junk`,
 	}
+	seeds = append(seeds, terminatorEdgeCorpus()...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

@@ -1,6 +1,7 @@
 package xmlstream
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -21,29 +22,53 @@ func drainTokens(t *testing.T, next func() (Token, error)) {
 
 // A pooled tokenizer must not keep any bytes of the previous document
 // reachable after Reset, and a single pathological document must not pin
-// oversized scratch buffers for the life of the pool entry.
+// oversized scratch buffers, queues or stacks for the life of the pool
+// entry: not a long value or text run, not a tag with a hundred thousand
+// attributes, not a document nested two hundred thousand deep.
 func TestTokenizerResetScratchHygiene(t *testing.T) {
-	big := `<r a="` + strings.Repeat("v", maxRetainedScratch+1) + `">` +
-		strings.Repeat("x", 2*maxRetainedScratch) + `</r>`
-	tok := NewTokenizer(strings.NewReader(big))
-	drainTokens(t, tok.Next)
+	var attrs strings.Builder
+	attrs.WriteString("<r")
+	for i := range 100_000 {
+		fmt.Fprintf(&attrs, ` a%d="v%d"`, i, i)
+	}
+	attrs.WriteString("/>")
+	docs := map[string]string{
+		"long value and run": `<r a="` + strings.Repeat("v", maxRetainedScratch+1) + `">` +
+			strings.Repeat("x", 2*maxRetainedScratch) + `</r>`,
+		"100,000 attributes": attrs.String(),
+		"200,000 deep":       strings.Repeat("<a>", 200_000) + strings.Repeat("</a>", 200_000),
+	}
+	for name, doc := range docs {
+		tok := NewTokenizer(strings.NewReader(doc))
+		drainTokens(t, tok.Next)
 
-	tok.Reset(strings.NewReader("<r/>"))
-	if tok.textBuf != nil {
-		t.Errorf("textBuf retained %d bytes past maxRetainedScratch after Reset", cap(tok.textBuf))
-	}
-	if tok.attrBuf != nil {
-		t.Errorf("attrBuf retained %d bytes past maxRetainedScratch after Reset", cap(tok.attrBuf))
-	}
-	if len(tok.nameBuf) != 0 {
-		t.Errorf("nameBuf not truncated after Reset: len=%d", len(tok.nameBuf))
-	}
-	for i, a := range tok.attrs[:cap(tok.attrs)] {
-		if a.name != "" || a.value != "" {
-			t.Errorf("attrs[%d] still references previous document: %+v", i, a)
+		tok.Reset(strings.NewReader("<r/>"))
+		if tok.textBuf != nil {
+			t.Errorf("%s: textBuf retained %d bytes past maxRetainedScratch after Reset", name, cap(tok.textBuf))
 		}
+		if tok.attrBuf != nil {
+			t.Errorf("%s: attrBuf retained %d bytes past maxRetainedScratch after Reset", name, cap(tok.attrBuf))
+		}
+		if c := cap(tok.pending); c > maxRetainedEntries {
+			t.Errorf("%s: pending retained %d entries past maxRetainedEntries after Reset", name, c)
+		}
+		if c := cap(tok.stack); c > maxRetainedEntries {
+			t.Errorf("%s: stack retained %d entries past maxRetainedEntries after Reset", name, c)
+		}
+		for i, tk := range tok.pending[:cap(tok.pending)] {
+			if tk != (Token{}) {
+				t.Errorf("%s: pending[%d] still references the previous document: %+v", name, i, tk)
+				break
+			}
+		}
+		for i, s := range tok.stack[:cap(tok.stack)] {
+			if s != "" {
+				t.Errorf("%s: stack[%d] still references the previous document: %q", name, i, s)
+				break
+			}
+		}
+		drainTokens(t, tok.Next)
 	}
-	drainTokens(t, tok.Next)
 }
 
 func TestReferenceResetScratchHygiene(t *testing.T) {

@@ -8,9 +8,9 @@ import (
 // Structural index: the simdjson move, ported to streaming XML. Instead
 // of byte-stepping (branch per byte) or sentinel IndexByte probes (call
 // per run — a loss when markup is dense and runs are short), a single
-// branchless classification pass runs over the whole lookahead window
-// every refill and records, one bit per byte, where the five structural
-// characters sit:
+// branchless classification pass runs over the bytes every read adds to
+// the lookahead window (window.go) and records, one bit per byte, where
+// the five structural characters sit:
 //
 //	'<' 0x3C   '>' 0x3E   '&' 0x26   '"' 0x22   '\'' 0x27
 //
@@ -38,12 +38,15 @@ import (
 // or beyond len(buf) — queries need no end-of-buffer re-check.
 
 // StructIndex is a per-window structural-byte index. Build classifies a
-// buffer; Next answers "first structural byte at or after p" in O(1)
-// amortized. The words slice is reused across Builds, so a warm index
-// performs zero allocations per pass.
+// buffer and Extend the bytes appended to it; Next answers "first
+// structural byte at or after p" in O(1) amortized. The words slice is
+// reused across Builds, so a warm index performs zero allocations per
+// pass.
 type StructIndex struct {
 	words []uint64 // one bit per byte, 64 bytes per word
 	n     int      // classified length (len of the last Build's buffer)
+
+	classified int // bytes classified since Reset (tests)
 }
 
 const (
@@ -77,46 +80,66 @@ func classifyWord(x uint64) uint64 {
 }
 
 // Build classifies buf and replaces the index contents. It must be
-// re-run whenever the window slides or is compacted: positions are
+// re-run whenever the window slides or its bytes move: positions are
 // absolute offsets into buf.
 //
 //gcxlint:noalloc
-func (ix *StructIndex) Build(buf []byte) {
+func (ix *StructIndex) Build(buf []byte) { ix.Extend(buf, 0) }
+
+// Extend classifies buf[from:], keeping the classification of buf[:from]:
+// the bytes before from are the ones the index was built over, and the
+// window grew behind them. Only the new bytes are classified, so a window
+// grown a byte at a time is indexed in linear work.
+//
+//gcxlint:noalloc
+func (ix *StructIndex) Extend(buf []byte, from int) {
 	n := len(buf)
-	ix.n = n
 	nw := (n + 63) >> 6
 	if cap(ix.words) < nw {
-		ix.words = make([]uint64, nw) //gcxlint:allocok sized to the window once; reused across Builds
+		words := make([]uint64, nw, max(nw, 2*cap(ix.words))) //gcxlint:allocok sized to the window; reused across Builds
+		copy(words, ix.words)
+		ix.words = words
 	}
 	ix.words = ix.words[:nw]
-	i, w := 0, 0
-	for ; i+64 <= n; i, w = i+64, w+1 {
-		b := buf[i : i+64 : i+64]
-		bm := classifyWord(binary.LittleEndian.Uint64(b[0:8]))
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[8:16])) << 8
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[16:24])) << 16
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[24:32])) << 24
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[32:40])) << 32
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[40:48])) << 40
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[48:56])) << 48
-		bm |= classifyWord(binary.LittleEndian.Uint64(b[56:64])) << 56
-		ix.words[w] = bm
+	ix.n = n
+	ix.classified += n - from
+	i := from
+	if r := from & 63; r != 0 {
+		// The block holding from is classified up to it: classify its
+		// new bytes from a zero-padded copy (0x00 matches no structural
+		// class) and keep its old bits.
+		var blk [64]byte
+		i -= r
+		copy(blk[r:], buf[from:min(n, i+64)])
+		ix.words[i>>6] = ix.words[i>>6]&(1<<r-1) | classifyBlock(blk[:])
+		i += 64
+	}
+	for ; i+64 <= n; i += 64 {
+		ix.words[i>>6] = classifyBlock(buf[i : i+64])
 	}
 	if i < n {
 		// Tail block: classify a zero-padded copy so no bit lands at or
-		// past n (0x00 matches no structural class).
-		var tail [64]byte
-		copy(tail[:], buf[i:n])
-		bm := classifyWord(binary.LittleEndian.Uint64(tail[0:8]))
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[8:16])) << 8
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[16:24])) << 16
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[24:32])) << 24
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[32:40])) << 32
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[40:48])) << 40
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[48:56])) << 48
-		bm |= classifyWord(binary.LittleEndian.Uint64(tail[56:64])) << 56
-		ix.words[w] = bm
+		// past n.
+		var blk [64]byte
+		copy(blk[:], buf[i:n])
+		ix.words[i>>6] = classifyBlock(blk[:])
 	}
+}
+
+// classifyBlock maps the 64 bytes of b to their index word.
+//
+//gcxlint:noalloc
+func classifyBlock(b []byte) uint64 {
+	b = b[:64:64]
+	bm := classifyWord(binary.LittleEndian.Uint64(b[0:8]))
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[8:16])) << 8
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[16:24])) << 16
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[24:32])) << 24
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[32:40])) << 32
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[40:48])) << 40
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[48:56])) << 48
+	bm |= classifyWord(binary.LittleEndian.Uint64(b[56:64])) << 56
+	return bm
 }
 
 // Next returns the position of the first structural byte at or after
@@ -151,15 +174,5 @@ func (ix *StructIndex) Next(from int) int {
 func (ix *StructIndex) Reset() {
 	ix.n = 0
 	ix.words = ix.words[:0]
-}
-
-// Count returns the number of structural bytes in the classified range —
-// a cheap, machine-portable digest used by the benchmark gate to pin the
-// classification output across runs.
-func (ix *StructIndex) Count() int {
-	c := 0
-	for _, w := range ix.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
+	ix.classified = 0
 }

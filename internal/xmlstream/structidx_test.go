@@ -2,6 +2,8 @@ package xmlstream
 
 import (
 	"bytes"
+	"math/bits"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -73,10 +75,32 @@ func TestStructIndexExhaustive(t *testing.T) {
 				t.Fatalf("case %d (len %d): Next(%d) = %d, want %d", ci, len(buf), from, got, want)
 			}
 		}
-		if got, want := ix.Count(), countStructural(buf); got != want {
-			t.Fatalf("case %d: Count = %d, want %d", ci, got, want)
+		if got, want := indexedCount(&ix), countStructural(buf); got != want {
+			t.Fatalf("case %d: %d bits set, want %d", ci, got, want)
+		}
+		// Extending an index built over a prefix gives the index of the
+		// whole buffer, wherever the prefix ends.
+		var ext StructIndex
+		for _, from := range []int{0, 1, 7, 63, 64, 65, len(buf) / 2, len(buf) - 1, len(buf)} {
+			if from < 0 || from > len(buf) {
+				continue
+			}
+			ext.Build(buf[:from])
+			ext.Extend(buf, from)
+			if !slices.Equal(ext.words, ix.words) || ext.n != ix.n {
+				t.Fatalf("case %d: Extend from %d differs from Build", ci, from)
+			}
 		}
 	}
+}
+
+// indexedCount is the number of bits set in the index.
+func indexedCount(ix *StructIndex) int {
+	c := 0
+	for _, w := range ix.words {
+		c += bits.OnesCount64(w)
+	}
+	return c
 }
 
 func countStructural(buf []byte) int {

@@ -33,7 +33,9 @@ type Options struct {
 	BorrowText bool
 }
 
-// DefaultOptions returns the configuration the engine uses.
+// DefaultOptions returns the zero configuration, in which every Text
+// token owns its Data. The engine does not run with it as is: it sets
+// BorrowText.
 func DefaultOptions() Options {
 	return Options{}
 }
@@ -48,34 +50,19 @@ func DefaultOptions() Options {
 // Well-formedness of tag nesting is checked; the tokenizer returns a
 // *SyntaxError on mismatched or unclosed tags.
 //
-// The scanner is chunked and index-driven: every window slide runs the
-// branchless structural classification pass (see structidx.go), and text
-// runs, start tags, and end tags are parsed by hopping the precomputed
-// candidate positions — whole tags parse inside the window with no
-// refill checks, and a text run keeps hopping across refills and
-// entities. The per-byte state machine is the one other mechanism: it
-// runs wherever a tag fast path bails (a tag straddling a refill, an
-// entity in an attribute value, a malformed shape) and through opaque
-// regions (comments, PIs, CDATA, DOCTYPE interiors), whose terminators
-// are not structural bytes. The retained per-byte implementation
-// (Reference) is the
+// The scanner has one mechanism: it hops the structural index of its
+// Window (window.go, structidx.go). A text run hops to its '<' across
+// slides and entities; a tag is parsed inside the window, which grows to
+// hold it when it reaches the window end; comments, PIs, CDATA sections
+// and declarations are skipped by Window.Skip, which the corpus splitter
+// calls too. The retained per-byte implementation (Reference) is the
 // differential-testing and benchmarking baseline; both must produce
-// byte-identical token streams (see DESIGN.md, "Chunked scanning" and
-// "Structural index").
+// byte-identical token streams, errors and error offsets (see DESIGN.md,
+// "Chunked scanning" and "Structural index").
 type Tokenizer struct {
-	r    io.Reader
-	opts Options
-
-	buf    []byte
-	pos    int   // next unread byte in buf
-	n      int   // valid bytes in buf
-	off    int64 // stream offset of buf[0]
-	err    error // sticky read error (io.EOF or real error)
+	Window
+	opts   Options
 	closed bool
-
-	// idx is the structural-byte index over buf[:n], rebuilt on every
-	// window slide; queries return absolute buf offsets.
-	idx StructIndex
 
 	// pending tokens produced by attribute expansion or self-closing
 	// tags. pendHead is the read cursor: delivery advances the head
@@ -85,13 +72,11 @@ type Tokenizer struct {
 	stack    []string // open element names for well-formedness checking
 	rootSeen bool     // a root element has been produced (rejects forests)
 
-	nameBuf []byte // scratch for tag/attr names
-	textBuf []byte // scratch for text content
-	attrBuf []byte // scratch for attribute values of the current tag
-	attrs   []attr // scratch for attributes of the current tag
+	textBuf []byte // character data that left the window: runs across a slide or an entity, CDATA
+	attrBuf []byte // the current tag's attribute values that hold an entity
 
 	// names interns tag and attribute names: documents use few distinct
-	// names, and the map lookup on string(nameBuf) does not allocate, so
+	// names, and the map lookup on string(b) does not allocate, so
 	// steady-state tokenizing allocates only for character data.
 	// nameCache is a small direct-mapped front for it: hot vocabularies
 	// resolve with one string compare instead of a map probe.
@@ -99,7 +84,7 @@ type Tokenizer struct {
 	nameCache [nameCacheSize]string
 }
 
-// attr is one parsed attribute of the current start tag.
+// attr is one parsed attribute of Reference's current start tag.
 type attr struct{ name, value string }
 
 // NewTokenizer returns a tokenizer reading from r with default options.
@@ -111,10 +96,9 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // reader is permitted if Reset is called before the first Next.
 func NewTokenizerOptions(r io.Reader, opts Options) *Tokenizer {
 	return &Tokenizer{
-		r:     r,
-		opts:  opts,
-		buf:   make([]byte, 0, 64<<10),
-		names: make(map[string]string, 64),
+		Window: Window{Buf: make([]byte, windowSize), r: r},
+		opts:   opts,
+		names:  make(map[string]string, 64),
 	}
 }
 
@@ -130,8 +114,14 @@ const maxRetainedNames = 4096
 // the rest of the process lifetime.
 const maxRetainedScratch = 64 << 10
 
+// maxRetainedEntries bounds the pending-token queue and the element
+// stack across Resets the same way: a tag with a hundred thousand
+// attributes or a document nested a hundred thousand deep must not pin
+// its queue or stack, nor the strings in them, in a pooled tokenizer.
+const maxRetainedEntries = 1024
+
 // Reset rewinds the tokenizer to read a fresh document from r, retaining
-// internal buffers up to a bound and truncating the scratch buffers so no
+// internal buffers up to a bound and clearing or truncating them so no
 // bytes of the previous document remain reachable. A reset tokenizer
 // behaves exactly like a newly constructed one (with the same Options),
 // which makes it a pooled, allocation-free serving artifact: after
@@ -143,25 +133,14 @@ func (t *Tokenizer) Reset(r io.Reader) {
 		t.names = make(map[string]string, 64)
 		t.nameCache = [nameCacheSize]string{} // entries point into the dropped table
 	}
-	t.r = r
-	t.buf = t.buf[:0]
-	t.pos = 0
-	t.n = 0
-	t.off = 0
-	t.err = nil
+	t.Window.Reset(r)
 	t.closed = false
-	t.idx.Reset()
-	t.pending = t.pending[:0]
+	t.pending = resetEntries(t.pending)
 	t.pendHead = 0
-	t.stack = t.stack[:0]
+	t.stack = resetEntries(t.stack)
 	t.rootSeen = false
-	t.nameBuf = resetScratch(t.nameBuf)
 	t.textBuf = resetScratch(t.textBuf)
 	t.attrBuf = resetScratch(t.attrBuf)
-	// attr entries hold name and value strings of the previous document;
-	// clear the backing array so they can be collected.
-	clear(t.attrs[:cap(t.attrs)])
-	t.attrs = t.attrs[:0]
 }
 
 // resetScratch truncates a scratch buffer for reuse, releasing it
@@ -173,116 +152,27 @@ func resetScratch(b []byte) []byte {
 	return b[:0]
 }
 
+// resetEntries truncates a queue or stack for reuse, clearing what it
+// keeps so none of its strings stays reachable, and releasing it entirely
+// past maxRetainedEntries.
+func resetEntries[S ~[]E, E any](s S) S {
+	if cap(s) > maxRetainedEntries {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
+}
+
 // Depth returns the number of currently open elements.
 func (t *Tokenizer) Depth() int { return len(t.stack) }
 
 var errUnexpectedEOF = errors.New("unexpected end of input")
 
-//gcxlint:allocok error construction terminates the scan
-func (t *Tokenizer) syntaxErr(msg string) error {
-	return &SyntaxError{Offset: t.off + int64(t.pos), Msg: msg}
-}
-
-// fill ensures at least one unread byte is available, reading more input if
-// necessary. It returns false at end of input or on error.
+// syntaxErr reports msg at the window position at.
 //
-//gcxlint:noalloc
-func (t *Tokenizer) fill() bool {
-	if t.pos < t.n {
-		return true
-	}
-	if t.err != nil {
-		return false
-	}
-	// Slide the window.
-	t.off += int64(t.n)
-	t.pos = 0
-	t.n = 0
-	if cap(t.buf) == 0 {
-		t.buf = make([]byte, 64<<10) //gcxlint:allocok one-time window growth for a tokenizer constructed bufferless
-	}
-	t.buf = t.buf[:cap(t.buf)]
-	for {
-		n, err := t.r.Read(t.buf)
-		if n > 0 {
-			t.n = n
-			// Classify the fresh window: one branchless pass funds every
-			// index-driven fast path until the next slide.
-			t.idx.Build(t.buf[:n])
-			if err != nil {
-				t.err = err
-			}
-			return true
-		}
-		if err != nil {
-			t.err = err
-			return false
-		}
-	}
-}
-
-//gcxlint:noalloc
-func (t *Tokenizer) peek() (byte, bool) {
-	if !t.fill() {
-		return 0, false
-	}
-	return t.buf[t.pos], true
-}
-
-//gcxlint:noalloc
-func (t *Tokenizer) next() (byte, bool) {
-	if !t.fill() {
-		return 0, false
-	}
-	c := t.buf[t.pos]
-	t.pos++
-	return c, true
-}
-
-// skipComment consumes input through the first "-->" and returns true,
-// or false on EOF. Comments need their own scan rather than
-// skipUntil("-->"): the naive matcher loses progress on runs of dashes,
-// so a comment ending in "--->" — whose terminator overlaps the extra
-// dash — would wrongly read as unterminated.
-func (t *Tokenizer) skipComment() bool {
-	dashes := 0
-	for {
-		c, ok := t.next()
-		if !ok {
-			return false
-		}
-		switch {
-		case c == '-':
-			dashes++
-		case c == '>' && dashes >= 2:
-			return true
-		default:
-			dashes = 0
-		}
-	}
-}
-
-// skipUntil consumes input through the first occurrence of the literal
-// sequence seq and returns true, or false on EOF. seq must not have a
-// repeated prefix (see skipComment for why "-->" does not qualify).
-func (t *Tokenizer) skipUntil(seq string) bool {
-	matched := 0
-	for {
-		c, ok := t.next()
-		if !ok {
-			return false
-		}
-		if c == seq[matched] {
-			matched++
-			if matched == len(seq) {
-				return true
-			}
-		} else if c == seq[0] {
-			matched = 1
-		} else {
-			matched = 0
-		}
-	}
+//gcxlint:allocok error construction terminates the scan
+func (t *Tokenizer) syntaxErr(at int, msg string) error {
+	return &SyntaxError{Offset: t.Off + int64(at), Msg: msg}
 }
 
 //gcxlint:noalloc
@@ -326,81 +216,70 @@ func (t *Tokenizer) intern(b []byte) string {
 	return owned
 }
 
-// readName reads an XML name into nameBuf, a byte at a time across
-// refills, and returns it as an interned string.
+// maxEntity is how far past an '&' the tokenizer looks for the ';' of
+// an entity reference: a name of at most 11 bytes and the ';'. Reference
+// reports a longer name as "too long" at the twelfth byte.
+const maxEntity = 12
+
+// entity appends to dst the expansion of the entity reference whose name
+// starts at i, just past its '&', and returns the position past its ';'.
+// A reference the window end cuts grows the window, keeping Buf[Pos:],
+// by at most maxEntity bytes.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) readName() (string, error) {
-	c, ok := t.peek()
-	if !ok {
-		return "", errUnexpectedEOF
+func (t *Tokenizer) entity(dst []byte, i int) ([]byte, int, error) {
+	semi := indexSemi(t.Buf[i:min(i+maxEntity, t.N)])
+	if semi < 0 && i+maxEntity > t.N && t.Err == nil {
+		rel := i - t.Pos
+		t.Ensure(rel + maxEntity)
+		i = t.Pos + rel
+		semi = indexSemi(t.Buf[i:min(i+maxEntity, t.N)])
 	}
-	if !isNameStart(c) {
-		return "", t.syntaxErr(fmt.Sprintf("expected name, found %q", c)) //gcxlint:allocok error construction terminates the scan
+	switch {
+	case semi < 0 && i+maxEntity > t.N:
+		return dst, 0, errUnexpectedEOF
+	case semi < 0:
+		return dst, 0, t.syntaxErr(i+maxEntity, "entity reference too long")
 	}
-	t.nameBuf = t.nameBuf[:0]
-	for ok && isNameByte(c) {
-		t.nameBuf = append(t.nameBuf, c)
-		t.pos++
-		c, ok = t.peek()
-	}
-	return t.intern(t.nameBuf), nil
-}
-
-//gcxlint:noalloc
-func (t *Tokenizer) skipSpace() {
-	for c, ok := t.peek(); ok && isSpace(c); c, ok = t.peek() {
-		t.pos++
-	}
-}
-
-// resolveEntity appends the expansion of the entity starting after '&' to
-// dst. It consumes through the terminating ';'.
-//
-//gcxlint:noalloc
-func (t *Tokenizer) resolveEntity(dst []byte) ([]byte, error) {
-	t.nameBuf = t.nameBuf[:0]
-	for {
-		c, ok := t.next()
-		if !ok {
-			return dst, errUnexpectedEOF
-		}
-		if c == ';' {
-			break
-		}
-		if len(t.nameBuf) > 10 {
-			return dst, t.syntaxErr("entity reference too long")
-		}
-		t.nameBuf = append(t.nameBuf, c)
-	}
+	name, next := t.Buf[i:i+semi], i+semi+1
 	// The conversion in switch-tag position is elided by the compiler, so
 	// named entities resolve without allocating; only the error paths
-	// build a string from the scratch.
-	switch string(t.nameBuf) {
+	// build a string from the window.
+	switch string(name) {
 	case "amp":
-		return append(dst, '&'), nil
+		return append(dst, '&'), next, nil
 	case "lt":
-		return append(dst, '<'), nil
+		return append(dst, '<'), next, nil
 	case "gt":
-		return append(dst, '>'), nil
+		return append(dst, '>'), next, nil
 	case "apos":
-		return append(dst, '\''), nil
+		return append(dst, '\''), next, nil
 	case "quot":
-		return append(dst, '"'), nil
+		return append(dst, '"'), next, nil
 	}
-	if len(t.nameBuf) > 0 && t.nameBuf[0] == '#' {
-		numeric := t.nameBuf[1:]
+	if len(name) > 0 && name[0] == '#' {
+		numeric := name[1:]
 		base := uint32(10)
 		if len(numeric) > 0 && (numeric[0] == 'x' || numeric[0] == 'X') {
 			numeric, base = numeric[1:], 16
 		}
 		n, ok := parseCharRef(numeric, base)
 		if !ok || !isXMLChar(rune(n)) {
-			return dst, t.syntaxErr("bad character reference &" + string(t.nameBuf) + ";") //gcxlint:allocok error construction terminates the scan
+			return dst, 0, t.syntaxErr(next, "bad character reference &"+string(name)+";") //gcxlint:allocok error construction terminates the scan
 		}
-		return appendRune(dst, rune(n)), nil
+		return appendRune(dst, rune(n)), next, nil
 	}
-	return dst, t.syntaxErr("unknown entity &" + string(t.nameBuf) + ";") //gcxlint:allocok error construction terminates the scan
+	return dst, 0, t.syntaxErr(next, "unknown entity &"+string(name)+";") //gcxlint:allocok error construction terminates the scan
+}
+
+//gcxlint:noalloc
+func indexSemi(b []byte) int {
+	for k, c := range b {
+		if c == ';' {
+			return k
+		}
+	}
+	return -1
 }
 
 // parseCharRef parses the digits of a numeric character reference without
@@ -468,13 +347,15 @@ func borrowString(b []byte) string {
 	return unsafe.String(&b[0], len(b))
 }
 
-// textString converts the textBuf scratch to the Data of a Text token:
-// a borrowed view under BorrowText, an owned copy otherwise.
-func (t *Tokenizer) textString() string {
+// view converts window or scratch bytes to the string of a token: a
+// borrowed view under BorrowText, an owned copy otherwise.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) view(b []byte) string {
 	if t.opts.BorrowText {
-		return borrowString(t.textBuf)
+		return borrowString(b)
 	}
-	return string(t.textBuf)
+	return string(b) //gcxlint:allocok owned-copy mode is for callers that retain text
 }
 
 //gcxlint:noalloc
@@ -533,8 +414,8 @@ func (t *Tokenizer) Next() (Token, error) {
 //
 //gcxlint:noalloc
 func (t *Tokenizer) errOr(err error) error {
-	if t.err != nil && t.err != io.EOF {
-		return t.err
+	if t.Err != nil && t.Err != io.EOF {
+		return t.Err
 	}
 	return err
 }
@@ -544,60 +425,52 @@ func (t *Tokenizer) scan() (Token, error) {
 		return Token{Kind: EOF}, nil
 	}
 	for {
-		c, ok := t.peek()
-		if !ok {
-			if t.err != nil && t.err != io.EOF {
-				return Token{}, t.err
+		if t.Pos == t.N && !t.Slide() {
+			if t.Err != io.EOF {
+				return Token{}, t.Err
 			}
 			if len(t.stack) > 0 {
-				return Token{}, t.syntaxErr("unexpected end of input: unclosed element <" + t.stack[len(t.stack)-1] + ">")
+				return Token{}, t.syntaxErr(t.Pos, "unexpected end of input: unclosed element <"+t.stack[len(t.stack)-1]+">")
 			}
 			t.closed = true
 			return Token{Kind: EOF}, nil
 		}
-		if c == '<' {
-			t.pos++
-			// Direct dispatch for the two hot tag kinds, skipping
-			// readMarkup's extra call layer; '?'/'!' and window-edge cases
-			// take the general path below.
-			if t.pos < t.n {
-				switch c2 := t.buf[t.pos]; c2 {
-				case '?', '!':
-					// comments/PIs/declarations: cold path
-				case '/':
-					t.pos++
-					tok, err := t.endTag()
-					if err != nil {
-						return Token{}, t.errOr(err)
-					}
-					return tok, nil
-				default:
-					// Whole-tag fast path straight from the dispatch; the
-					// slow readStartTag only runs on a bail.
-					if tok, ok := t.fastStartTag(); ok {
-						return tok, nil
-					}
-					tok, _, err := t.readStartTag()
-					if err != nil {
-						return Token{}, t.errOr(err)
-					}
-					return tok, nil
+		var (
+			tok Token
+			ok  bool
+			err error
+		)
+		if t.Buf[t.Pos] != '<' {
+			tok, ok, err = t.readText()
+		} else if t.Pos++; t.Pos == t.N && !t.Slide() {
+			err = errUnexpectedEOF
+		} else {
+			switch t.Buf[t.Pos] {
+			case '/':
+				t.Pos++
+				tok, err = t.endTag()
+				ok = true
+			case '?':
+				t.Pos++
+				err = t.skip(PI, "unterminated processing instruction")
+			case '!':
+				tok, ok, err = t.bang()
+			default:
+				// A start tag the window end cuts is parsed again once
+				// growTag has made the window hold it: at most two
+				// parses, whatever the read sizes.
+				if tok, err, ok = t.openTag(false); !ok {
+					t.growTag(true)
+					tok, err, _ = t.openTag(true)
 				}
+				ok = true
 			}
-			tok, produced, err := t.readMarkup()
-			if err != nil {
-				return Token{}, t.errOr(err)
-			}
-			if produced {
-				return tok, nil
-			}
-			continue // comment/PI/declaration: keep scanning
 		}
-		tok, produced, err := t.readText()
 		if err != nil {
+			t.pending = t.pending[:0] // attribute tokens of a tag openTag rejected
 			return Token{}, t.errOr(err)
 		}
-		if produced {
+		if ok {
 			return tok, nil
 		}
 	}
@@ -610,7 +483,7 @@ func (t *Tokenizer) scan() (Token, error) {
 // The run is walked by hopping structural-index candidates; quote and
 // '>' candidates are plain character data and cost one dispatch each.
 // No candidate before the window end means the run continues past the
-// refill: the window tail goes to textBuf (the refill overwrites the
+// slide: the window tail goes to textBuf (the slide overwrites the
 // window) and the hop resumes in the new window. An '&' moves the run so
 // far to textBuf too, and the entity's expansion follows it. At the '<'
 // that ends the run, a run that never left the window and held no
@@ -622,38 +495,38 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 	t.textBuf = t.textBuf[:0]
 	inBuf := false // the run so far is in textBuf, not the window
 	ws := true     // the bytes in textBuf are all whitespace
-	for p := t.pos; ; {
-		i := t.idx.Next(p)
+	for p := t.Pos; ; {
+		i := t.Idx.Next(p)
 		if i < 0 {
-			tail := t.buf[t.pos:t.n]
+			tail := t.Buf[t.Pos:t.N]
 			ws = ws && isAllSpace(tail)
 			t.textBuf = append(t.textBuf, tail...)
 			inBuf = true
-			t.pos = t.n
-			if !t.fill() {
+			t.Pos = t.N
+			if !t.Slide() {
 				return t.emitText(t.textBuf, ws) // the input ends the run
 			}
-			p = t.pos
+			p = t.Pos
 			continue
 		}
-		switch t.buf[i] {
+		switch t.Buf[i] {
 		case '<':
-			run := t.buf[t.pos:i]
-			t.pos = i
+			run := t.Buf[t.Pos:i]
+			t.Pos = i
 			if !inBuf {
 				return t.emitText(run, isAllSpace(run))
 			}
 			t.textBuf = append(t.textBuf, run...)
 			return t.emitText(t.textBuf, ws && isAllSpace(run))
 		case '&':
-			t.textBuf = append(t.textBuf, t.buf[t.pos:i]...)
+			t.textBuf = append(t.textBuf, t.Buf[t.Pos:i]...)
 			inBuf, ws = true, false
-			t.pos = i + 1
+			t.Pos = i + 1
 			var err error
-			if t.textBuf, err = t.resolveEntity(t.textBuf); err != nil {
+			if t.textBuf, t.Pos, err = t.entity(t.textBuf, t.Pos); err != nil {
 				return Token{}, false, err
 			}
-			p = t.pos // resolveEntity may have refilled the window
+			p = t.Pos
 		default:
 			p = i + 1 // '"', '\'', '>' are character data
 		}
@@ -671,12 +544,9 @@ func (t *Tokenizer) emitText(data []byte, whitespaceOnly bool) (Token, bool, err
 		return Token{}, false, nil
 	}
 	if len(t.stack) == 0 {
-		return Token{}, false, t.syntaxErr("character data outside the root element")
+		return Token{}, false, t.syntaxErr(t.Pos, "character data outside the root element")
 	}
-	if t.opts.BorrowText {
-		return Token{Kind: Text, Data: borrowString(data)}, true, nil
-	}
-	return Token{Kind: Text, Data: string(data)}, true, nil //gcxlint:allocok owned-copy mode is for callers that retain text
+	return Token{Kind: Text, Data: t.view(data)}, true, nil
 }
 
 // isAllSpace reports whether every byte of b is XML whitespace.
@@ -691,477 +561,315 @@ func isAllSpace(b []byte) bool {
 	return true
 }
 
-// readMarkup handles input immediately after '<'. It reports whether a token
-// was produced (comments, PIs, and declarations produce none).
-func (t *Tokenizer) readMarkup() (Token, bool, error) {
-	c, ok := t.peek()
-	if !ok {
-		return Token{}, false, errUnexpectedEOF
-	}
-	switch c {
-	case '?': // processing instruction or XML declaration
-		t.pos++
-		if !t.skipUntil("?>") {
-			return Token{}, false, t.syntaxErr("unterminated processing instruction")
-		}
-		return Token{}, false, nil
-	case '!':
-		t.pos++
-		return t.readBang()
-	case '/':
-		t.pos++
-		tok, err := t.endTag()
-		if err != nil {
-			return Token{}, false, err
-		}
-		return tok, true, nil
-	default:
-		return t.readStartTag()
-	}
-}
-
-// endTag parses a closing tag (after "</"): the in-window fast path
-// first, the refilling state machine with its diagnostics on a bail.
-func (t *Tokenizer) endTag() (Token, error) {
-	if tok, ok := t.fastEndTag(); ok {
-		return tok, nil
-	}
-	name, err := t.readName()
-	if err != nil {
-		return Token{}, err
-	}
-	t.skipSpace()
-	if c, ok := t.next(); !ok || c != '>' {
-		return Token{}, t.syntaxErr("malformed closing tag </" + name)
-	}
-	if len(t.stack) == 0 {
-		return Token{}, t.syntaxErr("closing tag </" + name + "> with no open element")
-	}
-	top := t.stack[len(t.stack)-1]
-	if top != name {
-		return Token{}, t.syntaxErr("mismatched closing tag </" + name + ">, expected </" + top + ">")
-	}
-	t.stack = t.stack[:len(t.stack)-1]
-	return Token{Kind: EndElement, Name: name}, nil
-}
-
-// readBang handles "<!" constructs: comments, CDATA, DOCTYPE.
-func (t *Tokenizer) readBang() (Token, bool, error) {
-	c, ok := t.peek()
-	if !ok {
-		return Token{}, false, errUnexpectedEOF
-	}
-	switch c {
-	case '-': // comment
-		t.pos++
-		if c, ok := t.next(); !ok || c != '-' {
-			return Token{}, false, t.syntaxErr("malformed comment")
-		}
-		if !t.skipComment() {
-			return Token{}, false, t.syntaxErr("unterminated comment")
-		}
-		return Token{}, false, nil
-	case '[': // CDATA
-		for _, want := range "[CDATA[" {
-			c, ok := t.next()
-			if !ok || c != byte(want) {
-				return Token{}, false, t.syntaxErr("malformed CDATA section")
-			}
-		}
-		return t.readCDATA()
-	default: // DOCTYPE or other declaration: skip to matching '>'
-		// The internal subset may contain quoted literals (entity
-		// values, defaults, system ids), comments, and PIs whose content
-		// legally includes '<', '>', and quote characters — all three
-		// are opaque to the nesting count. pfx tracks progress through a
-		// "<!--" opener (1='<', 2='<!', 3='<!-').
-		depth, pfx := 1, 0
-		unterminated := func() (Token, bool, error) {
-			return Token{}, false, t.syntaxErr("unterminated declaration")
-		}
-		for {
-			c, ok := t.next()
-			if !ok {
-				return unterminated()
-			}
-			if pfx == 1 && c == '?' {
-				// "<?": a processing instruction inside the subset.
-				pfx = 0
-				depth-- // undo the '<' that started it
-				if !t.skipUntil("?>") {
-					return unterminated()
-				}
-				continue
-			}
-			if pfx == 3 && c == '-' {
-				// "<!--": a comment inside the subset.
-				pfx = 0
-				depth--
-				if !t.skipComment() {
-					return unterminated()
-				}
-				continue
-			}
-			switch {
-			case c == '<':
-				pfx = 1
-			case pfx == 1 && c == '!':
-				pfx = 2
-			case pfx == 2 && c == '-':
-				pfx = 3
-			default:
-				pfx = 0
-			}
-			switch c {
-			case '"', '\'':
-				// Quoted literal: opaque through the closing quote.
-				for quote := c; ; {
-					c, ok := t.next()
-					if !ok {
-						return unterminated()
-					}
-					if c == quote {
-						break
-					}
-				}
-			case '<':
-				depth++
-			case '>':
-				depth--
-				if depth == 0 {
-					return Token{}, false, nil
-				}
-			}
-		}
-	}
-}
-
-func (t *Tokenizer) readCDATA() (Token, bool, error) {
-	if len(t.stack) == 0 {
-		return Token{}, false, t.syntaxErr("CDATA outside the root element")
-	}
-	t.textBuf = t.textBuf[:0]
-	matched := 0
-	for {
-		c, ok := t.next()
-		if !ok {
-			return Token{}, false, t.syntaxErr("unterminated CDATA section")
-		}
-		switch {
-		case c == ']':
-			// In a run of brackets only the FINAL two can belong to the
-			// "]]>" terminator; earlier ones are content. Flushing the
-			// whole run would lose the terminator for content ending in
-			// ']', rejecting valid CDATA like "<![CDATA[x]]]>".
-			if matched == 2 {
-				t.textBuf = append(t.textBuf, ']')
-			} else {
-				matched++
-			}
-		case c == '>' && matched == 2:
-			if len(t.textBuf) == 0 {
-				return Token{}, false, nil
-			}
-			return Token{Kind: Text, Data: t.textString()}, true, nil
-		default:
-			for ; matched > 0; matched-- {
-				t.textBuf = append(t.textBuf, ']')
-			}
-			t.textBuf = append(t.textBuf, c)
-		}
-	}
-}
-
-// fastEndTag parses a closing tag entirely inside the current window:
-// one index hop to the tag's first structural byte (its '>' when well
-// formed), one string compare of the interior against the top of stack,
-// and a pop. No per-byte name validation is needed on this path: the
-// stack top is a known-valid name, so interior == top implies the
-// interior is valid too (optional trailing spaces are trimmed first,
-// since `</name >` is legal). Anything else — the tag straddling the
-// window edge, a quote or '<'/'&' before the '>', a mismatched or
-// space-embedded name, an empty stack — leaves the tokenizer state
-// untouched and reports ok=false, so the state machine runs unchanged
-// and produces its exact errors and offsets. The matching top of stack
-// doubles as the interned name: no map probe at all.
+// openTag parses the start tag whose name starts at Pos inside the
+// window, with Reference's errors at Reference's offsets, queueing its
+// attribute subelements and, if it closes itself, its end. Names, spaces
+// and '=' are checked byte by byte; a value is hopped on the index to
+// its closing quote, and borrows the window under BorrowText unless it
+// holds an entity, which moves it to attrBuf. Attribute tokens are
+// appended to the pending queue as they parse; the queue is empty on
+// entry — a new tag is only parsed once it drains — and scan truncates
+// it on an error.
+//
+// Where the tag reaches the window end and more input follows, openTag
+// reports ok=false with nothing committed, unless grown: after growTag
+// the window holds the tag through the byte that ends it, so the window
+// end is the input's end, and an entity may still grow the window —
+// only on its way to an error.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) fastEndTag() (Token, bool) {
-	i := t.pos
-	gt := t.idx.Next(i)
-	if gt < 0 || t.buf[gt] != '>' {
-		return Token{}, false // window edge or malformed: slow path decides
-	}
-	if len(t.stack) == 0 {
-		return Token{}, false
-	}
-	j := gt
-	for j > i && isSpace(t.buf[j-1]) {
-		j--
-	}
-	top := t.stack[len(t.stack)-1]
-	if top != string(t.buf[i:j]) {
-		return Token{}, false // mismatch: slow path builds the error
-	}
-	t.stack = t.stack[:len(t.stack)-1]
-	t.pos = gt + 1
-	return Token{Kind: EndElement, Name: top}, true
-}
-
-// fastStartTag parses a start tag entirely inside the current window,
-// driven by the structural index in a single pass: raw bounded loops
-// cover the non-structural stretches (names, spaces, '='), and every
-// structural byte of the tag — each attribute value's quotes, the
-// closing '>' — is reached by hopping the precomputed candidates, so
-// each candidate is visited exactly once and there are no refill checks
-// and no per-byte state machine. '<'/'>' inside quoted values are
-// skipped as content by the value hop (this is why quotes are
-// classified at all). Attribute tokens are appended to the pending
-// queue as they parse; the queue is empty on entry — a new tag is only
-// parsed once it drains — so a bail just truncates it back to empty.
-//
-// Any anomaly — the tag straddling the refill, an entity anywhere in
-// the tag, a bare '<'/'&', a malformed shape — bails with the scan
-// position untouched, so the original state machine reruns from the
-// same byte and produces byte-identical tokens, errors, and offsets.
-//
-//gcxlint:noalloc
-func (t *Tokenizer) fastStartTag() (Token, bool) {
-	var (
-		buf         = t.buf
-		n           = t.n
-		name        string
-		selfClosing bool
-		i, j        int
-	)
-	i = t.pos
+func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
+	buf, n, i := t.Buf, t.N, t.Pos
+	more := !grown && t.Err == nil // the window end is not the input's
 	if !isNameStart(buf[i]) {
-		goto bail
+		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])), true //gcxlint:allocok error construction terminates the scan
 	}
-	j = i + 1
+	j := i + 1
 	for j < n && isNameByte(buf[j]) {
 		j++
 	}
-	if j >= n {
-		goto bail // the name may continue past the window
+	if j == n && more {
+		return Token{}, nil, false
 	}
+	name := t.intern(buf[i:j])
 	if len(t.stack) == 0 && t.rootSeen {
-		goto bail // multiple roots: slow path reports it
+		return Token{}, t.syntaxErr(j, "multiple root elements: <"+name+">"), true
 	}
-	name = t.intern(buf[i:j])
 	// The pending queue is fully drained before a new tag is parsed
-	// (head == len); rewind it so the tag's tokens start at slot 0, and
-	// so a bail can discard partial appends by truncating again. A bail
-	// is harmless: the slow path rewinds its own scratch before use.
+	// (head == len); rewind it so the tag's tokens start at slot 0.
 	t.pending = t.pending[:0]
 	t.pendHead = 0
-	i = j
-	for {
-		// Hop to the next structural byte: the opening quote of the next
-		// attribute value, or the '>' that closes the tag.
-		cand := t.idx.Next(i)
-		if cand < 0 {
-			goto bail // tag end not in this window
+	t.attrBuf = t.attrBuf[:0]
+	for i = j; ; {
+		for i < n && isSpace(buf[i]) {
+			i++
 		}
-		switch c := buf[cand]; c {
-		case '>':
-			// [i, cand) must be spaces, optionally ending in the '/' of a
-			// self-closing tag.
-			end := cand
-			if end > i && buf[end-1] == '/' {
-				selfClosing = true
-				end--
-			}
-			for ; i < end; i++ {
-				if !isSpace(buf[i]) {
-					goto bail
+		if i == n && more {
+			return Token{}, nil, false
+		} else if i == n {
+			return Token{}, errUnexpectedEOF, true
+		}
+		c := buf[i]
+		if c == '>' || c == '/' {
+			if c == '/' {
+				switch i++; {
+				case i == n && more:
+					return Token{}, nil, false
+				case i == n:
+					return Token{}, t.syntaxErr(n, "malformed self-closing tag <"+name), true
+				case buf[i] != '>':
+					return Token{}, t.syntaxErr(i+1, "malformed self-closing tag <"+name), true
 				}
-			}
-			// Commit: the parse is final and matches the slow path's tail.
-			t.pos = cand + 1
-			t.rootSeen = true
-			if selfClosing {
 				t.pending = append(t.pending, Token{Kind: EndElement, Name: name})
 			} else {
 				t.stack = append(t.stack, name)
 			}
-			return Token{Kind: StartElement, Name: name}, true
-		case '"', '\'':
-			// [i, cand) must be: spaces, attribute name, spaces, '=',
-			// spaces — ending exactly at the quote.
-			for i < cand && isSpace(buf[i]) {
-				i++
+			t.Pos = i + 1
+			t.rootSeen = true
+			return Token{Kind: StartElement, Name: name}, nil, true
+		}
+		if !isNameStart(c) {
+			return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", c)), true //gcxlint:allocok error construction terminates the scan
+		}
+		for j = i + 1; j < n && isNameByte(buf[j]); j++ {
+		}
+		aname := t.intern(buf[i:j])
+		for j < n && isSpace(buf[j]) {
+			j++
+		}
+		switch {
+		case j == n && more:
+			return Token{}, nil, false
+		case j == n:
+			return Token{}, t.syntaxErr(n, "attribute "+aname+" missing '='"), true
+		case buf[j] != '=':
+			return Token{}, t.syntaxErr(j+1, "attribute "+aname+" missing '='"), true
+		}
+		for j++; j < n && isSpace(buf[j]); j++ {
+		}
+		switch {
+		case j == n && more:
+			return Token{}, nil, false
+		case j == n:
+			return Token{}, t.syntaxErr(n, "attribute "+aname+" missing quoted value"), true
+		case buf[j] != '"' && buf[j] != '\'':
+			return Token{}, t.syntaxErr(j+1, "attribute "+aname+" missing quoted value"), true
+		}
+		// The value: hop candidates to the matching quote. '<', '>' and
+		// the other quote inside are content; '&' opens an entity.
+		q, seg, inBuf := buf[j], j+1, -1
+		for p := seg; ; {
+			k := t.Idx.Next(p)
+			if k < 0 && more {
+				return Token{}, nil, false
+			} else if k < 0 {
+				return Token{}, errUnexpectedEOF, true
 			}
-			if i == cand || !isNameStart(buf[i]) {
-				goto bail
-			}
-			j = i + 1
-			for j < cand && isNameByte(buf[j]) {
-				j++
-			}
-			aname := t.intern(buf[i:j])
-			i = j
-			for i < cand && isSpace(buf[i]) {
-				i++
-			}
-			if i == cand || buf[i] != '=' {
-				goto bail
-			}
-			i++
-			for i < cand && isSpace(buf[i]) {
-				i++
-			}
-			if i != cand {
-				goto bail // non-space bytes between '=' and the quote
-			}
-			// The value: hop candidates to the matching quote. '<', '>',
-			// and the other quote inside are content; '&' means an entity
-			// the slow path must resolve.
-			vstart := cand + 1
-			vend := -1
-			for p := vstart; vend < 0; {
-				k := t.idx.Next(p)
-				if k < 0 {
-					goto bail // value continues past the window
+			if buf[k] == q {
+				i = k + 1
+				var value string
+				if inBuf < 0 {
+					value = t.view(buf[seg:k])
+				} else {
+					t.attrBuf = append(t.attrBuf, buf[seg:k]...)
+					value = t.view(t.attrBuf[inBuf:])
 				}
-				switch buf[k] {
-				case c:
-					vend = k
-				case '&':
-					goto bail
+				if value == "" {
+					t.pending = append(t.pending,
+						Token{Kind: StartElement, Name: aname},
+						Token{Kind: EndElement, Name: aname})
+				} else {
+					t.pending = append(t.pending,
+						Token{Kind: StartElement, Name: aname},
+						Token{Kind: Text, Data: value},
+						Token{Kind: EndElement, Name: aname})
 				}
-				p = k + 1
-			}
-			// Under BorrowText the value borrows the window directly — no
-			// scratch copy. This is within the contract: the window only
-			// slides inside fill, fill only runs from scan, and scan does
-			// not resume until the tag's pending tokens have fully
-			// drained, which is exactly the borrowed view's guaranteed
-			// lifetime.
-			var value string
-			if t.opts.BorrowText {
-				value = borrowString(buf[vstart:vend])
-			} else {
-				value = string(buf[vstart:vend]) //gcxlint:allocok owned-copy mode is for callers that retain text
-			}
-			if value == "" {
-				t.pending = append(t.pending,
-					Token{Kind: StartElement, Name: aname},
-					Token{Kind: EndElement, Name: aname})
-			} else {
-				t.pending = append(t.pending,
-					Token{Kind: StartElement, Name: aname},
-					Token{Kind: Text, Data: value},
-					Token{Kind: EndElement, Name: aname})
-			}
-			i = vend + 1
-		default:
-			goto bail // bare '<' or '&' inside a tag: slow path diagnoses
-		}
-	}
-
-bail:
-	t.pending = t.pending[:0]
-	return Token{}, false
-}
-
-// readStartTag parses an opening tag (after '<') with the per-byte
-// state machine, including attributes. The index-driven fast path
-// (fastStartTag) is attempted by scan's dispatch before this runs; a
-// bail reruns this machine from the same position.
-func (t *Tokenizer) readStartTag() (Token, bool, error) {
-	name, err := t.readName()
-	if err != nil {
-		return Token{}, false, err
-	}
-	if len(t.stack) == 0 && t.rootSeen {
-		return Token{}, false, t.syntaxErr("multiple root elements: <" + name + ">")
-	}
-	// Attribute scratch is safe to rewind here: the pending queue (which
-	// may reference attrBuf under BorrowText) is always drained before the
-	// next tag is parsed.
-	t.attrs = t.attrs[:0]
-	t.attrBuf = t.attrBuf[:0]
-	selfClosing := false
-	for {
-		t.skipSpace()
-		c, ok := t.peek()
-		if !ok {
-			return Token{}, false, errUnexpectedEOF
-		}
-		if c == '>' {
-			t.pos++
-			break
-		}
-		if c == '/' {
-			t.pos++
-			if c, ok := t.next(); !ok || c != '>' {
-				return Token{}, false, t.syntaxErr("malformed self-closing tag <" + name)
-			}
-			selfClosing = true
-			break
-		}
-		aname, err := t.readName()
-		if err != nil {
-			return Token{}, false, err
-		}
-		t.skipSpace()
-		if c, ok := t.next(); !ok || c != '=' {
-			return Token{}, false, t.syntaxErr("attribute " + aname + " missing '='")
-		}
-		t.skipSpace()
-		quote, ok := t.next()
-		if !ok || (quote != '"' && quote != '\'') {
-			return Token{}, false, t.syntaxErr("attribute " + aname + " missing quoted value")
-		}
-		// The value lands in attrBuf (not a window borrow) because parsing
-		// the rest of the tag can refill the window while the value must
-		// survive until the pending attribute tokens drain.
-		valStart := len(t.attrBuf)
-		for {
-			c, ok := t.next()
-			if !ok {
-				return Token{}, false, errUnexpectedEOF
-			}
-			if c == quote {
 				break
 			}
-			if c == '&' {
-				if t.attrBuf, err = t.resolveEntity(t.attrBuf); err != nil {
-					return Token{}, false, err
-				}
+			if buf[k] != '&' {
+				p = k + 1
 				continue
 			}
-			t.attrBuf = append(t.attrBuf, c)
+			if k+1+maxEntity > n && more {
+				return Token{}, nil, false // the reference may continue past the window
+			}
+			if inBuf < 0 {
+				inBuf = len(t.attrBuf)
+			}
+			t.attrBuf = append(t.attrBuf, buf[seg:k]...)
+			var err error
+			if t.attrBuf, seg, err = t.entity(t.attrBuf, k+1); err != nil {
+				return Token{}, err, true
+			}
+			p = seg
 		}
-		var value string
-		if t.opts.BorrowText {
-			value = borrowString(t.attrBuf[valStart:])
-		} else {
-			value = string(t.attrBuf[valStart:])
-		}
-		t.attrs = append(t.attrs, attr{aname, value})
 	}
-
-	t.rootSeen = true
-	start := Token{Kind: StartElement, Name: name}
-	if !selfClosing {
-		t.stack = append(t.stack, name)
-	}
-	// Queue attribute subelements (and the closing tag for self-closing
-	// elements) behind the start token, rewinding the drained queue
-	// first (Next never truncates; producers do).
-	t.pending = t.pending[:0]
-	t.pendHead = 0
-	for _, a := range t.attrs {
-		t.pending = append(t.pending, Token{Kind: StartElement, Name: a.name})
-		if a.value != "" {
-			t.pending = append(t.pending, Token{Kind: Text, Data: a.value})
-		}
-		t.pending = append(t.pending, Token{Kind: EndElement, Name: a.name})
-	}
-	if selfClosing {
-		t.pending = append(t.pending, Token{Kind: EndElement, Name: name})
-	}
-	return start, true, nil
 }
+
+// growTag grows the window until it holds the tag whose name starts at
+// Pos through the byte that ends it — the first structural byte outside
+// its attribute values, which is its '>' when it is well formed — or the
+// rest of the input. Values are followed only in a start tag, and only
+// from a quote an '=' precedes, so a malformed tag stops at the quote
+// where openTag reports it. The hop resumes where the last one stopped,
+// so a tag read a byte at a time costs linear work.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) growTag(values bool) {
+	p, quote := t.Pos, byte(0)
+	for {
+		i := t.Idx.Next(p)
+		if i < 0 {
+			rel := t.N - t.Pos
+			if !t.Grow() {
+				return
+			}
+			p = t.Pos + rel
+			continue
+		}
+		p = i + 1
+		switch c := t.Buf[i]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case values && (c == '"' || c == '\'') && t.afterEquals(i):
+			quote = c
+		default:
+			return
+		}
+	}
+}
+
+// afterEquals reports whether the last byte of the tag before i that is
+// not a space is an '='.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) afterEquals(i int) bool {
+	for i--; i >= t.Pos && isSpace(t.Buf[i]); i-- {
+	}
+	return i >= t.Pos && t.Buf[i] == '='
+}
+
+// endTag parses the end tag whose name starts at Pos. The fast path hops
+// to the tag's first structural byte and, if it is the '>', compares the
+// bytes before it (trailing spaces trimmed, as `</name >` is legal) with
+// the open element's name: equal, the interior is a valid name, and the
+// stack top doubles as the interned string. Anything else is parsed
+// byte by byte, with Reference's errors, once the window holds the tag.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) endTag() (Token, error) {
+	i := t.Pos
+	if gt := t.Idx.Next(i); gt >= 0 && t.Buf[gt] == '>' && len(t.stack) > 0 {
+		j := gt
+		for j > i && isSpace(t.Buf[j-1]) {
+			j--
+		}
+		if top := t.stack[len(t.stack)-1]; top == string(t.Buf[i:j]) {
+			t.stack = t.stack[:len(t.stack)-1]
+			t.Pos = gt + 1
+			return Token{Kind: EndElement, Name: top}, nil
+		}
+	}
+	t.growTag(false)
+	buf, n, i := t.Buf, t.N, t.Pos
+	if i == n {
+		return Token{}, errUnexpectedEOF
+	}
+	if !isNameStart(buf[i]) {
+		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])) //gcxlint:allocok error construction terminates the scan
+	}
+	j := i + 1
+	for j < n && isNameByte(buf[j]) {
+		j++
+	}
+	name := t.intern(buf[i:j])
+	for j < n && isSpace(buf[j]) {
+		j++
+	}
+	switch {
+	case j == n:
+		return Token{}, t.syntaxErr(n, "malformed closing tag </"+name)
+	case buf[j] != '>':
+		return Token{}, t.syntaxErr(j+1, "malformed closing tag </"+name)
+	case len(t.stack) == 0:
+		return Token{}, t.syntaxErr(j+1, "closing tag </"+name+"> with no open element")
+	case t.stack[len(t.stack)-1] != name:
+		return Token{}, t.syntaxErr(j+1, "mismatched closing tag </"+name+">, expected </"+t.stack[len(t.stack)-1]+">")
+	}
+	t.stack = t.stack[:len(t.stack)-1]
+	t.Pos = j + 1
+	return Token{Kind: EndElement, Name: name}, nil
+}
+
+// bang reads the markup "<!" opens, Pos at the '!': a comment or a
+// declaration, skipped, or a CDATA section, whose content is a Text
+// token.
+func (t *Tokenizer) bang() (Token, bool, error) {
+	t.Pos++
+	if !t.Ensure(1) {
+		return Token{}, false, errUnexpectedEOF
+	}
+	switch t.Buf[t.Pos] {
+	case '-':
+		if err := t.opener("--", "malformed comment"); err != nil {
+			return Token{}, false, err
+		}
+		return Token{}, false, t.skip(Comment, "unterminated comment")
+	case '[':
+		if err := t.opener("[CDATA[", "malformed CDATA section"); err != nil {
+			return Token{}, false, err
+		}
+		return t.cdata()
+	}
+	return Token{}, false, t.skip(Decl, "unterminated declaration")
+}
+
+// opener consumes lit, the rest of a markup opener, at Pos, or reports
+// msg where Reference does: just past the first byte that differs, or
+// at the end of the input.
+func (t *Tokenizer) opener(lit, msg string) error {
+	t.Ensure(len(lit))
+	for k := range len(lit) {
+		switch at := t.Pos + k; {
+		case at == t.N:
+			return t.syntaxErr(at, msg)
+		case t.Buf[at] != lit[k]:
+			return t.syntaxErr(at+1, msg)
+		}
+	}
+	t.Pos += len(lit)
+	return nil
+}
+
+// skip skips the opaque region of the given kind that starts at Pos, or
+// reports msg at the end of the input.
+func (t *Tokenizer) skip(kind byte, msg string) error {
+	if !t.Skip(kind, nil) {
+		return t.syntaxErr(t.Pos, msg)
+	}
+	return nil
+}
+
+// cdata reads the CDATA section whose content starts at Pos into textBuf
+// and reports it as a Text token unless it is empty.
+func (t *Tokenizer) cdata() (Token, bool, error) {
+	if len(t.stack) == 0 {
+		return Token{}, false, t.syntaxErr(t.Pos, "CDATA outside the root element")
+	}
+	t.textBuf = t.textBuf[:0]
+	if !t.Skip(CDATA, (*spill)(&t.textBuf)) {
+		return Token{}, false, t.syntaxErr(t.Pos, "unterminated CDATA section")
+	}
+	t.textBuf = t.textBuf[:len(t.textBuf)-len("]]>")]
+	if len(t.textBuf) == 0 {
+		return Token{}, false, nil
+	}
+	return Token{Kind: Text, Data: t.view(t.textBuf)}, true, nil
+}
+
+// spill is textBuf as the Keeper of a CDATA section's bytes.
+type spill []byte
+
+func (s *spill) Keep(b []byte) { *s = append(*s, b...) }
