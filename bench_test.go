@@ -289,8 +289,9 @@ func BenchmarkSchema(b *testing.B) {
 // at every level (`//a`), each inside a result constructor. Time grows about 4x per doubling of depth —
 // ancestor walks (Covered, Pin/Unpin, AddRole/removeRole, the
 // projector's covered check) and the cursor's document-order step are
-// each linear in the depth, and each runs once per level. ROADMAP item 6a
-// (MaxDepth) is the limit this case must answer; reproduce the curve with
+// each linear in the depth, and each runs once per level. ROADMAP item 10
+// (bookkeeping that does not grow with depth) is the fix this case must
+// answer; reproduce the curve with
 // `go test -run '^$' -bench DeepNesting -benchtime 1x .`.
 func BenchmarkDeepNesting(b *testing.B) {
 	for _, q := range []struct{ name, text string }{

@@ -264,7 +264,7 @@ func TestCachedMembersUnderDTD(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	pass, err := engine.NewPass(members, 0)
+	pass, err := engine.NewPass(members)
 	if err != nil {
 		t.Fatal(err)
 	}

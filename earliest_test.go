@@ -12,7 +12,7 @@ import (
 // This file pins the certainty edges of earliest answering with
 // differential tests: documents crafted so that the moment a condition
 // becomes decidable sits exactly on an awkward boundary (last event of
-// the document, compile-time refutation, overlapping descendant
+// the document, schema refutation, overlapping descendant
 // regions). Each case is run across a spread of read-window sizes — so
 // every token boundary eventually coincides with a refill boundary —
 // and byte-compared against a solo run over the Reference-canonicalized
@@ -138,7 +138,7 @@ func TestEarliestWitnessIsLastEvent(t *testing.T) {
 	}
 }
 
-// TestEarliestNeverMatchSchemaStopsPulling pins the compile-time edge:
+// TestEarliestNeverMatchSchemaStopsPulling pins the schema edge:
 // when the DTD proves the tested child can never occur, the engine must
 // emit the refuted branch without waiting for a witness that cannot come
 // — and must stop pulling input once the output is complete. The output

@@ -152,7 +152,8 @@ func WithoutOptimizations() Option {
 // WithDTD supplies a document type definition, enabling schema-aware early
 // region termination: blocking cursors stop as soon as the content model
 // proves no further match can arrive, instead of scanning to the end of
-// the input. This is the capability of the schema-based systems the paper
+// the input, and an exists() condition the content models prove or
+// refute is answered as soon as its bound node is. This is the capability of the schema-based systems the paper
 // compares against ([11]); results are unchanged, only less input is read.
 // Supplying a DTD asserts that inputs are valid against it.
 //

@@ -16,13 +16,6 @@ import (
 type Options struct {
 	// Workers is the number of concurrent evaluations (≤0: GOMAXPROCS).
 	Workers int
-	// Window bounds how many documents may be in flight at once —
-	// dispatched (hence materialized, for stream sources) but not yet
-	// emitted. Completed-but-out-of-turn results wait inside the window,
-	// so Window is what bounds the reorder memory. ≤0 selects 2×Workers;
-	// values below Workers+1 are raised to Workers+1 so a slow head
-	// document cannot idle the whole pool.
-	Window int
 	// Outputs is the number of result writers per document (1 for an
 	// engine, one per shared-pass member for a registry). ≤0 means 1.
 	Outputs int
@@ -68,7 +61,10 @@ type Totals struct {
 	Docs    int64 // documents emitted
 	Failed  int64 // documents whose slot carries an error
 	Workers int
-	Window  int
+	// Window is the number of document slots, 2×Workers: at most Window
+	// documents are dispatched but not yet emitted, so it bounds the
+	// reorder memory.
+	Window int
 	// PeakInFlight is the high watermark of concurrently evaluating
 	// documents (≤ Workers; how much of the pool the corpus kept busy).
 	PeakInFlight int
@@ -196,11 +192,7 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = 2 * workers
-	}
-	window = max(window, workers+1)
+	window := 2 * workers
 	outputs := max(opts.Outputs, 1)
 	parent := opts.Context
 	if parent == nil {

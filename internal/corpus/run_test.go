@@ -91,7 +91,8 @@ func TestRunWindowBoundsDispatch(t *testing.T) {
 	src := &sliceSource{docs: docs}
 	release := make(chan struct{})
 	var once sync.Once
-	const workers, window = 3, 5
+	const workers = 3
+	const window = 2 * workers // Run's reorder window
 	go func() {
 		// Give the dispatcher every chance to overrun while emission is
 		// stalled on the first document, then check it could not.
@@ -102,7 +103,7 @@ func TestRunWindowBoundsDispatch(t *testing.T) {
 		close(release)
 	}()
 	var emitted atomic.Int64
-	_, err := Run(src, Options{Workers: workers, Window: window},
+	_, err := Run(src, Options{Workers: workers},
 		func(in io.Reader, outs []io.Writer) (int, error) {
 			return echoEval(in, outs)
 		},

@@ -111,14 +111,6 @@ func Compile(src string, cfg Config) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Schema != nil {
-		// Schema facts resolve conditions the DTD decides for every valid
-		// document at compile time (earliest answering: the evaluator then
-		// never waits for a witness event the schema already guarantees or
-		// forbids). Projection and roles are untouched, so runtime behavior
-		// changes only in WHEN conditions resolve.
-		static.ApplySchemaFacts(a, cfg.Schema)
-	}
 	// Last step: variables, tag names and comparison sites become indexes;
 	// the evaluator runs only this form.
 	a.Query = xqast.Resolve(a.Query)
@@ -133,7 +125,7 @@ func Compile(src string, cfg Config) (*Compiled, error) {
 	if cfg.Mode == ModeFullBuffer {
 		c.MatchTree = fullBufferTree()
 	}
-	c.solo, err = NewPass([]*Compiled{c}, 0)
+	c.solo, err = NewPass([]*Compiled{c})
 	return c, err
 }
 

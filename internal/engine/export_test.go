@@ -14,9 +14,9 @@ func RandQuery(r *rand.Rand) string { return (&queryGen{r: r}).query() }
 
 func RandDoc(r *rand.Rand) string { return randDoc(r) }
 
-// CompilePass compiles each query solo and assembles the pass; batch is
-// NewPass's. (Production passes are assembled from a compile cache's
-// members: gcx.Registry.)
+// CompilePass compiles each query solo and assembles the pass with the
+// given scheduler batch (0: defaultBatch, as in production). (Production
+// passes are assembled from a compile cache's members: gcx.Registry.)
 func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
 	members := make([]*Compiled, len(srcs))
 	for i, src := range srcs {
@@ -26,7 +26,12 @@ func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
 		}
 		members[i] = m
 	}
-	return NewPass(members, batch)
+	p, err := NewPass(members)
+	if err != nil {
+		return nil, err
+	}
+	p.batch = batch
+	return p, nil
 }
 
 // auditSkippedWakes makes every scheduler resume the members it decides

@@ -56,7 +56,12 @@ type Pass struct {
 	schema   *dtd.Schema
 	aggMatch bool
 	agg      []bool
-	batch    int
+	// batch is the number of tokens the scheduler feeds per round once
+	// every live evaluator is blocked on the stream. Production passes
+	// leave it 0 (defaultBatch, see sched.go); tests set 1 to reproduce
+	// the solo demand schedule token-exactly. A one-member pass has no
+	// scheduler and ignores it.
+	batch int
 	// pool recycles runStates across runs: after warm-up, a run allocates
 	// (almost) nothing beyond what the document forces it to buffer.
 	pool sync.Pool
@@ -73,12 +78,8 @@ type Pass struct {
 
 // NewPass assembles a pass from already-compiled members, reused as is —
 // the subscription registry rebuilds its snapshot on churn without
-// recompiling surviving queries. batch is the number of tokens the
-// scheduler feeds per round once every live evaluator is blocked on the
-// stream (≤0: defaultBatch, see sched.go; tests use 1 to reproduce the
-// solo demand schedule token-exactly). A one-member pass has no scheduler
-// and ignores it.
-func NewPass(members []*Compiled, batch int) (*Pass, error) {
+// recompiling surviving queries.
+func NewPass(members []*Compiled) (*Pass, error) {
 	if len(members) == 0 {
 		return nil, errors.New("engine: pass without members")
 	}
@@ -92,7 +93,6 @@ func NewPass(members []*Compiled, batch int) (*Pass, error) {
 		Mode:     m0.Mode,
 		schema:   m0.schema,
 		aggMatch: m0.Mode == ModeFullBuffer || m0.Analysis.Opts.AggregateRoles,
-		batch:    batch,
 	}
 	if len(members) > 1 {
 		trees := make([]*projtree.Tree, len(members))

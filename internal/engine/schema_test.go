@@ -193,9 +193,8 @@ func TestSchemaRefutedExistsStopsPulling(t *testing.T) {
 }
 
 // TestSchemaDynamicBinderAgrees: a star binder has no statically known
-// tag, so the compile-time rewrite cannot fire; the evaluator's runtime
-// MustContain check answers per binding instead. Output must match the
-// schemaless run exactly.
+// tag; the evaluator decides the chain per binding, from the tag it
+// holds. Output must match the schemaless run exactly.
 func TestSchemaDynamicBinderAgrees(t *testing.T) {
 	schema, err := dtd.Parse(`
 <!ELEMENT root (a, b)>
@@ -231,6 +230,137 @@ func TestSchemaDynamicBinderAgrees(t *testing.T) {
 	}
 	if want := "<q><y></y><y></y></q>"; out1.String() != want {
 		t.Fatalf("got %s, want %s", out1.String(), want)
+	}
+}
+
+const peopleDTD = `
+<!ELEMENT site (regions, people)>
+<!ELEMENT regions (item*)>
+<!ELEMENT item (#PCDATA)>
+<!ELEMENT people (person+)>
+<!ELEMENT person (id, name, phone?)>
+<!ELEMENT id (#PCDATA)>
+<!ELEMENT name (#PCDATA)>
+<!ELEMENT phone (#PCDATA)>
+`
+
+// peopleDoc is valid against peopleDTD: 50 items, then 500 persons, every
+// third with a phone.
+func peopleDoc() string {
+	var b strings.Builder
+	b.WriteString("<site><regions>")
+	for i := 0; i < 50; i++ {
+		b.WriteString("<item>pad</item>")
+	}
+	b.WriteString("</regions><people>")
+	for i := 0; i < 500; i++ {
+		b.WriteString("<person><id>i</id><name>n</name>")
+		if i%3 == 0 {
+			b.WriteString("<phone>p</phone>")
+		}
+		b.WriteString("</person>")
+	}
+	b.WriteString("</people></site>")
+	return b.String()
+}
+
+// TestSchemaDecidedConditions: the evaluator decides an exists() chain
+// from the tag of the binding it holds — proven when every link is a
+// mandatory child, refuted at the first excluded link, otherwise left to
+// the witness. Each case pins the output, which must equal the
+// schema-less run's, and the tokens read, which show where a decided
+// chain lets the run stop pulling.
+func TestSchemaDecidedConditions(t *testing.T) {
+	schema, err := dtd.Parse(peopleDTD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := peopleDoc()
+	for _, tc := range []struct {
+		name, src, out string
+		tokens         int64
+		// maxBuffered, if set, bounds the nodes ever buffered.
+		maxBuffered int64
+	}{
+		{
+			name:   "proven",
+			src:    `<r>{ for $p in /site/people/person return if (exists($p/name)) then <y/> else <n/> }</r>`,
+			out:    "<r>" + strings.Repeat("<y></y>", 500) + "</r>",
+			tokens: 4656,
+		},
+		{
+			name:   "refuted",
+			src:    `<r>{ for $p in /site/people/person return if (exists($p/price)) then <y/> else <n/> }</r>`,
+			out:    "<r>" + strings.Repeat("<n></n>", 500) + "</r>",
+			tokens: 4656,
+		},
+		{
+			// phone? is neither required nor excluded: the witness decides.
+			name:   "optional",
+			src:    `<r>{ for $p in /site/people/person return if (exists($p/phone)) then <y/> else <n/> }</r>`,
+			out:    "<r>" + strings.Repeat("<y></y><n></n><n></n>", 166) + "<y></y><n></n>" + "</r>",
+			tokens: 4656,
+		},
+		{
+			// A descendant binder has no tag at compile time; each binding
+			// (id, name, phone) is #PCDATA and so refutes name.
+			name:   "descendant-binder",
+			src:    `<r>{ for $p in //person/* return if (exists($p/name)) then <y/> else <n/> }</r>`,
+			out:    "<r>" + strings.Repeat("<n></n>", 500*2+167) + "</r>",
+			tokens: 4658,
+		},
+		{
+			name:   "chain-proven",
+			src:    `<r>{ for $s in /site return if (exists($s/people/person/name)) then <y/> else <n/> }</r>`,
+			out:    "<r><y></y></r>",
+			tokens: 1,
+		},
+		{
+			name:   "chain-refuted",
+			src:    `<r>{ for $s in /site return if (exists($s/people/person/price)) then <y/> else <n/> }</r>`,
+			out:    "<r><n></n></r>",
+			tokens: 1,
+		},
+		{
+			// person+ then phone?: the chain has an optional link.
+			name:   "chain-optional",
+			src:    `<r>{ for $s in /site return if (exists($s/people/person/phone)) then <y/> else <n/> }</r>`,
+			out:    "<r><y></y></r>",
+			tokens: 162,
+		},
+		{
+			// A star binder: each child of site decides the chain the
+			// moment it opens (regions excludes person, person excludes
+			// ghost), so no person is buffered as a candidate witness.
+			name:        "star-binder-chain-refuted",
+			src:         `<r>{ for $c in /site/* return if (exists($c/person/ghost)) then <y/> else <n/> }</r>`,
+			out:         "<r><n></n><n></n></r>",
+			tokens:      4656,
+			maxBuffered: 5,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var plain, out strings.Builder
+			if _, err := compile(t, tc.src, Config{Mode: ModeGCX}).RunChecked(strings.NewReader(doc), &plain); err != nil {
+				t.Fatal(err)
+			}
+			st, err := compile(t, tc.src, Config{Mode: ModeGCX, Schema: schema}).RunChecked(strings.NewReader(doc), &out)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.String() != plain.String() {
+				t.Fatalf("schema changed the output:\nplain:  %.200s\nschema: %.200s", plain.String(), out.String())
+			}
+			if out.String() != tc.out {
+				t.Errorf("output %.200s, want %.200s", out.String(), tc.out)
+			}
+			if st.TokensRead != tc.tokens {
+				t.Errorf("read %d tokens, want %d", st.TokensRead, tc.tokens)
+			}
+			if tc.maxBuffered > 0 && st.Buffer.NodesAppended > tc.maxBuffered {
+				t.Errorf("buffered %d nodes, want ≤ %d", st.Buffer.NodesAppended, tc.maxBuffered)
+			}
+		})
 	}
 }
 

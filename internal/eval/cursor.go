@@ -51,15 +51,10 @@ func newCursor(e *Evaluator, ctx *buffer.Node, step xqast.Step) *cursor {
 	if step.Test.Kind == xqast.TestName {
 		c.sym = e.syms[step.Test.ID]
 	}
-	// Schema shortcut: if the content model excludes this child tag
-	// entirely, the sequence is empty without reading anything.
-	if e.opts.Schema != nil && step.Axis == xqast.Child &&
-		step.Test.Kind == xqast.TestName && ctx.Kind == buffer.KindElement {
-		parent := e.buf.Syms().Name(ctx.Sym)
-		if can, known := e.opts.Schema.CanContain(parent, step.Test.Name); known && !can {
-			c.done = true
-		}
-	}
+	// If the content model excludes this step entirely, the sequence is
+	// empty without reading anything.
+	one := [1]xqast.Step{step}
+	c.done = e.schemaDecides(ctx, one[:]) == refuted
 	return c
 }
 

@@ -34,8 +34,9 @@ type Options struct {
 	// holds the full projected document, as in projection-based systems
 	// [13].
 	ExecuteSignOffs bool
-	// Schema, when non-nil, lets cursors terminate regions early using
-	// DTD content-model facts (must match the projector's schema).
+	// Schema, when non-nil, lets cursors terminate regions early and
+	// exists() answer what the content models decide (schemaDecides);
+	// it must match the projector's schema.
 	Schema *dtd.Schema
 	// RoleOffset is added to every signOff role ID before it reaches the
 	// buffer. Solo runs leave it zero; shared-stream workloads compile each
@@ -576,18 +577,21 @@ func (e *Evaluator) cond(c xqast.Cond) (bool, error) {
 // is found or the relevant region is finished. The projection guarantees
 // the first witness per context is buffered (the [1] predicate).
 //
-// Two schema fast paths keep the check from pulling input it does not
-// need: a chain the DTD proves present in EVERY valid document is true
-// the moment the context node exists (no waiting for the witness event),
-// and newCursor's CanContain shortcut already makes a provably-absent
-// chain false without a pull. Both only change WHEN the answer is known,
-// never what it is, so output bytes are untouched.
+// With a DTD, the chain is first put to schemaDecides: a chain the
+// content models prove present in every valid document is true, and one
+// they prove absent is false, the moment the binding n is held — no
+// witness event is waited for and no input is pulled toward one. The
+// DTD only changes WHEN the answer is known, never what it is, so output
+// bytes are untouched.
 func (e *Evaluator) exists(n *buffer.Node, steps []xqast.Step) (bool, error) {
 	if len(steps) == 0 {
 		return true, nil
 	}
-	if e.provableExists(n, steps) {
+	switch e.schemaDecides(n, steps) {
+	case proven:
 		return true, nil
+	case refuted:
+		return false, nil
 	}
 	cur := newCursor(e, n, steps[0])
 	defer cur.close()
@@ -606,31 +610,47 @@ func (e *Evaluator) exists(n *buffer.Node, steps []xqast.Step) (bool, error) {
 	}
 }
 
-// provableExists reports whether the DTD guarantees at least one match of
-// the step chain below n in EVERY valid document: each link is a
-// child-axis name test whose tag the parent's content model cannot omit
-// (Schema.MustContain). When it holds, the existence check is certain the
-// moment the context node's start tag has been read — no witness event is
-// needed. Runs per existence check on the loop-body hot path, so it must
+// verdict is what the DTD settles about a step chain below a node.
+type verdict uint8
+
+const (
+	undecided verdict = iota
+	proven
+	refuted
+)
+
+// schemaDecides walks the step chain below n link by link, starting from
+// n's tag, against the content models. The chain is proven when every
+// link is a child-axis name test the parent's model cannot omit
+// (Schema.MustContain), and refuted at the first link the parent's model
+// excludes (CanContain known false). Anything the DTD does not pin down —
+// no schema, a non-element context, a non-child axis, a star or text()
+// test, an undeclared element, ANY content — is undecided. Runs per
+// existence check and per cursor on the loop-body hot path, so it must
 // not allocate.
 //
 //gcxlint:noalloc
-func (e *Evaluator) provableExists(n *buffer.Node, steps []xqast.Step) bool {
+func (e *Evaluator) schemaDecides(n *buffer.Node, steps []xqast.Step) verdict {
 	s := e.opts.Schema
 	if s == nil || n == nil || n.Kind != buffer.KindElement {
-		return false
+		return undecided
 	}
-	name := e.buf.Syms().Name(n.Sym)
+	tag := e.buf.Syms().Name(n.Sym)
+	all := true
 	for _, st := range steps {
 		if st.Axis != xqast.Child || st.Test.Kind != xqast.TestName {
-			return false
+			return undecided
 		}
-		if !s.MustContain(name, st.Test.Name) {
-			return false
+		if can, known := s.CanContain(tag, st.Test.Name); known && !can {
+			return refuted
 		}
-		name = st.Test.Name
+		all = all && s.MustContain(tag, st.Test.Name)
+		tag = st.Test.Name
 	}
-	return true
+	if all {
+		return proven
+	}
+	return undecided
 }
 
 // compare evaluates a general comparison with existential semantics over

@@ -370,7 +370,7 @@ func (r *Registry) snapshot() (*registrySnapshot, error) {
 		for i, g := range r.order {
 			members[i] = g.member
 		}
-		p, err := engine.NewPass(members, 0)
+		p, err := engine.NewPass(members)
 		if err != nil {
 			return nil, err
 		}
