@@ -222,9 +222,9 @@ func benchFleet(b *testing.B, subs int) {
 // BenchmarkBulkCorpus is the bulk-corpus workload of BENCHMARK.json as a
 // go test benchmark: Engine.Bulk of Q6 over 256 concatenated 32 KB
 // documents, two workers, output discarded. allocs/op is the headline: a
-// warm call allocates its slots, channels and goroutines once and then one
-// name string per document — nothing else per document, and no splitter
-// window.
+// warm call allocates its goroutines, its source and one string per 128
+// document names — 8 in all; the runner (slots, channels, ring) and the
+// splitter's window come from pools.
 func BenchmarkBulkCorpus(b *testing.B) {
 	var body bytes.Buffer
 	for i := 0; i < 256; i++ {

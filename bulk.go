@@ -242,7 +242,7 @@ func (c *Corpus) source(maxDocBytes int64) (corpus.Source, error) {
 // returned error is non-nil only for whole-corpus failures: a broken
 // source stream, an emit error, or context cancellation.
 func (e *Engine) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (BulkStats, error) {
-	return bulk(c, opts, 1, nil, func(in io.Reader, outs []io.Writer) (RegistryStats, error) {
+	return bulk(c, opts, 1, nil, func(in io.Reader, outs []io.Writer, _ RegistryStats) (RegistryStats, error) {
 		st, err := e.Run(in, outs[0])
 		return RegistryStats{Aggregate: st}, err
 	}, emit)
@@ -260,22 +260,24 @@ func (r *Registry) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (
 	if err != nil {
 		return BulkStats{}, err
 	}
-	return bulk(c, opts, snap.pass.Len(), snap.member, func(in io.Reader, outs []io.Writer) (RegistryStats, error) {
-		st, qs, err := snap.pass.Run(in, outs)
+	return bulk(c, opts, snap.pass.Len(), snap.member, func(in io.Reader, outs []io.Writer, prev RegistryStats) (RegistryStats, error) {
+		st, qs, err := snap.pass.RunInto(in, outs, prev.Queries)
 		return RegistryStats{Aggregate: convertStats(st), Queries: qs}, err
 	}, emit)
 }
 
 // bulk is the body both Bulk methods share: eval runs one document into
 // its slot's writers buffers (one per pass member), whose bytes go on the
-// BulkDoc (by value, so the per-document BulkDoc stays off the heap).
+// BulkDoc (by value, so the per-document BulkDoc stays off the heap), and
+// a registry's per-text stats into the slice the slot's previous document
+// left (prev.Queries).
 // member maps each subscription of a Registry to its pass member, and nil
 // for an Engine, whose one result is BulkDoc.Output. The Outputs and
 // Queries headers are built once and reused by every document — emission
 // is serial and their contents are valid only during emit anyway — so a
 // subscription's result costs a slice entry, not an allocation.
 func bulk(c *Corpus, opts BulkOptions, writers int, member []int,
-	eval func(io.Reader, []io.Writer) (RegistryStats, error),
+	eval corpus.EvalFunc[RegistryStats],
 	emit func(BulkDoc) error) (BulkStats, error) {
 	src, err := c.source(opts.MaxDocBytes)
 	if err != nil {

@@ -14,7 +14,7 @@ func TestRunReadTimeCapBackstop(t *testing.T) {
 	src := &unknownSizeSource{docs: []string{"<d>ok</d>", big, "<d>ok2</d>"}}
 	var errsAt []int
 	totals, err := Run(src, Options{Workers: 2, MaxDocBytes: 256},
-		func(in io.Reader, outs []io.Writer) (int, error) {
+		func(in io.Reader, outs []io.Writer, _ int) (int, error) {
 			n, err := io.Copy(outs[0], in)
 			return int(n), err
 		},

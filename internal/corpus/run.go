@@ -76,14 +76,13 @@ type Totals struct {
 }
 
 // EvalFunc evaluates one document, writing result bytes to outs and
-// returning a payload (typically the run's stats). It is called
-// concurrently from multiple workers and must be safe for that — the
-// compiled engines are, by their concurrency contract.
-type EvalFunc[T any] func(in io.Reader, outs []io.Writer) (T, error)
-
-// outBufs recycles result buffers across runs: Run draws one per document
-// slot and output and returns them when it ends.
-var outBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// returning a payload (typically the run's stats). prev is the payload
+// the previous evaluation in the same document slot returned (the zero T
+// the first time): whatever storage it references belongs to the slot
+// again, so eval may reuse it rather than allocate per document. EvalFunc
+// is called concurrently from multiple workers and must be safe for that
+// — the compiled engines are, by their concurrency contract.
+type EvalFunc[T any] func(in io.Reader, outs []io.Writer, prev T) (T, error)
 
 // cappedReader enforces MaxDocBytes while a document streams through
 // the evaluating engine; exceeding it surfaces as a read error carrying
@@ -115,21 +114,32 @@ func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
 // stream read error, which the engine propagates verbatim: the evaluation
 // unwinds like any other input failure instead of being waited for.
 type ctxReader struct {
-	ctx context.Context
-	r   io.Reader
+	ctx  context.Context
+	stop *atomic.Bool // a bulk run's own stop (emit failed); nil outside one
+	r    io.Reader
 }
 
 func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.ctx.Err(); err != nil {
-		return 0, &canceledError{cause: err}
+	if err := c.err(); err != nil {
+		return 0, err
 	}
 	n, err := c.r.Read(p)
 	// A Read blocked past the deadline returns normally (or EOF) — the
 	// expiry must still win, or a trickling input defeats the timeout.
-	if cerr := c.ctx.Err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
-		return n, &canceledError{cause: cerr}
+	if cerr := c.err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
+		return n, cerr
 	}
 	return n, err
+}
+
+func (c *ctxReader) err() error {
+	if err := c.ctx.Err(); err != nil {
+		return &canceledError{cause: err}
+	}
+	if c.stop != nil && c.stop.Load() {
+		return &canceledError{cause: context.Canceled}
+	}
+	return nil
 }
 
 // Guard wraps in so its reads fail with an error matching ErrCanceled
@@ -159,20 +169,124 @@ func (c *cappedReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// slot is one of the run's `window` document places, built once per Run
-// and reused document after document: it owns the document's Result, the
-// pooled storage a materializing source fills, the output buffers with
-// their writer slice, and the readers the evaluation reads through. One
-// goroutine holds a slot at a time — dispatcher, worker, emitter — and
-// every hand-over is a channel send.
+// slot is one of a runner's `window` document places, reused document
+// after document and call after call: it owns the document's Result, the
+// storage a materializing source fills, the output buffers with their
+// writer slice, the readers the evaluation reads through, and the payload
+// its last evaluation returned. One goroutine holds a slot at a time —
+// dispatcher, worker, emitter — and every hand-over is a channel send.
 type slot[T any] struct {
 	res     Result[T]
+	prev    T // the payload eval last returned here; its storage is the slot's
 	doc     Doc
-	store   *pooledDoc      // from docBufs, held for the whole run
-	outs    []*bytes.Buffer // from outBufs, held for the whole run
-	writers []io.Writer     // outs, as eval takes them
+	store   pooledDoc
+	outs    []*bytes.Buffer
+	writers []io.Writer // outs, as eval takes them
 	capped  cappedReader
 	ctx     ctxReader
+}
+
+// runner is Run's machinery for one payload type, window and output
+// count: the slots, the channels that pass them between the goroutines,
+// the reorder ring and the counters. Run takes a runner from runners and
+// puts it back once no goroutine holds one of its slots, so a warm call
+// builds none of it. The channels are never closed — each stream ends
+// with one nil per worker — so that they can serve the next call.
+type runner[T any] struct {
+	workers int
+	pool    *sync.Pool // where the runner goes back to
+	slots   []slot[T]
+	bufs    []bytes.Buffer // the slots' output buffers
+	// Each channel has room for every slot and every worker's nil, so no
+	// send blocks: backpressure comes solely from the dispatcher waiting
+	// on free.
+	free, tasks, results chan *slot[T]
+	ring                 []*slot[T]
+
+	// One call's inputs and state, set by Run and reset by release.
+	src    Source
+	eval   EvalFunc[T]
+	parent context.Context
+	maxDoc int64
+	stop   atomic.Bool           // emit failed: dispatch no more, unwind reads
+	srcErr atomic.Pointer[error] // terminal source failure
+
+	dispatched, busy, inFlight, peakInFlight atomic.Int64
+}
+
+// runners holds the idle runners, one sync.Pool per runnerKey: like the
+// engines' run states, an idle runner is dropped by the GC. A key once
+// used keeps its entry, an empty pool when idle; the keys are bounded by
+// the worker counts and pass sizes a process runs bulk calls with.
+var runners sync.Map
+
+// runnerKey names a pool; runners of two payload types never share one.
+type runnerKey[T any] struct{ window, outputs int }
+
+func acquireRunner[T any](window, outputs int) *runner[T] {
+	key := runnerKey[T]{window, outputs}
+	p, ok := runners.Load(key)
+	if !ok {
+		p, _ = runners.LoadOrStore(key, new(sync.Pool))
+	}
+	pool := p.(*sync.Pool)
+	if r, _ := pool.Get().(*runner[T]); r != nil {
+		return r
+	}
+	r := &runner[T]{
+		workers: window / 2,
+		pool:    pool,
+		slots:   make([]slot[T], window),
+		bufs:    make([]bytes.Buffer, window*outputs),
+		free:    make(chan *slot[T], window),
+		tasks:   make(chan *slot[T], window+window/2),
+		results: make(chan *slot[T], window+window/2),
+		ring:    make([]*slot[T], window),
+	}
+	outs, writers := make([]*bytes.Buffer, window*outputs), make([]io.Writer, window*outputs)
+	for i := range outs {
+		outs[i], writers[i] = &r.bufs[i], &r.bufs[i]
+	}
+	for i := range r.slots {
+		s := &r.slots[i]
+		s.outs, s.writers = outs[i*outputs:][:outputs], writers[i*outputs:][:outputs]
+	}
+	r.reset()
+	return r
+}
+
+// release puts the runner back in its pool. It is called once no
+// goroutine holds a slot: every worker has passed on its nil, and the
+// dispatcher, which sends those nils last, is gone.
+func (r *runner[T]) release() {
+	r.reset()
+	r.pool.Put(r)
+}
+
+// reset readies the runner for the next call: every slot free and empty,
+// no call's inputs or counts left.
+//
+//gcxlint:keep workers fixed at construction, half the pool's window
+//gcxlint:keep pool wired at construction
+//gcxlint:keep slots persistent; each one's document is reset below, and its prev payload is storage eval reuses by design
+//gcxlint:keep bufs persistent; evaluate resets each buffer before writing
+//gcxlint:keep free refilled below with every slot
+//gcxlint:keep tasks empty once every worker has taken its nil
+//gcxlint:keep results empty once every worker's nil has been counted
+func (r *runner[T]) reset() {
+	for len(r.free) > 0 {
+		<-r.free
+	}
+	for i := range r.slots {
+		s := &r.slots[i]
+		s.store.Reset()
+		s.doc = Doc{}
+		r.free <- s
+	}
+	clear(r.ring)
+	r.src, r.eval, r.parent, r.maxDoc = nil, nil, nil, 0
+	r.stop, r.srcErr = atomic.Bool{}, atomic.Pointer[error]{}
+	r.dispatched, r.busy, r.inFlight, r.peakInFlight = atomic.Int64{}, atomic.Int64{}, atomic.Int64{}, atomic.Int64{}
 }
 
 // Run evaluates every document of src across a bounded worker pool and
@@ -193,117 +307,19 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 		workers = runtime.GOMAXPROCS(0)
 	}
 	window := 2 * workers
-	outputs := max(opts.Outputs, 1)
 	parent := opts.Context
 	if parent == nil {
 		parent = context.Background()
 	}
-	ctx, cancel := context.WithCancel(parent)
-	defer cancel()
-
 	totals := Totals{Workers: workers, Window: window}
 	start := obs.Now()
 
-	// Each channel has room for every slot, so no send blocks: backpressure
-	// comes solely from the dispatcher waiting on free.
-	var (
-		slots      = make([]slot[T], window)
-		outs       = make([]*bytes.Buffer, window*outputs)
-		writers    = make([]io.Writer, window*outputs)
-		free       = make(chan *slot[T], window)
-		tasks      = make(chan *slot[T], window)
-		results    = make(chan *slot[T], window)
-		srcErr     atomic.Pointer[error] // terminal source failure
-		dispatched atomic.Int64          // slots handed to workers
-	)
-	for i := range outs {
-		outs[i] = outBufs.Get().(*bytes.Buffer)
-		writers[i] = outs[i]
+	r := acquireRunner[T](window, max(opts.Outputs, 1))
+	r.src, r.eval, r.parent, r.maxDoc = src, eval, parent, opts.MaxDocBytes
+	go r.dispatch()
+	for range workers {
+		go r.work()
 	}
-	for i := range slots {
-		s := &slots[i]
-		s.store = docBufs.Get().(*pooledDoc)
-		s.outs, s.writers = outs[i*outputs:][:outputs], writers[i*outputs:][:outputs]
-		free <- s
-	}
-	release := func() { // once no goroutine holds a slot
-		for i := range slots {
-			slots[i].store.Reset()
-			docBufs.Put(slots[i].store)
-		}
-		for _, b := range outs {
-			outBufs.Put(b)
-		}
-	}
-
-	// Dispatcher: fill a free slot with the next document.
-	go func() {
-		defer close(tasks)
-		for idx := 0; ; idx++ {
-			// Cancellation wins over a free slot: a select over both picks
-			// at random, dispatching documents for a run already dead.
-			if ctx.Err() != nil {
-				return
-			}
-			var s *slot[T]
-			select {
-			case s = <-free:
-			case <-ctx.Done():
-				return
-			}
-			doc, err := next(src, s.store.data)
-			if doc.Data != nil {
-				s.store.data = doc.Data // the storage, as far as it grew
-			}
-			if err != nil {
-				var de *DocError
-				if !errors.As(err, &de) {
-					if err != io.EOF {
-						terminal := err // &err would move err to the heap, once a document
-						srcErr.Store(&terminal)
-					}
-					return
-				}
-				doc, err = Doc{Name: de.Name}, de.Err
-			} else if opts.MaxDocBytes > 0 && doc.Size > opts.MaxDocBytes {
-				err = &DocTooLargeError{Name: doc.Name, Limit: opts.MaxDocBytes}
-			}
-			s.doc, s.res = doc, Result[T]{Index: idx, Name: doc.Name, Err: err}
-			dispatched.Add(1)
-			tasks <- s
-		}
-	}()
-
-	// Workers: evaluate a slot's document in place, pass it to the emitter.
-	var (
-		wg           sync.WaitGroup
-		busy         atomic.Int64
-		inFlight     atomic.Int64
-		peakInFlight atomic.Int64
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for s := range tasks {
-				if s.res.Err == nil {
-					cur := inFlight.Add(1)
-					for p := peakInFlight.Load(); cur > p && !peakInFlight.CompareAndSwap(p, cur); {
-						p = peakInFlight.Load()
-					}
-					t0 := obs.Now()
-					s.evaluate(ctx, opts.MaxDocBytes, eval)
-					busy.Add(obs.Now() - t0)
-					inFlight.Add(-1)
-				}
-				results <- s
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(results)
-	}()
 
 	// Emitter (caller's goroutine): a finished slot waits in ring at its
 	// document's index modulo the window — in-flight indexes are
@@ -312,28 +328,29 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 	// only until every DISPATCHED document has arrived (their reads fail,
 	// so they unwind fast): a stalled source read can never hang Run.
 	var (
-		ring     = make([]*slot[T], window)
 		nextIdx  int
 		received int64
+		ended    int // workers whose nil has arrived
 		emitErr  error
 		canceled bool
-		done     = ctx.Done()
+		done     = parent.Done()
 	)
-	for !canceled || received < dispatched.Load() {
+	for ended < workers && (!canceled || received < r.dispatched.Load()) {
 		select {
-		case s, ok := <-results:
-			if !ok {
-				release()
-				goto drained
+		case s := <-r.results:
+			if s == nil {
+				ended++
+				continue
 			}
 			received++
-			ring[s.res.Index%window] = s
-			for s = ring[nextIdx%window]; s != nil; s = ring[nextIdx%window] {
-				ring[nextIdx%window] = nil
+			r.ring[s.res.Index%window] = s
+			for s = r.ring[nextIdx%window]; s != nil; s = r.ring[nextIdx%window] {
+				r.ring[nextIdx%window] = nil
 				nextIdx++
 				if emitErr == nil {
 					if emitErr = emit(&s.res); emitErr != nil {
-						cancel() // stop dispatching; drain what is in flight
+						r.stop.Store(true) // stop dispatching; drain what is in flight
+						canceled = true
 					}
 					totals.Docs++
 					if s.res.Err != nil {
@@ -342,37 +359,116 @@ func Run[T any](src Source, opts Options, eval EvalFunc[T], emit func(*Result[T]
 				}
 				s.store.Reset() // drops storage one huge document grew
 				s.doc = Doc{}
-				free <- s
+				r.free <- s
 			}
 		case <-done:
 			canceled = true
 			done = nil // receive-only from here; the loop head decides when to stop
 		}
 	}
-	// Canceled exit: the dispatcher may hold a slot for as long as a stalled
-	// read lasts, and still hand it off afterwards; release comes then.
-	go func() {
-		for range results {
-		}
-		release()
-	}()
 
-drained:
-	totals.PeakInFlight = int(peakInFlight.Load())
-	totals.BusyNanos = busy.Load()
+	totals.PeakInFlight = int(r.peakInFlight.Load())
+	totals.BusyNanos = r.busy.Load()
 	totals.WallNanos = obs.Now() - start
-	switch terminal := srcErr.Load(); {
-	case emitErr != nil:
-		return totals, emitErr
-	case terminal != nil:
-		return totals, *terminal
+	err := parent.Err()
+	if terminal := r.srcErr.Load(); terminal != nil {
+		err = *terminal
 	}
-	return totals, parent.Err()
+	if emitErr != nil {
+		err = emitErr
+	}
+	if ended < workers {
+		// Canceled exit: the dispatcher may hold a slot for as long as a
+		// stalled read lasts, and still hand it off afterwards. The runner
+		// goes back once the last worker's nil is in; nothing of it may be
+		// touched here from now on.
+		go r.drain(workers - ended)
+	} else {
+		r.release()
+	}
+	return totals, err
+}
+
+// dispatch fills free slots with the source's documents, then ends the
+// task stream with one nil per worker.
+func (r *runner[T]) dispatch() {
+	r.feed()
+	for range r.workers {
+		r.tasks <- nil
+	}
+}
+
+func (r *runner[T]) feed() {
+	done := r.parent.Done()
+	for idx := 0; ; idx++ {
+		var s *slot[T]
+		select {
+		case s = <-r.free:
+		case <-done:
+			return
+		}
+		// Cancellation wins over a free slot: the select picks at random
+		// when both are ready, and a stop comes with a freed slot.
+		if r.stop.Load() || r.parent.Err() != nil {
+			return
+		}
+		doc, err := next(r.src, s.store.data)
+		if doc.Data != nil {
+			s.store.data = doc.Data // the storage, as far as it grew
+		}
+		if err == io.EOF {
+			return
+		}
+		if err != nil {
+			var de *DocError
+			if !errors.As(err, &de) {
+				terminal := err // &err would move err to the heap, once a document
+				r.srcErr.Store(&terminal)
+				return
+			}
+			doc, err = Doc{Name: de.Name}, de.Err
+		} else if r.maxDoc > 0 && doc.Size > r.maxDoc {
+			err = &DocTooLargeError{Name: doc.Name, Limit: r.maxDoc}
+		}
+		s.doc, s.res = doc, Result[T]{Index: idx, Name: doc.Name, Err: err}
+		r.dispatched.Add(1)
+		r.tasks <- s
+	}
+}
+
+// work evaluates each task's document in its slot and passes the slot to
+// the emitter; the stream's nil is passed on last.
+func (r *runner[T]) work() {
+	for s := <-r.tasks; s != nil; s = <-r.tasks {
+		if s.res.Err == nil {
+			cur := r.inFlight.Add(1)
+			for p := r.peakInFlight.Load(); cur > p && !r.peakInFlight.CompareAndSwap(p, cur); {
+				p = r.peakInFlight.Load()
+			}
+			t0 := obs.Now()
+			s.evaluate(r)
+			r.busy.Add(obs.Now() - t0)
+			r.inFlight.Add(-1)
+		}
+		r.results <- s
+	}
+	r.results <- nil
+}
+
+// drain receives what a canceled run's workers still pass on, then
+// releases the runner.
+func (r *runner[T]) drain(workers int) {
+	for workers > 0 {
+		if <-r.results == nil {
+			workers--
+		}
+	}
+	r.release()
 }
 
 // evaluate runs the slot's document through eval, into and through the
 // slot's own buffers and readers.
-func (s *slot[T]) evaluate(ctx context.Context, maxDocBytes int64, eval EvalFunc[T]) {
+func (s *slot[T]) evaluate(r *runner[T]) {
 	s.res.Outs = s.outs
 	for _, b := range s.outs {
 		b.Reset()
@@ -389,15 +485,16 @@ func (s *slot[T]) evaluate(ctx context.Context, maxDocBytes int64, eval EvalFunc
 		defer rc.Close()
 		in = rc
 	}
-	if maxDocBytes > 0 {
+	if r.maxDoc > 0 {
 		// Read-time backstop for a document of unknown size (a file stat
 		// could not size): the cap holds whatever the source reported.
-		s.capped = cappedReader{r: in, limit: maxDocBytes, name: s.doc.Name}
+		s.capped = cappedReader{r: in, limit: r.maxDoc, name: s.doc.Name}
 		in = &s.capped
 	}
 	// Cancellation must reach IN-FLIGHT evaluations, not just dispatch: a
 	// slow one would hold its worker past a timeout otherwise (the engine
 	// unwinds on the read error, as with any failing stream).
-	s.ctx = ctxReader{ctx: ctx, r: in}
-	s.res.Value, s.res.Err = eval(&s.ctx, s.writers)
+	s.ctx = ctxReader{ctx: r.parent, stop: &r.stop, r: in}
+	s.prev, s.res.Err = r.eval(&s.ctx, s.writers, s.prev)
+	s.res.Value = s.prev
 }

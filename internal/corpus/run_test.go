@@ -40,7 +40,7 @@ func (s *sliceSource) Next() (Doc, error) {
 func (s *sliceSource) Close() error { return nil }
 
 // echoEval copies the input to the first output.
-func echoEval(in io.Reader, outs []io.Writer) (int, error) {
+func echoEval(in io.Reader, outs []io.Writer, _ int) (int, error) {
 	n, err := io.Copy(outs[0], in)
 	return int(n), err
 }
@@ -51,8 +51,8 @@ func TestRunEmitsInCorpusOrder(t *testing.T) {
 		docs[i] = fmt.Sprintf("<d>%d</d>", i)
 	}
 	// A jittering evaluator forces out-of-order completion.
-	eval := func(in io.Reader, outs []io.Writer) (int, error) {
-		n, err := echoEval(in, outs)
+	eval := func(in io.Reader, outs []io.Writer, _ int) (int, error) {
+		n, err := echoEval(in, outs, 0)
 		if err == nil && n%7 == 0 {
 			time.Sleep(time.Duration(n%5) * time.Millisecond)
 		}
@@ -104,8 +104,8 @@ func TestRunWindowBoundsDispatch(t *testing.T) {
 	}()
 	var emitted atomic.Int64
 	_, err := Run(src, Options{Workers: workers},
-		func(in io.Reader, outs []io.Writer) (int, error) {
-			return echoEval(in, outs)
+		func(in io.Reader, outs []io.Writer, _ int) (int, error) {
+			return echoEval(in, outs, 0)
 		},
 		func(r *Result[int]) error {
 			// Stall on the first document: dispatch must stop once the
@@ -125,7 +125,7 @@ func TestRunWindowBoundsDispatch(t *testing.T) {
 func TestRunIsolatesDocFailures(t *testing.T) {
 	docs := []string{"<a/>", "FAIL", "<c/>", "FAIL", "<e/>"}
 	boom := errors.New("poison")
-	eval := func(in io.Reader, outs []io.Writer) (int, error) {
+	eval := func(in io.Reader, outs []io.Writer, _ int) (int, error) {
 		data, _ := io.ReadAll(in)
 		if string(data) == "FAIL" {
 			outs[0].Write([]byte("partial"))
@@ -214,10 +214,13 @@ func TestRunContextCancel(t *testing.T) {
 // TestRunEmitErrorWithStalledSource: an emit failure (client gone, pipe
 // closed) must return from Run even while the dispatcher is blocked
 // inside a stalled source read — the dispatched documents are drained
-// and the stuck goroutine is abandoned, not waited for.
+// and the stuck goroutine is abandoned, not waited for. Its runner is
+// not: it holds a slot, so it must not serve another call until the
+// dispatcher lets go. A run started while the stall lasts, and one after
+// it ended (when the first runner may be back in the pool), must each
+// emit their own documents, in order.
 func TestRunEmitErrorWithStalledSource(t *testing.T) {
-	src := &stalledSource{serve: 3, stall: make(chan struct{})}
-	defer close(src.stall)
+	src := &stalledSource{serve: 3, stalled: make(chan struct{}), stall: make(chan struct{}), resumed: make(chan struct{})}
 	stop := errors.New("sink gone")
 	type outcome struct {
 		totals Totals
@@ -226,6 +229,7 @@ func TestRunEmitErrorWithStalledSource(t *testing.T) {
 	res := make(chan outcome, 1)
 	go func() {
 		totals, err := Run(src, Options{Workers: 2}, echoEval, func(r *Result[int]) error {
+			<-src.stalled // the dispatcher is inside the stalled read
 			return stop
 		})
 		res <- outcome{totals, err}
@@ -236,21 +240,68 @@ func TestRunEmitErrorWithStalledSource(t *testing.T) {
 			t.Fatalf("got %v, want the emit error", o.err)
 		}
 	case <-time.After(5 * time.Second):
+		close(src.stall)
 		t.Fatal("Run hung on a stalled source after the emit error")
 	}
+
+	// runs checks a run of the same shape over documents of its own;
+	// midway is called as its middle document is emitted.
+	runs := func(tag string, midway func()) {
+		t.Helper()
+		docs := make([]string, 40)
+		for i := range docs {
+			docs[i] = fmt.Sprintf("<%s>%d</%s>", tag, i, tag)
+		}
+		var got []string
+		totals, err := Run(&sliceSource{docs: docs}, Options{Workers: 2}, echoEval, func(r *Result[int]) error {
+			if r.Index == len(docs)/2 {
+				midway()
+			}
+			if r.Err != nil || r.Index != len(got) || r.Name != fmt.Sprintf("doc[%d]", r.Index) {
+				t.Errorf("%s: doc %d (%s) emitted at position %d, err %v", tag, r.Index, r.Name, len(got), r.Err)
+			}
+			got = append(got, r.Outs[0].String())
+			return nil
+		})
+		if err != nil || totals.Docs != int64(len(docs)) || totals.Failed != 0 {
+			t.Fatalf("%s: %+v, %v", tag, totals, err)
+		}
+		for i, d := range docs {
+			if got[i] != d {
+				t.Errorf("%s: doc %d is %q, want %q", tag, i, got[i], d)
+			}
+		}
+	}
+	// The stall ends in the middle of the second run: the first run's
+	// dispatcher wakes up and hands its last document to the runner it
+	// holds, which must not be the one serving.
+	settle := func() { time.Sleep(10 * time.Millisecond) } // let the first runner drain
+	runs("during", func() {
+		close(src.stall)
+		<-src.resumed
+		settle()
+	})
+	runs("after", func() {})
 }
 
-// stalledSource serves a few documents, then blocks in Next forever
-// (until the test closes stall).
+// stalledSource serves a few documents, then closes stalled and blocks in
+// Next until the test closes stall; the stalled call then serves one more
+// document, which the run it belonged to must discard, and resumed is
+// closed.
 type stalledSource struct {
-	serve int
-	next  int
-	stall chan struct{}
+	serve   int
+	next    int
+	stalled chan struct{}
+	stall   chan struct{}
+	resumed chan struct{}
 }
 
 func (s *stalledSource) Next() (Doc, error) {
-	if s.next >= s.serve {
+	if s.next == s.serve {
+		close(s.stalled)
 		<-s.stall
+		defer close(s.resumed)
+	} else if s.next > s.serve {
 		return Doc{}, io.EOF
 	}
 	s.next++
@@ -270,7 +321,7 @@ func TestRunCancelUnwindsInFlightEvaluations(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, 4)
 	var once sync.Once
-	slowEval := func(in io.Reader, outs []io.Writer) (int, error) {
+	slowEval := func(in io.Reader, outs []io.Writer, _ int) (int, error) {
 		once.Do(func() { close(started) })
 		// Trickle-read so every iteration passes through the run's
 		// ctx-checking reader.
@@ -389,3 +440,39 @@ func (d *docErrSource) Next() (Doc, error) {
 }
 
 func (d *docErrSource) Close() error { return nil }
+
+// TestConcatNamesCrossBlocks: a split stream's names are rendered a block
+// of 128 at a time; across the block edges, and for an oversized document
+// (whose name reaches emit through a *DocError), every document is still
+// named "doc[N]" and nothing else.
+func TestConcatNamesCrossBlocks(t *testing.T) {
+	const docs, big = 300, 128
+	var stream strings.Builder
+	for i := 0; i < docs; i++ {
+		if i == big {
+			fmt.Fprintf(&stream, "<d>%s</d>", strings.Repeat("x", 100))
+			continue
+		}
+		fmt.Fprintf(&stream, "<d>%d</d>\n", i)
+	}
+	var names []string
+	totals, err := Run(Concat(strings.NewReader(stream.String()), 64), Options{Workers: 2}, echoEval,
+		func(r *Result[int]) error {
+			names = append(names, r.Name)
+			var tooBig *DocTooLargeError
+			if (r.Index == big) != errors.As(r.Err, &tooBig) {
+				t.Errorf("doc %d: err %v, want a DocTooLargeError only at %d", r.Index, r.Err, big)
+			} else if tooBig != nil && tooBig.Name != r.Name {
+				t.Errorf("doc %d: the size error names %q, the result %q", r.Index, tooBig.Name, r.Name)
+			}
+			return nil
+		})
+	if err != nil || totals.Docs != docs || totals.Failed != 1 {
+		t.Fatalf("%+v, %v", totals, err)
+	}
+	for i, name := range names {
+		if want := fmt.Sprintf("doc[%d]", i); name != want {
+			t.Errorf("document %d is named %q, want %q", i, name, want)
+		}
+	}
+}

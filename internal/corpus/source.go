@@ -20,7 +20,6 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Doc is one document of a corpus. A file-backed document is obtained
@@ -82,11 +81,8 @@ func next(src Source, buf []byte) (Doc, error) {
 	return src.Next()
 }
 
-// docBufs recycles the backing storage of materialized documents across
-// runs: Run draws one per document slot and returns them when it ends.
-var docBufs = sync.Pool{New: func() any { return new(pooledDoc) }}
-
-// pooledDoc is a bytes.Reader over pooled storage.
+// pooledDoc is a bytes.Reader over a document slot's storage, which the
+// slot keeps across documents and, in a pooled runner, across runs.
 type pooledDoc struct {
 	bytes.Reader
 	data []byte
@@ -263,9 +259,15 @@ func (t *tarSource) Close() error {
 // Concatenated stream
 
 type concatSource struct {
-	sp  *Splitter
-	idx int
+	sp    *Splitter
+	idx   int    // the first index of the next block of names
+	names string // "doc[N]doc[N+1]…", the rest of the current block
 }
+
+// nameBlock is how many split-document names concatSource renders into
+// one string: a name is a substring of its block, so a document costs no
+// allocation of its own, and a retained name keeps its block alive.
+const nameBlock = 128
 
 // Concat returns a source that splits a concatenated multi-document XML
 // stream into its top-level documents (see Splitter for the boundary
@@ -284,13 +286,28 @@ func (c *concatSource) nextInto(buf []byte) (Doc, error) {
 	if err != nil && !errors.Is(err, ErrTooLarge) {
 		return Doc{}, err
 	}
-	var b [32]byte // the name string is the one allocation a split document costs
-	name := string(append(strconv.AppendInt(append(b[:0], "doc["...), int64(c.idx), 10), ']'))
-	c.idx++
+	name := c.name()
 	if err != nil {
 		return Doc{}, &DocError{Name: name, Err: &DocTooLargeError{Name: name, Limit: c.sp.max}}
 	}
 	return Doc{Name: name, Data: data, Size: int64(len(data))}, nil
+}
+
+// name is the next document's "doc[N]", cut from the current block of
+// names; the first name of a block renders all of it.
+func (c *concatSource) name() string {
+	if c.names == "" {
+		var b [nameBlock * 16]byte // room for every index below 10^11
+		buf := b[:0]
+		for i := range nameBlock {
+			buf = append(strconv.AppendInt(append(buf, "doc["...), int64(c.idx+i), 10), ']')
+		}
+		c.names, c.idx = string(buf), c.idx+nameBlock
+	}
+	n := strings.IndexByte(c.names, ']') + 1
+	name := c.names[:n]
+	c.names = c.names[n:]
+	return name
 }
 
 func (c *concatSource) Close() error { return nil }

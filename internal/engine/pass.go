@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -357,11 +358,12 @@ func ttfr(w *xmlstream.Writer, start int64) int64 {
 	return 0
 }
 
-// queryStats reads the per-member breakdown of the run rs just served and
-// joins the members' evaluation errors (a stream-level error surfaces
-// through every member it interrupted).
-func (p *Pass) queryStats(rs *runState) ([]QueryStats, error) {
-	qs := make([]QueryStats, len(p.Members))
+// queryStats reads the per-member breakdown of the run rs just served into
+// qs's storage (a fresh slice if it is too short) and joins the members'
+// evaluation errors (a stream-level error surfaces through every member it
+// interrupted).
+func (p *Pass) queryStats(rs *runState, qs []QueryStats) ([]QueryStats, error) {
+	qs = slices.Grow(qs[:0], len(p.Members))[:len(p.Members)]
 	var errs []error
 	for i, m := range p.Members {
 		t := rs.tasks[i]
@@ -395,8 +397,15 @@ func (p *Pass) queryStats(rs *runState) ([]QueryStats, error) {
 // concurrent use: each Run draws its own pooled run state; the run itself
 // is strictly sequential (the paper's evaluation semantics).
 func (p *Pass) Run(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
+	return p.RunInto(in, outs, nil)
+}
+
+// RunInto is Run with the per-member breakdown written into qs's storage
+// when it has room for every member, so a caller evaluating document
+// after document (a bulk run's slot) reuses one slice.
+func (p *Pass) RunInto(in io.Reader, outs []io.Writer, qs []QueryStats) (Stats, []QueryStats, error) {
 	st, rs := p.run(in, outs, nil)
-	qs, err := p.queryStats(rs)
+	qs, err := p.queryStats(rs, qs)
 	p.release(rs)
 	return st, qs, err
 }
@@ -408,7 +417,7 @@ func (p *Pass) Run(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) 
 func (p *Pass) RunChecked(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
 	st, rs := p.run(in, outs, nil)
 	defer p.release(rs)
-	qs, err := p.queryStats(rs)
+	qs, err := p.queryStats(rs, nil)
 	if err == nil && p.Mode == ModeGCX {
 		if err = rs.buf.CheckBalance(); err == nil {
 			err = rs.buf.CheckResidue()
