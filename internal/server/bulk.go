@@ -1,13 +1,10 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"mime"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
 	"net/url"
 	"runtime"
 	"strconv"
@@ -31,60 +28,34 @@ import (
 // plus the failed documents, repeated in the Gcx-Bulk-Stats HTTP
 // trailer for clients that only want the envelope.
 //
-// A request whose FIRST document already violates a resource limit
-// (oversized member) fails whole with 413 before anything is
-// committed; after the first part is out, errors are per-document.
-func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
-	s.m.bulkRequests.Add(1)
-	if !s.admitLength(w, r) {
-		return
-	}
+// The envelope opens at the first part, so a request whose FIRST
+// document already violates a resource limit (oversized member), or whose
+// stream breaks before any document is served, fails whole with a status
+// of its own; after the first part is out, errors are per-document.
+func (s *Server) handleBulk(rq *request, r *http.Request) {
 	params := r.URL.Query()
 	eng, label, err := s.engine(params)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		rq.fail(http.StatusBadRequest, err)
 		return
 	}
 	workers, err := s.bulkWorkers(params)
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		rq.fail(http.StatusBadRequest, err)
 		return
 	}
-	// Parts stream out while the corpus is still being read from the
-	// request body; the HTTP/1 server must not drain-and-close the body
-	// at the first response flush. (Best effort: recorders and HTTP/2
-	// either do not support or do not need it.)
-	http.NewResponseController(w).EnableFullDuplex()
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
-
 	var c *gcx.Corpus
 	if isTarRequest(r, params) {
-		c = gcx.CorpusTar(in)
+		c = gcx.CorpusTar(rq)
 	} else {
-		c = gcx.CorpusConcat(in)
+		c = gcx.CorpusConcat(rq)
 	}
-
-	var (
-		mw        *multipart.Writer
-		committed bool
-		failures  []string
-	)
-	// ensureEnvelope opens the multipart response exactly once — shared
-	// by the first document part and the empty-corpus aggregate path.
-	ensureEnvelope := func() {
-		if mw != nil {
-			return
-		}
-		mw = multipart.NewWriter(w)
-		w.Header().Set("Trailer", "Gcx-Bulk-Stats")
-		w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	}
-	abort := errors.New("bulk abort") // sentinel: status already decided
+	rq.Header().Set("Trailer", "Gcx-Bulk-Stats")
+	var failures []string
 	bs, runErr := eng.Bulk(c, gcx.BulkOptions{
 		Workers:     workers,
 		MaxDocBytes: s.cfg.MaxDocBytes,
-		Context:     ctx,
+		Context:     rq.ctx,
 	}, func(d gcx.BulkDoc) error {
 		s.m.bulkDocs.Add(1)
 		if d.Err != nil {
@@ -98,40 +69,22 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 			} else if len(failures) == maxBulkErrorList {
 				failures = append(failures, "... further failures elided; see per-part Gcx-Error headers and the failed count")
 			}
-			var tooBig *gcx.DocTooLargeError
-			if !committed && errors.As(d.Err, &tooBig) {
-				// Nothing on the wire yet: a proper status line is still
-				// possible, and a client that sent one oversized document
-				// deserves a real 413, not a 200 with a buried error.
-				s.fail(w, http.StatusRequestEntityTooLarge, d.Err)
-				return abort
+			if !rq.committed && errors.Is(d.Err, gcx.ErrTooLarge) {
+				// Nothing on the wire yet: ending the run with the document's
+				// error answers 413, not a 200 with a buried error.
+				return d.Err
 			}
+			rq.failed(d.Err, false)
 		}
-		s.m.record(d.Stats)
 		// Per-document TTFR: a bulk run is many small solo runs, and each
 		// document's first-result latency lands in the query's histogram.
-		s.m.observeTTFR(label, d.Stats.TimeToFirstResultNanos)
-		ensureEnvelope()
-		h := textproto.MIMEHeader{}
-		h.Set("Content-Type", "application/xml; charset=utf-8")
-		h.Set("Gcx-Doc-Index", strconv.Itoa(d.Index))
-		h.Set("Gcx-Doc-Name", d.Name)
-		if b, err := json.Marshal(d.Stats); err == nil {
-			h.Set("Gcx-Stats", string(b))
-		}
-		if d.Err != nil {
-			h.Set("Gcx-Error", d.Err.Error())
-		}
-		// CreatePart writes the boundary, which commits the 200 status
-		// line at the HTTP layer even when the write then fails — so the
-		// commit flag must flip BEFORE the attempt, or the failure path
-		// would try to write a second status line.
-		committed = true
-		p, err := mw.CreatePart(h)
+		rq.ran(d.Stats, []string{label}, nil)
+		p, err := rq.part("application/xml; charset=utf-8", d.Err,
+			"Gcx-Doc-Index", strconv.Itoa(d.Index), "Gcx-Doc-Name", d.Name, "Gcx-Stats", jsonString(d.Stats))
 		if err != nil {
 			return err // client gone; unwind the pool
 		}
-		cw := &countingWriter{w: p, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
+		cw := rq.writer(p, true)
 		if _, err := cw.Write(d.Output); err != nil {
 			return err
 		}
@@ -143,33 +96,17 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	})
 	s.m.bulkBusyNanos.Add(bs.BusyNanos)
 	s.m.bulkWorkerNanos.Add(bs.WallNanos * int64(bs.Workers))
-
+	if rq.failed(runErr, true) {
+		return
+	}
 	if runErr != nil {
-		if errors.Is(runErr, abort) {
-			return // status already written
-		}
-		s.m.erroredRequests.Add(1)
-		if !committed {
-			// The stream broke before any document was served (body too
-			// large, timeout, malformed first read): whole-request status.
-			s.failCode(w, runErr)
-			return
-		}
 		failures = append(failures, runErr.Error())
 	}
-	// Empty corpus: the envelope still opens, just for the aggregate.
-	ensureEnvelope()
-
-	sh := textproto.MIMEHeader{}
-	sh.Set("Content-Type", "application/json")
-	sh.Set("Gcx-Part", "stats")
-	if sp, err := mw.CreatePart(sh); err == nil {
+	// An empty corpus opens the envelope here, just for the aggregate.
+	if sp, err := rq.part("application/json", nil, "Gcx-Part", "stats"); err == nil {
 		writeJSONBody(sp, bulkResponse{Stats: bs, Errors: failures})
 	}
-	mw.Close()
-	if b, err := json.Marshal(bs); err == nil {
-		w.Header().Set("Gcx-Bulk-Stats", string(b))
-	}
+	rq.Header().Set("Gcx-Bulk-Stats", jsonString(bs))
 }
 
 // maxBulkErrorList bounds the aggregate part's error list.

@@ -24,10 +24,8 @@ const inlineLabel = "inline"
 // only, and the per-query map is never mutated once published (a reload
 // publishes a new one), so lookups are lock-free reads of an immutable map.
 type metrics struct {
-	queryRequests    atomic.Int64
-	workloadRequests atomic.Int64
-	bulkRequests     atomic.Int64
-	erroredRequests  atomic.Int64
+	query, workload, bulk endpoint
+	erroredRequests       atomic.Int64
 
 	bulkDocs      atomic.Int64 // documents served through /bulk
 	bulkDocErrors atomic.Int64 // of which failed (isolated per document)
@@ -54,14 +52,15 @@ type metrics struct {
 	peakNodesSum atomic.Int64 // summed per-run peaks (aggregate buffer pressure)
 	peakBytesSum atomic.Int64
 
-	// Request-latency histograms, one per serving endpoint (whole-handler
-	// wall time, streaming included).
-	latQuery    obs.Histogram
-	latWorkload obs.Histogram
-	latBulk     obs.Histogram
-
 	// ttfr is the published table of time-to-first-result histograms.
 	ttfr atomic.Pointer[ttfrTable]
+}
+
+// endpoint is one serving endpoint's request counter and latency
+// histogram (whole-request wall time, streaming included).
+type endpoint struct {
+	requests atomic.Int64
+	latency  obs.Histogram
 }
 
 // ttfrTable is one immutable generation of the per-query TTFR
@@ -213,9 +212,9 @@ func (m *metrics) snapshot(cache gcx.CacheStats) Snapshot {
 		util = float64(busy) / float64(worker)
 	}
 	s := Snapshot{
-		RequestsQuery:    m.queryRequests.Load(),
-		RequestsWorkload: m.workloadRequests.Load(),
-		RequestsBulk:     m.bulkRequests.Load(),
+		RequestsQuery:    m.query.requests.Load(),
+		RequestsWorkload: m.workload.requests.Load(),
+		RequestsBulk:     m.bulk.requests.Load(),
 		RequestsErrored:  m.erroredRequests.Load(),
 		BulkDocs:         m.bulkDocs.Load(),
 		BulkDocErrors:    m.bulkDocErrors.Load(),
@@ -240,9 +239,9 @@ func (m *metrics) snapshot(cache gcx.CacheStats) Snapshot {
 		Runtime:        readRuntime(),
 	}
 	s.latHists = []promHist{
-		{label: "query", snap: m.latQuery.Snapshot()},
-		{label: "workload", snap: m.latWorkload.Snapshot()},
-		{label: "bulk", snap: m.latBulk.Snapshot()},
+		{label: "query", snap: m.query.latency.Snapshot()},
+		{label: "workload", snap: m.workload.latency.Snapshot()},
+		{label: "bulk", snap: m.bulk.latency.Snapshot()},
 	}
 	for _, h := range s.latHists {
 		s.RequestLatency[h.label] = summarize(h.snap)

@@ -17,15 +17,11 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
 	"net/http/pprof"
-	"net/textproto"
 	"net/url"
 	"runtime/debug"
 	"strconv"
@@ -35,7 +31,6 @@ import (
 	"time"
 
 	"gcx"
-	"gcx/internal/obs"
 )
 
 // Config parameterizes a Server.
@@ -136,9 +131,9 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /query", s.timed(&s.m.latQuery, s.handleQuery))
-	mux.HandleFunc("POST /workload", s.timed(&s.m.latWorkload, s.handleWorkload))
-	mux.HandleFunc("POST /bulk", s.timed(&s.m.latBulk, s.handleBulk))
+	mux.HandleFunc("POST /query", s.serve(&s.m.query, s.handleQuery))
+	mux.HandleFunc("POST /workload", s.serve(&s.m.workload, s.handleWorkload))
+	mux.HandleFunc("POST /bulk", s.serve(&s.m.bulk, s.handleBulk))
 	mux.HandleFunc("GET /queries", s.handleQueries)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -156,52 +151,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux = mux
 	return s, nil
 }
-
-// timed wraps a serving handler with the in-flight gauge and its
-// endpoint's request-latency histogram (whole-handler wall time, so
-// streaming the response to a slow client counts — that is the latency a
-// caller of this endpoint experiences).
-func (s *Server) timed(h *obs.Histogram, fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		s.inflight.Add(1)
-		start := obs.Now()
-		defer func() {
-			h.Observe(obs.Now() - start)
-			s.inflight.Add(-1)
-		}()
-		body := &serialBody{ReadCloser: r.Body}
-		r.Body = body
-		fn(w, r)
-		// The engine stops at the root's end tag, so a tail of the body (a
-		// trailing newline in its own TCP segment is enough) can still be
-		// unread here. In the full-duplex mode the handlers enable, net/http
-		// would find that EOF only in its post-handler Body.Close — after it
-		// has aborted the connection's background read — restart the read,
-		// and panic on the connection's next request ("invalid concurrent
-		// Body.Read call"). Reading the tail inside the handler puts the EOF
-		// where net/http expects it; the bound is net/http's own.
-		io.CopyN(io.Discard, body, maxPostHandlerReadBytes)
-	}
-}
-
-// serialBody serializes reads of a request body: /bulk can return while a
-// straggling corpus dispatcher is still inside a body read (corpus.Run
-// never waits on a stalled source), and the post-handler drain must not
-// read concurrently with it.
-type serialBody struct {
-	mu sync.Mutex
-	io.ReadCloser
-}
-
-func (b *serialBody) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.ReadCloser.Read(p)
-}
-
-// maxPostHandlerReadBytes is net/http's limit on the unread request body
-// it consumes after a handler returns to keep the connection reusable.
-const maxPostHandlerReadBytes = 256 << 10
 
 // SetNotReady makes /readyz report 503 with the given reason. Used by
 // cmd/gcxd to boot degraded (serving inline queries, liveness, and
@@ -331,103 +280,32 @@ func (s *Server) engine(params url.Values) (*gcx.Engine, string, error) {
 	return eng, label, nil
 }
 
-// body wraps the request body for engine consumption: size-limited,
-// deadline-aware, and counted. The returned context carries the request
-// deadline and must also guard the response writer: once the input hits
-// EOF the engine performs no more reads, so without a write-side check a
-// slow-reading client would keep the evaluation alive past the timeout.
-// The returned cancel must be deferred.
-func (s *Server) body(w http.ResponseWriter, r *http.Request) (io.Reader, context.Context, context.CancelFunc) {
-	ctx := r.Context()
-	cancel := context.CancelFunc(func() {})
-	if s.cfg.Timeout > 0 {
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.Timeout)
-	}
-	var in io.Reader = r.Body
-	if s.cfg.MaxBodyBytes > 0 {
-		in = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	}
-	return &countingReader{r: in, n: &s.m.bytesIn}, ctx, cancel
-}
-
-// countingReader feeds the service bytes-in counter. Cancellation is NOT
-// checked here: handlers run the engine through the context-aware API
-// (RunContext, Trace, BulkOptions.Context), which surfaces an
-// expired deadline as a typed stream error the engine unwinds on.
-type countingReader struct {
-	r io.Reader
-	n *atomic.Int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n.Add(int64(n))
-	return n, err
-}
-
-// admitLength rejects a request whose DECLARED Content-Length already
-// exceeds the body limit, before any evaluation starts. On the streaming
-// paths the first result byte commits the status line within one input
-// token, after which a mid-stream limit breach can only surface as a
-// Gcx-Error trailer — so the one case where a clean 413 is still
-// possible, a client that announced the oversize up front, must be
-// decided here. Chunked uploads (unknown length) pass and hit the
-// streaming limit.
-func (s *Server) admitLength(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.MaxBodyBytes > 0 && r.ContentLength > s.cfg.MaxBodyBytes {
-		s.fail(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("request body of %d bytes exceeds the limit of %d bytes", r.ContentLength, s.cfg.MaxBodyBytes))
-		return false
-	}
-	return true
-}
-
-func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	s.m.queryRequests.Add(1)
-	if !s.admitLength(w, r) {
-		return
-	}
+// handleQuery serves POST /query: one query over the body, the result
+// streamed as it is produced. The status line is committed at the first
+// certain result byte, so run statistics and late errors travel as
+// trailers; a run that fails before that byte answers a status of its own.
+func (s *Server) handleQuery(rq *request, r *http.Request) {
 	eng, label, err := s.engine(r.URL.Query())
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		rq.fail(http.StatusBadRequest, err)
 		return
 	}
 	if r.Header.Get("Gcx-Trace") != "" {
-		s.handleQueryTraced(w, r, eng, label)
+		s.handleQueryTraced(rq, r, eng, label)
 		return
 	}
-	// The first result byte flushes while the request body is still being
-	// read; without full duplex the HTTP/1 server would drain-and-discard
-	// the unread body at that first flush, truncating the document under
-	// the engine. (Best effort, same as /bulk: recorders and HTTP/2
-	// either do not support or do not need it.)
-	http.NewResponseController(w).EnableFullDuplex()
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
-
-	// The result streams; the status line is committed before evaluation
-	// finishes, so run statistics and late errors travel as trailers.
-	w.Header().Set("Trailer", "Gcx-Stats, Gcx-Error")
-	w.Header().Set("Content-Type", "application/xml; charset=utf-8")
-	out := &countingWriter{w: w, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	stats, runErr := eng.RunContext(ctx, in, out)
-	s.m.record(stats)
-	s.m.observeTTFR(label, stats.TimeToFirstResultNanos)
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
-		if out.written == 0 {
-			// Nothing committed yet: a proper status line is still possible.
-			h := w.Header()
-			h.Del("Trailer")
-			h.Del("Content-Type")
-			s.failCode(w, runErr)
-			return
-		}
-		w.Header().Set("Gcx-Error", runErr.Error())
+	h := rq.Header()
+	h.Set("Trailer", "Gcx-Stats, Gcx-Error")
+	h.Set("Content-Type", "application/xml; charset=utf-8")
+	stats, err := eng.RunContext(rq.ctx, rq, rq.writer(rq, true))
+	rq.ran(stats, []string{label}, nil)
+	if rq.failed(err, true) {
+		return
 	}
-	if b, err := json.Marshal(stats); err == nil {
-		w.Header().Set("Gcx-Stats", string(b))
+	if err != nil {
+		h.Set("Gcx-Error", err.Error())
 	}
+	h.Set("Gcx-Stats", jsonString(stats))
 }
 
 // Deep-trace bounds: a Gcx-Trace header value ≥ 2 requests that many
@@ -444,44 +322,25 @@ const (
 // multipart/mixed response whose first part streams the query result
 // (progressively, like the untraced path) and whose second part is a JSON
 // sidecar carrying the bounded buffer-lifecycle trace plus run stats.
-func (s *Server) handleQueryTraced(w http.ResponseWriter, r *http.Request, eng *gcx.Engine, label string) {
+//
+// Part 0 opens before the run, committing the status line: for a failing
+// document the trace is the answer, so the error goes in the trace part's
+// Gcx-Error header.
+func (s *Server) handleQueryTraced(rq *request, r *http.Request, eng *gcx.Engine, label string) {
 	limit := defaultTraceSteps
 	if n, err := strconv.Atoi(r.Header.Get("Gcx-Trace")); err == nil && n >= 2 {
 		limit = min(n, maxTraceSteps)
 	}
-	// Part 0 streams progressively; see handleQuery on full duplex.
-	http.NewResponseController(w).EnableFullDuplex()
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
-
-	mw := multipart.NewWriter(w)
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-	rh := textproto.MIMEHeader{}
-	rh.Set("Content-Type", "application/xml; charset=utf-8")
-	rh.Set("Gcx-Part", "result")
-	part0, err := mw.CreatePart(rh)
+	part0, err := rq.part("application/xml; charset=utf-8", nil, "Gcx-Part", "result")
 	if err != nil {
 		return
 	}
-	out := &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	trace, runErr := eng.Trace(ctx, in, out, limit)
-	s.m.record(trace.Stats)
-	s.m.observeTTFR(label, trace.Stats.TimeToFirstResultNanos)
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
+	trace, runErr := eng.Trace(rq.ctx, rq, rq.writer(part0, true), limit)
+	rq.ran(trace.Stats, []string{label}, nil)
+	rq.failed(runErr, true)
+	if tp, err := rq.part("application/json", runErr, "Gcx-Part", "trace"); err == nil {
+		writeJSONBody(tp, trace)
 	}
-	th := textproto.MIMEHeader{}
-	th.Set("Content-Type", "application/json")
-	th.Set("Gcx-Part", "trace")
-	if runErr != nil {
-		th.Set("Gcx-Error", runErr.Error())
-	}
-	tp, err := mw.CreatePart(th)
-	if err != nil {
-		return
-	}
-	writeJSONBody(tp, trace)
-	mw.Close()
 }
 
 // workloadResponse is the JSON shape of POST /workload (the whole body
@@ -533,24 +392,114 @@ func (sel *selection) add(sub *gcx.Subscription, label, ttfr string) {
 	sel.ttfr = append(sel.ttfr, ttfr)
 }
 
-func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
-	s.m.workloadRequests.Add(1)
-	if !s.admitLength(w, r) {
-		return
-	}
+// handleWorkload serves POST /workload: every selected query in ONE
+// shared pass of the body. Under Accept: application/json every result is
+// buffered into one JSON object. Otherwise the response is multipart/mixed:
+// the FIRST label's part streams along the pass, opened at its first byte
+// or flush; later results buffer until the pass completes (parts are
+// sequential, like cmd/gcx's stdout), and a final part carries the stats.
+// Either way, a stream failure that interrupts every member before a byte
+// is committed answers a status of its own; a partial failure stays 200.
+// Every subscription has its own writer, so per-label TTFR is measured,
+// and the response comes from THIS run's return value only.
+func (s *Server) handleWorkload(rq *request, r *http.Request) {
 	sel, err := s.selection(r.URL.Query())
 	if err != nil {
-		s.fail(w, http.StatusBadRequest, err)
+		rq.fail(http.StatusBadRequest, err)
 		return
 	}
-	in, ctx, cancel := s.body(w, r)
-	defer cancel()
+	asJSON := strings.Contains(r.Header.Get("Accept"), "application/json")
+	bufs := make([]bytes.Buffer, len(sel.labels))
+	outs := make([]io.Writer, len(sel.labels))
+	var part0 *lazyPart
+	for i := range outs {
+		if i == 0 && !asJSON {
+			part0 = &lazyPart{rq: rq, label: sel.labels[0]}
+			outs[0] = rq.writer(part0, true)
+		} else {
+			outs[i] = rq.writer(&bufs[i], false)
+		}
+	}
+	rs, runErr := sel.reg.RunContext(rq.ctx, rq, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
+		return outs[sel.pos[sub]]
+	}))
+	// The run reports one QueryStats per distinct text; the response
+	// carries one per label (labels sharing a text repeat their group's).
+	perLabel := make([]gcx.QueryStats, len(sel.subs))
+	for i, sub := range sel.subs {
+		perLabel[i], _ = rs.Query(sub)
+	}
+	rq.ran(rs.Aggregate, sel.ttfr, perLabel)
+	resp := workloadResponse{IDs: sel.labels, Stats: gcx.RegistryStats{
+		Aggregate:     rs.Aggregate,
+		Queries:       perLabel,
+		Groups:        rs.Groups,
+		Subscriptions: rs.Subscriptions,
+	}}
+	for i, q := range perLabel {
+		if q.Err != nil {
+			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sel.labels[i], q.Err))
+		}
+	}
+	if rq.failed(runErr, len(resp.Errors) >= len(perLabel)) {
+		return
+	}
+	if asJSON {
+		for i := range bufs {
+			resp.Results = append(resp.Results, bufs[i].String())
+		}
+		rq.Header().Set("Content-Type", "application/json")
+		writeJSONBody(rq, resp)
+		return
+	}
+	for i := range bufs { // part 0 opens here if the pass wrote it nothing
+		p := part0
+		if i > 0 {
+			p = &lazyPart{rq: rq, index: i, label: sel.labels[i]}
+		}
+		if _, err := p.Write(bufs[i].Bytes()); err != nil {
+			return
+		}
+	}
+	if sp, err := rq.part("application/json", runErr, "Gcx-Part", "stats"); err == nil {
+		writeJSONBody(sp, resp)
+	}
+}
 
-	if strings.Contains(r.Header.Get("Accept"), "application/json") {
-		s.workloadJSON(w, ctx, sel, in)
-		return
+// lazyPart is the result part of the index-th label of a multipart
+// /workload response, opened at its first byte or flush: a pass that
+// fails before producing either for part 0 commits nothing and can still
+// answer with a status.
+type lazyPart struct {
+	rq    *request
+	index int
+	label string
+	w     io.Writer
+	err   error
+}
+
+// open opens the part, once; later calls report the first one's error.
+func (p *lazyPart) open() error {
+	if p.w == nil && p.err == nil {
+		p.w, p.err = p.rq.part("application/xml; charset=utf-8", nil,
+			"Gcx-Query-Index", strconv.Itoa(p.index), "Gcx-Query-Id", p.label)
 	}
-	s.workloadMultipart(w, ctx, sel, in)
+	return p.err
+}
+
+func (p *lazyPart) Write(b []byte) (int, error) {
+	if err := p.open(); err != nil {
+		return 0, err
+	}
+	return p.w.Write(b)
+}
+
+// Flush opens the part and flushes the response: the first certain
+// result commits the status line, as on /query.
+func (p *lazyPart) Flush() {
+	if p.open() == nil {
+		p.rq.Flush()
+	}
 }
 
 // selection resolves the request's pass against ONE registry generation:
@@ -628,120 +577,6 @@ func selectionKey(ids, qs []string) string {
 	return string(b)
 }
 
-// runPass runs sel into outs (outs[i] receives label i's result) and does
-// what both response shapes share: the service counters, each label's
-// time-to-first-result — every subscription of the shared pass has its own
-// writer, so per-label TTFR is measured, not apportioned; registered ids
-// land in their own histogram, inline queries in "inline" — and the error
-// list, all from THIS run's return value (never from state another
-// request could have written).
-func (s *Server) runPass(ctx context.Context, sel *selection, in io.Reader, outs []io.Writer) (workloadResponse, error) {
-	rs, runErr := sel.reg.RunContext(ctx, in, gcx.SinkFunc(func(sub *gcx.Subscription) io.Writer {
-		return outs[sel.pos[sub]]
-	}))
-	s.m.record(rs.Aggregate)
-	// The run reports one QueryStats per distinct text; the response
-	// carries one per label (labels sharing a text repeat their group's).
-	perLabel := make([]gcx.QueryStats, len(sel.subs))
-	for i, sub := range sel.subs {
-		perLabel[i], _ = rs.Query(sub)
-	}
-	resp := workloadResponse{IDs: sel.labels, Stats: gcx.RegistryStats{
-		Aggregate:     rs.Aggregate,
-		Queries:       perLabel,
-		Groups:        rs.Groups,
-		Subscriptions: rs.Subscriptions,
-	}}
-	for i, q := range perLabel {
-		s.m.observeTTFR(sel.ttfr[i], q.TimeToFirstResultNanos)
-		if q.Err != nil {
-			resp.Errors = append(resp.Errors, fmt.Sprintf("%s: %v", sel.labels[i], q.Err))
-		}
-	}
-	if runErr != nil {
-		s.m.erroredRequests.Add(1)
-	}
-	return resp, runErr
-}
-
-// workloadJSON buffers every result and responds with one JSON object.
-// Convenient for programmatic clients; large results belong in the
-// multipart path.
-func (s *Server) workloadJSON(w http.ResponseWriter, ctx context.Context, sel *selection, in io.Reader) {
-	bufs := make([]bytes.Buffer, len(sel.labels))
-	outs := make([]io.Writer, len(sel.labels))
-	for i := range bufs {
-		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
-	}
-	resp, runErr := s.runPass(ctx, sel, in, outs)
-	// Nothing has been committed yet on this (fully buffered) path, so a
-	// failure of the shared stream itself — which interrupts every member
-	// — gets a proper status code, same as /query. A partial failure (some
-	// members completed) stays 200 with the error list.
-	if runErr != nil && len(resp.Errors) >= len(resp.Stats.Queries) {
-		s.failCode(w, runErr)
-		return
-	}
-	for i := range bufs {
-		resp.Results = append(resp.Results, bufs[i].String())
-	}
-	w.Header().Set("Content-Type", "application/json")
-	writeJSONBody(w, resp)
-}
-
-// workloadMultipart streams a multipart/mixed response: the FIRST
-// label's part is created up front and receives its bytes progressively
-// along the shared pass (multipart parts are sequential, so later results
-// buffer until the pass completes, exactly like cmd/gcx's stdout
-// discipline); the final part carries the stats JSON.
-func (s *Server) workloadMultipart(w http.ResponseWriter, ctx context.Context, sel *selection, in io.Reader) {
-	// Part 0 streams progressively; see handleQuery on full duplex.
-	http.NewResponseController(w).EnableFullDuplex()
-	mw := multipart.NewWriter(w)
-	w.Header().Set("Content-Type", "multipart/mixed; boundary="+mw.Boundary())
-
-	part0, err := mw.CreatePart(partHeader(0, sel.labels[0], "application/xml; charset=utf-8"))
-	if err != nil {
-		return
-	}
-	bufs := make([]bytes.Buffer, len(sel.labels))
-	outs := make([]io.Writer, len(sel.labels))
-	outs[0] = &countingWriter{w: part0, n: &s.m.bytesOut, ctx: ctx, flush: flusherOf(w)}
-	for i := 1; i < len(outs); i++ {
-		outs[i] = &countingWriter{w: &bufs[i], n: &s.m.bytesOut}
-	}
-	resp, runErr := s.runPass(ctx, sel, in, outs)
-	for i := 1; i < len(outs); i++ {
-		part, err := mw.CreatePart(partHeader(i, sel.labels[i], "application/xml; charset=utf-8"))
-		if err != nil {
-			return
-		}
-		if _, err := part.Write(bufs[i].Bytes()); err != nil {
-			return
-		}
-	}
-	sh := textproto.MIMEHeader{}
-	sh.Set("Content-Type", "application/json")
-	sh.Set("Gcx-Part", "stats")
-	if runErr != nil {
-		sh.Set("Gcx-Error", runErr.Error())
-	}
-	sp, err := mw.CreatePart(sh)
-	if err != nil {
-		return
-	}
-	writeJSONBody(sp, resp)
-	mw.Close()
-}
-
-func partHeader(index int, label, contentType string) textproto.MIMEHeader {
-	h := textproto.MIMEHeader{}
-	h.Set("Content-Type", contentType)
-	h.Set("Gcx-Query-Index", strconv.Itoa(index))
-	h.Set("Gcx-Query-Id", label)
-	return h
-}
-
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	writeJSONBody(w, struct {
@@ -758,81 +593,4 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap.writeProm(w)
-}
-
-// fail responds with a plain-text error before any body bytes were
-// committed.
-func (s *Server) fail(w http.ResponseWriter, code int, err error) {
-	s.m.erroredRequests.Add(1)
-	http.Error(w, "gcxd: "+err.Error(), code)
-}
-
-// failCode classifies a run error that occurred before the first output
-// byte: body too large, evaluation timeout, client gone, or bad input.
-// Classification is typed (errors.Is against the gcx error vocabulary),
-// never message matching.
-func (s *Server) failCode(w http.ResponseWriter, err error) {
-	var maxErr *http.MaxBytesError
-	switch {
-	case errors.As(err, &maxErr), errors.Is(err, gcx.ErrTooLarge):
-		http.Error(w, "gcxd: "+err.Error(), http.StatusRequestEntityTooLarge)
-	case errors.Is(err, context.DeadlineExceeded):
-		http.Error(w, "gcxd: evaluation timeout: "+err.Error(), http.StatusRequestTimeout)
-	default:
-		// Bad input, or the client is gone (context.Canceled) and nobody
-		// reads this status.
-		http.Error(w, "gcxd: "+err.Error(), http.StatusBadRequest)
-	}
-}
-
-// writeJSONBody encodes v to w; encode errors mean the client is gone
-// and are deliberately dropped.
-func writeJSONBody(w io.Writer, v any) {
-	json.NewEncoder(w).Encode(v)
-}
-
-// countingWriter forwards writes and counts bytes (per-request commit
-// detection and the service bytes-out counter). When ctx is set, an
-// expired deadline fails the write: after the input reaches EOF the
-// engine performs no more reads, so this is what bounds the
-// result-emission phase for a slow-reading client. When flush is set,
-// the engine's first-result flush propagates through FlushResult so the
-// byte crosses the transport instead of waiting in the ResponseWriter's
-// buffers.
-type countingWriter struct {
-	w       io.Writer
-	n       *atomic.Int64
-	written int64
-	ctx     context.Context
-	flush   http.Flusher
-}
-
-// FlushResult implements xmlstream.ResultFlusher: called (through the
-// engine's writer) once the first result byte is certain, and per /bulk
-// part by the handler. Committing the status line here is deliberate —
-// it is the moment the response stops being retractable.
-func (c *countingWriter) FlushResult() {
-	if c.flush != nil {
-		c.flush.Flush()
-	}
-}
-
-// flusherOf extracts the transport flush capability of a ResponseWriter
-// (nil when the writer cannot flush — e.g. some recorders; the
-// first-result flush then degrades to the engine's bufio drain).
-func flusherOf(w http.ResponseWriter) http.Flusher {
-	f, _ := w.(http.Flusher)
-	return f
-}
-
-func (c *countingWriter) Write(p []byte) (int, error) {
-	if c.ctx != nil {
-		if err := c.ctx.Err(); err != nil {
-			return 0, fmt.Errorf("request aborted: %w", err)
-		}
-	}
-	n, err := c.w.Write(p)
-	c.written += int64(n)
-	c.n.Add(int64(n))
-	return n, err
 }
