@@ -35,7 +35,7 @@ func (a *arena) get() *Node {
 		return nd
 	}
 	if a.slab == len(a.slabs) {
-		a.slabs = append(a.slabs, make([]Node, slabSize)) //gcxlint:allocok slab growth tracks the document's buffer peak; up to maxRetainedSlabs stay across runs
+		a.slabs = addSlab(a.slabs, slabSize, maxRetainedSlabs)
 	}
 	s := a.slabs[a.slab]
 	nd := &s[a.next]
@@ -47,6 +47,29 @@ func (a *arena) get() *Node {
 	nd.recycle()
 	return nd
 }
+
+// addSlab appends a slab of n values to slabs. The slab index is made
+// with room for the keep slabs a buffer retains, so it does not double
+// along with the first of them.
+//
+//gcxlint:allocok slab growth tracks the document's buffer peak; up to keep slabs stay across runs
+func addSlab[T any](slabs [][]T, n, keep int) [][]T {
+	if slabs == nil {
+		slabs = make([][]T, 0, keep)
+	}
+	return append(slabs, make([]T, n))
+}
+
+// keepSlabs drops the slabs beyond the first keep.
+func keepSlabs[T any](slabs [][]T, keep int) [][]T {
+	if len(slabs) > keep {
+		slabs = append(make([][]T, 0, keep), slabs[:keep]...)
+	}
+	return slabs
+}
+
+// carved returns the number of slabs the run has carved nodes from.
+func (a *arena) carved() int { return a.slab + min(a.next, 1) }
 
 //gcxlint:noalloc
 func (a *arena) put(n *Node) {
@@ -67,9 +90,7 @@ func (a *arena) reset(poison bool) {
 	if a.slab < len(a.slabs) {
 		clearNodes(a.slabs[a.slab][:a.next], poison)
 	}
-	if len(a.slabs) > maxRetainedSlabs {
-		a.slabs = append(make([][]Node, 0, maxRetainedSlabs), a.slabs[:maxRetainedSlabs]...)
-	}
+	a.slabs = keepSlabs(a.slabs, maxRetainedSlabs)
 	a.slab = 0
 	a.next = 0
 	a.free = nil

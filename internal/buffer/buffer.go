@@ -35,6 +35,10 @@ type Stats struct {
 	TextChunks        int64 // chunks with a live text in them
 	TextLiveAtPeak    int64 // TextLiveBytes when PeakBytes was last raised
 	TextHeldAtPeak    int64 // TextHeldBytes when PeakBytes was last raised
+
+	// Slabs counts the node and slot-block slabs the run has carved from:
+	// what a run that starts cold allocates for its nodes and their lists.
+	Slabs int64
 }
 
 // nodeBaseBytes and roleEntryBytes are what PeakBytes counts per buffered
@@ -167,6 +171,7 @@ func (b *Buffer) Stats() Stats {
 	st.TextHeldBytes = b.text.held()
 	st.TextPeakHeldBytes = b.text.peakHeld
 	st.TextChunks = int64(b.text.inUse)
+	st.Slabs = int64(b.arena.carved() + b.roles.carved() + b.facts.carved())
 	return st
 }
 
@@ -278,11 +283,14 @@ func (b *Buffer) entry(n *Node, r xqast.Role) *roleEntry {
 	if n.role.role == int32(r) && n.role.n > 0 {
 		return &n.role
 	}
-	es := b.roles.lists[n.roles]
-	for i := range es {
-		if es[i].role == int32(r) {
-			return &es[i]
+	for i := n.roles; i != 0; {
+		bl := b.roles.at(i)
+		for j := range bl.n {
+			if bl.v[j].role == int32(r) {
+				return &bl.v[j]
+			}
 		}
+		i = bl.next
 	}
 	return nil
 }
@@ -301,10 +309,9 @@ func (b *Buffer) removeRole(n *Node, r xqast.Role, k int) error {
 		if n.roles == 0 {
 			n.role = roleEntry{} // e is the inline entry, the only one
 		} else {
-			es := b.roles.lists[n.roles]
-			*e = es[len(es)-1]
-			b.roles.lists[n.roles] = es[:len(es)-1]
-			if len(es) == 1 {
+			last, empty := b.roles.pop(n.roles)
+			*e = last // a no-op when e was the last entry
+			if empty {
 				b.roles.put(n.roles)
 				n.roles = 0
 			}
@@ -331,7 +338,7 @@ func (b *Buffer) undefinedRemoval(n *Node, r xqast.Role) error {
 }
 
 // entries returns the number of entries in n's role multiset.
-func (b *Buffer) entries(n *Node) int { return int(min(n.role.n, 1)) + len(b.roles.lists[n.roles]) }
+func (b *Buffer) entries(n *Node) int { return int(min(n.role.n, 1)) + b.roles.len(n.roles) }
 
 // RoleCount returns the multiplicity of role r on n.
 //
@@ -347,7 +354,7 @@ func (b *Buffer) RoleCount(n *Node, r xqast.Role) int {
 // string like "{r2,r3,r3}". Empty role sets render as "{}".
 func (b *Buffer) RolesString(n *Node) string {
 	var ids []int32
-	for _, e := range append([]roleEntry{n.role}, b.roles.lists[n.roles]...) {
+	for _, e := range b.roles.appendTo([]roleEntry{n.role}, n.roles) {
 		for range e.n {
 			ids = append(ids, e.role)
 		}
@@ -383,7 +390,14 @@ func (b *Buffer) MarkNoMore(n *Node, sym xmlstream.Sym) {
 //
 //gcxlint:noalloc
 func (b *Buffer) NoMore(n *Node, sym xmlstream.Sym) bool {
-	return slices.Contains(b.facts.lists[n.noMore], sym)
+	for i := n.noMore; i != 0; {
+		bl := b.facts.at(i)
+		if slices.Contains(bl.v[:bl.n], sym) {
+			return true
+		}
+		i = bl.next
+	}
+	return false
 }
 
 func (b *Buffer) describe(n *Node) string {
@@ -498,6 +512,9 @@ func (b *Buffer) dropSubtree(n *Node) {
 	if n.Kind == KindText {
 		b.text.release(n.Text, n.chunk)
 		n.Text = "" // nothing reads an unlinked node; a free node must not pin an oversized text
+	}
+	if n.roles != 0 {
+		b.roles.put(n.roles)
 	}
 	if n.noMore != 0 {
 		b.facts.put(n.noMore)

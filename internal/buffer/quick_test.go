@@ -108,7 +108,7 @@ func checkInvariants(b *Buffer) string {
 			return 0, 0, "unlinked node reachable from root"
 		}
 		self := n.role.n
-		for _, e := range b.roles.lists[n.roles] {
+		for _, e := range b.roles.appendTo(nil, n.roles) {
 			self += e.n
 		}
 		if self != n.selfTotal || (n.role.n == 0 && n.roles != 0) {

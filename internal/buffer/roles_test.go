@@ -100,8 +100,8 @@ func TestRoleMultisetMatchesModel(t *testing.T) {
 			}
 		}
 		b.Reset()
-		if free, lists := len(b.roles.free), len(b.roles.lists); lists > 0 && free != lists-1 {
-			t.Logf("seed %d: after Reset %d of %d overflow slots are free", seed, free, lists-1)
+		if b.roles.used != 1 || b.roles.free != 0 {
+			t.Logf("seed %d: after Reset %d overflow blocks are carved, block %d is free", seed, b.roles.used-1, b.roles.free)
 			return false
 		}
 		return true
@@ -139,7 +139,7 @@ func checkModel(b *Buffer, nodes []*Node, model map[*Node]map[xqast.Role]int, ag
 		if n.role.n == 0 && n.roles != 0 {
 			return "an empty inline entry with an overflow slot"
 		}
-		if n.roles != 0 && len(b.roles.lists[n.roles]) == 0 {
+		if n.roles != 0 && b.roles.len(n.roles) == 0 {
 			return "an empty overflow slot still held"
 		}
 		if int(n.selfTotal) != self || int(n.aggCount) != agg {
@@ -185,15 +185,14 @@ func smallRun(t *testing.T, b *Buffer) {
 	}
 }
 
-// retained reports the lists a slot table keeps, counting the capacity
-// of its index, and its free list's capacity.
-func retained[T any](s *slots[T]) (lists, free int) {
-	return cap(s.lists) - 1, cap(s.free)
-}
+// retained reports the block slabs a slot table keeps, counting the
+// capacity of its slab index.
+func retained[T any](s *slots[T]) int { return cap(s.slabs) }
 
 // TestIdleBufferRetentionIsBounded: whatever the last run buffered, an
 // idle buffer keeps at most maxRetainedSlabs node slabs and
-// maxRetainedSlots lists in each slot table, and no node it keeps links
+// maxRetainedBlockSlabs slabs of blocks in each slot table (a block for
+// each node those hold), and no node it keeps links
 // into what it dropped; the next run is the run a fresh buffer makes.
 func TestIdleBufferRetentionIsBounded(t *testing.T) {
 	const nodes = 50_000
@@ -208,19 +207,19 @@ func TestIdleBufferRetentionIsBounded(t *testing.T) {
 	if got := len(b.arena.slabs); got <= maxRetainedSlabs {
 		t.Fatalf("sanity: %d nodes carved only %d slabs", nodes, got)
 	}
-	if lists, _ := retained(&b.roles); lists <= maxRetainedSlots {
-		t.Fatalf("sanity: %d nodes took only %d overflow slots", nodes, lists)
+	if slabs := retained(&b.roles); slabs <= maxRetainedBlockSlabs {
+		t.Fatalf("sanity: %d nodes took only %d slabs of overflow blocks", nodes, slabs)
 	}
 
 	b.Reset()
 	if got := cap(b.arena.slabs); got > maxRetainedSlabs {
 		t.Errorf("idle buffer keeps %d slabs, cap %d", got, maxRetainedSlabs)
 	}
-	if lists, free := retained(&b.roles); lists > maxRetainedSlots || free > maxRetainedSlots {
-		t.Errorf("idle buffer keeps %d overflow slots (free list capacity %d), cap %d", lists, free, maxRetainedSlots)
+	if slabs := retained(&b.roles); slabs > maxRetainedBlockSlabs {
+		t.Errorf("idle buffer keeps %d slabs of overflow blocks, cap %d", slabs, maxRetainedBlockSlabs)
 	}
-	if lists, free := retained(&b.facts); lists > maxRetainedSlots || free > maxRetainedSlots {
-		t.Errorf("idle buffer keeps %d fact slots (free list capacity %d), cap %d", lists, free, maxRetainedSlots)
+	if slabs := retained(&b.facts); slabs > maxRetainedBlockSlabs {
+		t.Errorf("idle buffer keeps %d slabs of fact blocks, cap %d", slabs, maxRetainedBlockSlabs)
 	}
 	for _, slab := range b.arena.slabs {
 		for i := range slab {

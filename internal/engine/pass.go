@@ -170,9 +170,11 @@ type runState struct {
 	// sched interleaves the evaluators of a multi-member pass; nil with one
 	// member, whose evaluator pulls the projector itself.
 	sched *scheduler
-	// tasks[i] holds member i's evaluator, runs it and records how it went.
-	tasks []*task
-	ws    []*xmlstream.Writer
+	// tasks[i] holds member i's evaluator, runs it and records how it went;
+	// ws[i] is its output writer. Both are built one slice per kind, as
+	// are the evaluators (eval.NewEvaluators).
+	tasks []task
+	ws    []xmlstream.Writer
 	// start is the obs.Now timestamp the run began at.
 	start int64
 	// idle is true from release until the next run claims the state. The
@@ -200,12 +202,13 @@ func (p *Pass) newRunState() *runState {
 		AggregateRoles: p.aggMatch,
 		Schema:         p.schema,
 	})
+	wsize := min(max(writerBudget/n, minWriterBuffer), xmlstream.DefaultWriterBuffer)
 	rs := &runState{
 		syms: syms,
 		buf:  buf,
 		tok:  tok,
 		proj: pr,
-		ws:   make([]*xmlstream.Writer, n),
+		ws:   xmlstream.NewWriters(n, wsize),
 	}
 	// The one wiring choice: a scheduler earns its place only when more
 	// than one evaluator shares the stream. A lone evaluator is fed by the
@@ -214,21 +217,22 @@ func (p *Pass) newRunState() *runState {
 		rs.sched = newScheduler(pr, n, p.batch)
 		rs.tasks = rs.sched.tasks
 	} else {
-		rs.tasks = []*task{{}}
+		rs.tasks = make([]task, 1)
 	}
-	wsize := min(max(writerBudget/n, minWriterBuffer), xmlstream.DefaultWriterBuffer)
+	feeds := make([]eval.Feeder, n)
+	queries := make([]*xqast.Query, n)
 	for i, m := range p.Members {
-		t := rs.tasks[i]
-		var feed eval.Feeder = t
-		if rs.sched == nil {
-			feed = pr
+		if rs.sched != nil {
+			feeds[i] = &rs.tasks[i]
+		} else {
+			feeds[i] = pr
 		}
-		w := xmlstream.NewWriterSize(io.Discard, wsize)
-		ev := eval.New(buf, feed, w, eval.Options{})
-		rs.ws[i] = w
-		query := m.Analysis.Query
-		t.ev = ev
-		t.exec = func() error { return ev.Run(query) }
+		queries[i] = m.Analysis.Query
+	}
+	evs := eval.NewEvaluators(buf, feeds, rs.ws, queries)
+	for i := range rs.tasks {
+		rs.tasks[i].ev = &evs[i]
+		rs.tasks[i].query = queries[i]
 	}
 	self := weak.Make(rs)
 	rs.self = &self
@@ -275,14 +279,19 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 }
 
 // release returns a runState to the pool, dropping the references to the
-// caller's reader and writers, and resetting the buffer so the idle pool
-// does not pin the document's buffered text.
+// caller's reader, writers and tracer, and resetting the buffer, the
+// projector and the evaluators so the idle pool pins nothing of the
+// document and keeps no more than their retention caps allow.
 func (p *Pass) release(rs *runState) {
 	rs.tok.Reset(nil)
-	for _, w := range rs.ws {
-		w.Reset(io.Discard)
+	for i := range rs.ws {
+		rs.ws[i].Reset(io.Discard)
 	}
 	rs.buf.Reset()
+	rs.proj.Reset()
+	for i := range rs.tasks {
+		rs.tasks[i].ev.Reset(eval.Options{})
+	}
 	rs.idle.Store(true)
 	p.pool.Put(rs)
 	p.last.Store(rs.self)
@@ -329,7 +338,7 @@ func (p *Pass) run(in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState
 	if rs.sched != nil {
 		rs.sched.run()
 	} else {
-		t := rs.tasks[0]
+		t := &rs.tasks[0]
 		t.err = t.exec()
 		t.finish(rs.proj)
 	}
@@ -338,7 +347,8 @@ func (p *Pass) run(in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState
 		TokensRead: rs.proj.TokensRead(),
 		WallNanos:  obs.Now() - start,
 	}
-	for _, w := range rs.ws {
+	for i := range rs.ws {
+		w := &rs.ws[i]
 		st.OutputBytes += w.BytesWritten()
 		if t := ttfr(w, start); t > 0 && (st.TTFRNanos == 0 || t < st.TTFRNanos) {
 			st.TTFRNanos = t
@@ -366,14 +376,14 @@ func (p *Pass) queryStats(rs *runState, qs []QueryStats) ([]QueryStats, error) {
 	qs = slices.Grow(qs[:0], len(p.Members))[:len(p.Members)]
 	var errs []error
 	for i, m := range p.Members {
-		t := rs.tasks[i]
+		t := &rs.tasks[i]
 		q := QueryStats{
 			OutputBytes:  rs.ws[i].BytesWritten(),
 			SignOffs:     t.ev.SignOffs(),
 			TokensAtDone: t.tokensAtDone,
 			Err:          t.err,
 
-			TimeToFirstResultNanos: ttfr(rs.ws[i], rs.start),
+			TimeToFirstResultNanos: ttfr(&rs.ws[i], rs.start),
 		}
 		if t.doneAt > 0 {
 			q.EvalWallNanos = max(t.doneAt-rs.start, 1)

@@ -1,9 +1,12 @@
 package engine
 
 import (
+	"sync/atomic"
+
 	"gcx/internal/eval"
 	"gcx/internal/obs"
 	"gcx/internal/proj"
+	"gcx/internal/xqast"
 )
 
 // scheduler drives N pull-based evaluators over ONE shared stream
@@ -32,8 +35,14 @@ import (
 // or sign off are what resuming all of them would have produced.
 type scheduler struct {
 	proj  *proj.Projector
-	tasks []*task
+	tasks []task
 	batch int
+
+	// start is member as a func value built once: "go s.member()" would
+	// allocate a wrapper closure per member per run.
+	start func()
+	// claimed counts the tasks this run's member goroutines have taken.
+	claimed atomic.Int32
 
 	// yield is the baton back to the scheduler: a running task sends on it
 	// exactly once per suspension (want-token or done) and the scheduler is
@@ -67,20 +76,15 @@ const (
 
 // task is one member query's run handle. The struct is persistent across
 // pooled runs; reset() clears the per-run fields. A one-member pass has a
-// lone task and no scheduler: s, resume and start stay nil and exec runs
-// inline.
+// lone task and no scheduler: s and resume stay nil and exec runs inline.
 type task struct {
 	s      *scheduler
 	id     int
 	resume chan struct{}
-	// ev is the member's evaluator and exec runs it on the member's
-	// rewritten query; both are persistent, wired once at runState
-	// construction.
-	ev   *eval.Evaluator
-	exec func() error
-	// start is main as a func value built once: "go t.main()" would
-	// allocate a wrapper closure per member per run.
-	start func()
+	// ev is the member's evaluator and query its rewritten query; both
+	// are persistent, wired once at runState construction.
+	ev    *eval.Evaluator
+	query *xqast.Query
 
 	state    taskState
 	err      error
@@ -110,13 +114,12 @@ func newScheduler(p *proj.Projector, n, batch int) *scheduler {
 		batch = defaultBatch
 	}
 	s := &scheduler{proj: p, batch: batch, yield: make(chan struct{})}
-	s.tasks = make([]*task, n)
+	s.tasks = make([]task, n)
 	s.want = make([]*task, 0, n)
 	for i := range s.tasks {
-		t := &task{s: s, id: i, resume: make(chan struct{})}
-		t.start = t.main
-		s.tasks[i] = t
+		s.tasks[i] = task{s: s, id: i, resume: make(chan struct{})}
 	}
+	s.start = s.member
 	return s
 }
 
@@ -128,7 +131,10 @@ func newScheduler(p *proj.Projector, n, batch int) *scheduler {
 //gcxlint:keep batch configuration fixed at construction
 //gcxlint:keep yield the baton channel is the scheduler's identity and is empty whenever the scheduler is parked
 //gcxlint:keep want run refills the worklist from tasks before reading it; it only ever holds the persistent task handles
+//gcxlint:keep start wired at construction (member bound to this scheduler)
+//gcxlint:keep claimed an atomic, zeroed by the Store below
 func (s *scheduler) reset() {
+	s.claimed.Store(0)
 	s.eof = false
 	s.streamErr = nil
 	s.resumes = 0
@@ -141,8 +147,7 @@ func (s *scheduler) reset() {
 //gcxlint:keep id wired at construction
 //gcxlint:keep resume the baton channel is the task's identity and is empty between runs
 //gcxlint:keep ev wired at construction; runState.reset resets the evaluator itself
-//gcxlint:keep exec wired at construction (the evaluator and its rewritten query are persistent)
-//gcxlint:keep start wired at construction (main bound to this task)
+//gcxlint:keep query wired at construction (the member's rewritten query is persistent)
 func (t *task) reset() {
 	t.state = taskIdle
 	t.err = nil
@@ -151,6 +156,9 @@ func (t *task) reset() {
 	t.tokensAtDone = 0
 	t.doneAt = 0
 }
+
+// exec runs the member's evaluator over its query.
+func (t *task) exec() error { return t.ev.Run(t.query) }
 
 // finish stamps where and when the member's evaluator completed.
 func (t *task) finish(p *proj.Projector) {
@@ -179,7 +187,11 @@ func (t *task) Step() (bool, error) {
 	return !s.eof, nil
 }
 
-// main is one evaluator goroutine: wait for the first baton, run the
+// member is one evaluator goroutine. The goroutines of a run are
+// interchangeable: each takes the next task nobody has taken and runs it.
+func (s *scheduler) member() { s.tasks[s.claimed.Add(1)-1].main() }
+
+// main runs t on a member goroutine: wait for the first baton, run the
 // member query, hand the baton back marked done. A panic in the evaluator
 // is captured so the scheduler can unwind the remaining members and
 // re-raise it on the caller's goroutine.
@@ -219,9 +231,9 @@ func (s *scheduler) wakeable(t *task) bool {
 // on the tasks). It must be called with the projector freshly reset.
 func (s *scheduler) run() error {
 	want := s.want[:0]
-	for _, t := range s.tasks {
-		go t.start()
-		want = append(want, t)
+	for i := range s.tasks {
+		go s.start()
+		want = append(want, &s.tasks[i])
 	}
 	live := len(want)
 	for live > 0 {
@@ -267,8 +279,8 @@ func (s *scheduler) run() error {
 			}
 		}
 	}
-	for _, t := range s.tasks {
-		if t.hasPanic {
+	for i := range s.tasks {
+		if t := &s.tasks[i]; t.hasPanic {
 			panic(t.panicked)
 		}
 	}

@@ -25,6 +25,8 @@ type cursor struct {
 	sym xmlstream.Sym
 	// cur is the pinned current node (nil before the first next()).
 	cur *buffer.Node
+	// nextFree links a closed cursor to the next one on the free list.
+	nextFree *cursor
 	// done marks an exhausted cursor.
 	done bool
 	// first tracks [1] steps: after one match the cursor is exhausted.
@@ -35,16 +37,65 @@ type cursor struct {
 	released bool
 }
 
+const (
+	// cursorChunk is the number of cursors carved from one allocation:
+	// more than most queries ever hold open at once.
+	cursorChunk = 8
+	// maxRetainedCursorChunks bounds the chunks an evaluator keeps across
+	// runs; a run nesting deeper allocates the excess again.
+	maxRetainedCursorChunks = 8
+)
+
+// cursors is an evaluator's cursor allocator, the buffer arena's pattern:
+// cursors are carved from chunks the evaluator keeps, close threads them
+// onto a free list through nextFree, and reset reclaims every carved one
+// wholesale (a run that ended in an error may not have closed all of its
+// cursors), keeping at most maxRetainedCursorChunks chunks. An evaluator
+// of NewEvaluators carves its first chunk from an array shared with the
+// pass's other evaluators.
+type cursors struct {
+	chunks [][]cursor
+	chunk  int // index of the chunk being carved
+	next   int // next unused index in chunks[chunk]
+	free   *cursor
+}
+
+//gcxlint:noalloc
+func (a *cursors) get() *cursor {
+	if c := a.free; c != nil {
+		a.free = c.nextFree
+		*c = cursor{}
+		return c
+	}
+	if a.chunk == len(a.chunks) {
+		a.chunks = append(a.chunks, make([]cursor, cursorChunk)) //gcxlint:allocok chunk growth to loop-nesting depth; up to maxRetainedCursorChunks stay across runs
+	}
+	c := &a.chunks[a.chunk][a.next]
+	if a.next++; a.next == cursorChunk {
+		a.chunk++
+		a.next = 0
+	}
+	return c
+}
+
+// reset makes every carved cursor available again, zeroed so that an
+// idle evaluator pins no node, and drops the chunks beyond the cap.
+func (a *cursors) reset() {
+	for i := 0; i < a.chunk && i < len(a.chunks); i++ {
+		clear(a.chunks[i])
+	}
+	if a.chunk < len(a.chunks) {
+		clear(a.chunks[a.chunk][:a.next])
+	}
+	if len(a.chunks) > maxRetainedCursorChunks {
+		a.chunks = append(make([][]cursor, 0, maxRetainedCursorChunks), a.chunks[:maxRetainedCursorChunks]...)
+	}
+	a.chunk, a.next, a.free = 0, 0, nil
+}
+
 //gcxlint:noalloc
 func newCursor(e *Evaluator, ctx *buffer.Node, step xqast.Step) *cursor {
-	var c *cursor
-	if n := len(e.curPool); n > 0 {
-		c = e.curPool[n-1]
-		e.curPool = e.curPool[:n-1]
-		*c = cursor{}
-	} else {
-		c = &cursor{} //gcxlint:allocok freelist growth to loop-nesting depth, amortized across runs
-	}
+	c := e.cursors.get()
 	c.e = e
 	c.ctx = ctx
 	c.step = step
@@ -72,9 +123,9 @@ func (c *cursor) close() {
 	// Zero the whole cursor before pooling: an idle freelist entry must
 	// not pin its context node (or the step's strings) until reuse
 	// happens to overwrite it.
-	e := c.e
-	*c = cursor{released: true}
-	e.curPool = append(e.curPool, c)
+	a := &c.e.cursors
+	*c = cursor{released: true, nextFree: a.free}
+	a.free = c
 }
 
 // next returns the next match in document order, or nil when the sequence
@@ -165,6 +216,21 @@ func (c *cursor) scan() *buffer.Node {
 	default:
 		return nil
 	}
+}
+
+// count returns the number of matches buffered below the context, which
+// must be finished, without moving the cursor or pinning anything.
+//
+//gcxlint:noalloc
+func (c *cursor) count() int {
+	if c.done {
+		return 0
+	}
+	n := 0
+	for c.cur = c.scan(); c.cur != nil; c.cur = c.scan() {
+		n++
+	}
+	return n
 }
 
 // nextInDocOrder advances one position in the DFS over the subtree of

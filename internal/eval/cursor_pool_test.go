@@ -18,10 +18,10 @@ func TestClosedCursorRetainsNothing(t *testing.T) {
 	}
 	cur.close()
 
-	if len(e.curPool) != 1 {
-		t.Fatalf("freelist has %d entries, want 1", len(e.curPool))
+	pooled := e.cursors.free
+	if pooled == nil || pooled.nextFree != nil {
+		t.Fatal("freelist does not hold exactly the closed cursor")
 	}
-	pooled := e.curPool[0]
 	if !pooled.released {
 		t.Error("pooled cursor not marked released")
 	}
@@ -58,5 +58,54 @@ func TestJoinTableRetentionCap(t *testing.T) {
 		if kept := cap(tb.entries) > 0; kept != (size <= maxRetainedJoinEntries) {
 			t.Errorf("%d entries: idle capacity %d, cap is %d", size, cap(tb.entries), maxRetainedJoinEntries)
 		}
+	}
+}
+
+// TestIdleCursorRetentionIsBounded: however many cursors the last run
+// held open at once, a reset evaluator keeps at most
+// maxRetainedCursorChunks chunks of them, every carved cursor zeroed —
+// those the run closed and one it left open, as a failed run does — and
+// carves its next cursor from the first chunk again. The open cursors are
+// nested loops down BenchmarkDeepNesting's chain of <a> elements, one
+// level each.
+func TestIdleCursorRetentionIsBounded(t *testing.T) {
+	const depth = 2500
+	buf, syms := setup()
+	n := buf.AppendElement(buf.Root(), syms.Intern("site"))
+	for range depth {
+		n = buf.AppendElement(n, syms.Intern("a"))
+	}
+	e := evaluator(buf, &scriptFeeder{})
+	a := child(e, "a")
+	open := make([]*cursor, 0, depth)
+	for ctx := buf.Root().FirstChild; len(open) < depth; {
+		c := newCursor(e, ctx, a)
+		m, err := c.next()
+		if err != nil || m == nil {
+			t.Fatalf("level %d: %v, %v", len(open), m, err)
+		}
+		open = append(open, c)
+		ctx = m
+	}
+	if got := len(e.cursors.chunks); got <= maxRetainedCursorChunks {
+		t.Fatalf("sanity: %d open cursors took only %d chunks", depth, got)
+	}
+	for _, c := range open[1:] {
+		c.close() // open[0] is left open
+	}
+
+	e.Reset(Options{})
+	if got := cap(e.cursors.chunks); got > maxRetainedCursorChunks {
+		t.Errorf("idle evaluator keeps %d cursor chunks, cap %d", got, maxRetainedCursorChunks)
+	}
+	for _, chunk := range e.cursors.chunks {
+		for i := range chunk {
+			if chunk[i] != (cursor{}) {
+				t.Fatalf("an idle evaluator's cursor still holds %+v", chunk[i])
+			}
+		}
+	}
+	if c := newCursor(e, buf.Root(), a); c != &e.cursors.chunks[0][0] {
+		t.Error("the first cursor after Reset is not carved from the first chunk")
 	}
 }

@@ -70,9 +70,9 @@ type Evaluator struct {
 	// table, interned when the run starts (bind): every name test compares
 	// two integers.
 	syms []xmlstream.Sym
-	// curPool recycles cursors (one is consumed per for-loop, existence
+	// cursors recycles cursors (one is consumed per for-loop, existence
 	// check, and value collection — the per-binding hot path).
-	curPool []*cursor
+	cursors cursors
 	// sites[c.Site] keeps the collected (right-hand) operand of comparison
 	// c: a nested-loop join evaluates one comparison per PAIR of bindings,
 	// but the collected operand changes only when its own variable
@@ -141,6 +141,65 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 		seed: maphash.MakeSeed(), nestedOnly: nestedLoopsOnly.Load()}
 }
 
+// siteValues is the room for operand values each comparison site, and
+// each join's key scratch, of NewEvaluators' evaluators starts with: most
+// operands have one value.
+const siteValues = 4
+
+// NewEvaluators returns the evaluators of a pass over buf, evaluator i
+// reading through feeds[i], writing to outs[i] and sized for qs[i]. They
+// are built in one allocation per kind — the evaluators, each of their
+// per-query tables, their operand scratch, their first cursor chunks —
+// not several each, so a cold pass costs what its members share, not
+// what each of them holds.
+func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, qs []*xqast.Query) []Evaluator {
+	var slots, names, sites, joins int
+	for _, q := range qs {
+		slots += q.Slots
+		names += len(q.Names)
+		sites += q.Sites
+		joins += q.Joins
+	}
+	evs := make([]Evaluator, len(qs))
+	env := make([]*buffer.Node, slots)
+	epoch := make([]uint64, slots)
+	syms := make([]xmlstream.Sym, names)
+	siteArr := make([]site, sites)
+	joinArr := make([]joinTable, joins)
+	vals := make([]atom, (sites+joins)*siteValues)
+	curs := make([]cursor, len(qs)*cursorChunk)
+	chunks := make([][]cursor, len(qs))
+	carve := func() []atom {
+		v := vals[:0:siteValues]
+		vals = vals[siteValues:]
+		return v
+	}
+	nestedOnly := nestedLoopsOnly.Load()
+	for i, q := range qs {
+		chunks[i] = curs[i*cursorChunk : (i+1)*cursorChunk : (i+1)*cursorChunk]
+		for j := range siteArr[:q.Sites] {
+			siteArr[j].vals = carve()
+		}
+		var keys []atom
+		if q.Joins > 0 {
+			keys = carve()
+		}
+		evs[i] = Evaluator{buf: buf, feed: feeds[i], out: &outs[i],
+			env:        env[:0:q.Slots],
+			epoch:      epoch[:0:q.Slots],
+			syms:       syms[:0:len(q.Names)],
+			sites:      siteArr[:0:q.Sites],
+			joins:      joinArr[:0:q.Joins],
+			keys:       keys,
+			cursors:    cursors{chunks: chunks[i : i+1 : i+1]},
+			seed:       maphash.MakeSeed(),
+			nestedOnly: nestedOnly}
+		env, epoch, syms = env[q.Slots:], epoch[q.Slots:], syms[len(q.Names):]
+		siteArr, joinArr = siteArr[q.Sites:], joinArr[q.Joins:]
+	}
+	return evs
+}
+
 // Reset prepares the evaluator for another run. opts are replaced
 // wholesale so a per-run hook (the tracer) does not leak across runs; the
 // per-query tables are emptied here and filled again by Run.
@@ -148,7 +207,6 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
 //gcxlint:keep feed wired at construction; the owner resets the projector separately
 //gcxlint:keep out wired at construction; the owner re-targets the writer separately
-//gcxlint:keep curPool the cursor freelist is the point of pooling; entries are zeroed in close
 //gcxlint:keep seed a hash seed holds nothing of a run
 //gcxlint:keep nestedOnly fixed at construction (a test hook, see ForceNestedLoops)
 func (e *Evaluator) Reset(opts Options) {
@@ -162,6 +220,7 @@ func (e *Evaluator) Reset(opts Options) {
 	// pooled evaluator retains no operand strings either way.
 	e.cmpRHS = xqast.Operand{}
 	e.waitStamp = 0
+	e.cursors.reset()
 	e.dropScratch()
 }
 
@@ -246,7 +305,7 @@ func (e *Evaluator) dropScratch() {
 // exists AND at least one input token has been consumed successfully, the
 // byte is certain — nothing upstream can retract it — so it is pushed
 // through the writer's batching (and the destination's, via
-// ResultFlusher) instead of riding the bufio layer until end of run. Doing
+// ResultFlusher) instead of riding the batch until end of run. Doing
 // this between tokens means the flush never lands mid-tag, and gating it
 // on a successful Step keeps a request that dies on its very first token
 // free of committed output (the server's clean-4xx path depends on that).

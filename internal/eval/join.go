@@ -212,6 +212,10 @@ func (e *Evaluator) joinLoop(f xqast.For) (bool, error) {
 func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 	cur := newCursor(e, t.ctx, f.In.Steps[0])
 	defer cur.close()
+	// A binding has one entry per distinct key, most have one key: sized
+	// by the bindings, the entries grow by one allocation per table, not
+	// by one per doubling of the region.
+	t.entries = slices.Grow(t.entries, cur.count()) //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
 	for {
 		n, err := cur.next()
 		if err != nil {
@@ -248,6 +252,8 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 		size <<= 1
 	}
 	t.heads = slices.Grow(t.heads[:0], size)[:size] //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
+	// One probe value hits each entry at most once.
+	t.hits = slices.Grow(t.hits[:0], len(t.entries)) //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
 	clear(t.heads)
 	for i := len(t.entries) - 1; i >= 0; i-- {
 		b := t.entries[i].hash & uint64(size-1)

@@ -17,3 +17,25 @@ func (p *Projector) Matched() map[int]int {
 
 // Observer is the token observer Step currently calls (nil when none).
 func (p *Projector) Observer() func(xmlstream.Token) { return p.observe }
+
+// Retained reports what the projector keeps for its next run: its pooled
+// frames, the room its open-element stack and scope arena keep, and
+// whether a pooled frame still links to a frame, an entry or a buffer
+// node.
+func (p *Projector) Retained() (frames, stack, scopes int, linked bool) {
+	for _, f := range p.pool {
+		if f.parent != nil || f.node != nil || f.attach != nil || f.scopes != nil || len(f.firstUsed) > 0 {
+			linked = true
+		}
+		for _, e := range f.matches[:cap(f.matches)] {
+			linked = linked || e != (entry{})
+		}
+		for _, c := range f.captures[:cap(f.captures)] {
+			linked = linked || c != (capture{})
+		}
+	}
+	return len(p.pool), cap(p.stack), cap(p.scopeArena), linked
+}
+
+// MaxRetainedFrames is maxRetainedFrames, for the external suite.
+const MaxRetainedFrames = maxRetainedFrames

@@ -200,14 +200,46 @@ func (p *Projector) Reset() {
 	for i := len(p.stack) - 1; i >= 0; i-- {
 		p.releaseFrame(p.stack[i])
 	}
-	p.stack = p.stack[:0]
-	p.cancs = p.cancs[:0]
-	p.cands = p.cands[:0]
-	p.scopeArena = p.scopeArena[:0]
+	p.retain()
 	p.eof = false
 	p.tokens = 0
 	p.observe = nil
 	p.init()
+}
+
+// maxRetainedFrames bounds the frames an idle (pooled) projector keeps,
+// and the open-element stack and scope arena it keeps room for, like the
+// buffer's maxRetainedSlabs: a document nested deeper than that allocates
+// its deeper frames again on its next run, a document a thousand times
+// deeper does not leave a thousand times the frames behind.
+const maxRetainedFrames = 1024
+
+// retain empties the stack and the scratch, drops what is beyond
+// maxRetainedFrames, and clears every link the pooled frames and the
+// scratch's backing arrays still hold, so that an idle projector pins
+// neither the last run's buffer nodes nor, through a kept frame, one it
+// dropped.
+func (p *Projector) retain() {
+	if len(p.pool) > maxRetainedFrames {
+		p.pool = append(make([]*frame, 0, maxRetainedFrames), p.pool[:maxRetainedFrames]...)
+	}
+	for _, f := range p.pool {
+		clear(f.matches[:cap(f.matches)])
+		clear(f.captures[:cap(f.captures)])
+		clear(f.firstUsed)
+		*f = frame{matches: f.matches[:0], captures: f.captures[:0], firstUsed: f.firstUsed}
+	}
+	if cap(p.stack) > maxRetainedFrames {
+		p.stack = nil
+	}
+	if cap(p.scopeArena) > maxRetainedFrames {
+		p.scopeArena = nil
+	}
+	clear(p.stack[:cap(p.stack)])
+	clear(p.cancs[:cap(p.cancs)])
+	clear(p.cands[:cap(p.cands)])
+	clear(p.scopeArena[:cap(p.scopeArena)])
+	p.stack, p.cancs, p.cands, p.scopeArena = p.stack[:0], p.cancs[:0], p.cands[:0], p.scopeArena[:0]
 }
 
 // TokensRead returns the number of stream tokens consumed.

@@ -485,3 +485,67 @@ func TestProjectionStatsTokens(t *testing.T) {
 		t.Fatal("root must be finished at EOF")
 	}
 }
+
+// TestIdleProjectorRetentionIsBounded: whatever depth the last document
+// reached, a reset projector keeps at most maxRetainedFrames frames, with
+// its stack and scope arena sized to match, and no pooled frame links
+// into the last run; the next run is the run a fresh projector makes.
+// The document is BenchmarkDeepNesting's chain of <a> elements; the
+// queries match every level, the second with a descendant step below it,
+// which gives every level a scope extension of its own. (The benchmark's
+// own queries copy the chain, and without an evaluator's signOffs every
+// level then carries a role of every level above: cubic work.)
+func TestIdleProjectorRetentionIsBounded(t *testing.T) {
+	const small = "<site><a><a>x</a></a><b/></site>"
+	for _, c := range []struct {
+		src   string
+		depth int
+	}{
+		{`<r>{ for $a in //a return <hit/> }</r>`, 10000},
+		{`<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`, 1500},
+	} {
+		deep := "<site>" + strings.Repeat("<a>", c.depth) + strings.Repeat("</a>", c.depth) + "</site>"
+		run := func(p *proj.Projector, buf *buffer.Buffer, tok *xmlstream.Tokenizer, doc string) {
+			t.Helper()
+			buf.Reset()
+			tok.Reset(strings.NewReader(doc))
+			p.Reset()
+			for {
+				more, err := p.Step()
+				if err != nil {
+					t.Fatalf("%s: projection: %v", c.src, err)
+				}
+				if !more {
+					return
+				}
+			}
+		}
+		build := func() (*proj.Projector, *buffer.Buffer, *xmlstream.Tokenizer) {
+			_, a := project(t, c.src, "", static.Options{})
+			buf := buffer.New(xmlstream.NewSymTab(), len(a.Tree.Roles)-1, make([]bool, len(a.Tree.Roles)))
+			tok := xmlstream.NewTokenizer(strings.NewReader(""))
+			return proj.New(tok, buf, a.Tree, proj.Options{}), buf, tok
+		}
+		p, buf, tok := build()
+		run(p, buf, tok, deep)
+		buf.Reset()
+		p.Reset()
+		frames, stack, scopes, linked := p.Retained()
+		if frames > proj.MaxRetainedFrames || stack > proj.MaxRetainedFrames || scopes > proj.MaxRetainedFrames {
+			t.Errorf("%s: idle projector keeps %d frames, room for %d open elements and %d scopes; cap %d",
+				c.src, frames, stack, scopes, proj.MaxRetainedFrames)
+		}
+		if frames < proj.MaxRetainedFrames-1 {
+			t.Errorf("%s: sanity: a %d-deep document left only %d pooled frames", c.src, c.depth, frames)
+		}
+		if linked {
+			t.Errorf("%s: a pooled frame still links into the last run", c.src)
+		}
+		fresh, fbuf, ftok := build()
+		run(p, buf, tok, small)
+		run(fresh, fbuf, ftok, small)
+		if p.TokensRead() != fresh.TokensRead() || buf.Stats() != fbuf.Stats() || buf.Dump() != fbuf.Dump() {
+			t.Errorf("%s: run after a deep one:\n%s%+v\nfresh projector:\n%s%+v", c.src, buf.Dump(), buf.Stats(), fbuf.Dump(), fbuf.Stats())
+		}
+	}
+}

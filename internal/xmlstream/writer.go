@@ -1,7 +1,6 @@
 package xmlstream
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -12,24 +11,38 @@ import (
 // escaping of character data (&, <, >) and checks tag balance, so any
 // well-formed token sequence produces well-formed XML.
 //
-// The zero value is not usable; construct with NewWriter.
+// A Writer batches its output itself, in its slice of a backing array
+// that NewWriters shares among a pass's writers, as it shares one for
+// their element stacks. The batching follows bufio's rules (fill, write
+// a full buffer, hand a string larger than an empty buffer straight to an
+// io.StringWriter destination), so a destination sees the writes a
+// bufio.Writer of the same size would make.
+//
+// The zero value is not usable; construct with NewWriter or NewWriters.
 type Writer struct {
-	w     *bufio.Writer
+	// buf is the batched output: its length is what is buffered, its
+	// capacity the batching size.
+	buf   []byte
 	dst   io.Writer
 	stack []string
 	n     int64
 	// first is the obs.Now timestamp of the first output byte (0 until
 	// one is produced) — the time-to-first-result stamp. It marks when
-	// the byte enters the writer, not when bufio flushes it: flushing is
-	// I/O batching, producing the byte is what evaluation latency means.
+	// the byte enters the writer, not when the batch is flushed: flushing
+	// is I/O batching, producing the byte is what evaluation latency
+	// means.
 	first int64
 	err   error
+	// werr is the destination's error. Like bufio's, it is sticky: no
+	// batch is written after one failed, and what that one did not write
+	// stays counted as buffered.
+	werr error
 }
 
 // ResultFlusher is implemented by destinations that can push the first
 // result byte further down the stack (e.g. an HTTP response writer whose
 // transport-level flush commits the headers and ships the body buffer).
-// FlushFirst calls it after draining the bufio layer, so the engine's
+// FlushFirst calls it after draining the batching buffer, so the engine's
 // earliest-answering guarantee extends past its own batching to the
 // destination's.
 type ResultFlusher interface {
@@ -40,44 +53,79 @@ type ResultFlusher interface {
 // run to itself.
 const DefaultWriterBuffer = 32 << 10
 
+// writerStack is the element depth each of NewWriters' writers holds
+// before its stack leaves the shared backing array for one of its own.
+const writerStack = 8
+
 // NewWriter returns a Writer emitting to w.
 func NewWriter(w io.Writer) *Writer {
-	if bw, ok := w.(*bufio.Writer); ok {
-		return &Writer{w: bw, dst: w}
-	}
-	return NewWriterSize(w, DefaultWriterBuffer)
+	ws := NewWriters(1, DefaultWriterBuffer)
+	ws[0].dst = w
+	return &ws[0]
 }
 
-// NewWriterSize is NewWriter with the batching buffer's size chosen by
-// the caller: a pass with many members divides a budget among their
-// writers instead of giving each the solo size.
-func NewWriterSize(w io.Writer, size int) *Writer {
-	return &Writer{w: bufio.NewWriterSize(w, size), dst: w}
+// NewWriters returns n Writers, each batching size bytes and emitting to
+// io.Discard until Reset: a pass with many members divides a budget among
+// their writers instead of giving each the solo size, and builds them in
+// one allocation per kind — the writers, their buffers, their stacks.
+func NewWriters(n, size int) []Writer {
+	if size <= 0 {
+		size = DefaultWriterBuffer
+	}
+	ws := make([]Writer, n)
+	bufs := make([]byte, n*size)
+	stacks := make([]string, n*writerStack)
+	for i := range ws {
+		ws[i] = Writer{
+			buf:   bufs[i*size : i*size : (i+1)*size],
+			dst:   io.Discard,
+			stack: stacks[i*writerStack : i*writerStack : (i+1)*writerStack],
+		}
+	}
+	return ws
 }
 
 // Reset discards all state and redirects output to out, retaining the
-// internal buffer. Unflushed bytes from an aborted previous run are
-// dropped. Must not be called on a Writer constructed directly around a
-// caller-owned *bufio.Writer that is also the new destination.
+// batching buffer. Unflushed bytes from an aborted previous run are
+// dropped.
 func (w *Writer) Reset(out io.Writer) {
-	w.w.Reset(out)
+	w.buf = w.buf[:0]
 	w.dst = out
 	w.stack = w.stack[:0]
 	w.n = 0
 	w.first = 0
 	w.err = nil
+	w.werr = nil
+}
+
+// flush writes the batch to the destination.
+func (w *Writer) flush() error {
+	if w.werr != nil || len(w.buf) == 0 {
+		return w.werr
+	}
+	n, err := w.dst.Write(w.buf)
+	if n < len(w.buf) && err == nil {
+		err = io.ErrShortWrite
+	}
+	if err != nil {
+		w.buf = w.buf[:copy(w.buf, w.buf[n:])]
+		w.werr = err
+		return err
+	}
+	w.buf = w.buf[:0]
+	return nil
 }
 
 // FlushFirst pushes buffered output toward the destination without the
 // end-of-run balance check: the evaluator calls it once, right after the
-// first result byte is certain, so the byte leaves the bufio layer
+// first result byte is certain, so the byte leaves the batching buffer
 // (and, via ResultFlusher, the transport's buffers) instead of riding
 // along until the final Flush. Write errors surface through Err as usual.
 func (w *Writer) FlushFirst() {
 	if w.first == 0 || w.err != nil {
 		return
 	}
-	if err := w.w.Flush(); err != nil {
+	if err := w.flush(); err != nil {
 		w.err = err
 		return
 	}
@@ -91,9 +139,9 @@ func (w *Writer) BytesWritten() int64 { return w.n }
 
 // Delivered returns the number of result bytes that have actually
 // reached the destination writer: emitted minus still sitting in the
-// bufio layer. A failed run that never flushed has Delivered 0 even
+// batching buffer. A failed run that never flushed has Delivered 0 even
 // though bytes entered the writer — nothing was answered.
-func (w *Writer) Delivered() int64 { return w.n - int64(w.w.Buffered()) }
+func (w *Writer) Delivered() int64 { return w.n - int64(len(w.buf)) }
 
 // FirstByteAt returns the obs.Now timestamp at which the first output
 // byte was produced, or 0 if nothing has been written since the last
@@ -121,11 +169,27 @@ func (w *Writer) writeString(s string) {
 		return
 	}
 	w.stampFirst()
-	n, err := w.w.WriteString(s)
-	w.n += int64(n)
-	if err != nil {
-		w.err = err
+	for len(s) > cap(w.buf)-len(w.buf) {
+		if sw, ok := w.dst.(io.StringWriter); ok && len(w.buf) == 0 {
+			// Larger than the whole batch: no point copying it.
+			n, err := sw.WriteString(s)
+			w.n += int64(n)
+			if err != nil {
+				w.werr, w.err = err, err
+			}
+			return
+		}
+		n := copy(w.buf[len(w.buf):cap(w.buf)], s)
+		w.buf = w.buf[:len(w.buf)+n]
+		w.n += int64(n)
+		s = s[n:]
+		if err := w.flush(); err != nil {
+			w.err = err
+			return
+		}
 	}
+	w.buf = append(w.buf, s...)
+	w.n += int64(len(s))
 }
 
 func (w *Writer) writeByte(c byte) {
@@ -133,10 +197,13 @@ func (w *Writer) writeByte(c byte) {
 		return
 	}
 	w.stampFirst()
-	if err := w.w.WriteByte(c); err != nil {
-		w.err = err
-		return
+	if len(w.buf) == cap(w.buf) {
+		if err := w.flush(); err != nil {
+			w.err = err
+			return
+		}
 	}
+	w.buf = append(w.buf, c)
 	w.n++
 }
 
@@ -207,7 +274,7 @@ func (w *Writer) Flush() error {
 	if w.err == nil && len(w.stack) > 0 {
 		w.err = fmt.Errorf("xmlstream: %d unclosed element(s), innermost <%s>", len(w.stack), w.stack[len(w.stack)-1])
 	}
-	if err := w.w.Flush(); err != nil && w.err == nil {
+	if err := w.flush(); err != nil && w.err == nil {
 		w.err = err
 	}
 	return w.err
