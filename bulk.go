@@ -261,7 +261,8 @@ func (r *Registry) Bulk(c *Corpus, opts BulkOptions, emit func(BulkDoc) error) (
 		return BulkStats{}, err
 	}
 	return bulk(c, opts, snap.pass.Len(), snap.member, func(in io.Reader, outs []io.Writer, prev RegistryStats) (RegistryStats, error) {
-		st, qs, err := snap.pass.RunInto(in, outs, prev.Queries)
+		// in is a bulk slot's own guard: the run needs none of its own.
+		st, qs, err := snap.pass.RunInto(context.Background(), in, outs, prev.Queries)
 		return RegistryStats{Aggregate: convertStats(st), Queries: qs}, err
 	}, emit)
 }

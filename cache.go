@@ -119,9 +119,13 @@ type cacheKey struct {
 // order and the hit/miss counters, and evicting the least recently used
 // entries beyond the capacity. An evicted entry that other goroutines
 // still hold stays valid — it is merely no longer findable. A hit
-// allocates only the config the options are applied to.
+// allocates only the config the options are applied to, and with no
+// options nothing.
 func (cc *CompileCache) lookup(query string, opts []Option) *cacheEntry {
-	key := cacheKey{cfg: newConfig(opts).configKey, text: query}
+	key := cacheKey{cfg: defaultConfigKey(), text: query}
+	if len(opts) > 0 {
+		key.cfg = newConfig(opts).configKey
+	}
 	cc.mu.Lock()
 	if el, ok := cc.entries[key]; ok {
 		cc.ll.MoveToFront(el)

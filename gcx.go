@@ -34,7 +34,6 @@ import (
 	"io"
 	"strings"
 
-	"gcx/internal/corpus"
 	"gcx/internal/dtd"
 	"gcx/internal/engine"
 	"gcx/internal/static"
@@ -88,11 +87,16 @@ type configKey struct {
 	schemaSrc string
 }
 
+// defaultConfigKey is the configuration no option changes.
+func defaultConfigKey() configKey {
+	return configKey{strategy: GCX, static: static.AllOptimizations()}
+}
+
 // newConfig applies opts over the defaults. It is cheap and free of side
 // effects (WithDTD defers its parse), so CompileCache key derivation runs
-// it on every lookup.
+// it on every lookup that names options.
 func newConfig(opts []Option) config {
-	cfg := config{configKey: configKey{strategy: GCX, static: static.AllOptimizations()}}
+	cfg := config{configKey: defaultConfigKey()}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -266,17 +270,20 @@ func (e *Engine) Run(in io.Reader, out io.Writer) (Stats, error) {
 
 // RunContext is Run bounded by a context: when ctx is canceled or its
 // deadline expires, the evaluation unwinds promptly and the returned
-// error matches ErrCanceled (and the context's own error). A background
-// context adds no overhead — Run is RunContext with context.Background().
+// error matches ErrCanceled (and the context's own error). A nil,
+// context.Background or context.TODO ctx adds no overhead — Run is
+// RunContext with context.Background(); any other ctx is checked on
+// every read, without asking it for its Done channel.
 //
 // Cancellation is delivered where the engine already handles failure: the
-// stream read. The input is wrapped in corpus.Guard — the reader a bulk
-// run puts in front of every document and Registry.RunContext in front of
-// its pass — whose next read after cancellation fails, and the evaluation
+// stream read. The input is read through a corpus.Guard — the reader a
+// bulk run puts in front of every document and Registry.RunContext in
+// front of its pass — kept in the pooled run state, so guarding costs no
+// allocation. Its next read after cancellation fails, and the evaluation
 // unwinds like on any other input failure: no goroutine is abandoned, the
 // pooled run state is recycled normally.
 func (e *Engine) RunContext(ctx context.Context, in io.Reader, out io.Writer) (Stats, error) {
-	st, err := e.c.Run(corpus.Guard(ctx, in), out)
+	st, err := e.c.Trace(ctx, in, out, nil)
 	return convertStats(st), err
 }
 
@@ -302,7 +309,7 @@ func (e *Engine) Explain() string { return e.c.Explain() }
 func (e *Engine) Trace(ctx context.Context, in io.Reader, out io.Writer, limit int) (TraceLog, error) {
 	// Steps starts non-nil: a run that records nothing marshals as [].
 	tr := &engine.Tracer{Limit: limit, Steps: []TraceStep{}}
-	st, err := e.c.Trace(corpus.Guard(ctx, in), out, tr)
+	st, err := e.c.Trace(ctx, in, out, tr)
 	return TraceLog{Steps: tr.Steps, Truncated: tr.Truncated, Stats: convertStats(st)}, err
 }
 

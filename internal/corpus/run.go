@@ -110,46 +110,52 @@ func (e *canceledError) Error() string        { return "gcx: run canceled: " + e
 func (e *canceledError) Unwrap() error        { return e.cause }
 func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
 
-// ctxReader surfaces context cancellation (timeout, caller gone) as a
+// Guard surfaces context cancellation (timeout, caller gone) as a
 // stream read error, which the engine propagates verbatim: the evaluation
-// unwinds like any other input failure instead of being waited for.
-type ctxReader struct {
+// unwinds like any other input failure instead of being waited for. It is
+// a value its owner keeps — a bulk slot, an engine run state — and resets
+// at each run, so guarding a run allocates nothing.
+type Guard struct {
 	ctx  context.Context
 	stop *atomic.Bool // a bulk run's own stop (emit failed); nil outside one
 	r    io.Reader
 }
 
-func (c *ctxReader) Read(p []byte) (int, error) {
-	if err := c.err(); err != nil {
+// Reset points g at in for a run bounded by ctx and returns what the run
+// reads: g, whose reads fail with an error matching ErrCanceled once ctx
+// is done, or in itself when ctx is nil, context.Background or
+// context.TODO. It does not ask ctx for its Done channel, which a
+// cancelable context makes on first request.
+func (g *Guard) Reset(ctx context.Context, in io.Reader) io.Reader {
+	if ctx == nil || ctx == context.Background() || ctx == context.TODO() {
+		*g = Guard{}
+		return in
+	}
+	*g = Guard{ctx: ctx, r: in}
+	return g
+}
+
+func (g *Guard) Read(p []byte) (int, error) {
+	if err := g.err(); err != nil {
 		return 0, err
 	}
-	n, err := c.r.Read(p)
+	n, err := g.r.Read(p)
 	// A Read blocked past the deadline returns normally (or EOF) — the
 	// expiry must still win, or a trickling input defeats the timeout.
-	if cerr := c.err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
+	if cerr := g.err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
 		return n, cerr
 	}
 	return n, err
 }
 
-func (c *ctxReader) err() error {
-	if err := c.ctx.Err(); err != nil {
+func (g *Guard) err() error {
+	if err := g.ctx.Err(); err != nil {
 		return &canceledError{cause: err}
 	}
-	if c.stop != nil && c.stop.Load() {
+	if g.stop != nil && g.stop.Load() {
 		return &canceledError{cause: context.Canceled}
 	}
 	return nil
-}
-
-// Guard wraps in so its reads fail with an error matching ErrCanceled
-// once ctx is done. A context that can never be canceled
-// (context.Background, nil) adds no per-read overhead.
-func Guard(ctx context.Context, in io.Reader) io.Reader {
-	if ctx == nil || ctx.Done() == nil {
-		return in
-	}
-	return &ctxReader{ctx: ctx, r: in}
 }
 
 func (c *cappedReader) Read(p []byte) (int, error) {
@@ -183,7 +189,7 @@ type slot[T any] struct {
 	outs    []*bytes.Buffer
 	writers []io.Writer // outs, as eval takes them
 	capped  cappedReader
-	ctx     ctxReader
+	ctx     Guard
 }
 
 // runner is Run's machinery for one payload type, window and output
@@ -494,7 +500,7 @@ func (s *slot[T]) evaluate(r *runner[T]) {
 	// Cancellation must reach IN-FLIGHT evaluations, not just dispatch: a
 	// slow one would hold its worker past a timeout otherwise (the engine
 	// unwinds on the read error, as with any failing stream).
-	s.ctx = ctxReader{ctx: r.parent, stop: &r.stop, r: in}
+	s.ctx = Guard{ctx: r.parent, stop: &r.stop, r: in}
 	s.prev, s.res.Err = r.eval(&s.ctx, s.writers, s.prev)
 	s.res.Value = s.prev
 }

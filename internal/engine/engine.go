@@ -22,6 +22,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -160,14 +161,18 @@ type Stats struct {
 // to out: one run of the query's own one-member pass. A Compiled is safe
 // for concurrent use (see Pass.Run).
 func (c *Compiled) Run(in io.Reader, out io.Writer) (Stats, error) {
-	return c.Trace(in, out, nil)
+	return c.Trace(context.Background(), in, out, nil)
 }
 
-// Trace is Run with tr recording a buffer snapshot after every consumed
-// token and executed signOff (the paper's Figure 2); a nil tr is Run.
-func (c *Compiled) Trace(in io.Reader, out io.Writer, tr *Tracer) (Stats, error) {
+// Trace is Run bounded by ctx, with tr recording a buffer snapshot after
+// every consumed token and executed signOff (the paper's Figure 2); a nil
+// tr records nothing. Unless ctx is nil, context.Background or
+// context.TODO, the input is read through the run state's corpus.Guard,
+// whose next read after ctx is done fails with an error matching
+// corpus.ErrCanceled.
+func (c *Compiled) Trace(ctx context.Context, in io.Reader, out io.Writer, tr *Tracer) (Stats, error) {
 	outs := [1]io.Writer{out}
-	st, rs := c.solo.run(in, outs[:], tr)
+	st, rs := c.solo.run(ctx, in, outs[:], tr)
 	err := rs.tasks[0].err
 	c.solo.release(rs)
 	return st, err

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"slices"
 	"strings"
 	"testing"
@@ -92,7 +93,7 @@ func TestFigure2Trace(t *testing.T) {
 
 	tr := &Tracer{}
 	var out strings.Builder
-	if _, err := c.Trace(strings.NewReader(introDoc), &out, tr); err != nil {
+	if _, err := c.Trace(context.Background(), strings.NewReader(introDoc), &out, tr); err != nil {
 		t.Fatalf("run: %v", err)
 	}
 
@@ -144,7 +145,7 @@ func TestTraceEntityTextRuns(t *testing.T) {
 	c := compile(t, `<q>{ for $x in //x return $x }</q>`, Config{Mode: ModeGCX})
 	tr := &Tracer{}
 	var out strings.Builder
-	if _, err := c.Trace(strings.NewReader(`<r>a&amp;b<x>C&amp;D</x></r>`), &out, tr); err != nil {
+	if _, err := c.Trace(context.Background(), strings.NewReader(`<r>a&amp;b<x>C&amp;D</x></r>`), &out, tr); err != nil {
 		t.Fatal(err)
 	}
 	if out.String() != `<q><x>C&amp;D</x></q>` {
@@ -178,7 +179,7 @@ func TestCancellation(t *testing.T) {
 		c := compile(t, introQuery, cfg)
 		tr := &Tracer{}
 		var out strings.Builder
-		if _, err := c.Trace(strings.NewReader(introDoc), &out, tr); err != nil {
+		if _, err := c.Trace(context.Background(), strings.NewReader(introDoc), &out, tr); err != nil {
 			t.Fatalf("%+v: %v", cfg.Static, err)
 		}
 		// After the postprice element is read, it must not linger in the

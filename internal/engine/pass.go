@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -11,6 +12,7 @@ import (
 	"weak"
 
 	"gcx/internal/buffer"
+	"gcx/internal/corpus"
 	"gcx/internal/dtd"
 	"gcx/internal/eval"
 	"gcx/internal/obs"
@@ -175,6 +177,9 @@ type runState struct {
 	// are the evaluators (eval.NewEvaluators).
 	tasks []task
 	ws    []xmlstream.Writer
+	// guard is what the run reads the input through when its context can
+	// be canceled (corpus.Guard.Reset): kept here, it costs a run nothing.
+	guard corpus.Guard
 	// start is the obs.Now timestamp the run began at.
 	start int64
 	// idle is true from release until the next run claims the state. The
@@ -239,15 +244,16 @@ func (p *Pass) newRunState() *runState {
 	return rs
 }
 
-// reset points the runState at a new run's input, outputs, and tracer.
-// Reset order matters: the projector rebuilds its root frame around the
-// buffer's fresh root (and drops the last run's observer).
+// reset points the runState at a new run's input — through the guard
+// when ctx can be canceled — outputs, and tracer. Reset order matters: the
+// projector rebuilds its root frame around the buffer's fresh root (and
+// drops the last run's observer).
 //
 //gcxlint:keep idle the ownership flag: acquire clears it, release sets it
 //gcxlint:keep self the state's own weak pointer, made once in newRunState
-func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, tr *Tracer) {
+func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reader, outs []io.Writer, tr *Tracer) {
 	rs.start = start
-	rs.tok.Reset(in)
+	rs.tok.Reset(rs.guard.Reset(ctx, in))
 	rs.buf.Reset()
 	// The symbol table survives runs (tag vocabularies repeat) but is
 	// bounded: documents with generated per-document names must not grow
@@ -279,11 +285,12 @@ func (rs *runState) reset(p *Pass, start int64, in io.Reader, outs []io.Writer, 
 }
 
 // release returns a runState to the pool, dropping the references to the
-// caller's reader, writers and tracer, and resetting the buffer, the
-// projector and the evaluators so the idle pool pins nothing of the
+// caller's context, reader, writers and tracer, and resetting the buffer,
+// the projector and the evaluators so the idle pool pins nothing of the
 // document and keeps no more than their retention caps allow.
 func (p *Pass) release(rs *runState) {
 	rs.tok.Reset(nil)
+	rs.guard = corpus.Guard{}
 	for i := range rs.ws {
 		rs.ws[i].Reset(io.Discard)
 	}
@@ -327,14 +334,15 @@ func (p *Pass) acquire() *runState {
 // and TTFRNanos is the time to the FIRST result byte any member delivered.
 // The members' own outcomes stay on rs.tasks; the caller releases rs. A
 // panic (a member's output writer, say) surfaces on the calling goroutine
-// with rs never returned to the pool.
-func (p *Pass) run(in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState) {
+// with rs never returned to the pool. A ctx that can be canceled bounds the
+// run as Compiled.Trace describes.
+func (p *Pass) run(ctx context.Context, in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState) {
 	if len(outs) != len(p.Members) {
 		panic(fmt.Sprintf("engine: pass of %d members given %d output writers", len(p.Members), len(outs)))
 	}
 	start := obs.Now()
 	rs := p.acquire()
-	rs.reset(p, start, in, outs, tr)
+	rs.reset(ctx, p, start, in, outs, tr)
 	if rs.sched != nil {
 		rs.sched.run()
 	} else {
@@ -407,14 +415,15 @@ func (p *Pass) queryStats(rs *runState, qs []QueryStats) ([]QueryStats, error) {
 // concurrent use: each Run draws its own pooled run state; the run itself
 // is strictly sequential (the paper's evaluation semantics).
 func (p *Pass) Run(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
-	return p.RunInto(in, outs, nil)
+	return p.RunInto(context.Background(), in, outs, nil)
 }
 
-// RunInto is Run with the per-member breakdown written into qs's storage
-// when it has room for every member, so a caller evaluating document
-// after document (a bulk run's slot) reuses one slice.
-func (p *Pass) RunInto(in io.Reader, outs []io.Writer, qs []QueryStats) (Stats, []QueryStats, error) {
-	st, rs := p.run(in, outs, nil)
+// RunInto is Run bounded by ctx, as Compiled.Trace is, with the
+// per-member breakdown written into qs's storage when it has room for
+// every member, so a caller evaluating document after document (a bulk
+// run's slot) reuses one slice.
+func (p *Pass) RunInto(ctx context.Context, in io.Reader, outs []io.Writer, qs []QueryStats) (Stats, []QueryStats, error) {
+	st, rs := p.run(ctx, in, outs, nil)
 	qs, err := p.queryStats(rs, qs)
 	p.release(rs)
 	return st, qs, err
@@ -425,7 +434,7 @@ func (p *Pass) RunInto(in io.Reader, outs []io.Writer, qs []QueryStats) (Stats, 
 // is removed, and the buffer is empty after evaluation). Only meaningful
 // in ModeGCX; other modes skip the check by design.
 func (p *Pass) RunChecked(in io.Reader, outs []io.Writer) (Stats, []QueryStats, error) {
-	st, rs := p.run(in, outs, nil)
+	st, rs := p.run(context.Background(), in, outs, nil)
 	defer p.release(rs)
 	qs, err := p.queryStats(rs, nil)
 	if err == nil && p.Mode == ModeGCX {

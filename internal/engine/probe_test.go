@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -127,7 +128,7 @@ func probeRun(t *testing.T, p *Pass, in io.Reader) probeResult {
 	for i := range bufs {
 		bufs[i] = &strings.Builder{}
 	}
-	st, rs := p.run(in, toIOWriters(bufs), nil)
+	st, rs := p.run(context.Background(), in, toIOWriters(bufs), nil)
 	defer p.release(rs)
 	st.TTFRNanos, st.WallNanos = 0, 0
 	res := probeResult{stats: st}

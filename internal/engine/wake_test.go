@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"context"
 	"io"
 	"strings"
 	"testing"
@@ -170,7 +171,7 @@ func TestPassHandoffCounts(t *testing.T) {
 		}
 		// Twice: a pooled rerun makes the same handoffs.
 		for run := 0; run < 2; run++ {
-			_, rs := p.run(bytes.NewReader(doc.Bytes()), outs, nil)
+			_, rs := p.run(context.Background(), bytes.NewReader(doc.Bytes()), outs, nil)
 			resumes, skips := rs.sched.resumes, rs.sched.skips
 			for i, task := range rs.tasks {
 				if task.err != nil {

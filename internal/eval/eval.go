@@ -270,11 +270,15 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 	return nil
 }
 
-// dropScratch forgets the bindings and the wait, and empties every site's
-// collected operand and the key scratch over their full capacity
-// (re-slicing alone would keep the string headers beyond the current
-// length alive for as long as the evaluator sits in its pool), and every
-// probe table.
+// maxRetainedOperandValues bounds the values each comparison site, and
+// the key scratch, keeps room for across runs: an operand with more
+// values grows its scratch again in the next run that has one. No Table 1
+// query outgrows the siteValues NewEvaluators carves.
+const maxRetainedOperandValues = 64
+
+// dropScratch forgets the bindings and the wait, empties every site's
+// collected operand and the key scratch (see dropValues), and every probe
+// table.
 //
 //gcxlint:noalloc
 func (e *Evaluator) dropScratch() {
@@ -282,15 +286,27 @@ func (e *Evaluator) dropScratch() {
 	e.wait = nil
 	for i := range e.sites {
 		s := &e.sites[i]
-		clear(s.vals[:cap(s.vals)])
-		s.vals = s.vals[:0]
+		s.vals = dropValues(s.vals)
 		s.epoch = 0
 	}
 	for i := range e.joins {
 		e.joins[i].reset()
 	}
-	clear(e.keys[:cap(e.keys)])
-	e.keys = e.keys[:0]
+	e.keys = dropValues(e.keys)
+}
+
+// dropValues empties an operand scratch over its full capacity (re-slicing
+// alone would keep the string headers beyond the current length alive for
+// as long as the evaluator sits in its pool), and forgets it altogether
+// once it has grown past maxRetainedOperandValues.
+//
+//gcxlint:noalloc
+func dropValues(v []atom) []atom {
+	if cap(v) > maxRetainedOperandValues {
+		return nil
+	}
+	clear(v[:cap(v)])
+	return v[:0]
 }
 
 // pull drives the projector by one token. It returns false when the input

@@ -64,3 +64,17 @@ func (e *Evaluator) Retained() int {
 	}
 	return n
 }
+
+// MaxRetainedOperandValues is the cap on an idle evaluator's operand
+// scratch.
+const MaxRetainedOperandValues = maxRetainedOperandValues
+
+// OperandCapacity is the largest room an evaluator's operand scratch
+// holds: a site's collected operand or the key scratch.
+func (e *Evaluator) OperandCapacity() int {
+	n := cap(e.keys)
+	for _, s := range e.sites[:cap(e.sites)] {
+		n = max(n, cap(s.vals))
+	}
+	return n
+}

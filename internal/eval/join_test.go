@@ -117,6 +117,67 @@ func joinWant(p, t int) string {
 	return b.String()
 }
 
+// TestIdleOperandRetentionIsBounded: a run whose operands hold more
+// values than MaxRetainedOperandValues — each person's ids, collected as
+// the probe value, and each auction's buyers, collected as its keys when
+// the third person builds the probe table — leaves an idle evaluator
+// whose operand scratch is back under the cap and holds none of them,
+// while a run of one-value operands keeps the room it grew; either way
+// the next run answers alike.
+func TestIdleOperandRetentionIsBounded(t *testing.T) {
+	const persons = 3
+	n := 4 * eval.MaxRetainedOperandValues
+	var b strings.Builder
+	b.WriteString("<site><people>")
+	for i := 0; i < persons; i++ {
+		b.WriteString("<person>")
+		for k := 0; k < n; k++ {
+			fmt.Fprintf(&b, "<id>person%d-%d</id>", i, k)
+		}
+		fmt.Fprintf(&b, "<name>n%d</name></person>", i)
+	}
+	b.WriteString("</people><closed_auctions>")
+	for j := 0; j < persons; j++ {
+		b.WriteString("<closed_auction>")
+		for k := n - 1; k >= 0; k-- {
+			fmt.Fprintf(&b, "<buyer>person%d-%d</buyer>", j, k)
+		}
+		fmt.Fprintf(&b, "<price>%d</price></closed_auction>", j)
+	}
+	b.WriteString("</closed_auctions></site>")
+	wide := b.String()
+
+	ch := newChain(t, joinQuery)
+	for _, run := range []struct {
+		name, doc, want string
+	}{
+		{"one-value operands", joinDoc(5, 40), joinWant(5, 40)},
+		{"wide operands", wide, joinWant(persons, persons)},
+		{"one-value operands again", joinDoc(5, 40), joinWant(5, 40)},
+	} {
+		var out strings.Builder
+		if err := ch.run(strings.NewReader(run.doc), &out); err != nil {
+			t.Fatalf("%s: %v", run.name, err)
+		}
+		if out.String() != run.want {
+			t.Fatalf("%s:\n got %s\nwant %s", run.name, out.String(), run.want)
+		}
+		if w := ch.ev.Work(); w.Entries == 0 {
+			t.Fatalf("%s: the run built no probe table, work %+v", run.name, w)
+		}
+		got := ch.ev.OperandCapacity()
+		if got > eval.MaxRetainedOperandValues {
+			t.Errorf("%s: the idle evaluator keeps room for %d operand values, cap %d", run.name, got, eval.MaxRetainedOperandValues)
+		}
+		if got == 0 && run.doc != wide {
+			t.Errorf("%s: the idle evaluator dropped operand scratch within the cap", run.name)
+		}
+		if r := ch.ev.Retained(); r != 0 {
+			t.Errorf("%s: the idle evaluator retains %d items", run.name, r)
+		}
+	}
+}
+
 // TestJoinWorkCounts pins the join's deterministic work. The persons
 // precede the auctions, so person 0's inner loop runs while the auction
 // region streams in (nested: T comparisons), person 1's is the first over

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"mime"
 	"net/http"
-	"net/url"
 	"runtime"
 	"strconv"
 
@@ -33,24 +32,25 @@ import (
 // stream breaks before any document is served, fails whole with a status
 // of its own; after the first part is out, errors are per-document.
 func (s *Server) handleBulk(rq *request, r *http.Request) {
-	params := r.URL.Query()
-	eng, label, err := s.engine(params)
+	p := params(r.URL.RawQuery)
+	eng, label, err := s.engine(p)
 	if err != nil {
 		rq.fail(http.StatusBadRequest, err)
 		return
 	}
-	workers, err := s.bulkWorkers(params)
+	workers, err := s.bulkWorkers(p)
 	if err != nil {
 		rq.fail(http.StatusBadRequest, err)
 		return
 	}
 	var c *gcx.Corpus
-	if isTarRequest(r, params) {
+	if isTarRequest(r, p) {
 		c = gcx.CorpusTar(rq)
 	} else {
 		c = gcx.CorpusConcat(rq)
 	}
-	rq.Header().Set("Trailer", "Gcx-Bulk-Stats")
+	rq.setHeader("Trailer", "Gcx-Bulk-Stats")
+	cw := rq.writer(rq, true)
 	var failures []string
 	bs, runErr := eng.Bulk(c, gcx.BulkOptions{
 		Workers:     workers,
@@ -79,12 +79,10 @@ func (s *Server) handleBulk(rq *request, r *http.Request) {
 		// Per-document TTFR: a bulk run is many small solo runs, and each
 		// document's first-result latency lands in the query's histogram.
 		rq.ran(d.Stats, []string{label}, nil)
-		p, err := rq.part("application/xml; charset=utf-8", d.Err,
-			"Gcx-Doc-Index", strconv.Itoa(d.Index), "Gcx-Doc-Name", d.Name, "Gcx-Stats", jsonString(d.Stats))
-		if err != nil {
+		if err := rq.part("application/xml; charset=utf-8", d.Err,
+			"Gcx-Doc-Index", strconv.Itoa(d.Index), "Gcx-Doc-Name", d.Name, "Gcx-Stats", statsJSON(d.Stats)); err != nil {
 			return err // client gone; unwind the pool
 		}
-		cw := rq.writer(p, true)
 		if _, err := cw.Write(d.Output); err != nil {
 			return err
 		}
@@ -103,10 +101,10 @@ func (s *Server) handleBulk(rq *request, r *http.Request) {
 		failures = append(failures, runErr.Error())
 	}
 	// An empty corpus opens the envelope here, just for the aggregate.
-	if sp, err := rq.part("application/json", nil, "Gcx-Part", "stats"); err == nil {
-		writeJSONBody(sp, bulkResponse{Stats: bs, Errors: failures})
+	if rq.part("application/json", nil, "Gcx-Part", "stats") == nil {
+		writeJSONBody(rq, bulkResponse{Stats: bs, Errors: failures})
 	}
-	rq.Header().Set("Gcx-Bulk-Stats", jsonString(bs))
+	rq.setHeader("Gcx-Bulk-Stats", jsonString(bs))
 }
 
 // maxBulkErrorList bounds the aggregate part's error list.
@@ -115,8 +113,8 @@ const maxBulkErrorList = 64
 // isTarRequest reports whether the /bulk body is a tar archive: the
 // parsed media type (not a substring — "multipart/form-data;
 // boundary=tar0" is not tar) or an explicit ?format=tar.
-func isTarRequest(r *http.Request, params url.Values) bool {
-	if params.Get("format") == "tar" {
+func isTarRequest(r *http.Request, p params) bool {
+	if p.get("format") == "tar" {
 		return true
 	}
 	mt, _, err := mime.ParseMediaType(r.Header.Get("Content-Type"))
@@ -136,13 +134,13 @@ type bulkResponse struct {
 // clamped to [1, BulkWorkers] (BulkWorkers ≤ 0 means GOMAXPROCS). A j=
 // that does not parse as a positive integer is a client error — silently
 // running at the default would hide the typo.
-func (s *Server) bulkWorkers(params url.Values) (int, error) {
+func (s *Server) bulkWorkers(p params) (int, error) {
 	limit := s.cfg.BulkWorkers
 	if limit <= 0 {
 		limit = runtime.GOMAXPROCS(0)
 	}
 	j := limit
-	if v := params.Get("j"); v != "" {
+	if v := p.get("j"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 1 {
 			return 0, fmt.Errorf("bad j= value %q: want a positive integer", v)

@@ -7,10 +7,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"mime"
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -485,5 +487,71 @@ func TestBulkConcurrentMixedTraffic(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Error(err)
+	}
+}
+
+// TestBulkMemberNameCannotForgeHeaders: a tar member name holding CR LF
+// stays one Gcx-Doc-Name value on its part and forges no header: the
+// clean document's part carries no Gcx-Error.
+func TestBulkMemberNameCannotForgeHeaders(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	docs := bulkTestDocs(t, 2)
+	names := []string{"a\r\nGcx-Error: forged", "b.xml"}
+	resp, body := post(t, ts.Client(), ts.URL+"/bulk?id=Q1&format=tar", tarBody(t, names, docs), "")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	_, ps, err := mime.ParseMediaType(resp.Header.Get("Content-Type"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mr := multipart.NewReader(bytes.NewReader(body), ps["boundary"])
+	for i := range names {
+		p, err := mr.NextPart()
+		if err != nil {
+			t.Fatalf("part %d: %v", i, err)
+		}
+		if got := p.Header["Gcx-Doc-Name"]; len(got) != 1 || got[0] != strings.NewReplacer("\r", " ", "\n", " ").Replace(names[i]) {
+			t.Errorf("part %d: Gcx-Doc-Name %q", i, got)
+		}
+		if got, ok := p.Header["Gcx-Error"]; ok {
+			t.Errorf("part %d of a clean document: Gcx-Error %q", i, got)
+		}
+	}
+}
+
+// TestBulkAllocsPerPart: what one more /bulk document costs gcxd, its
+// framing included — measured through Server.ServeHTTP between a 64- and
+// a 512-document corpus, which cancels the per-request constant. The
+// part header is written from one reused buffer; what is left is the
+// Gcx-Stats and Gcx-Doc-Index strings. (mime/multipart.Writer's framing
+// made it about 28.)
+func TestBulkAllocsPerPart(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s := newFailureServer(t, Config{})
+	doc := []byte(`<site><people><person id="person0"><name>n</name></person></people></site>`)
+	allocs := func(n int) float64 {
+		body := concatBody(slices.Repeat([][]byte{doc}, n))
+		w := &discardResponse{h: http.Header{}}
+		serve := func() {
+			clear(w.h)
+			s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/bulk?id=Q6&j=2", bytes.NewReader(body)))
+		}
+		// The least of several runs, as in the root package's
+		// TestBulkAllocsPerDocument: a collection that empties a pool
+		// mid-run only ever adds allocations.
+		least := math.Inf(1)
+		for range 5 {
+			least = min(least, testing.AllocsPerRun(2, serve))
+		}
+		return least
+	}
+	small, large := allocs(64), allocs(512)
+	perDoc := (large - small) / (512 - 64)
+	t.Logf("%.0f allocations at 64 documents, %.0f at 512: %.2f per document", small, large, perDoc)
+	if perDoc > 4 {
+		t.Errorf("%.2f allocations per /bulk document, want <= 4", perDoc)
 	}
 }

@@ -1,14 +1,22 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"math/rand/v2"
 	"mime"
 	"mime/multipart"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
+	"gcx"
 	"gcx/internal/queries"
 )
 
@@ -21,11 +29,12 @@ func (d *discardResponse) WriteHeader(int)             {}
 func (d *discardResponse) Write(p []byte) (int, error) { return len(p), nil }
 
 // TestRequestAllocs bounds what one warm request costs the server in
-// allocations, eleven of them the construction of the request itself.
-// The bounds are the counts before the serving handlers shared one
-// request lifecycle (26 and 72 with it): the lifecycle every serving
-// request goes through must not grow them. gcxd-copy's allocs_per_mb
-// rides on the /query count.
+// allocations. Thirteen of a /query's belong to the test: eleven build
+// the request, two are the errNotSupported that EnableFullDuplex returns
+// on discardResponse. The other two are gcxd's own: the request value
+// and the Gcx-Stats string. /workload adds its per-label writers and
+// buffers, the boundary and the JSON stats part. gcxd-copy's
+// allocs_per_mb rides on the /query count.
 func TestRequestAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -36,8 +45,8 @@ func TestRequestAllocs(t *testing.T) {
 		target string
 		max    float64
 	}{
-		{"/query?id=Q1", 27},
-		{"/workload?id=Q1", 74},
+		{"/query?id=Q1", 16},
+		{"/workload?id=Q1", 50},
 	} {
 		w := &discardResponse{h: http.Header{}}
 		serve := func() {
@@ -190,5 +199,80 @@ func TestOversizedWorkloadBodyMultipart(t *testing.T) {
 	}
 	if got := s.Metrics().BytesIn; got > 1<<10+1 {
 		t.Fatalf("bytes_in %d: the body was read past the cap", got)
+	}
+}
+
+// BenchmarkQueryLoopback is a warm POST /query?id=Q1 over a real
+// loopback keep-alive connection: the handler inside net/http's server,
+// driven by a raw HTTP/1.1 client that reads each response with
+// http.ReadResponse. Its allocation profile splits the request's
+// allocations by owner (DESIGN.md, "One request lifecycle").
+func BenchmarkQueryLoopback(b *testing.B) {
+	s, err := New(Config{Registry: testRegistry(b)})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := &http.Server{Handler: s}
+	go hs.Serve(ln)
+	defer hs.Close()
+	c, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	doc := xmarkDoc(b)
+	req := append(fmt.Appendf(nil, "POST /query?id=Q1 HTTP/1.1\r\nHost: gcxd\r\nContent-Length: %d\r\n\r\n", len(doc)), doc...)
+	br := bufio.NewReaderSize(c, 64<<10)
+	op := func() {
+		if _, err := c.Write(req); err != nil {
+			b.Fatal(err)
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK || resp.Trailer.Get("Gcx-Stats") == "" {
+			b.Fatalf("status %d, trailers %v", resp.StatusCode, resp.Trailer)
+		}
+	}
+	op()
+	b.ReportAllocs()
+	for b.Loop() {
+		op()
+	}
+}
+
+// TestStatsJSONMatchesEncodingJSON: the Gcx-Stats value is what
+// encoding/json writes for gcx.Stats — every field, zero and negative
+// values, a zero time to first result omitted — so the hand-written
+// encoding leaves the wire bytes as they were.
+func TestStatsJSONMatchesEncodingJSON(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	for i := range 1000 {
+		var st gcx.Stats
+		v := reflect.ValueOf(&st).Elem()
+		for f := range v.NumField() {
+			switch rng.IntN(4) {
+			case 1:
+				v.Field(f).SetInt(rng.Int64N(1000))
+			case 2:
+				v.Field(f).SetInt(rng.Int64())
+			case 3:
+				v.Field(f).SetInt(-rng.Int64())
+			}
+		}
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := statsJSON(st); got != string(want) {
+			t.Fatalf("case %d:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }

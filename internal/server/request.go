@@ -6,9 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"mime/multipart"
 	"net/http"
-	"net/textproto"
+	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -30,9 +29,17 @@ type request struct {
 	s      *Server
 	ctx    context.Context // the request's, bounded by Config.Timeout
 	cancel context.CancelFunc
-	in     io.Reader         // the limited body
-	body   serialBody        // r.Body, which serve drains at the end
-	mw     *multipart.Writer // the multipart envelope, once opened
+	in     io.Reader  // the limited body
+	body   serialBody // r.Body, which serve drains at the end
+	env    envelope   // the multipart framing, once a part opens
+
+	// The request's own storage for what every request needs: the first
+	// result writer (writer), the response header values (setHeader) and
+	// the post-handler drain, so a warm request allocates none of them.
+	out   countingWriter
+	hv    [4]string
+	nhv   int
+	drain io.LimitedReader
 
 	reading   bool // the body has been read: the connection is full duplex
 	committed bool // a byte or flush went out: the status line is sent
@@ -43,6 +50,8 @@ type request struct {
 // gauge and e's counter and latency histogram (whole-request wall time, as
 // the caller sees it) around it, admission and the body before it, and
 // the envelope's close, the tail's drain and the errored counter after.
+// The request is not pooled: a stalled /bulk dispatcher can still be
+// inside its Read after the handler returns.
 func (s *Server) serve(e *endpoint, fn func(*request, *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.inflight.Add(1)
@@ -61,8 +70,8 @@ func (s *Server) serve(e *endpoint, fn func(*request, *http.Request)) http.Handl
 			rq.in, rq.ctx, rq.cancel = s.body(w, r)
 			defer rq.cancel()
 			fn(rq, r)
-			if rq.mw != nil {
-				rq.mw.Close()
+			if rq.env.opened() {
+				rq.Write(rq.env.close())
 			}
 		}
 		// The engine stops at the root's end tag, so a tail of the body (a
@@ -73,7 +82,8 @@ func (s *Server) serve(e *endpoint, fn func(*request, *http.Request)) http.Handl
 		// connection's next request ("invalid concurrent Body.Read call").
 		// Reading the tail inside the handler puts the EOF where net/http
 		// expects it; the bound is net/http's own.
-		io.CopyN(io.Discard, &rq.body, maxPostHandlerReadBytes)
+		rq.drain = io.LimitedReader{R: &rq.body, N: maxPostHandlerReadBytes}
+		io.Copy(io.Discard, &rq.drain)
 		if rq.erred {
 			s.m.erroredRequests.Add(1)
 		}
@@ -170,9 +180,13 @@ func (rq *request) Flush() {
 // once the request's deadline passes (after the input's EOF nothing else
 // bounds the emission to a slow client) and flushes at the first certain
 // result: through dst if dst can flush (a part that opens lazily), through
-// the response otherwise.
+// the response otherwise. The first writer is the request's own.
 func (rq *request) writer(dst io.Writer, streamed bool) *countingWriter {
-	cw := &countingWriter{w: dst, n: &rq.s.m.bytesOut}
+	cw := &rq.out
+	if cw.w != nil {
+		cw = new(countingWriter)
+	}
+	*cw = countingWriter{w: dst, n: &rq.s.m.bytesOut}
 	if streamed {
 		cw.ctx, cw.flush = rq.ctx, rq
 		if f, ok := dst.(http.Flusher); ok {
@@ -182,24 +196,32 @@ func (rq *request) writer(dst io.Writer, streamed bool) *countingWriter {
 	return cw
 }
 
+// setHeader sets the response header key, which must be in canonical
+// form, to the single value v, like Header().Set but with the value's
+// slice carved from the request's own storage instead of allocated. The
+// storage outlives the handler, as the trailers net/http writes after it
+// need: the request is not pooled.
+func (rq *request) setHeader(key, v string) {
+	if rq.nhv == len(rq.hv) {
+		rq.Header().Set(key, v)
+		return
+	}
+	rq.hv[rq.nhv] = v
+	rq.Header()[key] = rq.hv[rq.nhv : rq.nhv+1 : rq.nhv+1]
+	rq.nhv++
+}
+
 // part opens the next part of the multipart response, with its
-// Content-Type, the given name/value pairs, and Gcx-Error when err is set.
-// The first opens the envelope: the response's Content-Type, with the
-// boundary.
-func (rq *request) part(contentType string, err error, kv ...string) (io.Writer, error) {
-	if rq.mw == nil {
-		rq.mw = multipart.NewWriter(rq)
-		rq.Header().Set("Content-Type", "multipart/mixed; boundary="+rq.mw.Boundary())
+// Content-Type, the given name/value pairs, and Gcx-Error when err is set;
+// the part's bytes are then written to rq. The first opens the envelope:
+// the response's Content-Type, with the boundary.
+func (rq *request) part(contentType string, err error, kv ...string) error {
+	if !rq.env.opened() {
+		rq.env.open()
+		rq.setHeader("Content-Type", rq.env.contentType)
 	}
-	h := textproto.MIMEHeader{}
-	h.Set("Content-Type", contentType)
-	for i := 0; i+1 < len(kv); i += 2 {
-		h.Set(kv[i], kv[i+1])
-	}
-	if err != nil {
-		h.Set("Gcx-Error", err.Error())
-	}
-	return rq.mw.CreatePart(h)
+	_, werr := rq.Write(rq.env.header(contentType, err, kv))
+	return werr
 }
 
 // ran folds one run into the service totals: its stats, and each member's
@@ -256,11 +278,31 @@ func failCode(err error) (int, error) {
 	return http.StatusBadRequest, err
 }
 
-// jsonString is v's JSON encoding, for a trailer or part header. The
-// stats types it encodes hold integers only, so encoding cannot fail.
+// jsonString is v's JSON encoding, for a trailer. The stats types it
+// encodes hold integers only, so encoding cannot fail.
 func jsonString(v any) string {
 	b, _ := json.Marshal(v)
 	return string(b)
+}
+
+// statsJSON is jsonString(st) — the Gcx-Stats trailer or part header —
+// with no allocation but the string's: encoding/json's bytes, the fields
+// in declaration order under their tags, the time to first result
+// omitted when it is zero.
+func statsJSON(st gcx.Stats) string {
+	var arr [320]byte
+	b := strconv.AppendInt(append(arr[:0], `{"peak_buffer_nodes":`...), st.PeakBufferNodes, 10)
+	b = strconv.AppendInt(append(b, `,"peak_buffer_bytes":`...), st.PeakBufferBytes, 10)
+	b = strconv.AppendInt(append(b, `,"buffered_total":`...), st.BufferedTotal, 10)
+	b = strconv.AppendInt(append(b, `,"purged_total":`...), st.PurgedTotal, 10)
+	b = strconv.AppendInt(append(b, `,"sign_offs":`...), st.SignOffs, 10)
+	b = strconv.AppendInt(append(b, `,"tokens_read":`...), st.TokensRead, 10)
+	b = strconv.AppendInt(append(b, `,"output_bytes":`...), st.OutputBytes, 10)
+	if st.TimeToFirstResultNanos != 0 {
+		b = strconv.AppendInt(append(b, `,"time_to_first_result_nanos":`...), st.TimeToFirstResultNanos, 10)
+	}
+	b = strconv.AppendInt(append(b, `,"eval_wall_nanos":`...), st.EvalWallNanos, 10)
+	return string(append(b, '}'))
 }
 
 // writeJSONBody encodes v to w; encode errors mean the client is gone

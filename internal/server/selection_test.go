@@ -36,7 +36,7 @@ func TestSelectionMemoReusesPass(t *testing.T) {
 	const query = "id=Q1&id=Q6"
 	postWorkload(t, ts.URL, ts.Client(), query, doc)
 	g := s.reg.Load()
-	first := g.memo[selectionKey([]string{"Q1", "Q6"}, nil)]
+	first := g.memo[string(appendSelectionKey(nil, []string{"Q1", "Q6"}, nil))]
 	if first == nil || len(g.memo) != 1 {
 		t.Fatalf("after one selection the memo holds %d entries (the selection: %v)", len(g.memo), first != nil)
 	}
@@ -47,7 +47,7 @@ func TestSelectionMemoReusesPass(t *testing.T) {
 	if got := s.Cache().Stats().Compiles; got != compiles {
 		t.Fatalf("repeated selections compiled %d texts", got-compiles)
 	}
-	if len(g.memo) != 1 || g.memo[selectionKey([]string{"Q1", "Q6"}, nil)] != first {
+	if len(g.memo) != 1 || g.memo[string(appendSelectionKey(nil, []string{"Q1", "Q6"}, nil))] != first {
 		t.Fatal("a repeated selection built a new registry")
 	}
 	if err := s.ReloadRegistry(testRegistry(t)); err != nil {
@@ -57,7 +57,7 @@ func TestSelectionMemoReusesPass(t *testing.T) {
 		t.Fatalf("a reload kept the memo: %d entries", len(next.memo))
 	}
 	postWorkload(t, ts.URL, ts.Client(), query, doc)
-	if s.reg.Load().memo[selectionKey([]string{"Q1", "Q6"}, nil)] == first {
+	if s.reg.Load().memo[string(appendSelectionKey(nil, []string{"Q1", "Q6"}, nil))] == first {
 		t.Fatal("the new generation serves the old generation's selection")
 	}
 }
@@ -95,10 +95,10 @@ func TestSelectionKeyCollisionResistance(t *testing.T) {
 		{a, "\x00" + b},
 		{a + fmt.Sprintf("q%d:", len(b)) + b},
 	} {
-		keys[selectionKey(nil, qs)] = true
+		keys[string(appendSelectionKey(nil, nil, qs))] = true
 	}
-	keys[selectionKey([]string{a}, []string{b})] = true
-	keys[selectionKey([]string{a, b}, nil)] = true
+	keys[string(appendSelectionKey(nil, []string{a}, []string{b}))] = true
+	keys[string(appendSelectionKey(nil, []string{a, b}, nil))] = true
 	if len(keys) != 7 {
 		t.Fatalf("7 distinct selections produced %d distinct keys", len(keys))
 	}
@@ -113,8 +113,8 @@ func TestSelectionMemoIsBounded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < maxSelections+8; i++ {
-		params := url.Values{"q": {fmt.Sprintf("<v%d>{ /site/people/person/name }</v%d>", i, i)}}
-		if _, err := s.selection(params); err != nil {
+		q := url.Values{"q": {fmt.Sprintf("<v%d>{ /site/people/person/name }</v%d>", i, i)}}
+		if _, err := s.selection(params(q.Encode())); err != nil {
 			t.Fatal(err)
 		}
 	}

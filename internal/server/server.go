@@ -22,7 +22,6 @@ import (
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"net/url"
 	"runtime/debug"
 	"strconv"
 	"strings"
@@ -253,13 +252,12 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// engine maps one q=/id= parameter pair — params is the request's URL
-// query, parsed once by the handler — to the query's Engine from the
-// compile cache and to the label the request's TTFR samples go under: the
-// registered id, or the inline bucket for q= queries. Every error it
-// returns is the client's (400).
-func (s *Server) engine(params url.Values) (*gcx.Engine, string, error) {
-	q, id := params.Get("q"), params.Get("id")
+// engine maps one q=/id= parameter pair of the request's URL query to the
+// query's Engine from the compile cache and to the label the request's
+// TTFR samples go under: the registered id, or the inline bucket for q=
+// queries. Every error it returns is the client's (400).
+func (s *Server) engine(p params) (*gcx.Engine, string, error) {
+	q, id := p.get("q"), p.get("id")
 	label := inlineLabel
 	switch {
 	case q != "" && id != "":
@@ -285,7 +283,7 @@ func (s *Server) engine(params url.Values) (*gcx.Engine, string, error) {
 // certain result byte, so run statistics and late errors travel as
 // trailers; a run that fails before that byte answers a status of its own.
 func (s *Server) handleQuery(rq *request, r *http.Request) {
-	eng, label, err := s.engine(r.URL.Query())
+	eng, label, err := s.engine(params(r.URL.RawQuery))
 	if err != nil {
 		rq.fail(http.StatusBadRequest, err)
 		return
@@ -294,18 +292,17 @@ func (s *Server) handleQuery(rq *request, r *http.Request) {
 		s.handleQueryTraced(rq, r, eng, label)
 		return
 	}
-	h := rq.Header()
-	h.Set("Trailer", "Gcx-Stats, Gcx-Error")
-	h.Set("Content-Type", "application/xml; charset=utf-8")
+	rq.setHeader("Trailer", "Gcx-Stats, Gcx-Error")
+	rq.setHeader("Content-Type", "application/xml; charset=utf-8")
 	stats, err := eng.RunContext(rq.ctx, rq, rq.writer(rq, true))
 	rq.ran(stats, []string{label}, nil)
 	if rq.failed(err, true) {
 		return
 	}
 	if err != nil {
-		h.Set("Gcx-Error", err.Error())
+		rq.setHeader("Gcx-Error", err.Error())
 	}
-	h.Set("Gcx-Stats", jsonString(stats))
+	rq.setHeader("Gcx-Stats", statsJSON(stats))
 }
 
 // Deep-trace bounds: a Gcx-Trace header value ≥ 2 requests that many
@@ -331,15 +328,14 @@ func (s *Server) handleQueryTraced(rq *request, r *http.Request, eng *gcx.Engine
 	if n, err := strconv.Atoi(r.Header.Get("Gcx-Trace")); err == nil && n >= 2 {
 		limit = min(n, maxTraceSteps)
 	}
-	part0, err := rq.part("application/xml; charset=utf-8", nil, "Gcx-Part", "result")
-	if err != nil {
+	if rq.part("application/xml; charset=utf-8", nil, "Gcx-Part", "result") != nil {
 		return
 	}
-	trace, runErr := eng.Trace(rq.ctx, rq, rq.writer(part0, true), limit)
+	trace, runErr := eng.Trace(rq.ctx, rq, rq.writer(rq, true), limit)
 	rq.ran(trace.Stats, []string{label}, nil)
 	rq.failed(runErr, true)
-	if tp, err := rq.part("application/json", runErr, "Gcx-Part", "trace"); err == nil {
-		writeJSONBody(tp, trace)
+	if rq.part("application/json", runErr, "Gcx-Part", "trace") == nil {
+		writeJSONBody(rq, trace)
 	}
 }
 
@@ -403,7 +399,7 @@ func (sel *selection) add(sub *gcx.Subscription, label, ttfr string) {
 // Every subscription has its own writer, so per-label TTFR is measured,
 // and the response comes from THIS run's return value only.
 func (s *Server) handleWorkload(rq *request, r *http.Request) {
-	sel, err := s.selection(r.URL.Query())
+	sel, err := s.selection(params(r.URL.RawQuery))
 	if err != nil {
 		rq.fail(http.StatusBadRequest, err)
 		return
@@ -448,7 +444,7 @@ func (s *Server) handleWorkload(rq *request, r *http.Request) {
 		for i := range bufs {
 			resp.Results = append(resp.Results, bufs[i].String())
 		}
-		rq.Header().Set("Content-Type", "application/json")
+		rq.setHeader("Content-Type", "application/json")
 		writeJSONBody(rq, resp)
 		return
 	}
@@ -461,8 +457,8 @@ func (s *Server) handleWorkload(rq *request, r *http.Request) {
 			return
 		}
 	}
-	if sp, err := rq.part("application/json", runErr, "Gcx-Part", "stats"); err == nil {
-		writeJSONBody(sp, resp)
+	if rq.part("application/json", runErr, "Gcx-Part", "stats") == nil {
+		writeJSONBody(rq, resp)
 	}
 }
 
@@ -471,17 +467,18 @@ func (s *Server) handleWorkload(rq *request, r *http.Request) {
 // fails before producing either for part 0 commits nothing and can still
 // answer with a status.
 type lazyPart struct {
-	rq    *request
-	index int
-	label string
-	w     io.Writer
-	err   error
+	rq     *request
+	index  int
+	label  string
+	opened bool
+	err    error
 }
 
 // open opens the part, once; later calls report the first one's error.
 func (p *lazyPart) open() error {
-	if p.w == nil && p.err == nil {
-		p.w, p.err = p.rq.part("application/xml; charset=utf-8", nil,
+	if !p.opened {
+		p.opened = true
+		p.err = p.rq.part("application/xml; charset=utf-8", nil,
 			"Gcx-Query-Index", strconv.Itoa(p.index), "Gcx-Query-Id", p.label)
 	}
 	return p.err
@@ -491,7 +488,7 @@ func (p *lazyPart) Write(b []byte) (int, error) {
 	if err := p.open(); err != nil {
 		return 0, err
 	}
-	return p.w.Write(b)
+	return p.rq.Write(b)
 }
 
 // Flush opens the part and flushes the response: the first certain
@@ -507,18 +504,20 @@ func (p *lazyPart) Flush() {
 // selection registry — one subscription per selector, keyed by its
 // position, ids first — memoized on the generation, so a repeated
 // selection is a map lookup: no compile, no new pass.
-func (s *Server) selection(params url.Values) (*selection, error) {
+func (s *Server) selection(p params) (*selection, error) {
 	g := s.reg.Load()
-	ids, qs := params["id"], params["q"]
+	var idArr, qArr [8]string
+	ids, qs := p.all("id", idArr[:0]), p.all("q", qArr[:0])
 	if len(ids) == 0 && len(qs) == 0 {
 		if len(g.fleet.subs) == 0 {
 			return nil, errors.New("no queries: registry is empty and no id=/q= given")
 		}
 		return &g.fleet, nil
 	}
-	key := selectionKey(ids, qs)
+	var keyArr [256]byte
+	key := appendSelectionKey(keyArr[:0], ids, qs)
 	g.mu.Lock()
-	sel := g.memo[key]
+	sel := g.memo[string(key)]
 	g.mu.Unlock()
 	if sel != nil {
 		return sel, nil
@@ -558,23 +557,23 @@ func (s *Server) selection(params url.Values) (*selection, error) {
 			break
 		}
 	}
-	g.memo[key] = sel // a concurrent miss may overwrite it: both are valid
+	g.memo[string(key)] = sel // a concurrent miss may overwrite it: both are valid
 	return sel, nil
 }
 
-// selectionKey encodes a selection injectively: every selector is its
-// kind, its length and its text, so no text — one holding a NUL or a
+// appendSelectionKey appends the memo key of a selection to b. The key
+// encodes the selection injectively: every selector is its kind, its
+// length and its text, so no text — one holding a NUL or a
 // length-looking prefix included — can make two selections collide. The
 // order is kept: it is the response order.
-func selectionKey(ids, qs []string) string {
-	var b []byte
+func appendSelectionKey(b []byte, ids, qs []string) []byte {
 	for kind, list := range [][]string{ids, qs} {
 		for _, x := range list {
 			b = strconv.AppendInt(append(b, "iq"[kind]), int64(len(x)), 10) // i for id=, q for q=
 			b = append(append(b, ':'), x...)
 		}
 	}
-	return string(b)
+	return b
 }
 
 func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
@@ -586,7 +585,7 @@ func (s *Server) handleQueries(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.Metrics()
-	if r.URL.Query().Get("format") == "json" {
+	if params(r.URL.RawQuery).get("format") == "json" {
 		w.Header().Set("Content-Type", "application/json")
 		snap.writeJSON(w)
 		return

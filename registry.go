@@ -43,7 +43,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gcx/internal/corpus"
 	"gcx/internal/engine"
 	"gcx/internal/xmlstream"
 )
@@ -464,7 +463,7 @@ func (r *Registry) RunContext(ctx context.Context, in io.Reader, sink Sink) (Reg
 		t := &sc.targets[i]
 		t.w = sink.Writer(t.sub)
 	}
-	st, qs, runErr := snap.pass.Run(corpus.Guard(ctx, in), sc.outs)
+	st, qs, runErr := snap.pass.RunInto(ctx, in, sc.outs, nil)
 	for i := range sc.fans {
 		qerr := qs[i].Err
 		for j := range sc.fans[i].targets {
