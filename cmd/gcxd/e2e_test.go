@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"gcx/internal/obs"
+	"gcx/internal/obs/expfmt"
 )
 
 // TestOpsEndToEnd is the ops smoke test: it builds the real gcxd binary,
@@ -85,7 +85,7 @@ func TestOpsEndToEnd(t *testing.T) {
 		}
 		scrapeData, _ := io.ReadAll(mResp.Body)
 		mResp.Body.Close()
-		exp, err := obs.ParseExposition(scrapeData)
+		exp, err := expfmt.ParseExposition(scrapeData)
 		if err != nil {
 			t.Fatalf("live /metrics violates the exposition format: %v", err)
 		}
@@ -210,18 +210,22 @@ func TestSizeFlagOutOfRangeIsStartupError(t *testing.T) {
 	}
 }
 
-// TestDaemonLinksNoBenchmarkCode: gcxd needs a size parser, not the
-// Table 1 harness, the benchmark query catalog or the XMark generator
+// TestDaemonLinksNoBenchmarkCode: gcxd and gcx need a size parser, not
+// the Table 1 harness, the benchmark query catalog or the XMark generator
 // (gcx.XMarkDTD comes from internal/xmarkdtd, which holds only the
-// schema).
+// schema), nor the exposition parser only tests use.
 func TestDaemonLinksNoBenchmarkCode(t *testing.T) {
-	out, err := exec.Command("go", "list", "-deps", ".").Output()
-	if err != nil {
-		t.Fatalf("go list -deps: %v", err)
-	}
-	for _, pkg := range strings.Fields(string(out)) {
-		if strings.HasPrefix(pkg, "gcx/") && (strings.Contains(pkg, "bench") || pkg == "gcx/internal/queries" || pkg == "gcx/internal/xmark") {
-			t.Errorf("gcxd links %s", pkg)
+	for _, bin := range []string{".", "../gcx"} {
+		out, err := exec.Command("go", "list", "-deps", bin).Output()
+		if err != nil {
+			t.Fatalf("go list -deps %s: %v", bin, err)
+		}
+		for _, pkg := range strings.Fields(string(out)) {
+			switch {
+			case !strings.HasPrefix(pkg, "gcx/"):
+			case strings.Contains(pkg, "bench"), pkg == "gcx/internal/queries", pkg == "gcx/internal/xmark", pkg == "gcx/internal/obs/expfmt":
+				t.Errorf("%s links %s", bin, pkg)
+			}
 		}
 	}
 }

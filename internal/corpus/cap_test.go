@@ -42,7 +42,7 @@ type unknownSizeSource struct {
 	next int
 }
 
-func (u *unknownSizeSource) Next() (Doc, error) {
+func (u *unknownSizeSource) Next([]byte) (Doc, error) {
 	if u.next >= len(u.docs) {
 		return Doc{}, io.EOF
 	}

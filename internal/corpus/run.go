@@ -84,17 +84,6 @@ type Totals struct {
 // — the compiled engines are, by their concurrency contract.
 type EvalFunc[T any] func(in io.Reader, outs []io.Writer, prev T) (T, error)
 
-// cappedReader enforces MaxDocBytes while a document streams through
-// the evaluating engine; exceeding it surfaces as a read error carrying
-// *DocTooLargeError, which the engine's unwinding reports in that
-// document's slot.
-type cappedReader struct {
-	r     io.Reader
-	limit int64
-	read  int64
-	name  string
-}
-
 // ErrCanceled is the sentinel every run abandoned through its context
 // matches under errors.Is: a solo or registry run, or a bulk document
 // unwound in flight. Like ErrTooLarge it lives here, where the one
@@ -115,10 +104,19 @@ func (e *canceledError) Is(target error) bool { return target == ErrCanceled }
 // unwinds like any other input failure instead of being waited for. It is
 // a value its owner keeps — a bulk slot, an engine run state — and resets
 // at each run, so guarding a run allocates nothing.
+//
+// In a bulk slot it also enforces MaxDocBytes while the document streams
+// through the evaluating engine: exceeding it surfaces as a read error
+// carrying *DocTooLargeError, which the engine's unwinding reports in that
+// document's slot.
 type Guard struct {
 	ctx  context.Context
 	stop *atomic.Bool // a bulk run's own stop (emit failed); nil outside one
 	r    io.Reader
+
+	limit int64  // the byte cap (0: none)
+	read  int64  // bytes read so far
+	name  string // the document, for its DocTooLargeError
 }
 
 // Reset points g at in for a run bounded by ctx and returns what the run
@@ -139,7 +137,20 @@ func (g *Guard) Read(p []byte) (int, error) {
 	if err := g.err(); err != nil {
 		return 0, err
 	}
+	if g.limit > 0 {
+		if g.read > g.limit {
+			return 0, &DocTooLargeError{Name: g.name, Limit: g.limit}
+		}
+		// Allow one excess byte so the overflow is detected rather than
+		// masked as a short read.
+		if window := g.limit + 1 - g.read; int64(len(p)) > window {
+			p = p[:window]
+		}
+	}
 	n, err := g.r.Read(p)
+	if g.read += int64(n); g.limit > 0 && g.read > g.limit {
+		return n, &DocTooLargeError{Name: g.name, Limit: g.limit}
+	}
 	// A Read blocked past the deadline returns normally (or EOF) — the
 	// expiry must still win, or a trickling input defeats the timeout.
 	if cerr := g.err(); cerr != nil && (err == nil || errors.Is(err, io.EOF)) {
@@ -158,27 +169,10 @@ func (g *Guard) err() error {
 	return nil
 }
 
-func (c *cappedReader) Read(p []byte) (int, error) {
-	if c.read > c.limit {
-		return 0, &DocTooLargeError{Name: c.name, Limit: c.limit}
-	}
-	// Allow one excess byte so the overflow is detected rather than
-	// masked as a short read.
-	if window := c.limit + 1 - c.read; int64(len(p)) > window {
-		p = p[:window]
-	}
-	n, err := c.r.Read(p)
-	c.read += int64(n)
-	if c.read > c.limit {
-		return n, &DocTooLargeError{Name: c.name, Limit: c.limit}
-	}
-	return n, err
-}
-
 // slot is one of a runner's `window` document places, reused document
 // after document and call after call: it owns the document's Result, the
 // storage a materializing source fills, the output buffers with their
-// writer slice, the readers the evaluation reads through, and the payload
+// writer slice, the reader the evaluation reads through, and the payload
 // its last evaluation returned. One goroutine holds a slot at a time —
 // dispatcher, worker, emitter — and every hand-over is a channel send.
 type slot[T any] struct {
@@ -188,8 +182,7 @@ type slot[T any] struct {
 	store   pooledDoc
 	outs    []*bytes.Buffer
 	writers []io.Writer // outs, as eval takes them
-	capped  cappedReader
-	ctx     Guard
+	guard   Guard
 }
 
 // runner is Run's machinery for one payload type, window and output
@@ -418,7 +411,7 @@ func (r *runner[T]) feed() {
 		if r.stop.Load() || r.parent.Err() != nil {
 			return
 		}
-		doc, err := next(r.src, s.store.data)
+		doc, err := r.src.Next(s.store.data)
 		if doc.Data != nil {
 			s.store.data = doc.Data // the storage, as far as it grew
 		}
@@ -491,16 +484,12 @@ func (s *slot[T]) evaluate(r *runner[T]) {
 		defer rc.Close()
 		in = rc
 	}
-	if r.maxDoc > 0 {
-		// Read-time backstop for a document of unknown size (a file stat
-		// could not size): the cap holds whatever the source reported.
-		s.capped = cappedReader{r: in, limit: r.maxDoc, name: s.doc.Name}
-		in = &s.capped
-	}
 	// Cancellation must reach IN-FLIGHT evaluations, not just dispatch: a
 	// slow one would hold its worker past a timeout otherwise (the engine
-	// unwinds on the read error, as with any failing stream).
-	s.ctx = Guard{ctx: r.parent, stop: &r.stop, r: in}
-	s.prev, s.res.Err = r.eval(&s.ctx, s.writers, s.prev)
+	// unwinds on the read error, as with any failing stream). The cap is
+	// the read-time backstop for a document of unknown size (a file stat
+	// could not size): it holds whatever the source reported.
+	s.guard = Guard{ctx: r.parent, stop: &r.stop, r: in, limit: r.maxDoc, name: s.doc.Name}
+	s.prev, s.res.Err = r.eval(&s.guard, s.writers, s.prev)
 	s.res.Value = s.prev
 }

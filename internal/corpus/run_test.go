@@ -20,7 +20,7 @@ type sliceSource struct {
 	dispatched atomic.Int64
 }
 
-func (s *sliceSource) Next() (Doc, error) {
+func (s *sliceSource) Next([]byte) (Doc, error) {
 	if s.next >= len(s.docs) {
 		return Doc{}, io.EOF
 	}
@@ -296,7 +296,7 @@ type stalledSource struct {
 	resumed chan struct{}
 }
 
-func (s *stalledSource) Next() (Doc, error) {
+func (s *stalledSource) Next([]byte) (Doc, error) {
 	if s.next == s.serve {
 		close(s.stalled)
 		<-s.stall
@@ -381,7 +381,7 @@ type failingSource struct {
 	err  error
 }
 
-func (f *failingSource) Next() (Doc, error) {
+func (f *failingSource) Next([]byte) (Doc, error) {
 	if f.next >= f.good {
 		return Doc{}, f.err
 	}
@@ -423,7 +423,7 @@ func TestRunDocErrorFromSource(t *testing.T) {
 
 type docErrSource struct{ next int }
 
-func (d *docErrSource) Next() (Doc, error) {
+func (d *docErrSource) Next([]byte) (Doc, error) {
 	defer func() { d.next++ }()
 	switch d.next {
 	case 0, 2:

@@ -36,7 +36,7 @@ type Doc struct {
 	// evaluating the document. Nil means Data is the content.
 	Open func() (io.ReadCloser, error)
 	// Data is a materialized document's content, in the storage its source
-	// was handed (see materializer) and valid until that is offered again.
+	// was handed (see Source.Next) and valid until that is offered again.
 	Data []byte
 	// Size is the content length in bytes when known, else -1.
 	Size int64
@@ -49,7 +49,13 @@ type Source interface {
 	// the corpus. A *DocError marks a document that could not be
 	// materialized: the caller records the failure in that document's
 	// slot and keeps consuming. Any other error is terminal.
-	Next() (Doc, error)
+	//
+	// buf is storage the caller owns (nil: none). A source that reads
+	// each document out of a sequential stream appends the content to
+	// buf[:0] and returns it as Doc.Data: Run offers a document slot's,
+	// so a warm corpus run materializes without allocating. A source
+	// whose documents open on their own ignores it.
+	Next(buf []byte) (Doc, error)
 	// Close releases resources owned by the source (e.g. an archive
 	// file opened from a path).
 	Close() error
@@ -64,22 +70,6 @@ type DocError struct {
 
 func (e *DocError) Error() string { return fmt.Sprintf("corpus: %s: %v", e.Name, e.Err) }
 func (e *DocError) Unwrap() error { return e.Err }
-
-// materializer is implemented by the sources that read each document out
-// of a sequential stream. nextInto is Next with the content appended to
-// buf[:0], storage the caller owns, and returned as Doc.Data: Run offers a
-// document slot's, so a warm corpus run materializes without allocating.
-type materializer interface {
-	nextInto(buf []byte) (Doc, error)
-}
-
-// next is src.Next, offering buf to a source that materializes.
-func next(src Source, buf []byte) (Doc, error) {
-	if m, ok := src.(materializer); ok {
-		return m.nextInto(buf)
-	}
-	return src.Next()
-}
 
 // pooledDoc is a bytes.Reader over a document slot's storage, which the
 // slot keeps across documents and, in a pooled runner, across runs.
@@ -160,7 +150,7 @@ func ExpandPatterns(patterns ...string) ([]string, error) {
 	return paths, nil
 }
 
-func (f *filesSource) Next() (Doc, error) {
+func (f *filesSource) Next([]byte) (Doc, error) {
 	if f.next >= len(f.paths) {
 		return Doc{}, io.EOF
 	}
@@ -205,9 +195,7 @@ func TarFile(path string, maxDocBytes int64) (Source, error) {
 	return &tarSource{tr: tar.NewReader(f), owned: f, max: maxDocBytes}, nil
 }
 
-func (t *tarSource) Next() (Doc, error) { return t.nextInto(nil) }
-
-func (t *tarSource) nextInto(buf []byte) (Doc, error) {
+func (t *tarSource) Next(buf []byte) (Doc, error) {
 	for {
 		hdr, err := t.tr.Next()
 		if err == io.EOF {
@@ -279,9 +267,7 @@ func Concat(r io.Reader, maxDocBytes int64) Source {
 	return &concatSource{sp: sp}
 }
 
-func (c *concatSource) Next() (Doc, error) { return c.nextInto(nil) }
-
-func (c *concatSource) nextInto(buf []byte) (Doc, error) {
+func (c *concatSource) Next(buf []byte) (Doc, error) {
 	data, err := c.sp.Next(buf)
 	if err != nil && !errors.Is(err, ErrTooLarge) {
 		return Doc{}, err
@@ -326,11 +312,9 @@ func Chain(srcs ...Source) Source {
 	return &chainSource{srcs: srcs}
 }
 
-func (c *chainSource) Next() (Doc, error) { return c.nextInto(nil) }
-
-func (c *chainSource) nextInto(buf []byte) (Doc, error) {
+func (c *chainSource) Next(buf []byte) (Doc, error) {
 	for c.cur < len(c.srcs) {
-		doc, err := next(c.srcs[c.cur], buf)
+		doc, err := c.srcs[c.cur].Next(buf)
 		if err == io.EOF {
 			c.cur++
 			continue

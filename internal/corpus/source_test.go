@@ -21,7 +21,7 @@ func TestTarHugeClaimedSize(t *testing.T) {
 	}
 	// Deliberately no body and no Close: the archive ends mid-member.
 	src := Tar(bytes.NewReader(buf.Bytes()), 0)
-	_, err := src.Next()
+	_, err := src.Next(nil)
 	if err == nil || err == io.EOF {
 		t.Fatalf("got %v, want a read error for the lying member", err)
 	}
@@ -46,7 +46,7 @@ func TestTarMemberLargerThanHint(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := Tar(bytes.NewReader(buf.Bytes()), 0)
-	doc, err := src.Next()
+	doc, err := src.Next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func TestFilesGlobFallsBackToLiteral(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc, err := src.Next()
+	doc, err := src.Next(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-
-	"gcx/internal/eval"
 )
 
 // The evaluator keeps a comparison's collected operand for as long as that
@@ -169,20 +167,20 @@ func hoistCases() []hoistCase {
 
 // TestCollectedOperandReuse runs the cases with the probe table (the
 // outer-collected join qualifies; the other shapes are its controls) and
-// with the nested loop forced (eval.ForceNestedLoops).
+// with every join loop the nested loop (nestedLoops).
 func TestCollectedOperandReuse(t *testing.T) {
-	t.Run("table", testCollectedOperandReuse)
-	t.Run("nested", func(t *testing.T) {
-		defer eval.ForceNestedLoops()()
-		testCollectedOperandReuse(t)
-	})
+	t.Run("table", func(t *testing.T) { testCollectedOperandReuse(t, false) })
+	t.Run("nested", func(t *testing.T) { testCollectedOperandReuse(t, true) })
 }
 
-func testCollectedOperandReuse(t *testing.T) {
+func testCollectedOperandReuse(t *testing.T, nested bool) {
 	cases := hoistCases()
 	for _, tc := range cases {
 		for _, mode := range []Mode{ModeGCX, ModeStaticOnly, ModeFullBuffer} {
 			c := compile(t, tc.query, Config{Mode: mode})
+			if nested {
+				nestedLoops(c)
+			}
 			// Twice: the second run is on the pooled state of the first.
 			for run := 0; run < 2; run++ {
 				var out strings.Builder
@@ -203,7 +201,14 @@ func testCollectedOperandReuse(t *testing.T) {
 		srcs[i] = tc.query
 	}
 	for _, batch := range []int{1, 0} {
-		got, _, _ := runWorkload(t, srcs, cases[0].doc, ModeGCX, batch)
+		p, err := CompilePass(srcs, Config{Mode: ModeGCX}, batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nested {
+			nestedLoops(p.Members...)
+		}
+		got := probeRun(t, p, strings.NewReader(cases[0].doc)).outs
 		for i, tc := range cases {
 			if got[i] != tc.want {
 				t.Errorf("%s in a shared pass (batch %d):\n got %s\nwant %s", tc.name, batch, got[i], tc.want)

@@ -15,9 +15,45 @@ import (
 )
 
 // The probe table (internal/eval, join.go) must be unobservable: with it
-// and under eval.ForceNestedLoops, every run gives the same bytes, the
-// same deterministic stats (tokens, peaks, purges, signOffs), the same
-// signOffs per member and, in a shared pass, the same scheduler handoffs.
+// and with every join loop rewritten to the nested loop (nestedLoops),
+// every run gives the same bytes, the same deterministic stats (tokens,
+// peaks, purges, signOffs), the same signOffs per member and, in a shared
+// pass, the same scheduler handoffs.
+
+// nestedLoops makes the members run every join loop as the nested loop:
+// it clears For.Join throughout each member's query and sets Query.Joins
+// to 0, so the evaluators built for the first run have no tables. Call it
+// before that run. It keeps every other field, For.Slot among them, which
+// is why it is not an xqast.Rewrite: that drops Slot and Join.
+func nestedLoops(members ...*Compiled) {
+	var unjoin func(xqast.Expr) xqast.Expr
+	unjoin = func(e xqast.Expr) xqast.Expr {
+		switch v := e.(type) {
+		case xqast.Sequence:
+			items := make([]xqast.Expr, len(v.Items))
+			for i, item := range v.Items {
+				items[i] = unjoin(item)
+			}
+			v.Items = items
+			return v
+		case xqast.Element:
+			v.Child = unjoin(v.Child)
+			return v
+		case xqast.For:
+			v.Join, v.Return = nil, unjoin(v.Return)
+			return v
+		case xqast.If:
+			v.Then, v.Else = unjoin(v.Then), unjoin(v.Else)
+			return v
+		}
+		return e
+	}
+	for _, m := range members {
+		q := m.Analysis.Query
+		q.Root.Child = unjoin(q.Root.Child)
+		q.Joins = 0
+	}
+}
 
 // probeVals are key and id values: one number spelled three ways, NaN,
 // the empty text, -0 against 0, text that overflows, and plain text.
@@ -156,13 +192,9 @@ func probeRun(t *testing.T, p *Pass, in io.Reader) probeResult {
 
 // probeRuns compiles srcs (each alone, and all as one pass reading one
 // token per round) and runs doc through every form at every refill
-// window. Under nested, the run states are built with the probe tables
-// off.
+// window. Under nested, every join loop is the nested loop.
 func probeRuns(t *testing.T, srcs []string, doc string, cfg Config, nested bool) []probeResult {
 	t.Helper()
-	if nested {
-		defer eval.ForceNestedLoops()()
-	}
 	passes := make([]*Pass, 0, len(srcs)+1)
 	for _, src := range srcs {
 		passes = append(passes, compile(t, src, cfg).solo)
@@ -173,6 +205,11 @@ func probeRuns(t *testing.T, srcs []string, doc string, cfg Config, nested bool)
 			t.Fatal(err)
 		}
 		passes = append(passes, p)
+	}
+	if nested {
+		for _, p := range passes {
+			nestedLoops(p.Members...)
+		}
 	}
 	var out []probeResult
 	for _, k := range []int{1, 7, 64, 0} {

@@ -89,12 +89,10 @@ type Evaluator struct {
 	cmpSite int
 	// joins[f.Join.Table] is join loop f's probe table (join.go); keys is
 	// the scratch its build collects one binding's key values into, and
-	// seed hashes the keys. nestedOnly disables the tables (see
-	// ForceNestedLoops).
-	joins      []joinTable
-	keys       []atom
-	seed       maphash.Seed
-	nestedOnly bool
+	// seed hashes the keys.
+	joins []joinTable
+	keys  []atom
+	seed  maphash.Seed
 	// firstFlushed records that the first result byte has been pushed
 	// through the writer's batching toward the destination. Armed in pull
 	// rather than at write time so a run that fails on its very first
@@ -138,7 +136,7 @@ type work struct {
 // New creates an evaluator writing query output to out.
 func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *Evaluator {
 	return &Evaluator{buf: buf, feed: feed, out: out, opts: opts,
-		seed: maphash.MakeSeed(), nestedOnly: nestedLoopsOnly.Load()}
+		seed: maphash.MakeSeed()}
 }
 
 // siteValues is the room for operand values each comparison site, and
@@ -174,7 +172,6 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 		vals = vals[siteValues:]
 		return v
 	}
-	nestedOnly := nestedLoopsOnly.Load()
 	for i, q := range qs {
 		chunks[i] = curs[i*cursorChunk : (i+1)*cursorChunk : (i+1)*cursorChunk]
 		for j := range siteArr[:q.Sites] {
@@ -185,15 +182,14 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 			keys = carve()
 		}
 		evs[i] = Evaluator{buf: buf, feed: feeds[i], out: &outs[i],
-			env:        env[:0:q.Slots],
-			epoch:      epoch[:0:q.Slots],
-			syms:       syms[:0:len(q.Names)],
-			sites:      siteArr[:0:q.Sites],
-			joins:      joinArr[:0:q.Joins],
-			keys:       keys,
-			cursors:    cursors{chunks: chunks[i : i+1 : i+1]},
-			seed:       maphash.MakeSeed(),
-			nestedOnly: nestedOnly}
+			env:     env[:0:q.Slots],
+			epoch:   epoch[:0:q.Slots],
+			syms:    syms[:0:len(q.Names)],
+			sites:   siteArr[:0:q.Sites],
+			joins:   joinArr[:0:q.Joins],
+			keys:    keys,
+			cursors: cursors{chunks: chunks[i : i+1 : i+1]},
+			seed:    maphash.MakeSeed()}
 		env, epoch, syms = env[q.Slots:], epoch[q.Slots:], syms[len(q.Names):]
 		siteArr, joinArr = siteArr[q.Sites:], joinArr[q.Joins:]
 	}
@@ -208,7 +204,6 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 //gcxlint:keep feed wired at construction; the owner resets the projector separately
 //gcxlint:keep out wired at construction; the owner re-targets the writer separately
 //gcxlint:keep seed a hash seed holds nothing of a run
-//gcxlint:keep nestedOnly fixed at construction (a test hook, see ForceNestedLoops)
 func (e *Evaluator) Reset(opts Options) {
 	e.opts = opts
 	clear(e.epoch)

@@ -5,7 +5,6 @@ import (
 	"hash/maphash"
 	"math"
 	"slices"
-	"sync/atomic"
 	"unsafe"
 
 	"gcx/internal/buffer"
@@ -119,20 +118,6 @@ func (t *joinTable) reset() {
 	t.entries, t.heads, t.hits = t.entries[:0], t.heads[:0], t.hits[:0]
 }
 
-// nestedLoopsOnly is read when an evaluator is created; see
-// ForceNestedLoops.
-var nestedLoopsOnly atomic.Bool
-
-// ForceNestedLoops is a hook for tests, of this package and of the ones
-// above it (which an export_test.go here could not reach): evaluators
-// created until restore is called never probe a table, so a suite can
-// hold the table's answers to the nested loop's. It is not an option:
-// nothing outside tests calls it.
-func ForceNestedLoops() (restore func()) {
-	old := nestedLoopsOnly.Swap(true)
-	return func() { nestedLoopsOnly.Store(old) }
-}
-
 // joinLoop runs the join loop f from its probe table and reports true, or
 // reports false when the nested loop must run instead: f's region is
 // unfinished, or the table does not describe it — then this execution is
@@ -151,7 +136,7 @@ func ForceNestedLoops() (restore func()) {
 //gcxlint:noalloc
 func (e *Evaluator) joinLoop(f xqast.For) (bool, error) {
 	ctx := e.env[f.In.Slot]
-	if e.nestedOnly || !ctx.Finished() {
+	if !ctx.Finished() {
 		return false, nil
 	}
 	t := &e.joins[f.Join.Table]

@@ -1,17 +1,9 @@
-package obs
-
-import (
-	"fmt"
-	"sort"
-	"strconv"
-	"strings"
-)
-
-// This file implements a strict parser for the Prometheus text exposition
+// Package expfmt is a strict parser for the Prometheus text exposition
 // format (version 0.0.4) — strict on purpose: gcxd's /metrics endpoint is
 // scraped by CI and dashboards, and a malformed line should fail the test
-// suite, not be shrugged off by a lenient scraper. Beyond line syntax the
-// parser enforces the conventions gcxd commits to:
+// suite, not be shrugged off by a lenient scraper. Only tests import it:
+// no binary links it. Beyond line syntax the parser enforces the
+// conventions gcxd commits to:
 //
 //   - every sample belongs to a family that declared # HELP and # TYPE
 //     before its first sample;
@@ -20,6 +12,14 @@ import (
 //   - histogram families carry _bucket/_sum/_count series, the _bucket
 //     series have an `le` label ending in "+Inf", bucket counts are
 //     cumulative, and the +Inf bucket equals _count.
+package expfmt
+
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+)
 
 // Sample is one exposed series value.
 type Sample struct {

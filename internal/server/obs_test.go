@@ -13,7 +13,7 @@ import (
 	"time"
 
 	"gcx"
-	"gcx/internal/obs"
+	"gcx/internal/obs/expfmt"
 	"gcx/internal/xmark"
 )
 
@@ -30,7 +30,7 @@ func bigXmarkDoc(t testing.TB) []byte {
 
 // scrape fetches /metrics and runs it through the strict exposition
 // parser — the compliance check every test of this file inherits.
-func scrape(t testing.TB, client *http.Client, base string) *obs.Exposition {
+func scrape(t testing.TB, client *http.Client, base string) *expfmt.Exposition {
 	t.Helper()
 	resp, err := client.Get(base + "/metrics")
 	if err != nil {
@@ -47,7 +47,7 @@ func scrape(t testing.TB, client *http.Client, base string) *obs.Exposition {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exp, err := obs.ParseExposition(data)
+	exp, err := expfmt.ParseExposition(data)
 	if err != nil {
 		t.Fatalf("/metrics violates the exposition format: %v", err)
 	}
@@ -56,7 +56,7 @@ func scrape(t testing.TB, client *http.Client, base string) *obs.Exposition {
 
 // sampleValue finds the sample of a family whose labels all match; the
 // second return reports whether it exists.
-func sampleValue(f *obs.Family, name string, labels map[string]string) (float64, bool) {
+func sampleValue(f *expfmt.Family, name string, labels map[string]string) (float64, bool) {
 	if f == nil {
 		return 0, false
 	}
@@ -222,7 +222,7 @@ func TestConcurrentScrapeWhileServing(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, err := obs.ParseExposition(data); err != nil {
+				if _, err := expfmt.ParseExposition(data); err != nil {
 					errs <- err
 					return
 				}

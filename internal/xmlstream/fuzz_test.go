@@ -18,7 +18,8 @@ import (
 // 63/64/65 (the structural index's 64-byte block edges), and 4096 (every
 // run-scanning fast path must behave identically whether or not the run
 // straddles a refill or a bitmap block boundary), in both owning and
-// BorrowText modes.
+// BorrowText modes. The seeds include CR-bearing documents, so the two
+// scanners' end-of-line handling is cross-checked at every window too.
 func FuzzTokenizer(f *testing.F) {
 	seeds := []string{
 		`<a/>`,
@@ -30,6 +31,7 @@ func FuzzTokenizer(f *testing.F) {
 		`<q><w e="r"/></q><junk`,
 	}
 	seeds = append(seeds, terminatorEdgeCorpus()...)
+	seeds = append(seeds, eolSeeds...)
 	for _, s := range seeds {
 		f.Add(s)
 	}

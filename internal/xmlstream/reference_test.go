@@ -7,10 +7,11 @@ import (
 	"strings"
 )
 
-// Reference is the retained byte-at-a-time tokenizer: a frozen copy of the
-// scanner as it stood before the chunked fast paths landed in Tokenizer
-// (see DESIGN.md, "Chunked scanning"). It exists for two jobs and must not
-// be optimized:
+// Reference is the package's test-side byte-at-a-time tokenizer: a frozen
+// copy of the scanner as it stood before the chunked fast paths landed in
+// Tokenizer (see DESIGN.md, "Chunked scanning"), changed since only where
+// token semantics changed (end-of-line handling). No production code
+// links it. It exists for two jobs and must not be optimized:
 //
 //   - the differential conformance suite runs every fuzz-corpus input and
 //     XMark document through both scanners and asserts byte-identical
@@ -45,6 +46,9 @@ type Reference struct {
 
 	names map[string]string
 }
+
+// attr is one parsed attribute of Reference's current start tag.
+type attr struct{ name, value string }
 
 // NewReference returns a reference tokenizer reading from r. A nil reader
 // is permitted if Reset is called before the first Next.
@@ -81,9 +85,6 @@ func (t *Reference) Reset(r io.Reader) {
 	clear(t.attrs[:cap(t.attrs)])
 	t.attrs = t.attrs[:0]
 }
-
-// Depth returns the number of currently open elements.
-func (t *Reference) Depth() int { return len(t.stack) }
 
 func (t *Reference) syntaxErr(msg string) error {
 	return &SyntaxError{Offset: t.off + int64(t.pos), Msg: msg}
@@ -328,6 +329,7 @@ func (t *Reference) nextToken() (Token, error) {
 func (t *Reference) readText() (Token, bool, error) {
 	t.textBuf = t.textBuf[:0]
 	whitespaceOnly := true
+	cr := false // the input byte before c was a '\r'
 	for {
 		c, ok := t.peek()
 		if !ok || c == '<' {
@@ -340,11 +342,18 @@ func (t *Reference) readText() (Token, bool, error) {
 			if err != nil {
 				return Token{}, false, err
 			}
-			whitespaceOnly = false
+			whitespaceOnly, cr = false, false
 			continue
 		}
 		if whitespaceOnly && !isSpace(c) {
 			whitespaceOnly = false
+		}
+		if c == '\n' && cr {
+			cr = false
+			continue
+		}
+		if cr = c == '\r'; cr {
+			c = '\n'
 		}
 		t.textBuf = append(t.textBuf, c)
 	}
@@ -497,6 +506,7 @@ func (t *Reference) readCDATA() (Token, bool, error) {
 	}
 	t.textBuf = t.textBuf[:0]
 	matched := 0
+	cr := false // the input byte before c was a '\r'
 	for {
 		c, ok := t.next()
 		if !ok {
@@ -511,6 +521,7 @@ func (t *Reference) readCDATA() (Token, bool, error) {
 			} else {
 				matched++
 			}
+			cr = false
 			continue
 		case c == '>' && matched == 2:
 			if len(t.textBuf) == 0 {
@@ -520,6 +531,13 @@ func (t *Reference) readCDATA() (Token, bool, error) {
 		default:
 			for ; matched > 0; matched-- {
 				t.textBuf = append(t.textBuf, ']')
+			}
+			if c == '\n' && cr {
+				cr = false
+				continue
+			}
+			if cr = c == '\r'; cr {
+				c = '\n'
 			}
 			t.textBuf = append(t.textBuf, c)
 		}
@@ -573,6 +591,7 @@ func (t *Reference) readStartTag() (Token, bool, error) {
 			return Token{}, false, t.syntaxErr("attribute " + aname + " missing quoted value")
 		}
 		valStart := len(t.attrBuf)
+		cr := false // the input byte before c was a '\r'
 		for {
 			c, ok := t.next()
 			if !ok {
@@ -586,7 +605,15 @@ func (t *Reference) readStartTag() (Token, bool, error) {
 				if err != nil {
 					return Token{}, false, err
 				}
+				cr = false
 				continue
+			}
+			if c == '\n' && cr {
+				cr = false
+				continue
+			}
+			if cr = c == '\r'; cr {
+				c = '\n'
 			}
 			t.attrBuf = append(t.attrBuf, c)
 		}

@@ -1,6 +1,7 @@
 package xmlstream
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -17,11 +18,15 @@ func (e *SyntaxError) Error() string {
 	return fmt.Sprintf("xmlstream: syntax error at byte %d: %s", e.Offset, e.Msg)
 }
 
-// Options configures a Tokenizer. Two behaviours are fixed, not options:
+// Options configures a Tokenizer. Three behaviours are fixed, not options:
 // each attribute name="value" on an opening tag is reported as a leading
 // child element <name>value</name> (the paper's attribute adaptation,
-// Sections 2 and 7), and whitespace-only character data is dropped (as
-// the paper's example streams are written).
+// Sections 2 and 7); whitespace-only character data is dropped (as the
+// paper's example streams are written); and every "\r\n" and lone '\r'
+// of character data, CDATA and attribute values reaches the token as
+// '\n' (XML 1.0 §2.11), while a '\r' a character reference writes stays.
+// Attribute values are not whitespace-normalized (§3.3.3), as
+// encoding/xml does not do it either.
 type Options struct {
 	// BorrowText, when true, makes the Data of Text tokens a view into
 	// the tokenizer's scratch buffers instead of a fresh allocation. The
@@ -55,10 +60,10 @@ func DefaultOptions() Options {
 // slides and entities; a tag is parsed inside the window, which grows to
 // hold it when it reaches the window end; comments, PIs, CDATA sections
 // and declarations are skipped by Window.Skip, which the corpus splitter
-// calls too. The retained per-byte implementation (Reference) is the
-// differential-testing and benchmarking baseline; both must produce
-// byte-identical token streams, errors and error offsets (see DESIGN.md,
-// "Chunked scanning" and "Structural index").
+// calls too. The package's tests hold it to a per-byte scanner of their
+// own (reference_test.go): both must produce byte-identical token
+// streams, errors and error offsets (see DESIGN.md, "Chunked scanning"
+// and "Structural index").
 type Tokenizer struct {
 	Window
 	opts   Options
@@ -83,9 +88,6 @@ type Tokenizer struct {
 	names     map[string]string
 	nameCache [nameCacheSize]string
 }
-
-// attr is one parsed attribute of Reference's current start tag.
-type attr struct{ name, value string }
 
 // NewTokenizer returns a tokenizer reading from r with default options.
 func NewTokenizer(r io.Reader) *Tokenizer {
@@ -486,21 +488,23 @@ func (t *Tokenizer) scan() (Token, error) {
 // slide: the window tail goes to textBuf (the slide overwrites the
 // window) and the hop resumes in the new window. An '&' moves the run so
 // far to textBuf too, and the entity's expansion follows it. At the '<'
-// that ends the run, a run that never left the window and held no
-// entity is emitted as the window subslice itself — under BorrowText,
-// zero copies — and any other run as textBuf.
+// that ends the run, a run that never left the window, held no entity
+// and holds no '\r' is emitted as the window subslice itself — under
+// BorrowText, zero copies — and any other run as textBuf, whose line
+// ends appendEOL normalizes as it copies the input's bytes.
 //
 //gcxlint:noalloc
 func (t *Tokenizer) readText() (Token, bool, error) {
 	t.textBuf = t.textBuf[:0]
 	inBuf := false // the run so far is in textBuf, not the window
 	ws := true     // the bytes in textBuf are all whitespace
+	cr := false    // the last input byte copied to textBuf was a '\r'
 	for p := t.Pos; ; {
 		i := t.Idx.Next(p)
 		if i < 0 {
 			tail := t.Buf[t.Pos:t.N]
 			ws = ws && isAllSpace(tail)
-			t.textBuf = append(t.textBuf, tail...)
+			t.textBuf, cr = appendEOL(t.textBuf, tail, cr)
 			inBuf = true
 			t.Pos = t.N
 			if !t.Slide() {
@@ -513,14 +517,15 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 		case '<':
 			run := t.Buf[t.Pos:i]
 			t.Pos = i
-			if !inBuf {
-				return t.emitText(run, isAllSpace(run))
+			ws = ws && isAllSpace(run)
+			if !inBuf && (ws || !t.cr || bytes.IndexByte(run, '\r') < 0) {
+				return t.emitText(run, ws)
 			}
-			t.textBuf = append(t.textBuf, run...)
-			return t.emitText(t.textBuf, ws && isAllSpace(run))
+			t.textBuf, _ = appendEOL(t.textBuf, run, cr)
+			return t.emitText(t.textBuf, ws)
 		case '&':
-			t.textBuf = append(t.textBuf, t.Buf[t.Pos:i]...)
-			inBuf, ws = true, false
+			t.textBuf, _ = appendEOL(t.textBuf, t.Buf[t.Pos:i], cr)
+			inBuf, ws, cr = true, false, false
 			t.Pos = i + 1
 			var err error
 			if t.textBuf, t.Pos, err = t.entity(t.textBuf, t.Pos); err != nil {
@@ -549,6 +554,35 @@ func (t *Tokenizer) emitText(data []byte, whitespaceOnly bool) (Token, bool, err
 	return Token{Kind: Text, Data: t.view(data)}, true, nil
 }
 
+// appendEOL appends src, bytes of the input, to dst with XML's end-of-line
+// handling (§2.11): "\r\n" and a lone '\r' become '\n'. cr says that the
+// input byte before src, already appended, was a '\r', whose '\n' may
+// start src; the result says whether src ends in a '\r'. An entity's
+// expansion is not input: after one, cr is false.
+//
+//gcxlint:noalloc
+func appendEOL(dst, src []byte, cr bool) ([]byte, bool) {
+	if len(src) == 0 {
+		return dst, cr
+	}
+	if cr && src[0] == '\n' {
+		src = src[1:]
+	}
+	for {
+		i := bytes.IndexByte(src, '\r')
+		if i < 0 {
+			return append(dst, src...), false
+		}
+		dst = append(append(dst, src[:i]...), '\n')
+		if src = src[i+1:]; len(src) == 0 {
+			return dst, true
+		}
+		if src[0] == '\n' {
+			src = src[1:]
+		}
+	}
+}
+
 // isAllSpace reports whether every byte of b is XML whitespace.
 //
 //gcxlint:noalloc
@@ -566,8 +600,8 @@ func isAllSpace(b []byte) bool {
 // attribute subelements and, if it closes itself, its end. Names, spaces
 // and '=' are checked byte by byte; a value is hopped on the index to
 // its closing quote, and borrows the window under BorrowText unless it
-// holds an entity, which moves it to attrBuf. Attribute tokens are
-// appended to the pending queue as they parse; the queue is empty on
+// holds an entity or a '\r', which move it to attrBuf. Attribute tokens
+// are appended to the pending queue as they parse; the queue is empty on
 // entry — a new tag is only parsed once it drains — and scan truncates
 // it on an error.
 //
@@ -668,10 +702,13 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 			if buf[k] == q {
 				i = k + 1
 				var value string
-				if inBuf < 0 {
+				if inBuf < 0 && (!t.cr || bytes.IndexByte(buf[seg:k], '\r') < 0) {
 					value = t.view(buf[seg:k])
 				} else {
-					t.attrBuf = append(t.attrBuf, buf[seg:k]...)
+					if inBuf < 0 {
+						inBuf = len(t.attrBuf)
+					}
+					t.attrBuf, _ = appendEOL(t.attrBuf, buf[seg:k], false)
 					value = t.view(t.attrBuf[inBuf:])
 				}
 				if value == "" {
@@ -696,7 +733,7 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 			if inBuf < 0 {
 				inBuf = len(t.attrBuf)
 			}
-			t.attrBuf = append(t.attrBuf, buf[seg:k]...)
+			t.attrBuf, _ = appendEOL(t.attrBuf, buf[seg:k], false)
 			var err error
 			if t.attrBuf, seg, err = t.entity(t.attrBuf, k+1); err != nil {
 				return Token{}, err, true
@@ -863,6 +900,10 @@ func (t *Tokenizer) cdata() (Token, bool, error) {
 		return Token{}, false, t.syntaxErr(t.Pos, "unterminated CDATA section")
 	}
 	t.textBuf = t.textBuf[:len(t.textBuf)-len("]]>")]
+	if bytes.IndexByte(t.textBuf, '\r') >= 0 {
+		// In place: the result is never longer than what it reads.
+		t.textBuf, _ = appendEOL(t.textBuf[:0], t.textBuf, false)
+	}
 	if len(t.textBuf) == 0 {
 		return Token{}, false, nil
 	}

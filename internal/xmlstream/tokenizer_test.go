@@ -337,9 +337,9 @@ func randomTree(r *rand.Rand, depth int, sb *strings.Builder, toks *[]Token) {
 	}
 	for i := 0; i < n; i++ {
 		if r.Intn(2) == 0 {
-			data := []string{"hello", "a&b", "1 < 2"}[r.Intn(3)]
-			sb.WriteString(EscapeText(data))
-			*toks = append(*toks, Token{Kind: Text, Data: data})
+			text := [][2]string{{"hello", "hello"}, {"a&b", "a&amp;b"}, {"1 < 2", "1 &lt; 2"}}[r.Intn(3)]
+			sb.WriteString(text[1])
+			*toks = append(*toks, Token{Kind: Text, Data: text[0]})
 		} else {
 			randomTree(r, depth+1, sb, toks)
 		}

@@ -1,6 +1,9 @@
 package xmlstream
 
-import "io"
+import (
+	"bytes"
+	"io"
+)
 
 // windowSize is the capacity a Window reads into, and the one Reset
 // returns a grown window to.
@@ -27,7 +30,8 @@ type Window struct {
 	Err error // sticky read error, io.EOF included
 	Idx StructIndex
 
-	r io.Reader
+	r  io.Reader
+	cr bool // a '\r' was read since the window last slid (tokenizer.go: line ends)
 }
 
 // Reset points the window at r with nothing read, giving a grown window
@@ -39,7 +43,7 @@ func (w *Window) Reset(r io.Reader) {
 		w.Idx = StructIndex{}
 	}
 	w.Idx.Reset()
-	w.Pos, w.N, w.Off, w.Err, w.r = 0, 0, 0, nil, r
+	w.Pos, w.N, w.Off, w.Err, w.r, w.cr = 0, 0, 0, nil, r, false
 }
 
 // read appends at least one byte from the reader behind Buf[:N],
@@ -50,6 +54,7 @@ func (w *Window) Reset(r io.Reader) {
 func (w *Window) read() bool {
 	for w.Err == nil {
 		n, err := w.r.Read(w.Buf[w.N:])
+		w.cr = w.cr || bytes.IndexByte(w.Buf[w.N:w.N+n], '\r') >= 0
 		w.N += n
 		w.Err = err
 		if n > 0 {
@@ -72,7 +77,7 @@ func (w *Window) Slide() bool {
 		w.Buf = make([]byte, windowSize) //gcxlint:allocok one window per owner, made at its first read
 	}
 	w.Off += int64(w.N)
-	w.Pos, w.N = 0, 0
+	w.Pos, w.N, w.cr = 0, 0, false
 	ok := w.read()
 	w.Idx.Build(w.Buf[:w.N])
 	return ok

@@ -158,9 +158,6 @@ func (w *Writer) stampFirst() {
 	}
 }
 
-// Depth returns the number of currently open elements.
-func (w *Writer) Depth() int { return len(w.stack) }
-
 // Err returns the first error encountered, if any.
 func (w *Writer) Err() error { return w.err }
 
@@ -246,6 +243,8 @@ func (w *Writer) Text(data string) {
 			esc = "&lt;"
 		case '>':
 			esc = "&gt;"
+		case '\r':
+			esc = "&#xD;" // a raw '\r' would read back as '\n'
 		default:
 			continue
 		}
@@ -278,23 +277,4 @@ func (w *Writer) Flush() error {
 		w.err = err
 	}
 	return w.err
-}
-
-// EscapeText returns data with XML character escaping applied, as Text would
-// emit it. Useful for tests and tools.
-func EscapeText(data string) string {
-	out := make([]byte, 0, len(data))
-	for i := 0; i < len(data); i++ {
-		switch data[i] {
-		case '&':
-			out = append(out, "&amp;"...)
-		case '<':
-			out = append(out, "&lt;"...)
-		case '>':
-			out = append(out, "&gt;"...)
-		default:
-			out = append(out, data[i])
-		}
-	}
-	return string(out)
 }

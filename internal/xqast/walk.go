@@ -57,7 +57,9 @@ func walkCond(c Cond, fn func(Cond)) {
 }
 
 // Rewrite returns a copy of e with fn applied bottom-up: children are
-// rewritten first, then fn transforms the resulting node.
+// rewritten first, then fn transforms the resulting node. The copy of a
+// For keeps Var, In and Return only: it drops the Slot and Join that
+// Resolve fills in, so Rewrite is for queries not yet resolved.
 func Rewrite(e Expr, fn func(Expr) Expr) Expr {
 	if e == nil {
 		return nil
@@ -126,7 +128,7 @@ func Vars(q *Query) []string {
 
 // EqualCond reports structural equality of two conditions. The fragment
 // requires the two conditions of a CondTag pair to be syntactically equal;
-// the normalizer uses this to validate input.
+// only tests use it, to check the pairs if-pushdown rule NC builds.
 func EqualCond(a, b Cond) bool {
 	return FormatCond(a) == FormatCond(b)
 }
