@@ -194,7 +194,7 @@ func TestWorkloadPublicAPI(t *testing.T) {
 	// be the document's, not one per member query. The scheduler feeds
 	// 64-token batches, so on this short document the pass reads every
 	// token and the EOF token after them (a solo run stops at </bib>).
-	tok := xmlstream.NewTokenizer(strings.NewReader(bibDoc))
+	tok := xmlstream.NewTokenizerOptions(strings.NewReader(bibDoc), xmlstream.DefaultOptions())
 	docTokens := int64(1) // EOF
 	for tk, err := tok.Next(); tk.Kind != xmlstream.EOF; tk, err = tok.Next() {
 		if err != nil {

@@ -78,7 +78,7 @@ func FuzzSplit(f *testing.F) {
 		// Every document must be safely tokenizable (success or syntax
 		// error, bounded work).
 		for _, d := range docs {
-			tok := xmlstream.NewTokenizer(bytes.NewReader(d))
+			tok := xmlstream.NewTokenizerOptions(bytes.NewReader(d), xmlstream.DefaultOptions())
 			for {
 				tk, err := tok.Next()
 				if err != nil || tk.Kind == xmlstream.EOF {

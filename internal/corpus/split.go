@@ -216,7 +216,7 @@ func (s *Splitter) keepTo(i int) {
 func (s *Splitter) startsDoc() bool {
 	for s.Pos < s.N {
 		switch c := s.Buf[s.Pos]; {
-		case isSpaceByte(c):
+		case xmlstream.IsSpace(c):
 			s.Pos++
 		case c == 0xEF && s.Ensure(3) && s.Buf[s.Pos+1] == 0xBB && s.Buf[s.Pos+2] == 0xBF:
 			s.Pos += 3
@@ -243,7 +243,7 @@ func (s *Splitter) hop() (closed bool) {
 			if d.tag && d.quote == 0 {
 				d.prevSlash = s.Buf[s.N-1] == '/'
 			}
-			if !d.tag && !d.rootSeen && !allSpace(s.Buf[run:s.N]) {
+			if !d.tag && !d.rootSeen && !xmlstream.IsAllSpace(s.Buf[run:s.N]) {
 				d.sawJunk = true
 			}
 			s.keepTo(s.N)
@@ -279,7 +279,7 @@ func (s *Splitter) hop() (closed bool) {
 				}
 			}
 		case c == '<':
-			if !d.rootSeen && !allSpace(s.Buf[run:i]) {
+			if !d.rootSeen && !xmlstream.IsAllSpace(s.Buf[run:i]) {
 				d.sawJunk = true
 			}
 			var ok bool
@@ -305,7 +305,7 @@ func (s *Splitter) markup(i int) (next int, ok bool) {
 	switch {
 	case b < 0:
 		return 0, false
-	case b == '/' || isNameStartByte(byte(b)):
+	case b == '/' || xmlstream.IsNameStart(byte(b)):
 		d.tag, d.closeTag = true, b == '/'
 		return i + 2, true
 	case b == '?':
@@ -369,21 +369,4 @@ func (s *Splitter) skip(from int, kind byte) (int, bool) {
 	}
 	s.doc.markup = false
 	return s.Pos, true
-}
-
-func allSpace(b []byte) bool {
-	for _, c := range b {
-		if !isSpaceByte(c) {
-			return false
-		}
-	}
-	return true
-}
-
-func isSpaceByte(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-func isNameStartByte(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
 }

@@ -1,6 +1,10 @@
 package corpus
 
-import "strconv"
+import (
+	"strconv"
+
+	"gcx/internal/xmlstream"
+)
 
 // refDoc is one document as referenceSplit frames it: its bytes, or
 // tooLarge for a document over the cap (whose bytes are dropped).
@@ -48,7 +52,7 @@ func referenceSplit(input []byte, max int64) []refDoc {
 		for pos < len(input) && !closed {
 			c := input[pos]
 			if !started {
-				if isSpaceByte(c) {
+				if xmlstream.IsSpace(c) {
 					pos++
 					continue
 				}
@@ -65,7 +69,7 @@ func referenceSplit(input []byte, max int64) []refDoc {
 			case spText:
 				if c == '<' {
 					state = spLT
-				} else if !rootSeen && !isSpaceByte(c) {
+				} else if !rootSeen && !xmlstream.IsSpace(c) {
 					sawJunk = true
 				}
 			case spLT:
@@ -76,7 +80,7 @@ func referenceSplit(input []byte, max int64) []refDoc {
 					state, piQuestion = spPI, false
 				case c == '/':
 					state, closeTag, prevSlash = spTag, true, false
-				case isNameStartByte(c):
+				case xmlstream.IsNameStart(c):
 					state, closeTag, prevSlash = spTag, false, false
 				default:
 					state = spText

@@ -27,6 +27,8 @@ package dtd
 import (
 	"fmt"
 	"strings"
+
+	"gcx/internal/xmlstream"
 )
 
 // Schema holds the parsed element declarations and derived facts.
@@ -99,12 +101,6 @@ func MustParse(src string) *Schema {
 		panic("dtd: " + err.Error())
 	}
 	return s
-}
-
-// Declared reports whether the element is declared.
-func (s *Schema) Declared(elem string) bool {
-	_, ok := s.elements[elem]
-	return ok
 }
 
 // CanContain reports whether child can occur as a direct child of elem.
@@ -208,11 +204,7 @@ func (p *parser) errf(format string, args ...interface{}) error {
 }
 
 func (p *parser) skipSpace() {
-	for !p.eof() {
-		c := p.src[p.pos]
-		if c != ' ' && c != '\t' && c != '\n' && c != '\r' {
-			return
-		}
+	for !p.eof() && xmlstream.IsSpace(p.src[p.pos]) {
 		p.pos++
 	}
 }
@@ -256,15 +248,14 @@ func (p *parser) consume(lit string) bool {
 	return false
 }
 
-func isNameByte(c byte) bool {
-	return c == '_' || c == '-' || c == '.' || c == ':' ||
-		(c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9')
-}
-
+// name reads a name as the tokenizer does (xmlstream.IsNameStart,
+// IsNameByte), or returns "" where none starts.
 func (p *parser) name() string {
 	start := p.pos
-	for !p.eof() && isNameByte(p.src[p.pos]) {
-		p.pos++
+	if p.eof() || !xmlstream.IsNameStart(p.src[p.pos]) {
+		return ""
+	}
+	for p.pos++; !p.eof() && xmlstream.IsNameByte(p.src[p.pos]); p.pos++ {
 	}
 	return p.src[start:p.pos]
 }

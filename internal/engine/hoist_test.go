@@ -1,11 +1,17 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
+
+	"gcx/internal/buffer"
+	"gcx/internal/obs"
+	"gcx/internal/xmlstream"
 )
 
 // The evaluator keeps a comparison's collected operand for as long as that
@@ -248,6 +254,24 @@ func TestFailedJoinThenCleanRunOnPooledState(t *testing.T) {
 	}
 }
 
+// symCap is how many names a pooled symbol table keeps across documents
+// (xmlstream's maxRetainedSyms): a document with more makes the next run
+// start from an empty table. TestSharedSymTabAfterFlush fails if the
+// table is not flushed after symCap+1 names.
+const symCap = 4096
+
+// floodDoc is tc's document with a <junk> element of symCap+1 children,
+// each with a name of its own, ahead of its content.
+func floodDoc(doc string) string {
+	var junk strings.Builder
+	junk.WriteString("<junk>")
+	for i := 0; i <= symCap; i++ {
+		fmt.Fprintf(&junk, "<g%d></g%d>", i, i)
+	}
+	junk.WriteString("</junk>")
+	return strings.Replace(doc, "<r>", "<r>"+junk.String(), 1)
+}
+
 // TestSymTabFlushReResolves: a document with more distinct tags than the
 // pooled symbol table may retain makes the next run start from an empty
 // table; the query's names must be resolved against THAT table, not
@@ -257,14 +281,8 @@ func TestSymTabFlushReResolves(t *testing.T) {
 	q := compile(t, `<o>{ (for $j in /r/junk/* return <j/>,
 	    for $p in /r/people/p return for $t in /r/sales/t return
 	        if ($t/ref = $p/id) then <m/> else ()) }</o>`, Config{Mode: ModeGCX})
-	var junk strings.Builder
-	junk.WriteString("<junk>")
-	for i := 0; i <= maxRetainedSyms; i++ {
-		fmt.Fprintf(&junk, "<g%d></g%d>", i, i)
-	}
-	junk.WriteString("</junk>")
 	plain := strings.Replace(tc.doc, "<r>", "<r><junk></junk>", 1)
-	flood := strings.Replace(tc.doc, "<r>", "<r>"+junk.String(), 1)
+	flood := floodDoc(tc.doc)
 	matches := strings.Count(tc.want, "<m>")
 	want := func(js int) string {
 		return "<o>" + strings.Repeat("<j></j>", js) + strings.Repeat("<m></m>", matches) + "</o>"
@@ -272,13 +290,62 @@ func TestSymTabFlushReResolves(t *testing.T) {
 	for i, step := range []struct {
 		doc string
 		js  int
-	}{{plain, 0}, {flood, maxRetainedSyms + 1}, {plain, 0}, {plain, 0}} {
+	}{{plain, 0}, {flood, symCap + 1}, {plain, 0}, {plain, 0}} {
 		var out strings.Builder
 		if _, err := q.RunChecked(strings.NewReader(step.doc), &out); err != nil {
 			t.Fatal(err)
 		}
 		if out.String() != want(step.js) {
 			t.Fatalf("run %d: got %d bytes, want %d:\n%.200s", i, out.Len(), len(want(step.js)), out.String())
+		}
+	}
+}
+
+// TestSharedSymTabAfterFlush: the tokenizer and the buffer share one
+// symbol table, which Tokenizer.Reset empties after a document that went
+// over the cap. In the runs around that flush, every start and end token
+// carries the Sym its name has in the table now — none from before the
+// Reset — and every buffered element's Sym names its tag: the full-buffer
+// mode buffers the whole document, whose element names, read back
+// through the table in document order, are the start tags' names.
+func TestSharedSymTabAfterFlush(t *testing.T) {
+	c := compile(t, `<o>{ for $x in /r return $x }</o>`, Config{Mode: ModeFullBuffer})
+	doc := hoistCases()[0].doc
+	rs := c.solo.newRunState()
+	syms := rs.buf.Syms()
+	for i, in := range []string{doc, floodDoc(doc), doc, doc} {
+		rs.reset(context.Background(), c.solo, obs.Now(), strings.NewReader(in), []io.Writer{io.Discard}, nil)
+		if i == 2 && syms.Len() != 0 {
+			t.Fatalf("run %d: the table kept %d names after a document of more than %d", i, syms.Len(), symCap)
+		}
+		var starts []string
+		rs.proj.Observe(func(tk xmlstream.Token) {
+			if tk.Kind != xmlstream.StartElement && tk.Kind != xmlstream.EndElement {
+				return
+			}
+			if tk.Sym == xmlstream.NoSym || int(tk.Sym) > syms.Len() || syms.Name(tk.Sym) != tk.Name {
+				t.Fatalf("run %d: token %v carries Sym %d, not its name's in a table of %d", i, tk, tk.Sym, syms.Len())
+			}
+			if tk.Kind == xmlstream.StartElement {
+				starts = append(starts, tk.Name)
+			}
+		})
+		if err := rs.tasks[0].exec(); err != nil {
+			t.Fatalf("run %d: %v", i, err)
+		}
+		var buffered []string
+		var walk func(n *buffer.Node)
+		walk = func(n *buffer.Node) {
+			for ch := n.FirstChild; ch != nil; ch = ch.NextSib {
+				if ch.Kind == buffer.KindElement {
+					buffered = append(buffered, syms.Name(ch.Sym))
+					walk(ch)
+				}
+			}
+		}
+		walk(rs.buf.Root())
+		if !slices.Equal(buffered, starts) {
+			t.Fatalf("run %d: buffered elements read back as\n%.300v\nthe start tags were\n%.300v", i, buffered, starts)
 		}
 	}
 }

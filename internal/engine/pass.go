@@ -145,9 +145,6 @@ type QueryStats struct {
 	Err error `json:"-"`
 }
 
-// maxRetainedSyms bounds the pooled symbol table across runs.
-const maxRetainedSyms = 4096
-
 // writerBudget is what one run state spends on its members' output
 // batching, divided among them: a member's writer gets the solo 32 KB
 // while the members number eight or fewer and never less than
@@ -160,12 +157,12 @@ const (
 )
 
 // runState bundles the mutable per-run machinery of one pass — the chain
-// of Figure 11: the tokenizer, the symbol table, the buffer (with its node
-// arena), the projector, and one output writer/evaluator pair per member.
+// of Figure 11: the tokenizer, the buffer (with its node arena and the
+// run's one symbol table, which the tokenizer interns into), the
+// projector, and one output writer/evaluator pair per member.
 // A runState is owned by exactly one run at a time — the one that flipped
 // its idle flag (see Pass.acquire) — and recycled through Pass.pool.
 type runState struct {
-	syms *xmlstream.SymTab
 	buf  *buffer.Buffer
 	tok  *xmlstream.Tokenizer
 	proj *proj.Projector
@@ -198,8 +195,7 @@ type runState struct {
 // (BorrowText); what is kept, the buffer copies into its own text slab.
 func (p *Pass) newRunState() *runState {
 	n := len(p.Members)
-	syms := xmlstream.NewSymTab()
-	buf := buffer.New(syms, len(p.Tree.Roles)-1, p.agg)
+	buf := buffer.New(xmlstream.NewSymTab(), len(p.Tree.Roles)-1, p.agg)
 	opts := xmlstream.DefaultOptions()
 	opts.BorrowText = true
 	tok := xmlstream.NewTokenizerOptions(nil, opts)
@@ -209,7 +205,6 @@ func (p *Pass) newRunState() *runState {
 	})
 	wsize := min(max(writerBudget/n, minWriterBuffer), xmlstream.DefaultWriterBuffer)
 	rs := &runState{
-		syms: syms,
 		buf:  buf,
 		tok:  tok,
 		proj: pr,
@@ -245,25 +240,19 @@ func (p *Pass) newRunState() *runState {
 }
 
 // reset points the runState at a new run's input — through the guard
-// when ctx can be canceled — outputs, and tracer. Reset order matters: the
-// projector rebuilds its root frame around the buffer's fresh root (and
-// drops the last run's observer).
+// when ctx can be canceled — outputs, and tracer. Reset order matters:
+// the buffer drops every node, and with them every Sym, before the
+// tokenizer may empty the symbol table (Tokenizer.Reset bounds it), and
+// both before an evaluator interns its query's vocabulary, as its run
+// starts; the projector rebuilds its root frame around the buffer's fresh
+// root (and drops the last run's observer).
 //
 //gcxlint:keep idle the ownership flag: acquire clears it, release sets it
 //gcxlint:keep self the state's own weak pointer, made once in newRunState
 func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reader, outs []io.Writer, tr *Tracer) {
 	rs.start = start
-	rs.tok.Reset(rs.guard.Reset(ctx, in))
 	rs.buf.Reset()
-	// The symbol table survives runs (tag vocabularies repeat) but is
-	// bounded: documents with generated per-document names must not grow
-	// a pooled run state without limit. Safe only after buf.Reset — no
-	// buffered node carries a Sym anymore — and only before the run: each
-	// evaluator interns its query's vocabulary into whatever table this
-	// leaves as it starts (the symbols it resolves are per run, never kept).
-	if rs.syms.Len() > maxRetainedSyms {
-		rs.syms.Reset()
-	}
+	rs.tok.Reset(rs.guard.Reset(ctx, in))
 	rs.proj.Reset()
 	if rs.sched != nil {
 		rs.sched.reset()
@@ -289,12 +278,12 @@ func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reade
 // the projector and the evaluators so the idle pool pins nothing of the
 // document and keeps no more than their retention caps allow.
 func (p *Pass) release(rs *runState) {
+	rs.buf.Reset()
 	rs.tok.Reset(nil)
 	rs.guard = corpus.Guard{}
 	for i := range rs.ws {
 		rs.ws[i].Reset(io.Discard)
 	}
-	rs.buf.Reset()
 	rs.proj.Reset()
 	for i := range rs.tasks {
 		rs.tasks[i].ev.Reset(eval.Options{})

@@ -374,7 +374,10 @@ func TestSchemaAgreesOnXMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !schema.Declared("site") || !schema.Declared("closed_auction") {
+	if can, _ := schema.CanContain("site", "closed_auctions"); !can {
+		t.Fatal("XMark DTD incomplete")
+	}
+	if can, _ := schema.CanContain("closed_auctions", "closed_auction"); !can {
 		t.Fatal("XMark DTD incomplete")
 	}
 	dead := schema.NoMoreAfter("site", "open_auctions")

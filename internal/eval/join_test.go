@@ -49,7 +49,7 @@ func newSchemaChain(t *testing.T, query string, schema *dtd.Schema) *chain {
 	}
 	ch := &chain{c: c, schema: schema}
 	ch.buf = buffer.New(xmlstream.NewSymTab(), len(roles)-1, agg)
-	ch.tok = xmlstream.NewTokenizer(nil)
+	ch.tok = xmlstream.NewTokenizerOptions(nil, xmlstream.DefaultOptions())
 	ch.pr = proj.New(ch.tok, ch.buf, c.MatchTree, proj.Options{AggregateRoles: c.Analysis.Opts.AggregateRoles, Schema: schema})
 	ch.w = xmlstream.NewWriter(io.Discard)
 	ch.ev = eval.New(ch.buf, ch.pr, ch.w, eval.Options{})

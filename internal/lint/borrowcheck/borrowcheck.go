@@ -402,11 +402,15 @@ func (c *checker) walkExpr(e ast.Expr) bool {
 	case *ast.SelectorExpr:
 		// tk.Data inherits tk's taint; package-qualified idents do not,
 		// and neither do fields whose type cannot hold window bytes
-		// (tk.Kind is a number — nothing to retain).
+		// (tk.Kind is a number — nothing to retain) nor a token's Name,
+		// which is the symbol table's string.
 		if !c.walkExpr(x.X) {
 			return false
 		}
 		if tv, ok := c.pass.TypesInfo.Types[x]; ok && tv.Type != nil && !isWindowType(tv.Type) && !isByteSlice(tv.Type) {
+			return false
+		}
+		if tv, ok := c.pass.TypesInfo.Types[x.X]; ok && x.Sel.Name == "Name" && isXMLStreamToken(tv.Type) {
 			return false
 		}
 		return true

@@ -102,6 +102,13 @@ func (s *sink) scalarField(t *xmlstream.Tokenizer) {
 	s.kind = tk.Kind
 }
 
+// nameField stores the token's name, which is the symbol table's string,
+// not window bytes.
+func (s *sink) nameField(t *xmlstream.Tokenizer) {
+	tk, _ := t.Next()
+	s.last = tk.Name
+}
+
 // node and slab mirror the buffer's text path: the slab's copy kills the
 // taint, so what it returns may be stored.
 type node struct{ text string }

@@ -157,8 +157,11 @@ type Projector struct {
 	observe func(xmlstream.Token)
 }
 
-// New creates a projector reading from tok into buf, guided by tree.
+// New creates a projector reading from tok into buf, guided by tree. The
+// tokenizer interns names into the buffer's symbol table from then on, so
+// a token's Sym is what the buffer stores.
 func New(tok *xmlstream.Tokenizer, buf *buffer.Buffer, tree *projtree.Tree, opts Options) *Projector {
+	tok.SetSymTab(buf.Syms())
 	p := &Projector{tok: tok, buf: buf, tree: tree, opts: opts}
 	p.buf.SetCanceller(p)
 	p.init()
@@ -276,7 +279,7 @@ func (p *Projector) Step() (bool, error) {
 	p.tokens++
 	switch tk.Kind {
 	case xmlstream.StartElement:
-		p.openElement(tk.Name)
+		p.openElement(tk.Name, tk.Sym)
 	case xmlstream.EndElement:
 		p.closeElement(tk.Name)
 	case xmlstream.Text:
@@ -321,7 +324,6 @@ func (p *Projector) cancelledCount(role xqast.Role, anchor *frame) int {
 // elementTestMatches reports whether an element with tag sym name matches a
 // step node test.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
 func elementTestMatches(t xqast.NodeTest, name string) bool {
 	switch t.Kind {
@@ -337,7 +339,6 @@ func elementTestMatches(t xqast.NodeTest, name string) bool {
 // tokenMatches evaluates a step node test against the current token: a
 // text token if isText, an element with the given tag name otherwise.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
 func tokenMatches(t xqast.NodeTest, isText bool, name string) bool {
 	if isText {
@@ -364,10 +365,7 @@ func (p *Projector) addCand(pn *projtree.Node, owner, anchor *frame, mult int) {
 // collectCands gathers candidate matches for a child of top against the
 // current token, merging derivations. The returned slice is the reused
 // candidate scratch, valid until the next collectCands.
-// collectCands only compares name against projection-tree tests; no
-// bytes are retained.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
 func (p *Projector) collectCands(top *frame, isText bool, name string) []entry {
 	p.cands = p.cands[:0]
@@ -611,20 +609,20 @@ func (p *Projector) addCapture(f *frame, roleID, chain xqast.Role, e *entry) {
 	p.buf.AddRole(f.node, roleID, mult)
 }
 
-// openElement processes a start tag. name may borrow the tokenizer's
-// window; everything stored (symbols, schema facts) goes through the
-// symbol table's interning.
+// openElement processes a start tag: name is the symbol table's string
+// for sym, which the tokenizer has interned.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
-func (p *Projector) openElement(name string) {
+func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 	top := p.stack[len(p.stack)-1]
 	cands := p.collectCands(top, false, name)
 	cands = filterFirst(cands)
 
 	// Schema facts: a child with this tag excludes certain later child
 	// tags under the parent (recorded on the buffered parent node so
-	// blocking cursors can terminate the region early).
+	// blocking cursors can terminate the region early). The schema
+	// speaks names, so its dead tags are interned here: the projector's
+	// one Intern, and only under a DTD.
 	if p.opts.Schema != nil && top.node != nil && top.node.Kind == buffer.KindElement {
 		parentTag := p.buf.Syms().Name(top.node.Sym)
 		for _, dead := range p.opts.Schema.NoMoreAfter(parentTag, name) {
@@ -637,7 +635,6 @@ func (p *Projector) openElement(name string) {
 
 	keep := len(cands) > 0 || covered(top) || p.guard(top)
 	if keep {
-		sym := p.buf.Syms().Intern(name)
 		n := p.buf.AppendElement(top.attach, sym)
 		f.node = n
 		f.attach = n
@@ -716,10 +713,8 @@ func (p *Projector) carveScopes(parent []*entry, own int) []*entry {
 	return out
 }
 
-// closeElement processes an end tag. name may borrow the tokenizer's
-// window; it is only compared against schema facts, never retained.
+// closeElement processes an end tag.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
 func (p *Projector) closeElement(name string) {
 	f := p.stack[len(p.stack)-1]
@@ -761,7 +756,6 @@ func (p *Projector) closeElement(name string) {
 // case it is discarded anyway, so nothing a cursor could observe is
 // lost.
 //
-//gcxlint:borrowed
 //gcxlint:noalloc
 func (p *Projector) sealAfterChild(name string) {
 	top := p.stack[len(p.stack)-1]

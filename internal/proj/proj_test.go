@@ -46,7 +46,7 @@ func project(t *testing.T, src, doc string, opts static.Options) (*buffer.Buffer
 		}
 	}
 	buf := buffer.New(syms, len(a.Tree.Roles)-1, agg)
-	tok := xmlstream.NewTokenizer(strings.NewReader(doc))
+	tok := xmlstream.NewTokenizerOptions(strings.NewReader(doc), xmlstream.DefaultOptions())
 	p := proj.New(tok, buf, a.Tree, proj.Options{AggregateRoles: opts.AggregateRoles})
 	for {
 		more, err := p.Step()
@@ -253,7 +253,7 @@ func fig5Tree() *projtree.Tree {
 func observeMatches(t *testing.T, tree *projtree.Tree, doc string, at func(path []string, p *proj.Projector)) {
 	t.Helper()
 	buf := buffer.New(xmlstream.NewSymTab(), len(tree.Roles)-1, nil)
-	p := proj.New(xmlstream.NewTokenizer(strings.NewReader(doc)), buf, tree, proj.Options{})
+	p := proj.New(xmlstream.NewTokenizerOptions(strings.NewReader(doc), xmlstream.DefaultOptions()), buf, tree, proj.Options{})
 	at(nil, p)
 	var path []string
 	p.Observe(func(tk xmlstream.Token) {
@@ -418,7 +418,7 @@ func TestMatcherMatchesExample1(t *testing.T) {
 func TestObserverOffByDefault(t *testing.T) {
 	const doc = `<r>a&amp;b<x>C&amp;D</x></r>`
 	buf := buffer.New(xmlstream.NewSymTab(), 0, nil)
-	tok := xmlstream.NewTokenizer(strings.NewReader(doc))
+	tok := xmlstream.NewTokenizerOptions(strings.NewReader(doc), xmlstream.DefaultOptions())
 	p := proj.New(tok, buf, projtree.New(), proj.Options{})
 	if p.Observer() != nil {
 		t.Fatal("fresh projector has an observer")
@@ -463,7 +463,7 @@ func TestProjectionStatsTokens(t *testing.T) {
 		t.Fatal(err)
 	}
 	buf := buffer.New(xmlstream.NewSymTab(), len(a.Tree.Roles)-1, nil)
-	p := proj.New(xmlstream.NewTokenizer(strings.NewReader(doc)), buf, a.Tree, proj.Options{})
+	p := proj.New(xmlstream.NewTokenizerOptions(strings.NewReader(doc), xmlstream.DefaultOptions()), buf, a.Tree, proj.Options{})
 	for {
 		more, err := p.Step()
 		if err != nil {
@@ -523,7 +523,7 @@ func TestIdleProjectorRetentionIsBounded(t *testing.T) {
 		build := func() (*proj.Projector, *buffer.Buffer, *xmlstream.Tokenizer) {
 			_, a := project(t, c.src, "", static.Options{})
 			buf := buffer.New(xmlstream.NewSymTab(), len(a.Tree.Roles)-1, make([]bool, len(a.Tree.Roles)))
-			tok := xmlstream.NewTokenizer(strings.NewReader(""))
+			tok := xmlstream.NewTokenizerOptions(strings.NewReader(""), xmlstream.DefaultOptions())
 			return proj.New(tok, buf, a.Tree, proj.Options{}), buf, tok
 		}
 		p, buf, tok := build()

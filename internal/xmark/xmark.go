@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"io"
 	"strconv"
+	"sync"
 )
 
 // Config parameterizes document generation.
@@ -78,10 +79,20 @@ func FactorForSize(bytes int64) float64 {
 	return float64(bytes) / float64(BytesPerFactor)
 }
 
+// writers recycles Generate's 256 KB output buffers: a caller that
+// generates many small documents (a corpus) would otherwise allocate one
+// per document.
+var writers = sync.Pool{New: func() any { return bufio.NewWriterSize(nil, 256<<10) }}
+
 // Generate writes one document to w and returns the number of bytes
 // written.
 func Generate(w io.Writer, cfg Config) (int64, error) {
-	bw := bufio.NewWriterSize(w, 256<<10)
+	bw := writers.Get().(*bufio.Writer)
+	bw.Reset(w)
+	defer func() {
+		bw.Reset(nil)
+		writers.Put(bw)
+	}()
 	g := &gen{w: bw, rng: cfg.Seed*2862933555777941757 + 3037000493, counts: CountsFor(cfg.Factor)}
 	if g.rng == 0 {
 		g.rng = 88172645463325252

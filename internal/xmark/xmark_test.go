@@ -3,6 +3,7 @@ package xmark
 import (
 	"bytes"
 	"io"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -24,7 +25,7 @@ func generate(t *testing.T, cfg Config) string {
 
 func TestWellFormed(t *testing.T) {
 	doc := generate(t, Config{Factor: 0.002, Seed: 1})
-	tok := xmlstream.NewTokenizer(strings.NewReader(doc))
+	tok := xmlstream.NewTokenizerOptions(strings.NewReader(doc), xmlstream.DefaultOptions())
 	elements := 0
 	for {
 		tk, err := tok.Next()
@@ -52,6 +53,29 @@ func TestDeterministic(t *testing.T) {
 	c := generate(t, Config{Factor: 0.002, Seed: 8})
 	if a == c {
 		t.Fatal("different seeds must produce different documents")
+	}
+}
+
+// TestGenerateRecyclesItsWriter: Generate draws its 256 KB output buffer
+// from a pool, so a run of small documents allocates far less than one
+// buffer per document. (The bound leaves room for the race detector,
+// which drops a quarter of what a sync.Pool is given.)
+func TestGenerateRecyclesItsWriter(t *testing.T) {
+	cfg := Config{Factor: 0.0001, Seed: 3}
+	if _, err := Generate(io.Discard, cfg); err != nil {
+		t.Fatal(err)
+	}
+	const docs = 16
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range docs {
+		if _, err := Generate(io.Discard, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perDoc := (after.TotalAlloc - before.TotalAlloc) / docs; perDoc > 128<<10 {
+		t.Fatalf("Generate allocates %d bytes per document; its writer is %d", perDoc, 256<<10)
 	}
 }
 

@@ -92,10 +92,14 @@ func diffOne(t *testing.T, src []byte, window int, opts Options) {
 		t.Fatalf("window %d, opts %+v: token count %d vs %d\n input: %q",
 			window, opts, len(ctoks), len(rtoks), truncate(src))
 	}
-	for i := range ctoks {
-		if ctoks[i] != rtoks[i] {
+	for i, tk := range ctoks {
+		if !sameToken(tk, rtoks[i]) {
 			t.Fatalf("window %d, opts %+v: token %d diverges\n chunked:   %v\n reference: %v\n input: %q",
-				window, opts, i, ctoks[i], rtoks[i], truncate(src))
+				window, opts, i, tk, rtoks[i], truncate(src))
+		}
+		if (tk.Kind == StartElement || tk.Kind == EndElement) && chunked.syms.Name(tk.Sym) != tk.Name {
+			t.Fatalf("window %d, opts %+v: token %d %v carries Sym %d, which names %q\n input: %q",
+				window, opts, i, tk, tk.Sym, chunked.syms.Name(tk.Sym), truncate(src))
 		}
 	}
 }

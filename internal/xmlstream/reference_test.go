@@ -66,7 +66,7 @@ func NewReference(r io.Reader, opts Options) *Reference {
 //
 //gcxlint:keep opts the mode is part of the tokenizer's identity; Reset swaps documents, not configuration
 func (t *Reference) Reset(r io.Reader) {
-	if len(t.names) > maxRetainedNames {
+	if len(t.names) > maxRetainedSyms {
 		t.names = make(map[string]string, 64)
 	}
 	t.r = r
@@ -188,13 +188,13 @@ func (t *Reference) readName() (string, error) {
 	if !ok {
 		return "", errUnexpectedEOF
 	}
-	if !isNameStart(c) {
+	if !IsNameStart(c) {
 		return "", t.syntaxErr(fmt.Sprintf("expected name, found %q", c))
 	}
 	t.nameBuf = t.nameBuf[:0]
 	for {
 		c, ok := t.peek()
-		if !ok || !isNameByte(c) {
+		if !ok || !IsNameByte(c) {
 			break
 		}
 		t.nameBuf = append(t.nameBuf, c)
@@ -211,7 +211,7 @@ func (t *Reference) readName() (string, error) {
 func (t *Reference) skipSpace() {
 	for {
 		c, ok := t.peek()
-		if !ok || !isSpace(c) {
+		if !ok || !IsSpace(c) {
 			return
 		}
 		t.pos++
@@ -345,7 +345,7 @@ func (t *Reference) readText() (Token, bool, error) {
 			whitespaceOnly, cr = false, false
 			continue
 		}
-		if whitespaceOnly && !isSpace(c) {
+		if whitespaceOnly && !IsSpace(c) {
 			whitespaceOnly = false
 		}
 		if c == '\n' && cr {

@@ -140,7 +140,7 @@ func TestInterningBounded(t *testing.T) {
 	for run := 0; run < 3; run++ {
 		var doc strings.Builder
 		doc.WriteString("<r>")
-		for i := 0; i < maxRetainedNames; i++ {
+		for i := 0; i < maxRetainedSyms; i++ {
 			fmt.Fprintf(&doc, "<t%d-%d/>", run, i)
 		}
 		doc.WriteString("</r>")
@@ -157,16 +157,16 @@ func TestInterningBounded(t *testing.T) {
 	}
 	// Each run exceeds the cap on its own, so Reset must have dropped the
 	// previous vocabularies instead of stacking all three.
-	if len(tok.names) > maxRetainedNames+2 {
-		t.Fatalf("interned names grew unboundedly: %d > cap %d", len(tok.names), maxRetainedNames)
+	if tok.syms.Len() > maxRetainedSyms+2 {
+		t.Fatalf("interned names grew unboundedly: %d > cap %d", tok.syms.Len(), maxRetainedSyms)
 	}
 
 	s := NewSymTab()
 	s.Intern("a")
 	s.Intern("b")
 	s.Reset()
-	if s.Len() != 0 || s.byName["a"] != NoSym {
-		t.Fatal("SymTab.Reset must drop all names")
+	if s.Len() != 0 || s.byName["a"] != NoSym || s.cache != [symCacheSize]symSlot{} {
+		t.Fatal("SymTab.Reset must drop all names and empty the cache")
 	}
 	if got := s.Intern("c"); got != 1 || s.Name(got) != "c" {
 		t.Fatalf("post-reset intern broken: sym %d", got)

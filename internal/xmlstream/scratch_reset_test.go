@@ -61,9 +61,9 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 				break
 			}
 		}
-		for i, s := range tok.stack[:cap(tok.stack)] {
-			if s != "" {
-				t.Errorf("%s: stack[%d] still references the previous document: %q", name, i, s)
+		for i, tk := range tok.stack[:cap(tok.stack)] {
+			if tk != (Token{}) {
+				t.Errorf("%s: stack[%d] still references the previous document: %+v", name, i, tk)
 				break
 			}
 		}

@@ -49,12 +49,14 @@ func (k Kind) String() string {
 
 // Token is a single event from the XML stream.
 //
-// For StartElement and EndElement tokens, Name holds the tag name. For Text
-// tokens, Data holds the (unescaped) character data. The byte slices behind
-// Name and Data are only valid until the next call to the tokenizer; callers
-// that retain them must copy.
+// For StartElement and EndElement tokens, Sym is the tag name's symbol in
+// the tokenizer's symbol table and Name the table's string for it, which
+// the caller may keep. For Text tokens, Data holds the (unescaped)
+// character data; under BorrowText it is only valid until the next call
+// to the tokenizer.
 type Token struct {
 	Kind Kind
+	Sym  Sym    // tag name symbol for StartElement/EndElement
 	Name string // tag name for StartElement/EndElement
 	Data string // character data for Text
 }

@@ -50,7 +50,13 @@ func DefaultOptions() Options {
 // attributes (converted to subelements), character data, CDATA sections,
 // comments, processing instructions, and an optional XML declaration and
 // DOCTYPE (skipped). Namespaces are not interpreted; qualified names are
-// treated as plain tag names.
+// treated as plain tag names. Which bytes form a name is IsNameStart and
+// IsNameByte, the grammar every parser of the module shares.
+//
+// Tag and attribute names are interned into a SymTab as they are read, so
+// each start and end token carries its Sym and the table's canonical
+// string. The projector points the tokenizer at its buffer's table
+// (SetSymTab); a bare tokenizer makes its own on first use.
 //
 // Well-formedness of tag nesting is checked; the tokenizer returns a
 // *SyntaxError on mismatched or unclosed tags.
@@ -74,24 +80,15 @@ type Tokenizer struct {
 	// instead of shifting the slice, so draining is copy-free.
 	pending  []Token
 	pendHead int
-	stack    []string // open element names for well-formedness checking
-	rootSeen bool     // a root element has been produced (rejects forests)
+	stack    []Token // the end tag of each open element, for well-formedness checking
+	rootSeen bool    // a root element has been produced (rejects forests)
 
 	textBuf []byte // character data that left the window: runs across a slide or an entity, CDATA
 	attrBuf []byte // the current tag's attribute values that hold an entity
 
-	// names interns tag and attribute names: documents use few distinct
-	// names, and the map lookup on string(b) does not allocate, so
-	// steady-state tokenizing allocates only for character data.
-	// nameCache is a small direct-mapped front for it: hot vocabularies
-	// resolve with one string compare instead of a map probe.
-	names     map[string]string
-	nameCache [nameCacheSize]string
-}
-
-// NewTokenizer returns a tokenizer reading from r with default options.
-func NewTokenizer(r io.Reader) *Tokenizer {
-	return NewTokenizerOptions(r, DefaultOptions())
+	// syms interns tag and attribute names: documents use few distinct
+	// names, so steady-state tokenizing allocates only for character data.
+	syms *SymTab
 }
 
 // NewTokenizerOptions returns a tokenizer with explicit options. A nil
@@ -100,15 +97,13 @@ func NewTokenizerOptions(r io.Reader, opts Options) *Tokenizer {
 	return &Tokenizer{
 		Window: Window{Buf: make([]byte, windowSize), r: r},
 		opts:   opts,
-		names:  make(map[string]string, 64),
 	}
 }
 
-// maxRetainedNames bounds the interned-name table across Resets: XML
-// vocabularies are normally tiny, but a pooled tokenizer fed documents
-// with generated per-document tag names must not accumulate every name
-// ever seen.
-const maxRetainedNames = 4096
+// SetSymTab makes the tokenizer intern names into s; call it between
+// documents. The projector shares its buffer's table this way, so a
+// token's Sym is the one the buffer stores.
+func (t *Tokenizer) SetSymTab(s *SymTab) { t.syms = s }
 
 // maxRetainedScratch bounds the per-token scratch buffers across Resets:
 // one pathological document with a multi-megabyte text run or attribute
@@ -129,11 +124,17 @@ const maxRetainedEntries = 1024
 // which makes it a pooled, allocation-free serving artifact: after
 // warm-up, tokenizing a document allocates only for retained text.
 //
+// The symbol table survives documents (tag vocabularies repeat) but is
+// bounded: past maxRetainedSyms names, Reset empties it. This is the one
+// place the bound applies, so a caller sharing the table resets it only
+// here: after dropping every buffered node that holds a Sym, and before
+// an evaluator interns its query's vocabulary.
+//
 //gcxlint:keep opts the mode is part of the tokenizer's identity; Reset swaps documents, not configuration
+//gcxlint:keep syms the table is shared with the buffer; Reset only bounds it
 func (t *Tokenizer) Reset(r io.Reader) {
-	if len(t.names) > maxRetainedNames {
-		t.names = make(map[string]string, 64)
-		t.nameCache = [nameCacheSize]string{} // entries point into the dropped table
+	if t.syms != nil && t.syms.Len() > maxRetainedSyms {
+		t.syms.Reset()
 	}
 	t.Window.Reset(r)
 	t.closed = false
@@ -165,9 +166,6 @@ func resetEntries[S ~[]E, E any](s S) S {
 	return s[:0]
 }
 
-// Depth returns the number of currently open elements.
-func (t *Tokenizer) Depth() int { return len(t.stack) }
-
 var errUnexpectedEOF = errors.New("unexpected end of input")
 
 // syntaxErr reports msg at the window position at.
@@ -177,45 +175,16 @@ func (t *Tokenizer) syntaxErr(at int, msg string) error {
 	return &SyntaxError{Offset: t.Off + int64(at), Msg: msg}
 }
 
-//gcxlint:noalloc
-func isNameStart(c byte) bool {
-	return c == '_' || c == ':' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c >= 0x80
-}
-
-//gcxlint:noalloc
-func isNameByte(c byte) bool {
-	return isNameStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
-
-//gcxlint:noalloc
-func isSpace(c byte) bool {
-	return c == ' ' || c == '\t' || c == '\n' || c == '\r'
-}
-
-// nameCacheSize is the direct-mapped interning cache size. Real
-// vocabularies are a handful of names; 64 slots make collisions rare
-// while keeping the table one cache line of string headers per way.
-const nameCacheSize = 64
-
-// intern returns the canonical string for the name bytes b (len(b) > 0)
-// without allocating for names already seen: a direct-mapped cache
-// compare first, the interning map second. The string conversions in
-// comparison and map-key position are elided by the compiler.
+// intern returns the symbol of the name bytes b and the table's string
+// for it, allocating only for a name the table has not seen.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) intern(b []byte) string {
-	h := (uint32(b[0])*131 + uint32(b[len(b)-1])*31 + uint32(len(b))) % nameCacheSize
-	if c := t.nameCache[h]; len(c) == len(b) && c == string(b) {
-		return c
+func (t *Tokenizer) intern(b []byte) (Sym, string) {
+	if t.syms == nil {
+		t.syms = NewSymTab() //gcxlint:allocok a bare tokenizer's own table, made once
 	}
-	if interned, ok := t.names[string(b)]; ok {
-		t.nameCache[h] = interned
-		return interned
-	}
-	owned := string(b) //gcxlint:allocok interning copies each distinct name exactly once
-	t.names[owned] = owned
-	t.nameCache[h] = owned
-	return owned
+	sym := t.syms.lookup(borrowString(b), true)
+	return sym, t.syms.names[sym]
 }
 
 // maxEntity is how far past an '&' the tokenizer looks for the ';' of
@@ -432,7 +401,7 @@ func (t *Tokenizer) scan() (Token, error) {
 				return Token{}, t.Err
 			}
 			if len(t.stack) > 0 {
-				return Token{}, t.syntaxErr(t.Pos, "unexpected end of input: unclosed element <"+t.stack[len(t.stack)-1]+">")
+				return Token{}, t.syntaxErr(t.Pos, "unexpected end of input: unclosed element <"+t.stack[len(t.stack)-1].Name+">")
 			}
 			t.closed = true
 			return Token{Kind: EOF}, nil
@@ -503,7 +472,7 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 		i := t.Idx.Next(p)
 		if i < 0 {
 			tail := t.Buf[t.Pos:t.N]
-			ws = ws && isAllSpace(tail)
+			ws = ws && IsAllSpace(tail)
 			t.textBuf, cr = appendEOL(t.textBuf, tail, cr)
 			inBuf = true
 			t.Pos = t.N
@@ -517,7 +486,7 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 		case '<':
 			run := t.Buf[t.Pos:i]
 			t.Pos = i
-			ws = ws && isAllSpace(run)
+			ws = ws && IsAllSpace(run)
 			if !inBuf && (ws || !t.cr || bytes.IndexByte(run, '\r') < 0) {
 				return t.emitText(run, ws)
 			}
@@ -583,18 +552,6 @@ func appendEOL(dst, src []byte, cr bool) ([]byte, bool) {
 	}
 }
 
-// isAllSpace reports whether every byte of b is XML whitespace.
-//
-//gcxlint:noalloc
-func isAllSpace(b []byte) bool {
-	for _, c := range b {
-		if !isSpace(c) {
-			return false
-		}
-	}
-	return true
-}
-
 // openTag parses the start tag whose name starts at Pos inside the
 // window, with Reference's errors at Reference's offsets, queueing its
 // attribute subelements and, if it closes itself, its end. Names, spaces
@@ -615,17 +572,17 @@ func isAllSpace(b []byte) bool {
 func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 	buf, n, i := t.Buf, t.N, t.Pos
 	more := !grown && t.Err == nil // the window end is not the input's
-	if !isNameStart(buf[i]) {
+	if !IsNameStart(buf[i]) {
 		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])), true //gcxlint:allocok error construction terminates the scan
 	}
 	j := i + 1
-	for j < n && isNameByte(buf[j]) {
+	for j < n && IsNameByte(buf[j]) {
 		j++
 	}
 	if j == n && more {
 		return Token{}, nil, false
 	}
-	name := t.intern(buf[i:j])
+	sym, name := t.intern(buf[i:j])
 	if len(t.stack) == 0 && t.rootSeen {
 		return Token{}, t.syntaxErr(j, "multiple root elements: <"+name+">"), true
 	}
@@ -635,7 +592,7 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 	t.pendHead = 0
 	t.attrBuf = t.attrBuf[:0]
 	for i = j; ; {
-		for i < n && isSpace(buf[i]) {
+		for i < n && IsSpace(buf[i]) {
 			i++
 		}
 		if i == n && more {
@@ -654,21 +611,21 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 				case buf[i] != '>':
 					return Token{}, t.syntaxErr(i+1, "malformed self-closing tag <"+name), true
 				}
-				t.pending = append(t.pending, Token{Kind: EndElement, Name: name})
+				t.pending = append(t.pending, Token{Kind: EndElement, Sym: sym, Name: name})
 			} else {
-				t.stack = append(t.stack, name)
+				t.stack = append(t.stack, Token{Kind: EndElement, Sym: sym, Name: name})
 			}
 			t.Pos = i + 1
 			t.rootSeen = true
-			return Token{Kind: StartElement, Name: name}, nil, true
+			return Token{Kind: StartElement, Sym: sym, Name: name}, nil, true
 		}
-		if !isNameStart(c) {
+		if !IsNameStart(c) {
 			return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", c)), true //gcxlint:allocok error construction terminates the scan
 		}
-		for j = i + 1; j < n && isNameByte(buf[j]); j++ {
+		for j = i + 1; j < n && IsNameByte(buf[j]); j++ {
 		}
-		aname := t.intern(buf[i:j])
-		for j < n && isSpace(buf[j]) {
+		asym, aname := t.intern(buf[i:j])
+		for j < n && IsSpace(buf[j]) {
 			j++
 		}
 		switch {
@@ -679,7 +636,7 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 		case buf[j] != '=':
 			return Token{}, t.syntaxErr(j+1, "attribute "+aname+" missing '='"), true
 		}
-		for j++; j < n && isSpace(buf[j]); j++ {
+		for j++; j < n && IsSpace(buf[j]); j++ {
 		}
 		switch {
 		case j == n && more:
@@ -713,13 +670,13 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 				}
 				if value == "" {
 					t.pending = append(t.pending,
-						Token{Kind: StartElement, Name: aname},
-						Token{Kind: EndElement, Name: aname})
+						Token{Kind: StartElement, Sym: asym, Name: aname},
+						Token{Kind: EndElement, Sym: asym, Name: aname})
 				} else {
 					t.pending = append(t.pending,
-						Token{Kind: StartElement, Name: aname},
+						Token{Kind: StartElement, Sym: asym, Name: aname},
 						Token{Kind: Text, Data: value},
-						Token{Kind: EndElement, Name: aname})
+						Token{Kind: EndElement, Sym: asym, Name: aname})
 				}
 				break
 			}
@@ -783,7 +740,7 @@ func (t *Tokenizer) growTag(values bool) {
 //
 //gcxlint:noalloc
 func (t *Tokenizer) afterEquals(i int) bool {
-	for i--; i >= t.Pos && isSpace(t.Buf[i]); i-- {
+	for i--; i >= t.Pos && IsSpace(t.Buf[i]); i-- {
 	}
 	return i >= t.Pos && t.Buf[i] == '='
 }
@@ -792,7 +749,7 @@ func (t *Tokenizer) afterEquals(i int) bool {
 // to the tag's first structural byte and, if it is the '>', compares the
 // bytes before it (trailing spaces trimmed, as `</name >` is legal) with
 // the open element's name: equal, the interior is a valid name, and the
-// stack top doubles as the interned string. Anything else is parsed
+// stack top is the end token. Anything else is parsed
 // byte by byte, with Reference's errors, once the window holds the tag.
 //
 //gcxlint:noalloc
@@ -800,13 +757,13 @@ func (t *Tokenizer) endTag() (Token, error) {
 	i := t.Pos
 	if gt := t.Idx.Next(i); gt >= 0 && t.Buf[gt] == '>' && len(t.stack) > 0 {
 		j := gt
-		for j > i && isSpace(t.Buf[j-1]) {
+		for j > i && IsSpace(t.Buf[j-1]) {
 			j--
 		}
-		if top := t.stack[len(t.stack)-1]; top == string(t.Buf[i:j]) {
+		if top := t.stack[len(t.stack)-1]; top.Name == string(t.Buf[i:j]) {
 			t.stack = t.stack[:len(t.stack)-1]
 			t.Pos = gt + 1
-			return Token{Kind: EndElement, Name: top}, nil
+			return top, nil
 		}
 	}
 	t.growTag(false)
@@ -814,15 +771,15 @@ func (t *Tokenizer) endTag() (Token, error) {
 	if i == n {
 		return Token{}, errUnexpectedEOF
 	}
-	if !isNameStart(buf[i]) {
+	if !IsNameStart(buf[i]) {
 		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])) //gcxlint:allocok error construction terminates the scan
 	}
 	j := i + 1
-	for j < n && isNameByte(buf[j]) {
+	for j < n && IsNameByte(buf[j]) {
 		j++
 	}
-	name := t.intern(buf[i:j])
-	for j < n && isSpace(buf[j]) {
+	sym, name := t.intern(buf[i:j])
+	for j < n && IsSpace(buf[j]) {
 		j++
 	}
 	switch {
@@ -832,12 +789,12 @@ func (t *Tokenizer) endTag() (Token, error) {
 		return Token{}, t.syntaxErr(j+1, "malformed closing tag </"+name)
 	case len(t.stack) == 0:
 		return Token{}, t.syntaxErr(j+1, "closing tag </"+name+"> with no open element")
-	case t.stack[len(t.stack)-1] != name:
-		return Token{}, t.syntaxErr(j+1, "mismatched closing tag </"+name+">, expected </"+t.stack[len(t.stack)-1]+">")
+	case t.stack[len(t.stack)-1].Sym != sym:
+		return Token{}, t.syntaxErr(j+1, "mismatched closing tag </"+name+">, expected </"+t.stack[len(t.stack)-1].Name+">")
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 	t.Pos = j + 1
-	return Token{Kind: EndElement, Name: name}, nil
+	return Token{Kind: EndElement, Sym: sym, Name: name}, nil
 }
 
 // bang reads the markup "<!" opens, Pos at the '!': a comment or a

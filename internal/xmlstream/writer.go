@@ -255,18 +255,6 @@ func (w *Writer) Text(data string) {
 	w.writeString(data[start:])
 }
 
-// WriteToken dispatches a token to the matching method. EOF is ignored.
-func (w *Writer) WriteToken(t Token) {
-	switch t.Kind {
-	case StartElement:
-		w.StartElement(t.Name)
-	case EndElement:
-		w.EndElement(t.Name)
-	case Text:
-		w.Text(t.Data)
-	}
-}
-
 // Flush flushes buffered output and returns the first error seen, including
 // unbalanced open elements.
 func (w *Writer) Flush() error {

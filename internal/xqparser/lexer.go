@@ -8,6 +8,9 @@ package xqparser
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
+
+	"gcx/internal/xmlstream"
 )
 
 // tokKind enumerates lexical token kinds.
@@ -170,7 +173,7 @@ func (l *lexer) peekAt(i int) byte {
 func (l *lexer) skipSpaceAndComments() error {
 	for l.pos < len(l.src) {
 		c := l.src[l.pos]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+		if xmlstream.IsSpace(c) {
 			l.advance(1)
 			continue
 		}
@@ -202,17 +205,21 @@ func (l *lexer) skipSpaceAndComments() error {
 	return nil
 }
 
-func isIdentStart(c byte) bool {
-	return c == '_' || (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z')
+// nameAt reports whether a name starts i bytes ahead: the tokenizer's
+// grammar, except that a ':' does not start one.
+func (l *lexer) nameAt(i int) bool {
+	c := l.peekAt(i)
+	return c != ':' && xmlstream.IsNameStart(c)
 }
 
-func isIdentByte(c byte) bool {
-	return isIdentStart(c) || c == '-' || c == '.' || (c >= '0' && c <= '9')
-}
-
+// readIdent reads the name at pos. A ':' continues it only before another
+// name, so `dc:title` is one name and `child::a` the name `child` and `::`.
 func (l *lexer) readIdent() string {
 	start := l.pos
-	for l.pos < len(l.src) && isIdentByte(l.src[l.pos]) {
+	for l.pos < len(l.src) {
+		if c := l.src[l.pos]; c == ':' && !l.nameAt(1) || c != ':' && !xmlstream.IsNameByte(c) {
+			break
+		}
 		l.advance(1)
 	}
 	return l.src[start:l.pos]
@@ -256,7 +263,7 @@ func (l *lexer) next(exprCtx bool) (token, error) {
 	switch {
 	case c == '$':
 		l.advance(1)
-		if !isIdentStart(l.peekByte()) {
+		if !l.nameAt(0) {
 			return tk, l.errf("expected variable name after '$'")
 		}
 		tk.kind = tokVar
@@ -270,7 +277,7 @@ func (l *lexer) next(exprCtx bool) (token, error) {
 		tk.kind = tokString
 		tk.text = s
 		return tk, nil
-	case isIdentStart(c):
+	case l.nameAt(0):
 		tk.kind = tokIdent
 		tk.text = l.readIdent()
 		return tk, nil
@@ -350,7 +357,7 @@ func (l *lexer) next(exprCtx bool) (token, error) {
 	case '<':
 		if exprCtx && l.peekAt(1) == '/' {
 			l.advance(2)
-			if !isIdentStart(l.peekByte()) {
+			if !l.nameAt(0) {
 				return tk, l.errf("expected tag name after '</'")
 			}
 			name := l.readIdent()
@@ -365,7 +372,7 @@ func (l *lexer) next(exprCtx bool) (token, error) {
 			tk.text = name
 			return tk, nil
 		}
-		if exprCtx && isIdentStart(l.peekAt(1)) {
+		if exprCtx && l.nameAt(1) {
 			l.advance(1)
 			tk.kind = tokTagOpen
 			tk.text = l.readIdent()
@@ -379,7 +386,8 @@ func (l *lexer) next(exprCtx bool) (token, error) {
 			tk.kind = tokLt
 		}
 	default:
-		return tk, l.errf("unexpected character %q", c)
+		r, _ := utf8.DecodeRuneInString(l.src[l.pos:])
+		return tk, l.errf("unexpected character %q", r)
 	}
 	return tk, nil
 }

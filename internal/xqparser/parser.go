@@ -30,23 +30,6 @@ func Parse(src string) (*xqast.Query, error) {
 	return &xqast.Query{Root: root}, nil
 }
 
-// ParseExpr parses a standalone expression (used by tests).
-func ParseExpr(src string) (xqast.Expr, error) {
-	p := &parser{lx: newLexer(src)}
-	expr, err := p.parseExpr()
-	if err != nil {
-		return nil, err
-	}
-	tk, err := p.take(true)
-	if err != nil {
-		return nil, err
-	}
-	if tk.kind != tokEOF {
-		return nil, p.errAt(tk, "unexpected %s after end of expression", tk.kind)
-	}
-	return expr, nil
-}
-
 type parser struct {
 	lx *lexer
 }

@@ -255,6 +255,8 @@ func TestParseErrors(t *testing.T) {
 		{"attr in constructor", `<q id="1">{ () }</q>`, "attributes"},
 		{"missing in", `<q>{ for $x /a return $x }</q>`, `keyword "in"`},
 		{"missing return", `<q>{ for $x in /a $x }</q>`, `keyword "return"`},
+		{"stray character", `<q>{ /a # }</q>`, `unexpected character '#'`},
+		{"colon ends a name", `<q>{ /a/dc: }</q>`, `expected '::'`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
