@@ -374,11 +374,16 @@ func TestSchemaAgreesOnXMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if can, _ := schema.CanContain("site", "closed_auctions"); !can {
-		t.Fatal("XMark DTD incomplete")
-	}
-	if can, _ := schema.CanContain("closed_auctions", "closed_auction"); !can {
-		t.Fatal("XMark DTD incomplete")
+	// CanContain answers (true, false) for an undeclared element, so each
+	// check requires known as well: it fails when a declaration is missing.
+	for _, pc := range [][2]string{
+		{"site", "closed_auctions"},
+		{"closed_auctions", "closed_auction"},
+		{"closed_auction", "seller"},
+	} {
+		if can, known := schema.CanContain(pc[0], pc[1]); !can || !known {
+			t.Fatalf("XMark DTD incomplete: CanContain(%s, %s) = %v, %v", pc[0], pc[1], can, known)
+		}
 	}
 	dead := schema.NoMoreAfter("site", "open_auctions")
 	found := false

@@ -206,10 +206,20 @@ func (l *lexer) skipSpaceAndComments() error {
 }
 
 // nameAt reports whether a name starts i bytes ahead: the tokenizer's
-// grammar, except that a ':' does not start one.
+// grammar, except that a ':' does not start one and a copied rune
+// (copiedAt) is no part of one.
 func (l *lexer) nameAt(i int) bool {
 	c := l.peekAt(i)
-	return c != ':' && xmlstream.IsNameStart(c)
+	return c != ':' && xmlstream.IsNameStart(c) && !l.copiedAt(i)
+}
+
+// copiedAt reports whether a typographic quote or a no-break space starts
+// i bytes ahead. Text copied from formatted documents brings them in place
+// of ASCII quotes and spaces; no query name holds one, so `$c = “noir”`
+// is an unexpected character, not a name step (DESIGN.md, "One name grammar").
+func (l *lexer) copiedAt(i int) bool {
+	r, _ := utf8.DecodeRuneInString(l.src[min(l.pos+i, len(l.src)):])
+	return strings.ContainsRune("\u00a0\u2018\u2019\u201c\u201d", r)
 }
 
 // readIdent reads the name at pos. A ':' continues it only before another
@@ -217,7 +227,7 @@ func (l *lexer) nameAt(i int) bool {
 func (l *lexer) readIdent() string {
 	start := l.pos
 	for l.pos < len(l.src) {
-		if c := l.src[l.pos]; c == ':' && !l.nameAt(1) || c != ':' && !xmlstream.IsNameByte(c) {
+		if c := l.src[l.pos]; c == ':' && !l.nameAt(1) || c != ':' && (!xmlstream.IsNameByte(c) || l.copiedAt(0)) {
 			break
 		}
 		l.advance(1)

@@ -257,6 +257,9 @@ func TestParseErrors(t *testing.T) {
 		{"missing return", `<q>{ for $x in /a $x }</q>`, `keyword "return"`},
 		{"stray character", `<q>{ /a # }</q>`, `unexpected character '#'`},
 		{"colon ends a name", `<q>{ /a/dc: }</q>`, `expected '::'`},
+		{"typographic quote", `<q>{ for $c in /a/café where $c = “noir” return $c }</q>`, `unexpected character '“'`},
+		{"typographic quote ends a name", `<q>{ /a/b’ }</q>`, `unexpected character '’'`},
+		{"no-break space", "<q>{ for $c\u00a0in /a return $c }</q>", `unexpected character '\u00a0'`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

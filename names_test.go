@@ -83,18 +83,19 @@ func TestQualifiedAndNonASCIINames(t *testing.T) {
 <!ELEMENT dc:title (#PCDATA)>
 <!ELEMENT café (#PCDATA)>
 <!ELEMENT x EMPTY>`
-	for _, q := range []string{
-		`<out>{ /r/dc:title }</out>`,
-		`<out>{ /r/café }</out>`,
-		`<out>{ for $t in /r/dc:title return <t>{ $t/text() }</t> }</out>`,
-		`<out>{ for $c in //café return if ($c = "noir") then <dc:hit>{ $c }</dc:hit> else () }</out>`,
+	for _, tc := range []struct{ q, selects string }{
+		{`<out>{ /r/dc:title }</out>`, "<dc:title>Buffers</dc:title>"},
+		{`<out>{ /r/café }</out>`, "<café>crème</café>"},
+		{`<out>{ for $t in /r/dc:title return <t>{ $t/text() }</t> }</out>`, "<t>Streams</t>"},
+		{`<out>{ for $c in //café return if ($c = "noir") then <dc:hit>{ $c }</dc:hit> else () }</out>`, "<dc:hit><café>noir</café></dc:hit>"},
 	} {
+		q := tc.q
 		want, _, err := MustCompile(q, WithStrategy(FullBuffer)).RunString(doc)
 		if err != nil {
 			t.Fatalf("%s: FullBuffer: %v", q, err)
 		}
-		if !strings.Contains(want, "<") {
-			t.Fatalf("%s: FullBuffer selected nothing: %q", q, want)
+		if !strings.Contains(want, tc.selects) {
+			t.Fatalf("%s: FullBuffer gave %q, which lacks %q", q, want, tc.selects)
 		}
 		for _, opts := range [][]Option{
 			nil,
