@@ -340,16 +340,6 @@ func (b *Buffer) undefinedRemoval(n *Node, r xqast.Role) error {
 // entries returns the number of entries in n's role multiset.
 func (b *Buffer) entries(n *Node) int { return int(min(n.role.n, 1)) + b.roles.len(n.roles) }
 
-// RoleCount returns the multiplicity of role r on n.
-//
-//gcxlint:noalloc
-func (b *Buffer) RoleCount(n *Node, r xqast.Role) int {
-	if e := b.entry(n, r); e != nil {
-		return int(e.n)
-	}
-	return 0
-}
-
 // RolesString returns n's role multiset as a sorted, human-readable
 // string like "{r2,r3,r3}". Empty role sets render as "{}".
 func (b *Buffer) RolesString(n *Node) string {

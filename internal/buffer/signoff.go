@@ -51,18 +51,6 @@ func (b *Buffer) SignOff(binding *Node, steps []xqast.Step, names []xmlstream.Sy
 	return nil
 }
 
-// Resolve exposes signOff path resolution for tests and diagnostics: it
-// returns the nodes reached by steps from binding, in document order, with
-// derivation multiplicities.
-func (b *Buffer) Resolve(binding *Node, steps []xqast.Step, names []xmlstream.Sym) []*Node {
-	ts := b.resolve(binding, steps, names)
-	out := make([]*Node, len(ts))
-	for i, t := range ts {
-		out[i] = t.node
-	}
-	return out
-}
-
 // resolve walks steps from start through the buffered tree using the
 // buffer's ping-pong scratch slices, so steady-state signOff execution
 // does not allocate. The returned slice is valid until the next resolve.

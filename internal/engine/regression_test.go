@@ -92,17 +92,47 @@ func TestRegressionFirstWitnessPerInstance(t *testing.T) {
 // with an undefined removal. The unexecuted else-branch matters: without
 // it the loop body serializes b, which forces the closing tag to be read
 // before the signOff, hiding the unfinished-subtree path.
+//
+// The last two cases are the two ways a chain candidate's multiplicity
+// can exceed its signed-off instances while these are above 0; a signOff
+// must take exactly the retired instance's share of it:
+//
+//   - b is bound to $y twice, once per a; the outer binding's comparison
+//     is answered by the first c and signs off while b is open. The
+//     second c still belongs to the inner binding, so its text must stay
+//     buffered (taking the share twice, at c and again at its capture,
+//     lost it: <miss/>).
+//   - one binding of $y reaches the second c twice, through both a; its
+//     signOff retires the only instance, so nothing of the second c may
+//     keep the role (taking one derivation per signOff left it there
+//     with no signOff to come: an unbalanced buffer).
+//
+// Each case also runs as a member of a three-member pass, where every
+// projection node carries three role lanes, scheduled a token at a time
+// so that every member signs off at its solo position.
 func TestRegressionCancelOneInstance(t *testing.T) {
-	src := `<out>{ if (true()) then text { "t" } else <x>{ $root//*//b }</x> }</out>`
-	docs := []struct{ doc, want string }{
-		{`<root><a><b>42<e>x</e></b></a></root>`, "<out>t</out>"},
-		{`<root><c></c><a>person0<b>42<e>person0</e></b></a><a>1</a></root>`, "<out>t</out>"},
+	const elseBranch = `<out>{ if (true()) then text { "t" } else <x>{ $root//*//b }</x> }</out>`
+	cases := []struct{ src, doc, want string }{
+		{elseBranch, `<root><a><b>42<e>x</e></b></a></root>`, "<out>t</out>"},
+		{elseBranch, `<root><c></c><a>person0<b>42<e>person0</e></b></a><a>1</a></root>`, "<out>t</out>"},
+		{`<q>{ for $x in //a return for $y in $x//b return
+		      if (exists($x/e)) then (if ($y/c = "v1") then <hit/> else <miss/>)
+		      else (if ($y/c = "v2") then <hit/> else <miss/>) }</q>`,
+			`<r><a><e/><a><b><c>v1</c><c>v2</c></b></a></a></r>`, "<q><hit></hit><hit></hit></q>"},
+		{`<q>{ for $y in /r/x return if ($y//a//b/c = "v1") then <hit/> else <miss/> }</q>`,
+			`<r><x><a><a><b><c>v1</c><c>v2</c></b></a></a></x></r>`, "<q><hit></hit></q>"},
 	}
-	for _, d := range docs {
+	for _, c := range cases {
 		for _, cfg := range allConfigs() {
-			got, _ := runQuery(t, src, d.doc, cfg)
-			if got != d.want {
-				t.Fatalf("%s %+v:\ngot  %s\nwant %s", cfg.Mode, cfg.Static, got, d.want)
+			got, _ := runQuery(t, c.src, c.doc, cfg)
+			if got != c.want {
+				t.Fatalf("%s %+v:\n%s\ngot  %s\nwant %s", cfg.Mode, cfg.Static, c.src, got, c.want)
+			}
+		}
+		got, _, _ := runWorkload(t, []string{c.src, c.src, c.src}, c.doc, ModeGCX, 1)
+		for i := range got {
+			if got[i] != c.want {
+				t.Fatalf("pass member %d:\n%s\ngot  %s\nwant %s", i, c.src, got[i], c.want)
 			}
 		}
 	}

@@ -23,8 +23,8 @@
 // applied to a fixpoint. Following the paper's practical note ("we might
 // decide to process only those if-expressions with a for-loop as a
 // subexpression"), Push only rewrites if-expressions whose subtree contains
-// a for-loop; PushAll rewrites every if-expression (used by tests to
-// exercise the full rule set).
+// a for-loop; the test suite's PushAll rewrites every if-expression, to
+// exercise the full rule set.
 package ifpush
 
 import "gcx/internal/xqast"
@@ -36,14 +36,6 @@ func Push(q *xqast.Query) *xqast.Query {
 	return &xqast.Query{Root: xqast.Element{
 		Name:  q.Root.Name,
 		Child: pushExpr(q.Root.Child, true),
-	}}
-}
-
-// PushAll applies the rules to every if-expression regardless of content.
-func PushAll(q *xqast.Query) *xqast.Query {
-	return &xqast.Query{Root: xqast.Element{
-		Name:  q.Root.Name,
-		Child: pushExpr(q.Root.Child, false),
 	}}
 }
 

@@ -66,12 +66,15 @@ type entry struct {
 }
 
 // capture is an active dos::node() subtree preservation started at its
-// owner frame.
+// owner frame: one role lane of a dos leaf. mult is structural, like an
+// entry's; what a covered node receives is the part of it remaining
+// after cancellations (see remaining), and the capture goes dead when
+// nothing remains.
 type capture struct {
-	role   xqast.Role
-	anchor *frame
-	mult   int
-	live   bool
+	role, chain xqast.Role
+	anchor      *frame
+	mult        int
+	live        bool
 }
 
 // frame is the per-open-element state. Frames, their match entries, and
@@ -118,16 +121,17 @@ type firstKey struct {
 }
 
 // cancellation reduces future derivations of a role below an anchor frame
-// (registered by SignOff on unfinished subtrees). n counts the signed-off
-// instances: one element can host several derivation instances of the same
-// role (e.g. //b below //* reaches b once per ancestor binding), and each
-// signOff retires exactly one of them — future same-anchored assignments
-// lose n of their multiplicity, while the remaining instances keep
+// (registered by SignOff on unfinished subtrees). One element can host
+// several binding instances of the variable that anchors the role (e.g.
+// $y in $x//b under //a reaches b once per a binding): of counts them,
+// and n counts the signed-off ones. Each signOff retires exactly one
+// instance, so future same-anchored assignments lose the signed-off
+// instances' share of their multiplicity, while the other instances keep
 // assigning until their own signOffs arrive.
 type cancellation struct {
 	role   xqast.Role
 	anchor *frame
-	n      int
+	n, of  int
 }
 
 // Projector drives tokenization, projection, and role assignment.
@@ -298,9 +302,12 @@ func (p *Projector) Step() (bool, error) {
 	return !p.eof, nil
 }
 
-// cancelledCount returns the number of signed-off instances of role at
-// anchor: future derivations of the role anchored there lose this much
-// multiplicity.
+// remaining returns the part of mult — the multiplicity of a derivation
+// of chain role chain anchored at anchor — that belongs to instances not
+// yet signed off. Every binding instance at the anchor contributes mult/of
+// of the derivations (a multi-step chain such as $y//a//b/c over nested a
+// reaches a node twice from one instance), so n signed-off instances take
+// n times that share.
 //
 // The reduction applies only to chain continuations of signed-off
 // instances — dependency-path nodes and dos captures (Var == "").
@@ -312,13 +319,13 @@ func (p *Projector) Step() (bool, error) {
 // its later signOff without an assigned role instance.
 //
 //gcxlint:noalloc
-func (p *Projector) cancelledCount(role xqast.Role, anchor *frame) int {
+func (p *Projector) remaining(chain xqast.Role, anchor *frame, mult int) int {
 	for _, c := range p.cancs {
-		if c.role == role && c.anchor == anchor {
-			return c.n
+		if c.role == chain && c.anchor == anchor {
+			return mult - mult*c.n/c.of
 		}
 	}
-	return 0
+	return mult
 }
 
 // elementTestMatches reports whether an element with tag sym name matches a
@@ -387,77 +394,52 @@ func (p *Projector) collectCands(top *frame, isText bool, name string) []entry {
 		}
 	}
 	// Apply signOff cancellations after merging: all same-anchored
-	// derivations of a chain funnel into one candidate, whose multiplicity
-	// is reduced by the number of already signed-off instances. A shared
-	// node (extra role lanes from other member queries) keeps its
-	// structural multiplicity — each lane subtracts its own cancellations
-	// at assignment time (assignLanes) — and is dropped only when every
-	// lane is fully cancelled.
+	// derivations of a chain funnel into one candidate, which keeps its
+	// structural multiplicity — each role lane subtracts its own
+	// cancellations at assignment time (assignLanes) — and is dropped
+	// only when every lane is fully cancelled.
 	if len(p.cancs) > 0 {
 		out := p.cands[:0]
 		for i := range p.cands {
-			c := p.cands[i]
-			if c.pn.Var == "" {
-				if len(c.pn.Extra) == 0 {
-					c.mult -= p.cancelledCount(c.pn.ChainRole, c.anchor)
-					if c.mult <= 0 {
-						continue
-					}
-				} else if p.allLanesCancelled(c.pn, c.mult, c.anchor) {
-					continue
-				}
+			if c := &p.cands[i]; c.pn.Var == "" && p.allLanesCancelled(c) {
+				continue
 			}
-			out = append(out, c)
+			out = append(out, p.cands[i])
 		}
 		p.cands = out
 	}
 	return p.cands
 }
 
-// allLanesCancelled reports whether every role lane of a shared node has
-// been fully signed off at this anchor — only then can the shared
-// candidate be dropped.
+// allLanesCancelled reports whether every role lane of candidate c has
+// been fully signed off at its anchor — only then can it be dropped.
 //
 //gcxlint:noalloc
-func (p *Projector) allLanesCancelled(pn *projtree.Node, mult int, anchor *frame) bool {
-	if mult > p.cancelledCount(pn.ChainRole, anchor) {
-		return false
-	}
-	for _, l := range pn.Extra {
-		if mult > p.cancelledCount(l.Chain, anchor) {
+func (p *Projector) allLanesCancelled(c *entry) bool {
+	for i := range c.pn.Lanes() {
+		if p.remaining(c.pn.Lane(i).Chain, c.anchor, c.mult) > 0 {
 			return false
 		}
 	}
 	return true
 }
 
-// assignLanes assigns a shared node's roles to a buffered node, one lane
-// at a time: each lane's multiplicity is the candidate's structural
-// multiplicity less the lane's own signed-off instances (chain lanes
-// only — binding lanes start new variable instances and are exempt,
-// exactly as in cancelledCount's solo rule).
+// assignLanes assigns candidate c's roles to the buffered node n, one
+// lane at a time: each lane's multiplicity is what remains of the
+// candidate's structural multiplicity after the lane's own signed-off
+// instances (chain lanes only — binding lanes start new variable
+// instances and are exempt, see remaining).
 //
 //gcxlint:noalloc
-func (p *Projector) assignLanes(n *buffer.Node, pn *projtree.Node, mult int, anchor *frame) {
-	chain := pn.Var == ""
-	m := mult
-	if chain {
-		m -= p.cancelledCount(pn.ChainRole, anchor)
-	}
-	if m > 0 {
-		if r := p.tree.Roles[pn.Role]; r != nil && !r.Eliminated {
-			p.buf.AddRole(n, pn.Role, m)
+func (p *Projector) assignLanes(n *buffer.Node, c *entry) {
+	for i := range c.pn.Lanes() {
+		l := c.pn.Lane(i)
+		m := c.mult
+		if c.pn.Var == "" {
+			m = p.remaining(l.Chain, c.anchor, c.mult)
 		}
-	}
-	for _, l := range pn.Extra {
-		m := mult
-		if chain {
-			m -= p.cancelledCount(l.Chain, anchor)
-		}
-		if m > 0 {
-			if r := p.tree.Roles[l.Role]; r != nil && !r.Eliminated {
-				p.buf.AddRole(n, l.Role, m)
-			}
+		if r := p.tree.Roles[l.Role]; m > 0 && r != nil && !r.Eliminated {
+			p.buf.AddRole(n, l.Role, m)
 		}
 	}
 }
@@ -548,9 +530,9 @@ func (p *Projector) applyCaptureRoles(n *buffer.Node, from *frame) {
 		return
 	}
 	for f := from; f != nil; f = f.parent {
-		for i := range f.captures {
-			if f.captures[i].live {
-				p.buf.AddRole(n, f.captures[i].role, f.captures[i].mult)
+		for _, c := range f.captures {
+			if c.live {
+				p.buf.AddRole(n, c.role, p.remaining(c.chain, c.anchor, c.mult))
 			}
 		}
 	}
@@ -558,9 +540,9 @@ func (p *Projector) applyCaptureRoles(n *buffer.Node, from *frame) {
 
 // startCaptures creates captures for dos::node() children of a matched
 // projection node and assigns the dos role to the matched element itself
-// (descendant-or-self includes self). A shared dos leaf starts one
-// capture per role lane: captures are keyed (role, anchor), so each
-// member query's capture is cancelled independently.
+// (descendant-or-self includes self). A dos leaf starts one capture per
+// role lane: captures are keyed (role, anchor), so each member query's
+// capture is cancelled independently.
 //
 //gcxlint:noalloc
 func (p *Projector) startCaptures(f *frame, e *entry) {
@@ -568,45 +550,36 @@ func (p *Projector) startCaptures(f *frame, e *entry) {
 		if !c.IsDosLeaf() {
 			continue
 		}
-		p.addCapture(f, c.Role, c.ChainRole, e)
-		for _, l := range c.Extra {
-			p.addCapture(f, l.Role, l.Chain, e)
+		for i := range c.Lanes() {
+			p.addCapture(f, c.Lane(i), e)
 		}
 	}
 }
 
-// addCapture starts (or re-activates) one capture lane at frame f.
+// addCapture starts (or adds entry e to) one capture lane at frame f.
 //
 //gcxlint:noalloc
-func (p *Projector) addCapture(f *frame, roleID, chain xqast.Role, e *entry) {
-	role := p.tree.Roles[roleID]
+func (p *Projector) addCapture(f *frame, l projtree.RoleRef, e *entry) {
+	role := p.tree.Roles[l.Role]
 	if role == nil || role.Eliminated {
 		return
 	}
-	mult := e.mult - p.cancelledCount(chain, e.anchor)
+	mult := p.remaining(l.Chain, e.anchor, e.mult)
 	if mult <= 0 {
 		return
 	}
+	p.buf.AddRole(f.node, l.Role, mult)
 	// Merge same-keyed captures: several derivation instances of the
-	// same role can anchor at this frame (separate matched entries),
-	// and CancelRole retires them one multiplicity at a time.
-	merged := false
+	// same role can anchor at this frame (separate matched entries). A
+	// capture with anything remaining is live, so the one found is.
 	for j := range f.captures {
-		if f.captures[j].role == roleID && f.captures[j].anchor == e.anchor {
-			if !f.captures[j].live {
-				f.captures[j].live = true
-				f.liveCaps++
-			}
-			f.captures[j].mult += mult
-			merged = true
-			break
+		if f.captures[j].role == l.Role && f.captures[j].anchor == e.anchor {
+			f.captures[j].mult += e.mult
+			return
 		}
 	}
-	if !merged {
-		f.captures = append(f.captures, capture{role: roleID, anchor: e.anchor, mult: mult, live: true})
-		f.liveCaps++
-	}
-	p.buf.AddRole(f.node, roleID, mult)
+	f.captures = append(f.captures, capture{role: l.Role, chain: l.Chain, anchor: e.anchor, mult: e.mult, live: true})
+	f.liveCaps++
 }
 
 // openElement processes a start tag: name is the symbol table's string
@@ -662,13 +635,7 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 				e.anchor = f
 			}
 			f.matches = append(f.matches, e)
-			if len(c.pn.Extra) == 0 {
-				if r := p.tree.Roles[c.pn.Role]; r != nil && !r.Eliminated {
-					p.buf.AddRole(f.node, c.pn.Role, c.mult)
-				}
-			} else {
-				p.assignLanes(f.node, c.pn, c.mult, c.anchor)
-			}
+			p.assignLanes(f.node, c)
 			p.startCaptures(f, &f.matches[len(f.matches)-1])
 		}
 		// Extend the descendant scope with matches that have
@@ -810,27 +777,21 @@ func (p *Projector) text(data string) {
 	}
 	n := p.buf.AppendText(top.attach, data)
 	p.applyCaptureRoles(n, top)
+	// text()/dos::node() chains do not occur (static analysis never
+	// appends dos below text tests), so no captures here.
 	for i := range cands {
-		c := &cands[i]
-		if len(c.pn.Extra) == 0 {
-			if r := p.tree.Roles[c.pn.Role]; r != nil && !r.Eliminated {
-				p.buf.AddRole(n, c.pn.Role, c.mult)
-			}
-		} else {
-			p.assignLanes(n, c.pn, c.mult, c.anchor)
-		}
-		// text()/dos::node() chains do not occur (static analysis never
-		// appends dos below text tests), so no captures here.
+		p.assignLanes(n, &cands[i])
 	}
 }
 
 // CancelRole implements buffer.Canceller: ONE instance of role anchored
 // at the frame of binding is retired — future derivations anchored there
-// lose one multiplicity, and every live capture for (role, anchor) sheds
-// one instance (deactivating when none remain). Called by the buffer when
-// a signOff's binding subtree is still unfinished; each signOff statement
-// retires exactly one derivation instance, so instances signed off later
-// keep projecting until their own signOff arrives.
+// lose that instance's share of their multiplicity (see remaining), and
+// every live capture for (role, anchor) goes dead once nothing of it
+// remains. Called by the buffer when a signOff's binding subtree is still
+// unfinished; each signOff statement retires exactly one binding
+// instance, so instances signed off later keep projecting until their own
+// signOff arrives.
 //
 //gcxlint:noalloc
 func (p *Projector) CancelRole(binding *buffer.Node, role xqast.Role) {
@@ -853,21 +814,38 @@ func (p *Projector) CancelRole(binding *buffer.Node, role xqast.Role) {
 		}
 	}
 	if !recorded {
-		p.cancs = append(p.cancs, cancellation{role: role, anchor: bf, n: 1})
+		p.cancs = append(p.cancs, cancellation{role: role, anchor: bf, n: 1, of: p.instances(bf, role)})
 	}
 	for i := bf.depth; i < len(p.stack); i++ {
 		f := p.stack[i]
 		for j := range f.captures {
 			cap := &f.captures[j]
-			if cap.live && cap.role == role && cap.anchor == bf {
-				cap.mult--
-				if cap.mult <= 0 {
-					cap.live = false
-					f.liveCaps--
-				}
+			if cap.live && cap.chain == role && cap.anchor == bf && p.remaining(role, bf, cap.mult) <= 0 {
+				cap.live = false
+				f.liveCaps--
 			}
 		}
 	}
+}
+
+// instances counts the binding instances at frame f that role's signOffs
+// retire one by one: the multiplicity with which the role's anchoring
+// variable — the nearest self-anchoring ancestor-or-self of the role's
+// projection node — matched at f.
+//
+//gcxlint:noalloc
+func (p *Projector) instances(f *frame, role xqast.Role) int {
+	v := p.tree.Roles[role].Node
+	for !v.AnchorSelf {
+		v = v.Parent
+	}
+	n := 0
+	for _, e := range f.matches {
+		if e.pn == v {
+			n += e.mult
+		}
+	}
+	return max(n, 1)
 }
 
 // takeFrame returns a cleared frame from the pool (or a fresh one),

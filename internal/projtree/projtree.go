@@ -74,11 +74,11 @@ type Role struct {
 	Desc string
 }
 
-// RoleRef is one (assigned role, cancellation chain) pair. A solo tree
-// carries exactly one such pair per node (the Role/ChainRole fields); a
-// shared merged tree (static.MergeTrees) collapses structurally identical
-// nodes of different member queries into one node carrying the extra
-// members' pairs as additional lanes.
+// RoleRef is one role lane: an (assigned role, cancellation chain) pair.
+// Every node has its own lane (the Role/ChainRole fields); a shared merged
+// tree (static.MergeTrees) collapses structurally identical nodes of
+// different member queries into one node carrying the extra members'
+// lanes in Extra.
 type RoleRef struct {
 	// Role is the role assigned to matching document nodes (0 if none).
 	Role xqast.Role
@@ -102,11 +102,11 @@ type Node struct {
 	// nodes materialized from a dependency path it is the leaf's role; for
 	// variable nodes it is the binding role. Used by signOff cancellation.
 	ChainRole xqast.Role
-	// Extra holds the role lanes of additional member queries sharing this
-	// node in a merged tree (empty in solo trees). The projector treats
-	// (Role, ChainRole) plus every Extra entry as independent lanes: role
-	// assignment and signOff cancellation run per lane, while matching,
-	// [1] witnesses, and the structural guard run once on the shared node.
+	// Extra holds the role lanes of the other member queries sharing this
+	// node in a merged tree; a node of one query has none, so its only
+	// lane is its own. The projector reads every node through Lanes and
+	// Lane: role assignment and signOff cancellation run per lane, while
+	// matching, [1] witnesses, and the structural guard run once per node.
 	Extra []RoleRef
 	// Var is the variable this node binds (variable nodes only).
 	Var string
@@ -116,6 +116,23 @@ type Node struct {
 	// nearest such ancestor instance.
 	AnchorSelf bool
 	Children   []*Node
+}
+
+// Lanes returns the number of role lanes the node carries: its own and
+// one per Extra entry.
+//
+//gcxlint:noalloc
+func (n *Node) Lanes() int { return 1 + len(n.Extra) }
+
+// Lane returns role lane i: lane 0 is the node's own (Role, ChainRole),
+// lane i > 0 is Extra[i-1].
+//
+//gcxlint:noalloc
+func (n *Node) Lane(i int) RoleRef {
+	if i == 0 {
+		return RoleRef{Role: n.Role, Chain: n.ChainRole}
+	}
+	return n.Extra[i-1]
 }
 
 // IsDosLeaf reports whether the node is a descendant-or-self::node() leaf
@@ -182,67 +199,6 @@ func (t *Tree) AddRole(n *Node, kind RoleKind, v string, aggregate bool, desc st
 	t.Roles = append(t.Roles, r)
 	n.Role = r.ID
 	return r
-}
-
-// Role returns the role with the given ID, or nil.
-func (t *Tree) Role(id xqast.Role) *Role {
-	if id <= 0 || int(id) >= len(t.Roles) {
-		return nil
-	}
-	return t.Roles[id]
-}
-
-// ActiveRoleCount returns the number of non-eliminated roles.
-func (t *Tree) ActiveRoleCount() int {
-	n := 0
-	for _, r := range t.Roles[1:] {
-		if !r.Eliminated {
-			n++
-		}
-	}
-	return n
-}
-
-// PathTo returns the steps from the root to n.
-func PathTo(n *Node) []xqast.Step {
-	var rev []xqast.Step
-	for cur := n; cur != nil && !cur.IsRoot; cur = cur.Parent {
-		rev = append(rev, cur.Step)
-	}
-	steps := make([]xqast.Step, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return steps
-}
-
-// XPath renders the absolute XPath of n in the paper's abbreviated
-// notation, e.g. "/bib/*/price[1]" or "/book/title/dos::node()".
-func XPath(n *Node) string {
-	if n.IsRoot {
-		return "/"
-	}
-	var b strings.Builder
-	for _, s := range PathTo(n) {
-		switch s.Axis {
-		case xqast.Child:
-			b.WriteByte('/')
-		case xqast.Descendant:
-			b.WriteString("//")
-		case xqast.DescendantOrSelf:
-			b.WriteString("/dos::")
-			b.WriteString(s.Test.String())
-			if s.First {
-				b.WriteString("[1]")
-			}
-			continue
-		}
-		b.WriteString(s.Test.String())
-		if s.First {
-			b.WriteString("[1]")
-		}
-	}
-	return b.String()
 }
 
 // Format renders the tree with one node per line, children indented, roles

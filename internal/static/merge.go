@@ -56,6 +56,7 @@ func MergeTrees(trees []*projtree.Tree) (*projtree.Tree, []xqast.Role) {
 		// Nodes are stored in creation order, so parents precede children.
 		for _, n := range t.Nodes[1:] {
 			mp := cloneOf[n.Parent]
+			lane := shift(n.Lane(0), off)
 			var target *projtree.Node
 			for _, s := range mp.Children {
 				if last, ok := claimed[s]; ok && last < qi && shareable(s, n) {
@@ -65,27 +66,15 @@ func MergeTrees(trees []*projtree.Tree) (*projtree.Tree, []xqast.Role) {
 			}
 			if target != nil {
 				// Absorb as an extra lane; the shared node keeps the
-				// first owner's primary Role/ChainRole/Var.
-				if n.Role != 0 || n.ChainRole != 0 {
-					lane := projtree.RoleRef{Chain: n.ChainRole + off}
-					if n.Role != 0 {
-						lane.Role = n.Role + off
-					}
-					if n.ChainRole == 0 {
-						lane.Chain = 0
-					}
+				// first owner's own lane and Var.
+				if lane != (projtree.RoleRef{}) {
 					target.Extra = append(target.Extra, lane)
 				}
 			} else {
 				target = m.AddNode(mp, n.Step)
 				target.Var = n.Var
 				target.AnchorSelf = n.AnchorSelf
-				if n.Role != 0 {
-					target.Role = n.Role + off
-				}
-				if n.ChainRole != 0 {
-					target.ChainRole = n.ChainRole + off
-				}
+				target.Role, target.ChainRole = lane.Role, lane.Chain
 			}
 			claimed[target] = qi
 			cloneOf[n] = target
@@ -105,11 +94,23 @@ func MergeTrees(trees []*projtree.Tree) (*projtree.Tree, []xqast.Role) {
 	return m, offsets
 }
 
+// shift moves a member's role lane into the merged role space: a set role
+// or chain is offset by off, an unset one (0) stays unset.
+func shift(l projtree.RoleRef, off xqast.Role) projtree.RoleRef {
+	if l.Role != 0 {
+		l.Role += off
+	}
+	if l.Chain != 0 {
+		l.Chain += off
+	}
+	return l
+}
+
 // shareable reports whether an existing merged node can absorb an
 // incoming member node as an extra lane: same location step (axis, test,
 // and [1] predicate), same variable/chain class (chain lanes undergo
 // cancellation reduction, binding lanes are exempt — see
-// proj.Projector.cancelledCount), and same self-anchoring class (the
+// proj.Projector.remaining), and same self-anchoring class (the
 // anchor frame resolution in openElement is keyed on the node).
 func shareable(s *projtree.Node, n *projtree.Node) bool {
 	return s.Step == n.Step &&

@@ -125,10 +125,3 @@ func Vars(q *Query) []string {
 	})
 	return out
 }
-
-// EqualCond reports structural equality of two conditions. The fragment
-// requires the two conditions of a CondTag pair to be syntactically equal;
-// only tests use it, to check the pairs if-pushdown rule NC builds.
-func EqualCond(a, b Cond) bool {
-	return FormatCond(a) == FormatCond(b)
-}
