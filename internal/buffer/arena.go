@@ -2,13 +2,8 @@ package buffer
 
 import "unsafe"
 
-const (
-	// slabSize is the number of Nodes carved from one backing allocation.
-	slabSize = 512
-	// maxRetainedSlabs bounds the slabs an idle (pooled) buffer keeps
-	// across runs; a run that needs more allocates the excess again.
-	maxRetainedSlabs = 32
-)
+// slabSize is the number of Nodes carved from one backing allocation.
+const slabSize = 512
 
 // arena is the per-run node allocator: nodes are carved from slabs that
 // stay owned by the arena, unlink returns reclaimed nodes to a freelist
@@ -35,7 +30,7 @@ func (a *arena) get() *Node {
 		return nd
 	}
 	if a.slab == len(a.slabs) {
-		a.slabs = addSlab(a.slabs, slabSize, maxRetainedSlabs)
+		a.slabs = addSlab(a.slabs, slabSize)
 	}
 	s := a.slabs[a.slab]
 	nd := &s[a.next]
@@ -48,24 +43,26 @@ func (a *arena) get() *Node {
 	return nd
 }
 
-// addSlab appends a slab of n values to slabs. The slab index is made
-// with room for the keep slabs a buffer retains, so it does not double
-// along with the first of them.
+// slabIndex is the room a slab index starts with, so that a cold run's
+// allocations grow with its buffer peak by its slabs alone.
+const slabIndex = 32
+
+// addSlab appends a slab of n values to slabs.
 //
-//gcxlint:allocok slab growth tracks the document's buffer peak; up to keep slabs stay across runs
-func addSlab[T any](slabs [][]T, n, keep int) [][]T {
+//gcxlint:allocok slab growth tracks the document's buffer peak; the pass decides whether an idle state keeps it
+func addSlab[T any](slabs [][]T, n int) [][]T {
 	if slabs == nil {
-		slabs = make([][]T, 0, keep)
+		slabs = make([][]T, 0, slabIndex)
 	}
 	return append(slabs, make([]T, n))
 }
 
-// keepSlabs drops the slabs beyond the first keep.
-func keepSlabs[T any](slabs [][]T, keep int) [][]T {
-	if len(slabs) > keep {
-		slabs = append(make([][]T, 0, keep), slabs[:keep]...)
-	}
-	return slabs
+// slabBytes is what slabs of n values each and their index hold.
+//
+//gcxlint:noalloc
+func slabBytes[T any](slabs [][]T, n int) int64 {
+	var v T
+	return int64(len(slabs))*int64(n)*int64(unsafe.Sizeof(v)) + int64(cap(slabs))*int64(unsafe.Sizeof(slabs))
 }
 
 // carved returns the number of slabs the run has carved nodes from.
@@ -77,12 +74,13 @@ func (a *arena) put(n *Node) {
 	a.free = n
 }
 
-// reset makes every slab node available again, keeping at most
-// maxRetainedSlabs slabs. Carved nodes are cleared now, not on get: an
-// idle (pooled) buffer must pin neither the last document's text nor,
-// through a kept node's links, a slab it dropped. poison is the text
-// slab's test mode: oversized texts, which no chunk holds, are
-// overwritten here.
+// reset makes every slab node available again. Carved nodes are cleared
+// now, not on get: an idle (pooled) buffer must pin neither the last
+// document's text nor another node through a kept node's links. poison
+// is the text slab's test mode: oversized texts, which no chunk holds,
+// are overwritten here.
+//
+//gcxlint:keep slabs every node is cleared and free again; keeping the slabs spares the next run their allocation
 func (a *arena) reset(poison bool) {
 	for i := 0; i < a.slab && i < len(a.slabs); i++ {
 		clearNodes(a.slabs[i], poison)
@@ -90,7 +88,6 @@ func (a *arena) reset(poison bool) {
 	if a.slab < len(a.slabs) {
 		clearNodes(a.slabs[a.slab][:a.next], poison)
 	}
-	a.slabs = keepSlabs(a.slabs, maxRetainedSlabs)
 	a.slab = 0
 	a.next = 0
 	a.free = nil

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
@@ -133,10 +134,11 @@ func (b *Buffer) initRoot() {
 
 // Reset returns every node to the arena and restores the empty initial
 // state for a new run with the same role table. The symbol table and the
-// canceller wiring are retained; any node pointer, and any Node.Text,
-// obtained before the reset is invalidated.
+// canceller wiring are retained, and so is what the runs grew (Retained).
+// Any node pointer, and any Node.Text, obtained before the reset is
+// invalidated.
 //
-//gcxlint:keep syms the symbol table is shared with the projector and survives runs by contract (the owner bounds it)
+//gcxlint:keep syms the symbol table is shared with the tokenizer and survives runs by contract (the tokenizer reports its size)
 //gcxlint:keep aggregate the role table is fixed for the compiled query this buffer serves
 //gcxlint:keep canceller projector wiring established once by SetCanceller; runs swap documents, not projectors
 func (b *Buffer) Reset() {
@@ -152,10 +154,20 @@ func (b *Buffer) Reset() {
 	// an idle pooled buffer must not pin freed arena nodes through them.
 	clear(b.resA[:cap(b.resA)])
 	clear(b.resB[:cap(b.resB)])
-	b.resA = b.resA[:0]
-	b.resB = b.resB[:0]
+	b.resA, b.resB = b.resA[:0], b.resB[:0]
 	b.stats = Stats{}
 	b.initRoot()
+}
+
+// Retained reports the bytes Reset keeps of what runs grew: node and
+// block slabs, text chunks and the resolution scratch.
+//
+//gcxlint:noalloc
+func (b *Buffer) Retained() int64 {
+	t := &b.text
+	return slabBytes(b.arena.slabs, slabSize) + slabBytes(b.roles.slabs, blockSlabLen) + slabBytes(b.facts.slabs, blockSlabLen) +
+		int64(len(t.chunks))*int64(t.chunkBytes) + int64(cap(t.chunks))*int64(unsafe.Sizeof(textChunk{})) + int64(cap(t.free))*4 +
+		int64(cap(b.resA)+cap(b.resB))*int64(unsafe.Sizeof(target{}))
 }
 
 // SetCanceller wires the stream projector's cancellation hook.

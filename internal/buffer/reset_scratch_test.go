@@ -37,37 +37,42 @@ func TestResetClearsResolutionScratch(t *testing.T) {
 	}
 }
 
-// An idle pooled buffer keeps text chunks up to the retention cap and not
-// one over it, whatever the last document made it hold — and none of the
-// text: a FullBuffer-style run (nothing purged) of twice the cap in short
-// texts plus one oversized text leaves chunk capacity within the cap,
-// every chunk free, and no arena node referencing character data.
-func TestResetCapsRetainedText(t *testing.T) {
+// An idle pooled buffer keeps every text chunk the last document made it
+// hold and none of the text, and Retained counts the chunks: a
+// FullBuffer-style run (nothing purged) of 512 KB in short texts plus one
+// oversized text leaves every chunk free, no arena node referencing
+// character data, and Retained no lower than before the Reset.
+func TestResetKeepsTextChunks(t *testing.T) {
 	b, syms := build(false)
 	doc := el(b, syms, b.Root(), "doc")
 	b.AddRole(doc, 1, 1)
 	line := strings.Repeat("x", 1<<10)
-	for held := 0; held < 2*maxRetainedTextBytes; held += len(line) {
+	for held := 0; held < 512<<10; held += len(line) {
 		b.AppendText(doc, line)
 	}
 	b.AppendText(doc, strings.Repeat("y", 2*textChunkBytes))
 
 	st := b.Stats()
-	if st.TextHeldBytes <= maxRetainedTextBytes {
-		t.Fatalf("sanity: the run held %d bytes of text, want more than the cap %d", st.TextHeldBytes, maxRetainedTextBytes)
-	}
 	if st.TextLiveAtPeak != st.TextLiveBytes || st.TextHeldAtPeak != st.TextHeldBytes {
 		t.Errorf("nothing was purged, so the peak is now: %+v", st)
 	}
+	chunks := len(b.text.chunks)
+	if int64(chunks)*textChunkBytes != st.TextHeldBytes-2*textChunkBytes {
+		t.Fatalf("sanity: %d chunks for %d held bytes", chunks, st.TextHeldBytes)
+	}
+	retained := b.Retained()
+	if retained < int64(chunks)*textChunkBytes {
+		t.Errorf("Retained is %d, below the %d bytes of chunks", retained, chunks*textChunkBytes)
+	}
 	b.Reset()
 	checkIdle(t, b)
-	if got := len(b.text.chunks) * textChunkBytes; got != maxRetainedTextBytes {
-		t.Errorf("idle buffer retains %d bytes of chunks, want the cap %d", got, maxRetainedTextBytes)
+	if len(b.text.chunks) != chunks || b.Retained() < retained {
+		t.Errorf("Reset: %d chunks, Retained %d; before it %d chunks, Retained %d", len(b.text.chunks), b.Retained(), chunks, retained)
 	}
 
-	// The next run starts on the retained chunks.
+	// The next run starts on the kept chunks.
 	n := b.AppendText(b.Root(), "again")
-	if n.Text != "again" || n.chunk == 0 || len(b.text.chunks)*textChunkBytes != maxRetainedTextBytes {
+	if n.Text != "again" || n.chunk == 0 || len(b.text.chunks) != chunks {
 		t.Errorf("run after Reset: text %q in chunk %d of %d", n.Text, n.chunk, len(b.text.chunks))
 	}
 }

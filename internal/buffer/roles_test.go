@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
@@ -185,15 +186,11 @@ func smallRun(t *testing.T, b *Buffer) {
 	}
 }
 
-// retained reports the block slabs a slot table keeps, counting the
-// capacity of its slab index.
-func retained[T any](s *slots[T]) int { return cap(s.slabs) }
-
-// TestIdleBufferRetentionIsBounded: whatever the last run buffered, an
-// idle buffer keeps at most maxRetainedSlabs node slabs and
-// maxRetainedBlockSlabs slabs of blocks in each slot table (a block for
-// each node those hold), and no node it keeps links
-// into what it dropped; the next run is the run a fresh buffer makes.
+// TestIdleBufferRetentionIsBounded: whatever the last run buffered, the
+// buffer's Retained counts every node slab and block slab it keeps —
+// what the pass bounds an idle run state by — Reset keeps them all, and
+// no node it keeps links to another; the next run is the run a fresh
+// buffer makes.
 func TestIdleBufferRetentionIsBounded(t *testing.T) {
 	const nodes = 50_000
 	b, syms := build(false, false)
@@ -204,22 +201,17 @@ func TestIdleBufferRetentionIsBounded(t *testing.T) {
 		b.AddRole(n, 2, 1)
 		b.MarkNoMore(n, syms.Intern("z"))
 	}
-	if got := len(b.arena.slabs); got <= maxRetainedSlabs {
-		t.Fatalf("sanity: %d nodes carved only %d slabs", nodes, got)
-	}
-	if slabs := retained(&b.roles); slabs <= maxRetainedBlockSlabs {
-		t.Fatalf("sanity: %d nodes took only %d slabs of overflow blocks", nodes, slabs)
+	// Every item holds a node, a block of overflow roles and a block of
+	// facts.
+	grown := int64(nodes) * int64(unsafe.Sizeof(Node{})+unsafe.Sizeof(block[roleEntry]{})+unsafe.Sizeof(block[xmlstream.Sym]{}))
+	retained := b.Retained()
+	if empty, _ := build(false, false); retained < empty.Retained()+grown {
+		t.Fatalf("Retained is %d after %d items, want at least %d more than an empty buffer's %d", retained, nodes, grown, empty.Retained())
 	}
 
 	b.Reset()
-	if got := cap(b.arena.slabs); got > maxRetainedSlabs {
-		t.Errorf("idle buffer keeps %d slabs, cap %d", got, maxRetainedSlabs)
-	}
-	if slabs := retained(&b.roles); slabs > maxRetainedBlockSlabs {
-		t.Errorf("idle buffer keeps %d slabs of overflow blocks, cap %d", slabs, maxRetainedBlockSlabs)
-	}
-	if slabs := retained(&b.facts); slabs > maxRetainedBlockSlabs {
-		t.Errorf("idle buffer keeps %d slabs of fact blocks, cap %d", slabs, maxRetainedBlockSlabs)
+	if got := b.Retained(); got < retained {
+		t.Errorf("Reset took Retained from %d to %d: it lowers no capacity", retained, got)
 	}
 	for _, slab := range b.arena.slabs {
 		for i := range slab {

@@ -7,10 +7,6 @@ const (
 	// blockSlabLen is the number of blocks carved from one allocation: a
 	// run whose nodes carry few roles pays 8 KB for them.
 	blockSlabLen = 128
-	// maxRetainedBlockSlabs bounds the block slabs each slot table of an
-	// idle (pooled) buffer keeps: a block for each node the retained node
-	// slabs hold.
-	maxRetainedBlockSlabs = maxRetainedSlabs * slabSize / blockSlabLen
 )
 
 // slots is a table of lists the buffer owns for its nodes (overflow role
@@ -19,9 +15,8 @@ const (
 // entry blocks carved from slabs the table owns, the way the arena carves
 // nodes: every block but a chain's last is full, and a freed block goes on
 // a free list threaded through its next link. A run therefore allocates
-// per slab, never per list or per growth of one, and reset keeps at most
-// maxRetainedBlockSlabs slabs. Entries hold no pointers, so neither put nor
-// reset clears them.
+// per slab, never per list or per growth of one, and reset keeps every
+// slab. Entries hold no pointers, so neither put nor reset clears them.
 type slots[T any] struct {
 	slabs [][]block[T]
 	// used is the number of blocks carved so far. Block 0 is never handed
@@ -67,7 +62,7 @@ func (s *slots[T]) get() int32 {
 		s.free = s.at(i).next
 	} else {
 		if int(s.used)/blockSlabLen == len(s.slabs) {
-			s.slabs = addSlab(s.slabs, blockSlabLen, maxRetainedBlockSlabs)
+			s.slabs = addSlab(s.slabs, blockSlabLen)
 		}
 		i = s.used
 		s.used++
@@ -144,8 +139,9 @@ func (s *slots[T]) appendTo(dst []T, i int32) []T {
 	return dst
 }
 
-// reset frees every list, dropping the slabs beyond the retention cap.
+// reset frees every list.
+//
+//gcxlint:keep slabs every carved block is free again; keeping the slabs spares the next run their allocation
 func (s *slots[T]) reset() {
-	s.slabs = keepSlabs(s.slabs, maxRetainedBlockSlabs)
 	s.used, s.free = 1, 0
 }

@@ -15,10 +15,6 @@ const (
 	// allocation of its own, so one long text neither wastes the tail of
 	// the chunk being filled nor pins a chunk of short ones.
 	oversizeDivisor = 4
-	// maxRetainedTextBytes bounds the chunk capacity an idle (pooled)
-	// buffer keeps across runs; a run that needs more allocates the
-	// excess again.
-	maxRetainedTextBytes = 256 << 10
 )
 
 // textChunk is one fixed-size block of kept character data. Texts are
@@ -130,7 +126,7 @@ func (s *textSlab) nextChunk() int32 {
 		s.free = s.free[:n-1]
 		return i
 	}
-	s.chunks = append(s.chunks, textChunk{buf: make([]byte, s.chunkBytes)}) //gcxlint:allocok chunk growth tracks the peak of live text; up to maxRetainedTextBytes stay across runs
+	s.chunks = append(s.chunks, textChunk{buf: make([]byte, s.chunkBytes)}) //gcxlint:allocok chunk growth tracks the peak of live text; the pass decides whether an idle state keeps it
 	return int32(len(s.chunks) - 1)
 }
 
@@ -164,19 +160,13 @@ func (s *textSlab) release(text string, chunk int32) {
 	}
 }
 
-// reset makes every chunk free again and drops the ones beyond the
-// retention cap, so an idle buffer holds no more than
-// maxRetainedTextBytes of chunk capacity (and, its nodes' Text cleared by
-// the arena, no oversized text at all).
+// reset makes every chunk free again. An idle buffer keeps every chunk
+// (and, its nodes' Text cleared by the arena, no oversized text at all).
 //
-//gcxlint:keep chunks up to maxRetainedTextBytes of them stay: sparing the next run their allocation is the slab's purpose
+//gcxlint:keep chunks every one is emptied below: sparing the next run their allocation is the slab's purpose
 //gcxlint:keep chunkBytes fixed when the buffer is created
 //gcxlint:keep poison fixed when the buffer is created
 func (s *textSlab) reset() {
-	if keep := maxRetainedTextBytes / s.chunkBytes; len(s.chunks) > keep {
-		clear(s.chunks[keep:])
-		s.chunks = s.chunks[:keep]
-	}
 	s.free = s.free[:0]
 	for i := len(s.chunks) - 1; i >= 0; i-- {
 		c := &s.chunks[i]

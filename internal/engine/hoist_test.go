@@ -254,35 +254,34 @@ func TestFailedJoinThenCleanRunOnPooledState(t *testing.T) {
 	}
 }
 
-// symCap is how many names a pooled symbol table keeps across documents
-// (xmlstream's maxRetainedSyms): a document with more makes the next run
-// start from an empty table. TestSharedSymTabAfterFlush fails if the
-// table is not flushed after symCap+1 names.
-const symCap = 4096
+// floodNames is how many distinct names make a symbol table alone pass
+// maxIdleBytes: a run state whose document had that many is dropped, and
+// the next run starts from a fresh state with an empty table.
+const floodNames = 1 << 16
 
-// floodDoc is tc's document with a <junk> element of symCap+1 children,
-// each with a name of its own, ahead of its content.
-func floodDoc(doc string) string {
+// floodDoc is tc's document with a <junk> element of n children, each
+// with a name of its own, ahead of its content.
+func floodDoc(doc string, n int) string {
 	var junk strings.Builder
 	junk.WriteString("<junk>")
-	for i := 0; i <= symCap; i++ {
+	for i := 0; i < n; i++ {
 		fmt.Fprintf(&junk, "<g%d></g%d>", i, i)
 	}
 	junk.WriteString("</junk>")
 	return strings.Replace(doc, "<r>", "<r>"+junk.String(), 1)
 }
 
-// TestSymTabFlushReResolves: a document with more distinct tags than the
-// pooled symbol table may retain makes the next run start from an empty
-// table; the query's names must be resolved against THAT table, not
-// remembered from the run before.
+// TestSymTabFlushReResolves: a document with so many distinct tags that
+// the run state is not pooled again makes the next run start from a fresh
+// state with an empty table; the query's names must be resolved against
+// THAT table, not remembered from the run before.
 func TestSymTabFlushReResolves(t *testing.T) {
 	tc := hoistCases()[0]
 	q := compile(t, `<o>{ (for $j in /r/junk/* return <j/>,
 	    for $p in /r/people/p return for $t in /r/sales/t return
 	        if ($t/ref = $p/id) then <m/> else ()) }</o>`, Config{Mode: ModeGCX})
 	plain := strings.Replace(tc.doc, "<r>", "<r><junk></junk>", 1)
-	flood := floodDoc(tc.doc)
+	flood := floodDoc(tc.doc, floodNames)
 	matches := strings.Count(tc.want, "<m>")
 	want := func(js int) string {
 		return "<o>" + strings.Repeat("<j></j>", js) + strings.Repeat("<m></m>", matches) + "</o>"
@@ -290,7 +289,7 @@ func TestSymTabFlushReResolves(t *testing.T) {
 	for i, step := range []struct {
 		doc string
 		js  int
-	}{{plain, 0}, {flood, symCap + 1}, {plain, 0}, {plain, 0}} {
+	}{{plain, 0}, {flood, floodNames}, {plain, 0}, {plain, 0}} {
 		var out strings.Builder
 		if _, err := q.RunChecked(strings.NewReader(step.doc), &out); err != nil {
 			t.Fatal(err)
@@ -298,25 +297,32 @@ func TestSymTabFlushReResolves(t *testing.T) {
 		if out.String() != want(step.js) {
 			t.Fatalf("run %d: got %d bytes, want %d:\n%.200s", i, out.Len(), len(want(step.js)), out.String())
 		}
+		if rs := q.solo.acquire(); rs.buf.Syms().Len() > 100 {
+			t.Fatalf("run %d: an idle state kept a table of %d names", i, rs.buf.Syms().Len())
+		} else {
+			q.solo.release(rs)
+		}
 	}
 }
 
-// TestSharedSymTabAfterFlush: the tokenizer and the buffer share one
-// symbol table, which Tokenizer.Reset empties after a document that went
-// over the cap. In the runs around that flush, every start and end token
-// carries the Sym its name has in the table now — none from before the
-// Reset — and every buffered element's Sym names its tag: the full-buffer
-// mode buffers the whole document, whose element names, read back
-// through the table in document order, are the start tags' names.
-func TestSharedSymTabAfterFlush(t *testing.T) {
+// TestSharedSymTabAcrossRuns: the tokenizer and the buffer share one
+// symbol table, which keeps its names across documents. In the runs
+// around a document with thousands of names of its own, every start and
+// end token carries the Sym its name has in the table — the one it got
+// when first interned, in whichever run — and every buffered element's
+// Sym names its tag: the full-buffer mode buffers the whole document,
+// whose element names, read back through the table in document order,
+// are the start tags' names.
+func TestSharedSymTabAcrossRuns(t *testing.T) {
+	const names = 4097
 	c := compile(t, `<o>{ for $x in /r return $x }</o>`, Config{Mode: ModeFullBuffer})
 	doc := hoistCases()[0].doc
 	rs := c.solo.newRunState()
 	syms := rs.buf.Syms()
-	for i, in := range []string{doc, floodDoc(doc), doc, doc} {
+	for i, in := range []string{doc, floodDoc(doc, names), doc, doc} {
 		rs.reset(context.Background(), c.solo, obs.Now(), strings.NewReader(in), []io.Writer{io.Discard}, nil)
-		if i == 2 && syms.Len() != 0 {
-			t.Fatalf("run %d: the table kept %d names after a document of more than %d", i, syms.Len(), symCap)
+		if i == 2 && syms.Len() <= names {
+			t.Fatalf("run %d: the table kept %d names after a document of %d", i, syms.Len(), names)
 		}
 		var starts []string
 		rs.proj.Observe(func(tk xmlstream.Token) {

@@ -240,12 +240,9 @@ func (p *Pass) newRunState() *runState {
 }
 
 // reset points the runState at a new run's input — through the guard
-// when ctx can be canceled — outputs, and tracer. Reset order matters:
-// the buffer drops every node, and with them every Sym, before the
-// tokenizer may empty the symbol table (Tokenizer.Reset bounds it), and
-// both before an evaluator interns its query's vocabulary, as its run
-// starts; the projector rebuilds its root frame around the buffer's fresh
-// root (and drops the last run's observer).
+// when ctx can be canceled — outputs, and tracer. The projector rebuilds
+// its root frame around the buffer's fresh root (and drops the last run's
+// observer), so the buffer is reset before it.
 //
 //gcxlint:keep idle the ownership flag: acquire clears it, release sets it
 //gcxlint:keep self the state's own weak pointer, made once in newRunState
@@ -273,11 +270,38 @@ func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reade
 	}
 }
 
-// release returns a runState to the pool, dropping the references to the
-// caller's context, reader, writers and tracer, and resetting the buffer,
-// the projector and the evaluators so the idle pool pins nothing of the
-// document and keeps no more than their retention caps allow.
+// maxIdleBytes is the one retention rule for pooled run states: one whose
+// runs grew it by more (runState.retained) is dropped, not pooled
+// (DESIGN.md, "Pooled run state").
+const maxIdleBytes = 4 << 20
+
+// release scrubs a runState and returns it to the pool, unless it has
+// grown past maxIdleBytes: then it is left, as it is, to the collector.
 func (p *Pass) release(rs *runState) {
+	if rs.retained() > maxIdleBytes {
+		return
+	}
+	rs.scrub()
+	rs.idle.Store(true)
+	p.pool.Put(rs)
+	p.last.Store(rs.self)
+}
+
+// retained is what the state's runs have grown it by, as its components
+// report it.
+//
+//gcxlint:noalloc
+func (rs *runState) retained() int64 {
+	n := rs.buf.Retained() + rs.tok.Retained() + rs.proj.Retained()
+	for i := range rs.tasks {
+		n += rs.ws[i].Retained() + rs.tasks[i].ev.Retained()
+	}
+	return n
+}
+
+// scrub drops what an idle state must not pin: the caller's context,
+// reader, writers and tracer, and everything of the document.
+func (rs *runState) scrub() {
 	rs.buf.Reset()
 	rs.tok.Reset(nil)
 	rs.guard = corpus.Guard{}
@@ -288,9 +312,6 @@ func (p *Pass) release(rs *runState) {
 	for i := range rs.tasks {
 		rs.tasks[i].ev.Reset(eval.Options{})
 	}
-	rs.idle.Store(true)
-	p.pool.Put(rs)
-	p.last.Store(rs.self)
 }
 
 // acquire returns an idle runState, building one if there is none: from

@@ -14,13 +14,20 @@ import (
 // --- randomized documents ---
 
 var quickTags = []string{"a", "b", "c", "d", "e"}
-var quickTexts = []string{"1", "7", "42", "x", "yy", "person0"}
+var quickTexts = []string{"1", "7", "42", "x", "yy", "person0", "v1", "v2"}
 
+// randDoc draws a document over quickTags. An element repeats its
+// parent's tag one time in four, so descendant bindings nest: a //a
+// loop binds both of two nested a, and what lies below the inner one is
+// reached from each.
 func randDoc(r *rand.Rand) string {
 	var b strings.Builder
-	var gen func(depth int)
-	gen = func(depth int) {
+	var gen func(depth int, parent string)
+	gen = func(depth int, parent string) {
 		tag := quickTags[r.Intn(len(quickTags))]
+		if parent != "" && r.Intn(4) == 0 {
+			tag = parent
+		}
 		b.WriteString("<" + tag + ">")
 		n := r.Intn(4)
 		if depth >= 4 {
@@ -30,14 +37,14 @@ func randDoc(r *rand.Rand) string {
 			if r.Intn(3) == 0 {
 				b.WriteString(quickTexts[r.Intn(len(quickTexts))])
 			} else {
-				gen(depth + 1)
+				gen(depth+1, tag)
 			}
 		}
 		b.WriteString("</" + tag + ">")
 	}
 	b.WriteString("<root>")
 	for i := 0; i < 1+r.Intn(3); i++ {
-		gen(0)
+		gen(0, "")
 	}
 	b.WriteString("</root>")
 	return b.String()
@@ -93,8 +100,25 @@ func (g *queryGen) path(env []string, steps int, element bool) xqast.Path {
 	return p
 }
 
+// deepPath is a multi-step descendant path such as $y//a//b/c: over
+// nested a it reaches one c through several derivations of one binding.
+func (g *queryGen) deepPath(env []string) xqast.Path {
+	tag := func() xqast.NodeTest { return xqast.NameTest(quickTags[g.r.Intn(len(quickTags))]) }
+	return xqast.Path{Var: env[g.r.Intn(len(env))], Steps: []xqast.Step{
+		{Axis: xqast.Descendant, Test: tag()},
+		{Axis: xqast.Descendant, Test: tag()},
+		{Axis: xqast.Child, Test: tag()},
+	}}
+}
+
 func (g *queryGen) cond(env []string, depth int) xqast.Cond {
-	switch g.r.Intn(6) {
+	switch g.r.Intn(8) {
+	case 6:
+		return xqast.Exists{Path: g.deepPath(env)}
+	case 7:
+		// Equality with a literal concludes at the first witness.
+		return xqast.Compare{LHS: xqast.Operand{Path: g.deepPath(env)}, Op: xqast.OpEq,
+			RHS: xqast.Operand{IsLiteral: true, Lit: quickTexts[g.r.Intn(len(quickTexts))]}}
 	case 0:
 		return xqast.TrueCond{}
 	case 1:
@@ -123,7 +147,7 @@ func (g *queryGen) cond(env []string, depth int) xqast.Cond {
 }
 
 func (g *queryGen) expr(env []string, depth int) xqast.Expr {
-	max := 7
+	max := 8
 	if depth >= 3 {
 		max = 3 // only leaves
 	}
@@ -142,11 +166,23 @@ func (g *queryGen) expr(env []string, depth int) xqast.Expr {
 		return xqast.Sequence{Items: items}
 	case 5:
 		return xqast.If{Cond: g.cond(env, 0), Then: g.expr(env, depth+1), Else: g.expr(env, depth+1)}
-	default:
+	case 6:
 		v := g.fresh()
 		in := g.path(env, 1+g.r.Intn(2), g.r.Intn(4) != 0)
 		body := g.expr(append(append([]string(nil), env...), v), depth+1)
 		return xqast.For{Var: v, In: in, Return: body}
+	default:
+		// Nested descendant bindings, for $x in //a return for $y in
+		// $x//b: over nested a, one b is bound once per a above it, and a
+		// condition on $x that concludes early signs $x off while $y's
+		// element is still open.
+		x, y := g.fresh(), g.fresh()
+		desc := func(v string) xqast.Path {
+			return xqast.Path{Var: v, Steps: []xqast.Step{{Axis: xqast.Descendant, Test: xqast.NameTest(quickTags[g.r.Intn(len(quickTags))])}}}
+		}
+		inner := append(append([]string(nil), env...), x, y)
+		body := xqast.If{Cond: g.cond(inner, 0), Then: g.expr(inner, depth+2), Else: g.expr(inner, depth+2)}
+		return xqast.For{Var: x, In: desc(env[g.r.Intn(len(env))]), Return: xqast.For{Var: y, In: desc(x), Return: body}}
 	}
 }
 

@@ -37,22 +37,16 @@ type cursor struct {
 	released bool
 }
 
-const (
-	// cursorChunk is the number of cursors carved from one allocation:
-	// more than most queries ever hold open at once.
-	cursorChunk = 8
-	// maxRetainedCursorChunks bounds the chunks an evaluator keeps across
-	// runs; a run nesting deeper allocates the excess again.
-	maxRetainedCursorChunks = 8
-)
+// cursorChunk is the number of cursors carved from one allocation: more
+// than most queries ever hold open at once.
+const cursorChunk = 8
 
 // cursors is an evaluator's cursor allocator, the buffer arena's pattern:
 // cursors are carved from chunks the evaluator keeps, close threads them
 // onto a free list through nextFree, and reset reclaims every carved one
 // wholesale (a run that ended in an error may not have closed all of its
-// cursors), keeping at most maxRetainedCursorChunks chunks. An evaluator
-// of NewEvaluators carves its first chunk from an array shared with the
-// pass's other evaluators.
+// cursors), keeping every chunk. An evaluator of NewEvaluators carves its
+// first chunk from an array shared with the pass's other evaluators.
 type cursors struct {
 	chunks [][]cursor
 	chunk  int // index of the chunk being carved
@@ -68,7 +62,7 @@ func (a *cursors) get() *cursor {
 		return c
 	}
 	if a.chunk == len(a.chunks) {
-		a.chunks = append(a.chunks, make([]cursor, cursorChunk)) //gcxlint:allocok chunk growth to loop-nesting depth; up to maxRetainedCursorChunks stay across runs
+		a.chunks = append(a.chunks, make([]cursor, cursorChunk)) //gcxlint:allocok chunk growth to loop-nesting depth; the pass decides whether an idle state keeps it
 	}
 	c := &a.chunks[a.chunk][a.next]
 	if a.next++; a.next == cursorChunk {
@@ -79,16 +73,15 @@ func (a *cursors) get() *cursor {
 }
 
 // reset makes every carved cursor available again, zeroed so that an
-// idle evaluator pins no node, and drops the chunks beyond the cap.
+// idle evaluator pins no node.
+//
+//gcxlint:keep chunks every carved cursor is zeroed; keeping the chunks spares the next run their allocation
 func (a *cursors) reset() {
 	for i := 0; i < a.chunk && i < len(a.chunks); i++ {
 		clear(a.chunks[i])
 	}
 	if a.chunk < len(a.chunks) {
 		clear(a.chunks[a.chunk][:a.next])
-	}
-	if len(a.chunks) > maxRetainedCursorChunks {
-		a.chunks = append(make([][]cursor, 0, maxRetainedCursorChunks), a.chunks[:maxRetainedCursorChunks]...)
 	}
 	a.chunk, a.next, a.free = 0, 0, nil
 }

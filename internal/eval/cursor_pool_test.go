@@ -1,6 +1,9 @@
 package eval
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 // A closed cursor sits in the evaluator's freelist until the next
 // newCursor; while it waits there it must not pin its context node (or
@@ -33,41 +36,46 @@ func TestClosedCursorRetainsNothing(t *testing.T) {
 	}
 }
 
-// A probe table that grew past maxRetainedJoinEntries gives its arrays up
-// when it is emptied; one within the cap keeps its capacity, holding
-// nothing.
+// TestJoinTableRetentionCap: a probe table reports its arrays' capacity
+// as retained — the pass's budget is what caps it — and emptying it keeps
+// that capacity while holding nothing.
 func TestJoinTableRetentionCap(t *testing.T) {
 	buf, syms := setup()
 	n := buf.AppendElement(buf.Root(), syms.Intern("t"))
-	for _, size := range []int{maxRetainedJoinEntries, maxRetainedJoinEntries + 1} {
-		tb := joinTable{ctx: n, built: true, entries: make([]joinEntry, size)}
-		for i := range tb.entries {
-			tb.entries[i] = joinEntry{key: joinKey{text: "k"}, node: n}
+	const size = 1 << 14
+	tb := joinTable{ctx: n, built: true, entries: make([]joinEntry, size)}
+	for i := range tb.entries {
+		tb.entries[i] = joinEntry{key: joinKey{text: "k"}, node: n}
+	}
+	tb.heads = make([]int32, 2*size)
+	tb.hits = make([]int32, size)
+	want := size*int64(unsafe.Sizeof(joinEntry{})) + 3*size*4
+	e := Evaluator{joins: []joinTable{tb}}
+	if got := e.Retained(); got != want {
+		t.Errorf("a table of %d entries reports %d bytes, want %d", size, got, want)
+	}
+	tb = e.joins[0]
+	tb.reset()
+	if tb.ctx != nil || len(tb.entries) != 0 || len(tb.heads) != 0 || len(tb.hits) != 0 {
+		t.Fatalf("reset left %+v", tb)
+	}
+	for _, en := range tb.entries[:cap(tb.entries)] {
+		if en != (joinEntry{}) {
+			t.Fatalf("an idle table still holds %+v", en)
 		}
-		tb.heads = make([]int32, 2*size)
-		tb.hits = make([]int32, size)
-		tb.reset()
-		if tb.ctx != nil || len(tb.entries) != 0 || len(tb.heads) != 0 || len(tb.hits) != 0 {
-			t.Fatalf("%d entries: reset left %+v", size, tb)
-		}
-		for _, en := range tb.entries[:cap(tb.entries)] {
-			if en != (joinEntry{}) {
-				t.Fatalf("%d entries: an idle table still holds %+v", size, en)
-			}
-		}
-		if kept := cap(tb.entries) > 0; kept != (size <= maxRetainedJoinEntries) {
-			t.Errorf("%d entries: idle capacity %d, cap is %d", size, cap(tb.entries), maxRetainedJoinEntries)
-		}
+	}
+	if e.joins[0] = tb; e.Retained() != want {
+		t.Errorf("reset took the table's retained bytes from %d to %d: it lowers no capacity", want, e.Retained())
 	}
 }
 
 // TestIdleCursorRetentionIsBounded: however many cursors the last run
-// held open at once, a reset evaluator keeps at most
-// maxRetainedCursorChunks chunks of them, every carved cursor zeroed —
-// those the run closed and one it left open, as a failed run does — and
-// carves its next cursor from the first chunk again. The open cursors are
-// nested loops down BenchmarkDeepNesting's chain of <a> elements, one
-// level each.
+// held open at once, a reset evaluator keeps their chunks, Retained
+// counts every one beyond the first — what the pass bounds an idle run
+// state by — every carved cursor is zeroed — those the run closed and
+// one it left open, as a failed run does — and the next cursor is carved
+// from the first chunk again. The open cursors are nested loops down
+// BenchmarkDeepNesting's chain of <a> elements, one level each.
 func TestIdleCursorRetentionIsBounded(t *testing.T) {
 	const depth = 2500
 	buf, syms := setup()
@@ -87,16 +95,20 @@ func TestIdleCursorRetentionIsBounded(t *testing.T) {
 		open = append(open, c)
 		ctx = m
 	}
-	if got := len(e.cursors.chunks); got <= maxRetainedCursorChunks {
-		t.Fatalf("sanity: %d open cursors took only %d chunks", depth, got)
+	chunks := len(e.cursors.chunks)
+	if chunks*cursorChunk < depth {
+		t.Fatalf("sanity: %d open cursors took only %d chunks", depth, chunks)
 	}
 	for _, c := range open[1:] {
 		c.close() // open[0] is left open
 	}
 
 	e.Reset(Options{})
-	if got := cap(e.cursors.chunks); got > maxRetainedCursorChunks {
-		t.Errorf("idle evaluator keeps %d cursor chunks, cap %d", got, maxRetainedCursorChunks)
+	if got := len(e.cursors.chunks); got != chunks {
+		t.Errorf("idle evaluator keeps %d of %d cursor chunks", got, chunks)
+	}
+	if got, want := e.Retained(), int64(chunks-1)*cursorChunk*int64(unsafe.Sizeof(cursor{})); got < want {
+		t.Errorf("Retained reports %d for %d chunks beyond the first, want at least %d", got, chunks-1, want)
 	}
 	for _, chunk := range e.cursors.chunks {
 		for i := range chunk {

@@ -14,6 +14,7 @@ import (
 	"hash/maphash"
 	"slices"
 	"strings"
+	"unsafe"
 
 	"gcx/internal/buffer"
 	"gcx/internal/dtd"
@@ -265,12 +266,6 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 	return nil
 }
 
-// maxRetainedOperandValues bounds the values each comparison site, and
-// the key scratch, keeps room for across runs: an operand with more
-// values grows its scratch again in the next run that has one. No Table 1
-// query outgrows the siteValues NewEvaluators carves.
-const maxRetainedOperandValues = 64
-
 // dropScratch forgets the bindings and the wait, empties every site's
 // collected operand and the key scratch (see dropValues), and every probe
 // table.
@@ -292,16 +287,39 @@ func (e *Evaluator) dropScratch() {
 
 // dropValues empties an operand scratch over its full capacity (re-slicing
 // alone would keep the string headers beyond the current length alive for
-// as long as the evaluator sits in its pool), and forgets it altogether
-// once it has grown past maxRetainedOperandValues.
+// as long as the evaluator sits in its pool).
 //
 //gcxlint:noalloc
 func dropValues(v []atom) []atom {
-	if cap(v) > maxRetainedOperandValues {
-		return nil
-	}
 	clear(v[:cap(v)])
 	return v[:0]
+}
+
+// Retained reports the bytes Reset keeps of what runs grew: cursor
+// chunks beyond the first, operand scratch beyond its carved siteValues,
+// and probe tables. The tables bind sizes for the query do not count.
+//
+//gcxlint:noalloc
+func (e *Evaluator) Retained() int64 {
+	n := int64(max(len(e.cursors.chunks)-1, 0)) * cursorChunk * int64(unsafe.Sizeof(cursor{}))
+	for _, s := range e.sites[:cap(e.sites)] {
+		n += valuesBytes(s.vals)
+	}
+	for _, t := range e.joins[:cap(e.joins)] {
+		n += int64(cap(t.entries))*int64(unsafe.Sizeof(joinEntry{})) + int64(cap(t.heads)+cap(t.hits))*4
+	}
+	return n + valuesBytes(e.keys)
+}
+
+// valuesBytes is what an operand scratch grown out of its carved room
+// holds.
+//
+//gcxlint:noalloc
+func valuesBytes(v []atom) int64 {
+	if cap(v) <= siteValues {
+		return 0
+	}
+	return int64(cap(v)) * int64(unsafe.Sizeof(atom{}))
 }
 
 // pull drives the projector by one token. It returns false when the input

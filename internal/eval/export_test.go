@@ -23,11 +23,11 @@ func (e *Evaluator) Work() Work {
 // EntryBytes is the size of one probe table entry; a bucket is 4 bytes.
 const EntryBytes = int64(unsafe.Sizeof(joinEntry{}))
 
-// Retained counts what an idle evaluator still holds of its last run:
+// Pinned counts what an idle evaluator still holds of its last run:
 // bound nodes, operand values anywhere within the sites' and the key
 // scratch's capacity, the active comparison's operand strings, and
 // probe tables: a recorded region or entries anywhere within capacity.
-func (e *Evaluator) Retained() int {
+func (e *Evaluator) Pinned() int {
 	n := 0
 	for _, b := range e.env {
 		if b != nil {
@@ -65,9 +65,8 @@ func (e *Evaluator) Retained() int {
 	return n
 }
 
-// MaxRetainedOperandValues is the cap on an idle evaluator's operand
-// scratch.
-const MaxRetainedOperandValues = maxRetainedOperandValues
+// AtomBytes is the size of one operand value.
+const AtomBytes = int64(unsafe.Sizeof(atom{}))
 
 // OperandCapacity is the largest room an evaluator's operand scratch
 // holds: a site's collected operand or the key scratch.

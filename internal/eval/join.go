@@ -19,12 +19,6 @@ import (
 // filter in front of the nested loop's own answer: every hit is re-checked
 // with the real comparison before X runs.
 
-// maxRetainedJoinEntries bounds the entry capacity one idle (pooled) table
-// keeps across runs, like the text slab's maxRetainedTextBytes: a run that
-// joined over a huge region must not leave an idle evaluator holding its
-// arrays.
-const maxRetainedJoinEntries = 1 << 14
-
 // joinKey is an atom's equality class under "=": two atoms compare equal
 // iff both have a key (NaN has none) and the keys are ==. Numbers key by
 // value with -0 folded into +0, everything else by its untrimmed text;
@@ -102,18 +96,13 @@ func (t *joinTable) describes(ctx *buffer.Node) bool {
 	return t.ctx == ctx && t.stamp == ctx.Stamp() && t.roles == ctx.SubtreeRoles()
 }
 
-// reset empties the table. Entries hold nodes and text: they are cleared
-// before the slice is truncated, so nothing beyond its length is ever
-// set, and capacity beyond maxRetainedJoinEntries is dropped (hits, which
-// several probe values can grow past the entries, counts too).
+// reset empties the table, keeping its arrays' capacity. Entries hold
+// nodes and text: they are cleared before the slice is truncated, so
+// nothing beyond its length is ever set.
 //
 //gcxlint:noalloc
 func (t *joinTable) reset() {
 	t.ctx, t.stamp, t.roles, t.built, t.anyKey = nil, 0, 0, false, false
-	if max(cap(t.entries), cap(t.hits)) > maxRetainedJoinEntries {
-		t.entries, t.heads, t.hits = nil, nil, nil
-		return
-	}
 	clear(t.entries)
 	t.entries, t.heads, t.hits = t.entries[:0], t.heads[:0], t.hits[:0]
 }
@@ -200,7 +189,7 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 	// A binding has one entry per distinct key, most have one key: sized
 	// by the bindings, the entries grow by one allocation per table, not
 	// by one per doubling of the region.
-	t.entries = slices.Grow(t.entries, cur.count()) //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
+	t.entries = slices.Grow(t.entries, cur.count()) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
 	for {
 		n, err := cur.next()
 		if err != nil {
@@ -226,7 +215,7 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 					continue values
 				}
 			}
-			t.entries = append(t.entries, joinEntry{key: k, hash: k.hash(e.seed), node: n}) //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
+			t.entries = append(t.entries, joinEntry{key: k, hash: k.hash(e.seed), node: n}) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
 			e.work.entries++
 		}
 	}
@@ -236,9 +225,9 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 	for size < 2*len(t.entries) {
 		size <<= 1
 	}
-	t.heads = slices.Grow(t.heads[:0], size)[:size] //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
+	t.heads = slices.Grow(t.heads[:0], size)[:size] //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
 	// One probe value hits each entry at most once.
-	t.hits = slices.Grow(t.hits[:0], len(t.entries)) //gcxlint:allocok growth to the region's size, retained up to maxRetainedJoinEntries
+	t.hits = slices.Grow(t.hits[:0], len(t.entries)) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
 	clear(t.heads)
 	for i := len(t.entries) - 1; i >= 0; i-- {
 		b := t.entries[i].hash & uint64(size-1)

@@ -117,16 +117,16 @@ func joinWant(p, t int) string {
 	return b.String()
 }
 
-// TestIdleOperandRetentionIsBounded: a run whose operands hold more
-// values than MaxRetainedOperandValues — each person's ids, collected as
-// the probe value, and each auction's buyers, collected as its keys when
-// the third person builds the probe table — leaves an idle evaluator
-// whose operand scratch is back under the cap and holds none of them,
-// while a run of one-value operands keeps the room it grew; either way
-// the next run answers alike.
+// TestIdleOperandRetentionIsBounded: a run whose operands hold 256
+// values — each person's ids, collected as the probe value, and each
+// auction's buyers, collected as its keys when the third person builds
+// the probe table — leaves an idle evaluator whose operand scratch holds
+// none of them and whose Retained counts the room they grew — what the
+// pass bounds an idle run state by — while a run of one-value operands
+// grows none; either way the next run answers alike.
 func TestIdleOperandRetentionIsBounded(t *testing.T) {
 	const persons = 3
-	n := 4 * eval.MaxRetainedOperandValues
+	const n = 256
 	var b strings.Builder
 	b.WriteString("<site><people>")
 	for i := 0; i < persons; i++ {
@@ -166,13 +166,16 @@ func TestIdleOperandRetentionIsBounded(t *testing.T) {
 			t.Fatalf("%s: the run built no probe table, work %+v", run.name, w)
 		}
 		got := ch.ev.OperandCapacity()
-		if got > eval.MaxRetainedOperandValues {
-			t.Errorf("%s: the idle evaluator keeps room for %d operand values, cap %d", run.name, got, eval.MaxRetainedOperandValues)
+		if got == 0 {
+			t.Errorf("%s: the idle evaluator dropped its operand scratch", run.name)
 		}
-		if got == 0 && run.doc != wide {
-			t.Errorf("%s: the idle evaluator dropped operand scratch within the cap", run.name)
+		if got > 4 && ch.ev.Retained() < int64(got)*eval.AtomBytes {
+			t.Errorf("%s: room for %d operand values, but Retained reports %d bytes", run.name, got, ch.ev.Retained())
 		}
-		if r := ch.ev.Retained(); r != 0 {
+		if run.doc == wide && got < n {
+			t.Errorf("%s: sanity: the evaluator holds room for only %d operand values", run.name, got)
+		}
+		if r := ch.ev.Pinned(); r != 0 {
 			t.Errorf("%s: the idle evaluator retains %d items", run.name, r)
 		}
 	}
@@ -275,7 +278,7 @@ func TestFailedJoinRetainsNothing(t *testing.T) {
 	if err := ch.run(strings.NewReader(doc), io.Discard); err != nil {
 		t.Fatal(err)
 	}
-	if n := ch.ev.Retained(); n != 0 {
+	if n := ch.ev.Pinned(); n != 0 {
 		t.Fatalf("after a clean run the evaluator retains %d items", n)
 	}
 	// Cut inside closed_auctions: person 0 is bound and its id collected
@@ -290,7 +293,7 @@ func TestFailedJoinRetainsNothing(t *testing.T) {
 	}
 	// This is the state the engine pools: release resets the buffer, not
 	// the evaluator.
-	if n := ch.ev.Retained(); n != 0 {
+	if n := ch.ev.Pinned(); n != 0 {
 		t.Fatalf("after a failed run the evaluator retains %d items", n)
 	}
 	var out strings.Builder
@@ -328,7 +331,7 @@ func TestFailedJoinRetainsNothing(t *testing.T) {
 	if w := ch.ev.Work(); w.Entries != 40 || w.Probes != 1 {
 		t.Fatalf("the run was meant to fail after the table was built and probed once, work %+v", w)
 	}
-	if n := ch.ev.Retained(); n != 0 {
+	if n := ch.ev.Pinned(); n != 0 {
 		t.Fatalf("after a run that failed with a probe table built the evaluator retains %d items", n)
 	}
 	out.Reset()

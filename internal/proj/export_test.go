@@ -1,6 +1,10 @@
 package proj
 
-import "gcx/internal/xmlstream"
+import (
+	"unsafe"
+
+	"gcx/internal/xmlstream"
+)
 
 // Test-only windows into the projector for the external suite.
 
@@ -18,11 +22,10 @@ func (p *Projector) Matched() map[int]int {
 // Observer is the token observer Step currently calls (nil when none).
 func (p *Projector) Observer() func(xmlstream.Token) { return p.observe }
 
-// Retained reports what the projector keeps for its next run: its pooled
-// frames, the room its open-element stack and scope arena keep, and
-// whether a pooled frame still links to a frame, an entry or a buffer
-// node.
-func (p *Projector) Retained() (frames, stack, scopes int, linked bool) {
+// Pooled reports what the projector keeps for its next run: its pooled
+// frames, and whether one of them still links to a frame, an entry or a
+// buffer node.
+func (p *Projector) Pooled() (frames int, linked bool) {
 	for _, f := range p.pool {
 		if f.parent != nil || f.node != nil || f.attach != nil || f.scopes != nil || len(f.firstUsed) > 0 {
 			linked = true
@@ -34,8 +37,8 @@ func (p *Projector) Retained() (frames, stack, scopes int, linked bool) {
 			linked = linked || c != (capture{})
 		}
 	}
-	return len(p.pool), cap(p.stack), cap(p.scopeArena), linked
+	return len(p.pool), linked
 }
 
-// MaxRetainedFrames is maxRetainedFrames, for the external suite.
-const MaxRetainedFrames = maxRetainedFrames
+// FrameBytes is the size of one frame.
+const FrameBytes = int64(unsafe.Sizeof(frame{}))

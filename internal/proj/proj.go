@@ -27,6 +27,7 @@ package proj
 
 import (
 	"fmt"
+	"unsafe"
 
 	"gcx/internal/buffer"
 	"gcx/internal/dtd"
@@ -197,7 +198,10 @@ func (p *Projector) init() {
 // around the buffer's new root node and re-assigns root capture roles.
 // All frames are recycled into the pool, so steady-state runs allocate
 // only when a document opens more simultaneous elements, matches, or
-// captures than any run before it.
+// captures than any run before it. Every capacity stays (Retained), and
+// every link the pooled frames and the scratch's backing arrays hold is
+// cleared, so an idle projector pins neither the last run's buffer nodes
+// nor another frame through a kept one.
 //
 //gcxlint:keep tok wired at construction; the owner resets the tokenizer separately
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
@@ -207,46 +211,40 @@ func (p *Projector) Reset() {
 	for i := len(p.stack) - 1; i >= 0; i-- {
 		p.releaseFrame(p.stack[i])
 	}
-	p.retain()
-	p.eof = false
-	p.tokens = 0
-	p.observe = nil
-	p.init()
-}
-
-// maxRetainedFrames bounds the frames an idle (pooled) projector keeps,
-// and the open-element stack and scope arena it keeps room for, like the
-// buffer's maxRetainedSlabs: a document nested deeper than that allocates
-// its deeper frames again on its next run, a document a thousand times
-// deeper does not leave a thousand times the frames behind.
-const maxRetainedFrames = 1024
-
-// retain empties the stack and the scratch, drops what is beyond
-// maxRetainedFrames, and clears every link the pooled frames and the
-// scratch's backing arrays still hold, so that an idle projector pins
-// neither the last run's buffer nodes nor, through a kept frame, one it
-// dropped.
-func (p *Projector) retain() {
-	if len(p.pool) > maxRetainedFrames {
-		p.pool = append(make([]*frame, 0, maxRetainedFrames), p.pool[:maxRetainedFrames]...)
-	}
 	for _, f := range p.pool {
 		clear(f.matches[:cap(f.matches)])
 		clear(f.captures[:cap(f.captures)])
 		clear(f.firstUsed)
 		*f = frame{matches: f.matches[:0], captures: f.captures[:0], firstUsed: f.firstUsed}
 	}
-	if cap(p.stack) > maxRetainedFrames {
-		p.stack = nil
-	}
-	if cap(p.scopeArena) > maxRetainedFrames {
-		p.scopeArena = nil
-	}
 	clear(p.stack[:cap(p.stack)])
 	clear(p.cancs[:cap(p.cancs)])
 	clear(p.cands[:cap(p.cands)])
 	clear(p.scopeArena[:cap(p.scopeArena)])
 	p.stack, p.cancs, p.cands, p.scopeArena = p.stack[:0], p.cancs[:0], p.cands[:0], p.scopeArena[:0]
+	p.eof = false
+	p.tokens = 0
+	p.observe = nil
+	p.init()
+}
+
+// Retained reports the bytes Reset keeps of what runs grew: the frames,
+// pooled or open, with their slices (a [1]-witness map counts as a small
+// map's 256), and the stack, scope arena and scratch.
+//
+//gcxlint:noalloc
+func (p *Projector) Retained() int64 {
+	n := int64(cap(p.pool)+cap(p.stack)+cap(p.scopeArena))*int64(unsafe.Sizeof((*frame)(nil))) +
+		int64(cap(p.cancs))*int64(unsafe.Sizeof(cancellation{})) + int64(cap(p.cands))*int64(unsafe.Sizeof(entry{}))
+	for _, fs := range [2][]*frame{p.pool, p.stack} {
+		for _, f := range fs {
+			n += int64(unsafe.Sizeof(frame{})) + int64(cap(f.matches))*int64(unsafe.Sizeof(entry{})) + int64(cap(f.captures))*int64(unsafe.Sizeof(capture{}))
+			if f.firstUsed != nil {
+				n += 256
+			}
+		}
+	}
+	return n
 }
 
 // TokensRead returns the number of stream tokens consumed.

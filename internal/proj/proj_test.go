@@ -487,9 +487,10 @@ func TestProjectionStatsTokens(t *testing.T) {
 }
 
 // TestIdleProjectorRetentionIsBounded: whatever depth the last document
-// reached, a reset projector keeps at most maxRetainedFrames frames, with
-// its stack and scope arena sized to match, and no pooled frame links
-// into the last run; the next run is the run a fresh projector makes.
+// reached, a reset projector keeps a frame for each level, Retained
+// counts them — what the pass bounds an idle run state by — and no
+// pooled frame links into the last run; the next run is the run a fresh
+// projector makes.
 // The document is BenchmarkDeepNesting's chain of <a> elements; the
 // queries match every level, the second with a descendant step below it,
 // which gives every level a scope extension of its own. (The benchmark's
@@ -530,13 +531,12 @@ func TestIdleProjectorRetentionIsBounded(t *testing.T) {
 		run(p, buf, tok, deep)
 		buf.Reset()
 		p.Reset()
-		frames, stack, scopes, linked := p.Retained()
-		if frames > proj.MaxRetainedFrames || stack > proj.MaxRetainedFrames || scopes > proj.MaxRetainedFrames {
-			t.Errorf("%s: idle projector keeps %d frames, room for %d open elements and %d scopes; cap %d",
-				c.src, frames, stack, scopes, proj.MaxRetainedFrames)
-		}
-		if frames < proj.MaxRetainedFrames-1 {
+		frames, linked := p.Pooled()
+		if frames < c.depth {
 			t.Errorf("%s: sanity: a %d-deep document left only %d pooled frames", c.src, c.depth, frames)
+		}
+		if got, want := p.Retained(), int64(frames)*proj.FrameBytes; got < want {
+			t.Errorf("%s: Retained reports %d for %d pooled frames of %d bytes", c.src, got, frames, proj.FrameBytes)
 		}
 		if linked {
 			t.Errorf("%s: a pooled frame still links into the last run", c.src)

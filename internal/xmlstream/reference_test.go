@@ -65,10 +65,8 @@ func NewReference(r io.Reader, opts Options) *Reference {
 // mirroring Tokenizer.Reset.
 //
 //gcxlint:keep opts the mode is part of the tokenizer's identity; Reset swaps documents, not configuration
+//gcxlint:keep names interned names survive documents, as the tokenizer's symbol table does
 func (t *Reference) Reset(r io.Reader) {
-	if len(t.names) > maxRetainedSyms {
-		t.names = make(map[string]string, 64)
-	}
 	t.r = r
 	t.buf = t.buf[:0]
 	t.pos = 0
@@ -79,9 +77,9 @@ func (t *Reference) Reset(r io.Reader) {
 	t.pending = t.pending[:0]
 	t.stack = t.stack[:0]
 	t.rootSeen = false
-	t.nameBuf = resetScratch(t.nameBuf)
-	t.textBuf = resetScratch(t.textBuf)
-	t.attrBuf = resetScratch(t.attrBuf)
+	t.nameBuf = t.nameBuf[:0]
+	t.textBuf = t.textBuf[:0]
+	t.attrBuf = t.attrBuf[:0]
 	clear(t.attrs[:cap(t.attrs)])
 	t.attrs = t.attrs[:0]
 }

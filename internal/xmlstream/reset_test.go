@@ -133,43 +133,53 @@ func TestBorrowText(t *testing.T) {
 	}
 }
 
-// TestInterningBounded: pooled tokenizers and symbol tables must not
-// accumulate high-cardinality name vocabularies across Resets.
-func TestInterningBounded(t *testing.T) {
+// TestInterningIsCounted: a pooled tokenizer's symbol table keeps every
+// name across Resets — a Sym stays valid as long as the table — and its
+// Retained grows by at least each new name's bytes and not at all for a
+// name seen before, so the owner of a pooled run state sees what a
+// high-cardinality vocabulary has made the table keep.
+func TestInterningIsCounted(t *testing.T) {
+	const names = 4096
 	tok := NewTokenizerOptions(nil, DefaultOptions())
-	for run := 0; run < 3; run++ {
-		var doc strings.Builder
-		doc.WriteString("<r>")
-		for i := 0; i < maxRetainedSyms; i++ {
-			fmt.Fprintf(&doc, "<t%d-%d/>", run, i)
-		}
-		doc.WriteString("</r>")
-		tok.Reset(strings.NewReader(doc.String()))
+	drain := func(doc string) {
+		tok.Reset(strings.NewReader(doc))
 		for {
 			tk, err := tok.Next()
 			if err != nil {
 				t.Fatal(err)
 			}
 			if tk.Kind == EOF {
-				break
+				return
 			}
 		}
 	}
-	// Each run exceeds the cap on its own, so Reset must have dropped the
-	// previous vocabularies instead of stacking all three.
-	if tok.syms.Len() > maxRetainedSyms+2 {
-		t.Fatalf("interned names grew unboundedly: %d > cap %d", tok.syms.Len(), maxRetainedSyms)
-	}
-
-	s := NewSymTab()
-	s.Intern("a")
-	s.Intern("b")
-	s.Reset()
-	if s.Len() != 0 || s.byName["a"] != NoSym || s.cache != [symCacheSize]symSlot{} {
-		t.Fatal("SymTab.Reset must drop all names and empty the cache")
-	}
-	if got := s.Intern("c"); got != 1 || s.Name(got) != "c" {
-		t.Fatalf("post-reset intern broken: sym %d", got)
+	var last int64
+	for run := 0; run < 3; run++ {
+		var doc strings.Builder
+		doc.WriteString("<r>")
+		nameBytes := 0
+		for i := 0; i < names; i++ {
+			name := fmt.Sprintf("t%d-%d", run, i)
+			nameBytes += len(name)
+			fmt.Fprintf(&doc, "<%s/>", name)
+		}
+		doc.WriteString("</r>")
+		drain(doc.String())
+		if got := tok.syms.Len(); got != 1+(run+1)*names {
+			t.Fatalf("run %d: the table holds %d names, want every one of the %d runs' and <r>", run, got, run+1)
+		}
+		syms := tok.syms.Retained()
+		if syms-last < int64(nameBytes) {
+			t.Errorf("run %d: %d new names of %d bytes grew Retained by %d", run, names, nameBytes, syms-last)
+		}
+		if tok.Retained() < syms {
+			t.Errorf("run %d: the tokenizer reports %d, less than its table's %d", run, tok.Retained(), syms)
+		}
+		last = syms
+		drain(doc.String())
+		if tok.syms.Retained() != last {
+			t.Errorf("run %d: names seen before grew Retained from %d to %d", run, last, tok.syms.Retained())
+		}
 	}
 }
 

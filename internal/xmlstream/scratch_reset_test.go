@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 )
 
 // drainTokens runs a tokenizer to EOF, failing the test on syntax errors.
@@ -21,10 +22,10 @@ func drainTokens(t *testing.T, next func() (Token, error)) {
 }
 
 // A pooled tokenizer must not keep any bytes of the previous document
-// reachable after Reset, and a single pathological document must not pin
-// oversized scratch buffers, queues or stacks for the life of the pool
-// entry: not a long value or text run, not a tag with a hundred thousand
-// attributes, not a document nested two hundred thousand deep.
+// reachable after Reset, and what a pathological document grew — a long
+// value and text run, a tag with a hundred thousand attributes, a
+// document nested two hundred thousand deep — is what Retained reports,
+// so the owner of a pooled run state can decide whether to keep it.
 func TestTokenizerResetScratchHygiene(t *testing.T) {
 	var attrs strings.Builder
 	attrs.WriteString("<r")
@@ -33,8 +34,8 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 	}
 	attrs.WriteString("/>")
 	docs := map[string]string{
-		"long value and run": `<r a="` + strings.Repeat("v", maxRetainedScratch+1) + `">` +
-			strings.Repeat("x", 2*maxRetainedScratch) + `</r>`,
+		"long value and run": `<r a="` + strings.Repeat("v", 64<<10+1) + `">` +
+			strings.Repeat("x", 128<<10) + `</r>`,
 		"100,000 attributes": attrs.String(),
 		"200,000 deep":       strings.Repeat("<a>", 200_000) + strings.Repeat("</a>", 200_000),
 	}
@@ -43,17 +44,15 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 		drainTokens(t, tok.Next)
 
 		tok.Reset(strings.NewReader("<r/>"))
-		if tok.textBuf != nil {
-			t.Errorf("%s: textBuf retained %d bytes past maxRetainedScratch after Reset", name, cap(tok.textBuf))
+		grown := int64(cap(tok.textBuf)+cap(tok.attrBuf)) + int64(cap(tok.pending)+cap(tok.stack))*int64(unsafe.Sizeof(Token{}))
+		if grown < 64<<10 {
+			t.Errorf("%s: sanity: the document grew the scratch, queue and stack by only %d bytes", name, grown)
 		}
-		if tok.attrBuf != nil {
-			t.Errorf("%s: attrBuf retained %d bytes past maxRetainedScratch after Reset", name, cap(tok.attrBuf))
+		if got := tok.Retained(); got < grown {
+			t.Errorf("%s: Retained reports %d, below the %d bytes the document grew", name, got, grown)
 		}
-		if c := cap(tok.pending); c > maxRetainedEntries {
-			t.Errorf("%s: pending retained %d entries past maxRetainedEntries after Reset", name, c)
-		}
-		if c := cap(tok.stack); c > maxRetainedEntries {
-			t.Errorf("%s: stack retained %d entries past maxRetainedEntries after Reset", name, c)
+		if len(tok.textBuf) != 0 || len(tok.attrBuf) != 0 {
+			t.Errorf("%s: scratch not truncated: text %d, attr %d bytes", name, len(tok.textBuf), len(tok.attrBuf))
 		}
 		for i, tk := range tok.pending[:cap(tok.pending)] {
 			if tk != (Token{}) {
@@ -72,17 +71,14 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 }
 
 func TestReferenceResetScratchHygiene(t *testing.T) {
-	big := `<r a="` + strings.Repeat("v", maxRetainedScratch+1) + `">` +
-		strings.Repeat("x", 2*maxRetainedScratch) + `</r>`
+	big := `<r a="` + strings.Repeat("v", 64<<10+1) + `">` +
+		strings.Repeat("x", 128<<10) + `</r>`
 	tok := NewReference(strings.NewReader(big), DefaultOptions())
 	drainTokens(t, tok.Next)
 
 	tok.Reset(strings.NewReader("<r/>"))
-	if tok.textBuf != nil {
-		t.Errorf("textBuf retained %d bytes past maxRetainedScratch after Reset", cap(tok.textBuf))
-	}
-	if tok.attrBuf != nil {
-		t.Errorf("attrBuf retained %d bytes past maxRetainedScratch after Reset", cap(tok.attrBuf))
+	if len(tok.textBuf) != 0 || len(tok.attrBuf) != 0 {
+		t.Errorf("scratch not truncated: text %d, attr %d bytes", len(tok.textBuf), len(tok.attrBuf))
 	}
 	for i, a := range tok.attrs[:cap(tok.attrs)] {
 		if a.name != "" || a.value != "" {
@@ -92,7 +88,7 @@ func TestReferenceResetScratchHygiene(t *testing.T) {
 	drainTokens(t, tok.Next)
 }
 
-// Small documents keep their (bounded) scratch so a warmed-up pooled
+// Small documents keep their scratch so a warmed-up pooled
 // tokenizer stays allocation-free across Resets.
 func TestTokenizerResetRetainsBoundedScratch(t *testing.T) {
 	// The entity forces the text through textBuf; entity-free runs borrow

@@ -12,12 +12,15 @@ const NoSym Sym = 0
 
 // SymTab interns tag and attribute names to dense integer symbols: the one
 // place a name becomes a Sym. A run has one table, which the tokenizer, the
-// buffer and the evaluators share. It is not safe for concurrent use; the
-// engine is single-threaded by design (the paper's evaluation loop is
-// strictly sequential).
+// buffer and the evaluators share. A pooled run state keeps its table, and
+// every name in it, across documents: a Sym stays valid for as long as the
+// table does, and Retained tells the owner how large the names have made
+// it. It is not safe for concurrent use; the engine is single-threaded by
+// design (the paper's evaluation loop is strictly sequential).
 type SymTab struct {
 	byName map[string]Sym
 	names  []string
+	bytes  int64 // what Retained reports
 	// cache is a direct-mapped front for byName: a hot vocabulary
 	// resolves with one string compare instead of a map probe. NoSym
 	// marks an empty slot.
@@ -33,11 +36,6 @@ type symSlot struct {
 // symCacheSize is the number of cache slots. Real vocabularies are a
 // handful of names; 64 slots make collisions rare.
 const symCacheSize = 64
-
-// maxRetainedSyms bounds a table across documents (Tokenizer.Reset): a
-// pooled run state fed documents with generated per-document tag names
-// must not accumulate every name ever seen.
-const maxRetainedSyms = 4096
 
 // NewSymTab returns an empty symbol table.
 func NewSymTab() *SymTab {
@@ -74,19 +72,16 @@ func (s *SymTab) lookup(name string, borrowed bool) Sym {
 		sym = Sym(len(s.names))
 		s.names = append(s.names, name)
 		s.byName[name] = sym
+		s.bytes += int64(len(name)) + 64 // its map entry and names slot, with their room to grow
 	}
 	s.cache[h] = symSlot{s.names[sym], sym}
 	return sym
 }
 
-// Reset drops all interned names and empties the cache. Only valid when
-// no buffered node and no token still carries a Sym; retained capacity
-// makes re-interning a steady vocabulary allocation-free.
-func (s *SymTab) Reset() {
-	clear(s.byName)
-	s.names = s.names[:1]
-	s.cache = [symCacheSize]symSlot{}
-}
+// Retained reports what the interned names cost, a running total.
+//
+//gcxlint:noalloc
+func (s *SymTab) Retained() int64 { return s.bytes }
 
 // Name returns the string for a symbol. It panics on an unknown symbol,
 // which indicates engine corruption rather than a user error.

@@ -105,65 +105,39 @@ func NewTokenizerOptions(r io.Reader, opts Options) *Tokenizer {
 // token's Sym is the one the buffer stores.
 func (t *Tokenizer) SetSymTab(s *SymTab) { t.syms = s }
 
-// maxRetainedScratch bounds the per-token scratch buffers across Resets:
-// one pathological document with a multi-megabyte text run or attribute
-// value must not pin that much memory inside every pooled tokenizer for
-// the rest of the process lifetime.
-const maxRetainedScratch = 64 << 10
-
-// maxRetainedEntries bounds the pending-token queue and the element
-// stack across Resets the same way: a tag with a hundred thousand
-// attributes or a document nested a hundred thousand deep must not pin
-// its queue or stack, nor the strings in them, in a pooled tokenizer.
-const maxRetainedEntries = 1024
-
-// Reset rewinds the tokenizer to read a fresh document from r, retaining
-// internal buffers up to a bound and clearing or truncating them so no
-// bytes of the previous document remain reachable. A reset tokenizer
-// behaves exactly like a newly constructed one (with the same Options),
-// which makes it a pooled, allocation-free serving artifact: after
-// warm-up, tokenizing a document allocates only for retained text.
-//
-// The symbol table survives documents (tag vocabularies repeat) but is
-// bounded: past maxRetainedSyms names, Reset empties it. This is the one
-// place the bound applies, so a caller sharing the table resets it only
-// here: after dropping every buffered node that holds a Sym, and before
-// an evaluator interns its query's vocabulary.
+// Reset rewinds the tokenizer to read a fresh document from r, keeping
+// its internal buffers and clearing or truncating them so no bytes of the
+// previous document remain reachable. A reset tokenizer behaves exactly
+// like a newly constructed one (with the same Options), which makes it a
+// pooled, allocation-free serving artifact: after warm-up, tokenizing a
+// document allocates only for retained text. The symbol table keeps its
+// names (tag vocabularies repeat), so a Sym stays valid with its table.
 //
 //gcxlint:keep opts the mode is part of the tokenizer's identity; Reset swaps documents, not configuration
-//gcxlint:keep syms the table is shared with the buffer; Reset only bounds it
+//gcxlint:keep syms the table is shared with the buffer and keeps its names across documents
 func (t *Tokenizer) Reset(r io.Reader) {
-	if t.syms != nil && t.syms.Len() > maxRetainedSyms {
-		t.syms.Reset()
-	}
 	t.Window.Reset(r)
 	t.closed = false
-	t.pending = resetEntries(t.pending)
+	clear(t.pending[:cap(t.pending)])
+	t.pending = t.pending[:0]
 	t.pendHead = 0
-	t.stack = resetEntries(t.stack)
+	clear(t.stack[:cap(t.stack)])
+	t.stack = t.stack[:0]
 	t.rootSeen = false
-	t.textBuf = resetScratch(t.textBuf)
-	t.attrBuf = resetScratch(t.attrBuf)
+	t.textBuf = t.textBuf[:0]
+	t.attrBuf = t.attrBuf[:0]
 }
 
-// resetScratch truncates a scratch buffer for reuse, releasing it
-// entirely if a previous document grew it past maxRetainedScratch.
-func resetScratch(b []byte) []byte {
-	if cap(b) > maxRetainedScratch {
-		return nil
+// Retained reports the bytes Reset keeps of what runs grew: the token
+// queue, element stack and scratch, and the symbol table.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) Retained() int64 {
+	n := int64(cap(t.pending)+cap(t.stack))*int64(unsafe.Sizeof(Token{})) + int64(cap(t.textBuf)+cap(t.attrBuf))
+	if t.syms != nil {
+		n += t.syms.Retained()
 	}
-	return b[:0]
-}
-
-// resetEntries truncates a queue or stack for reuse, clearing what it
-// keeps so none of its strings stays reachable, and releasing it entirely
-// past maxRetainedEntries.
-func resetEntries[S ~[]E, E any](s S) S {
-	if cap(s) > maxRetainedEntries {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
+	return n
 }
 
 var errUnexpectedEOF = errors.New("unexpected end of input")

@@ -3,6 +3,7 @@ package xmlstream
 import (
 	"fmt"
 	"io"
+	"unsafe"
 
 	"gcx/internal/obs"
 )
@@ -96,6 +97,17 @@ func (w *Writer) Reset(out io.Writer) {
 	w.first = 0
 	w.err = nil
 	w.werr = nil
+}
+
+// Retained reports the bytes Reset keeps of what runs grew: the element
+// stack, once it outgrew its writerStack share. The batch never grows.
+//
+//gcxlint:noalloc
+func (w *Writer) Retained() int64 {
+	if cap(w.stack) <= writerStack {
+		return 0
+	}
+	return int64(cap(w.stack)) * int64(unsafe.Sizeof(""))
 }
 
 // flush writes the batch to the destination.
