@@ -55,9 +55,8 @@ func warmAllocs(t *testing.T, eng *Engine, data string, runs int) float64 {
 // TestSteadyStateAllocsStructural: a query that buffers only structure
 // (existence witnesses, no text serialization) must run allocation-free
 // once the pool is warm — the paper's engine as a zero-garbage server. So
-// must Q6 over an XMark document: its descendant step gives every matched
-// frame a scope extension of its own, which the projector carves from its
-// scope arena (one allocation a run before that).
+// must Q6 over an XMark document: its descendant step makes every matched
+// frame a scope frame, which links the next one up and copies nothing.
 func TestSteadyStateAllocsStructural(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -278,6 +277,14 @@ func joinTestDoc(p, t int) string {
 	return doc.String()
 }
 
+// joinTestQuery is Q8's join over joinTestDoc's two regions.
+const joinTestQuery = `<out>{
+    for $p in /site/people/person return
+        <item>{ ($p/name,
+            for $t in /site/closed_auctions/closed_auction return
+                if ($t/buyer = $p/id) then <bought/> else ()) }</item>
+}</out>`
+
 // TestJoinSteadyStateAllocs: a value join builds its probe table once, in
 // arrays the pooled evaluator keeps, then probes and re-checks per person,
 // and none of that may allocate on a warm run; nor does buffering the
@@ -290,12 +297,7 @@ func TestJoinSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	eng := MustCompile(`<out>{
-	    for $p in /site/people/person return
-	        <item>{ ($p/name,
-	            for $t in /site/closed_auctions/closed_auction return
-	                if ($t/buyer = $p/id) then <bought/> else ()) }</item>
-	}</out>`)
+	eng := MustCompile(joinTestQuery)
 	small := warmAllocs(t, eng, joinTestDoc(10, 50), 5)
 	large := warmAllocs(t, eng, joinTestDoc(100, 500), 5)
 	if large-small > 16 {

@@ -285,18 +285,20 @@ func BenchmarkSchema(b *testing.B) {
 }
 
 // BenchmarkDeepNesting is the depth pathology: one chain of <a> elements
-// under <site>, copied whole (`for $s in /site return $s`) and selected
-// at every level (`//a`), each inside a result constructor. Time grows about 4x per doubling of depth —
-// ancestor walks (Covered, Pin/Unpin, AddRole/removeRole, the
-// projector's covered check) and the cursor's document-order step are
-// each linear in the depth, and each runs once per level. ROADMAP item 10
-// (bookkeeping that does not grow with depth) is the fix this case must
-// answer; reproduce the curve with
+// under <site>, copied whole (`for $s in /site return $s`), selected at
+// every level (`//a`), and bound at every level with a descendant step
+// below each binding (`exists($a//b)`), each inside a result
+// constructor. Time grows about 4x per doubling of depth — ancestor
+// walks (Covered, Pin/Unpin, AddRole/removeRole) and the cursor's
+// document-order step are each linear in the depth, and each runs once
+// per level. ROADMAP item 10 (bookkeeping that does not grow with depth)
+// is the fix this case must answer; reproduce the curve with
 // `go test -run '^$' -bench DeepNesting -benchtime 1x .`.
 func BenchmarkDeepNesting(b *testing.B) {
 	for _, q := range []struct{ name, text string }{
 		{"copy", `<r>{ for $s in /site return $s }</r>`},
 		{"descendant", `<r>{ //a }</r>`},
+		{"exists", `<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`},
 	} {
 		eng := MustCompile(q.text)
 		for _, depth := range []int{2500, 5000, 10000} {

@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -281,36 +282,62 @@ func TestNestedAggregateSkipsCoveredBranch(t *testing.T) {
 	}
 }
 
-// TestResolveDerivationMultiplicity reproduces Figure 4(c): //a//b over
-// /a/a/b reaches the deep b twice, so the role is removed twice.
+// TestResolveDerivationMultiplicity: a node reached through several
+// derivations is a target once, with their multiplicities summed, and
+// the signOff removes the role that many times. Every row resolves from
+// the root over nested contexts: //a binds a1 and a2 below it, in
+//
+//	<a1> <b1/> <a2> <b2/> <b3/> </a2> </a1>
 func TestResolveDerivationMultiplicity(t *testing.T) {
-	b, syms := build(false)
-	a1 := el(b, syms, b.Root(), "a")
-	a2 := el(b, syms, a1, "a")
-	deep := el(b, syms, a2, "b")
-	shallow := el(b, syms, a1, "b")
-	_ = shallow
-
-	// Assign role r1 twice to deep (two derivations) and once to shallow,
-	// mimicking the projector's multiset assignment in Figure 4(c).
-	b.AddRole(deep, 1, 2)
-	b.AddRole(shallow, 1, 1)
-	for _, n := range []*Node{deep, a2, shallow, a1} {
-		b.Finish(n)
-	}
-
-	steps := []xqast.Step{
-		step(xqast.Descendant, xqast.NameTest("a"), false),
-		step(xqast.Descendant, xqast.NameTest("b"), false),
-	}
-	if err := b.SignOff(b.Root(), steps, names(syms, steps), 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.CheckBalance(); err != nil {
-		t.Fatalf("derivation-counting removal must balance: %v", err)
-	}
-	if b.Stats().LiveNodes != 1 {
-		t.Fatalf("LiveNodes = %d, want 1 (root only)\n%s", b.Stats().LiveNodes, b.Dump())
+	for _, c := range []struct {
+		name string
+		last xqast.Step
+		want string
+	}{
+		// Figure 4(c): //a//b reaches what lies below a2 from a1 and a2.
+		{"descendant", step(xqast.Descendant, xqast.NameTest("b"), false), "b1:1 b2:2 b3:2"},
+		// A node has one parent: a child step reaches each child once.
+		{"child", step(xqast.Child, xqast.NameTest("b"), false), "b1:1 b2:1 b3:1"},
+		// The inner subtree is reached from both contexts.
+		{"descendant-or-self", step(xqast.DescendantOrSelf, xqast.NodeKindTest(), false), "a1:1 b1:1 a2:2 b2:2 b3:2"},
+		// [1] keeps each context's first match.
+		{"first descendant", step(xqast.Descendant, xqast.NameTest("b"), true), "b1:1 b2:1"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			b, syms := build(false)
+			label := map[*Node]string{}
+			add := func(parent *Node, name, l string) *Node {
+				n := el(b, syms, parent, name)
+				label[n] = l
+				return n
+			}
+			a1 := add(b.Root(), "a", "a1")
+			b1 := add(a1, "b", "b1")
+			a2 := add(a1, "a", "a2")
+			b2, b3 := add(a2, "b", "b2"), add(a2, "b", "b3")
+			steps := []xqast.Step{step(xqast.Descendant, xqast.NameTest("a"), false), c.last}
+			var got []string
+			for _, tg := range b.resolve(b.Root(), steps, names(syms, steps)) {
+				got = append(got, fmt.Sprintf("%s:%d", label[tg.node], tg.mult))
+				// Assign the role as projection would: once per derivation.
+				b.AddRole(tg.node, 1, tg.mult)
+			}
+			if strings.Join(got, " ") != c.want {
+				t.Fatalf("targets %s, want %s", strings.Join(got, " "), c.want)
+			}
+			for _, n := range []*Node{b2, b3, a2, b1, a1} {
+				b.Finish(n)
+			}
+			if err := b.SignOff(b.Root(), steps, names(syms, steps), 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.CheckBalance(); err != nil {
+				t.Fatalf("derivation-counting removal must balance: %v", err)
+			}
+			if b.Stats().LiveNodes != 1 {
+				t.Fatalf("LiveNodes = %d, want 1 (root only)\n%s", b.Stats().LiveNodes, b.Dump())
+			}
+		})
 	}
 }
 

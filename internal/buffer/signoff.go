@@ -54,6 +54,11 @@ func (b *Buffer) SignOff(binding *Node, steps []xqast.Step, names []xmlstream.Sy
 // resolve walks steps from start through the buffered tree using the
 // buffer's ping-pong scratch slices, so steady-state signOff execution
 // does not allocate. The returned slice is valid until the next resolve.
+// Each step takes its matches from every context through NextMatch, the
+// first only under [1]. A node reached from several contexts sums their
+// multiplicities; only a non-child step from two or more contexts can
+// reach one twice (a node has one parent, and one context's walk visits
+// a node once), so only that case merges.
 func (b *Buffer) resolve(start *Node, steps []xqast.Step, names []xmlstream.Sym) []target {
 	cur := append(b.resA[:0], target{start, 1})
 	next := b.resB[:0]
@@ -62,9 +67,19 @@ func (b *Buffer) resolve(start *Node, steps []xqast.Step, names []xmlstream.Sym)
 		if s.Test.Kind == xqast.TestName {
 			sym = names[s.Test.ID]
 		}
+		merge := s.Axis != xqast.Child && len(cur) > 1
 		next = next[:0]
 		for _, t := range cur {
-			next = b.stepMatches(t.node, s, sym, t.mult, next)
+			for n := NextMatch(t.node, nil, s.Axis, s.Test.Kind, sym); n != nil; n = NextMatch(t.node, n, s.Axis, s.Test.Kind, sym) {
+				if merge {
+					next = addTarget(next, n, t.mult)
+				} else {
+					next = append(next, target{n, t.mult})
+				}
+				if s.First {
+					break
+				}
+			}
 		}
 		cur, next = next, cur
 	}
@@ -73,8 +88,7 @@ func (b *Buffer) resolve(start *Node, steps []xqast.Step, names []xmlstream.Sym)
 }
 
 // addTarget merges (n, m) into out: a node reached through several
-// derivations accumulates its multiplicities (Figure 4(c)). Target sets
-// are small, so a linear scan beats a map.
+// derivations accumulates its multiplicities (Figure 4(c)).
 func addTarget(out []target, n *Node, m int) []target {
 	for i := range out {
 		if out[i].node == n {
@@ -85,57 +99,60 @@ func addTarget(out []target, n *Node, m int) []target {
 	return append(out, target{n, m})
 }
 
-// stepMatches appends the matches of one location step from ctx in
-// document order. With a [1] predicate, only the first match per context is
-// reported — mirroring first-witness role assignment during projection.
-func (b *Buffer) stepMatches(ctx *Node, s xqast.Step, sym xmlstream.Sym, mult int, out []target) []target {
-	switch s.Axis {
+// NextMatch returns the buffered match of a location step from ctx that
+// follows after in document order (the first one when after is nil), or
+// nil when the buffered region holds no further match. It never blocks:
+// whether more can arrive is the caller's question. It is the one step
+// matcher: evaluator cursors and signOff paths both walk through it.
+//
+//gcxlint:noalloc
+func NextMatch(ctx, after *Node, axis xqast.Axis, kind xqast.TestKind, sym xmlstream.Sym) *Node {
+	switch axis {
 	case xqast.Child:
-		for c := ctx.FirstChild; c != nil; c = c.NextSib {
-			if MatchTest(s.Test.Kind, sym, c) {
-				out = addTarget(out, c, mult)
-				if s.First {
-					return out
+		n := ctx.FirstChild
+		if after != nil {
+			n = after.NextSib
+		}
+		for ; n != nil; n = n.NextSib {
+			if matchTest(kind, sym, n) {
+				return n
+			}
+		}
+	case xqast.Descendant, xqast.DescendantOrSelf:
+		n := after
+		if n == nil {
+			if axis == xqast.DescendantOrSelf && matchTest(kind, sym, ctx) {
+				return ctx
+			}
+			n = ctx
+		}
+		// Depth-first through ctx's buffered subtree.
+		for {
+			if n.FirstChild != nil {
+				n = n.FirstChild
+			} else {
+				for n != nil && n != ctx && n.NextSib == nil {
+					n = n.Parent
 				}
+				if n == nil || n == ctx {
+					return nil
+				}
+				n = n.NextSib
 			}
-		}
-	case xqast.Descendant:
-		out, _ = b.walkDescendants(ctx, s, sym, mult, out)
-	case xqast.DescendantOrSelf:
-		if MatchTest(s.Test.Kind, sym, ctx) {
-			out = addTarget(out, ctx, mult)
-			if s.First {
-				return out
+			if matchTest(kind, sym, n) {
+				return n
 			}
-		}
-		out, _ = b.walkDescendants(ctx, s, sym, mult, out)
-	}
-	return out
-}
-
-// walkDescendants appends matching proper descendants of ctx in document
-// order; with First set it stops after the first match (stop=true).
-func (b *Buffer) walkDescendants(ctx *Node, s xqast.Step, sym xmlstream.Sym, mult int, out []target) (_ []target, stop bool) {
-	for c := ctx.FirstChild; c != nil; c = c.NextSib {
-		if MatchTest(s.Test.Kind, sym, c) {
-			out = addTarget(out, c, mult)
-			if s.First {
-				return out, true
-			}
-		}
-		if out, stop = b.walkDescendants(c, s, sym, mult, out); stop {
-			return out, true
 		}
 	}
-	return out, false
+	return nil
 }
 
-// MatchTest evaluates a node test against a buffered node; sym is the
+// matchTest evaluates a node test against a buffered node; sym is the
 // resolved tag of a name test (ignored by the other kinds). It runs once
 // per node a cursor or a signOff path visits.
 //
 //gcxlint:noalloc
-func MatchTest(kind xqast.TestKind, sym xmlstream.Sym, n *Node) bool {
+func matchTest(kind xqast.TestKind, sym xmlstream.Sym, n *Node) bool {
 	switch kind {
 	case xqast.TestName:
 		return n.Kind == KindElement && n.Sym == sym

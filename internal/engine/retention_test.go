@@ -23,6 +23,9 @@ type retentionRow struct {
 	cfg    Config
 	docs   func() []string
 	normal string
+	// pooledUnder, when set, bounds the state the last document leaves:
+	// it reports fewer bytes, and release pools it.
+	pooledUnder int64
 }
 
 // chain is a document nested depth <a> elements deep.
@@ -95,11 +98,12 @@ func retentionRows() []retentionRow {
 			normal: chain(3),
 		},
 		{
-			name:   "1,100-deep chain, a scope extension per level",
-			query:  `<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`,
-			cfg:    gcx,
-			docs:   func() []string { return []string{chain(1_100)} },
-			normal: "<site><a><a><b/></a></a></site>",
+			name:        "1,500-deep chain, a descendant scope at every level",
+			query:       `<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`,
+			cfg:         gcx,
+			docs:        func() []string { return []string{chain(1_500)} },
+			normal:      "<site><a><a><b/></a></a></site>",
+			pooledUnder: 1 << 20,
 		},
 		{
 			name:   "100 nested loops, a cursor open at each",
@@ -309,9 +313,20 @@ func TestIdleRetentionBudget(t *testing.T) {
 			checkNormal() // on the state the documents grew, if it was kept
 			checkPooled(t, c.solo)
 
+			outs := []io.Writer{io.Discard}
+			if row.pooledUnder > 0 {
+				_, rs := c.solo.run(context.Background(), strings.NewReader(docs[len(docs)-1]), outs, nil)
+				if r := rs.retained(); r >= row.pooledUnder {
+					t.Errorf("the state reports %d bytes, want under %d", r, row.pooledUnder)
+				}
+				c.solo.release(rs)
+				if w := c.solo.last.Load(); w == nil || w.Value() != rs {
+					t.Error("release did not pool the state")
+				}
+			}
+
 			// (c): the last document's state, scrubbed as release does but
 			// measured before release may drop it.
-			outs := []io.Writer{io.Discard}
 			_, rs := c.solo.run(context.Background(), strings.NewReader(docs[len(docs)-1]), outs, nil)
 			reported := rs.retained()
 			rs.scrub()

@@ -176,39 +176,7 @@ func (c *cursor) finish() {
 //
 //gcxlint:noalloc
 func (c *cursor) scan() *buffer.Node {
-	switch c.step.Axis {
-	case xqast.Child:
-		var n *buffer.Node
-		if c.cur == nil {
-			n = c.ctx.FirstChild
-		} else {
-			n = c.cur.NextSib
-		}
-		for ; n != nil; n = n.NextSib {
-			if buffer.MatchTest(c.step.Test.Kind, c.sym, n) {
-				return n
-			}
-		}
-		return nil
-	case xqast.Descendant, xqast.DescendantOrSelf:
-		// Document-order DFS through the buffered subtree. dos appears
-		// only in internal paths but is supported for completeness.
-		start := c.cur
-		if start == nil {
-			if c.step.Axis == xqast.DescendantOrSelf && buffer.MatchTest(c.step.Test.Kind, c.sym, c.ctx) {
-				return c.ctx
-			}
-			start = c.ctx
-		}
-		for n := c.nextInDocOrder(start); n != nil; n = c.nextInDocOrder(n) {
-			if buffer.MatchTest(c.step.Test.Kind, c.sym, n) {
-				return n
-			}
-		}
-		return nil
-	default:
-		return nil
-	}
+	return buffer.NextMatch(c.ctx, c.cur, c.step.Axis, c.step.Test.Kind, c.sym)
 }
 
 // count returns the number of matches buffered below the context, which
@@ -224,23 +192,6 @@ func (c *cursor) count() int {
 		n++
 	}
 	return n
-}
-
-// nextInDocOrder advances one position in the DFS over the subtree of
-// c.ctx, returning nil at the end of the currently buffered region.
-//
-//gcxlint:noalloc
-func (c *cursor) nextInDocOrder(n *buffer.Node) *buffer.Node {
-	if n.FirstChild != nil {
-		return n.FirstChild
-	}
-	for n != nil && n != c.ctx {
-		if n.NextSib != nil {
-			return n.NextSib
-		}
-		n = n.Parent
-	}
-	return nil
 }
 
 // regionFinished reports whether no further matches can appear: once the

@@ -90,19 +90,15 @@ type frame struct {
 	// attach is the nearest buffered ancestor-or-self; children of
 	// discarded elements are promoted to it (Definition 1's projection).
 	attach *buffer.Node
-	// matches are the projection nodes matched at this element. The slice
-	// is fully built before any pointer into it is taken (scopes extension
-	// below), and never appended to afterwards.
+	// matches are the projection nodes matched at this element.
 	matches []entry
-	// scopes are entries (here or at ancestors) whose projection nodes
-	// have descendant-axis children: the parent's slice as is, or the
-	// parent's plus this frame's own carved from the projector's scope
-	// arena (scopeMark is the arena length to rewind to at the end tag).
-	scopes    []*entry
-	scopeMark int
+	// scopes is the nearest open frame, this one or an ancestor, with a
+	// match whose projection node has a descendant-axis child; the next
+	// such frame up is scopes.outer(). Descendant-axis steps are tried
+	// from the matches of every frame on that chain.
+	scopes *frame
 	// captures started at this element.
 	captures []capture
-	liveCaps int
 	// firstUsed records [1]-children of nodes matched at this frame whose
 	// single witness has been consumed. The witness is per derivation
 	// instance, not per frame: one element can host several instances of
@@ -146,14 +142,12 @@ type Projector struct {
 	pool  []*frame
 	cancs []cancellation
 	eof   bool
+	// liveCaps counts the live captures of the open frames: a node opened
+	// or read now lies below one of them exactly when it is non-zero.
+	liveCaps int
 
 	// scratch for candidate merging.
 	cands []entry
-	// scopeArena backs every frame's own scopes slice. Frames carve from
-	// its end at their start tag and rewind it at their end tag, so it
-	// holds one extension per OPEN element and a warm run carves without
-	// allocating; Reset rewinds it whole.
-	scopeArena []*entry
 
 	tokens int64
 
@@ -184,8 +178,7 @@ func (p *Projector) init() {
 	rootEntry.owner = rootFrame
 	rootEntry.anchor = rootFrame
 	if hasDescChildren(p.tree.Root) {
-		rootFrame.scopes = p.carveScopes(nil, 1)
-		rootFrame.scopes[0] = rootEntry
+		rootFrame.scopes = rootFrame
 	}
 	p.stack = append(p.stack, rootFrame)
 	// The root may itself start captures (e.g. the full-buffering baseline
@@ -220,9 +213,9 @@ func (p *Projector) Reset() {
 	clear(p.stack[:cap(p.stack)])
 	clear(p.cancs[:cap(p.cancs)])
 	clear(p.cands[:cap(p.cands)])
-	clear(p.scopeArena[:cap(p.scopeArena)])
-	p.stack, p.cancs, p.cands, p.scopeArena = p.stack[:0], p.cancs[:0], p.cands[:0], p.scopeArena[:0]
+	p.stack, p.cancs, p.cands = p.stack[:0], p.cancs[:0], p.cands[:0]
 	p.eof = false
+	p.liveCaps = 0
 	p.tokens = 0
 	p.observe = nil
 	p.init()
@@ -230,11 +223,11 @@ func (p *Projector) Reset() {
 
 // Retained reports the bytes Reset keeps of what runs grew: the frames,
 // pooled or open, with their slices (a [1]-witness map counts as a small
-// map's 256), and the stack, scope arena and scratch.
+// map's 256), and the stack and scratch.
 //
 //gcxlint:noalloc
 func (p *Projector) Retained() int64 {
-	n := int64(cap(p.pool)+cap(p.stack)+cap(p.scopeArena))*int64(unsafe.Sizeof((*frame)(nil))) +
+	n := int64(cap(p.pool)+cap(p.stack))*int64(unsafe.Sizeof((*frame)(nil))) +
 		int64(cap(p.cancs))*int64(unsafe.Sizeof(cancellation{})) + int64(cap(p.cands))*int64(unsafe.Sizeof(entry{}))
 	for _, fs := range [2][]*frame{p.pool, p.stack} {
 		for _, f := range fs {
@@ -383,11 +376,14 @@ func (p *Projector) collectCands(top *frame, isText bool, name string) []entry {
 			}
 		}
 	}
-	// Descendant-axis steps from scope entries (matched here or above).
-	for _, e := range top.scopes {
-		for _, c := range e.pn.Children {
-			if c.Step.Axis == xqast.Descendant && tokenMatches(c.Step.Test, isText, name) {
-				p.addCand(c, e.owner, e.anchor, e.mult)
+	// Descendant-axis steps from the scope frames (here or above).
+	for s := top.scopes; s != nil; s = s.outer() {
+		for i := range s.matches {
+			e := &s.matches[i]
+			for _, c := range e.pn.Children {
+				if c.Step.Axis == xqast.Descendant && tokenMatches(c.Step.Test, isText, name) {
+					p.addCand(c, e.owner, e.anchor, e.mult)
+				}
 			}
 		}
 	}
@@ -466,16 +462,14 @@ func filterFirst(cands []entry) []entry {
 	return out
 }
 
-// covered reports whether any live capture is active at or above f.
+// outer returns the next scope frame above scope frame s, nil at the top.
 //
 //gcxlint:noalloc
-func covered(f *frame) bool {
-	for ; f != nil; f = f.parent {
-		if f.liveCaps > 0 {
-			return true
-		}
+func (s *frame) outer() *frame {
+	if s.parent == nil {
+		return nil
 	}
-	return false
+	return s.parent.scopes
 }
 
 // guard implements the structural preservation rule (Section 2, case (2)):
@@ -490,10 +484,12 @@ func (p *Projector) guard(top *frame) bool {
 			if c.Step.Axis != xqast.Child {
 				continue
 			}
-			for _, s := range top.scopes {
-				for _, d := range s.pn.Children {
-					if d.Step.Axis == xqast.Descendant && testsOverlap(c.Step.Test, d.Step.Test) {
-						return true
+			for s := top.scopes; s != nil; s = s.outer() {
+				for _, se := range s.matches {
+					for _, d := range se.pn.Children {
+						if d.Step.Axis == xqast.Descendant && testsOverlap(c.Step.Test, d.Step.Test) {
+							return true
+						}
 					}
 				}
 			}
@@ -524,7 +520,7 @@ func testsOverlap(a, b xqast.NodeTest) bool {
 //
 //gcxlint:noalloc
 func (p *Projector) applyCaptureRoles(n *buffer.Node, from *frame) {
-	if p.opts.AggregateRoles {
+	if p.opts.AggregateRoles || p.liveCaps == 0 {
 		return
 	}
 	for f := from; f != nil; f = f.parent {
@@ -577,7 +573,7 @@ func (p *Projector) addCapture(f *frame, l projtree.RoleRef, e *entry) {
 		}
 	}
 	f.captures = append(f.captures, capture{role: l.Role, chain: l.Chain, anchor: e.anchor, mult: e.mult, live: true})
-	f.liveCaps++
+	p.liveCaps++
 }
 
 // openElement processes a start tag: name is the symbol table's string
@@ -602,9 +598,9 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 	}
 
 	f := p.newFrame(top)
-	f.scopes, f.scopeMark = top.scopes, len(p.scopeArena)
+	f.scopes = top.scopes
 
-	keep := len(cands) > 0 || covered(top) || p.guard(top)
+	keep := len(cands) > 0 || p.liveCaps > 0 || p.guard(top)
 	if keep {
 		n := p.buf.AppendElement(top.attach, sym)
 		f.node = n
@@ -623,8 +619,8 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 		// Materialize match entries: resolve self-anchoring (straight
 		// variable instances anchor at their own frame), assign roles,
 		// start captures. The matches slice reuses the pooled frame's
-		// backing array; pointers into it (scopes, below) are taken only
-		// after it is fully built.
+		// backing array. A match with descendant-axis children makes f
+		// the nearest scope frame.
 		f.matches = f.matches[:0]
 		for i := range cands {
 			c := &cands[i]
@@ -635,47 +631,13 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 			f.matches = append(f.matches, e)
 			p.assignLanes(f.node, c)
 			p.startCaptures(f, &f.matches[len(f.matches)-1])
-		}
-		// Extend the descendant scope with matches that have
-		// descendant-axis children.
-		own := 0
-		for i := range f.matches {
-			if hasDescChildren(f.matches[i].pn) {
-				own++
-			}
-		}
-		if own > 0 {
-			f.scopes = p.carveScopes(top.scopes, own)
-			at := len(top.scopes)
-			for i := range f.matches {
-				if hasDescChildren(f.matches[i].pn) {
-					f.scopes[at] = &f.matches[i]
-					at++
-				}
+			if hasDescChildren(c.pn) {
+				f.scopes = f
 			}
 		}
 	}
 
 	p.stack = append(p.stack, f)
-}
-
-// carveScopes returns a slice of len(parent)+own entries from the end of
-// the scope arena, the first len(parent) copied from parent: a frame's
-// extension never aliases its parent's backing, so two siblings cannot
-// clobber each other's. When the arena is full the next chunk replaces it;
-// slices carved earlier keep the old chunk alive for as long as their
-// frames are open.
-//
-//gcxlint:noalloc
-func (p *Projector) carveScopes(parent []*entry, own int) []*entry {
-	base, n := len(p.scopeArena), len(parent)+own
-	if cap(p.scopeArena)-base < n {
-		p.scopeArena = make([]*entry, base, max(2*cap(p.scopeArena), base+n, 64)) //gcxlint:allocok arena growth to the deepest open scope chain, amortized across runs
-	}
-	p.scopeArena = p.scopeArena[:base+n]
-	out := p.scopeArena[base : base+n : base+n]
-	copy(out, parent)
-	return out
 }
 
 // closeElement processes an end tag.
@@ -695,10 +657,14 @@ func (p *Projector) closeElement(name string) {
 		}
 		p.cancs = kept
 	}
+	for _, c := range f.captures {
+		if c.live {
+			p.liveCaps--
+		}
+	}
 	if f.node != nil {
 		p.buf.Finish(f.node)
 	}
-	p.scopeArena = p.scopeArena[:f.scopeMark]
 	p.releaseFrame(f)
 	if p.opts.Schema != nil {
 		p.sealAfterChild(name)
@@ -727,7 +693,7 @@ func (p *Projector) sealAfterChild(name string) {
 	if top.node == nil || top.node.Kind != buffer.KindElement || top.node.Sealed() {
 		return
 	}
-	if covered(top) || p.textInterest(top) {
+	if p.liveCaps > 0 || p.textInterest(top) {
 		return
 	}
 	parentTag := p.buf.Syms().Name(top.node.Sym)
@@ -748,10 +714,12 @@ func (p *Projector) textInterest(top *frame) bool {
 			}
 		}
 	}
-	for _, e := range top.scopes {
-		for _, c := range e.pn.Children {
-			if c.Step.Axis == xqast.Descendant && c.Step.Test.Kind == xqast.TestText {
-				return true
+	for s := top.scopes; s != nil; s = s.outer() {
+		for i := range s.matches {
+			for _, c := range s.matches[i].pn.Children {
+				if c.Step.Axis == xqast.Descendant && c.Step.Test.Kind == xqast.TestText {
+					return true
+				}
 			}
 		}
 	}
@@ -770,7 +738,7 @@ func (p *Projector) text(data string) {
 	cands := p.collectCands(top, true, "")
 	cands = filterFirst(cands)
 
-	if len(cands) == 0 && !covered(top) {
+	if len(cands) == 0 && p.liveCaps == 0 {
 		return
 	}
 	n := p.buf.AppendText(top.attach, data)
@@ -820,7 +788,7 @@ func (p *Projector) CancelRole(binding *buffer.Node, role xqast.Role) {
 			cap := &f.captures[j]
 			if cap.live && cap.chain == role && cap.anchor == bf && p.remaining(role, bf, cap.mult) <= 0 {
 				cap.live = false
-				f.liveCaps--
+				p.liveCaps--
 			}
 		}
 	}
@@ -848,8 +816,7 @@ func (p *Projector) instances(f *frame, role xqast.Role) int {
 
 // takeFrame returns a cleared frame from the pool (or a fresh one),
 // retaining the matches/captures backing arrays and the firstUsed map of
-// its previous life. The scopes slice is not retained: its backing is the
-// scope arena's (or an ancestor frame's carve of it).
+// its previous life.
 //
 //gcxlint:noalloc
 func (p *Projector) takeFrame() *frame {

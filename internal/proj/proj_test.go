@@ -486,6 +486,40 @@ func TestProjectionStatsTokens(t *testing.T) {
 	}
 }
 
+// chainDoc is BenchmarkDeepNesting's document: a chain of depth <a>
+// elements under <site>.
+func chainDoc(depth int) string {
+	return "<site>" + strings.Repeat("<a>", depth) + strings.Repeat("</a>", depth) + "</site>"
+}
+
+// newProjector builds a projector for src, with its buffer and tokenizer,
+// over an empty input.
+func newProjector(t *testing.T, src string) (*proj.Projector, *buffer.Buffer, *xmlstream.Tokenizer) {
+	t.Helper()
+	_, a := project(t, src, "", static.Options{})
+	buf := buffer.New(xmlstream.NewSymTab(), len(a.Tree.Roles)-1, make([]bool, len(a.Tree.Roles)))
+	tok := xmlstream.NewTokenizerOptions(strings.NewReader(""), xmlstream.DefaultOptions())
+	return proj.New(tok, buf, a.Tree, proj.Options{}), buf, tok
+}
+
+// projectAll resets the projector, its buffer and its tokenizer onto doc
+// and projects doc to its end.
+func projectAll(t *testing.T, p *proj.Projector, buf *buffer.Buffer, tok *xmlstream.Tokenizer, doc string) {
+	t.Helper()
+	buf.Reset()
+	tok.Reset(strings.NewReader(doc))
+	p.Reset()
+	for {
+		more, err := p.Step()
+		if err != nil {
+			t.Fatalf("projection: %v", err)
+		}
+		if !more {
+			return
+		}
+	}
+}
+
 // TestIdleProjectorRetentionIsBounded: whatever depth the last document
 // reached, a reset projector keeps a frame for each level, Retained
 // counts them — what the pass bounds an idle run state by — and no
@@ -493,9 +527,9 @@ func TestProjectionStatsTokens(t *testing.T) {
 // projector makes.
 // The document is BenchmarkDeepNesting's chain of <a> elements; the
 // queries match every level, the second with a descendant step below it,
-// which gives every level a scope extension of its own. (The benchmark's
-// own queries copy the chain, and without an evaluator's signOffs every
-// level then carries a role of every level above: cubic work.)
+// which makes every level a scope frame. (The benchmark's own queries
+// copy the chain, and without an evaluator's signOffs every level then
+// carries a role of every level above: cubic work.)
 func TestIdleProjectorRetentionIsBounded(t *testing.T) {
 	const small = "<site><a><a>x</a></a><b/></site>"
 	for _, c := range []struct {
@@ -505,30 +539,8 @@ func TestIdleProjectorRetentionIsBounded(t *testing.T) {
 		{`<r>{ for $a in //a return <hit/> }</r>`, 10000},
 		{`<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`, 1500},
 	} {
-		deep := "<site>" + strings.Repeat("<a>", c.depth) + strings.Repeat("</a>", c.depth) + "</site>"
-		run := func(p *proj.Projector, buf *buffer.Buffer, tok *xmlstream.Tokenizer, doc string) {
-			t.Helper()
-			buf.Reset()
-			tok.Reset(strings.NewReader(doc))
-			p.Reset()
-			for {
-				more, err := p.Step()
-				if err != nil {
-					t.Fatalf("%s: projection: %v", c.src, err)
-				}
-				if !more {
-					return
-				}
-			}
-		}
-		build := func() (*proj.Projector, *buffer.Buffer, *xmlstream.Tokenizer) {
-			_, a := project(t, c.src, "", static.Options{})
-			buf := buffer.New(xmlstream.NewSymTab(), len(a.Tree.Roles)-1, make([]bool, len(a.Tree.Roles)))
-			tok := xmlstream.NewTokenizerOptions(strings.NewReader(""), xmlstream.DefaultOptions())
-			return proj.New(tok, buf, a.Tree, proj.Options{}), buf, tok
-		}
-		p, buf, tok := build()
-		run(p, buf, tok, deep)
+		p, buf, tok := newProjector(t, c.src)
+		projectAll(t, p, buf, tok, chainDoc(c.depth))
 		buf.Reset()
 		p.Reset()
 		frames, linked := p.Pooled()
@@ -541,11 +553,31 @@ func TestIdleProjectorRetentionIsBounded(t *testing.T) {
 		if linked {
 			t.Errorf("%s: a pooled frame still links into the last run", c.src)
 		}
-		fresh, fbuf, ftok := build()
-		run(p, buf, tok, small)
-		run(fresh, fbuf, ftok, small)
+		fresh, fbuf, ftok := newProjector(t, c.src)
+		projectAll(t, p, buf, tok, small)
+		projectAll(t, fresh, fbuf, ftok, small)
 		if p.TokensRead() != fresh.TokensRead() || buf.Stats() != fbuf.Stats() || buf.Dump() != fbuf.Dump() {
 			t.Errorf("%s: run after a deep one:\n%s%+v\nfresh projector:\n%s%+v", c.src, buf.Dump(), buf.Stats(), fbuf.Dump(), fbuf.Stats())
 		}
+	}
+}
+
+// TestScopeRetentionIsLinearInDepth: a descendant step below every level
+// of a chain makes every frame a scope frame, and each links the next
+// scope frame up instead of holding the chain above it, so what the
+// projector keeps doubles with the depth (a copy per level quadruples
+// it). Retained counts capacity, not time: the gate is deterministic.
+func TestScopeRetentionIsLinearInDepth(t *testing.T) {
+	const src = `<r>{ for $a in //a return if (exists($a//b)) then <hit/> else () }</r>`
+	retained := func(depth int) int64 {
+		p, buf, tok := newProjector(t, src)
+		projectAll(t, p, buf, tok, chainDoc(depth))
+		return p.Retained()
+	}
+	shallow, deep := retained(1000), retained(2000)
+	t.Logf("Retained: %d bytes at 1,000 deep, %d at 2,000 (%.2fx)", shallow, deep, float64(deep)/float64(shallow))
+	if float64(deep) > 2.2*float64(shallow) {
+		t.Errorf("Retained grows %.2fx from 1,000 to 2,000 levels (%d to %d bytes), want at most 2.2x",
+			float64(deep)/float64(shallow), shallow, deep)
 	}
 }
