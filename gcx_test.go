@@ -196,9 +196,13 @@ func TestWorkloadPublicAPI(t *testing.T) {
 	// token and the EOF token after them (a solo run stops at </bib>).
 	tok := xmlstream.NewTokenizerOptions(strings.NewReader(bibDoc), xmlstream.DefaultOptions())
 	docTokens := int64(1) // EOF
-	for tk, err := tok.Next(); tk.Kind != xmlstream.EOF; tk, err = tok.Next() {
+	for {
+		tk, err := tok.Next()
 		if err != nil {
 			t.Fatal(err)
+		}
+		if tk.Kind == xmlstream.EOF {
+			break
 		}
 		docTokens++
 	}

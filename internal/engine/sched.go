@@ -265,18 +265,13 @@ func (s *scheduler) run() error {
 			break
 		}
 		// Feed phase: every live member is parked on the stream. Advance
-		// the shared projector by up to batch tokens; after EOF (or a
-		// stream error) the members are resumed a final time and unwind on
-		// their own (all buffered nodes are finished at a clean EOF).
-		for fed := 0; fed < s.batch && !s.eof && s.streamErr == nil; fed++ {
-			more, err := s.proj.Step()
-			if err != nil {
-				s.streamErr = err
-				break
-			}
-			if !more {
-				s.eof = true
-			}
+		// the shared projector by batch tokens, counted as tokens however
+		// many Steps they make; after EOF (or a stream error) the members
+		// are resumed a final time and unwind on their own (all buffered
+		// nodes are finished at a clean EOF).
+		if !s.eof && s.streamErr == nil {
+			_, more, err := s.proj.StepN(int64(s.batch))
+			s.streamErr, s.eof = err, !more && err == nil
 		}
 	}
 	for i := range s.tasks {

@@ -23,7 +23,8 @@ import (
 )
 
 // Feeder supplies more input to the buffer; implemented by the stream
-// projector. Step processes one token and reports false at end of input.
+// projector. Step processes one token, or the rest of a subtree whose
+// tokens cannot change the buffer, and reports false at end of input.
 type Feeder interface {
 	Step() (bool, error)
 }
@@ -322,7 +323,7 @@ func valuesBytes(v []atom) int64 {
 	return int64(cap(v)) * int64(unsafe.Sizeof(atom{}))
 }
 
-// pull drives the projector by one token. It returns false when the input
+// pull drives the projector by one Step. It returns false when the input
 // is exhausted. on is the node the caller's loop is blocked on — every
 // blocking site is a "for !cond { pull }" loop whose condition reads one
 // node — or nil when no single node decides it; first marks the loop's

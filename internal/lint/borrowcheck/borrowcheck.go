@@ -1,8 +1,8 @@
 // Package borrowcheck enforces the tokenizer's zero-copy contract: a
-// Token produced by a borrow-mode tokenizer — and any string or []byte
-// derived from its Data — is a window subslice valid only until the next
-// Next() call, so it must not outlive the statement flow that produced
-// it. The analyzer taints values originating from xmlstream Next methods
+// Token produced by a borrow-mode tokenizer — the *Token Next hands out,
+// a copy of it, and any string or []byte derived from its Data — is a
+// window subslice or tokenizer slot valid only until the next Next()
+// call, so it must not outlive the statement flow that produced it. The analyzer taints values originating from xmlstream Next methods
 // (and from functions annotated //gcxlint:borrowed) and reports flows
 // that retain them: stores into struct fields, maps, slices, package
 // variables, channel sends, returns from unannotated functions, and
@@ -120,20 +120,26 @@ func (c *checker) checkFunc(fd *ast.FuncDecl) {
 }
 
 // isWindowType reports whether a type can carry a borrowed window: a
-// string, a byte slice, an xmlstream Token, or a slice of Tokens.
+// string, a byte slice, an xmlstream Token or a pointer to one, or a
+// slice of Tokens.
 func isWindowType(t types.Type) bool {
 	switch u := t.Underlying().(type) {
 	case *types.Basic:
 		return u.Kind() == types.String
 	case *types.Slice:
 		return isWindowType(u.Elem())
-	case *types.Struct:
+	case *types.Struct, *types.Pointer:
 		return isXMLStreamToken(t)
 	}
 	return false
 }
 
+// isXMLStreamToken reports an xmlstream Token, or a pointer to one: Next
+// hands out the tokenizer's own slot.
 func isXMLStreamToken(t types.Type) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
@@ -566,7 +572,7 @@ func (c *checker) callResultTaints(e ast.Expr, n int) []bool {
 			pkg := fn.Pkg()
 			if pkg != nil && pathHasSuffix(pkg.Path(), xmlstreamSuffix) {
 				// Borrow-mode source: any xmlstream API returning Token
-				// values hands out window subslices.
+				// values or pointers hands out window subslices.
 				c.markTokenResults(call, taints)
 				return taints
 			}
@@ -600,7 +606,7 @@ func isString(t types.Type) bool {
 	return ok && b.Kind() == types.String
 }
 
-// markTokenResults taints the call's Token-typed results.
+// markTokenResults taints the call's Token and *Token results.
 func (c *checker) markTokenResults(call *ast.CallExpr, taints []bool) {
 	c.markResults(call, taints, isXMLStreamToken)
 }

@@ -8,23 +8,39 @@ import (
 type sink struct {
 	last string
 	tok  xmlstream.Token
+	slot *xmlstream.Token
+	toks []xmlstream.Token
 	all  []string
 	x    string
 }
 
 var global string
 
-// fieldStore retains the raw window in a struct field — the PR-5 bug
-// class this analyzer exists for.
+// fieldStore retains the raw window, the Data of the slot Next points
+// at, in a struct field — the bug class this analyzer exists for.
 func (s *sink) fieldStore(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
 	s.last = tk.Data // want `stores borrowed tokenizer bytes in a struct field`
 }
 
-// wholeToken retains the Token value, Data included.
+// wholeToken retains a copy of the Token, Data included.
 func (s *sink) wholeToken(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
-	s.tok = tk // want `stores borrowed tokenizer bytes in a struct field`
+	s.tok = *tk // want `stores borrowed tokenizer bytes in a struct field`
+}
+
+// slotPointer retains the tokenizer's slot itself, which the next Next
+// overwrites.
+func (s *sink) slotPointer(t *xmlstream.Tokenizer) {
+	tk, _ := t.Next()
+	s.slot = tk // want `stores borrowed tokenizer bytes in a struct field`
+}
+
+// appendToken appends a copy of the token to a slice: the copy's Data
+// still borrows the window.
+func (s *sink) appendToken(t *xmlstream.Tokenizer) {
+	tk, _ := t.Next()
+	s.toks = append(s.toks, *tk) // want `stores borrowed tokenizer bytes in a struct field`
 }
 
 // mapStore retains the window in a map.

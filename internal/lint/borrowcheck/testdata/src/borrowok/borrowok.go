@@ -24,6 +24,12 @@ func (s *sink) cloneBeforeStore(t *xmlstream.Tokenizer) {
 	s.last = strings.Clone(tk.Data)
 }
 
+// cloneAppend appends an owned copy of the slot's Data to a slice.
+func (s *sink) cloneAppend(t *xmlstream.Tokenizer) {
+	tk, _ := t.Next()
+	s.all = append(s.all, strings.Clone(tk.Data))
+}
+
 // appendSpread copies the bytes out of the window.
 func (s *sink) appendSpread(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
@@ -67,7 +73,7 @@ func (s *sink) forward(t *xmlstream.Tokenizer) {
 // localCopy keeps a Token copy in a stack-local struct; nothing escapes.
 func (s *sink) localCopy(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
-	var cp xmlstream.Token
+	cp := *tk
 	cp.Data = tk.Data
 	if len(cp.Data) > 0 {
 		s.b = cp.Data[0]
@@ -85,7 +91,7 @@ func (s *sink) byteReads(t *xmlstream.Tokenizer) {
 // reassignment of the token kills its taint.
 func (s *sink) reassigned(t *xmlstream.Tokenizer) {
 	tk, _ := t.Next()
-	tk = xmlstream.Token{Data: "owned"}
+	tk = &xmlstream.Token{Data: "owned"}
 	s.last = tk.Data
 }
 

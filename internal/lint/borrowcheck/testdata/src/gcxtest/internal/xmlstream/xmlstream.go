@@ -1,6 +1,6 @@
 // Package xmlstream is a miniature stand-in for the real tokenizer: its
 // import-path suffix matches internal/xmlstream, so borrowcheck treats
-// Token values returned by Next as borrowed window subslices.
+// the *Token returned by Next as a borrowed window subslice.
 package xmlstream
 
 type Kind int
@@ -19,8 +19,11 @@ type Token struct {
 
 type Tokenizer struct {
 	doc string
+	tok Token
 }
 
-func (t *Tokenizer) Next() (Token, error) {
-	return Token{Kind: Text, Data: t.doc}, nil
+// Next hands out the tokenizer's own slot, as the real one does.
+func (t *Tokenizer) Next() (*Token, error) {
+	t.tok = Token{Kind: Text, Data: t.doc}
+	return &t.tok, nil
 }

@@ -9,15 +9,22 @@ import (
 // Test-only windows into the projector for the external suite.
 
 // Matched is the multiset of projection nodes matched on the innermost open
-// frame, as node ID → multiplicity: the multiplicities of every entry on the
-// frame summed per node. It is Example 1's multiset for the frame's tag path.
+// element, as node ID → multiplicity: the multiplicities of every entry on
+// its frame summed per node, and none inside a dead subtree, whose elements
+// have no frame. It is Example 1's multiset for the element's tag path.
 func (p *Projector) Matched() map[int]int {
 	m := map[int]int{}
+	if p.dead > 0 {
+		return m
+	}
 	for _, e := range p.stack[len(p.stack)-1].matches {
 		m[e.pn.ID] += e.mult
 	}
 	return m
 }
+
+// OpenFrames is the number of open frames, the document node's among them.
+func (p *Projector) OpenFrames() int { return len(p.stack) }
 
 // Observer is the token observer Step currently calls (nil when none).
 func (p *Projector) Observer() func(xmlstream.Token) { return p.observe }

@@ -27,6 +27,7 @@ package proj
 
 import (
 	"fmt"
+	"math"
 	"unsafe"
 
 	"gcx/internal/buffer"
@@ -145,6 +146,9 @@ type Projector struct {
 	// liveCaps counts the live captures of the open frames: a node opened
 	// or read now lies below one of them exactly when it is non-zero.
 	liveCaps int
+	// dead is the number of elements open in the dead subtree being read,
+	// 0 outside one.
+	dead int
 
 	// scratch for candidate merging.
 	cands []entry
@@ -216,6 +220,7 @@ func (p *Projector) Reset() {
 	p.stack, p.cancs, p.cands = p.stack[:0], p.cancs[:0], p.cands[:0]
 	p.eof = false
 	p.liveCaps = 0
+	p.dead = 0
 	p.tokens = 0
 	p.observe = nil
 	p.init()
@@ -258,18 +263,46 @@ func hasDescChildren(pn *projtree.Node) bool {
 	return false
 }
 
-// Step reads and processes one token. It returns false once the input is
-// exhausted. This is the nextNode() interface of Figure 11: the buffer
-// manager calls Step until the data the evaluator blocks on is available.
+// Step reads and processes one token, or, once a dead element's start tag
+// has been read, the rest of its subtree through its end tag: no token of
+// it can change the buffer, so the evaluator has nothing to see between
+// them. It returns false once the input is exhausted. This is the
+// nextNode() interface of Figure 11: the buffer manager calls Step until
+// the data the evaluator blocks on is available.
 //
 //gcxlint:noalloc
 func (p *Projector) Step() (bool, error) {
+	_, err := p.step(math.MaxInt64)
+	return !p.eof && err == nil, err
+}
+
+// StepN reads and processes budget tokens, fewer only at the end of the
+// input or on an error. It returns the number read and whether input is
+// left, as Step does.
+//
+//gcxlint:noalloc
+func (p *Projector) StepN(budget int64) (n int64, more bool, err error) {
+	for n < budget && !p.eof && err == nil {
+		var k int64
+		k, err = p.step(budget - n)
+		n += k
+	}
+	return n, !p.eof && err == nil, err
+}
+
+// step is one Step that reads at most budget (≥ 1) tokens.
+//
+//gcxlint:noalloc
+func (p *Projector) step(budget int64) (int64, error) {
 	if p.eof {
-		return false, nil
+		return 0, nil
+	}
+	if p.dead > 0 {
+		return p.skipDead(budget)
 	}
 	tk, err := p.tok.Next()
 	if err != nil {
-		return false, err
+		return 0, err
 	}
 	p.tokens++
 	switch tk.Kind {
@@ -283,14 +316,43 @@ func (p *Projector) Step() (bool, error) {
 		p.eof = true
 		if len(p.stack) != 1 {
 			//gcxlint:allocok error construction terminates the run
-			return false, fmt.Errorf("proj: internal error: %d frames open at EOF", len(p.stack)-1)
+			return 1, fmt.Errorf("proj: internal error: %d frames open at EOF", len(p.stack)-1)
 		}
 		p.buf.Finish(p.buf.Root())
 	}
 	if p.observe != nil {
-		p.observe(tk)
+		p.observe(*tk)
 	}
-	return !p.eof, nil
+	return 1, nil
+}
+
+// skipDead reads the open dead subtree's tokens, at most budget of them,
+// through its end tag. They are counted and observed, and the end tag
+// closes a child of the open frame for sealAfterChild.
+//
+//gcxlint:noalloc
+func (p *Projector) skipDead(budget int64) (int64, error) {
+	n := int64(0)
+	for n < budget && p.dead > 0 {
+		tk, err := p.tok.Next()
+		if err != nil {
+			return n, err
+		}
+		n++
+		p.tokens++
+		switch tk.Kind {
+		case xmlstream.StartElement:
+			p.dead++
+		case xmlstream.EndElement:
+			if p.dead--; p.dead == 0 && p.opts.Schema != nil {
+				p.sealAfterChild(tk.Name)
+			}
+		}
+		if p.observe != nil {
+			p.observe(*tk)
+		}
+	}
+	return n, nil
 }
 
 // remaining returns the part of mult — the multiplicity of a derivation
@@ -597,10 +659,16 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 		}
 	}
 
+	keep := len(cands) > 0 || p.liveCaps > 0 || p.guard(top)
+	if !keep && top.scopes == nil {
+		// A frame here would have no matches and no scope link, which
+		// leaves collectCands, guard and textInterest nothing to find
+		// below it: the element is dead.
+		p.dead = 1
+		return
+	}
 	f := p.newFrame(top)
 	f.scopes = top.scopes
-
-	keep := len(cands) > 0 || p.liveCaps > 0 || p.guard(top)
 	if keep {
 		n := p.buf.AppendElement(top.attach, sym)
 		f.node = n

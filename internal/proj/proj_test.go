@@ -486,6 +486,49 @@ func TestProjectionStatsTokens(t *testing.T) {
 	}
 }
 
+// TestDeadSubtreeIsOneStep: an element below which no projection path
+// can match gets no frame at its start tag, and the next Step reads its
+// subtree through its end tag; StepN still counts tokens, inside a dead
+// subtree too.
+func TestDeadSubtreeIsOneStep(t *testing.T) {
+	const doc = `<a><c><d>x</d><e k="v"/></c><b>1</b></a>`
+	p, buf, tok := newProjector(t, `<q>{ for $b in /a/b return $b }</q>`)
+	buf.Reset()
+	tok.Reset(strings.NewReader(doc))
+	p.Reset()
+	// After each Step: tokens read so far, open frames, pooled frames.
+	for i, want := range [][3]int{
+		{1, 2, 0},  // <a>
+		{2, 2, 0},  // <c>: dead, no frame
+		{11, 2, 0}, // <d> x </d> <e> <k> v </k> </e> </c> in one Step
+		{12, 3, 0}, // <b>
+	} {
+		if more, err := p.Step(); !more || err != nil {
+			t.Fatalf("step %d: %v, %v", i+1, more, err)
+		}
+		pooled, _ := p.Pooled()
+		if got := [3]int{int(p.TokensRead()), p.OpenFrames(), pooled}; got != want {
+			t.Fatalf("after step %d: tokens, open and pooled frames %v, want %v", i+1, got, want)
+		}
+	}
+
+	buf.Reset()
+	tok.Reset(strings.NewReader(doc))
+	p.Reset()
+	for i, c := range []struct {
+		budget, n int64
+		more      bool
+	}{{3, 3, true}, {4, 4, true}, {2, 2, true}, {100, 7, false}, {5, 0, false}} {
+		n, more, err := p.StepN(c.budget)
+		if err != nil || n != c.n || more != c.more {
+			t.Fatalf("StepN %d (call %d) = %d, %v, %v; want %d, %v", c.budget, i+1, n, more, err, c.n, c.more)
+		}
+	}
+	if p.TokensRead() != 16 {
+		t.Fatalf("TokensRead = %d, want 16", p.TokensRead())
+	}
+}
+
 // chainDoc is BenchmarkDeepNesting's document: a chain of depth <a>
 // elements under <site>.
 func chainDoc(depth int) string {

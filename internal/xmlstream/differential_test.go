@@ -50,6 +50,17 @@ func (r *chunkReader) Read(p []byte) (int, error) {
 	return n, nil
 }
 
+// values adapts tok's Next to the value form Reference.Next hands out.
+func values(tok *Tokenizer) func() (Token, error) {
+	return func() (Token, error) {
+		tk, err := tok.Next()
+		if err != nil {
+			return Token{}, err
+		}
+		return *tk, nil
+	}
+}
+
 // drainCloned drains a token stream, cloning borrowed string data so
 // streams from pooled scratch can be compared after the fact.
 func drainCloned(next func() (Token, error)) ([]Token, error) {
@@ -80,7 +91,7 @@ func errString(err error) string {
 func diffOne(t *testing.T, src []byte, window int, opts Options) {
 	t.Helper()
 	chunked := NewTokenizerOptions(&chunkReader{data: src, k: window}, opts)
-	ctoks, cerr := drainCloned(chunked.Next)
+	ctoks, cerr := drainCloned(values(chunked))
 	ref := NewReference(&chunkReader{data: src, k: window}, opts)
 	rtoks, rerr := drainCloned(ref.Next)
 

@@ -105,7 +105,7 @@ func TestEndOfLineMatchesEncodingXML(t *testing.T) {
 		for _, w := range []int{1, 7, 64, 0} {
 			for _, opts := range diffOptionSets {
 				scanners := map[string]func() (Token, error){
-					"Tokenizer": NewTokenizerOptions(&chunkReader{data: []byte(src), k: w}, opts).Next,
+					"Tokenizer": values(NewTokenizerOptions(&chunkReader{data: []byte(src), k: w}, opts)),
 					"Reference": NewReference(&chunkReader{data: []byte(src), k: w}, opts).Next,
 				}
 				for name, next := range scanners {

@@ -91,6 +91,6 @@ func collectTokens(r *strings.Reader) ([]Token, error) {
 			out[len(out)-1].Data += tk.Data
 			continue
 		}
-		out = append(out, tk)
+		out = append(out, *tk)
 	}
 }

@@ -72,7 +72,7 @@ func TestTokenizerReset(t *testing.T) {
 			if tk.Kind == EOF {
 				break
 			}
-			toks = append(toks, tk)
+			toks = append(toks, *tk)
 		}
 		runs = append(runs, toks)
 	}
@@ -97,7 +97,7 @@ func TestTokenizerReset(t *testing.T) {
 		if tk.Kind == EOF {
 			break
 		}
-		toks = append(toks, tk)
+		toks = append(toks, *tk)
 	}
 	if !tokensEqual(toks, runs[0]) {
 		t.Fatalf("post-error reset diverges: %v vs %v", toks, runs[0])
@@ -126,7 +126,7 @@ func TestBorrowText(t *testing.T) {
 		if tk.Kind == Text {
 			tk.Data = strings.Clone(tk.Data)
 		}
-		borrowed = append(borrowed, tk)
+		borrowed = append(borrowed, *tk)
 	}
 	if !tokensEqual(owned, borrowed) {
 		t.Fatalf("borrowed stream diverges:\n owned    %v\n borrowed %v", owned, borrowed)

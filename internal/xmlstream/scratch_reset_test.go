@@ -41,10 +41,10 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 	}
 	for name, doc := range docs {
 		tok := NewTokenizer(strings.NewReader(doc))
-		drainTokens(t, tok.Next)
+		drainTokens(t, values(tok))
 
 		tok.Reset(strings.NewReader("<r/>"))
-		grown := int64(cap(tok.textBuf)+cap(tok.attrBuf)) + int64(cap(tok.pending)+cap(tok.stack))*int64(unsafe.Sizeof(Token{}))
+		grown := int64(cap(tok.textBuf)+cap(tok.attrBuf)) + int64(cap(tok.pending))*int64(unsafe.Sizeof(Token{})) + int64(cap(tok.stack))*int64(unsafe.Sizeof(Sym(0)))
 		if grown < 64<<10 {
 			t.Errorf("%s: sanity: the document grew the scratch, queue and stack by only %d bytes", name, grown)
 		}
@@ -61,12 +61,12 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 			}
 		}
 		for i, tk := range tok.stack[:cap(tok.stack)] {
-			if tk != (Token{}) {
+			if tk != NoSym {
 				t.Errorf("%s: stack[%d] still references the previous document: %+v", name, i, tk)
 				break
 			}
 		}
-		drainTokens(t, tok.Next)
+		drainTokens(t, values(tok))
 	}
 }
 
@@ -94,7 +94,7 @@ func TestTokenizerResetRetainsBoundedScratch(t *testing.T) {
 	// The entity forces the text through textBuf; entity-free runs borrow
 	// the window and never touch the scratch.
 	tok := NewTokenizer(strings.NewReader(`<r a="b">he&amp;llo</r>`))
-	drainTokens(t, tok.Next)
+	drainTokens(t, values(tok))
 	textCap := cap(tok.textBuf)
 	if textCap == 0 {
 		t.Fatal("expected text scratch to have grown")

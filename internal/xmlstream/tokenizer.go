@@ -75,13 +75,14 @@ type Tokenizer struct {
 	opts   Options
 	closed bool
 
+	tok Token // the token scan writes in place, which Next lends
 	// pending tokens produced by attribute expansion or self-closing
 	// tags. pendHead is the read cursor: delivery advances the head
 	// instead of shifting the slice, so draining is copy-free.
 	pending  []Token
 	pendHead int
-	stack    []Token // the end tag of each open element, for well-formedness checking
-	rootSeen bool    // a root element has been produced (rejects forests)
+	stack    []Sym // the name of each open element, for well-formedness checking
+	rootSeen bool  // a root element has been produced (rejects forests)
 
 	textBuf []byte // character data that left the window: runs across a slide or an entity, CDATA
 	attrBuf []byte // the current tag's attribute values that hold an entity
@@ -118,6 +119,7 @@ func (t *Tokenizer) SetSymTab(s *SymTab) { t.syms = s }
 func (t *Tokenizer) Reset(r io.Reader) {
 	t.Window.Reset(r)
 	t.closed = false
+	t.tok = Token{}
 	clear(t.pending[:cap(t.pending)])
 	t.pending = t.pending[:0]
 	t.pendHead = 0
@@ -133,7 +135,7 @@ func (t *Tokenizer) Reset(r io.Reader) {
 //
 //gcxlint:noalloc
 func (t *Tokenizer) Retained() int64 {
-	n := int64(cap(t.pending)+cap(t.stack))*int64(unsafe.Sizeof(Token{})) + int64(cap(t.textBuf)+cap(t.attrBuf))
+	n := int64(cap(t.pending))*int64(unsafe.Sizeof(Token{})) + int64(cap(t.stack))*int64(unsafe.Sizeof(Sym(0))) + int64(cap(t.textBuf)+cap(t.attrBuf))
 	if t.syms != nil {
 		n += t.syms.Retained()
 	}
@@ -339,9 +341,12 @@ func encodeRune(p []byte, r rune) int {
 
 // Next returns the next token in the stream. At end of input it returns a
 // token with Kind == EOF and a nil error; subsequent calls keep returning
-// EOF. A non-nil error indicates malformed input or a read failure; read
-// failures take precedence over the syntax confusion they cause.
-func (t *Tokenizer) Next() (Token, error) {
+// EOF. A non-nil error, with a nil token, indicates malformed input or a
+// read failure; read failures take precedence over the syntax confusion
+// they cause. The token is the tokenizer's own slot, written in place, or
+// a slot of the pending queue: like the Data BorrowText lends, it is valid
+// until the next call to Next, so a caller that keeps it copies it (*tk).
+func (t *Tokenizer) Next() (*Token, error) {
 	// Queued tokens (attribute expansion, self-closing end tags) drain by
 	// advancing the head cursor — no shifting and no truncation here:
 	// producers rewind the drained queue before appending, which keeps
@@ -349,7 +354,7 @@ func (t *Tokenizer) Next() (Token, error) {
 	// the caller's frame.
 	if h := t.pendHead; h < len(t.pending) {
 		t.pendHead = h + 1
-		return t.pending[h], nil
+		return &t.pending[h], nil
 	}
 	return t.scan()
 }
@@ -365,60 +370,59 @@ func (t *Tokenizer) errOr(err error) error {
 	return err
 }
 
-func (t *Tokenizer) scan() (Token, error) {
-	if t.closed {
-		return Token{Kind: EOF}, nil
-	}
-	for {
+// scan reads the next token into t.tok.
+func (t *Tokenizer) scan() (*Token, error) {
+	for !t.closed {
 		if t.Pos == t.N && !t.Slide() {
 			if t.Err != io.EOF {
-				return Token{}, t.Err
+				return nil, t.Err
 			}
 			if len(t.stack) > 0 {
-				return Token{}, t.syntaxErr(t.Pos, "unexpected end of input: unclosed element <"+t.stack[len(t.stack)-1].Name+">")
+				return nil, t.syntaxErr(t.Pos, "unexpected end of input: unclosed element <"+t.syms.names[t.stack[len(t.stack)-1]]+">")
 			}
 			t.closed = true
-			return Token{Kind: EOF}, nil
+			break
 		}
 		var (
-			tok Token
 			ok  bool
 			err error
 		)
 		if t.Buf[t.Pos] != '<' {
-			tok, ok, err = t.readText()
+			ok, err = t.readText()
 		} else if t.Pos++; t.Pos == t.N && !t.Slide() {
 			err = errUnexpectedEOF
 		} else {
 			switch t.Buf[t.Pos] {
 			case '/':
 				t.Pos++
-				tok, err = t.endTag()
+				err = t.endTag()
 				ok = true
 			case '?':
 				t.Pos++
 				err = t.skip(PI, "unterminated processing instruction")
 			case '!':
-				tok, ok, err = t.bang()
+				ok, err = t.bang()
 			default:
 				// A start tag the window end cuts is parsed again once
 				// growTag has made the window hold it: at most two
 				// parses, whatever the read sizes.
-				if tok, err, ok = t.openTag(false); !ok {
+				if err, ok = t.openTag(false); !ok {
 					t.growTag(true)
-					tok, err, _ = t.openTag(true)
+					err, _ = t.openTag(true)
 				}
 				ok = true
 			}
 		}
 		if err != nil {
 			t.pending = t.pending[:0] // attribute tokens of a tag openTag rejected
-			return Token{}, t.errOr(err)
+			return nil, t.errOr(err)
 		}
 		if ok {
-			return tok, nil
+			return &t.tok, nil
 		}
 	}
+	t.tok = Token{Kind: EOF}
+	return &t.tok, nil
 }
 
 // readText consumes character data up to the next '<' and reports whether a
@@ -437,7 +441,7 @@ func (t *Tokenizer) scan() (Token, error) {
 // ends appendEOL normalizes as it copies the input's bytes.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) readText() (Token, bool, error) {
+func (t *Tokenizer) readText() (bool, error) {
 	t.textBuf = t.textBuf[:0]
 	inBuf := false // the run so far is in textBuf, not the window
 	ws := true     // the bytes in textBuf are all whitespace
@@ -472,7 +476,7 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 			t.Pos = i + 1
 			var err error
 			if t.textBuf, t.Pos, err = t.entity(t.textBuf, t.Pos); err != nil {
-				return Token{}, false, err
+				return false, err
 			}
 			p = t.Pos
 		default:
@@ -481,20 +485,21 @@ func (t *Tokenizer) readText() (Token, bool, error) {
 	}
 }
 
-// emitText applies the suppression rules to a finished run and converts
-// it into a Text token: a borrowed view under BorrowText (of the window
-// or of textBuf — both live until the next Next call), an owned copy
-// otherwise. An empty run counts as whitespace-only.
+// emitText applies the suppression rules to a finished run and writes it
+// to t.tok as a Text token: a borrowed view under BorrowText (of the
+// window or of textBuf — both live until the next Next call), an owned
+// copy otherwise. An empty run counts as whitespace-only.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) emitText(data []byte, whitespaceOnly bool) (Token, bool, error) {
+func (t *Tokenizer) emitText(data []byte, whitespaceOnly bool) (bool, error) {
 	if whitespaceOnly {
-		return Token{}, false, nil
+		return false, nil
 	}
 	if len(t.stack) == 0 {
-		return Token{}, false, t.syntaxErr(t.Pos, "character data outside the root element")
+		return false, t.syntaxErr(t.Pos, "character data outside the root element")
 	}
-	return Token{Kind: Text, Data: t.view(data)}, true, nil
+	t.tok = Token{Kind: Text, Data: t.view(data)}
+	return true, nil
 }
 
 // appendEOL appends src, bytes of the input, to dst with XML's end-of-line
@@ -527,7 +532,7 @@ func appendEOL(dst, src []byte, cr bool) ([]byte, bool) {
 }
 
 // openTag parses the start tag whose name starts at Pos inside the
-// window, with Reference's errors at Reference's offsets, queueing its
+// window into t.tok, with Reference's errors at Reference's offsets, queueing its
 // attribute subelements and, if it closes itself, its end. Names, spaces
 // and '=' are checked byte by byte; a value is hopped on the index to
 // its closing quote, and borrows the window under BorrowText unless it
@@ -543,22 +548,22 @@ func appendEOL(dst, src []byte, cr bool) ([]byte, bool) {
 // only on its way to an error.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
+func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 	buf, n, i := t.Buf, t.N, t.Pos
 	more := !grown && t.Err == nil // the window end is not the input's
 	if !IsNameStart(buf[i]) {
-		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])), true //gcxlint:allocok error construction terminates the scan
+		return t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])), true //gcxlint:allocok error construction terminates the scan
 	}
 	j := i + 1
 	for j < n && IsNameByte(buf[j]) {
 		j++
 	}
 	if j == n && more {
-		return Token{}, nil, false
+		return nil, false
 	}
 	sym, name := t.intern(buf[i:j])
 	if len(t.stack) == 0 && t.rootSeen {
-		return Token{}, t.syntaxErr(j, "multiple root elements: <"+name+">"), true
+		return t.syntaxErr(j, "multiple root elements: <"+name+">"), true
 	}
 	// The pending queue is fully drained before a new tag is parsed
 	// (head == len); rewind it so the tag's tokens start at slot 0.
@@ -570,31 +575,32 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 			i++
 		}
 		if i == n && more {
-			return Token{}, nil, false
+			return nil, false
 		} else if i == n {
-			return Token{}, errUnexpectedEOF, true
+			return errUnexpectedEOF, true
 		}
 		c := buf[i]
 		if c == '>' || c == '/' {
 			if c == '/' {
 				switch i++; {
 				case i == n && more:
-					return Token{}, nil, false
+					return nil, false
 				case i == n:
-					return Token{}, t.syntaxErr(n, "malformed self-closing tag <"+name), true
+					return t.syntaxErr(n, "malformed self-closing tag <"+name), true
 				case buf[i] != '>':
-					return Token{}, t.syntaxErr(i+1, "malformed self-closing tag <"+name), true
+					return t.syntaxErr(i+1, "malformed self-closing tag <"+name), true
 				}
 				t.pending = append(t.pending, Token{Kind: EndElement, Sym: sym, Name: name})
 			} else {
-				t.stack = append(t.stack, Token{Kind: EndElement, Sym: sym, Name: name})
+				t.stack = append(t.stack, sym)
 			}
 			t.Pos = i + 1
 			t.rootSeen = true
-			return Token{Kind: StartElement, Sym: sym, Name: name}, nil, true
+			t.tok = Token{Kind: StartElement, Sym: sym, Name: name}
+			return nil, true
 		}
 		if !IsNameStart(c) {
-			return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", c)), true //gcxlint:allocok error construction terminates the scan
+			return t.syntaxErr(i, fmt.Sprintf("expected name, found %q", c)), true //gcxlint:allocok error construction terminates the scan
 		}
 		for j = i + 1; j < n && IsNameByte(buf[j]); j++ {
 		}
@@ -604,21 +610,21 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 		}
 		switch {
 		case j == n && more:
-			return Token{}, nil, false
+			return nil, false
 		case j == n:
-			return Token{}, t.syntaxErr(n, "attribute "+aname+" missing '='"), true
+			return t.syntaxErr(n, "attribute "+aname+" missing '='"), true
 		case buf[j] != '=':
-			return Token{}, t.syntaxErr(j+1, "attribute "+aname+" missing '='"), true
+			return t.syntaxErr(j+1, "attribute "+aname+" missing '='"), true
 		}
 		for j++; j < n && IsSpace(buf[j]); j++ {
 		}
 		switch {
 		case j == n && more:
-			return Token{}, nil, false
+			return nil, false
 		case j == n:
-			return Token{}, t.syntaxErr(n, "attribute "+aname+" missing quoted value"), true
+			return t.syntaxErr(n, "attribute "+aname+" missing quoted value"), true
 		case buf[j] != '"' && buf[j] != '\'':
-			return Token{}, t.syntaxErr(j+1, "attribute "+aname+" missing quoted value"), true
+			return t.syntaxErr(j+1, "attribute "+aname+" missing quoted value"), true
 		}
 		// The value: hop candidates to the matching quote. '<', '>' and
 		// the other quote inside are content; '&' opens an entity.
@@ -626,9 +632,9 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 		for p := seg; ; {
 			k := t.Idx.Next(p)
 			if k < 0 && more {
-				return Token{}, nil, false
+				return nil, false
 			} else if k < 0 {
-				return Token{}, errUnexpectedEOF, true
+				return errUnexpectedEOF, true
 			}
 			if buf[k] == q {
 				i = k + 1
@@ -659,7 +665,7 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 				continue
 			}
 			if k+1+maxEntity > n && more {
-				return Token{}, nil, false // the reference may continue past the window
+				return nil, false // the reference may continue past the window
 			}
 			if inBuf < 0 {
 				inBuf = len(t.attrBuf)
@@ -667,7 +673,7 @@ func (t *Tokenizer) openTag(grown bool) (_ Token, _ error, ok bool) {
 			t.attrBuf, _ = appendEOL(t.attrBuf, buf[seg:k], false)
 			var err error
 			if t.attrBuf, seg, err = t.entity(t.attrBuf, k+1); err != nil {
-				return Token{}, err, true
+				return err, true
 			}
 			p = seg
 		}
@@ -719,34 +725,36 @@ func (t *Tokenizer) afterEquals(i int) bool {
 	return i >= t.Pos && t.Buf[i] == '='
 }
 
-// endTag parses the end tag whose name starts at Pos. The fast path hops
-// to the tag's first structural byte and, if it is the '>', compares the
-// bytes before it (trailing spaces trimmed, as `</name >` is legal) with
-// the open element's name: equal, the interior is a valid name, and the
-// stack top is the end token. Anything else is parsed
+// endTag parses the end tag whose name starts at Pos into t.tok. The fast
+// path hops to the tag's first structural byte and, if it is the '>',
+// compares the bytes before it (trailing spaces trimmed, as `</name >` is
+// legal) with the open element's name: equal, the interior is a valid
+// name, and the stack top is its symbol. Anything else is parsed
 // byte by byte, with Reference's errors, once the window holds the tag.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) endTag() (Token, error) {
+func (t *Tokenizer) endTag() error {
 	i := t.Pos
 	if gt := t.Idx.Next(i); gt >= 0 && t.Buf[gt] == '>' && len(t.stack) > 0 {
 		j := gt
 		for j > i && IsSpace(t.Buf[j-1]) {
 			j--
 		}
-		if top := t.stack[len(t.stack)-1]; top.Name == string(t.Buf[i:j]) {
+		top := t.stack[len(t.stack)-1]
+		if name := t.syms.names[top]; name == string(t.Buf[i:j]) {
 			t.stack = t.stack[:len(t.stack)-1]
 			t.Pos = gt + 1
-			return top, nil
+			t.tok = Token{Kind: EndElement, Sym: top, Name: name}
+			return nil
 		}
 	}
 	t.growTag(false)
 	buf, n, i := t.Buf, t.N, t.Pos
 	if i == n {
-		return Token{}, errUnexpectedEOF
+		return errUnexpectedEOF
 	}
 	if !IsNameStart(buf[i]) {
-		return Token{}, t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])) //gcxlint:allocok error construction terminates the scan
+		return t.syntaxErr(i, fmt.Sprintf("expected name, found %q", buf[i])) //gcxlint:allocok error construction terminates the scan
 	}
 	j := i + 1
 	for j < n && IsNameByte(buf[j]) {
@@ -758,40 +766,41 @@ func (t *Tokenizer) endTag() (Token, error) {
 	}
 	switch {
 	case j == n:
-		return Token{}, t.syntaxErr(n, "malformed closing tag </"+name)
+		return t.syntaxErr(n, "malformed closing tag </"+name)
 	case buf[j] != '>':
-		return Token{}, t.syntaxErr(j+1, "malformed closing tag </"+name)
+		return t.syntaxErr(j+1, "malformed closing tag </"+name)
 	case len(t.stack) == 0:
-		return Token{}, t.syntaxErr(j+1, "closing tag </"+name+"> with no open element")
-	case t.stack[len(t.stack)-1].Sym != sym:
-		return Token{}, t.syntaxErr(j+1, "mismatched closing tag </"+name+">, expected </"+t.stack[len(t.stack)-1].Name+">")
+		return t.syntaxErr(j+1, "closing tag </"+name+"> with no open element")
+	case t.stack[len(t.stack)-1] != sym:
+		return t.syntaxErr(j+1, "mismatched closing tag </"+name+">, expected </"+t.syms.names[t.stack[len(t.stack)-1]]+">")
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 	t.Pos = j + 1
-	return Token{Kind: EndElement, Sym: sym, Name: name}, nil
+	t.tok = Token{Kind: EndElement, Sym: sym, Name: name}
+	return nil
 }
 
 // bang reads the markup "<!" opens, Pos at the '!': a comment or a
 // declaration, skipped, or a CDATA section, whose content is a Text
 // token.
-func (t *Tokenizer) bang() (Token, bool, error) {
+func (t *Tokenizer) bang() (bool, error) {
 	t.Pos++
 	if !t.Ensure(1) {
-		return Token{}, false, errUnexpectedEOF
+		return false, errUnexpectedEOF
 	}
 	switch t.Buf[t.Pos] {
 	case '-':
 		if err := t.opener("--", "malformed comment"); err != nil {
-			return Token{}, false, err
+			return false, err
 		}
-		return Token{}, false, t.skip(Comment, "unterminated comment")
+		return false, t.skip(Comment, "unterminated comment")
 	case '[':
 		if err := t.opener("[CDATA[", "malformed CDATA section"); err != nil {
-			return Token{}, false, err
+			return false, err
 		}
 		return t.cdata()
 	}
-	return Token{}, false, t.skip(Decl, "unterminated declaration")
+	return false, t.skip(Decl, "unterminated declaration")
 }
 
 // opener consumes lit, the rest of a markup opener, at Pos, or reports
@@ -822,13 +831,13 @@ func (t *Tokenizer) skip(kind byte, msg string) error {
 
 // cdata reads the CDATA section whose content starts at Pos into textBuf
 // and reports it as a Text token unless it is empty.
-func (t *Tokenizer) cdata() (Token, bool, error) {
+func (t *Tokenizer) cdata() (bool, error) {
 	if len(t.stack) == 0 {
-		return Token{}, false, t.syntaxErr(t.Pos, "CDATA outside the root element")
+		return false, t.syntaxErr(t.Pos, "CDATA outside the root element")
 	}
 	t.textBuf = t.textBuf[:0]
 	if !t.Skip(CDATA, (*spill)(&t.textBuf)) {
-		return Token{}, false, t.syntaxErr(t.Pos, "unterminated CDATA section")
+		return false, t.syntaxErr(t.Pos, "unterminated CDATA section")
 	}
 	t.textBuf = t.textBuf[:len(t.textBuf)-len("]]>")]
 	if bytes.IndexByte(t.textBuf, '\r') >= 0 {
@@ -836,9 +845,10 @@ func (t *Tokenizer) cdata() (Token, bool, error) {
 		t.textBuf, _ = appendEOL(t.textBuf[:0], t.textBuf, false)
 	}
 	if len(t.textBuf) == 0 {
-		return Token{}, false, nil
+		return false, nil
 	}
-	return Token{Kind: Text, Data: t.view(t.textBuf)}, true, nil
+	t.tok = Token{Kind: Text, Data: t.view(t.textBuf)}
+	return true, nil
 }
 
 // spill is textBuf as the Keeper of a CDATA section's bytes.

@@ -21,7 +21,7 @@ func collect(t *testing.T, input string, opts Options) []Token {
 		if tk.Kind == EOF {
 			return out
 		}
-		out = append(out, tk)
+		out = append(out, *tk)
 	}
 }
 
@@ -36,7 +36,7 @@ func collectErr(input string, opts Options) ([]Token, error) {
 		if tk.Kind == EOF {
 			return out, nil
 		}
-		out = append(out, tk)
+		out = append(out, *tk)
 	}
 }
 
@@ -305,7 +305,7 @@ func TestShortReads(t *testing.T) {
 			if tk.Kind == EOF {
 				break
 			}
-			got = append(got, tk)
+			got = append(got, *tk)
 		}
 		if !tokensEqual(got, want) {
 			t.Fatalf("n=%d: got %v want %v", n, got, want)

@@ -19,7 +19,7 @@ func TestOpaqueRegionsKeepTheWindow(t *testing.T) {
 	}
 	for name, doc := range docs {
 		tok := NewTokenizer(iotest.OneByteReader(strings.NewReader(doc)))
-		drainTokens(t, tok.Next)
+		drainTokens(t, values(tok))
 		if c := cap(tok.Buf); c != windowSize {
 			t.Errorf("%s: a %d-byte document read a byte at a time left a %d-byte window, want %d", name, len(doc), c, windowSize)
 		}
@@ -61,5 +61,5 @@ func TestLongTagGrowsWindowLinearly(t *testing.T) {
 	if c := cap(tok.Buf); c != windowSize {
 		t.Errorf("Reset left a %d-byte window, want %d", c, windowSize)
 	}
-	drainTokens(t, tok.Next)
+	drainTokens(t, values(tok))
 }
