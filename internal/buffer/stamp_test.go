@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 	"unsafe"
+
+	"gcx/internal/xmlstream"
 )
 
 // TestNodeLayout: a buffered node is 104 bytes and owns no heap memory —
@@ -24,6 +26,17 @@ func TestNodeLayout(t *testing.T) {
 		if f := nt.Field(i); f.Type.Kind() == reflect.Slice || f.Type.Kind() == reflect.Map {
 			t.Errorf("Node.%s is a %s: a node must name buffer-owned storage by index", f.Name, f.Type)
 		}
+	}
+}
+
+// TestTokenLayout: a token is its kind, its tag's Sym and its text; the
+// tag's name lives only in the symbol table.
+func TestTokenLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout assertion is for 64-bit targets")
+	}
+	if got := unsafe.Sizeof(xmlstream.Token{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(xmlstream.Token) = %d, want 24", got)
 	}
 }
 

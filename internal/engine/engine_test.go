@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gcx/internal/static"
+	"gcx/internal/xmlstream"
 )
 
 // introQuery is the running example of the paper's introduction.
@@ -66,6 +67,39 @@ func allConfigs() []Config {
 		Config{Mode: ModeFullBuffer},
 	)
 	return cfgs
+}
+
+// TestWhitespaceTextSurvivesOutput: a whitespace-only text, which only
+// CDATA or a character reference can put in the input, is written so
+// that it reads back: GCX and FullBuffer write the same bytes, and they
+// tokenize to the tokens of the input, whose one element is the output.
+func TestWhitespaceTextSurvivesOutput(t *testing.T) {
+	const query = `<r>{ for $a in //a return $a }</r>`
+	const doc = `<r><a><![CDATA[ ]]></a></r>`
+	gcx, _ := runQuery(t, query, doc, Config{Mode: ModeGCX})
+	full, _ := runQuery(t, query, doc, Config{Mode: ModeFullBuffer})
+	if gcx != full {
+		t.Fatalf("GCX wrote %q, FullBuffer %q", gcx, full)
+	}
+	syms := xmlstream.NewSymTab()
+	read := func(in string) []xmlstream.Token {
+		tok := xmlstream.NewTokenizerOptions(strings.NewReader(in), xmlstream.DefaultOptions())
+		tok.SetSymTab(syms)
+		var toks []xmlstream.Token
+		for {
+			tk, err := tok.Next()
+			if err != nil {
+				t.Fatalf("reading %q: %v", in, err)
+			}
+			if tk.Kind == xmlstream.EOF {
+				return toks
+			}
+			toks = append(toks, *tk)
+		}
+	}
+	if got, want := read(gcx), read(doc); !slices.Equal(got, want) {
+		t.Fatalf("output %q reads back as %v, the input as %v", gcx, got, want)
+	}
 }
 
 func TestIntroExampleOutput(t *testing.T) {

@@ -52,7 +52,7 @@ type TraceStep struct {
 func (t *Tracer) install(buf *buffer.Buffer, p *proj.Projector) func(xqast.SignOff) {
 	p.Observe(func(tk xmlstream.Token) {
 		if !t.full() {
-			t.Steps = append(t.Steps, TraceStep{Event: "read " + tk.String(), Buffer: buf.Dump()})
+			t.Steps = append(t.Steps, TraceStep{Event: "read " + tk.Render(buf.Syms()), Buffer: buf.Dump()})
 		}
 	})
 	return func(s xqast.SignOff) {

@@ -242,9 +242,9 @@ func (e *Evaluator) Run(q *xqast.Query) error {
 
 // bind sizes the evaluator's tables for q (allocating only when q is
 // larger than anything run before) and resolves q's names against THIS
-// run's symbol table: the one place a tag name is hashed. It runs when
-// the run starts, after the owner's reset, so a symbol table the owner
-// flushed between runs is simply resolved afresh, and interning the
+// run's symbol table: the evaluator's one place a tag name is hashed. It
+// runs when the run starts, after the owner's reset; the table keeps
+// every name for as long as its run state lives, so interning the
 // vocabulary ahead of the document costs no allocation once the table
 // has seen it.
 func (e *Evaluator) bind(q *xqast.Query) error {

@@ -11,9 +11,11 @@ const (
 	Text
 )
 
+type Sym int32
+
 type Token struct {
 	Kind Kind
-	Name string
+	Sym  Sym
 	Data string
 }
 

@@ -152,6 +152,9 @@ type Projector struct {
 
 	// scratch for candidate merging.
 	cands []entry
+	// syms is the Sym of each projection node's name test, by node ID
+	// (NoSym for any other test): a tag is matched by its Sym alone.
+	syms []xmlstream.Sym
 
 	tokens int64
 
@@ -162,10 +165,16 @@ type Projector struct {
 
 // New creates a projector reading from tok into buf, guided by tree. The
 // tokenizer interns names into the buffer's symbol table from then on, so
-// a token's Sym is what the buffer stores.
+// a token's Sym is what the buffer stores; the tree's name tests are
+// interned into it once, as the table keeps its names for every run.
 func New(tok *xmlstream.Tokenizer, buf *buffer.Buffer, tree *projtree.Tree, opts Options) *Projector {
 	tok.SetSymTab(buf.Syms())
-	p := &Projector{tok: tok, buf: buf, tree: tree, opts: opts}
+	p := &Projector{tok: tok, buf: buf, tree: tree, opts: opts, syms: make([]xmlstream.Sym, len(tree.Nodes))}
+	for _, pn := range tree.Nodes {
+		if pn.Step.Test.Kind == xqast.TestName {
+			p.syms[pn.ID] = buf.Syms().Intern(pn.Step.Test.Name)
+		}
+	}
 	p.buf.SetCanceller(p)
 	p.init()
 	return p
@@ -203,6 +212,7 @@ func (p *Projector) init() {
 //gcxlint:keep tok wired at construction; the owner resets the tokenizer separately
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
 //gcxlint:keep tree the compiled projection tree is immutable and shared across runs
+//gcxlint:keep syms the tree's name tests, bound once into a table that keeps its names
 //gcxlint:keep opts configuration is part of the projector's identity
 func (p *Projector) Reset() {
 	for i := len(p.stack) - 1; i >= 0; i-- {
@@ -307,9 +317,9 @@ func (p *Projector) step(budget int64) (int64, error) {
 	p.tokens++
 	switch tk.Kind {
 	case xmlstream.StartElement:
-		p.openElement(tk.Name, tk.Sym)
+		p.openElement(tk.Sym)
 	case xmlstream.EndElement:
-		p.closeElement(tk.Name)
+		p.closeElement(tk.Sym)
 	case xmlstream.Text:
 		p.text(tk.Data)
 	case xmlstream.EOF:
@@ -345,7 +355,7 @@ func (p *Projector) skipDead(budget int64) (int64, error) {
 			p.dead++
 		case xmlstream.EndElement:
 			if p.dead--; p.dead == 0 && p.opts.Schema != nil {
-				p.sealAfterChild(tk.Name)
+				p.sealAfterChild(tk.Sym)
 			}
 		}
 		if p.observe != nil {
@@ -381,30 +391,22 @@ func (p *Projector) remaining(chain xqast.Role, anchor *frame, mult int) int {
 	return mult
 }
 
-// elementTestMatches reports whether an element with tag sym name matches a
-// step node test.
+// matches reports whether the node test of projection node c accepts the
+// current token: a text token if sym is NoSym, an element with tag sym
+// otherwise.
 //
 //gcxlint:noalloc
-func elementTestMatches(t xqast.NodeTest, name string) bool {
-	switch t.Kind {
+func (p *Projector) matches(c *projtree.Node, sym xmlstream.Sym) bool {
+	switch c.Step.Test.Kind {
 	case xqast.TestName:
-		return t.Name == name
+		return p.syms[c.ID] == sym
 	case xqast.TestStar:
-		return true
+		return sym != xmlstream.NoSym
+	case xqast.TestText:
+		return sym == xmlstream.NoSym
 	default:
 		return false
 	}
-}
-
-// tokenMatches evaluates a step node test against the current token: a
-// text token if isText, an element with the given tag name otherwise.
-//
-//gcxlint:noalloc
-func tokenMatches(t xqast.NodeTest, isText bool, name string) bool {
-	if isText {
-		return t.Kind == xqast.TestText
-	}
-	return elementTestMatches(t, name)
 }
 
 // addCand merges one derivation into the candidate scratch, keyed by
@@ -423,17 +425,17 @@ func (p *Projector) addCand(pn *projtree.Node, owner, anchor *frame, mult int) {
 }
 
 // collectCands gathers candidate matches for a child of top against the
-// current token, merging derivations. The returned slice is the reused
-// candidate scratch, valid until the next collectCands.
+// current token (sym as for matches), merging derivations. It returns the
+// reused candidate scratch, valid until the next collectCands.
 //
 //gcxlint:noalloc
-func (p *Projector) collectCands(top *frame, isText bool, name string) []entry {
+func (p *Projector) collectCands(top *frame, sym xmlstream.Sym) []entry {
 	p.cands = p.cands[:0]
 	// Child-axis steps from nodes matched at the parent.
 	for i := range top.matches {
 		e := &top.matches[i]
 		for _, c := range e.pn.Children {
-			if c.Step.Axis == xqast.Child && tokenMatches(c.Step.Test, isText, name) {
+			if c.Step.Axis == xqast.Child && p.matches(c, sym) {
 				p.addCand(c, top, e.anchor, e.mult)
 			}
 		}
@@ -443,7 +445,7 @@ func (p *Projector) collectCands(top *frame, isText bool, name string) []entry {
 		for i := range s.matches {
 			e := &s.matches[i]
 			for _, c := range e.pn.Children {
-				if c.Step.Axis == xqast.Descendant && tokenMatches(c.Step.Test, isText, name) {
+				if c.Step.Axis == xqast.Descendant && p.matches(c, sym) {
 					p.addCand(c, e.owner, e.anchor, e.mult)
 				}
 			}
@@ -549,7 +551,7 @@ func (p *Projector) guard(top *frame) bool {
 			for s := top.scopes; s != nil; s = s.outer() {
 				for _, se := range s.matches {
 					for _, d := range se.pn.Children {
-						if d.Step.Axis == xqast.Descendant && testsOverlap(c.Step.Test, d.Step.Test) {
+						if d.Step.Axis == xqast.Descendant && p.testsOverlap(c, d) {
 							return true
 						}
 					}
@@ -560,18 +562,16 @@ func (p *Projector) guard(top *frame) bool {
 	return false
 }
 
-// testsOverlap reports whether two node tests can match the same token.
+// testsOverlap reports whether the tests of child or descendant steps a
+// and b (a name, * or text(), never node()) can match the same token: two
+// stars share every element, else b accepts the one token a names.
 //
 //gcxlint:noalloc
-func testsOverlap(a, b xqast.NodeTest) bool {
-	if a.Kind == xqast.TestText || b.Kind == xqast.TestText {
-		return a.Kind == b.Kind
+func (p *Projector) testsOverlap(a, b *projtree.Node) bool {
+	if a.Step.Test.Kind == xqast.TestStar {
+		a, b = b, a
 	}
-	// Element tests: * overlaps everything, names overlap on equality.
-	if a.Kind == xqast.TestStar || b.Kind == xqast.TestStar {
-		return true
-	}
-	return a.Kind == xqast.TestName && b.Kind == xqast.TestName && a.Name == b.Name
+	return a.Step.Test.Kind == xqast.TestStar || p.matches(b, p.syms[a.ID])
 }
 
 // applyCaptureRoles assigns the roles of live ancestor captures to a newly
@@ -638,23 +638,22 @@ func (p *Projector) addCapture(f *frame, l projtree.RoleRef, e *entry) {
 	p.liveCaps++
 }
 
-// openElement processes a start tag: name is the symbol table's string
-// for sym, which the tokenizer has interned.
+// openElement processes the start tag of an element with tag sym.
 //
 //gcxlint:noalloc
-func (p *Projector) openElement(name string, sym xmlstream.Sym) {
+func (p *Projector) openElement(sym xmlstream.Sym) {
 	top := p.stack[len(p.stack)-1]
-	cands := p.collectCands(top, false, name)
+	cands := p.collectCands(top, sym)
 	cands = filterFirst(cands)
 
 	// Schema facts: a child with this tag excludes certain later child
 	// tags under the parent (recorded on the buffered parent node so
 	// blocking cursors can terminate the region early). The schema
-	// speaks names, so its dead tags are interned here: the projector's
-	// one Intern, and only under a DTD.
+	// speaks names: tags are looked up and dead tags interned here,
+	// beside New's binding the projector's one Intern, under a DTD only.
 	if p.opts.Schema != nil && top.node != nil && top.node.Kind == buffer.KindElement {
 		parentTag := p.buf.Syms().Name(top.node.Sym)
-		for _, dead := range p.opts.Schema.NoMoreAfter(parentTag, name) {
+		for _, dead := range p.opts.Schema.NoMoreAfter(parentTag, p.buf.Syms().Name(sym)) {
 			p.buf.MarkNoMore(top.node, p.buf.Syms().Intern(dead))
 		}
 	}
@@ -674,7 +673,7 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 		f.node = n
 		f.attach = n
 		p.applyCaptureRoles(n, top)
-		if p.opts.Schema != nil && p.opts.Schema.EmptyElement(name) {
+		if p.opts.Schema != nil && p.opts.Schema.EmptyElement(p.buf.Syms().Name(sym)) {
 			// EMPTY elements can have no content at all (not even
 			// whitespace): the region is complete at its start tag.
 			p.buf.Seal(n)
@@ -708,10 +707,10 @@ func (p *Projector) openElement(name string, sym xmlstream.Sym) {
 	p.stack = append(p.stack, f)
 }
 
-// closeElement processes an end tag.
+// closeElement processes the end tag of an element with tag sym.
 //
 //gcxlint:noalloc
-func (p *Projector) closeElement(name string) {
+func (p *Projector) closeElement(sym xmlstream.Sym) {
 	f := p.stack[len(p.stack)-1]
 	p.stack = p.stack[:len(p.stack)-1]
 	// Drop cancellations anchored at the closing frame: the subtree is
@@ -735,13 +734,13 @@ func (p *Projector) closeElement(name string) {
 	}
 	p.releaseFrame(f)
 	if p.opts.Schema != nil {
-		p.sealAfterChild(name)
+		p.sealAfterChild(sym)
 	}
 }
 
 // sealAfterChild applies the schema-based scheduling rule of
 // Koch/Scherzinger (cs/0406016) at a child's end tag: when the DTD
-// proves the parent's content model is complete after a `name` child,
+// proves the parent's content model is complete after a child with tag sym,
 // the buffered parent is sealed — cursors see the region as finished
 // before its end-of-element arrives, so blocked evaluation concludes and
 // its signOffs flush buffered descendants that would otherwise sit until
@@ -756,7 +755,7 @@ func (p *Projector) closeElement(name string) {
 // lost.
 //
 //gcxlint:noalloc
-func (p *Projector) sealAfterChild(name string) {
+func (p *Projector) sealAfterChild(sym xmlstream.Sym) {
 	top := p.stack[len(p.stack)-1]
 	if top.node == nil || top.node.Kind != buffer.KindElement || top.node.Sealed() {
 		return
@@ -765,7 +764,7 @@ func (p *Projector) sealAfterChild(name string) {
 		return
 	}
 	parentTag := p.buf.Syms().Name(top.node.Sym)
-	if p.opts.Schema.ContentComplete(parentTag, name) {
+	if p.opts.Schema.ContentComplete(parentTag, p.buf.Syms().Name(sym)) {
 		p.buf.Seal(top.node)
 	}
 }
@@ -803,7 +802,7 @@ func (p *Projector) textInterest(top *frame) bool {
 //gcxlint:noalloc
 func (p *Projector) text(data string) {
 	top := p.stack[len(p.stack)-1]
-	cands := p.collectCands(top, true, "")
+	cands := p.collectCands(top, xmlstream.NoSym)
 	cands = filterFirst(cands)
 
 	if len(cands) == 0 && p.liveCaps == 0 {

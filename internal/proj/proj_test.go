@@ -13,7 +13,9 @@ import (
 	"gcx/internal/normalize"
 	"gcx/internal/proj"
 	"gcx/internal/projtree"
+	"gcx/internal/queries"
 	"gcx/internal/static"
+	"gcx/internal/xmark"
 	"gcx/internal/xmlstream"
 	"gcx/internal/xqast"
 	"gcx/internal/xqparser"
@@ -259,7 +261,7 @@ func observeMatches(t *testing.T, tree *projtree.Tree, doc string, at func(path 
 	p.Observe(func(tk xmlstream.Token) {
 		switch tk.Kind {
 		case xmlstream.StartElement:
-			path = append(path, strings.Clone(tk.Name))
+			path = append(path, buf.Syms().Name(tk.Sym))
 			at(path, p)
 		case xmlstream.EndElement:
 			path = path[:len(path)-1]
@@ -622,5 +624,64 @@ func TestScopeRetentionIsLinearInDepth(t *testing.T) {
 	if float64(deep) > 2.2*float64(shallow) {
 		t.Errorf("Retained grows %.2fx from 1,000 to 2,000 levels (%d to %d bytes), want at most 2.2x",
 			float64(deep)/float64(shallow), shallow, deep)
+	}
+}
+
+// TestMatchingIgnoresSymbolNumbering: the projector matches a tag by its
+// Sym alone, so which numbers its table hands out must not matter. Each
+// tree runs through two projectors: one over a fresh table, one over a
+// table that first interned 1,000 unrelated names, so no name of the tree
+// has the same Sym in both. After every token the two buffers dump alike,
+// and both projectors read the same number of tokens. The inputs are the
+// Figure 2 document under the introduction's query (a * step), and 64 KB
+// of XMark under the five Table 1 queries (descendant steps, a join's
+// kept region) and Example 2's guard.
+func TestMatchingIgnoresSymbolNumbering(t *testing.T) {
+	var xm strings.Builder
+	if _, err := xmark.Generate(&xm, xmark.Config{Factor: xmark.FactorForSize(64 << 10), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type run struct{ src, doc string }
+	runs := []run{{`<r>{ for $bib in /bib return
+	  ((for $x in $bib/* return if (not(exists($x/price))) then $x else ()),
+	   for $b in $bib/book return $b/title) }</r>`,
+		`<bib><book><title>T1</title><author>A1</author></book></bib>`}}
+	for _, q := range queries.All() {
+		runs = append(runs, run{q.Text, xm.String()})
+	}
+	runs = append(runs, run{`<q>{ (for $x in /site return for $y in $x/people return <c1/>,
+	  for $u in /site return for $v in $u//person return <c2/>) }</q>`, xm.String()})
+	for _, r := range runs {
+		_, a := project(t, r.src, "", static.Options{})
+		side := func(unrelated int) (*proj.Projector, *buffer.Buffer) {
+			syms := xmlstream.NewSymTab()
+			for i := range unrelated {
+				syms.Intern(fmt.Sprintf("unrelated-%d", i))
+			}
+			buf := buffer.New(syms, len(a.Tree.Roles)-1, make([]bool, len(a.Tree.Roles)))
+			tok := xmlstream.NewTokenizerOptions(strings.NewReader(r.doc), xmlstream.DefaultOptions())
+			return proj.New(tok, buf, a.Tree, proj.Options{}), buf
+		}
+		p1, b1 := side(0)
+		p2, b2 := side(1000)
+		for _, n := range a.Tree.Nodes {
+			if test := n.Step.Test; test.Kind == xqast.TestName && b1.Syms().Intern(test.Name) == b2.Syms().Intern(test.Name) {
+				t.Fatalf("%s: %s has Sym %d in both tables", r.src, test.Name, b1.Syms().Intern(test.Name))
+			}
+		}
+		for more := true; more; {
+			_, more1, err1 := p1.StepN(1)
+			_, more2, err2 := p2.StepN(1)
+			if err1 != nil || err2 != nil || more1 != more2 {
+				t.Fatalf("%s: steps end apart: %v, %v / %v, %v", r.src, more1, err1, more2, err2)
+			}
+			if d1, d2 := b1.Dump(), b2.Dump(); d1 != d2 {
+				t.Fatalf("%s: after token %d the buffers differ:\n%s\nvs\n%s", r.src, p1.TokensRead(), d1, d2)
+			}
+			more = more1
+		}
+		if p1.TokensRead() != p2.TokensRead() {
+			t.Fatalf("%s: TokensRead %d vs %d", r.src, p1.TokensRead(), p2.TokensRead())
+		}
 	}
 }

@@ -3,8 +3,8 @@ package xmlstream
 import (
 	"bytes"
 	"encoding/xml"
-	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -50,18 +50,18 @@ func eolCorpus() []string {
 }
 
 // xmlTokens reads doc with encoding/xml (Strict, RawToken) into this
-// package's token model: each attribute becomes a leading subelement,
-// whitespace-only character data outside CDATA is dropped, comments,
-// PIs and declarations are skipped.
+// package's token model, names interned into testSyms: each attribute
+// becomes a leading subelement, whitespace-only character data outside
+// CDATA is dropped, comments, PIs and declarations are skipped.
 func xmlTokens(doc []byte) ([]Token, error) {
 	d := xml.NewDecoder(bytes.NewReader(doc))
 	d.Strict = true
 	var out []Token
-	name := func(n xml.Name) string {
+	name := func(n xml.Name) Sym {
 		if n.Space != "" {
-			return n.Space + ":" + n.Local
+			return testSyms.Intern(n.Space + ":" + n.Local)
 		}
-		return n.Local
+		return testSyms.Intern(n.Local)
 	}
 	for {
 		at := d.InputOffset()
@@ -74,16 +74,16 @@ func xmlTokens(doc []byte) ([]Token, error) {
 		}
 		switch tok := tok.(type) {
 		case xml.StartElement:
-			out = append(out, Token{Kind: StartElement, Name: name(tok.Name)})
+			out = append(out, Token{Kind: StartElement, Sym: name(tok.Name)})
 			for _, a := range tok.Attr {
-				out = append(out, Token{Kind: StartElement, Name: name(a.Name)})
+				out = append(out, Token{Kind: StartElement, Sym: name(a.Name)})
 				if a.Value != "" {
 					out = append(out, Token{Kind: Text, Data: a.Value})
 				}
-				out = append(out, Token{Kind: EndElement, Name: name(a.Name)})
+				out = append(out, Token{Kind: EndElement, Sym: name(a.Name)})
 			}
 		case xml.EndElement:
-			out = append(out, Token{Kind: EndElement, Name: name(tok.Name)})
+			out = append(out, Token{Kind: EndElement, Sym: name(tok.Name)})
 		case xml.CharData:
 			cdata := bytes.HasPrefix(doc[at:], []byte("<![CDATA["))
 			if len(tok) > 0 && (cdata || len(bytes.Trim(tok, " \t\r\n")) > 0) {
@@ -105,16 +105,16 @@ func TestEndOfLineMatchesEncodingXML(t *testing.T) {
 		for _, w := range []int{1, 7, 64, 0} {
 			for _, opts := range diffOptionSets {
 				scanners := map[string]func() (Token, error){
-					"Tokenizer": values(NewTokenizerOptions(&chunkReader{data: []byte(src), k: w}, opts)),
-					"Reference": NewReference(&chunkReader{data: []byte(src), k: w}, opts).Next,
+					"Tokenizer": values(newTestTokenizer(&chunkReader{data: []byte(src), k: w}, opts)),
+					"Reference": NewReference(&chunkReader{data: []byte(src), k: w}, opts, testSyms).Next,
 				}
 				for name, next := range scanners {
 					got, err := drainCloned(next)
 					if err != nil {
 						t.Fatalf("case %d, %s, window %d: %v", i, name, w, err)
 					}
-					if g, x := fmt.Sprint(got), fmt.Sprint(want); g != x {
-						t.Fatalf("case %d, %s, window %d, opts %+v:\n got %q\nwant %q", i, name, w, opts, g, x)
+					if !slices.Equal(got, want) {
+						t.Fatalf("case %d, %s, window %d, opts %+v:\n got %s\nwant %s", i, name, w, opts, render(got), render(want))
 					}
 				}
 			}

@@ -10,13 +10,14 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 // Depth returns the number of currently open elements.
 func (t *Tokenizer) Depth() int { return len(t.stack) }
 
-// WriteToken dispatches a token to the matching method. EOF is ignored.
-func (w *Writer) WriteToken(t Token) {
+// WriteToken dispatches a token to the matching method, reading tag names
+// from syms. EOF is ignored.
+func (w *Writer) WriteToken(t Token, syms *SymTab) {
 	switch t.Kind {
 	case StartElement:
-		w.StartElement(t.Name)
+		w.StartElement(syms.Name(t.Sym))
 	case EndElement:
-		w.EndElement(t.Name)
+		w.EndElement(syms.Name(t.Sym))
 	case Text:
 		w.Text(t.Data)
 	}

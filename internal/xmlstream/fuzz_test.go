@@ -52,7 +52,7 @@ func FuzzTokenizer(f *testing.F) {
 		var out strings.Builder
 		w := NewWriter(&out)
 		for _, tok := range toks {
-			w.WriteToken(tok)
+			w.WriteToken(tok, testSyms)
 		}
 		if err := w.Flush(); err != nil {
 			t.Fatalf("serializing accepted stream: %v\ninput: %q", err, src)
@@ -66,8 +66,8 @@ func FuzzTokenizer(f *testing.F) {
 		}
 		for i := range toks {
 			if toks[i] != again[i] {
-				t.Fatalf("round trip changed token %d: %v -> %v\ninput: %q\nserialized: %q",
-					i, toks[i], again[i], src, out.String())
+				t.Fatalf("round trip changed token %d: %s -> %s\ninput: %q\nserialized: %q",
+					i, toks[i].Render(testSyms), again[i].Render(testSyms), src, out.String())
 			}
 		}
 	})
@@ -77,7 +77,7 @@ func FuzzTokenizer(f *testing.F) {
 // text tokens are merged, since the tokenizer is free to split character
 // data at buffer and entity boundaries.
 func collectTokens(r *strings.Reader) ([]Token, error) {
-	tok := NewTokenizer(r)
+	tok := newTestTokenizer(r, DefaultOptions())
 	var out []Token
 	for {
 		tk, err := tok.Next()

@@ -10,7 +10,8 @@ import (
 // Reference is the package's test-side byte-at-a-time tokenizer: a frozen
 // copy of the scanner as it stood before the chunked fast paths landed in
 // Tokenizer (see DESIGN.md, "Chunked scanning"), changed since only where
-// token semantics changed (end-of-line handling). No production code
+// token semantics changed (end-of-line handling) and where the token
+// model did (a tag is its Sym in the table it is handed). No production code
 // links it. It exists for two jobs and must not be optimized:
 //
 //   - the differential conformance suite runs every fuzz-corpus input and
@@ -44,20 +45,25 @@ type Reference struct {
 	attrBuf []byte // scratch for attribute values of the current tag
 	attrs   []attr // scratch for attributes of the current tag
 
-	names map[string]string
+	syms *SymTab
 }
 
 // attr is one parsed attribute of Reference's current start tag.
-type attr struct{ name, value string }
+type attr struct {
+	sym   Sym
+	value string
+}
 
-// NewReference returns a reference tokenizer reading from r. A nil reader
-// is permitted if Reset is called before the first Next.
-func NewReference(r io.Reader, opts Options) *Reference {
+// NewReference returns a reference tokenizer reading from r that interns
+// names into syms, as a Tokenizer does into its table: scanners sharing
+// one table give equal tags equal Syms. A nil reader is permitted if
+// Reset is called before the first Next.
+func NewReference(r io.Reader, opts Options, syms *SymTab) *Reference {
 	return &Reference{
-		r:     r,
-		opts:  opts,
-		buf:   make([]byte, 0, 64<<10),
-		names: make(map[string]string, 64),
+		r:    r,
+		opts: opts,
+		buf:  make([]byte, 0, 64<<10),
+		syms: syms,
 	}
 }
 
@@ -65,7 +71,7 @@ func NewReference(r io.Reader, opts Options) *Reference {
 // mirroring Tokenizer.Reset.
 //
 //gcxlint:keep opts the mode is part of the tokenizer's identity; Reset swaps documents, not configuration
-//gcxlint:keep names interned names survive documents, as the tokenizer's symbol table does
+//gcxlint:keep syms interned names survive documents, as the tokenizer's symbol table does
 func (t *Reference) Reset(r io.Reader) {
 	t.r = r
 	t.buf = t.buf[:0]
@@ -180,14 +186,14 @@ func (t *Reference) skipUntil(seq string) bool {
 	}
 }
 
-// readName reads an XML name into nameBuf and returns it as a string.
-func (t *Reference) readName() (string, error) {
+// readName reads an XML name into nameBuf and returns its symbol.
+func (t *Reference) readName() (Sym, error) {
 	c, ok := t.peek()
 	if !ok {
-		return "", errUnexpectedEOF
+		return NoSym, errUnexpectedEOF
 	}
 	if !IsNameStart(c) {
-		return "", t.syntaxErr(fmt.Sprintf("expected name, found %q", c))
+		return NoSym, t.syntaxErr(fmt.Sprintf("expected name, found %q", c))
 	}
 	t.nameBuf = t.nameBuf[:0]
 	for {
@@ -198,12 +204,7 @@ func (t *Reference) readName() (string, error) {
 		t.nameBuf = append(t.nameBuf, c)
 		t.pos++
 	}
-	if interned, ok := t.names[string(t.nameBuf)]; ok {
-		return interned, nil
-	}
-	name := string(t.nameBuf)
-	t.names[name] = name
-	return name, nil
+	return t.syms.lookup(borrowString(t.nameBuf), true), nil
 }
 
 func (t *Reference) skipSpace() {
@@ -386,10 +387,11 @@ func (t *Reference) readMarkup() (Token, bool, error) {
 		return t.readBang()
 	case '/':
 		t.pos++
-		name, err := t.readName()
+		sym, err := t.readName()
 		if err != nil {
 			return Token{}, false, err
 		}
+		name := t.syms.Name(sym)
 		t.skipSpace()
 		if c, ok := t.next(); !ok || c != '>' {
 			return Token{}, false, t.syntaxErr("malformed closing tag </" + name)
@@ -402,7 +404,7 @@ func (t *Reference) readMarkup() (Token, bool, error) {
 			return Token{}, false, t.syntaxErr("mismatched closing tag </" + name + ">, expected </" + top + ">")
 		}
 		t.stack = t.stack[:len(t.stack)-1]
-		return Token{Kind: EndElement, Name: name}, true, nil
+		return Token{Kind: EndElement, Sym: sym}, true, nil
 	default:
 		return t.readStartTag()
 	}
@@ -544,10 +546,11 @@ func (t *Reference) readCDATA() (Token, bool, error) {
 
 // readStartTag parses an opening tag (after '<'), including attributes.
 func (t *Reference) readStartTag() (Token, bool, error) {
-	name, err := t.readName()
+	sym, err := t.readName()
 	if err != nil {
 		return Token{}, false, err
 	}
+	name := t.syms.Name(sym)
 	if len(t.stack) == 0 && t.rootSeen {
 		return Token{}, false, t.syntaxErr("multiple root elements: <" + name + ">")
 	}
@@ -575,10 +578,11 @@ func (t *Reference) readStartTag() (Token, bool, error) {
 			selfClosing = true
 			break
 		}
-		aname, err := t.readName()
+		asym, err := t.readName()
 		if err != nil {
 			return Token{}, false, err
 		}
+		aname := t.syms.Name(asym)
 		t.skipSpace()
 		if c, ok := t.next(); !ok || c != '=' {
 			return Token{}, false, t.syntaxErr("attribute " + aname + " missing '='")
@@ -621,25 +625,25 @@ func (t *Reference) readStartTag() (Token, bool, error) {
 		} else {
 			value = string(t.attrBuf[valStart:])
 		}
-		t.attrs = append(t.attrs, attr{aname, value})
+		t.attrs = append(t.attrs, attr{asym, value})
 	}
 
 	t.rootSeen = true
-	start := Token{Kind: StartElement, Name: name}
+	start := Token{Kind: StartElement, Sym: sym}
 	if !selfClosing {
 		t.stack = append(t.stack, name)
 	}
 	// Queue attribute subelements (and the closing tag for self-closing
 	// elements) behind the start token.
 	for _, a := range t.attrs {
-		t.pending = append(t.pending, Token{Kind: StartElement, Name: a.name})
+		t.pending = append(t.pending, Token{Kind: StartElement, Sym: a.sym})
 		if a.value != "" {
 			t.pending = append(t.pending, Token{Kind: Text, Data: a.value})
 		}
-		t.pending = append(t.pending, Token{Kind: EndElement, Name: a.name})
+		t.pending = append(t.pending, Token{Kind: EndElement, Sym: a.sym})
 	}
 	if selfClosing {
-		t.pending = append(t.pending, Token{Kind: EndElement, Name: name})
+		t.pending = append(t.pending, Token{Kind: EndElement, Sym: sym})
 	}
 	return start, true, nil
 }

@@ -49,7 +49,7 @@ func TestCharRefValidation(t *testing.T) {
 	for _, tc := range good {
 		toks := collect(t, tc.input, DefaultOptions())
 		if len(toks) != 3 || toks[1].Data != tc.want {
-			t.Fatalf("input %q: got %v, want text %q", tc.input, toks, tc.want)
+			t.Fatalf("input %q: got %s, want text %q", tc.input, render(toks), tc.want)
 		}
 	}
 }
@@ -58,7 +58,7 @@ func TestCharRefValidation(t *testing.T) {
 // one, including after a mid-document error.
 func TestTokenizerReset(t *testing.T) {
 	const doc = `<bib><book id="7"><title>A &amp; B</title></book></bib>`
-	tok := NewTokenizerOptions(nil, DefaultOptions())
+	tok := newTestTokenizer(nil, DefaultOptions())
 
 	var runs [][]Token
 	for i := 0; i < 3; i++ {
@@ -77,7 +77,7 @@ func TestTokenizerReset(t *testing.T) {
 		runs = append(runs, toks)
 	}
 	if !tokensEqual(runs[0], runs[1]) || !tokensEqual(runs[1], runs[2]) {
-		t.Fatalf("reset runs diverge: %v vs %v vs %v", runs[0], runs[1], runs[2])
+		t.Fatalf("reset runs diverge: %s vs %s vs %s", render(runs[0]), render(runs[1]), render(runs[2]))
 	}
 
 	// An aborted, erroring document must not poison the next run.
@@ -100,7 +100,7 @@ func TestTokenizerReset(t *testing.T) {
 		toks = append(toks, *tk)
 	}
 	if !tokensEqual(toks, runs[0]) {
-		t.Fatalf("post-error reset diverges: %v vs %v", toks, runs[0])
+		t.Fatalf("post-error reset diverges: %s vs %s", render(toks), render(runs[0]))
 	}
 }
 
@@ -113,7 +113,7 @@ func TestBorrowText(t *testing.T) {
 	owned := collect(t, doc, opts)
 
 	opts.BorrowText = true
-	tok := NewTokenizerOptions(strings.NewReader(doc), opts)
+	tok := newTestTokenizer(strings.NewReader(doc), opts)
 	var borrowed []Token
 	for {
 		tk, err := tok.Next()
@@ -129,7 +129,7 @@ func TestBorrowText(t *testing.T) {
 		borrowed = append(borrowed, *tk)
 	}
 	if !tokensEqual(owned, borrowed) {
-		t.Fatalf("borrowed stream diverges:\n owned    %v\n borrowed %v", owned, borrowed)
+		t.Fatalf("borrowed stream diverges:\n owned    %s\n borrowed %s", render(owned), render(borrowed))
 	}
 }
 

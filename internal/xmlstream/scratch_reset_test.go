@@ -73,7 +73,7 @@ func TestTokenizerResetScratchHygiene(t *testing.T) {
 func TestReferenceResetScratchHygiene(t *testing.T) {
 	big := `<r a="` + strings.Repeat("v", 64<<10+1) + `">` +
 		strings.Repeat("x", 128<<10) + `</r>`
-	tok := NewReference(strings.NewReader(big), DefaultOptions())
+	tok := NewReference(strings.NewReader(big), DefaultOptions(), NewSymTab())
 	drainTokens(t, tok.Next)
 
 	tok.Reset(strings.NewReader("<r/>"))
@@ -81,7 +81,7 @@ func TestReferenceResetScratchHygiene(t *testing.T) {
 		t.Errorf("scratch not truncated: text %d, attr %d bytes", len(tok.textBuf), len(tok.attrBuf))
 	}
 	for i, a := range tok.attrs[:cap(tok.attrs)] {
-		if a.name != "" || a.value != "" {
+		if a != (attr{}) {
 			t.Errorf("attrs[%d] still references previous document: %+v", i, a)
 		}
 	}

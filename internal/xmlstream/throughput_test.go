@@ -211,7 +211,7 @@ func TestProfileDocumentCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: chunked: %v", doc.name, err)
 		}
-		reference, err := drainReference(NewReference(&chunkReader{data: data, k: doc.window}, borrowOptions()))
+		reference, err := drainReference(NewReference(&chunkReader{data: data, k: doc.window}, borrowOptions(), NewSymTab()))
 		if err != nil {
 			t.Fatalf("%s: reference: %v", doc.name, err)
 		}
@@ -234,7 +234,7 @@ func TestChunkedTokenizerAllocsNotAboveReference(t *testing.T) {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	chunked := NewTokenizerOptions(nil, borrowOptions())
-	reference := NewReference(nil, borrowOptions())
+	reference := NewReference(nil, borrowOptions(), NewSymTab())
 
 	for _, profile := range profileDocs {
 		doc := profile.gen(256<<10, 1)
@@ -286,7 +286,7 @@ func BenchmarkTokenizerThroughput(b *testing.B) {
 		r := bytes.NewReader(data)
 		var referenceNsPerOp float64
 		b.Run(doc.name+"/reference", func(b *testing.B) {
-			tok := NewReference(nil, borrowOptions())
+			tok := NewReference(nil, borrowOptions(), NewSymTab())
 			pass := func() {
 				r.Reset(data)
 				tok.Reset(r)

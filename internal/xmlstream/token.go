@@ -50,25 +50,24 @@ func (k Kind) String() string {
 // Token is a single event from the XML stream.
 //
 // For StartElement and EndElement tokens, Sym is the tag name's symbol in
-// the tokenizer's symbol table and Name the table's string for it, which
-// the caller may keep. For Text tokens, Data holds the (unescaped)
-// character data; under BorrowText it is only valid until the next call
-// to the tokenizer.
+// the tokenizer's symbol table, the tag's only identity past the
+// tokenizer. For Text tokens, Data holds the (unescaped) character data;
+// under BorrowText it is only valid until the next call to the tokenizer.
 type Token struct {
 	Kind Kind
 	Sym  Sym    // tag name symbol for StartElement/EndElement
-	Name string // tag name for StartElement/EndElement
 	Data string // character data for Text
 }
 
-// String renders the token in the stream notation used by the paper,
-// e.g. <bib>, </book>, or "text".
-func (t Token) String() string {
+// Render writes the token in the stream notation used by the paper,
+// e.g. <bib>, </book>, or "text", reading tag names from syms, the table
+// the tokenizer interned them into.
+func (t Token) Render(syms *SymTab) string {
 	switch t.Kind {
 	case StartElement:
-		return "<" + t.Name + ">"
+		return "<" + syms.Name(t.Sym) + ">"
 	case EndElement:
-		return "</" + t.Name + ">"
+		return "</" + syms.Name(t.Sym) + ">"
 	case Text:
 		return fmt.Sprintf("%q", t.Data)
 	case EOF:

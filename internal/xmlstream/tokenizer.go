@@ -151,16 +151,15 @@ func (t *Tokenizer) syntaxErr(at int, msg string) error {
 	return &SyntaxError{Offset: t.Off + int64(at), Msg: msg}
 }
 
-// intern returns the symbol of the name bytes b and the table's string
-// for it, allocating only for a name the table has not seen.
+// intern returns the symbol of the name bytes b, allocating only for a
+// name the table has not seen.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) intern(b []byte) (Sym, string) {
+func (t *Tokenizer) intern(b []byte) Sym {
 	if t.syms == nil {
 		t.syms = NewSymTab() //gcxlint:allocok a bare tokenizer's own table, made once
 	}
-	sym := t.syms.lookup(borrowString(b), true)
-	return sym, t.syms.names[sym]
+	return t.syms.lookup(borrowString(b), true)
 }
 
 // maxEntity is how far past an '&' the tokenizer looks for the ';' of
@@ -561,9 +560,9 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 	if j == n && more {
 		return nil, false
 	}
-	sym, name := t.intern(buf[i:j])
+	sym := t.intern(buf[i:j])
 	if len(t.stack) == 0 && t.rootSeen {
-		return t.syntaxErr(j, "multiple root elements: <"+name+">"), true
+		return t.syntaxErr(j, "multiple root elements: <"+t.syms.names[sym]+">"), true
 	}
 	// The pending queue is fully drained before a new tag is parsed
 	// (head == len); rewind it so the tag's tokens start at slot 0.
@@ -586,17 +585,17 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 				case i == n && more:
 					return nil, false
 				case i == n:
-					return t.syntaxErr(n, "malformed self-closing tag <"+name), true
+					return t.syntaxErr(n, "malformed self-closing tag <"+t.syms.names[sym]), true
 				case buf[i] != '>':
-					return t.syntaxErr(i+1, "malformed self-closing tag <"+name), true
+					return t.syntaxErr(i+1, "malformed self-closing tag <"+t.syms.names[sym]), true
 				}
-				t.pending = append(t.pending, Token{Kind: EndElement, Sym: sym, Name: name})
+				t.pending = append(t.pending, Token{Kind: EndElement, Sym: sym})
 			} else {
 				t.stack = append(t.stack, sym)
 			}
 			t.Pos = i + 1
 			t.rootSeen = true
-			t.tok = Token{Kind: StartElement, Sym: sym, Name: name}
+			t.tok = Token{Kind: StartElement, Sym: sym}
 			return nil, true
 		}
 		if !IsNameStart(c) {
@@ -604,7 +603,7 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 		}
 		for j = i + 1; j < n && IsNameByte(buf[j]); j++ {
 		}
-		asym, aname := t.intern(buf[i:j])
+		asym := t.intern(buf[i:j])
 		for j < n && IsSpace(buf[j]) {
 			j++
 		}
@@ -612,9 +611,9 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 		case j == n && more:
 			return nil, false
 		case j == n:
-			return t.syntaxErr(n, "attribute "+aname+" missing '='"), true
+			return t.syntaxErr(n, "attribute "+t.syms.names[asym]+" missing '='"), true
 		case buf[j] != '=':
-			return t.syntaxErr(j+1, "attribute "+aname+" missing '='"), true
+			return t.syntaxErr(j+1, "attribute "+t.syms.names[asym]+" missing '='"), true
 		}
 		for j++; j < n && IsSpace(buf[j]); j++ {
 		}
@@ -622,9 +621,9 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 		case j == n && more:
 			return nil, false
 		case j == n:
-			return t.syntaxErr(n, "attribute "+aname+" missing quoted value"), true
+			return t.syntaxErr(n, "attribute "+t.syms.names[asym]+" missing quoted value"), true
 		case buf[j] != '"' && buf[j] != '\'':
-			return t.syntaxErr(j+1, "attribute "+aname+" missing quoted value"), true
+			return t.syntaxErr(j+1, "attribute "+t.syms.names[asym]+" missing quoted value"), true
 		}
 		// The value: hop candidates to the matching quote. '<', '>' and
 		// the other quote inside are content; '&' opens an entity.
@@ -650,13 +649,13 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 				}
 				if value == "" {
 					t.pending = append(t.pending,
-						Token{Kind: StartElement, Sym: asym, Name: aname},
-						Token{Kind: EndElement, Sym: asym, Name: aname})
+						Token{Kind: StartElement, Sym: asym},
+						Token{Kind: EndElement, Sym: asym})
 				} else {
 					t.pending = append(t.pending,
-						Token{Kind: StartElement, Sym: asym, Name: aname},
+						Token{Kind: StartElement, Sym: asym},
 						Token{Kind: Text, Data: value},
-						Token{Kind: EndElement, Sym: asym, Name: aname})
+						Token{Kind: EndElement, Sym: asym})
 				}
 				break
 			}
@@ -741,10 +740,10 @@ func (t *Tokenizer) endTag() error {
 			j--
 		}
 		top := t.stack[len(t.stack)-1]
-		if name := t.syms.names[top]; name == string(t.Buf[i:j]) {
+		if t.syms.names[top] == string(t.Buf[i:j]) {
 			t.stack = t.stack[:len(t.stack)-1]
 			t.Pos = gt + 1
-			t.tok = Token{Kind: EndElement, Sym: top, Name: name}
+			t.tok = Token{Kind: EndElement, Sym: top}
 			return nil
 		}
 	}
@@ -760,7 +759,8 @@ func (t *Tokenizer) endTag() error {
 	for j < n && IsNameByte(buf[j]) {
 		j++
 	}
-	sym, name := t.intern(buf[i:j])
+	sym := t.intern(buf[i:j])
+	name := t.syms.names[sym]
 	for j < n && IsSpace(buf[j]) {
 		j++
 	}
@@ -776,7 +776,7 @@ func (t *Tokenizer) endTag() error {
 	}
 	t.stack = t.stack[:len(t.stack)-1]
 	t.Pos = j + 1
-	t.tok = Token{Kind: EndElement, Sym: sym, Name: name}
+	t.tok = Token{Kind: EndElement, Sym: sym}
 	return nil
 }
 

@@ -3,15 +3,40 @@ package xmlstream
 import (
 	"io"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// testSyms is the one table the tests' scanners and hand-written
+// expectations intern into, so their tokens compare by Sym.
+var testSyms = NewSymTab()
+
+// st and et are the start and end tokens of a tag name.
+func st(name string) Token { return Token{Kind: StartElement, Sym: testSyms.Intern(name)} }
+func et(name string) Token { return Token{Kind: EndElement, Sym: testSyms.Intern(name)} }
+
+// newTestTokenizer returns a tokenizer interning into testSyms.
+func newTestTokenizer(r io.Reader, opts Options) *Tokenizer {
+	tok := NewTokenizerOptions(r, opts)
+	tok.SetSymTab(testSyms)
+	return tok
+}
+
+// render writes toks in the stream notation, for failure messages.
+func render(toks []Token) string {
+	var b strings.Builder
+	for _, tk := range toks {
+		b.WriteString(tk.Render(testSyms))
+	}
+	return b.String()
+}
+
 // collect drains all tokens from input with the given options.
 func collect(t *testing.T, input string, opts Options) []Token {
 	t.Helper()
-	tok := NewTokenizerOptions(strings.NewReader(input), opts)
+	tok := newTestTokenizer(strings.NewReader(input), opts)
 	var out []Token
 	for {
 		tk, err := tok.Next()
@@ -26,7 +51,7 @@ func collect(t *testing.T, input string, opts Options) []Token {
 }
 
 func collectErr(input string, opts Options) ([]Token, error) {
-	tok := NewTokenizerOptions(strings.NewReader(input), opts)
+	tok := newTestTokenizer(strings.NewReader(input), opts)
 	var out []Token
 	for {
 		tk, err := tok.Next()
@@ -40,100 +65,87 @@ func collectErr(input string, opts Options) ([]Token, error) {
 	}
 }
 
-func tokensEqual(a, b []Token) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !sameToken(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// sameToken compares what two tokens say: Kind, Name and Data. A Sym
-// means something only in its own tokenizer's table.
-func sameToken(a, b Token) bool {
-	return a.Kind == b.Kind && a.Name == b.Name && a.Data == b.Data
-}
+// tokensEqual compares what two streams say: each token's Kind, Sym and
+// Data. A Sym means something only in its own table, so both streams
+// must come from scanners sharing one.
+func tokensEqual(a, b []Token) bool { return slices.Equal(a, b) }
 
 func TestSimpleDocument(t *testing.T) {
 	got := collect(t, `<bib><book><title>TCP/IP</title><author/></book></bib>`, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "bib"},
-		{Kind: StartElement, Name: "book"},
-		{Kind: StartElement, Name: "title"},
+		st("bib"),
+		st("book"),
+		st("title"),
 		{Kind: Text, Data: "TCP/IP"},
-		{Kind: EndElement, Name: "title"},
-		{Kind: StartElement, Name: "author"},
-		{Kind: EndElement, Name: "author"},
-		{Kind: EndElement, Name: "book"},
-		{Kind: EndElement, Name: "bib"},
+		et("title"),
+		st("author"),
+		et("author"),
+		et("book"),
+		et("bib"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
 func TestAttributesBecomeSubelements(t *testing.T) {
 	got := collect(t, `<person id="person0" score="7"><name>Ann</name></person>`, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "person"},
-		{Kind: StartElement, Name: "id"},
+		st("person"),
+		st("id"),
 		{Kind: Text, Data: "person0"},
-		{Kind: EndElement, Name: "id"},
-		{Kind: StartElement, Name: "score"},
+		et("id"),
+		st("score"),
 		{Kind: Text, Data: "7"},
-		{Kind: EndElement, Name: "score"},
-		{Kind: StartElement, Name: "name"},
+		et("score"),
+		st("name"),
 		{Kind: Text, Data: "Ann"},
-		{Kind: EndElement, Name: "name"},
-		{Kind: EndElement, Name: "person"},
+		et("name"),
+		et("person"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
 func TestSelfClosingAttributeOrder(t *testing.T) {
 	got := collect(t, `<item id="i1"/>`, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "item"},
-		{Kind: StartElement, Name: "id"},
+		st("item"),
+		st("id"),
 		{Kind: Text, Data: "i1"},
-		{Kind: EndElement, Name: "id"},
-		{Kind: EndElement, Name: "item"},
+		et("id"),
+		et("item"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
 func TestEmptyAttributeValue(t *testing.T) {
 	got := collect(t, `<a x=""/>`, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "a"},
-		{Kind: StartElement, Name: "x"},
-		{Kind: EndElement, Name: "x"},
-		{Kind: EndElement, Name: "a"},
+		st("a"),
+		st("x"),
+		et("x"),
+		et("a"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
 func TestEntities(t *testing.T) {
 	got := collect(t, `<t>a &amp; b &lt;c&gt; &apos;d&apos; &quot;e&quot; &#65;&#x42;</t>`, DefaultOptions())
 	if len(got) != 3 || got[1].Data != `a & b <c> 'd' "e" AB` {
-		t.Fatalf("got %v", got)
+		t.Fatalf("got %s", render(got))
 	}
 }
 
 func TestEntityInAttribute(t *testing.T) {
 	got := collect(t, `<t a="x &amp; y"/>`, DefaultOptions())
 	if len(got) != 5 || got[2].Data != "x & y" {
-		t.Fatalf("got %v", got)
+		t.Fatalf("got %s", render(got))
 	}
 }
 
@@ -141,14 +153,14 @@ func TestWhitespaceSuppression(t *testing.T) {
 	input := "<a>\n  <b> x </b>\n</a>"
 	got := collect(t, input, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "a"},
-		{Kind: StartElement, Name: "b"},
+		st("a"),
+		st("b"),
 		{Kind: Text, Data: " x "},
-		{Kind: EndElement, Name: "b"},
-		{Kind: EndElement, Name: "a"},
+		et("b"),
+		et("a"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
@@ -156,13 +168,13 @@ func TestCommentsPIsDoctypeSkipped(t *testing.T) {
 	input := `<?xml version="1.0"?><!DOCTYPE a [<!ELEMENT a ANY>]><!-- hi --><a><!-- x --><?pi data?><b/></a>`
 	got := collect(t, input, DefaultOptions())
 	want := []Token{
-		{Kind: StartElement, Name: "a"},
-		{Kind: StartElement, Name: "b"},
-		{Kind: EndElement, Name: "b"},
-		{Kind: EndElement, Name: "a"},
+		st("a"),
+		st("b"),
+		et("b"),
+		et("a"),
 	}
 	if !tokensEqual(got, want) {
-		t.Fatalf("got %v\nwant %v", got, want)
+		t.Fatalf("got %s\nwant %s", render(got), render(want))
 	}
 }
 
@@ -180,11 +192,11 @@ func TestDoctypeInternalSubsetOpaqueContent(t *testing.T) {
 	} {
 		got := collect(t, input, DefaultOptions())
 		want := []Token{
-			{Kind: StartElement, Name: "a"},
-			{Kind: EndElement, Name: "a"},
+			st("a"),
+			et("a"),
 		}
 		if !tokensEqual(got, want) {
-			t.Errorf("%s: got %v\nwant %v", input, got, want)
+			t.Errorf("%s: got %s\nwant %s", input, render(got), render(want))
 		}
 	}
 }
@@ -202,11 +214,11 @@ func TestCommentDashRuns(t *testing.T) {
 	} {
 		got := collect(t, input, DefaultOptions())
 		want := []Token{
-			{Kind: StartElement, Name: "a"},
-			{Kind: EndElement, Name: "a"},
+			st("a"),
+			et("a"),
 		}
 		if !tokensEqual(got, want) {
-			t.Errorf("%s: got %v\nwant %v", input, got, want)
+			t.Errorf("%s: got %s\nwant %s", input, render(got), render(want))
 		}
 	}
 }
@@ -214,7 +226,7 @@ func TestCommentDashRuns(t *testing.T) {
 func TestCDATA(t *testing.T) {
 	got := collect(t, `<a><![CDATA[x < y & z ]] ]]></a>`, DefaultOptions())
 	if len(got) != 3 || got[1].Data != "x < y & z ]] " {
-		t.Fatalf("got %v", got)
+		t.Fatalf("got %s", render(got))
 	}
 }
 
@@ -231,7 +243,7 @@ func TestCDATABracketRuns(t *testing.T) {
 	} {
 		got := collect(t, tc.input, DefaultOptions())
 		if len(got) != 3 || got[1].Data != tc.want {
-			t.Errorf("%s: got %v, want CDATA %q", tc.input, got, tc.want)
+			t.Errorf("%s: got %s, want CDATA %q", tc.input, render(got), tc.want)
 		}
 	}
 }
@@ -273,7 +285,7 @@ func TestEOFSticky(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		tk, err := tok.Next()
 		if err != nil || tk.Kind != EOF {
-			t.Fatalf("want sticky EOF, got %v %v", tk, err)
+			t.Fatalf("want sticky EOF, got %v %v", tk.Kind, err)
 		}
 	}
 }
@@ -295,7 +307,7 @@ func TestShortReads(t *testing.T) {
 	input := `<bib><book id="b1"><title>Streaming &amp; Buffers</title></book></bib>`
 	want := collect(t, input, DefaultOptions())
 	for _, n := range []int{1, 2, 3, 7} {
-		tok := NewTokenizerOptions(&shortReader{strings.NewReader(input), n}, DefaultOptions())
+		tok := newTestTokenizer(&shortReader{strings.NewReader(input), n}, DefaultOptions())
 		var got []Token
 		for {
 			tk, err := tok.Next()
@@ -308,13 +320,13 @@ func TestShortReads(t *testing.T) {
 			got = append(got, *tk)
 		}
 		if !tokensEqual(got, want) {
-			t.Fatalf("n=%d: got %v want %v", n, got, want)
+			t.Fatalf("n=%d: got %s want %s", n, render(got), render(want))
 		}
 	}
 }
 
 func TestDepth(t *testing.T) {
-	tok := NewTokenizer(strings.NewReader(`<a><b><c></c></b></a>`))
+	tok := newTestTokenizer(strings.NewReader(`<a><b><c></c></b></a>`), DefaultOptions())
 	depths := []int{1, 2, 3, 2, 1, 0}
 	for i := 0; ; i++ {
 		tk, err := tok.Next()
@@ -325,7 +337,7 @@ func TestDepth(t *testing.T) {
 			break
 		}
 		if tok.Depth() != depths[i] {
-			t.Fatalf("token %d (%v): depth %d, want %d", i, tk, tok.Depth(), depths[i])
+			t.Fatalf("token %d (%s): depth %d, want %d", i, tk.Render(testSyms), tok.Depth(), depths[i])
 		}
 	}
 }
@@ -336,7 +348,7 @@ func randomTree(r *rand.Rand, depth int, sb *strings.Builder, toks *[]Token) {
 	names := []string{"a", "b", "item", "x1", "long-name"}
 	name := names[r.Intn(len(names))]
 	sb.WriteString("<" + name + ">")
-	*toks = append(*toks, Token{Kind: StartElement, Name: name})
+	*toks = append(*toks, st(name))
 	n := r.Intn(3)
 	if depth > 4 {
 		n = 0
@@ -351,7 +363,7 @@ func randomTree(r *rand.Rand, depth int, sb *strings.Builder, toks *[]Token) {
 		}
 	}
 	sb.WriteString("</" + name + ">")
-	*toks = append(*toks, Token{Kind: EndElement, Name: name})
+	*toks = append(*toks, et(name))
 }
 
 func TestQuickRoundTrip(t *testing.T) {
@@ -391,7 +403,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	var sb strings.Builder
 	w := NewWriter(&sb)
 	for _, tk := range toks {
-		w.WriteToken(tk)
+		w.WriteToken(tk, testSyms)
 	}
 	if err := w.Flush(); err != nil {
 		t.Fatal(err)
@@ -399,7 +411,7 @@ func TestWriterRoundTrip(t *testing.T) {
 	// Re-tokenize the writer output; token streams must agree.
 	got := collect(t, sb.String(), DefaultOptions())
 	if !tokensEqual(got, toks) {
-		t.Fatalf("round trip mismatch:\n in: %v\nout: %v", toks, got)
+		t.Fatalf("round trip mismatch:\n in: %s\nout: %s", render(toks), render(got))
 	}
 }
 

@@ -243,10 +243,22 @@ func (w *Writer) EndElement(name string) {
 	w.writeByte('>')
 }
 
-// Text emits escaped character data.
+// spaceRefs are the character references of the whitespace bytes.
+var spaceRefs = [...]string{'\t': "&#x9;", '\n': "&#xA;", '\r': "&#xD;", ' ': "&#x20;"}
+
+// Text emits escaped character data. A '\r' is written as a character
+// reference, as a raw one would read back as '\n'; so is the first byte
+// of a text of whitespace alone, which would read back as no text.
 func (w *Writer) Text(data string) {
-	start := 0
-	for i := 0; i < len(data); i++ {
+	start, ws := 0, len(data) > 0
+	for i := 0; ws && i < len(data); i++ {
+		ws = IsSpace(data[i])
+	}
+	if ws {
+		w.writeString(spaceRefs[data[0]])
+		start = 1
+	}
+	for i := start; i < len(data); i++ {
 		var esc string
 		switch data[i] {
 		case '&':
@@ -256,7 +268,7 @@ func (w *Writer) Text(data string) {
 		case '>':
 			esc = "&gt;"
 		case '\r':
-			esc = "&#xD;" // a raw '\r' would read back as '\n'
+			esc = spaceRefs['\r']
 		default:
 			continue
 		}
