@@ -31,40 +31,44 @@ import (
 	"gcx/internal/xmlstream"
 )
 
-// Schema holds the parsed element declarations and derived facts.
+// Schema holds the parsed element declarations and derived facts. It
+// numbers every tag the DTD names, and its facts take and return those
+// numbers: Bind gives a run's symbol table the same numbering, so a run
+// asks by the Syms its tokenizer hands out.
 type Schema struct {
-	elements map[string]*elementInfo
+	// syms holds the DTD's tag names in order of first appearance.
+	syms     *xmlstream.SymTab
+	elements map[xmlstream.Sym]*elementInfo
 }
 
 type elementInfo struct {
-	name string
 	// any is true for ANY content (no facts derivable).
 	any bool
 	// empty is true for EMPTY content (the element can have no content at
 	// all; its region is complete the moment it opens).
 	empty bool
 	// tags lists the child element tags that can occur.
-	tags map[string]bool
+	tags map[xmlstream.Sym]bool
 	// noMoreAfter maps a seen child tag to the child tags that can no
 	// longer occur afterwards.
-	noMoreAfter map[string][]string
+	noMoreAfter map[xmlstream.Sym][]xmlstream.Sym
 	// mandatory holds the child tags that occur in EVERY word of the
 	// content model — an existence check for such a child is true the
 	// moment the parent's start tag is read.
-	mandatory map[string]bool
+	mandatory map[xmlstream.Sym]bool
 	// complete holds the child tags whose occurrence finishes the content
 	// model: after such a child, no further child can arrive, so the
 	// parent's region is complete before its end tag (schema-based
 	// scheduling, Koch/Scherzinger cs/0406016).
-	complete map[string]bool
+	complete map[xmlstream.Sym]bool
 }
 
 // Parse reads a DTD (internal subset syntax: a sequence of <!ELEMENT ...>
 // declarations; <!ATTLIST ...>, <!ENTITY ...>, comments, and processing
 // instructions are skipped).
 func Parse(src string) (*Schema, error) {
-	p := &parser{src: src}
-	s := &Schema{elements: map[string]*elementInfo{}}
+	p := &parser{src: src, syms: xmlstream.NewSymTab()}
+	s := &Schema{syms: p.syms, elements: map[xmlstream.Sym]*elementInfo{}}
 	for {
 		p.skipMisc()
 		if p.eof() {
@@ -78,6 +82,7 @@ func Parse(src string) (*Schema, error) {
 		if name == "" {
 			return nil, p.errf("expected element name")
 		}
+		elem := p.syms.Intern(name)
 		p.skipSpace()
 		m, err := p.contentSpec()
 		if err != nil {
@@ -87,10 +92,10 @@ func Parse(src string) (*Schema, error) {
 		if !p.consume(">") {
 			return nil, p.errf("expected '>' closing <!ELEMENT %s", name)
 		}
-		if _, dup := s.elements[name]; dup {
+		if _, dup := s.elements[elem]; dup {
 			return nil, fmt.Errorf("dtd: element %s declared twice", name)
 		}
-		s.elements[name] = analyze(name, m)
+		s.elements[elem] = analyze(m)
 	}
 }
 
@@ -103,10 +108,24 @@ func MustParse(src string) *Schema {
 	return s
 }
 
+// Bind interns the schema's tags into t, a run's symbol table, and
+// panics unless each lands on the schema's own number. A fresh table, or
+// one bound to this schema before, always passes; tags interned after
+// Bind lie past the schema's numbers, so the facts treat them as
+// undeclared. Bind only reads the schema, so run states built
+// concurrently may bind one Schema.
+func (s *Schema) Bind(t *xmlstream.SymTab) {
+	for sym := xmlstream.Sym(1); int(sym) <= s.syms.Len(); sym++ {
+		if t.Intern(s.syms.Name(sym)) != sym {
+			panic("dtd: Bind on a table that numbers " + s.syms.Name(sym) + " apart from the schema")
+		}
+	}
+}
+
 // CanContain reports whether child can occur as a direct child of elem.
 // known is false when the schema has nothing to say (undeclared element or
 // ANY content); callers must then assume true.
-func (s *Schema) CanContain(elem, child string) (can, known bool) {
+func (s *Schema) CanContain(elem, child xmlstream.Sym) (can, known bool) {
 	info := s.elements[elem]
 	if info == nil || info.any {
 		return true, false
@@ -119,18 +138,15 @@ func (s *Schema) CanContain(elem, child string) (can, known bool) {
 // undeclared elements and ANY content (no guarantee derivable) — the
 // fact is purely an optimization license, so "don't know" and "no" need
 // no distinction.
-func (s *Schema) MustContain(elem, child string) bool {
+func (s *Schema) MustContain(elem, child xmlstream.Sym) bool {
 	info := s.elements[elem]
-	if info == nil || info.any {
-		return false
-	}
-	return info.mandatory[child]
+	return info != nil && info.mandatory[child]
 }
 
 // NoMoreAfter returns the child tags of elem that cannot occur after a
 // child with tag seen has occurred. The slice is shared; callers must not
 // modify it.
-func (s *Schema) NoMoreAfter(elem, seen string) []string {
+func (s *Schema) NoMoreAfter(elem, seen xmlstream.Sym) []xmlstream.Sym {
 	info := s.elements[elem]
 	if info == nil {
 		return nil
@@ -144,30 +160,24 @@ func (s *Schema) NoMoreAfter(elem, seen string) []string {
 // before elem's end tag. False for undeclared elements, ANY, and mixed
 // content (whose global repetition means nothing is ever final) — like
 // the other facts it is purely an optimization license.
-func (s *Schema) ContentComplete(elem, seen string) bool {
+func (s *Schema) ContentComplete(elem, seen xmlstream.Sym) bool {
 	info := s.elements[elem]
-	if info == nil || info.any {
-		return false
-	}
-	return info.complete[seen]
+	return info != nil && info.complete[seen]
 }
 
 // EmptyElement reports whether elem is declared EMPTY: it can have no
 // content at all (not even whitespace), so its region is complete the
 // moment its start tag is read.
-func (s *Schema) EmptyElement(elem string) bool {
+func (s *Schema) EmptyElement(elem xmlstream.Sym) bool {
 	info := s.elements[elem]
 	return info != nil && info.empty
 }
-
-// Len returns the number of declared elements.
-func (s *Schema) Len() int { return len(s.elements) }
 
 // --- content model AST ---
 
 type model interface{ isModel() }
 
-type mName struct{ tag string }
+type mName struct{ tag xmlstream.Sym }
 type mSeq struct{ items []model }
 type mChoice struct{ items []model }
 
@@ -193,8 +203,9 @@ func (mAny) isModel()    {}
 // --- DTD parser ---
 
 type parser struct {
-	src string
-	pos int
+	src  string
+	pos  int
+	syms *xmlstream.SymTab
 }
 
 func (p *parser) eof() bool { return p.pos >= len(p.src) }
@@ -213,28 +224,43 @@ func (p *parser) skipSpace() {
 func (p *parser) skipMisc() {
 	for {
 		p.skipSpace()
-		switch {
-		case strings.HasPrefix(p.src[p.pos:], "<!--"):
-			if i := strings.Index(p.src[p.pos:], "-->"); i >= 0 {
-				p.pos += i + 3
-				continue
-			}
-			p.pos = len(p.src)
-		case strings.HasPrefix(p.src[p.pos:], "<?"):
-			if i := strings.Index(p.src[p.pos:], "?>"); i >= 0 {
-				p.pos += i + 2
-				continue
-			}
-			p.pos = len(p.src)
-		case strings.HasPrefix(p.src[p.pos:], "<!ATTLIST"),
-			strings.HasPrefix(p.src[p.pos:], "<!ENTITY"),
-			strings.HasPrefix(p.src[p.pos:], "<!NOTATION"):
-			if i := strings.IndexByte(p.src[p.pos:], '>'); i >= 0 {
-				p.pos += i + 1
-				continue
-			}
-			p.pos = len(p.src)
+		switch rest := p.src[p.pos:]; {
+		case strings.HasPrefix(rest, "<!--"):
+			p.skipPast("-->")
+		case strings.HasPrefix(rest, "<?"):
+			p.skipPast("?>")
+		case strings.HasPrefix(rest, "<!ATTLIST"),
+			strings.HasPrefix(rest, "<!ENTITY"),
+			strings.HasPrefix(rest, "<!NOTATION"):
+			p.skipDecl()
 		default:
+			return
+		}
+	}
+}
+
+// skipPast moves past the next end, or to the end of the source.
+func (p *parser) skipPast(end string) {
+	if i := strings.Index(p.src[p.pos:], end); i >= 0 {
+		p.pos += i + len(end)
+	} else {
+		p.pos = len(p.src)
+	}
+}
+
+// skipDecl moves past the '>' that closes a declaration; a '>' inside a
+// quoted literal does not close it.
+func (p *parser) skipDecl() {
+	for quote := byte(0); !p.eof(); p.pos++ {
+		switch c := p.src[p.pos]; {
+		case quote != 0:
+			if c == quote {
+				quote = 0
+			}
+		case c == '"' || c == '\'':
+			quote = c
+		case c == '>':
+			p.pos++
 			return
 		}
 	}
@@ -268,6 +294,7 @@ func (p *parser) contentSpec() (model, error) {
 	case p.consume("ANY"):
 		return mAny{}, nil
 	}
+	open := p.pos
 	if !p.consume("(") {
 		return nil, p.errf("expected '(' in content model")
 	}
@@ -296,11 +323,12 @@ func (p *parser) contentSpec() (model, error) {
 			if n == "" {
 				return nil, p.errf("expected name in mixed content")
 			}
-			items = append(items, mName{tag: n})
+			items = append(items, mName{tag: p.syms.Intern(n)})
 		}
 	}
-	// children content: back up the '(' and parse a choice/seq expression.
-	p.pos--
+	// children content: back up to the '(' and parse a choice/seq
+	// expression.
+	p.pos = open
 	return p.cp()
 }
 
@@ -319,7 +347,7 @@ func (p *parser) cp() (model, error) {
 		if n == "" {
 			return nil, p.errf("expected name or '(' in content model")
 		}
-		m = mName{tag: n}
+		m = mName{tag: p.syms.Intern(n)}
 	}
 	switch {
 	case p.consume("?"):

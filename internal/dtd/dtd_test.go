@@ -1,8 +1,12 @@
 package dtd
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
+
+	"gcx/internal/xmlstream"
 )
 
 const xmarkSiteDTD = `
@@ -20,22 +24,57 @@ const xmarkSiteDTD = `
 <!ELEMENT choiceplus ((a | b)+, c?)>
 `
 
-func parse(t *testing.T, src string) *Schema {
+// bound asks a schema by name through a symbol table bound to it, as a
+// run does. A name the schema does not know is interned on first use,
+// after Bind, which is how a document's tags reach a run's table.
+type bound struct {
+	s    *Schema
+	syms *xmlstream.SymTab
+}
+
+func parse(t *testing.T, src string) bound {
 	t.Helper()
 	s, err := Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	return s
+	syms := xmlstream.NewSymTab()
+	s.Bind(syms)
+	return bound{s, syms}
 }
 
-func noMoreContains(s *Schema, elem, seen, dead string) bool {
-	for _, d := range s.NoMoreAfter(elem, seen) {
-		if d == dead {
-			return true
-		}
+func (b bound) sym(name string) xmlstream.Sym { return b.syms.Intern(name) }
+
+func (b bound) CanContain(elem, child string) (can, known bool) {
+	return b.s.CanContain(b.sym(elem), b.sym(child))
+}
+
+func (b bound) MustContain(elem, child string) bool {
+	return b.s.MustContain(b.sym(elem), b.sym(child))
+}
+
+func (b bound) ContentComplete(elem, seen string) bool {
+	return b.s.ContentComplete(b.sym(elem), b.sym(seen))
+}
+
+func (b bound) EmptyElement(elem string) bool { return b.s.EmptyElement(b.sym(elem)) }
+
+// NoMoreAfter returns the dead tags' names, or nil where the schema
+// returns nil.
+func (b bound) NoMoreAfter(elem, seen string) []string {
+	var names []string
+	for _, d := range b.s.NoMoreAfter(b.sym(elem), b.sym(seen)) {
+		names = append(names, b.syms.Name(d))
 	}
-	return false
+	return names
+}
+
+// unknown reports whether name was interned after Bind, past every tag
+// the schema numbers.
+func (b bound) unknown(name string) bool { return int(b.sym(name)) > b.s.syms.Len() }
+
+func noMoreContains(s bound, elem, seen, dead string) bool {
+	return slices.Contains(s.NoMoreAfter(elem, seen), dead)
 }
 
 func TestSequenceFacts(t *testing.T) {
@@ -134,6 +173,11 @@ func TestMixedContent(t *testing.T) {
 
 func TestAnyAndUndeclared(t *testing.T) {
 	s := parse(t, xmarkSiteDTD)
+	for _, name := range []string{"whatever", "ghost", "x"} {
+		if !s.unknown(name) {
+			t.Fatalf("%s must be interned after Bind", name)
+		}
+	}
 	if _, known := s.CanContain("anything", "whatever"); known {
 		t.Fatal("ANY content must yield no facts")
 	}
@@ -240,9 +284,88 @@ func TestSkipsNonElementDeclarations(t *testing.T) {
 <?pi data?>
 <!ELEMENT name (#PCDATA)>
 `)
-	if s.Len() != 2 {
-		t.Fatalf("declared %d elements, want 2", s.Len())
+	if len(s.s.elements) != 2 {
+		t.Fatalf("declared %d elements, want 2", len(s.s.elements))
 	}
+}
+
+// acceptedSpacing are valid XML 1.0 inputs: white space after a group's
+// '(' (productions [49] and [50]), and a '>' inside a quoted literal of
+// a declaration the parser skips. facts is summary's reading of elem.
+var acceptedSpacing = []struct {
+	dtd, elem string
+	names     []string
+	facts     string
+}{
+	{"<!ELEMENT r ( a, b)>", "r", []string{"a", "b"},
+		"a: can must dead[a]; b: can must complete dead[a b]"},
+	{"<!ELEMENT r ( a | b )*>", "r", []string{"a", "b"},
+		"a: can; b: can"},
+	{"<!ELEMENT r (\t(a, b) | c)>", "r", []string{"a", "b", "c"},
+		"a: can dead[a c]; b: can complete dead[a b c]; c: can complete dead[a b c]"},
+	{`<!ATTLIST person id CDATA "a>b"> <!ELEMENT person (name)>`, "person", []string{"name"},
+		"name: can must complete dead[name]"},
+	{`<!ENTITY e "x>y"> <!ELEMENT r (a)>`, "r", []string{"a"},
+		"a: can must complete dead[a]"},
+}
+
+// summary lists the facts of each child name under elem.
+func summary(b bound, elem string, names []string) string {
+	var out []string
+	for _, x := range names {
+		f := x + ":"
+		if can, _ := b.CanContain(elem, x); can {
+			f += " can"
+		}
+		if b.MustContain(elem, x) {
+			f += " must"
+		}
+		if b.ContentComplete(elem, x) {
+			f += " complete"
+		}
+		if d := b.NoMoreAfter(elem, x); d != nil {
+			f += " dead" + fmt.Sprint(d)
+		}
+		out = append(out, f)
+	}
+	return strings.Join(out, "; ")
+}
+
+func TestParseAcceptsXMLSpacing(t *testing.T) {
+	for _, tc := range acceptedSpacing {
+		if got := summary(parse(t, tc.dtd), tc.elem, tc.names); got != tc.facts {
+			t.Errorf("%q: %s, want %s", tc.dtd, got, tc.facts)
+		}
+	}
+}
+
+// TestBindTwiceIsNoOp: a table bound before, and grown by a document's
+// tags since, binds again without a change.
+func TestBindTwiceIsNoOp(t *testing.T) {
+	b := parse(t, xmarkSiteDTD)
+	n := b.syms.Len()
+	ghost := b.sym("ghost")
+	b.s.Bind(b.syms)
+	if b.syms.Len() != n+1 || b.sym("ghost") != ghost {
+		t.Fatalf("rebinding changed the table: %d names, ghost %d; want %d, %d", b.syms.Len(), b.sym("ghost"), n+1, ghost)
+	}
+	if !noMoreContains(b, "site", "open_auctions", "people") {
+		t.Fatal("facts changed after rebinding")
+	}
+}
+
+// TestBindRefusesAnotherNumbering: a table that interned another name
+// first numbers the schema's tags apart from it, and Bind panics.
+func TestBindRefusesAnotherNumbering(t *testing.T) {
+	s := parse(t, xmarkSiteDTD).s
+	syms := xmlstream.NewSymTab()
+	syms.Intern("ghost")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Bind accepted a table that numbers the schema's tags differently")
+		}
+	}()
+	s.Bind(syms)
 }
 
 func TestNestedGroups(t *testing.T) {
@@ -280,7 +403,7 @@ func TestMustParsePanics(t *testing.T) {
 func TestFactsDeterministic(t *testing.T) {
 	a := parse(t, xmarkSiteDTD).NoMoreAfter("site", "open_auctions")
 	b := parse(t, xmarkSiteDTD).NoMoreAfter("site", "open_auctions")
-	if strings.Join(a, ",") != strings.Join(b, ",") {
+	if !slices.Equal(a, b) {
 		t.Fatal("fact order must be deterministic")
 	}
 }

@@ -10,12 +10,18 @@ package dtd
 // the question the blocking cursors ask: after a child with tag d has been
 // seen, can a child with tag c still arrive?
 
+import (
+	"slices"
+
+	"gcx/internal/xmlstream"
+)
+
 type position int
 
 // glushkov accumulates the construction state.
 type glushkov struct {
-	tags   []string // tag per position
-	follow []map[position]bool
+	tags   []xmlstream.Sym // tag per position
+	follow map[[2]position]bool
 }
 
 type nfl struct {
@@ -24,16 +30,15 @@ type nfl struct {
 	last     []position
 }
 
-func (g *glushkov) newPos(tag string) position {
+func (g *glushkov) newPos(tag xmlstream.Sym) position {
 	g.tags = append(g.tags, tag)
-	g.follow = append(g.follow, map[position]bool{})
 	return position(len(g.tags) - 1)
 }
 
 func (g *glushkov) connect(from []position, to []position) {
 	for _, f := range from {
 		for _, t := range to {
-			g.follow[f][t] = true
+			g.follow[[2]position{f, t}] = true
 		}
 	}
 }
@@ -85,13 +90,12 @@ func (g *glushkov) build(m model) nfl {
 }
 
 // analyze derives the per-element facts from a content model.
-func analyze(name string, m model) *elementInfo {
+func analyze(m model) *elementInfo {
 	info := &elementInfo{
-		name:        name,
-		tags:        map[string]bool{},
-		noMoreAfter: map[string][]string{},
-		mandatory:   map[string]bool{},
-		complete:    map[string]bool{},
+		tags:        map[xmlstream.Sym]bool{},
+		noMoreAfter: map[xmlstream.Sym][]xmlstream.Sym{},
+		mandatory:   map[xmlstream.Sym]bool{},
+		complete:    map[xmlstream.Sym]bool{},
 	}
 	if _, isAny := m.(mAny); isAny {
 		info.any = true
@@ -102,149 +106,83 @@ func analyze(name string, m model) *elementInfo {
 		return info
 	}
 
-	g := &glushkov{}
-	r := g.build(m)
+	g := &glushkov{follow: map[[2]position]bool{}}
+	g.build(m)
 	for _, tag := range g.tags {
 		info.tags[tag] = true
+		if mandatory(m, tag) {
+			info.mandatory[tag] = true
+		}
 	}
 	n := len(g.tags)
-	if n == 0 {
-		return info
-	}
-
-	// Mandatory children: tag t occurs in EVERY word of the model iff the
-	// t-free sublanguage is empty — no accepting path of the position
-	// automaton avoids all positions labeled t. Checked per tag with a
-	// BFS from the (non-t) first positions over follow edges restricted to
-	// non-t positions; reaching a non-t last position exhibits a t-free
-	// word. A nullable model accepts ε, so nothing is mandatory.
-	if !r.nullable {
-		lastSet := make([]bool, n)
-		for _, p := range r.last {
-			lastSet[p] = true
-		}
-		seen := make([]bool, n)
-		queue := make([]position, 0, n)
-		for t := range info.tags {
-			for i := range seen {
-				seen[i] = false
-			}
-			queue = queue[:0]
-			avoidable := false
-			for _, p := range r.first {
-				if g.tags[p] == t || seen[p] {
-					continue
-				}
-				if lastSet[p] {
-					avoidable = true
-					break
-				}
-				seen[p] = true
-				queue = append(queue, p)
-			}
-			for !avoidable && len(queue) > 0 {
-				p := queue[0]
-				queue = queue[1:]
-				for q := range g.follow[p] {
-					if g.tags[q] == t || seen[q] {
-						continue
-					}
-					if lastSet[q] {
-						avoidable = true
-						break
-					}
-					seen[q] = true
-					queue = append(queue, q)
-				}
-			}
-			if !avoidable {
-				info.mandatory[t] = true
-			}
-		}
-	}
 
 	// Transitive closure of follow ("can come strictly after").
 	reach := make([][]bool, n)
 	for i := range reach {
 		reach[i] = make([]bool, n)
-		for t := range g.follow[i] {
-			reach[i][int(t)] = true
-		}
 	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
+	for e := range g.follow {
+		reach[e[0]][e[1]] = true
+	}
+	for k := range n {
+		for i := range n {
 			if !reach[i][k] {
 				continue
 			}
-			for j := 0; j < n; j++ {
-				if reach[k][j] {
-					reach[i][j] = true
-				}
+			for j := range n {
+				reach[i][j] = reach[i][j] || reach[k][j]
 			}
 		}
 	}
 
-	// canAfter[d][c]: some position of tag c is reachable after some
-	// position of tag d.
-	canAfter := map[string]map[string]bool{}
-	for d := 0; d < n; d++ {
-		dt := g.tags[d]
-		set := canAfter[dt]
-		if set == nil {
-			set = map[string]bool{}
-			canAfter[dt] = set
-		}
-		for c := 0; c < n; c++ {
-			if reach[d][c] {
-				set[g.tags[c]] = true
+	// after[{d, c}]: a position of tag c is reachable from one of tag d;
+	// open[d]: some position of tag d has a successor.
+	after := map[[2]xmlstream.Sym]bool{}
+	open := map[xmlstream.Sym]bool{}
+	for p := range n {
+		for q := range n {
+			if reach[p][q] {
+				after[[2]xmlstream.Sym{g.tags[p], g.tags[q]}] = true
+				open[g.tags[p]] = true
 			}
 		}
 	}
-
 	for d := range info.tags {
-		var dead []string
+		var dead []xmlstream.Sym
 		for c := range info.tags {
-			if !canAfter[d][c] {
+			if !after[[2]xmlstream.Sym{d, c}] {
 				dead = append(dead, c)
 			}
 		}
 		if len(dead) > 0 {
-			sortStrings(dead)
+			slices.Sort(dead)
 			info.noMoreAfter[d] = dead
 		}
-	}
-
-	// Content-complete children: tag c finishes the model when NO position
-	// labeled c has any reachable successor — every occurrence of c is
-	// final in every word, so once a c child closes, the parent's content
-	// is done. Mixed content self-excludes: its global repetition gives
-	// every position a successor.
-	for c := range info.tags {
-		done := true
-		for p := 0; p < n && done; p++ {
-			if g.tags[p] != c {
-				continue
-			}
-			for q := 0; q < n; q++ {
-				if reach[p][q] {
-					done = false
-					break
-				}
-			}
-		}
-		if done {
-			info.complete[c] = true
+		// Tag d finishes the model when no position labeled d has a
+		// successor: every occurrence of d is final in every word, so
+		// once a d child closes, the parent's content is done. Mixed
+		// content self-excludes: its global repetition gives every
+		// position a successor.
+		if !open[d] {
+			info.complete[d] = true
 		}
 	}
 	return info
 }
 
-// sortStrings is a small insertion sort (avoids importing sort for tiny
-// slices and keeps fact order deterministic).
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j-1] > s[j]; j-- {
-			s[j-1], s[j] = s[j], s[j-1]
-		}
+// mandatory reports whether tag occurs in every word of m: a name if it
+// is the tag, a sequence if any item is, a choice if every branch is, a
+// repetition if it cannot be absent and its item is.
+func mandatory(m model, tag xmlstream.Sym) bool {
+	switch m := m.(type) {
+	case mName:
+		return m.tag == tag
+	case mSeq:
+		return slices.ContainsFunc(m.items, func(item model) bool { return mandatory(item, tag) })
+	case mChoice:
+		return !slices.ContainsFunc(m.items, func(item model) bool { return !mandatory(item, tag) })
+	case mRep:
+		return !m.min0 && mandatory(m.item, tag)
 	}
+	return false
 }

@@ -14,6 +14,8 @@ func RandQuery(r *rand.Rand) string { return (&queryGen{r: r}).query() }
 
 func RandDoc(r *rand.Rand) string { return randDoc(r) }
 
+func CheckProperty(t *testing.T, prop func(seed int64) bool, n int) { checkProperty(t, prop, n) }
+
 // CompilePass compiles each query solo and assembles the pass with the
 // given scheduler batch (0: defaultBatch, as in production). (Production
 // passes are assembled from a compile cache's members: gcx.Registry.)

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"gcx"
 	"gcx/internal/engine"
@@ -54,7 +53,5 @@ func TestOneMemberFormsEqualSolo(t *testing.T) {
 	if testing.Short() {
 		n = 20
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: n}); err != nil {
-		t.Fatal(err)
-	}
+	engine.CheckProperty(t, prop, n)
 }

@@ -90,9 +90,7 @@ func TestWorkloadEquivalence(t *testing.T) {
 	if testing.Short() {
 		n = 20
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: n}); err != nil {
-		t.Fatal(err)
-	}
+	checkProperty(t, prop, n)
 }
 
 // TestWorkloadEquivalenceBatched: with the default batch size the outputs

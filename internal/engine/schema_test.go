@@ -1,11 +1,13 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"gcx/internal/dtd"
 	"gcx/internal/xmarkdtd"
+	"gcx/internal/xmlstream"
 )
 
 const siteDTD = `
@@ -374,25 +376,23 @@ func TestSchemaAgreesOnXMark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// CanContain answers (true, false) for an undeclared element, so each
-	// check requires known as well: it fails when a declaration is missing.
+	// The schema answers by the symbols of a table bound to it, as a
+	// run's is. CanContain answers (true, false) for an undeclared
+	// element, so each check requires known as well: it fails when a
+	// declaration is missing.
+	syms := xmlstream.NewSymTab()
+	schema.Bind(syms)
 	for _, pc := range [][2]string{
 		{"site", "closed_auctions"},
 		{"closed_auctions", "closed_auction"},
 		{"closed_auction", "seller"},
 	} {
-		if can, known := schema.CanContain(pc[0], pc[1]); !can || !known {
+		if can, known := schema.CanContain(syms.Intern(pc[0]), syms.Intern(pc[1])); !can || !known {
 			t.Fatalf("XMark DTD incomplete: CanContain(%s, %s) = %v, %v", pc[0], pc[1], can, known)
 		}
 	}
-	dead := schema.NoMoreAfter("site", "open_auctions")
-	found := false
-	for _, d := range dead {
-		if d == "people" {
-			found = true
-		}
-	}
-	if !found {
+	dead := schema.NoMoreAfter(syms.Intern("site"), syms.Intern("open_auctions"))
+	if !slices.Contains(dead, syms.Intern("people")) {
 		t.Fatalf("XMark DTD must kill people after open_auctions: %v", dead)
 	}
 }

@@ -38,7 +38,8 @@ type Options struct {
 	ExecuteSignOffs bool
 	// Schema, when non-nil, lets cursors terminate regions early and
 	// exists() answer what the content models decide (schemaDecides);
-	// it must match the projector's schema.
+	// it must be the projector's schema, which proj.New bound to the
+	// buffer's symbol table, so it is asked by Sym.
 	Schema *dtd.Schema
 	// RoleOffset is added to every signOff role ID before it reaches the
 	// buffer. Solo runs leave it zero; shared-stream workloads compile each
@@ -724,17 +725,18 @@ func (e *Evaluator) schemaDecides(n *buffer.Node, steps []xqast.Step) verdict {
 	if s == nil || n == nil || n.Kind != buffer.KindElement {
 		return undecided
 	}
-	tag := e.buf.Syms().Name(n.Sym)
+	tag := n.Sym
 	all := true
 	for _, st := range steps {
 		if st.Axis != xqast.Child || st.Test.Kind != xqast.TestName {
 			return undecided
 		}
-		if can, known := s.CanContain(tag, st.Test.Name); known && !can {
+		child := e.syms[st.Test.ID]
+		if can, known := s.CanContain(tag, child); known && !can {
 			return refuted
 		}
-		all = all && s.MustContain(tag, st.Test.Name)
-		tag = st.Test.Name
+		all = all && s.MustContain(tag, child)
+		tag = child
 	}
 	if all {
 		return proven

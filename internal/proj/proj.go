@@ -45,7 +45,9 @@ type Options struct {
 	// termination: content-model facts ("no further c child can occur
 	// after a d child") are recorded on buffered nodes so blocking
 	// cursors can stop without scanning to the end of the region.
-	// Supplying a schema asserts the input is valid against it.
+	// Supplying a schema asserts the input is valid against it. New
+	// binds the buffer's symbol table to it (dtd.Schema.Bind), so the
+	// facts are asked by the tokens' Syms.
 	Schema *dtd.Schema
 	// BorrowedText has no effect: the buffer copies every text it keeps
 	// into its own slab (buffer.AppendText), borrowed or not, and tokens
@@ -165,10 +167,14 @@ type Projector struct {
 
 // New creates a projector reading from tok into buf, guided by tree. The
 // tokenizer interns names into the buffer's symbol table from then on, so
-// a token's Sym is what the buffer stores; the tree's name tests are
-// interned into it once, as the table keeps its names for every run.
+// a token's Sym is what the buffer stores; a schema is bound to it first,
+// then the tree's name tests are interned into it once, as the table
+// keeps its names for every run.
 func New(tok *xmlstream.Tokenizer, buf *buffer.Buffer, tree *projtree.Tree, opts Options) *Projector {
 	tok.SetSymTab(buf.Syms())
+	if opts.Schema != nil {
+		opts.Schema.Bind(buf.Syms())
+	}
 	p := &Projector{tok: tok, buf: buf, tree: tree, opts: opts, syms: make([]xmlstream.Sym, len(tree.Nodes))}
 	for _, pn := range tree.Nodes {
 		if pn.Step.Test.Kind == xqast.TestName {
@@ -648,13 +654,10 @@ func (p *Projector) openElement(sym xmlstream.Sym) {
 
 	// Schema facts: a child with this tag excludes certain later child
 	// tags under the parent (recorded on the buffered parent node so
-	// blocking cursors can terminate the region early). The schema
-	// speaks names: tags are looked up and dead tags interned here,
-	// beside New's binding the projector's one Intern, under a DTD only.
+	// blocking cursors can terminate the region early).
 	if p.opts.Schema != nil && top.node != nil && top.node.Kind == buffer.KindElement {
-		parentTag := p.buf.Syms().Name(top.node.Sym)
-		for _, dead := range p.opts.Schema.NoMoreAfter(parentTag, p.buf.Syms().Name(sym)) {
-			p.buf.MarkNoMore(top.node, p.buf.Syms().Intern(dead))
+		for _, dead := range p.opts.Schema.NoMoreAfter(top.node.Sym, sym) {
+			p.buf.MarkNoMore(top.node, dead)
 		}
 	}
 
@@ -673,7 +676,7 @@ func (p *Projector) openElement(sym xmlstream.Sym) {
 		f.node = n
 		f.attach = n
 		p.applyCaptureRoles(n, top)
-		if p.opts.Schema != nil && p.opts.Schema.EmptyElement(p.buf.Syms().Name(sym)) {
+		if p.opts.Schema != nil && p.opts.Schema.EmptyElement(sym) {
 			// EMPTY elements can have no content at all (not even
 			// whitespace): the region is complete at its start tag.
 			p.buf.Seal(n)
@@ -763,8 +766,7 @@ func (p *Projector) sealAfterChild(sym xmlstream.Sym) {
 	if p.liveCaps > 0 || p.textInterest(top) {
 		return
 	}
-	parentTag := p.buf.Syms().Name(top.node.Sym)
-	if p.opts.Schema.ContentComplete(parentTag, p.buf.Syms().Name(sym)) {
+	if p.opts.Schema.ContentComplete(top.node.Sym, sym) {
 		p.buf.Seal(top.node)
 	}
 }
