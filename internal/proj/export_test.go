@@ -23,6 +23,10 @@ func (p *Projector) Matched() map[int]int {
 	return m
 }
 
+// Skipped is the number of tokens the tokenizer counted for skipDead
+// without building them; TokensRead less Skipped were built by Next.
+func (p *Projector) Skipped() int64 { return p.skipped }
+
 // OpenFrames is the number of open frames, the document node's among them.
 func (p *Projector) OpenFrames() int { return len(p.stack) }
 

@@ -159,6 +159,9 @@ type Projector struct {
 	syms []xmlstream.Sym
 
 	tokens int64
+	// skipped is the part of tokens the tokenizer counted without
+	// building them (Tokenizer.SkipContent): the work skipDead saved.
+	skipped int64
 
 	// observe, when set, sees every token after Step has processed it
 	// (the tracer). It is per run: Reset clears it.
@@ -238,6 +241,7 @@ func (p *Projector) Reset() {
 	p.liveCaps = 0
 	p.dead = 0
 	p.tokens = 0
+	p.skipped = 0
 	p.observe = nil
 	p.init()
 }
@@ -343,13 +347,24 @@ func (p *Projector) step(budget int64) (int64, error) {
 }
 
 // skipDead reads the open dead subtree's tokens, at most budget of them,
-// through its end tag. They are counted and observed, and the end tag
-// closes a child of the open frame for sealAfterChild.
+// through its end tag. They are counted, and the end tag closes a child
+// of the open frame for sealAfterChild. Without an observer, the
+// tokenizer counts them in place wherever it can (SkipContent), and Next
+// reads the rest: the tags it hands back, queued tokens, and the dead
+// root's end tag. An observer sees every token, so it gets them all from
+// Next.
 //
 //gcxlint:noalloc
 func (p *Projector) skipDead(budget int64) (int64, error) {
 	n := int64(0)
 	for n < budget && p.dead > 0 {
+		if p.observe == nil {
+			k, open, err := p.tok.SkipContent(budget - n)
+			n, p.tokens, p.skipped, p.dead = n+k, p.tokens+k, p.skipped+k, p.dead+open
+			if err != nil || n == budget {
+				return n, err
+			}
+		}
 		tk, err := p.tok.Next()
 		if err != nil {
 			return n, err

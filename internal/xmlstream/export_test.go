@@ -8,7 +8,7 @@ func NewTokenizer(r io.Reader) *Tokenizer {
 }
 
 // Depth returns the number of currently open elements.
-func (t *Tokenizer) Depth() int { return len(t.stack) }
+func (t *Tokenizer) Depth() int { return len(t.stack) + t.arena.depth }
 
 // WriteToken dispatches a token to the matching method, reading tag names
 // from syms. EOF is ignored.

@@ -53,10 +53,15 @@ func DefaultOptions() Options {
 // treated as plain tag names. Which bytes form a name is IsNameStart and
 // IsNameByte, the grammar every parser of the module shares.
 //
-// Tag and attribute names are interned into a SymTab as they are read, so
-// each start and end token carries its Sym and the table's canonical
-// string. The projector points the tokenizer at its buffer's table
-// (SetSymTab); a bare tokenizer makes its own on first use.
+// Tag and attribute names are interned into a SymTab as Next reads them,
+// so each start and end token carries its Sym, the tag's only identity
+// past the tokenizer. The projector points the tokenizer at its buffer's
+// table (SetSymTab); a bare tokenizer makes its own on first use.
+//
+// SkipContent (skip.go) reads on through an open element's content
+// without building its tokens: it counts them by Next's rules, checks
+// what Next checks, and interns no name. The projector reads a subtree no
+// projection path reaches with it, and Next reads the rest.
 //
 // Well-formedness of tag nesting is checked; the tokenizer returns a
 // *SyntaxError on mismatched or unclosed tags.
@@ -90,6 +95,9 @@ type Tokenizer struct {
 	// syms interns tag and attribute names: documents use few distinct
 	// names, so steady-state tokenizing allocates only for character data.
 	syms *SymTab
+
+	arena nameArena // the elements SkipContent opened that are still open (skip.go)
+	owed  int64     // tokens of a tag SkipContent read that it has yet to count
 }
 
 // NewTokenizerOptions returns a tokenizer with explicit options. A nil
@@ -126,6 +134,8 @@ func (t *Tokenizer) Reset(r io.Reader) {
 	clear(t.stack[:cap(t.stack)])
 	t.stack = t.stack[:0]
 	t.rootSeen = false
+	t.arena.depth = 0
+	t.owed = 0
 	t.textBuf = t.textBuf[:0]
 	t.attrBuf = t.attrBuf[:0]
 }
@@ -371,6 +381,9 @@ func (t *Tokenizer) errOr(err error) error {
 
 // scan reads the next token into t.tok.
 func (t *Tokenizer) scan() (*Token, error) {
+	if t.arena.depth > 0 {
+		t.openArena()
+	}
 	for !t.closed {
 		if t.Pos == t.N && !t.Slide() {
 			if t.Err != io.EOF {
@@ -400,13 +413,13 @@ func (t *Tokenizer) scan() (*Token, error) {
 				t.Pos++
 				err = t.skip(PI, "unterminated processing instruction")
 			case '!':
-				ok, err = t.bang()
+				ok, err = t.bang(true)
 			default:
 				// A start tag the window end cuts is parsed again once
 				// growTag has made the window hold it: at most two
 				// parses, whatever the read sizes.
 				if err, ok = t.openTag(false); !ok {
-					t.growTag(true)
+					t.growTag(0, true)
 					err, _ = t.openTag(true)
 				}
 				ok = true
@@ -679,17 +692,19 @@ func (t *Tokenizer) openTag(grown bool) (_ error, ok bool) {
 	}
 }
 
-// growTag grows the window until it holds the tag whose name starts at
-// Pos through the byte that ends it — the first structural byte outside
-// its attribute values, which is its '>' when it is well formed — or the
-// rest of the input. Values are followed only in a start tag, and only
-// from a quote an '=' precedes, so a malformed tag stops at the quote
-// where openTag reports it. The hop resumes where the last one stopped,
-// so a tag read a byte at a time costs linear work.
+// growTag grows the window, keeping Buf[Pos:], until it holds the tag
+// whose name starts at Pos+name through the byte that ends it — the
+// first structural byte outside its attribute values, which is its '>'
+// when it is well formed — or the rest of the input. Values are followed
+// only in a start tag, and only from a quote an '=' precedes, so a
+// malformed tag stops at the quote where openTag reports it. The hop
+// resumes where the last one stopped, so a tag read a byte at a time
+// costs linear work. Next's parsers call it with Pos at the name;
+// SkipContent, with Pos at the tag's '<', which it keeps for Next.
 //
 //gcxlint:noalloc
-func (t *Tokenizer) growTag(values bool) {
-	p, quote := t.Pos, byte(0)
+func (t *Tokenizer) growTag(name int, values bool) {
+	p, quote := t.Pos+name, byte(0)
 	for {
 		i := t.Idx.Next(p)
 		if i < 0 {
@@ -747,7 +762,7 @@ func (t *Tokenizer) endTag() error {
 			return nil
 		}
 	}
-	t.growTag(false)
+	t.growTag(0, false)
 	buf, n, i := t.Buf, t.N, t.Pos
 	if i == n {
 		return errUnexpectedEOF
@@ -781,9 +796,12 @@ func (t *Tokenizer) endTag() error {
 }
 
 // bang reads the markup "<!" opens, Pos at the '!': a comment or a
-// declaration, skipped, or a CDATA section, whose content is a Text
-// token.
-func (t *Tokenizer) bang() (bool, error) {
+// declaration, skipped, or a CDATA section, which is a Text token unless
+// it is empty. Unless keep is set, the section is only counted
+// (SkipContent): ok says whether it was a token, and t.tok is untouched.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) bang(keep bool) (bool, error) {
 	t.Pos++
 	if !t.Ensure(1) {
 		return false, errUnexpectedEOF
@@ -798,7 +816,7 @@ func (t *Tokenizer) bang() (bool, error) {
 		if err := t.opener("[CDATA[", "malformed CDATA section"); err != nil {
 			return false, err
 		}
-		return t.cdata()
+		return t.cdata(keep)
 	}
 	return false, t.skip(Decl, "unterminated declaration")
 }
@@ -806,6 +824,8 @@ func (t *Tokenizer) bang() (bool, error) {
 // opener consumes lit, the rest of a markup opener, at Pos, or reports
 // msg where Reference does: just past the first byte that differs, or
 // at the end of the input.
+//
+//gcxlint:noalloc
 func (t *Tokenizer) opener(lit, msg string) error {
 	t.Ensure(len(lit))
 	for k := range len(lit) {
@@ -822,6 +842,8 @@ func (t *Tokenizer) opener(lit, msg string) error {
 
 // skip skips the opaque region of the given kind that starts at Pos, or
 // reports msg at the end of the input.
+//
+//gcxlint:noalloc
 func (t *Tokenizer) skip(kind byte, msg string) error {
 	if !t.Skip(kind, nil) {
 		return t.syntaxErr(t.Pos, msg)
@@ -830,14 +852,27 @@ func (t *Tokenizer) skip(kind byte, msg string) error {
 }
 
 // cdata reads the CDATA section whose content starts at Pos into textBuf
-// and reports it as a Text token unless it is empty.
-func (t *Tokenizer) cdata() (bool, error) {
+// and reports it as a Text token unless it is empty. Unless keep is set,
+// it copies nothing and only reports whether the section is non-empty:
+// it is exactly when more than its "]]>" lies past its opener, as line
+// ends normalize to one byte, never to none.
+//
+//gcxlint:noalloc
+func (t *Tokenizer) cdata(keep bool) (bool, error) {
 	if len(t.stack) == 0 {
 		return false, t.syntaxErr(t.Pos, "CDATA outside the root element")
 	}
-	t.textBuf = t.textBuf[:0]
-	if !t.Skip(CDATA, (*spill)(&t.textBuf)) {
+	var keeper Keeper
+	if keep {
+		t.textBuf = t.textBuf[:0]
+		keeper = (*spill)(&t.textBuf)
+	}
+	from := t.Off + int64(t.Pos)
+	if !t.Skip(CDATA, keeper) {
 		return false, t.syntaxErr(t.Pos, "unterminated CDATA section")
+	}
+	if !keep {
+		return t.Off+int64(t.Pos)-from > int64(len("]]>")), nil
 	}
 	t.textBuf = t.textBuf[:len(t.textBuf)-len("]]>")]
 	if bytes.IndexByte(t.textBuf, '\r') >= 0 {
