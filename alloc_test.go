@@ -138,9 +138,9 @@ func TestOneMemberWorkloadIsTheSoloEngine(t *testing.T) {
 		}
 	}
 	run() // warm the pool
-	// The scheduled form of this run cost 7 allocs (goroutine, baton
-	// bookkeeping); inline it costs 1: the per-member stats slice, built
-	// once in the shape the caller receives.
+	// A one-member pass costs 1: the per-member stats slice, built once
+	// in the shape the caller receives (its goroutine-scheduled form once
+	// cost 7).
 	if allocs := testing.AllocsPerRun(30, run); allocs > 1 {
 		t.Fatalf("one-subscription registry run allocates: %.1f allocs/run, want <= 1", allocs)
 	}

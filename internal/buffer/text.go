@@ -1,6 +1,7 @@
 package buffer
 
 import (
+	"slices"
 	"sync/atomic"
 	"unsafe"
 )
@@ -30,7 +31,7 @@ type textChunk struct {
 // way bytes enter Node.Text is keep, and unlink gives them back through
 // release, so after a signOff the bytes are reusable by the buffer rather
 // than garbage for the collector. It takes no lock: a buffer is touched
-// by exactly one goroutine at a time (the pass's baton invariant).
+// by one goroutine, the one running its pass.
 //
 // Lifetime rule: a string returned by keep is valid until release of its
 // node or reset, whichever comes first. Whatever outlives that copies.
@@ -127,6 +128,10 @@ func (s *textSlab) nextChunk() int32 {
 		return i
 	}
 	s.chunks = append(s.chunks, textChunk{buf: make([]byte, s.chunkBytes)}) //gcxlint:allocok chunk growth tracks the peak of live text; the pass decides whether an idle state keeps it
+	// The free list can come to hold every chunk (reset puts them all
+	// there): sized now, it never grows later, so what a state retains is
+	// fixed by its first run.
+	s.free = slices.Grow(s.free, len(s.chunks)-len(s.free)) //gcxlint:allocok grows with the chunks, whose growth the pass bounds
 	return int32(len(s.chunks) - 1)
 }
 

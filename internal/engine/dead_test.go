@@ -72,8 +72,8 @@ func TestMalformedInsideDeadSubtree(t *testing.T) {
 // document whose dead <junk> holds 4,096 elements with names of their
 // own, each with an attribute of its own (8,192 names, over 100 KB, so
 // tags straddle the window end), keeps the symbol table of a run without
-// them: after a first run has warmed the state, its Len and Retained do
-// not move, and neither document makes the state's Retained grow. A
+// them: from the first run on, its Len and Retained do not move, and
+// neither document makes the state's Retained grow. A
 // hostile vocabulary in a region no query reads does not push a pooled
 // state toward the retention budget, as long as its names fit the skip's
 // arena (64 open elements, 1 KB of names).
@@ -101,7 +101,7 @@ func TestDeadNamesStayOutOfTheSymTab(t *testing.T) {
 	for i, doc := range []string{plain, plain, flood, plain, flood} {
 		var out strings.Builder
 		rs.reset(context.Background(), c.solo, obs.Now(), strings.NewReader(doc), []io.Writer{&out}, nil)
-		if err := rs.tasks[0].exec(); err != nil {
+		if err := rs.runSolo(); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		if got := out.String(); got != `<q><b>1</b></q>` {
@@ -111,11 +111,11 @@ func TestDeadNamesStayOutOfTheSymTab(t *testing.T) {
 		symBytes = append(symBytes, syms.Retained())
 		retained = append(retained, rs.retained())
 	}
-	// The first run warms the state; every later one must leave it as
-	// the second, a run without the names, did.
-	for i := 2; i < len(lens); i++ {
-		if lens[i] != lens[1] || symBytes[i] != symBytes[1] || retained[i] != retained[1] {
-			t.Fatalf("symbol table names, bytes and state Retained per run: %v, %v, %v; want the second run's in every later run", lens, symBytes, retained)
+	// Every run must leave the state as the first, a run without the
+	// names, did.
+	for i := 1; i < len(lens); i++ {
+		if lens[i] != lens[0] || symBytes[i] != symBytes[0] || retained[i] != retained[0] {
+			t.Fatalf("symbol table names, bytes and state Retained per run: %v, %v, %v; want the first run's in every later run", lens, symBytes, retained)
 		}
 	}
 
@@ -139,7 +139,7 @@ func TestDeadNamesStayOutOfTheSymTab(t *testing.T) {
 		before := syms.Len()
 		var out strings.Builder
 		rs.reset(context.Background(), c.solo, obs.Now(), strings.NewReader(`<r><junk>`+tc.junk+`</junk><b>1</b></r>`), []io.Writer{&out}, nil)
-		if err := rs.tasks[0].exec(); err != nil {
+		if err := rs.runSolo(); err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
 		if got := out.String(); got != `<q><b>1</b></q>` {

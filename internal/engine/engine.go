@@ -6,10 +6,9 @@
 //
 // The package owns the only pass runtime (pass.go): a Pass evaluates N
 // compiled queries over one pass of a document from one pooled run state.
-// A solo query is the one-member Pass — its evaluator pulls the projector
-// directly, on the caller's goroutine — and with more members the
-// evaluators sit behind the single-pass scheduler (sched.go). Everything
-// above (gcx.Engine, Registry, Bulk, gcxd) runs through it.
+// A solo query is the one-member Pass; one scheduler (sched.go) drives
+// every pass's evaluators on the caller's goroutine. Everything above
+// (gcx.Engine, Registry, Bulk, gcxd) runs through it.
 //
 // Besides the full GCX mode it provides the two baselines used by the
 // benchmark harness as stand-ins for the systems of Table 1:

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -36,6 +37,13 @@ func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
 	return p, nil
 }
 
+// runSolo runs a one-member pass's state, reset by the caller, and
+// returns its member's error.
+func (rs *runState) runSolo() error {
+	rs.scheduler.run()
+	return rs.tasks[0].err
+}
+
 // auditSkippedWakes makes every scheduler resume the members it decides
 // to skip, until the test ends, and panics unless such a resume changed
 // nothing: the member must park again on the same wait at the same stamp,
@@ -43,17 +51,21 @@ func CompilePass(srcs []string, cfg Config, batch int) (*Pass, error) {
 // and the shared buffer's accounting where it was. (A panic, not t.Error:
 // a member that got further is no longer where the scheduler's bookkeeping
 // has it, so the pass cannot continue.) The returned counter is the number
-// of skipped visits audited.
-func auditSkippedWakes(t *testing.T) *int64 {
-	audited := new(int64)
+// of skipped visits audited, atomic: passes the suites run from several
+// goroutines at once (TestPassWriterPanic) audit concurrently.
+func auditSkippedWakes(t *testing.T) *atomic.Int64 {
+	audited := new(atomic.Int64)
 	auditSkip = func(s *scheduler, m *task) {
 		before := m.ev.Progress()
-		m.resume <- struct{}{}
-		<-s.yield
-		*audited++
-		if after := m.ev.Progress(); m.state != taskWant || after != before {
-			panic(fmt.Sprintf("wake rule: member %d was skipped but resuming it made progress (state %d)\nbefore %+v\nafter  %+v",
-				m.id, m.state, before, after))
+		done := s.resume(m)
+		audited.Add(1)
+		if after := m.ev.Progress(); done || after != before {
+			i := 0
+			for &s.tasks[i] != m {
+				i++
+			}
+			panic(fmt.Sprintf("wake rule: member %d was skipped but resuming it made progress (done %v)\nbefore %+v\nafter  %+v",
+				i, done, before, after))
 		}
 	}
 	t.Cleanup(func() { auditSkip = nil })

@@ -337,7 +337,7 @@ func TestSharedSymTabAcrossRuns(t *testing.T) {
 				starts = append(starts, syms.Name(tk.Sym))
 			}
 		})
-		if err := rs.tasks[0].exec(); err != nil {
+		if err := rs.runSolo(); err != nil {
 			t.Fatalf("run %d: %v", i, err)
 		}
 		var buffered []string

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -29,12 +30,12 @@ import (
 // member; each member keeps its own evaluator and output writer.
 //
 // A solo query is the one-member pass (Compiled.Run goes through its own):
-// the member's projection tree is used as is and its evaluator pulls the
-// projector directly, on the caller's goroutine. With more members the
+// the member's projection tree is used as is. With more members the
 // projection trees are merged (static.MergeTrees) into per-query role
-// spaces and a round-robin coroutine scheduler (sched.go) advances each
-// evaluator as the data it blocks on arrives, preserving every member's
-// solo output byte for byte. The member count alone selects the wiring.
+// spaces. Either way one round-robin scheduler (sched.go) advances each
+// evaluator, on the caller's goroutine, as the data it waits on arrives,
+// preserving every member's solo output byte for byte; the member count
+// picks only how far each round feeds the projector.
 //
 // Garbage collection needs no new machinery for the multi-query setting:
 // a buffered node carries role instances from every interested query, and
@@ -60,10 +61,10 @@ type Pass struct {
 	aggMatch bool
 	agg      []bool
 	// batch is the number of tokens the scheduler feeds per round once
-	// every live evaluator is blocked on the stream. Production passes
+	// every live evaluator is parked on the stream. Production passes
 	// leave it 0 (defaultBatch, see sched.go); tests set 1 to reproduce
-	// the solo demand schedule token-exactly. A one-member pass has no
-	// scheduler and ignores it.
+	// the solo demand schedule token-exactly. A one-member pass is fed one
+	// projector Step per round and ignores it.
 	batch int
 	// pool recycles runStates across runs: after warm-up, a run allocates
 	// (almost) nothing beyond what the document forces it to buffer.
@@ -159,21 +160,19 @@ const (
 // runState bundles the mutable per-run machinery of one pass — the chain
 // of Figure 11: the tokenizer, the buffer (with its node arena and the
 // run's one symbol table, which the tokenizer interns into), the
-// projector, and one output writer/evaluator pair per member.
+// projector and the scheduler that drives it, and one output
+// writer/evaluator pair per member.
 // A runState is owned by exactly one run at a time — the one that flipped
 // its idle flag (see Pass.acquire) — and recycled through Pass.pool.
 type runState struct {
-	buf  *buffer.Buffer
-	tok  *xmlstream.Tokenizer
-	proj *proj.Projector
-	// sched interleaves the evaluators of a multi-member pass; nil with one
-	// member, whose evaluator pulls the projector itself.
-	sched *scheduler
-	// tasks[i] holds member i's evaluator, runs it and records how it went;
-	// ws[i] is its output writer. Both are built one slice per kind, as
-	// are the evaluators (eval.NewEvaluators).
-	tasks []task
-	ws    []xmlstream.Writer
+	// scheduler holds the projector (proj) and the tasks: tasks[i] holds
+	// member i's evaluator and records how its run went.
+	scheduler
+	buf *buffer.Buffer
+	tok *xmlstream.Tokenizer
+	// ws[i] is member i's output writer. The tasks, the writers and the
+	// evaluators (eval.NewEvaluators) are built one slice per kind.
+	ws []xmlstream.Writer
 	// guard is what the run reads the input through when its context can
 	// be canceled (corpus.Guard.Reset): kept here, it costs a run nothing.
 	guard corpus.Guard
@@ -205,34 +204,19 @@ func (p *Pass) newRunState() *runState {
 	})
 	wsize := min(max(writerBudget/n, minWriterBuffer), xmlstream.DefaultWriterBuffer)
 	rs := &runState{
-		buf:  buf,
-		tok:  tok,
-		proj: pr,
-		ws:   xmlstream.NewWriters(n, wsize),
+		scheduler: scheduler{proj: pr, batch: cmp.Or(p.batch, defaultBatch),
+			tasks: make([]task, n), want: make([]*task, 0, n)},
+		buf: buf,
+		tok: tok,
+		ws:  xmlstream.NewWriters(n, wsize),
 	}
-	// The one wiring choice: a scheduler earns its place only when more
-	// than one evaluator shares the stream. A lone evaluator is fed by the
-	// projector directly and run inline (see run).
-	if n > 1 {
-		rs.sched = newScheduler(pr, n, p.batch)
-		rs.tasks = rs.sched.tasks
-	} else {
-		rs.tasks = make([]task, 1)
-	}
-	feeds := make([]eval.Feeder, n)
 	queries := make([]*xqast.Query, n)
 	for i, m := range p.Members {
-		if rs.sched != nil {
-			feeds[i] = &rs.tasks[i]
-		} else {
-			feeds[i] = pr
-		}
 		queries[i] = m.Analysis.Query
 	}
-	evs := eval.NewEvaluators(buf, feeds, rs.ws, queries)
+	evs := eval.NewEvaluators(buf, rs.ws, queries)
 	for i := range rs.tasks {
-		rs.tasks[i].ev = &evs[i]
-		rs.tasks[i].query = queries[i]
+		rs.tasks[i] = task{ev: &evs[i]}
 	}
 	self := weak.Make(rs)
 	rs.self = &self
@@ -240,9 +224,10 @@ func (p *Pass) newRunState() *runState {
 }
 
 // reset points the runState at a new run's input — through the guard
-// when ctx can be canceled — outputs, and tracer. The projector rebuilds
-// its root frame around the buffer's fresh root (and drops the last run's
-// observer), so the buffer is reset before it.
+// when ctx can be canceled — outputs, and tracer, and starts the members'
+// evaluators. The projector rebuilds its root frame around the buffer's
+// fresh root (and drops the last run's observer), so the buffer is reset
+// before it.
 //
 //gcxlint:keep idle the ownership flag: acquire clears it, release sets it
 //gcxlint:keep self the state's own weak pointer, made once in newRunState
@@ -251,15 +236,12 @@ func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reade
 	rs.buf.Reset()
 	rs.tok.Reset(rs.guard.Reset(ctx, in))
 	rs.proj.Reset()
-	if rs.sched != nil {
-		rs.sched.reset()
-	}
+	rs.scheduler.reset()
 	var onSignOff func(xqast.SignOff)
 	if tr != nil {
 		onSignOff = tr.install(rs.buf, rs.proj)
 	}
 	for i := range rs.tasks {
-		rs.tasks[i].reset()
 		rs.ws[i].Reset(outs[i])
 		rs.tasks[i].ev.Reset(eval.Options{
 			ExecuteSignOffs: p.Mode == ModeGCX,
@@ -267,6 +249,7 @@ func (rs *runState) reset(ctx context.Context, p *Pass, start int64, in io.Reade
 			RoleOffset:      p.Offsets[i],
 			OnSignOff:       onSignOff,
 		})
+		rs.tasks[i].ev.Start(p.Members[i].Analysis.Query)
 	}
 }
 
@@ -343,9 +326,9 @@ func (p *Pass) acquire() *runState {
 // buffer), TokensRead counts the single pass, OutputBytes sums the members
 // and TTFRNanos is the time to the FIRST result byte any member delivered.
 // The members' own outcomes stay on rs.tasks; the caller releases rs. A
-// panic (a member's output writer, say) surfaces on the calling goroutine
-// with rs never returned to the pool. A ctx that can be canceled bounds the
-// run as Compiled.Trace describes.
+// panic (a member's output writer, say) reaches the caller as it is, with
+// rs never returned to the pool. A ctx that can be canceled bounds the run
+// as Compiled.Trace describes.
 func (p *Pass) run(ctx context.Context, in io.Reader, outs []io.Writer, tr *Tracer) (Stats, *runState) {
 	if len(outs) != len(p.Members) {
 		panic(fmt.Sprintf("engine: pass of %d members given %d output writers", len(p.Members), len(outs)))
@@ -353,13 +336,7 @@ func (p *Pass) run(ctx context.Context, in io.Reader, outs []io.Writer, tr *Trac
 	start := obs.Now()
 	rs := p.acquire()
 	rs.reset(ctx, p, start, in, outs, tr)
-	if rs.sched != nil {
-		rs.sched.run()
-	} else {
-		t := &rs.tasks[0]
-		t.err = t.exec()
-		t.finish(rs.proj)
-	}
+	rs.scheduler.run()
 	st := Stats{
 		Buffer:     rs.buf.Stats(),
 		TokensRead: rs.proj.TokensRead(),

@@ -1,12 +1,15 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"testing"
-	"time"
+
+	"gcx/internal/queries"
+	"gcx/internal/xmark"
 )
 
 // The engine's failure suite (failure_test.go) lifted to several members:
@@ -105,8 +108,8 @@ func TestWorkloadTruncatedInput(t *testing.T) {
 	}
 }
 
-// TestWorkloadAllWritersFailing: every member failing must not deadlock
-// the baton-passing scheduler.
+// TestWorkloadAllWritersFailing: every member failing must not stall the
+// scheduler.
 func TestWorkloadAllWritersFailing(t *testing.T) {
 	c := compileWorkload(t, []string{
 		`<a>{ for $b in /bib/book return $b/title }</a>`,
@@ -159,11 +162,10 @@ func (w *panicWriter) Write(p []byte) (int, error) {
 }
 
 // TestPassWriterPanic: a panicking output writer is the one way a run can
-// die rather than fail. For the inline one-member pass and for the
-// scheduled three-member pass alike, the panic must reach the CALLER's
-// goroutine (the scheduler relays it from the member's), leave no member
-// goroutine behind, keep the half-run state out of the pool, and leave
-// the artifact serving correct runs.
+// die rather than fail. For the one-member pass and the three-member pass
+// alike, the panic must reach the caller as it is — a run starts no
+// goroutine, so none is left behind either — keep the half-run state out
+// of the pool, and leave the artifact serving correct runs.
 func TestPassWriterPanic(t *testing.T) {
 	srcs := []string{
 		`<a>{ for $b in /bib/book return $b/title }</a>`,
@@ -194,18 +196,13 @@ func TestPassWriterPanic(t *testing.T) {
 					if r := recover(); r != "sink exploded" {
 						t.Fatalf("recovered %v, want the writer's panic on the calling goroutine", r)
 					}
+					if g := runtime.NumGoroutine(); g != baseline {
+						t.Fatalf("%d goroutines after the panic, %d before the run", g, baseline)
+					}
 				}()
 				p.Run(strings.NewReader(doc), outs)
 				t.Fatal("Run returned; the writer's panic was swallowed")
 			}()
-			// A member goroutine's last act is handing the baton back, so it
-			// may still be unwinding when the panic arrives here.
-			for i := 0; runtime.NumGoroutine() > baseline; i++ {
-				if i == 1000 {
-					t.Fatalf("%d goroutines after the panic, %d before the run: member goroutines leaked", runtime.NumGoroutine(), baseline)
-				}
-				time.Sleep(time.Millisecond)
-			}
 			if rs := p.pool.Get(); rs != nil {
 				t.Fatal("the run state of the panicked run went back to the pool")
 			}
@@ -246,5 +243,53 @@ func TestPassWriterPanic(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// goroutineProbe is an output writer that samples the goroutine count at
+// its every write.
+type goroutineProbe struct{ samples []int }
+
+func (w *goroutineProbe) Write(p []byte) (int, error) {
+	w.samples = append(w.samples, runtime.NumGoroutine())
+	return len(p), nil
+}
+
+// TestPassStartsNoGoroutines: a pass runs its members on the caller's
+// goroutine, the solo run and a 64-member fleet pass alike. A member's
+// writer, written to mid-run (a 4 KB writer buffer at 64 members, the
+// solo 32 KB over a 1 MB copy), counts the goroutines while the members
+// are running, and sees the count from before the run.
+func TestPassStartsNoGoroutines(t *testing.T) {
+	var doc bytes.Buffer
+	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(1 << 20), Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, srcs := range [][]string{
+		{`<r>{ for $s in /site return $s }</r>`},
+		queries.Variants(64),
+	} {
+		p, err := CompilePass(srcs, Config{Mode: ModeGCX}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := &goroutineProbe{}
+		outs := make([]io.Writer, len(srcs))
+		for i := range outs {
+			outs[i] = io.Discard
+		}
+		outs[len(outs)-1] = probe
+		baseline := runtime.NumGoroutine()
+		if _, _, err := p.Run(bytes.NewReader(doc.Bytes()), outs); err != nil {
+			t.Fatal(err)
+		}
+		if len(probe.samples) < 2 {
+			t.Fatalf("%d members: the writer saw %d writes, want some mid-run", len(srcs), len(probe.samples))
+		}
+		for _, g := range probe.samples {
+			if g != baseline {
+				t.Fatalf("%d members: %d goroutines during the run, %d before it (samples %v)", len(srcs), g, baseline, probe.samples)
+			}
+		}
 	}
 }

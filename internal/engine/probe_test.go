@@ -176,9 +176,7 @@ func probeRun(t *testing.T, p *Pass, in io.Reader) probeResult {
 		res.signOffs = append(res.signOffs, task.ev.SignOffs())
 		res.progress = append(res.progress, task.ev.Progress())
 	}
-	if rs.sched != nil {
-		res.resumes, res.skips = rs.sched.resumes, rs.sched.skips
-	}
+	res.resumes, res.skips = rs.resumes, rs.skips
 	if p.Mode == ModeGCX {
 		if err := rs.buf.CheckBalance(); err != nil {
 			t.Fatal(err)

@@ -133,11 +133,11 @@ func TestSkippedWakesAreNoOps(t *testing.T) {
 		{"Fleet", TestPassHandoffCounts},
 		{"TextLifetime", TestTextLifetime},
 	} {
-		before := *audited
+		before := audited.Load()
 		t.Run(s.name, s.test)
-		t.Logf("%s: %d skipped wakes audited", s.name, *audited-before)
+		t.Logf("%s: %d skipped wakes audited", s.name, audited.Load()-before)
 	}
-	if *audited == 0 {
+	if audited.Load() == 0 {
 		t.Fatal("the audit saw no skipped wake: the suites above no longer exercise the rule")
 	}
 }
@@ -146,9 +146,9 @@ func TestSkippedWakesAreNoOps(t *testing.T) {
 // document (128 KB XMark, seed 1): visits — rounds × live members, what
 // every round cost when each visit was a resume — and the resumes left
 // now that a member is woken only when its wait was touched. A resume is
-// two channel operations and two goroutine switches; the counts are exact,
-// so a drift in either direction is a change to the wake rule or the
-// round structure and must be explained, not absorbed.
+// a call to the member's step function; the counts are exact, so a drift
+// in either direction is a change to the wake rule or the round structure
+// and must be explained, not absorbed.
 func TestPassHandoffCounts(t *testing.T) {
 	var doc bytes.Buffer
 	if _, err := xmark.Generate(&doc, xmark.Config{Factor: xmark.FactorForSize(128 << 10), Seed: 1}); err != nil {
@@ -172,7 +172,7 @@ func TestPassHandoffCounts(t *testing.T) {
 		// Twice: a pooled rerun makes the same handoffs.
 		for run := 0; run < 2; run++ {
 			_, rs := p.run(context.Background(), bytes.NewReader(doc.Bytes()), outs, nil)
-			resumes, skips := rs.sched.resumes, rs.sched.skips
+			resumes, skips := rs.resumes, rs.skips
 			for i, task := range rs.tasks {
 				if task.err != nil {
 					t.Fatalf("member %d: %v", i, task.err)

@@ -7,7 +7,7 @@ import (
 )
 
 // cursor iterates the buffered matches of one location step below a context
-// node in document order, blocking for more input while the relevant region
+// node in document order, waiting for more input while the relevant region
 // is unfinished.
 //
 // The cursor pins its current node: active garbage collection defers the
@@ -27,13 +27,12 @@ type cursor struct {
 	cur *buffer.Node
 	// nextFree links a closed cursor to the next one on the free list.
 	nextFree *cursor
-	// done marks an exhausted cursor.
+	// done marks a cursor whose step the schema refutes: it matches nothing.
 	done bool
 	// first tracks [1] steps: after one match the cursor is exhausted.
 	yielded bool
 	// released marks a cursor returned to the evaluator's freelist; it
-	// makes close idempotent (finish() closes eagerly, the owner's
-	// deferred close then becomes a no-op).
+	// makes close idempotent.
 	released bool
 }
 
@@ -122,53 +121,47 @@ func (c *cursor) close() {
 }
 
 // next returns the next match in document order, or nil when the sequence
-// is exhausted. The returned node is pinned until the following next() or
+// is exhausted; false when no further match is buffered yet and the region
+// is unfinished: the evaluator has then parked, and calls next again once
+// it is resumed. The returned node is pinned until the following next() or
 // close().
 //
 //gcxlint:noalloc
-func (c *cursor) next() (*buffer.Node, error) {
+func (c *cursor) next() (*buffer.Node, bool) {
 	if c.done {
-		return nil, nil
+		c.close()
+		return nil, true
 	}
 	if c.step.First && c.yielded {
-		c.finish()
-		return nil, nil
+		c.close()
+		return nil, true
 	}
-	for first := true; ; first = false {
-		n := c.scan()
-		if n != nil {
-			c.e.buf.Pin(n)
-			if c.cur != nil {
-				c.e.buf.Unpin(c.cur)
-			}
-			c.cur = n
-			c.yielded = true
-			return n, nil
+	if n := c.scan(); n != nil {
+		c.e.parked = false
+		c.e.buf.Pin(n)
+		if c.cur != nil {
+			c.e.buf.Unpin(c.cur)
 		}
-		// No further match buffered: either the region is complete (the
-		// sequence is exhausted) or we must pull more input.
-		if c.regionFinished() {
-			c.finish()
-			return nil, nil
-		}
-		// A child-axis match can only appear as a new child of ctx, and
-		// every fact regionFinished reads is a fact about ctx; a
-		// descendant match appears below nodes of the region instead.
-		on := c.ctx
-		if c.step.Axis != xqast.Child {
-			on = nil
-		}
-		if _, err := c.e.pull(on, first); err != nil {
-			c.finish()
-			return nil, err
-		}
+		c.cur = n
+		c.yielded = true
+		return n, true
 	}
-}
-
-//gcxlint:noalloc
-func (c *cursor) finish() {
-	c.done = true
-	c.close()
+	// No further match buffered: either the region is complete (the
+	// sequence is exhausted) or we must wait for more input.
+	if c.regionFinished() {
+		c.e.parked = false
+		c.close()
+		return nil, true
+	}
+	// A child-axis match can only appear as a new child of ctx, and
+	// every fact regionFinished reads is a fact about ctx; a descendant
+	// match appears below nodes of the region instead.
+	on := c.ctx
+	if c.step.Axis != xqast.Child {
+		on = nil
+	}
+	c.e.park(on)
+	return nil, false
 }
 
 // scan finds the next buffered match after the current position without

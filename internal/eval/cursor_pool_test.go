@@ -16,8 +16,8 @@ func TestClosedCursorRetainsNothing(t *testing.T) {
 
 	e := evaluator(buf, &scriptFeeder{})
 	cur := newCursor(e, r, child(e, "a"))
-	if _, err := cur.next(); err != nil {
-		t.Fatal(err)
+	if _, ok := cur.next(); !ok {
+		t.Fatal("a finished region parked the cursor")
 	}
 	cur.close()
 
@@ -88,9 +88,9 @@ func TestIdleCursorRetentionIsBounded(t *testing.T) {
 	open := make([]*cursor, 0, depth)
 	for ctx := buf.Root().FirstChild; len(open) < depth; {
 		c := newCursor(e, ctx, a)
-		m, err := c.next()
-		if err != nil || m == nil {
-			t.Fatalf("level %d: %v, %v", len(open), m, err)
+		m, ok := c.next()
+		if !ok || m == nil {
+			t.Fatalf("level %d: %v, %v", len(open), m, ok)
 		}
 		open = append(open, c)
 		ctx = m
@@ -119,5 +119,24 @@ func TestIdleCursorRetentionIsBounded(t *testing.T) {
 	}
 	if c := newCursor(e, buf.Root(), a); c != &e.cursors.chunks[0][0] {
 		t.Error("the first cursor after Reset is not carved from the first chunk")
+	}
+}
+
+// TestRefutedCursorIsPooled: a cursor whose step the schema refutes
+// matches nothing; the frame that iterates it pops at its first advance,
+// and the cursor must go back to the freelist then, as every exhausted
+// one does — nothing else would ever close it.
+func TestRefutedCursorIsPooled(t *testing.T) {
+	buf, syms := setup()
+	r := buf.AppendElement(buf.Root(), syms.Intern("r"))
+	e := evaluator(buf, &scriptFeeder{})
+	cur := newCursor(e, r, child(e, "a"))
+	cur.done = true // what newCursor sets when schemaDecides refutes the step
+	e.push(frame{op: opOutput, cur: cur})
+	if n, ok := e.next(&e.stack[0]); n != nil || !ok {
+		t.Fatalf("a refuted cursor returned %v, %v", n, ok)
+	}
+	if len(e.stack) != 0 || e.cursors.free != cur || !cur.released {
+		t.Fatalf("the refuted cursor's frame left %d frames, cursor pooled %v", len(e.stack), e.cursors.free == cur)
 	}
 }

@@ -3,11 +3,12 @@
 //
 // The evaluator walks the buffer tree. Whenever it needs data that is not
 // buffered yet (the next node of a for-loop, a witness for an existence
-// check, the completion of a subtree that is being serialized), it blocks
-// and drives the stream pre-projector token by token until the data is
-// available or the relevant region is finished — the chain of commands of
-// Figure 11. SignOff statements are forwarded to the buffer manager, which
-// performs the role updates and invokes active garbage collection.
+// check, the completion of a subtree that is being serialized), it parks —
+// its walkers keep their place on an explicit frame stack, and it returns
+// — and its driver advances the stream pre-projector before resuming it:
+// the chain of commands of Figure 11. SignOff statements are forwarded to
+// the buffer manager, which performs the role updates and invokes active
+// garbage collection.
 package eval
 
 import (
@@ -56,12 +57,12 @@ type Options struct {
 // (xqast.Resolve): variables are slots of env, tag-name tests index syms,
 // comparisons index sites — nothing on the evaluation path is keyed by a
 // string. An Evaluator can be reused for further runs via Reset once its
-// buffer, feeder, and writer have been reset; the environment, the cursor
-// freelist and the operand scratch are retained, so repeated evaluations
-// are allocation-free after warm-up.
+// buffer, feeder, and writer have been reset; the environment, the frame
+// stack, the cursor freelist and the operand scratch are retained, so
+// repeated evaluations are allocation-free after warm-up.
 type Evaluator struct {
 	buf  *buffer.Buffer
-	feed Feeder
+	feed Feeder // what Run pulls; a pass's scheduler feeds its evaluators
 	out  *xmlstream.Writer
 	opts Options
 	// env holds the variable bindings by slot; epoch[slot] changes
@@ -70,9 +71,13 @@ type Evaluator struct {
 	env   []*buffer.Node
 	epoch []uint64
 	// syms[id] is the symbol of the query's Names[id] in this run's symbol
-	// table, interned when the run starts (bind): every name test compares
-	// two integers.
+	// table, interned when the run starts (Start): every name test
+	// compares two integers.
 	syms []xmlstream.Sym
+	// stack holds the walkers of the running query, innermost last (see
+	// frame); ret is the answer of the condition evaluated last.
+	stack []frame
+	ret   bool
 	// cursors recycles cursors (one is consumed per for-loop, existence
 	// check, and value collection — the per-binding hot path).
 	cursors cursors
@@ -80,13 +85,12 @@ type Evaluator struct {
 	// c: a nested-loop join evaluates one comparison per PAIR of bindings,
 	// but the collected operand changes only when its own variable
 	// rebinds, so it is collected and classified once per binding and
-	// reused for every pair. The left side streams through compareStream
-	// and never materializes.
+	// reused for every pair. The left side streams (opStream) and never
+	// materializes.
 	sites []site
-	// cmpOp/cmpRHS/cmpSite carry the active comparison through
-	// compareStream's recursion without closures (closures would allocate
-	// on the join hot path). Comparisons never nest — a Compare condition
-	// has no sub-conditions — so one set of fields suffices.
+	// cmpOp/cmpRHS/cmpSite are the active comparison, read by every frame
+	// of its stream. Comparisons never nest — a Compare condition has no
+	// sub-conditions — so one set of fields suffices.
 	cmpOp   xqast.RelOp
 	cmpRHS  xqast.Operand
 	cmpSite int
@@ -97,28 +101,30 @@ type Evaluator struct {
 	keys  []atom
 	seed  maphash.Seed
 	// firstFlushed records that the first result byte has been pushed
-	// through the writer's batching toward the destination. Armed in pull
-	// rather than at write time so a run that fails on its very first
-	// input token still produces zero client-visible bytes.
+	// through the writer's batching toward the destination. Armed in
+	// Resume rather than at write time so a run that fails on its very
+	// first input token still produces zero client-visible bytes.
 	firstFlushed bool
-	// wait is what the evaluator asked for input on: the node whose next
-	// child, completion or schema fact it is blocked for, with that node's
-	// change stamp at the time of asking (see pull). A shared pass's
-	// scheduler reads both while the evaluator is parked in its feeder
-	// (CanProceed). nil after a descendant-axis wait, whose matches appear
-	// below nodes the evaluator cannot name, and between runs.
+	// wait is what the evaluator parked on: the node whose next child,
+	// completion or schema fact it waits for, with that node's change
+	// stamp at the time of parking (see park). A shared pass's scheduler
+	// reads both while the evaluator is parked (CanProceed). nil after a
+	// descendant-axis wait, whose matches appear below nodes the evaluator
+	// cannot name, and between runs. parked is set from a wait's first
+	// park until the wait ends: the resumes in between continue one
+	// blocking episode.
 	wait      *buffer.Node
 	waitStamp uint32
+	parked    bool
 	// work counts inner-loop operations for the deterministic work gates
 	// (read by tests only).
 	work work
 }
 
 // site is one comparison's collected operand: vals is complete for the
-// binding epoch it was collected under (collectValues blocks until the
-// operand's region is finished), so reuse within that binding cannot
-// change an answer. It holds text, never nodes — nothing here keeps a
-// buffer node linked or pinned.
+// binding epoch it was collected under once its collection has popped,
+// so reuse within that binding cannot change an answer. It holds text,
+// never nodes — nothing here keeps a buffer node linked or pinned.
 type site struct {
 	epoch uint64 // 0: nothing collected
 	vals  []atom
@@ -128,18 +134,19 @@ type site struct {
 type work struct {
 	compares    int64 // atom pairs compared
 	collections int64 // collected-operand sequences built
-	nameLookups int64 // string-keyed symbol table accesses (bind's interning)
-	waits       int64 // blocking episodes begun (a loop's first pull)
+	nameLookups int64 // string-keyed symbol table accesses (Start's interning)
+	waits       int64 // blocking episodes begun (a wait's first park)
 	entries     int64 // probe table entries built
 	probes      int64 // probe table lookups, one per probe value
 	tableBytes  int64 // probe table arrays built (entries and buckets): evaluator scratch, not buffer bytes
 	signOffs    int64 // signOff statements executed
 }
 
-// New creates an evaluator writing query output to out.
+// New creates an evaluator writing query output to out and pulling input
+// from feed (Run).
 func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *Evaluator {
 	return &Evaluator{buf: buf, feed: feed, out: out, opts: opts,
-		seed: maphash.MakeSeed()}
+		stack: make([]frame, 0, stackFrames), seed: maphash.MakeSeed()}
 }
 
 // siteValues is the room for operand values each comparison site, and
@@ -147,13 +154,17 @@ func New(buf *buffer.Buffer, feed Feeder, out *xmlstream.Writer, opts Options) *
 // operands have one value.
 const siteValues = 4
 
+// stackFrames is the frame stack each evaluator starts with: deeper than
+// a query over XMark nests with its subtree copies.
+const stackFrames = 32
+
 // NewEvaluators returns the evaluators of a pass over buf, evaluator i
-// reading through feeds[i], writing to outs[i] and sized for qs[i]. They
+// writing to outs[i] and sized for qs[i]; their scheduler feeds buf. They
 // are built in one allocation per kind — the evaluators, each of their
-// per-query tables, their operand scratch, their first cursor chunks —
-// not several each, so a cold pass costs what its members share, not
-// what each of them holds.
-func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, qs []*xqast.Query) []Evaluator {
+// per-query tables, their operand scratch, their frame stacks, their
+// first cursor chunks — not several each, so a cold pass costs what its
+// members share, not what each of them holds.
+func NewEvaluators(buf *buffer.Buffer, outs []xmlstream.Writer, qs []*xqast.Query) []Evaluator {
 	var slots, names, sites, joins int
 	for _, q := range qs {
 		slots += q.Slots
@@ -168,6 +179,7 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 	siteArr := make([]site, sites)
 	joinArr := make([]joinTable, joins)
 	vals := make([]atom, (sites+joins)*siteValues)
+	stacks := make([]frame, len(qs)*stackFrames)
 	curs := make([]cursor, len(qs)*cursorChunk)
 	chunks := make([][]cursor, len(qs))
 	carve := func() []atom {
@@ -184,10 +196,11 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 		if q.Joins > 0 {
 			keys = carve()
 		}
-		evs[i] = Evaluator{buf: buf, feed: feeds[i], out: &outs[i],
+		evs[i] = Evaluator{buf: buf, out: &outs[i],
 			env:     env[:0:q.Slots],
 			epoch:   epoch[:0:q.Slots],
 			syms:    syms[:0:len(q.Names)],
+			stack:   stacks[i*stackFrames : i*stackFrames : (i+1)*stackFrames],
 			sites:   siteArr[:0:q.Sites],
 			joins:   joinArr[:0:q.Joins],
 			keys:    keys,
@@ -201,7 +214,7 @@ func NewEvaluators(buf *buffer.Buffer, feeds []Feeder, outs []xmlstream.Writer, 
 
 // Reset prepares the evaluator for another run. opts are replaced
 // wholesale so a per-run hook (the tracer) does not leak across runs; the
-// per-query tables are emptied here and filled again by Run.
+// per-query tables are emptied here and filled again by Start.
 //
 //gcxlint:keep buf wired at construction; the owner resets the buffer separately
 //gcxlint:keep feed wired at construction; the owner resets the projector separately
@@ -214,44 +227,40 @@ func (e *Evaluator) Reset(opts Options) {
 	e.work = work{}
 	e.firstFlushed = false
 	e.cmpOp, e.cmpSite = 0, 0
-	// An errored run can abandon a comparison mid-stream; make sure the
-	// pooled evaluator retains no operand strings either way.
-	e.cmpRHS = xqast.Operand{}
-	e.waitStamp = 0
+	e.waitStamp, e.parked, e.ret = 0, false, false
+	clear(e.stack) // a run that panicked may have left frames
+	e.stack = e.stack[:0]
 	e.cursors.reset()
 	e.dropScratch()
 }
 
-// Run evaluates the resolved query q (xqast.Resolve) and flushes the
-// output writer. The buffer must already be reset: the root binding is
-// read from it.
+// Run evaluates the resolved query q (xqast.Resolve), pulling its feeder
+// whenever the evaluator parks, and flushes the output writer. The buffer
+// must already be reset: the root binding is read from it.
 func (e *Evaluator) Run(q *xqast.Query) error {
-	// The operand scratch holds views of buffered document text; drop them
-	// when the evaluation ends (normally, with an error, or by panic) so a
-	// pooled idle evaluator pins no document data.
-	defer e.dropScratch()
-	if err := e.bind(q); err != nil {
-		return err
-	}
-	// Not e.expr(q.Root): boxing the root constructor into an xqast.Expr
-	// would be the run's one avoidable allocation.
-	if err := e.element(q.Root); err != nil {
-		return err
-	}
-	return e.out.Flush()
-}
-
-// bind sizes the evaluator's tables for q (allocating only when q is
-// larger than anything run before) and resolves q's names against THIS
-// run's symbol table: the evaluator's one place a tag name is hashed. It
-// runs when the run starts, after the owner's reset; the table keeps
-// every name for as long as its run state lives, so interning the
-// vocabulary ahead of the document costs no allocation once the table
-// has seen it.
-func (e *Evaluator) bind(q *xqast.Query) error {
 	if q.Slots == 0 {
 		return &Error{Msg: "query is not resolved (xqast.Resolve)", Detail: q}
 	}
+	e.Start(q)
+	var fed error
+	for {
+		done, err := e.Resume(fed)
+		if done {
+			return err
+		}
+		_, fed = e.feed.Step()
+	}
+}
+
+// Start begins a run of the resolved query q (xqast.Resolve): the first
+// Resume evaluates it. The buffer must already be reset: the root binding
+// is read from it. Start sizes the evaluator's tables for q (allocating
+// only when q is larger than anything run before) and resolves q's names
+// against THIS run's symbol table: the evaluator's one place a tag name
+// is hashed. The table keeps every name for as long as its run state
+// lives, so interning the vocabulary ahead of the document costs no
+// allocation once the table has seen it.
+func (e *Evaluator) Start(q *xqast.Query) {
 	e.env = slices.Grow(e.env[:0], q.Slots)[:q.Slots]
 	e.epoch = slices.Grow(e.epoch[:0], q.Slots)[:q.Slots]
 	e.syms = slices.Grow(e.syms[:0], len(q.Names))[:len(q.Names)]
@@ -265,17 +274,80 @@ func (e *Evaluator) bind(q *xqast.Query) error {
 		e.syms[i] = e.buf.Syms().Intern(name)
 	}
 	e.work.nameLookups += int64(len(q.Names))
-	return nil
+	// Not e.call(q.Root): boxing the root constructor into an xqast.Expr
+	// would be the run's one avoidable allocation.
+	e.push(frame{op: opElem, x: q.Root.Child, s: q.Root.Name})
 }
 
-// dropScratch forgets the bindings and the wait, empties every site's
-// collected operand and the key scratch (see dropValues), and every probe
-// table.
+// Resume is the evaluator's step function, which Run and a pass's
+// scheduler drive: it runs the query until it is answered (done, with the
+// run's error) or the evaluator parks (done false; park recorded what it
+// waits on), and the driver feeds the buffer and resumes it with the
+// feed's error, fed, with which the evaluator then unwinds.
+//
+// A resume after a successful feed is the earliest-answering flush point:
+// once a result byte exists AND at least one input token has been
+// consumed, the byte is certain, so it is pushed through the writer's
+// batching (and the destination's, via ResultFlusher) instead of riding
+// the batch until end of run. Between tokens, the flush never lands
+// mid-tag; gated on a successful feed, it keeps a request that dies on
+// its very first token free of committed output (the server's clean-4xx
+// path depends on that).
+func (e *Evaluator) Resume(fed error) (done bool, err error) {
+	if fed != nil {
+		return true, e.unwind(fed)
+	}
+	if e.parked && !e.firstFlushed && e.out.FirstByteAt() != 0 {
+		e.firstFlushed = true
+		e.out.FlushFirst()
+	}
+	for len(e.stack) > 0 {
+		ok, err := e.exec(&e.stack[len(e.stack)-1])
+		if err != nil {
+			return true, e.unwind(err)
+		}
+		if !ok {
+			return false, nil
+		}
+	}
+	err = e.out.Flush()
+	// The operand scratch holds views of buffered document text; drop
+	// them when the evaluation ends so a pooled idle evaluator pins no
+	// document data.
+	e.dropScratch()
+	return true, err
+}
+
+// unwind ends a failed run: it closes the frame stack innermost first,
+// as the recursive walkers' deferred closes did — each frame's cursor
+// releases its pin, a join loop its binding's — and drops the scratch.
+//
+//gcxlint:noalloc
+func (e *Evaluator) unwind(err error) error {
+	for i := len(e.stack) - 1; i >= 0; i-- {
+		f := &e.stack[i]
+		if f.cur != nil {
+			f.cur.close()
+		}
+		if f.op == opJoin && f.n != nil {
+			e.buf.Unpin(f.n)
+		}
+		*f = frame{}
+	}
+	e.stack = e.stack[:0]
+	e.dropScratch()
+	return err
+}
+
+// dropScratch forgets the bindings, the wait and the active comparison's
+// operand strings, empties every site's collected operand and the key
+// scratch (see dropValues), and every probe table.
 //
 //gcxlint:noalloc
 func (e *Evaluator) dropScratch() {
 	clear(e.env)
 	e.wait = nil
+	e.cmpRHS = xqast.Operand{}
 	for i := range e.sites {
 		s := &e.sites[i]
 		s.vals = dropValues(s.vals)
@@ -297,13 +369,17 @@ func dropValues(v []atom) []atom {
 	return v[:0]
 }
 
-// Retained reports the bytes Reset keeps of what runs grew: cursor
-// chunks beyond the first, operand scratch beyond its carved siteValues,
-// and probe tables. The tables bind sizes for the query do not count.
+// Retained reports the bytes Reset keeps of what runs grew: a frame stack
+// grown past its carved stackFrames, cursor chunks beyond the first,
+// operand scratch beyond its carved siteValues, and probe tables. The
+// tables Start sizes for the query do not count.
 //
 //gcxlint:noalloc
 func (e *Evaluator) Retained() int64 {
 	n := int64(max(len(e.cursors.chunks)-1, 0)) * cursorChunk * int64(unsafe.Sizeof(cursor{}))
+	if cap(e.stack) > stackFrames {
+		n += int64(cap(e.stack)) * int64(unsafe.Sizeof(frame{}))
+	}
 	for _, s := range e.sites[:cap(e.sites)] {
 		n += valuesBytes(s.vals)
 	}
@@ -324,56 +400,31 @@ func valuesBytes(v []atom) int64 {
 	return int64(cap(v)) * int64(unsafe.Sizeof(atom{}))
 }
 
-// pull drives the projector by one Step. It returns false when the input
-// is exhausted. on is the node the caller's loop is blocked on — every
-// blocking site is a "for !cond { pull }" loop whose condition reads one
-// node — or nil when no single node decides it; first marks the loop's
-// first pull. Both are recorded BEFORE the feeder is asked: in a shared
-// pass Step parks this goroutine, and the scheduler decides from the
-// record whether waking it can change anything (CanProceed).
-//
-// pull is also the earliest-answering flush point: once a result byte
-// exists AND at least one input token has been consumed successfully, the
-// byte is certain — nothing upstream can retract it — so it is pushed
-// through the writer's batching (and the destination's, via
-// ResultFlusher) instead of riding the batch until end of run. Doing
-// this between tokens means the flush never lands mid-tag, and gating it
-// on a successful Step keeps a request that dies on its very first token
-// free of committed output (the server's clean-4xx path depends on that).
+// park records what the evaluator waits on before it returns for input:
+// the node whose state the waiting site reads, or nil when no single node
+// decides it (CanProceed reads the record). A wait's first park begins a
+// blocking episode; the site clears parked when its wait ends.
 //
 //gcxlint:noalloc
-func (e *Evaluator) pull(on *buffer.Node, first bool) (bool, error) {
+func (e *Evaluator) park(on *buffer.Node) {
 	e.wait = on
 	if on != nil {
 		e.waitStamp = on.Stamp()
 	}
-	if first {
+	if !e.parked {
+		e.parked = true
 		e.work.waits++
 	}
-	more, err := e.feed.Step()
-	if err != nil {
-		return false, err
-	}
-	if !e.firstFlushed && e.out.FirstByteAt() != 0 {
-		e.firstFlushed = true
-		e.out.FlushFirst()
-	}
-	return more, nil
 }
 
-// CanProceed reports whether an evaluator parked in its feeder's Step
-// could do anything if it were resumed: what it waits on changed, it
-// waits on nothing the scheduler can watch, or its first result byte is
-// still waiting for pull's FlushFirst (earliest answering must not be
-// delayed by a round).
-// False means a resume would re-evaluate the same loop condition over the
-// same node state, find it false, and park again — nothing written,
-// nothing signed off. The caller resumes regardless at end of input and
-// on a stream error, which the evaluator learns from Step's result, not
-// from the buffer.
-//
-// It reads fields the evaluator's goroutine wrote before parking; the
-// scheduler's baton orders those writes before this read.
+// CanProceed reports whether a parked evaluator could do anything if it
+// were resumed: what it waits on changed, it waits on nothing the
+// scheduler can watch, or its first result byte is still waiting for
+// Resume's FlushFirst (earliest answering must not be delayed by a round).
+// False means a resume would re-evaluate the same wait over the same node
+// state, find it unmet, and park again — nothing written, nothing signed
+// off. The caller resumes regardless at end of input and on a stream
+// error.
 //
 //gcxlint:noalloc
 func (e *Evaluator) CanProceed() bool {
@@ -389,8 +440,8 @@ func (e *Evaluator) SignOffs() int64 { return e.work.signOffs }
 // value: the wait record CanProceed decides from, the work counters
 // (blocking episodes begun and signOffs executed among them), the output
 // produced, and the shared buffer's accounting. A resume that was a
-// no-op leaves it equal; the engine's wake-rule audit checks exactly
-// that, and nothing else reads it.
+// no-op leaves it equal; the engine's wake-rule audit and its driver
+// differential check exactly that, and nothing else reads it.
 type Progress struct {
 	On           *buffer.Node
 	Stamp        uint32
@@ -412,93 +463,6 @@ func (e *Evaluator) Progress() Progress {
 	}
 }
 
-// waitFinished blocks until n's closing tag has been read.
-//
-//gcxlint:noalloc
-func (e *Evaluator) waitFinished(n *buffer.Node) error {
-	for first := true; !n.Finished(); first = false {
-		if _, err := e.pull(n, first); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// expr evaluates one expression.
-//
-//gcxlint:allocok the dispatcher reaches output serialization and the unsupported-node error; the per-binding paths it leads to (forLoop, compare, cursors) carry their own noalloc
-func (e *Evaluator) expr(x xqast.Expr) error {
-	switch x := x.(type) {
-	case nil, xqast.Empty:
-		return nil
-	case xqast.Sequence:
-		for _, item := range x.Items {
-			if err := e.expr(item); err != nil {
-				return err
-			}
-		}
-		return nil
-	case xqast.Element:
-		return e.element(x)
-	case xqast.Text:
-		e.out.Text(x.Data)
-		return e.out.Err()
-	case xqast.CondTag:
-		ok, err := e.cond(x.Cond)
-		if err != nil {
-			return err
-		}
-		if ok {
-			if x.Open {
-				e.out.StartElement(x.Name)
-			} else {
-				e.out.EndElement(x.Name)
-			}
-		}
-		return e.out.Err()
-	case xqast.VarRef:
-		return e.serialize(e.env[x.Slot])
-	case xqast.PathExpr:
-		return e.outputPath(x.Path)
-	case xqast.For:
-		return e.forLoop(x)
-	case xqast.If:
-		ok, err := e.cond(x.Cond)
-		if err != nil {
-			return err
-		}
-		if ok {
-			return e.expr(x.Then)
-		}
-		return e.expr(x.Else)
-	case xqast.SignOff:
-		if !e.opts.ExecuteSignOffs {
-			return nil
-		}
-		binding := e.env[x.Path.Slot]
-		if err := e.buf.SignOff(binding, x.Path.Steps, e.syms, x.Role+e.opts.RoleOffset); err != nil {
-			return err
-		}
-		e.work.signOffs++
-		if e.opts.OnSignOff != nil {
-			e.opts.OnSignOff(x)
-		}
-		return nil
-	default:
-		return errUnsupported(x)
-	}
-}
-
-// element evaluates an element constructor.
-func (e *Evaluator) element(x xqast.Element) error {
-	e.out.StartElement(x.Name)
-	if err := e.expr(x.Child); err != nil {
-		return err
-	}
-	e.out.EndElement(x.Name)
-	return e.out.Err()
-}
-
 func errUnsupported(x interface{}) error {
 	return &Error{Msg: "unsupported expression in evaluator", Detail: x}
 }
@@ -511,58 +475,256 @@ type Error struct {
 
 func (e *Error) Error() string { return "eval: " + e.Msg }
 
+// --- the walkers ---
+
+// frame is one walker of the running query, kept on the evaluator's
+// stack instead of Go's so that it can park by returning: op names the
+// walker, pc where it resumes. Frames point into the resolved query; which
+// of the other fields a frame uses depends on its op.
+type frame struct {
+	op op
+	pc uint8
+	i  int32 // a sequence's next item, a join loop's next hit
+	// x is the frame's query node (a Sequence, For, If, CondTag or
+	// condition), or an element constructor's content.
+	x any
+	// n is the node opSerialize copies (prev: its child copied last), the
+	// leaf of an opStream or opCollect frame, a join loop's pinned hit, or
+	// the binding whose keys opBuild collects.
+	n, prev *buffer.Node
+	// cur iterates steps[0]; its matches are walked on with steps[1:].
+	cur   *cursor
+	steps []xqast.Step
+	dst   *[]atom // where opCollect appends values
+	// s is the name opElem or opSerialize writes, or the string value an
+	// opStream leaf compares.
+	s string
+}
+
+type op uint8
+
+const (
+	opElem      op = iota // element constructor (element)
+	opSeq                 // sequence: its items in order
+	opIf                  // if: the branch the condition picks
+	opCondTag             // conditional tag: written if the condition holds
+	opFor                 // for-loop (forLoop): the body once per binding
+	opJoin                // join loop answered from its probe table (joinLoop)
+	opBuild               // probe table build (buildTable)
+	opOutput              // path output
+	opSerialize           // subtree copy (serialize)
+	opCond                // not, and, or
+	opExists              // existence check (exists, search)
+	opStream              // a comparison's streamed operand (search)
+	opCollect             // value collection (collectValues)
+)
+
+//gcxlint:noalloc
+func (e *Evaluator) push(f frame) {
+	e.stack = append(e.stack, f) //gcxlint:allocok stack growth to the query's nesting and the copied subtree's depth; the pass decides whether an idle state keeps it
+}
+
+// pop drops the top frame, zeroed so that an idle stack pins nothing.
+//
+//gcxlint:noalloc
+func (e *Evaluator) pop() {
+	e.stack[len(e.stack)-1] = frame{}
+	e.stack = e.stack[:len(e.stack)-1]
+}
+
+// exec runs the top frame f until it pushes a frame, pops, or must wait
+// for input (false: it has parked). Once it has pushed or popped, f is
+// no longer the top frame and may have moved: each case returns at once.
+//
+//gcxlint:allocok the dispatcher reaches output serialization and the unsupported-node error; the per-binding paths it leads to (forLoop, compare, cursors) carry their own noalloc
+func (e *Evaluator) exec(f *frame) (bool, error) {
+	switch f.op {
+	case opElem:
+		if f.pc == 0 {
+			e.out.StartElement(f.s)
+			f.pc = 1
+			x, _ := f.x.(xqast.Expr) // nil: an empty constructor
+			return true, e.call(x)
+		}
+		e.out.EndElement(f.s)
+		e.pop()
+		return true, e.out.Err()
+	case opSeq:
+		items := f.x.(xqast.Sequence).Items
+		if int(f.i) == len(items) {
+			e.pop()
+			return true, nil
+		}
+		f.i++
+		return true, e.call(items[f.i-1])
+	case opIf:
+		x := f.x.(xqast.If)
+		e.pop()
+		if e.ret {
+			return true, e.call(x.Then)
+		}
+		return true, e.call(x.Else)
+	case opCondTag:
+		x := f.x.(xqast.CondTag)
+		e.pop()
+		if e.ret && x.Open {
+			e.out.StartElement(x.Name)
+		} else if e.ret {
+			e.out.EndElement(x.Name)
+		}
+		return true, e.out.Err()
+	case opFor:
+		x := f.x.(xqast.For)
+		e.env[x.Slot] = nil
+		n, ok := e.next(f)
+		if n == nil {
+			return ok, nil
+		}
+		e.env[x.Slot] = n
+		e.epoch[x.Slot]++
+		return true, e.call(x.Return)
+	case opJoin:
+		return e.joinLoop(f)
+	case opBuild:
+		return e.buildTable(f)
+	case opOutput:
+		n, ok := e.next(f)
+		if n == nil {
+			return ok, nil
+		}
+		return true, e.serialize(n)
+	case opSerialize:
+		// The next child, or the end of a finished node. No signOffs run
+		// during serialization, so the links are stable.
+		for {
+			c := f.n.FirstChild
+			if f.prev != nil {
+				c = f.prev.NextSib
+			}
+			if c == nil && !f.n.Finished() {
+				e.park(f.n)
+				return false, nil
+			}
+			e.parked = false
+			if c == nil {
+				break
+			}
+			f.prev = c
+			if err := e.serialize(c); err != nil || c.Kind != buffer.KindText {
+				return true, err
+			}
+		}
+		// The virtual root has no tags: outputting $root copies the
+		// entire document.
+		element := f.n.Kind == buffer.KindElement
+		if element {
+			e.out.EndElement(f.s)
+		}
+		e.pop()
+		if element {
+			return true, e.out.Err()
+		}
+		return true, nil
+	case opCond:
+		c := f.x
+		e.pop()
+		switch c := c.(type) {
+		case xqast.Not:
+			e.ret = !e.ret
+		case xqast.And:
+			if e.ret {
+				return true, e.test(c.R)
+			}
+		case xqast.Or:
+			if !e.ret {
+				return true, e.test(c.R)
+			}
+		}
+		return true, nil
+	case opExists, opStream:
+		return e.search(f)
+	case opCollect:
+		return e.collectValues(f)
+	}
+	return true, errUnsupported(f.x)
+}
+
+// next advances frame f's cursor: the next match, or nil once f is
+// exhausted — f is then popped — or while the match is not buffered
+// (false: the evaluator has parked).
+//
+//gcxlint:noalloc
+func (e *Evaluator) next(f *frame) (*buffer.Node, bool) {
+	n, ok := f.cur.next()
+	if ok && n == nil {
+		e.pop()
+	}
+	return n, ok
+}
+
+// call evaluates x: at once when it cannot wait for input, else by
+// pushing its frame.
+//
+//gcxlint:allocok the dispatcher reaches output serialization and the unsupported-node error; the per-binding paths it leads to (forLoop, compare, cursors) carry their own noalloc
+func (e *Evaluator) call(x xqast.Expr) error {
+	switch v := x.(type) {
+	case nil, xqast.Empty:
+	case xqast.Sequence:
+		e.push(frame{op: opSeq, x: x})
+	case xqast.Element:
+		e.push(frame{op: opElem, x: v.Child, s: v.Name})
+	case xqast.Text:
+		e.out.Text(v.Data)
+		return e.out.Err()
+	case xqast.CondTag:
+		e.push(frame{op: opCondTag, x: x})
+		return e.test(v.Cond)
+	case xqast.VarRef:
+		return e.serialize(e.env[v.Slot])
+	case xqast.PathExpr:
+		// Path output copies every match with its subtree, in document
+		// order (used when early updates are disabled).
+		e.push(frame{op: opOutput, cur: newCursor(e, e.env[v.Path.Slot], v.Path.Steps[0])})
+	case xqast.For:
+		e.forLoop(x, v)
+	case xqast.If:
+		e.push(frame{op: opIf, x: x})
+		return e.test(v.Cond)
+	case xqast.SignOff:
+		if !e.opts.ExecuteSignOffs {
+			return nil
+		}
+		binding := e.env[v.Path.Slot]
+		if err := e.buf.SignOff(binding, v.Path.Steps, e.syms, v.Role+e.opts.RoleOffset); err != nil {
+			return err
+		}
+		e.work.signOffs++
+		if e.opts.OnSignOff != nil {
+			e.opts.OnSignOff(v)
+		}
+	default:
+		return errUnsupported(x)
+	}
+	return nil
+}
+
 // forLoop iterates the binding sequence of a for-loop strictly
 // sequentially, evaluating the body (including its trailing signOff batch)
 // once per binding. Each binding opens a new epoch of the loop's slot:
 // operand values collected below the previous binding are stale from here.
+// A join loop whose probe table can answer runs from the table instead.
 //
 //gcxlint:noalloc
-func (e *Evaluator) forLoop(f xqast.For) error {
-	if f.Join != nil {
-		if done, err := e.joinLoop(f); done || err != nil {
-			return err
-		}
+func (e *Evaluator) forLoop(x xqast.Expr, f xqast.For) {
+	if f.Join != nil && e.tableReady(f) {
+		e.push(frame{op: opJoin, x: x})
+		return
 	}
-	cur := newCursor(e, e.env[f.In.Slot], f.In.Steps[0])
-	defer cur.close()
-	for {
-		n, err := cur.next()
-		if err != nil {
-			return err
-		}
-		if n == nil {
-			return nil
-		}
-		e.env[f.Slot] = n
-		e.epoch[f.Slot]++
-		if err := e.expr(f.Return); err != nil {
-			return err
-		}
-		e.env[f.Slot] = nil
-	}
-}
-
-// outputPath copies all matches of a single-step path to the output in
-// document order (used when early updates are disabled).
-func (e *Evaluator) outputPath(p xqast.Path) error {
-	cur := newCursor(e, e.env[p.Slot], p.Steps[0])
-	defer cur.close()
-	for {
-		n, err := cur.next()
-		if err != nil {
-			return err
-		}
-		if n == nil {
-			return nil
-		}
-		if err := e.serialize(n); err != nil {
-			return err
-		}
-	}
+	e.push(frame{op: opFor, x: x, cur: newCursor(e, e.env[f.In.Slot], f.In.Steps[0])})
 }
 
 // serialize copies a buffered node (with its complete subtree) to the
-// output, blocking for input while the subtree is unfinished. The subtree
+// output, waiting for input while the subtree is unfinished. The subtree
 // is guaranteed to be fully buffered by the output dependencies of the
 // static analysis.
 func (e *Evaluator) serialize(n *buffer.Node) error {
@@ -573,97 +735,43 @@ func (e *Evaluator) serialize(n *buffer.Node) error {
 	case buffer.KindElement:
 		name := e.buf.Syms().Name(n.Sym)
 		e.out.StartElement(name)
-		var prev *buffer.Node
-		for {
-			c, err := e.nextChildBlocking(n, prev)
-			if err != nil {
-				return err
-			}
-			if c == nil {
-				break
-			}
-			if err := e.serialize(c); err != nil {
-				return err
-			}
-			prev = c
-		}
-		e.out.EndElement(name)
-		return e.out.Err()
+		e.push(frame{op: opSerialize, n: n, s: name})
 	default:
-		// The virtual root: outputting $root copies the entire document.
-		var prev *buffer.Node
-		for {
-			c, err := e.nextChildBlocking(n, prev)
-			if err != nil {
-				return err
-			}
-			if c == nil {
-				return nil
-			}
-			if err := e.serialize(c); err != nil {
-				return err
-			}
-			prev = c
-		}
+		e.push(frame{op: opSerialize, n: n})
 	}
-}
-
-// nextChildBlocking returns the child of parent following prev (or the
-// first child if prev is nil), pulling input until one appears or parent
-// finishes. During serialization no signOffs run, so links are stable.
-//
-//gcxlint:noalloc
-func (e *Evaluator) nextChildBlocking(parent, prev *buffer.Node) (*buffer.Node, error) {
-	for first := true; ; first = false {
-		var c *buffer.Node
-		if prev == nil {
-			c = parent.FirstChild
-		} else {
-			c = prev.NextSib
-		}
-		if c != nil {
-			return c, nil
-		}
-		if parent.Finished() {
-			return nil, nil
-		}
-		if _, err := e.pull(parent, first); err != nil {
-			return nil, err
-		}
-	}
+	return nil
 }
 
 // --- conditions ---
 
-func (e *Evaluator) cond(c xqast.Cond) (bool, error) {
-	switch c := c.(type) {
+// test evaluates condition c into e.ret: at once when it cannot wait for
+// input, else by pushing its frame.
+//
+//gcxlint:allocok reaches the unsupported-condition error only
+func (e *Evaluator) test(c xqast.Cond) error {
+	switch v := c.(type) {
 	case xqast.TrueCond:
-		return true, nil
+		e.ret = true
 	case xqast.Not:
-		v, err := e.cond(c.C)
-		return !v, err
+		e.push(frame{op: opCond, x: c})
+		return e.test(v.C)
 	case xqast.And:
-		l, err := e.cond(c.L)
-		if err != nil || !l {
-			return false, err
-		}
-		return e.cond(c.R)
+		e.push(frame{op: opCond, x: c})
+		return e.test(v.L)
 	case xqast.Or:
-		l, err := e.cond(c.L)
-		if err != nil || l {
-			return l, err
-		}
-		return e.cond(c.R)
+		e.push(frame{op: opCond, x: c})
+		return e.test(v.L)
 	case xqast.Exists:
-		return e.exists(e.env[c.Path.Slot], c.Path.Steps)
+		e.exists(e.env[v.Path.Slot], v.Path.Steps)
 	case xqast.Compare:
-		return e.compare(c)
+		e.compare(v)
 	default:
-		return false, &Error{Msg: "unsupported condition", Detail: c}
+		return &Error{Msg: "unsupported condition", Detail: c}
 	}
+	return nil
 }
 
-// exists searches for a witness of path steps below n, blocking until one
+// exists searches for a witness of path steps below n, waiting until one
 // is found or the relevant region is finished. The projection guarantees
 // the first witness per context is buffered (the [1] predicate).
 //
@@ -673,30 +781,20 @@ func (e *Evaluator) cond(c xqast.Cond) (bool, error) {
 // witness event is waited for and no input is pulled toward one. The
 // DTD only changes WHEN the answer is known, never what it is, so output
 // bytes are untouched.
-func (e *Evaluator) exists(n *buffer.Node, steps []xqast.Step) (bool, error) {
+//
+//gcxlint:noalloc
+func (e *Evaluator) exists(n *buffer.Node, steps []xqast.Step) {
 	if len(steps) == 0 {
-		return true, nil
+		e.ret = true
+		return
 	}
 	switch e.schemaDecides(n, steps) {
 	case proven:
-		return true, nil
+		e.ret = true
 	case refuted:
-		return false, nil
-	}
-	cur := newCursor(e, n, steps[0])
-	defer cur.close()
-	for {
-		m, err := cur.next()
-		if err != nil {
-			return false, err
-		}
-		if m == nil {
-			return false, nil
-		}
-		ok, err := e.exists(m, steps[1:])
-		if err != nil || ok {
-			return ok, err
-		}
+		e.ret = false
+	default:
+		e.push(frame{op: opExists, steps: steps, cur: newCursor(e, n, steps[0])})
 	}
 }
 
@@ -760,7 +858,7 @@ func (e *Evaluator) schemaDecides(n *buffer.Node, steps []xqast.Step) verdict {
 // operator so the streaming side is always the path.
 //
 //gcxlint:noalloc
-func (e *Evaluator) compare(c xqast.Compare) (bool, error) {
+func (e *Evaluator) compare(c xqast.Compare) {
 	lhs, op, rhs := c.LHS, c.Op, c.RHS
 	if lhs.IsLiteral && !rhs.IsLiteral {
 		lhs, rhs = rhs, lhs
@@ -769,54 +867,75 @@ func (e *Evaluator) compare(c xqast.Compare) (bool, error) {
 	if lhs.IsLiteral {
 		// Both sides literal (not produced by the normalizer, but cheap to
 		// answer exactly).
-		return compareValues(lhs.Lit, op, rhs.Lit), nil
+		e.ret = compareValues(lhs.Lit, op, rhs.Lit)
+		return
 	}
 	e.cmpOp, e.cmpRHS, e.cmpSite = op, rhs, c.Site
-	ok, err := e.compareStream(e.env[lhs.Path.Slot], lhs.Path.Steps)
-	e.cmpRHS = xqast.Operand{} // do not retain operand strings in the pooled evaluator
-	return ok, err
+	e.stream(opStream, e.env[lhs.Path.Slot], lhs.Path.Steps, nil)
 }
 
-// compareStream walks the streamed operand's match set in document order
-// and reports whether any value satisfies the active comparison,
-// returning at the first hit. State lives on the evaluator (not in
-// closures): compare runs once per binding pair in a nested-loop join.
+// stream pushes the walk of steps below n for a comparison's streamed
+// operand (opStream, see search) or collectValues (opCollect, appending
+// to dst): a frame with a cursor over steps[0], or, once the steps are
+// used up, the leaf n.
 //
 //gcxlint:noalloc
-func (e *Evaluator) compareStream(n *buffer.Node, steps []xqast.Step) (bool, error) {
-	if len(steps) == 0 {
-		v, err := e.stringValue(n)
-		if err != nil {
-			return false, err
-		}
-		vals, err := e.operandValues()
-		if err != nil {
-			return false, err
-		}
-		l := classify(v)
-		for i := range vals {
-			e.work.compares++
-			if compareAtoms(l, e.cmpOp, vals[i]) {
+func (e *Evaluator) stream(o op, n *buffer.Node, steps []xqast.Step, dst *[]atom) {
+	f := frame{op: o, n: n, steps: steps, dst: dst}
+	if len(steps) > 0 {
+		f.n, f.cur = nil, newCursor(e, n, steps[0])
+	}
+	e.push(f)
+}
+
+// search walks the matches of an existence check (exists) or of a
+// comparison's streamed operand in document order, and
+// reports in e.ret whether any of them leads to a witness, stopping at
+// the first. A comparison's leaf, its steps used up, waits for its string
+// value, then for the collected operand (operand), and compares.
+//
+//gcxlint:noalloc
+func (e *Evaluator) search(f *frame) (bool, error) {
+	if f.cur == nil {
+		if f.pc == 0 {
+			v, ok := e.stringValue(f.n)
+			if !ok {
+				return false, nil
+			}
+			f.s, f.pc = v, 1
+			if !e.operand() {
 				return true, nil
 			}
 		}
-		return false, nil
+		l, vals := classify(f.s), e.sites[e.cmpSite].vals
+		e.ret = false
+		for i := range vals {
+			e.work.compares++
+			if compareAtoms(l, e.cmpOp, vals[i]) {
+				e.ret = true
+				break
+			}
+		}
+		e.pop()
+		return true, nil
 	}
-	cur := newCursor(e, n, steps[0])
-	defer cur.close()
-	for {
-		m, err := cur.next()
-		if err != nil {
-			return false, err
-		}
-		if m == nil {
-			return false, nil
-		}
-		ok, err := e.compareStream(m, steps[1:])
-		if err != nil || ok {
-			return ok, err
-		}
+	if f.pc == 1 && e.ret {
+		f.cur.close()
+		e.pop()
+		return true, nil
 	}
+	f.pc, e.ret = 0, false
+	m, ok := e.next(f)
+	if m == nil {
+		return ok, nil
+	}
+	f.pc = 1
+	if f.op == opExists {
+		e.exists(m, f.steps[1:])
+	} else {
+		e.stream(opStream, m, f.steps[1:], nil)
+	}
+	return true, nil
 }
 
 // mirrorOp returns the operator with its operands exchanged:
@@ -838,80 +957,76 @@ func mirrorOp(op xqast.RelOp) xqast.RelOp {
 	}
 }
 
-// operandValues returns the classified value sequence of the active
-// comparison's collected operand, collecting it only if the operand's
-// variable was rebound since the site last did (a literal hangs off slot
-// 0, the root, which never rebinds: it is classified once per run). The
-// site's epoch is stamped after a complete collection only, so an error
-// mid-collection leaves nothing reusable behind.
+// operand makes the active comparison's collected operand current and
+// reports whether it already is. It is collected only if the operand's
+// variable was rebound since the site last was (a literal hangs off slot
+// 0, the root, which never rebinds: it is classified once per run); the
+// collection is pushed, and the site stamped with the binding's epoch at
+// once — nothing reads the site before the collection pops, and a run
+// whose collection fails drops every site.
 //
 //gcxlint:noalloc
-func (e *Evaluator) operandValues() ([]atom, error) {
+func (e *Evaluator) operand() bool {
 	s := &e.sites[e.cmpSite]
 	o := &e.cmpRHS
 	if now := e.epoch[o.Path.Slot]; s.epoch != now {
 		e.work.collections++
-		var err error
-		if o.IsLiteral {
-			s.vals = append(s.vals[:0], classify(o.Lit))
-		} else {
-			s.vals, err = e.collectValues(e.env[o.Path.Slot], o.Path.Steps, s.vals[:0])
+		s.epoch, s.vals = now, s.vals[:0]
+		if !o.IsLiteral {
+			e.stream(opCollect, e.env[o.Path.Slot], o.Path.Steps, &s.vals)
+			return false
 		}
-		if err != nil {
-			return nil, err
-		}
-		s.epoch = now
+		s.vals = append(s.vals, classify(o.Lit))
 	}
-	return s.vals, nil
+	return true
 }
 
-//gcxlint:noalloc
-func (e *Evaluator) collectValues(n *buffer.Node, steps []xqast.Step, out []atom) ([]atom, error) {
-	if len(steps) == 0 {
-		v, err := e.stringValue(n)
-		if err != nil {
-			return out, err
-		}
-		return append(out, classify(v)), nil
-	}
-	cur := newCursor(e, n, steps[0])
-	defer cur.close()
-	for {
-		m, err := cur.next()
-		if err != nil {
-			return out, err
-		}
-		if m == nil {
-			return out, nil
-		}
-		if out, err = e.collectValues(m, steps[1:], out); err != nil {
-			return out, err
-		}
-	}
-}
-
-// stringValue computes the concatenated text content of a node, blocking
-// until the subtree is complete (comparison dependencies buffer whole
-// subtrees, so all text is present).
+// collectValues appends the classified string value of every match of
+// the frame's steps, in document order, to its dst.
 //
 //gcxlint:noalloc
-func (e *Evaluator) stringValue(n *buffer.Node) (string, error) {
+func (e *Evaluator) collectValues(f *frame) (bool, error) {
+	if f.cur == nil {
+		v, ok := e.stringValue(f.n)
+		if !ok {
+			return false, nil
+		}
+		*f.dst = append(*f.dst, classify(v))
+		e.pop()
+		return true, nil
+	}
+	m, ok := e.next(f)
+	if m == nil {
+		return ok, nil
+	}
+	e.stream(opCollect, m, f.steps[1:], f.dst)
+	return true, nil
+}
+
+// stringValue computes the concatenated text content of a node; false
+// when it has to wait for the subtree to finish (comparison dependencies
+// buffer whole subtrees, so all text is then present).
+//
+//gcxlint:noalloc
+func (e *Evaluator) stringValue(n *buffer.Node) (string, bool) {
 	if n.Kind == buffer.KindText {
-		return n.Text, nil
+		return n.Text, true
 	}
-	if err := e.waitFinished(n); err != nil {
-		return "", err
+	if !n.Finished() {
+		e.park(n)
+		return "", false
 	}
+	e.parked = false
 	// Leaf elements with a single text child — the overwhelmingly common
 	// shape of comparison operands (<price>10</price>) — need no
 	// concatenation. Join conditions evaluate one comparison per pair of
 	// bindings, so this path must not allocate.
 	if c := n.FirstChild; c == nil {
-		return "", nil
+		return "", true
 	} else if c.Kind == buffer.KindText && c.NextSib == nil {
-		return c.Text, nil
+		return c.Text, true
 	}
-	return concatText(n), nil
+	return concatText(n), true
 }
 
 // concatText joins the text nodes below n in document order.

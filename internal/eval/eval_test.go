@@ -30,6 +30,55 @@ func (f *scriptFeeder) Step() (bool, error) {
 	return true, nil
 }
 
+// The evaluator's two drivers, as test helpers: runFeed feeds one Step per
+// park, as Run does; wakeFeed feeds until the evaluator's wait was touched
+// or the input ended, as a pass's scheduler does (CanProceed, its wake
+// rule). Each scriptFeeder test below runs under both.
+var drivers = []struct {
+	name string
+	feed func(e *Evaluator, f Feeder) error
+}{
+	{"run", func(_ *Evaluator, f Feeder) error {
+		_, err := f.Step()
+		return err
+	}},
+	{"wake", func(e *Evaluator, f Feeder) error {
+		for {
+			more, err := f.Step()
+			if err != nil || !more || e.CanProceed() {
+				return err
+			}
+		}
+	}},
+}
+
+// drive calls try, a walker step that reports false while it is parked,
+// until it succeeds, feeding through feed between the tries.
+func drive(e *Evaluator, f Feeder, feed func(*Evaluator, Feeder) error, try func() bool) error {
+	for !try() {
+		if err := feed(e, f); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// iterate drains cur under the given driver.
+func iterate(e *Evaluator, f Feeder, feed func(*Evaluator, Feeder) error, cur *cursor) ([]*buffer.Node, error) {
+	var got []*buffer.Node
+	for {
+		var n *buffer.Node
+		err := drive(e, f, feed, func() (ok bool) {
+			n, ok = cur.next()
+			return ok
+		})
+		if err != nil || n == nil {
+			return got, err
+		}
+		got = append(got, n)
+	}
+}
+
 func setup() (*buffer.Buffer, *xmlstream.SymTab) {
 	syms := xmlstream.NewSymTab()
 	return buffer.New(syms, 4, []bool{false, false, false, false, false}), syms
@@ -49,35 +98,37 @@ func child(e *Evaluator, name string) xqast.Step {
 }
 
 func TestCursorChildIterationBlocking(t *testing.T) {
-	buf, syms := setup()
-	root := buf.Root()
-	r := buf.AppendElement(root, syms.Intern("r"))
+	for _, d := range drivers {
+		buf, syms := setup()
+		root := buf.Root()
+		r := buf.AppendElement(root, syms.Intern("r"))
 
-	// The feeder appends two matching children and one non-matching one,
-	// then finishes r.
-	feed := &scriptFeeder{steps: []func(){
-		func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("a")), 1)) },
-		func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("x")), 2)) },
-		func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("a")), 1)) },
-		func() { buf.Finish(r) },
-	}}
-	e := evaluator(buf, feed)
-	cur := newCursor(e, r, child(e, "a"))
-	defer cur.close()
-
-	var names []string
-	for {
-		n, err := cur.next()
+		// The feeder appends two matching children and one non-matching
+		// one, then finishes r.
+		feed := &scriptFeeder{steps: []func(){
+			func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("a")), 1)) },
+			func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("x")), 2)) },
+			func() { buf.Finish(withRole(buf, buf.AppendElement(r, syms.Intern("a")), 1)) },
+			func() { buf.Finish(r) },
+		}}
+		e := evaluator(buf, feed)
+		cur := newCursor(e, r, child(e, "a"))
+		got, err := iterate(e, feed, d.feed, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if n == nil {
-			break
+		var names []string
+		for _, n := range got {
+			names = append(names, buf.Syms().Name(n.Sym))
 		}
-		names = append(names, buf.Syms().Name(n.Sym))
-	}
-	if len(names) != 2 || names[0] != "a" || names[1] != "a" {
-		t.Fatalf("iterated %v", names)
+		if len(names) != 2 || names[0] != "a" || names[1] != "a" {
+			t.Fatalf("%s: iterated %v", d.name, names)
+		}
+		// Three blocking episodes: before the first a, before the second
+		// (the x in between does not end the wait) and before r finishes.
+		if e.work.waits != 3 {
+			t.Errorf("%s: %d blocking episodes, want 3", d.name, e.work.waits)
+		}
 	}
 }
 
@@ -97,9 +148,9 @@ func TestCursorPinsSurviveSignOff(t *testing.T) {
 
 	e := evaluator(buf, &scriptFeeder{})
 	cur := newCursor(e, r, child(e, "a"))
-	n1, err := cur.next()
-	if err != nil || n1 != a1 {
-		t.Fatalf("first: %v %v", n1, err)
+	n1, ok := cur.next()
+	if !ok || n1 != a1 {
+		t.Fatalf("first: %v %v", n1, ok)
 	}
 	// The loop body signs off the binding role of the current node: the
 	// node becomes irrelevant but must stay linked (pinned) so the cursor
@@ -110,9 +161,9 @@ func TestCursorPinsSurviveSignOff(t *testing.T) {
 	if a1.Unlinked() {
 		t.Fatal("pinned current node must not be unlinked")
 	}
-	n2, err := cur.next()
-	if err != nil || n2 != a2 {
-		t.Fatalf("second: %v %v", n2, err)
+	n2, ok := cur.next()
+	if !ok || n2 != a2 {
+		t.Fatalf("second: %v %v", n2, ok)
 	}
 	// Advancing released the pin: a1 is now reclaimed.
 	if !a1.Unlinked() {
@@ -141,17 +192,9 @@ func TestCursorDescendantDocOrder(t *testing.T) {
 	step := child(e, "b")
 	step.Axis = xqast.Descendant
 	cur := newCursor(e, r, step)
-	defer cur.close()
-	var got []*buffer.Node
-	for {
-		n, err := cur.next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == nil {
-			break
-		}
-		got = append(got, n)
+	got, err := iterate(e, &scriptFeeder{}, drivers[0].feed, cur)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if len(got) != 3 || got[0] != b1 || got[1] != b2 || got[2] != b3 {
 		t.Fatalf("descendant order wrong: %v", got)
@@ -182,14 +225,33 @@ func TestCursorFirstStepStopsAfterWitness(t *testing.T) {
 	}
 }
 
+// TestCursorPropagatesFeederError: a cursor parks on an unfinished
+// region, its driver's feed fails, and the evaluator resumed with the
+// error unwinds: the cursor's frame is closed (its pin released, the
+// cursor pooled), and the error returned.
 func TestCursorPropagatesFeederError(t *testing.T) {
-	buf, syms := setup()
-	r := buf.AppendElement(buf.Root(), syms.Intern("r")) // unfinished
-	e := evaluator(buf, &scriptFeeder{fail: errors.New("boom")})
-	cur := newCursor(e, r, child(e, "a"))
-	defer cur.close()
-	if _, err := cur.next(); err == nil {
-		t.Fatal("feeder error must propagate")
+	for _, d := range drivers {
+		buf, syms := setup()
+		r := buf.AppendElement(buf.Root(), syms.Intern("r"))
+		a := withRole(buf, buf.AppendElement(r, syms.Intern("a")), 1)
+		buf.Finish(a)
+		feed := &scriptFeeder{fail: errors.New("boom")}
+		e := evaluator(buf, feed)
+		cur := newCursor(e, r, child(e, "a"))
+		e.push(frame{op: opOutput, cur: cur})
+		if n, ok := cur.next(); !ok || n != a {
+			t.Fatalf("%s: first match %v %v", d.name, n, ok)
+		}
+		if _, ok := cur.next(); ok {
+			t.Fatalf("%s: the unfinished region did not park the cursor", d.name)
+		}
+		fed := d.feed(e, feed)
+		if done, err := e.Resume(fed); !done || err != fed || fed == nil {
+			t.Fatalf("%s: Resume(%v) = %v, %v; want the feeder's error", d.name, fed, done, err)
+		}
+		if len(e.stack) != 0 || e.cursors.free != cur || !cur.released || cur.cur != nil {
+			t.Fatalf("%s: the failed run left %d frames and its cursor %+v", d.name, len(e.stack), *cur)
+		}
 	}
 }
 
@@ -240,9 +302,9 @@ func TestStringValueConcatenatesTexts(t *testing.T) {
 	buf.Finish(r)
 
 	e := evaluator(buf, &scriptFeeder{})
-	v, err := e.stringValue(r)
-	if err != nil {
-		t.Fatal(err)
+	v, ok := e.stringValue(r)
+	if !ok {
+		t.Fatal("a finished node's string value waited")
 	}
 	if v != "abc" {
 		t.Fatalf("string value %q, want abc", v)
@@ -250,20 +312,26 @@ func TestStringValueConcatenatesTexts(t *testing.T) {
 }
 
 func TestStringValueBlocksUntilFinished(t *testing.T) {
-	buf, syms := setup()
-	r := buf.AppendElement(buf.Root(), syms.Intern("r"))
-	withRole(buf, r, 1)
-	buf.AppendText(r, "x")
-	feed := &scriptFeeder{steps: []func(){
-		func() { buf.AppendText(r, "y") },
-		func() { buf.Finish(r) },
-	}}
-	e := evaluator(buf, feed)
-	v, err := e.stringValue(r)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != "xy" {
-		t.Fatalf("string value %q, want xy", v)
+	for _, d := range drivers {
+		buf, syms := setup()
+		r := buf.AppendElement(buf.Root(), syms.Intern("r"))
+		withRole(buf, r, 1)
+		buf.AppendText(r, "x")
+		feed := &scriptFeeder{steps: []func(){
+			func() { buf.AppendText(r, "y") },
+			func() { buf.Finish(r) },
+		}}
+		e := evaluator(buf, feed)
+		var v string
+		err := drive(e, feed, d.feed, func() (ok bool) {
+			v, ok = e.stringValue(r)
+			return ok
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v != "xy" || e.work.waits != 1 {
+			t.Fatalf("%s: string value %q after %d blocking episodes, want xy after 1", d.name, v, e.work.waits)
+		}
 	}
 }

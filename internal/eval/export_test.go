@@ -1,6 +1,10 @@
 package eval
 
-import "unsafe"
+import (
+	"unsafe"
+
+	"gcx/internal/buffer"
+)
 
 // Test-only windows into the evaluator for the external suite
 // (join_test.go), which drives it behind the real projector chain.
@@ -76,4 +80,13 @@ func (e *Evaluator) OperandCapacity() int {
 		n = max(n, cap(s.vals))
 	}
 	return n
+}
+
+// Binding returns the node bound to slot, nil between bindings, and the
+// slot's epoch, which moves on at every binding.
+func (e *Evaluator) Binding(slot int) (*buffer.Node, uint64) {
+	if slot >= len(e.env) {
+		return nil, 0
+	}
+	return e.env[slot], e.epoch[slot]
 }

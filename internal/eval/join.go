@@ -107,101 +107,111 @@ func (t *joinTable) reset() {
 	t.entries, t.heads, t.hits = t.entries[:0], t.heads[:0], t.hits[:0]
 }
 
-// joinLoop runs the join loop f from its probe table and reports true, or
-// reports false when the nested loop must run instead: f's region is
-// unfinished, or the table does not describe it — then this execution is
-// recorded, and the next one over the same unchanged region builds the
-// table, so a loop run once per region never pays for one.
-//
-// The pull sequence is the nested loop's. Building reads only the
-// finished region. P is collected (operandValues, the site's own cache)
-// only if some binding has a key value, which is exactly when the nested
-// loop would have collected it, and before that point the nested loop
-// neither pulls nor writes. A hit is pinned and bound while it is
-// re-checked and X runs, as the nested loop's cursor pins it; skipped
-// bindings were pinned and unpinned by the nested loop with nothing in
-// between, which changes nothing.
+// tableReady reports whether join loop f can run from its probe table
+// (joinLoop): not while f's region is unfinished, nor when the table does
+// not describe it — then this execution is recorded, and the next one over
+// the same region builds the table, so a loop run once never pays for one.
 //
 //gcxlint:noalloc
-func (e *Evaluator) joinLoop(f xqast.For) (bool, error) {
+func (e *Evaluator) tableReady(f xqast.For) bool {
 	ctx := e.env[f.In.Slot]
 	if !ctx.Finished() {
-		return false, nil
+		return false
 	}
 	t := &e.joins[f.Join.Table]
 	if !t.describes(ctx) {
 		t.reset()
 		t.ctx, t.stamp, t.roles = ctx, ctx.Stamp(), ctx.SubtreeRoles()
-		return false, nil
+		return false
 	}
-	if !t.built {
-		if err := e.buildTable(t, f); err != nil {
-			return true, err
+	return true
+}
+
+// joinLoop runs join loop frame f from its probe table: it builds the
+// table if it has not been (buildTable), collects the probe values, and
+// runs the body for the bindings they hit.
+//
+// The pull sequence is the nested loop's. Building reads only the
+// finished region. P is collected (operand, the site's own cache) only if
+// some binding has a key value, exactly when the nested loop would have
+// collected it; before that, the nested loop neither pulls nor writes. A
+// hit is pinned (f.n) and bound while it is re-checked and X runs, as the
+// nested loop's cursor pins it; skipped bindings were pinned and unpinned
+// by the nested loop with nothing in between, which changes nothing.
+//
+//gcxlint:noalloc
+func (e *Evaluator) joinLoop(f *frame) (bool, error) {
+	x := f.x.(xqast.For)
+	j := x.Join
+	t := &e.joins[j.Table]
+	switch f.pc {
+	case 0:
+		f.pc = 1
+		if !t.built {
+			e.push(frame{op: opBuild, x: f.x, cur: newCursor(e, t.ctx, x.In.Steps[0])})
+			return true, nil
+		}
+		fallthrough
+	case 1:
+		if !t.anyKey {
+			e.pop()
+			return true, nil
+		}
+		e.cmpRHS, e.cmpSite = j.Probe, j.Cond.Site
+		f.pc = 2
+		if !e.operand() {
+			return true, nil
+		}
+		fallthrough
+	case 2:
+		e.lookup(t, e.sites[e.cmpSite].vals)
+	case 4: // hit f.i-1 is bound and re-checked
+		f.pc = 3
+		if e.ret {
+			return true, e.call(j.Then)
 		}
 	}
-	if !t.anyKey {
-		return true, nil
-	}
-	e.cmpRHS, e.cmpSite = f.Join.Probe, f.Join.Cond.Site
-	probe, err := e.operandValues()
-	e.cmpRHS = xqast.Operand{}
-	if err != nil {
-		return true, err
-	}
-	e.lookup(t, probe)
-
-	var cur *buffer.Node // pinned, like the nested loop's cursor position
-	for _, i := range t.hits {
-		n := t.entries[i].node
-		if n == cur || !linkedBelow(n, ctx) {
+	f.pc = 3
+	e.env[x.Slot] = nil
+	for int(f.i) < len(t.hits) {
+		n := t.entries[t.hits[f.i]].node
+		f.i++
+		if n == f.n || !linkedBelow(n, t.ctx) {
 			continue
 		}
 		e.buf.Pin(n)
-		if cur != nil {
-			e.buf.Unpin(cur)
+		if f.n != nil {
+			e.buf.Unpin(f.n)
 		}
-		cur = n
-		e.env[f.Slot] = n
-		e.epoch[f.Slot]++
-		var ok bool
-		if ok, err = e.compare(f.Join.Cond); err == nil && ok {
-			err = e.expr(f.Join.Then)
-		}
-		if err != nil {
-			break
-		}
-		e.env[f.Slot] = nil
+		f.n = n
+		e.env[x.Slot] = n
+		e.epoch[x.Slot]++
+		f.pc = 4
+		e.compare(j.Cond)
+		return true, nil
 	}
-	if cur != nil {
-		e.buf.Unpin(cur)
+	if f.n != nil {
+		e.buf.Unpin(f.n)
 	}
-	return true, err
+	e.pop()
+	return true, nil
 }
 
-// buildTable walks t's region with the nested loop's cursor and collects
-// every binding's key values with its collectValues, entering each
-// binding once under each distinct key.
+// buildTable walks the table's region with the nested loop's cursor and
+// collects every binding's key values with collectValues, entering each
+// binding once under each distinct key; then it links the buckets.
 //
 //gcxlint:noalloc
-func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
-	cur := newCursor(e, t.ctx, f.In.Steps[0])
-	defer cur.close()
-	// A binding has one entry per distinct key, most have one key: sized
-	// by the bindings, the entries grow by one allocation per table, not
-	// by one per doubling of the region.
-	t.entries = slices.Grow(t.entries, cur.count()) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
-	for {
-		n, err := cur.next()
-		if err != nil {
-			return err
-		}
-		if n == nil {
-			break
-		}
-		e.keys, err = e.collectValues(n, f.Join.Key.Steps, e.keys[:0])
-		if err != nil {
-			return err
-		}
+func (e *Evaluator) buildTable(f *frame) (bool, error) {
+	x := f.x.(xqast.For)
+	t := &e.joins[x.Join.Table]
+	switch f.pc {
+	case 0:
+		// A binding has one entry per distinct key, most have one key:
+		// sized by the bindings, the entries grow by one allocation per
+		// table, not by one per doubling of the region.
+		t.entries = slices.Grow(t.entries, f.cur.count()) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
+	case 1: // f.n's keys are collected
 		first := len(t.entries)
 	values:
 		for _, v := range e.keys {
@@ -215,9 +225,20 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 					continue values
 				}
 			}
-			t.entries = append(t.entries, joinEntry{key: k, hash: k.hash(e.seed), node: n}) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
+			t.entries = append(t.entries, joinEntry{key: k, hash: k.hash(e.seed), node: f.n}) //gcxlint:allocok growth to the region's size; the pass decides whether an idle state keeps it
 			e.work.entries++
 		}
+	}
+	f.pc = 2
+	n, ok := e.next(f)
+	if n != nil {
+		f.n, f.pc = n, 1
+		e.keys = e.keys[:0]
+		e.stream(opCollect, n, x.Join.Key.Steps, &e.keys)
+		return true, nil
+	}
+	if !ok {
+		return false, nil
 	}
 	// Buckets at twice the entries, a power of two; each chain is linked
 	// back to front, so it lists its entries in document order.
@@ -236,7 +257,7 @@ func (e *Evaluator) buildTable(t *joinTable, f xqast.For) error {
 	}
 	e.work.tableBytes += int64(len(t.entries))*int64(unsafe.Sizeof(joinEntry{})) + int64(size)*4
 	t.built = true
-	return nil
+	return true, nil
 }
 
 // lookup sets t.hits to the entries whose key equals one of the probe

@@ -28,6 +28,7 @@ package proj
 import (
 	"fmt"
 	"math"
+	"slices"
 	"unsafe"
 
 	"gcx/internal/buffer"
@@ -917,7 +918,11 @@ func (p *Projector) takeFrame() *frame {
 		}
 		return f
 	}
-	return &frame{} //gcxlint:allocok pool growth to document depth, amortized across runs
+	// Every frame ends up in the pool (Reset releases the open ones):
+	// sized now for all of them, it never grows later, so what a state
+	// retains is fixed by its first run.
+	p.pool = slices.Grow(p.pool, len(p.stack)+1) //gcxlint:allocok pool growth to document depth, amortized across runs
+	return &frame{}                              //gcxlint:allocok pool growth to document depth, amortized across runs
 }
 
 //gcxlint:noalloc
