@@ -3,6 +3,7 @@ package xmlstream
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 )
 
@@ -347,4 +348,57 @@ func BenchmarkStructuralIndex(b *testing.B) {
 			}
 		})
 	}
+}
+
+// classifyPasses is how many times one BenchmarkClassify op classifies
+// its window: 4 MB per op, like the profile documents, so a 6-op run is
+// long enough to time.
+const classifyPasses = 64
+
+// minKernelSpeedup is the kernel/SWAR ratio BenchmarkClassify holds on
+// amd64, where classifyBlocks is the SSE2 kernel. It measures 5.6–8.6×;
+// under 3× the kernel is no longer what the index runs.
+const minKernelSpeedup = 3.0
+
+// BenchmarkClassify times classification alone over one 64 KB window of
+// the markup-heavy document (the cost does not depend on the bytes): the
+// swar row runs the SWAR classifier a block at a time, the kernel row
+// classifyBlocks, and the kernel row reports its speedup as x-swar.
+//
+//	go test -run xxx -bench BenchmarkClassify -benchtime 6x ./internal/xmlstream
+//
+// On amd64 it fails under minKernelSpeedup, checked on measured runs
+// only, as BenchmarkTokenizerThroughput holds its floors. Elsewhere both
+// rows run the SWAR classifier and the ratio is reported, not held.
+func BenchmarkClassify(b *testing.B) {
+	window := genMarkupHeavyDoc(windowSize, 1)[:windowSize]
+	words := make([]uint64, windowSize/64)
+	var swarNsPerOp float64
+	b.Run("swar", func(b *testing.B) {
+		b.SetBytes(classifyPasses * windowSize)
+		for range b.N {
+			for range classifyPasses {
+				for w := range words {
+					words[w] = classifyBlock(window[w<<6:])
+				}
+			}
+		}
+		swarNsPerOp = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+	})
+	b.Run("kernel", func(b *testing.B) {
+		b.SetBytes(classifyPasses * windowSize)
+		for range b.N {
+			for range classifyPasses {
+				classifyBlocks(words, window)
+			}
+		}
+		if swarNsPerOp == 0 {
+			return // -bench selected this row without the swar row
+		}
+		speedup := swarNsPerOp * float64(b.N) / float64(b.Elapsed().Nanoseconds())
+		b.ReportMetric(speedup, "x-swar")
+		if runtime.GOARCH == "amd64" && b.N > 1 && speedup < minKernelSpeedup {
+			b.Errorf("the classify kernel is %.2fx the SWAR classifier, floor %.1fx", speedup, minKernelSpeedup)
+		}
+	})
 }
